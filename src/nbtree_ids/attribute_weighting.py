@@ -11,21 +11,21 @@ The tree here exists to rank attributes; it is also usable directly as a
 plain information-gain classifier, which is the tree baseline elsewhere in
 the toolkit (with uniform example weights it is an ordinary ID3-style
 tree: multi-way splits on discrete attributes, binary threshold splits on
-continuous ones).
+continuous ones). Its node type, routing, dump and JSON codec live in
+``tree``, shared with the NB-tree; ``DecisionTree`` adds the label leaves.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Schema, WeightedDataset, project_attributes
 from .exceptions import DataFormatError, DegenerateTreeError, SchemaError, TrainingError
 from .probability import NaiveBayesModel, fit_naive_bayes
+from .tree import TreeModel, TreeNode, iter_nodes, node_from_dict, node_to_dict, route_rows
 
 TREE_FORMAT = "gain-tree/1"
 
@@ -154,38 +154,9 @@ def weighted_info_gain(dataset: WeightedDataset, attribute: str) -> GainResult:
 
 
 @dataclass
-class TreeNode:
-    """One tree node. Internal nodes carry a split attribute (and for
-    continuous splits a threshold); leaves carry a majority class label.
-    Root depth is 1."""
-
-    depth: int
-    weight: float
-    n: int
-    label: str | None = None
-    attribute: str | None = None
-    threshold: float | None = None
-    children: dict[str, "TreeNode"] | None = None   # discrete branches by symbol
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.attribute is None
-
-    def heaviest_child(self) -> "TreeNode":
-        if self.threshold is not None:
-            return self.left if self.left.weight >= self.right.weight else self.right
-        best = None
-        for child in self.children.values():
-            if child is not None and (best is None or child.weight > best.weight):
-                best = child
-        return best
-
-
-@dataclass
-class DecisionTree:
-    """Weighted information-gain tree bound to a schema."""
+class DecisionTree(TreeModel):
+    """Weighted information-gain tree bound to a schema; its leaves hold
+    class labels."""
 
     schema_hash: str
     classes: tuple[str, ...]
@@ -193,82 +164,13 @@ class DecisionTree:
     root: TreeNode
     model_id: str = "gain-tree"
 
-    @property
-    def attribute_count(self) -> int:
-        return len(self.attribute_names)
-
-    def _route(self, node: TreeNode, sym_cols: dict[int, np.ndarray],
-               cont_cols: dict[int, np.ndarray], attr_index: dict[str, int], i: int) -> TreeNode:
-        while not node.is_leaf:
-            j = attr_index[node.attribute]
-            if node.threshold is not None:
-                node = node.left if cont_cols[j][i] <= node.threshold else node.right
-            else:
-                child = node.children.get(sym_cols[j][i])
-                if child is None:
-                    child = node.heaviest_child()   # unseen branch value
-                node = child
-        return node
-
     def predict_dataset(self, dataset: WeightedDataset) -> np.ndarray:
-        if dataset.schema.structural_hash() != self.schema_hash:
-            raise SchemaError("dataset schema does not match the tree schema")
-        attr_index = {n: i for i, n in enumerate(dataset.schema.attribute_names)}
-        sym_cols: dict[int, np.ndarray] = {}
-        cont_cols: dict[int, np.ndarray] = {}
-        for j, spec in enumerate(dataset.schema.attributes):
-            if spec.is_discrete:
-                sym_cols[j] = np.asarray(spec.domain, dtype=object)[dataset.columns[j]]
-            else:
-                cont_cols[j] = dataset.columns[j]
+        self.check_schema(dataset)
         class_index = {c: i for i, c in enumerate(self.classes)}
         out = np.empty(dataset.n, dtype=np.int64)
-        for i in range(dataset.n):
-            leaf = self._route(self.root, sym_cols, cont_cols, attr_index, i)
-            out[i] = class_index[leaf.label]
+        for label, rows in route_rows(self.root, dataset):
+            out[rows] = class_index[label]
         return out
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(_child_nodes(node))
-        return count
-
-    def max_depth(self) -> int:
-        deepest = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            deepest = max(deepest, node.depth)
-            stack.extend(_child_nodes(node))
-        return deepest
-
-    def dump(self) -> str:
-        """Indented audit text, one node per line."""
-        lines: list[str] = []
-
-        def walk(node: TreeNode, branch: str) -> None:
-            pad = "  " * (node.depth - 1)
-            if node.is_leaf:
-                lines.append(f"{pad}{node.depth} {branch}leaf {node.label} (n={node.n}, w={node.weight:.6g})")
-                return
-            if node.threshold is not None:
-                lines.append(f"{pad}{node.depth} {branch}split {node.attribute} @ {node.threshold!r}")
-                walk(node.left, f"<= {node.threshold!r} -> ")
-                walk(node.right, f"> {node.threshold!r} -> ")
-            else:
-                lines.append(f"{pad}{node.depth} {branch}split {node.attribute}")
-                for sym, child in node.children.items():
-                    if child is not None:
-                        walk(child, f"= {sym} -> ")
-
-        walk(self.root, "")
-        return "\n".join(lines) + "\n"
-
-    # -- serialisation ------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
@@ -277,7 +179,7 @@ class DecisionTree:
             "schema_hash": self.schema_hash,
             "classes": list(self.classes),
             "attributes": list(self.attribute_names),
-            "root": _node_to_dict(self.root),
+            "root": node_to_dict(self.root),
         }
 
     @classmethod
@@ -286,62 +188,8 @@ class DecisionTree:
             raise DataFormatError(f"not a {TREE_FORMAT} document")
         return cls(
             doc["schema_hash"], tuple(doc["classes"]), tuple(doc["attributes"]),
-            _node_from_dict(doc["root"]), doc.get("model_id", "gain-tree"),
+            node_from_dict(doc["root"]), doc.get("model_id", "gain-tree"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "DecisionTree":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def _child_nodes(node: TreeNode) -> list[TreeNode]:
-    if node.is_leaf:
-        return []
-    if node.threshold is not None:
-        return [node.left, node.right]
-    return [c for c in node.children.values() if c is not None]
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    doc: dict = {"depth": node.depth, "weight": node.weight, "n": node.n}
-    if node.is_leaf:
-        doc["label"] = node.label
-        return doc
-    doc["attribute"] = node.attribute
-    if node.threshold is not None:
-        doc["threshold"] = node.threshold
-        doc["left"] = _node_to_dict(node.left)
-        doc["right"] = _node_to_dict(node.right)
-    else:
-        doc["children"] = {
-            sym: _node_to_dict(c) for sym, c in node.children.items() if c is not None
-        }
-    return doc
-
-
-def _node_from_dict(doc: dict) -> TreeNode:
-    node = TreeNode(depth=doc["depth"], weight=doc["weight"], n=doc["n"])
-    if "attribute" not in doc:
-        node.label = doc["label"]
-        return node
-    node.attribute = doc["attribute"]
-    if "threshold" in doc:
-        node.threshold = doc["threshold"]
-        node.left = _node_from_dict(doc["left"])
-        node.right = _node_from_dict(doc["right"])
-    else:
-        node.children = {sym: _node_from_dict(c) for sym, c in doc["children"].items()}
-    return node
 
 
 def build_weighted_tree(
@@ -369,29 +217,26 @@ def build_weighted_tree(
     columns = dataset.columns
     specs = schema.attributes
 
-    def leaf(rows: np.ndarray, depth: int, cw: np.ndarray) -> TreeNode:
-        label = schema.class_names[int(np.argmax(cw))]
-        return TreeNode(depth=depth, weight=float(cw.sum()), n=len(rows), label=label)
+    stack: list[tuple[TreeNode, np.ndarray, frozenset]] = []
 
-    root_holder: dict[str, TreeNode] = {}
+    def grow(depth: int, rows: np.ndarray, consumed: frozenset) -> TreeNode:
+        """A node over these rows, filled in when it leaves the stack."""
+        node = TreeNode(depth=depth, weight=0.0, n=len(rows))
+        stack.append((node, rows, consumed))
+        return node
 
-    def assign(container, key, node):
-        if isinstance(container, dict):
-            container[key] = node
-        else:
-            setattr(container, key, node)
-
-    stack = [(np.arange(dataset.n), 1, frozenset(), root_holder, "root")]
+    root = grow(1, np.arange(dataset.n), frozenset())
     while stack:
-        rows, depth, consumed, container, key = stack.pop()
+        node, rows, consumed = stack.pop()
         lab = labels[rows]
         w = weights[rows]
         cw = np.bincount(lab, weights=w, minlength=C)
-        node_weight = float(cw.sum())
+        node.weight = float(cw.sum())
+        label = schema.class_names[int(np.argmax(cw))]
         pure = np.count_nonzero(cw > 0) <= 1
-        depth_stop = max_depth is not None and depth >= max_depth
-        if pure or depth_stop or node_weight < min_weight_leaf:
-            assign(container, key, leaf(rows, depth, cw))
+        depth_stop = max_depth is not None and node.depth >= max_depth
+        if pure or depth_stop or node.weight < min_weight_leaf:
+            node.payload = label
             continue
         best_gain = 0.0
         best_j = -1
@@ -407,31 +252,22 @@ def build_weighted_tree(
             if gain > best_gain + _GAIN_TOL:
                 best_gain, best_j, best_thr = gain, j, thr
         if best_j < 0:
-            assign(container, key, leaf(rows, depth, cw))
+            node.payload = label
             continue
-        node = TreeNode(
-            depth=depth, weight=node_weight, n=len(rows),
-            attribute=specs[best_j].name, threshold=best_thr,
-        )
-        assign(container, key, node)
+        node.attribute, node.threshold = specs[best_j].name, best_thr
         if best_thr is not None:
             mask = columns[best_j][rows] <= best_thr
-            stack.append((rows[~mask], depth + 1, consumed, node, "right"))
-            stack.append((rows[mask], depth + 1, consumed, node, "left"))
+            node.left = grow(node.depth + 1, rows[mask], consumed)
+            node.right = grow(node.depth + 1, rows[~mask], consumed)
         else:
             codes = columns[best_j][rows]
             domain = specs[best_j].domain
-            node.children = {}
-            branches = []
-            for code in np.unique(codes):
-                node.children[domain[code]] = None   # fix branch order now
-                branches.append((domain[code], rows[codes == code]))
-            consumed_next = consumed | {best_j}
-            for sym, child_rows in reversed(branches):
-                stack.append((child_rows, depth + 1, consumed_next, node.children, sym))
+            node.children = {
+                domain[code]: grow(node.depth + 1, rows[codes == code], consumed | {best_j})
+                for code in np.unique(codes)
+            }
     return DecisionTree(
-        schema.structural_hash(), schema.class_names, schema.attribute_names,
-        root_holder["root"],
+        schema.structural_hash(), schema.class_names, schema.attribute_names, root,
     )
 
 
@@ -473,14 +309,11 @@ def compute_attribute_weights(tree: DecisionTree, schema: Schema) -> AttributeWe
     """Derive 1/sqrt(d) weights from the minimum depth at which the tree
     tests each attribute; attributes absent from the tree weigh 0."""
     min_depth: dict[str, int] = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
+    for node in iter_nodes(tree.root):
         if not node.is_leaf:
             d = min_depth.get(node.attribute)
             if d is None or node.depth < d:
                 min_depth[node.attribute] = node.depth
-            stack.extend(_child_nodes(node))
     names = schema.attribute_names
     depths = tuple(min_depth.get(n) for n in names)
     weights = tuple(0.0 if d is None else 1.0 / math.sqrt(d) for d in depths)

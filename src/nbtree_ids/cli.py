@@ -80,7 +80,6 @@ class RunConfig:
     sample_fraction: float | None = None
     test_fraction: float | None = None
     permissive: bool = False
-    workers: int = 1
     carry_weights: bool = True
     train_on_relabeled: bool = False
 
@@ -93,7 +92,6 @@ class RunConfig:
             (self.min_split_examples >= 0, "min_split_examples must be >= 0"),
             (self.nbtree_max_depth >= 1, "nbtree_max_depth must be >= 1"),
             (self.iterations >= 1, "iterations must be >= 1"),
-            (self.workers >= 1, "workers must be >= 1"),
         ]
         if self.sample_fraction is not None:
             checks.append((0 < self.sample_fraction < 1,
@@ -155,7 +153,6 @@ class RunConfig:
             train_on_relabeled=self.train_on_relabeled,
             tree_max_depth=self.weighting_max_depth,
             tree_min_leaf_examples=self.weighting_min_leaf_examples,
-            workers=self.workers,
         )
 
 
@@ -456,7 +453,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="hold out this fraction of train as test (when no --test)")
     p.add_argument("--permissive", action=argparse.BooleanOptionalAction, default=None,
                    help="skip bad records and extend domains instead of aborting")
-    p.add_argument("--workers", type=int, help="parallel evaluation workers")
     p.add_argument("--carry-weights", dest="carry_weights",
                    action=argparse.BooleanOptionalAction, default=None,
                    help="carry posterior weights into the NB-tree (default on)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -369,12 +370,7 @@ def parse_record(
                 )
             values.append(raw)
         else:
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise DataFormatError(
-                    f"unparseable number {raw!r} for attribute {spec.name!r}{where}"
-                ) from None
+            values.append(_parse_number(raw, spec.name, where))
     raw_label = fields[-1].rstrip(".")
     try:
         label = taxonomy.class_of(raw_label)
@@ -383,6 +379,20 @@ def parse_record(
     if label not in schema.class_names:
         raise TaxonomyError(f"taxonomy maps {raw_label!r} to unknown class {label!r}{where}")
     return Example(tuple(values), label, raw_label, 0.0)
+
+
+def _parse_number(raw: str, attribute: str, where: str) -> float:
+    """A finite float, or DataFormatError: ``nan`` and ``inf`` parse as
+    floats but are no valid measurement."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DataFormatError(
+            f"unparseable number {raw!r} for attribute {attribute!r}{where}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"non-finite number {raw!r} for attribute {attribute!r}{where}")
+    return value
 
 
 def serialize_record(example: Example, schema: Schema) -> str:
@@ -475,23 +485,16 @@ def load_dataset(
             try:
                 converted[j] = np.asarray(cols[j], dtype=np.float64)
             except ValueError:
-                # locate offending rows one by one; keep the rest in permissive mode
-                vals = np.empty(len(rows), dtype=np.float64)
-                for i, raw in enumerate(cols[j]):
-                    try:
-                        vals[i] = float(raw)
-                    except ValueError:
-                        fail_or_skip(
-                            numbers[i],
-                            DataFormatError(
-                                f"unparseable number {raw!r} for attribute "
-                                f"{attrs[j].name!r} at line {numbers[i]}"
-                            ),
-                            "bad-number",
-                        )
-                        keep[i] = False
-                        vals[i] = np.nan
-                converted[j] = vals
+                converted[j] = np.full(len(rows), np.nan)
+            if np.isfinite(converted[j]).all():
+                continue
+            # locate offending rows one by one; keep the rest in permissive mode
+            for i, raw in enumerate(cols[j]):
+                try:
+                    converted[j][i] = _parse_number(raw, attrs[j].name, f" at line {numbers[i]}")
+                except DataFormatError as exc:
+                    fail_or_skip(numbers[i], exc, "bad-number")
+                    keep[i] = False
         labels_chunk = np.empty(len(rows), dtype=np.int64)
         class_index = {c: i for i, c in enumerate(schema.class_names)}
         rl_chunk: list[str] = []

@@ -13,7 +13,6 @@ as undefined ("n/a"), never as 0.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,7 +240,6 @@ class ComparisonConfig:
     train_on_relabeled: bool = False
     tree_max_depth: int | None = None
     tree_min_leaf_examples: float | None = None
-    workers: int = 1
 
 
 @dataclass
@@ -337,21 +335,10 @@ def run_comparison(
     kept = selection.weights.kept_names()
     reduced_test = project_attributes(test, kept)
     full_ids = {"nb-full", "tree-full"}
-    jobs = [
-        (model, test if mid in full_ids else reduced_test)
+    reports = [
+        evaluate(model, test if mid in full_ids else reduced_test, model_id=model.model_id)
         for mid, model in models.items()
     ]
-
-    def run_one(job):
-        model, testset = job
-        return evaluate(model, testset, model_id=model.model_id)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            reports = list(pool.map(run_one, jobs))
-    else:
-        reports = [run_one(j) for j in jobs]
-
     return ComparisonBundle(
         selection=selection.report,
         kept_attributes=list(kept),

@@ -21,20 +21,21 @@ Continuous attributes are re-binned on each node's partition and on each
 candidate child's partition, so both the perfect-classification check and
 the split utility see exactly what the corresponding leaf model would see:
 a split is scored by the leaf models it would create.
+
+The node type, routing, dump and JSON codec live in ``tree``, shared with
+the gain tree; ``NBTree`` adds the naive-Bayes leaves and their scoring.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .attribute_weighting import _threshold_candidates
 from .dataset import Example, WeightedDataset
-from .exceptions import DataFormatError, SchemaError, TrainingError
+from .exceptions import DataFormatError, TrainingError
 from .probability import (
     NaiveBayesModel,
     as_weight_array,
@@ -42,6 +43,9 @@ from .probability import (
     equal_frequency_edges,
     fit_naive_bayes,
     _normalise_rows,
+)
+from .tree import (
+    TreeModel, TreeNode, iter_nodes, node_from_dict, node_to_dict, route_example, route_rows,
 )
 
 NBTREE_FORMAT = "nbtree/1"
@@ -351,166 +355,26 @@ def best_split(
 
 
 @dataclass
-class NBTreeNode:
-    depth: int
-    weight: float
-    n: int
-    model: NaiveBayesModel | None = None          # leaves (and fallbacks)
-    attribute: str | None = None
-    threshold: float | None = None
-    children: dict[str, "NBTreeNode"] | None = None
-    left: "NBTreeNode | None" = None
-    right: "NBTreeNode | None" = None
-    empty_branches: tuple[str, ...] = ()
-    fallback_model: NaiveBayesModel | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.attribute is None
-
-    def heaviest_child(self) -> "NBTreeNode":
-        if self.threshold is not None:
-            return self.left if self.left.weight >= self.right.weight else self.right
-        best = None
-        for child in self.children.values():
-            if best is None or child.weight > best.weight:
-                best = child
-        return best
-
-
-@dataclass
-class NBTree:
+class NBTree(TreeModel):
     """A built naive-Bayes tree plus the attribute weights its leaves use."""
 
     schema_hash: str
     classes: tuple[str, ...]
     attribute_names: tuple[str, ...]
     attr_weights: np.ndarray
-    root: NBTreeNode
+    root: TreeNode
     model_id: str = "nbtree"
 
-    @property
-    def attribute_count(self) -> int:
-        return len(self.attribute_names)
-
-    # -- classification -----------------------------------------------------
-
-    def _route_terminal(self, values_by_attr: dict[str, object]) -> NaiveBayesModel:
-        node = self.root
-        while not node.is_leaf:
-            v = values_by_attr[node.attribute]
-            if node.threshold is not None:
-                node = node.left if float(v) <= node.threshold else node.right
-            else:
-                child = node.children.get(str(v))
-                if child is not None:
-                    node = child
-                elif str(v) in node.empty_branches:
-                    return node.fallback_model   # branch existed but was empty
-                else:
-                    node = node.heaviest_child() # value unseen at training time
-        return node.model
-
-    def classify_example(self, example: Example) -> tuple[str, np.ndarray]:
-        values = dict(zip(self.attribute_names, example.values))
-        model = self._route_terminal(values)
-        w = self.attr_weights
-        scores = model.log_scores(model.encode_example(example)[None, :], w)
-        probs = _normalise_rows(scores)[0]
-        return self.classes[int(np.argmax(scores[0]))], probs
-
     def predict_dataset(self, dataset: WeightedDataset) -> np.ndarray:
-        if dataset.schema.structural_hash() != self.schema_hash:
-            raise SchemaError("dataset schema does not match the tree schema")
-        attr_index = {n: i for i, n in enumerate(dataset.schema.attribute_names)}
-        decoded: dict[int, np.ndarray] = {}
-        for j, spec in enumerate(dataset.schema.attributes):
-            if spec.is_discrete:
-                decoded[j] = np.asarray(spec.domain, dtype=object)[dataset.columns[j]]
-            else:
-                decoded[j] = dataset.columns[j]
-        groups: dict[int, tuple[NaiveBayesModel, list[int]]] = {}
-        for i in range(dataset.n):
-            model = self._terminal_model(attr_index, decoded, i)
-            groups.setdefault(id(model), (model, []))[1].append(i)
+        self.check_schema(dataset)
         out = np.empty(dataset.n, dtype=np.int64)
-        for model, idx in groups.values():
-            sub = dataset.take(np.asarray(idx))
-            scores = model.log_scores(model.encode_dataset(sub), self.attr_weights)
-            out[np.asarray(idx)] = np.argmax(scores, axis=1)
+        for model, rows in route_rows(self.root, dataset):
+            scores = model.log_scores(model.encode_dataset(dataset.take(rows)), self.attr_weights)
+            out[rows] = np.argmax(scores, axis=1)
         return out
 
-    def _terminal_model(self, attr_index, decoded, i) -> NaiveBayesModel:
-        node = self.root
-        while not node.is_leaf:
-            j = attr_index[node.attribute]
-            if node.threshold is not None:
-                node = node.left if decoded[j][i] <= node.threshold else node.right
-            else:
-                v = decoded[j][i]
-                child = node.children.get(v)
-                if child is not None:
-                    node = child
-                elif v in node.empty_branches:
-                    return node.fallback_model
-                else:
-                    node = node.heaviest_child()
-        return node.model
-
-    # -- inspection ----------------------------------------------------------
-
     def leaf_sizes(self) -> list[int]:
-        sizes = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                sizes.append(node.n)
-            elif node.threshold is not None:
-                stack.extend([node.left, node.right])
-            else:
-                stack.extend(node.children.values())
-        return sizes
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                if node.threshold is not None:
-                    stack.extend([node.left, node.right])
-                else:
-                    stack.extend(node.children.values())
-        return count
-
-    def dump(self) -> str:
-        lines: list[str] = []
-
-        def walk(node: NBTreeNode, branch: str) -> None:
-            pad = "  " * (node.depth - 1)
-            if node.is_leaf:
-                lines.append(f"{pad}{node.depth} {branch}nb-leaf (n={node.n}, w={node.weight:.6g})")
-                return
-            if node.threshold is not None:
-                lines.append(f"{pad}{node.depth} {branch}split {node.attribute} @ {node.threshold!r}")
-                walk(node.left, f"<= {node.threshold!r} -> ")
-                walk(node.right, f"> {node.threshold!r} -> ")
-            else:
-                lines.append(f"{pad}{node.depth} {branch}split {node.attribute}")
-                for sym, child in node.children.items():
-                    walk(child, f"= {sym} -> ")
-                if node.empty_branches:
-                    pad2 = "  " * node.depth
-                    lines.append(
-                        f"{pad2}{node.depth + 1} empty branches {list(node.empty_branches)} -> parent nb"
-                    )
-
-        walk(self.root, "")
-        return "\n".join(lines) + "\n"
-
-    # -- serialisation ---------------------------------------------------------
+        return [node.n for node in iter_nodes(self.root) if node.is_leaf]
 
     def to_dict(self) -> dict:
         return {
@@ -520,7 +384,7 @@ class NBTree:
             "classes": list(self.classes),
             "attributes": list(self.attribute_names),
             "attr_weights": [float(w) for w in self.attr_weights],
-            "root": _nbnode_to_dict(self.root),
+            "root": node_to_dict(self.root),
         }
 
     @classmethod
@@ -530,58 +394,8 @@ class NBTree:
         return cls(
             doc["schema_hash"], tuple(doc["classes"]), tuple(doc["attributes"]),
             np.asarray(doc["attr_weights"], dtype=np.float64),
-            _nbnode_from_dict(doc["root"]), doc.get("model_id", "nbtree"),
+            node_from_dict(doc["root"]), doc.get("model_id", "nbtree"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NBTree":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "NBTree":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def _nbnode_to_dict(node: NBTreeNode) -> dict:
-    doc: dict = {"depth": node.depth, "weight": node.weight, "n": node.n}
-    if node.is_leaf:
-        doc["model"] = node.model.to_dict()
-        return doc
-    doc["attribute"] = node.attribute
-    if node.threshold is not None:
-        doc["threshold"] = node.threshold
-        doc["left"] = _nbnode_to_dict(node.left)
-        doc["right"] = _nbnode_to_dict(node.right)
-    else:
-        doc["children"] = {s: _nbnode_to_dict(c) for s, c in node.children.items()}
-        if node.empty_branches:
-            doc["empty_branches"] = list(node.empty_branches)
-            doc["fallback_model"] = node.fallback_model.to_dict()
-    return doc
-
-
-def _nbnode_from_dict(doc: dict) -> NBTreeNode:
-    node = NBTreeNode(depth=doc["depth"], weight=doc["weight"], n=doc["n"])
-    if "attribute" not in doc:
-        node.model = NaiveBayesModel.from_dict(doc["model"])
-        return node
-    node.attribute = doc["attribute"]
-    if "threshold" in doc:
-        node.threshold = doc["threshold"]
-        node.left = _nbnode_from_dict(doc["left"])
-        node.right = _nbnode_from_dict(doc["right"])
-    else:
-        node.children = {s: _nbnode_from_dict(c) for s, c in doc["children"].items()}
-        if "empty_branches" in doc:
-            node.empty_branches = tuple(doc["empty_branches"])
-            node.fallback_model = NaiveBayesModel.from_dict(doc["fallback_model"])
-    return node
 
 
 def build_nbtree(
@@ -610,43 +424,31 @@ def build_nbtree(
     def fit_leaf_model(rows: np.ndarray) -> NaiveBayesModel:
         return fit_naive_bayes(ds.take(rows), k=params.smoothing_k, bins=params.bins)
 
-    def leaf(rows: np.ndarray, depth: int) -> NBTreeNode:
-        return NBTreeNode(
-            depth=depth, weight=float(ds.weights[rows].sum()), n=len(rows),
-            model=fit_leaf_model(rows),
-        )
-
-    def grow(rows: np.ndarray, path: str, depth: int) -> NBTreeNode:
+    def grow(rows: np.ndarray, path: str, depth: int) -> TreeNode:
+        node = TreeNode(depth=depth, weight=float(ds.weights[rows].sum()), n=len(rows))
         view = ctx.node_view(rows)
-        if depth >= params.max_depth or ctx.misclassified(view) == 0:
-            return leaf(rows, depth)
-        found = ctx.best_split(view, _path_salt(path))
+        found = None
+        if depth < params.max_depth and ctx.misclassified(view) > 0:
+            found = ctx.best_split(view, _path_salt(path))
         if found is None:
-            return leaf(rows, depth)
+            node.payload = fit_leaf_model(rows)
+            return node
         j = schema.attribute_index(found.attribute)
-        node = NBTreeNode(
-            depth=depth, weight=float(ds.weights[rows].sum()), n=len(rows),
-            attribute=found.attribute, threshold=found.threshold,
-        )
+        node.attribute, node.threshold = found.attribute, found.threshold
         if found.threshold is not None:
             mask = ctx.raw[j][rows] <= found.threshold
             node.left = grow(rows[mask], f"{path}/{found.attribute}<=", depth + 1)
             node.right = grow(rows[~mask], f"{path}/{found.attribute}>", depth + 1)
         else:
             codes = ctx.raw[j][rows]
-            domain = schema.attributes[j].domain
-            node.children = {}
-            empty = []
-            for code, sym in enumerate(domain):
-                child_rows = rows[codes == code]
-                if len(child_rows) == 0:
-                    empty.append(sym)
-                    continue
-                node.children[sym] = grow(
-                    child_rows, f"{path}/{found.attribute}={sym}", depth + 1
-                )
-            if empty:
-                node.empty_branches = tuple(empty)
+            branches = [(sym, rows[codes == code])
+                        for code, sym in enumerate(schema.attributes[j].domain)]
+            node.children = {
+                sym: grow(sub, f"{path}/{found.attribute}={sym}", depth + 1)
+                for sym, sub in branches if len(sub)
+            }
+            node.empty_branches = tuple(sym for sym, sub in branches if not len(sub))
+            if node.empty_branches:
                 node.fallback_model = fit_leaf_model(rows)
         return node
 
@@ -661,4 +463,6 @@ def classify_nbtree(tree: NBTree, example: Example) -> tuple[str, np.ndarray]:
     """Route one example to its leaf and classify with the leaf model under
     the tree's attribute weights. Returns (label, normalised per-class
     probabilities)."""
-    return tree.classify_example(example)
+    model = route_example(tree.root, dict(zip(tree.attribute_names, example.values)))
+    scores = model.log_scores(model.encode_example(example)[None, :], tree.attr_weights)
+    return tree.classes[int(np.argmax(scores[0]))], _normalise_rows(scores)[0]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -338,13 +337,6 @@ class NaiveBayesModel:
     @classmethod
     def from_json(cls, text: str) -> "NaiveBayesModel":
         return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "NaiveBayesModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _schema_to_dict(schema: Schema) -> dict:

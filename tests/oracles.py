@@ -152,7 +152,7 @@ def id3_unweighted(rows, labels, classes, domains, depth=1):
 def tree_to_tuple(node, schema):
     """Convert a package DecisionTree node to the oracle tuple shape."""
     if node.is_leaf:
-        return ("leaf", node.label)
+        return ("leaf", node.payload)
     j = schema.attribute_index(node.attribute)
     return ("split", j, {
         sym: tree_to_tuple(child, schema) for sym, child in node.children.items()

@@ -205,7 +205,7 @@ def test_criterion_5_nbtree_structure():
                 stack.append((child, rows[sym_cols[j][rows] == sym]))
             continue
         labels = xor.labels[rows]
-        for j, attr in enumerate(node.model.conditionals.attributes):
+        for j, attr in enumerate(node.payload.conditionals.attributes):
             for ci in range(2):
                 n_c = int(np.count_nonzero(labels == ci))
                 for vi, sym in enumerate(attr.domain):

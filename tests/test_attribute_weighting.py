@@ -8,7 +8,6 @@ import synth
 from nbtree_ids.attribute_weighting import (
     DecisionTree,
     SelectionParams,
-    TreeNode,
     build_weighted_tree,
     compute_attribute_weights,
     select_attributes,
@@ -19,6 +18,7 @@ from nbtree_ids.attribute_weighting import (
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.exceptions import DegenerateTreeError, TrainingError
 from nbtree_ids.probability import fit_naive_bayes
+from nbtree_ids.tree import TreeNode
 
 
 def disc_schema(*domains, classes=("A", "B")):
@@ -167,7 +167,7 @@ def test_pure_dataset_gives_single_leaf():
     tree = build_weighted_tree(ds)
     assert tree.root.is_leaf
     assert tree.root.depth == 1
-    assert tree.root.label == "A"
+    assert tree.root.payload == "A"
 
 
 def test_deciding_attribute_becomes_root():
@@ -250,19 +250,33 @@ def test_unseen_branch_value_routes_to_heaviest_child():
     assert tree.predict_dataset(probe)[0] == 0  # heaviest child predicts A
 
 
+def test_heaviest_child_tie_survives_reload():
+    # children "b" and "a" weigh the same; the saved file lists "a" first
+    schema = disc_schema(("b", "a", "c"), classes=("P", "Q"))
+    rows = [("b",)] * 20 + [("a",)] * 20 + [("c",)]
+    labels = ["P"] * 20 + ["Q"] * 20 + ["P"]
+    tree = build_weighted_tree(WeightedDataset.from_rows(schema, rows, labels),
+                               min_weight_leaf=0.0)
+    again = DecisionTree.from_json(tree.to_json())
+    probe = WeightedDataset.from_rows(disc_schema(("b", "a", "c", "z"), classes=("P", "Q")),
+                                      [("z",)], ["P"])
+    assert tree.predict_dataset(probe)[0] == 1  # the tie goes to "a", which predicts Q
+    assert again.predict_dataset(probe)[0] == 1
+
+
 # -- attribute weights -------------------------------------------------------------------
 
 
 def test_attribute_weights_from_depths():
-    leaf = TreeNode(depth=5, weight=1.0, n=1, label="A")
+    leaf = TreeNode(depth=5, weight=1.0, n=1, payload="A")
     inner4 = TreeNode(depth=4, weight=1.0, n=2, attribute="f1", threshold=0.5,
-                      left=leaf, right=TreeNode(depth=5, weight=1.0, n=1, label="B"))
+                      left=leaf, right=TreeNode(depth=5, weight=1.0, n=1, payload="B"))
     chain = inner4
     for d in (3, 2):
         chain = TreeNode(depth=d, weight=1.0, n=2, attribute="f2", threshold=float(d),
-                         left=chain, right=TreeNode(depth=d + 1, weight=1.0, n=1, label="B"))
+                         left=chain, right=TreeNode(depth=d + 1, weight=1.0, n=1, payload="B"))
     root = TreeNode(depth=1, weight=1.0, n=4, attribute="f0",
-                    children={"x": chain, "y": TreeNode(depth=2, weight=1.0, n=1, label="A")})
+                    children={"x": chain, "y": TreeNode(depth=2, weight=1.0, n=1, payload="A")})
     schema = Schema(
         (
             AttributeSpec("f0", "discrete", ("x", "y")),

@@ -79,6 +79,9 @@ def test_parse_maps_trailing_period_attack_names():
 def test_parse_rejects_bad_number():
     with pytest.raises(DataFormatError, match="unparseable"):
         parse_record("red,abc,normal.", toy_schema(), toy_taxonomy())
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(DataFormatError, match="non-finite.*line 7"):
+            parse_record(f"red,{raw},normal.", toy_schema(), toy_taxonomy(), line_number=7)
 
 
 def test_parse_unknown_attack_names_symbol():
@@ -130,18 +133,21 @@ def test_load_empty_source_errors():
 
 
 def test_load_strict_aborts_on_bad_record():
-    lines = toy_lines() + ["red,not_a_number,normal."]
-    with pytest.raises(DataFormatError, match="line 5"):
-        load_dataset(lines, toy_schema(), toy_taxonomy())
+    for raw in ("not_a_number", "nan", "inf", "-inf"):
+        lines = toy_lines() + [f"red,{raw},normal."]
+        with pytest.raises(DataFormatError, match="line 5"):
+            load_dataset(lines, toy_schema(), toy_taxonomy())
 
 
 def test_load_permissive_skips_and_counts():
-    lines = toy_lines() + ["red,not_a_number,normal."]
-    ds = load_dataset(lines, toy_schema(), toy_taxonomy(), permissive=True)
-    assert ds.n == 4
-    assert ds.load_report.skipped == 1
-    assert ds.load_report.skipped_lines == [5]
-    np.testing.assert_allclose(ds.weights, 0.25)
+    for raw in ("not_a_number", "nan", "inf", "-inf"):
+        lines = toy_lines() + [f"red,{raw},normal."]
+        ds = load_dataset(lines, toy_schema(), toy_taxonomy(), permissive=True)
+        assert ds.n == 4
+        assert ds.load_report.skipped == 1
+        assert ds.load_report.skipped_lines == [5]
+        assert ds.load_report.reasons == {"bad-number": 1}
+        np.testing.assert_allclose(ds.weights, 0.25)
 
 
 def test_load_permissive_extends_domain():

@@ -245,17 +245,3 @@ def test_comparison_reports_have_uniform_structure():
     reduced = bundle.report("nb-reduced")
     assert full.attribute_count == 3
     assert reduced.attribute_count == len(bundle.kept_attributes)
-
-
-def test_comparison_parallel_workers_match_sequential():
-    ds = comparison_dataset()
-    seq = run_comparison(ds, ds, comparison_config())
-    config = comparison_config()
-    config.workers = 3
-    par = run_comparison(ds, ds, config)
-    a = [r.to_dict() for r in seq.reports]
-    b = [r.to_dict() for r in par.reports]
-    for x, y in zip(a, b):
-        x.pop("wall_clock_sec")
-        y.pop("wall_clock_sec")
-    assert a == b

@@ -364,7 +364,7 @@ def test_single_leaf_tree_delegates_to_weighted_scores():
     w = np.array([0.7, 0.4])
     tree = build_nbtree(ds, w, NBTreeParams(max_depth=1))  # force a single leaf
     assert tree.root.is_leaf
-    model = tree.root.model
+    model = tree.root.payload
     for i in range(ds.n):
         label, probs = classify_nbtree(tree, ds.example(i))
         scores = weighted_class_score(ds.example(i), model, w)
@@ -406,7 +406,7 @@ def test_equal_weights_match_unweighted_reestimation():
                 stack.append((child, rows[sym_cols[j][rows] == sym]))
             continue
         labels = ds.labels[rows]
-        for j, attr in enumerate(node.model.conditionals.attributes):
+        for j, attr in enumerate(node.payload.conditionals.attributes):
             V = attr.n_values
             for ci in range(len(tree.classes)):
                 n_c = int(np.count_nonzero(labels == ci))
@@ -470,9 +470,26 @@ def test_unseen_value_routes_to_heaviest_child():
     pred = tree.predict_dataset(probe)
     assert pred[0] in (0, 1)
     heavy = tree.root.heaviest_child()
-    sub = heavy.model
+    sub = heavy.payload
     scores = sub.log_scores(sub.encode_dataset(probe), tree.attr_weights)
     assert pred[0] == int(np.argmax(scores[0]))
+
+
+def test_heaviest_child_tie_survives_reload():
+    # children "b" and "a" weigh the same; the saved file lists "a" first
+    def schema(domain):
+        return Schema((AttributeSpec("s", "discrete", domain),
+                       AttributeSpec("t", "discrete", ("0", "1"))), ("P", "Q"))
+
+    rows = [("b", "0")] * 30 + [("b", "1")] * 10 + [("a", "0")] * 30 + [("a", "1")] * 10
+    labels = ["P"] * 30 + ["Q"] * 10 + ["Q"] * 30 + ["P"] * 10
+    ds = WeightedDataset.from_rows(schema(("b", "a")), rows, labels)
+    tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
+    assert tree.root.attribute == "s"
+    again = NBTree.from_json(tree.to_json())
+    probe = WeightedDataset.from_rows(schema(("b", "a", "z")), [("z", "0")], ["P"])
+    assert tree.predict_dataset(probe)[0] == 1  # the tie goes to "a", where t=0 is Q
+    assert again.predict_dataset(probe)[0] == 1
 
 
 def test_nbtree_json_round_trip():

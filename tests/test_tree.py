@@ -1,0 +1,78 @@
+"""The batch router against the per-example walk, on both kinds of tree."""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nbtree_ids.attribute_weighting import build_weighted_tree
+from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
+from nbtree_ids.nbtree import NBTreeParams, build_nbtree, classify_nbtree
+from nbtree_ids.tree import iter_nodes, route_example
+
+CLASSES = ("A", "B", "C")
+
+
+def random_training(rng, kinds):
+    """A small dataset whose labels depend on the attributes. Each discrete
+    attribute leaves the last symbol of its domain out of training."""
+    n = int(rng.integers(20, 60))
+    attrs, cols = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "discrete":
+            domain = tuple(f"s{v}" for v in range(int(rng.integers(2, 5))))
+            attrs.append(AttributeSpec(f"f{j}", "discrete", domain))
+            cols.append(rng.integers(0, len(domain) - 1, size=n))
+        else:
+            attrs.append(AttributeSpec(f"f{j}", "continuous"))
+            cols.append(rng.integers(0, 6, size=n).astype(float))
+    score = sum((c + j) % 3 for j, c in enumerate(cols)) + (rng.random(n) < 0.2)
+    labels = [CLASSES[int(s) % 3] for s in score]
+    rows = [
+        tuple(a.domain[int(c[i])] if a.is_discrete else float(c[i]) for a, c in zip(attrs, cols))
+        for i in range(n)
+    ]
+    return WeightedDataset.from_rows(Schema(tuple(attrs), CLASSES), rows, labels)
+
+
+def probe_dataset(rng, schema, roots):
+    """Rows over every training symbol, the symbols left out of training,
+    one symbol unseen at training (a permissively extended domain), and
+    each tree threshold as an exact value."""
+    thresholds = {a.name: [] for a in schema.attributes}
+    for root in roots:
+        for node in iter_nodes(root):
+            if node.threshold is not None:
+                thresholds[node.attribute].append(node.threshold)
+    attrs, pools = [], []
+    for a in schema.attributes:
+        if a.is_discrete:
+            attrs.append(AttributeSpec(a.name, "discrete", a.domain + ("unseen",)))
+            pools.append(list(attrs[-1].domain))
+        else:
+            attrs.append(a)
+            pools.append(thresholds[a.name] + [-1.0, 0.0, 2.5, 5.0, 9.0])
+    rows = [tuple(pool[int(rng.integers(len(pool)))] for pool in pools) for _ in range(60)]
+    labels = [CLASSES[int(rng.integers(3))] for _ in rows]
+    return WeightedDataset.from_rows(Schema(tuple(attrs), CLASSES), rows, labels)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["discrete", "continuous"]), min_size=1, max_size=3),
+)
+def test_batch_routing_matches_per_example_walk(seed, kinds):
+    rng = np.random.default_rng(seed)
+    ds = random_training(rng, kinds)
+    gain = build_weighted_tree(ds, min_weight_leaf=0.0)
+    nbt = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0, max_depth=4))
+    probe = probe_dataset(rng, ds.schema, [gain.root, nbt.root])
+    names = probe.schema.attribute_names
+    examples = [probe.example(i) for i in range(probe.n)]
+
+    walked = [CLASSES.index(route_example(gain.root, dict(zip(names, ex.values))))
+              for ex in examples]
+    np.testing.assert_array_equal(gain.predict_dataset(probe), walked)
+
+    walked = [CLASSES.index(classify_nbtree(nbt, ex)[0]) for ex in examples]
+    np.testing.assert_array_equal(nbt.predict_dataset(probe), walked)
