@@ -45,7 +45,6 @@ from .exceptions import (
     ConfigError,
     DataFormatError,
     EvaluationError,
-    NbtreeIdsError,
     SchemaError,
     TrainingError,
 )
@@ -344,12 +343,7 @@ def _write_models(run: _Run, models: dict) -> None:
 def cmd_train(config: RunConfig) -> int:
     ds = _load_train(config)
     run = _Run(config)
-    try:
-        selection, models = train_models(ds, config.comparison_config())
-    except NbtreeIdsError:
-        raise
-    except Exception as exc:  # surface unexpected failures as training errors
-        raise TrainingError(str(exc)) from exc
+    selection, models = train_models(ds, config.comparison_config())
     run.write_json("selection.json", selection.report.to_dict())
     run.write_text("selection.txt", selection.report.to_text())
     run.write_text("trees/weighting-tree.txt", selection.report.tree_dump)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -179,7 +180,8 @@ class WeightedDataset:
     Discrete columns hold int32 codes into the attribute domain, continuous
     columns hold float64 values. ``labels`` are class indices in schema
     order; ``true_labels`` preserve the labels assigned at load time even
-    when a downstream step relabels the working copy.
+    when a downstream step relabels the working copy. ``raw_labels``, when
+    known, is an object array of the raw attack names.
     """
 
     def __init__(
@@ -188,7 +190,7 @@ class WeightedDataset:
         columns: list[np.ndarray],
         labels: np.ndarray,
         weights: np.ndarray,
-        raw_labels: list[str] | None = None,
+        raw_labels: Sequence[str] | None = None,
         true_labels: np.ndarray | None = None,
         source: str | None = None,
         load_report: LoadReport | None = None,
@@ -209,7 +211,7 @@ class WeightedDataset:
         self.columns = columns
         self.labels = labels.astype(np.int64)
         self.weights = weights.astype(np.float64)
-        self.raw_labels = raw_labels
+        self.raw_labels = None if raw_labels is None else np.asarray(raw_labels, dtype=object)
         self.true_labels = (true_labels if true_labels is not None else labels).astype(np.int64)
         self.source = source
         self.load_report = load_report
@@ -287,7 +289,7 @@ class WeightedDataset:
 
     def take(self, rows: np.ndarray) -> "WeightedDataset":
         rows = np.asarray(rows)
-        raw = [self.raw_labels[i] for i in rows] if self.raw_labels is not None else None
+        raw = self.raw_labels[rows] if self.raw_labels is not None else None
         return WeightedDataset(
             self.schema,
             [col[rows] for col in self.columns],
@@ -359,14 +361,15 @@ def parse_record(
     expected = schema.n_attributes + 1
     if len(fields) != expected:
         raise DataFormatError(
-            f"expected {expected} fields, got {len(fields)}{where}"
+            f"expected {expected} fields, got {len(fields)}{where}", reason="field-count"
         )
     values: list = []
     for spec, raw in zip(schema.attributes, fields):
         if spec.is_discrete:
             if spec.domain and raw not in spec.domain and not permissive:
                 raise DataFormatError(
-                    f"value {raw!r} outside domain of attribute {spec.name!r}{where}"
+                    f"value {raw!r} outside domain of attribute {spec.name!r}{where}",
+                    reason="out-of-domain",
                 )
             values.append(raw)
         else:
@@ -375,9 +378,12 @@ def parse_record(
     try:
         label = taxonomy.class_of(raw_label)
     except TaxonomyError as exc:
-        raise TaxonomyError(f"{exc}{where}") from None
+        raise TaxonomyError(f"{exc}{where}", reason="unknown-attack") from None
     if label not in schema.class_names:
-        raise TaxonomyError(f"taxonomy maps {raw_label!r} to unknown class {label!r}{where}")
+        raise TaxonomyError(
+            f"taxonomy maps {raw_label!r} to unknown class {label!r}{where}",
+            reason="unknown-class",
+        )
     return Example(tuple(values), label, raw_label, 0.0)
 
 
@@ -388,10 +394,13 @@ def _parse_number(raw: str, attribute: str, where: str) -> float:
         value = float(raw)
     except ValueError:
         raise DataFormatError(
-            f"unparseable number {raw!r} for attribute {attribute!r}{where}"
+            f"unparseable number {raw!r} for attribute {attribute!r}{where}",
+            reason="bad-number",
         ) from None
     if not math.isfinite(value):
-        raise DataFormatError(f"non-finite number {raw!r} for attribute {attribute!r}{where}")
+        raise DataFormatError(
+            f"non-finite number {raw!r} for attribute {attribute!r}{where}", reason="bad-number"
+        )
     return value
 
 
@@ -427,175 +436,127 @@ def load_dataset(
     """Ingest a record stream and return a uniformly weighted dataset.
 
     ``source`` may be a path or any iterable of lines. Every example gets
-    weight 1/n and file order is preserved. In strict mode (default) any
-    bad record aborts the load; in permissive mode bad records are skipped
-    and counted in ``dataset.load_report``, and unseen discrete values
-    extend the attribute domain. Attributes whose schema domain is empty
-    have their domain defined by this load in either mode.
+    weight 1/n and file order is preserved. Lines are parsed a chunk at a
+    time, column by column. A line this path cannot take whole (wrong field
+    count, a number that does not parse or is not finite, an attack name
+    with no class, or in strict mode a symbol outside a non-empty domain)
+    is handed to :func:`parse_record`, whose verdict alone counts. In
+    strict mode (default) the first bad record aborts the load with that
+    error; in permissive mode bad records are skipped and counted by reason
+    in ``dataset.load_report``. Unseen discrete values of kept records
+    extend the attribute domain in permissive mode, and define it in either
+    mode when the schema domain is empty.
     """
     attrs = schema.attributes
-    n_attrs = len(attrs)
-    expected = n_attrs + 1
+    expected = len(attrs) + 1
     cont_idx = [j for j, a in enumerate(attrs) if not a.is_discrete]
     disc_idx = [j for j, a in enumerate(attrs) if a.is_discrete]
-
-    report = LoadReport()
-    cont_parts: dict[int, list[np.ndarray]] = {j: [] for j in cont_idx}
-    disc_parts: dict[int, list[list[str]]] = {j: [] for j in disc_idx}
-    label_parts: list[np.ndarray] = []
-    raw_labels: list[str] = []
     # per discrete attribute: symbol -> code, insertion-ordered
-    sym_index: dict[int, dict[str, int]] = {
-        j: {s: i for i, s in enumerate(attrs[j].domain)} for j in disc_idx
-    }
-    frozen = {j: bool(attrs[j].domain) for j in disc_idx}
+    sym_index = {j: {s: i for i, s in enumerate(attrs[j].domain)} for j in disc_idx}
+    checked = [j for j in disc_idx if attrs[j].domain and not permissive]
+    # label field, with or without its period -> index into `names`
+    names = [r for r, c in taxonomy.mapping.items()
+             if c in schema.class_names and not r.endswith(".")]
+    name_code = {r + end: k for k, r in enumerate(names) for end in ("", ".")}
+    report = LoadReport()
+    # one output per attribute, then the label codes; each chunk's kept rows
+    # are copied in and the outputs grow in place, so no per-chunk copies
+    # pile up on the heap to be freed (and kept resident) at the end
+    out = [np.empty(0, np.int32 if a.is_discrete else np.float64) for a in attrs]
+    out.append(np.empty(0, np.intp))
+    n = 0
+    wrong_count = ["0"] * expected  # stands in for a line of the wrong arity
 
-    def fail_or_skip(line_number: int, exc: Exception, reason: str) -> None:
-        if permissive:
-            report.note_skip(line_number, reason)
-        else:
-            raise exc
+    def flush(chunk: list[tuple[int, str]]) -> None:
+        nonlocal n
+        m = len(chunk)
+        rows = [f if len(f) == expected else wrong_count
+                for f in (text.rstrip("\r\n").split(",") for _, text in chunk)]
+        suspect = np.fromiter((f is wrong_count for f in rows), bool, m)
+        cols = list(zip(*rows))
+        values = {j: _floats(cols[j]) for j in cont_idx}
+        for v in values.values():
+            suspect |= ~np.isfinite(v)
+        codes = np.fromiter(map(name_code.get, cols[-1], repeat(-1)), np.intp, m)
+        suspect |= codes < 0
+        for j in checked:
+            unseen = set(cols[j]) - sym_index[j].keys()
+            if unseen:
+                suspect |= np.fromiter((s in unseen for s in cols[j]), bool, m)
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(suspect):
+            ln, text = chunk[i]
+            try:
+                ex = parse_record(text, schema, taxonomy, permissive=permissive, line_number=ln)
+            except DataFormatError as exc:
+                if not permissive:
+                    raise
+                report.note_skip(ln, exc.reason)
+                keep[i] = False
+                continue
+            # a kept line has the right arity, so its symbols are already in cols
+            for j in cont_idx:
+                values[j][i] = ex.values[j]
+            codes[i] = name_code[ex.raw_label]
+        n_kept = int(np.count_nonzero(keep))
+        if n + n_kept > len(out[-1]):
+            for arr in out:  # no views of `out` outlive a statement
+                arr.resize(max(2 * len(arr), n + n_kept), refcheck=False)
+        new = slice(n, n + n_kept)
+        for j in cont_idx:
+            np.compress(keep, values[j], out=out[j][new])
+        kept = keep.tolist()
+        for j in disc_idx:
+            col = cols[j] if all(kept) else list(compress(cols[j], kept))
+            index = sym_index[j]
+            added = [s for s in dict.fromkeys(col) if s not in index]
+            if added and attrs[j].domain:
+                report.extended_domains.setdefault(attrs[j].name, []).extend(added)
+            index.update({s: len(index) + k for k, s in enumerate(added)})
+            out[j][new] = np.fromiter(map(index.__getitem__, col), np.int32, n_kept)
+        np.compress(keep, codes, out=out[-1][new])
+        n += n_kept
 
     chunk: list[tuple[int, str]] = []
-    line_number = 0
-
-    def flush() -> None:
-        if not chunk:
-            return
-        rows: list[list[str]] = []
-        numbers: list[int] = []
-        for ln, text in chunk:
-            f = text.rstrip("\r\n").split(",")
-            if len(f) != expected:
-                fail_or_skip(
-                    ln,
-                    DataFormatError(f"expected {expected} fields, got {len(f)} at line {ln}"),
-                    "field-count",
-                )
-                continue
-            rows.append(f)
-            numbers.append(ln)
-        if not rows:
-            chunk.clear()
-            return
-        cols = list(zip(*rows))
-        keep = np.ones(len(rows), dtype=bool)
-        converted: dict[int, np.ndarray] = {}
-        for j in cont_idx:
-            try:
-                converted[j] = np.asarray(cols[j], dtype=np.float64)
-            except ValueError:
-                converted[j] = np.full(len(rows), np.nan)
-            if np.isfinite(converted[j]).all():
-                continue
-            # locate offending rows one by one; keep the rest in permissive mode
-            for i, raw in enumerate(cols[j]):
-                try:
-                    converted[j][i] = _parse_number(raw, attrs[j].name, f" at line {numbers[i]}")
-                except DataFormatError as exc:
-                    fail_or_skip(numbers[i], exc, "bad-number")
-                    keep[i] = False
-        labels_chunk = np.empty(len(rows), dtype=np.int64)
-        class_index = {c: i for i, c in enumerate(schema.class_names)}
-        rl_chunk: list[str] = []
-        for i, f in enumerate(rows):
-            if not keep[i]:
-                rl_chunk.append("")
-                continue
-            raw = f[-1].rstrip(".")
-            cls = taxonomy.mapping.get(raw)
-            if cls is None:
-                fail_or_skip(
-                    numbers[i],
-                    TaxonomyError(f"unknown attack name {raw!r} at line {numbers[i]}"),
-                    "unknown-attack",
-                )
-                keep[i] = False
-                rl_chunk.append("")
-                continue
-            ci = class_index.get(cls)
-            if ci is None:
-                fail_or_skip(
-                    numbers[i],
-                    TaxonomyError(
-                        f"taxonomy maps {raw!r} to unknown class {cls!r} at line {numbers[i]}"
-                    ),
-                    "unknown-class",
-                )
-                keep[i] = False
-                rl_chunk.append("")
-                continue
-            labels_chunk[i] = ci
-            rl_chunk.append(raw)
-        for j in disc_idx:
-            col = cols[j]
-            index = sym_index[j]
-            unseen = sorted(set(col) - index.keys())
-            if unseen:
-                if frozen[j] and not permissive:
-                    # error on the first offending row for a precise report
-                    for i, raw in enumerate(col):
-                        if raw not in index and keep[i]:
-                            raise DataFormatError(
-                                f"value {raw!r} outside domain of attribute "
-                                f"{attrs[j].name!r} at line {numbers[i]}"
-                            )
-                else:
-                    added = []
-                    for i, raw in enumerate(col):  # appearance order
-                        if raw not in index:
-                            index[raw] = len(index)
-                            added.append(raw)
-                    if frozen[j] and added:
-                        report.extended_domains.setdefault(attrs[j].name, []).extend(added)
-        kept = np.flatnonzero(keep)
-        for j in cont_idx:
-            cont_parts[j].append(converted[j][kept])
-        for j in disc_idx:
-            index = sym_index[j]
-            disc_parts[j].append([cols[j][i] for i in kept])
-        label_parts.append(labels_chunk[kept])
-        raw_labels.extend(rl_chunk[i] for i in kept)
-        chunk.clear()
-
-    for text in _iter_lines(source):
-        line_number += 1
+    for line_number, text in enumerate(_iter_lines(source), start=1):
         if not text.strip():
             continue
         chunk.append((line_number, text))
         if len(chunk) >= _CHUNK_LINES:
-            flush()
-    flush()
+            flush(chunk)
+            chunk = []
+    if chunk:
+        flush(chunk)
 
-    labels = np.concatenate(label_parts) if label_parts else np.empty(0, dtype=np.int64)
-    n = len(labels)
+    for arr in out:
+        arr.resize(n, refcheck=False)
+    codes = out.pop()
     if n == 0:
         raise EmptyDatasetError("record source yielded no usable examples")
     report.n_loaded = n
-
-    domains = {
-        attrs[j].name: tuple(sym_index[j].keys()) for j in disc_idx
-    }
-    final_schema = schema.with_domains(domains)
-    columns: list[np.ndarray] = [None] * n_attrs  # type: ignore[list-item]
-    for j in cont_idx:
-        columns[j] = np.concatenate(cont_parts[j]) if cont_parts[j] else np.empty(0)
-    for j in disc_idx:
-        index = sym_index[j]
-        out = np.empty(n, dtype=np.int32)
-        pos = 0
-        for part in disc_parts[j]:
-            for s in part:
-                out[pos] = index[s]
-                pos += 1
-        columns[j] = out
-
-    weights = np.full(n, 1.0 / n)
+    name_class = np.array([schema.class_index(taxonomy.mapping[r]) for r in names], dtype=np.int64)
+    final_schema = schema.with_domains(
+        {attrs[j].name: tuple(sym_index[j]) for j in disc_idx}
+    )
     src = str(source) if isinstance(source, (str, Path)) else None
     return WeightedDataset(
-        final_schema, columns, labels, weights,
-        raw_labels=raw_labels, source=src, load_report=report,
+        final_schema, out, name_class[codes], np.full(n, 1.0 / n),
+        raw_labels=np.array(names, dtype=object)[codes], source=src, load_report=report,
     )
+
+
+def _floats(column: Sequence[str]) -> np.ndarray:
+    """A text column as float64; a field that does not parse reads nan."""
+    try:
+        return np.asarray(column, dtype=np.float64)
+    except ValueError:
+        out = np.empty(len(column))
+        for i, raw in enumerate(column):
+            try:
+                out[i] = float(raw)
+            except ValueError:
+                out[i] = np.nan
+        return out
 
 
 # -- dataset-level operations ------------------------------------------------

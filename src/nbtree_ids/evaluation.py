@@ -24,7 +24,7 @@ from .attribute_weighting import (
     select_attributes,
 )
 from .dataset import WeightedDataset, project_attributes
-from .exceptions import EvaluationError, SchemaError
+from .exceptions import EvaluationError, NbtreeIdsError, SchemaError, TrainingError
 from .nbtree import NBTreeParams, build_nbtree
 from .probability import fit_naive_bayes
 
@@ -281,9 +281,18 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None)
     The NB-tree trains on load-time labels by default; set
     ``train_on_relabeled`` to hand it the relabeled working labels instead.
     Baselines always train on uniformly weighted, load-time-labeled data.
-    Returns (selection result, ordered {model_id: model}).
+    Returns (selection result, ordered {model_id: model}). An unexpected
+    failure is raised as :class:`TrainingError`.
     """
-    config = config or ComparisonConfig()
+    try:
+        return _train_models(train, config or ComparisonConfig())
+    except NbtreeIdsError:
+        raise
+    except Exception as exc:  # surface unexpected failures as training errors
+        raise TrainingError(str(exc)) from exc
+
+
+def _train_models(train: WeightedDataset, config: ComparisonConfig):
     selection = select_attributes(train, config.selection)
     kept = selection.weights.kept_names()
     reduced_train = selection.reduced

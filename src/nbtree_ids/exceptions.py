@@ -10,7 +10,16 @@ class ConfigError(NbtreeIdsError):
 
 
 class DataFormatError(NbtreeIdsError):
-    """Malformed record, schema file, or model file."""
+    """Malformed record, schema file, or model file.
+
+    ``reason`` names the fault of a rejected record (``field-count``,
+    ``bad-number``, ``unknown-attack``, ``unknown-class`` or
+    ``out-of-domain``); it is ``None`` for every other error.
+    """
+
+    def __init__(self, *args, reason: str | None = None):
+        super().__init__(*args)
+        self.reason = reason
 
 
 class TaxonomyError(DataFormatError):

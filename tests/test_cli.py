@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nbtree_ids import evaluation
 from nbtree_ids.cli import RunConfig, load_model_file, main
 
 # a tiny but learnable KDD-format corpus: three crisply separated behaviours
@@ -211,6 +212,18 @@ def test_compare_end_to_end(toy_corpus, tmp_path):
     }
     assert bundle["config"]["seed"] == 7
     assert (rd / "composition.json").exists()
+
+
+def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(evaluation, "build_nbtree", broken)
+    code = main([
+        "compare", *base_args(toy_corpus, tmp_path / "r"),
+        "--test-fraction", "0.25", "--seed", "7",
+    ])
+    assert code == 3
 
 
 def test_compare_requires_seed_for_split(toy_corpus, tmp_path):

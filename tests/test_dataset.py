@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nbtree_ids import dataset as dataset_module
 from nbtree_ids.dataset import (
     AttributeSpec,
+    Example,
     Schema,
     WeightedDataset,
     class_counts,
@@ -148,6 +152,31 @@ def test_load_permissive_skips_and_counts():
         assert ds.load_report.skipped_lines == [5]
         assert ds.load_report.reasons == {"bad-number": 1}
         np.testing.assert_allclose(ds.weights, 0.25)
+    lines = toy_lines() + ["red,1,warp.", "red,abc,normal.", "red,1", "red,2,warp."]
+    report = load_dataset(lines, toy_schema(), toy_taxonomy(), permissive=True).load_report
+    assert report.skipped_lines == [5, 6, 7, 8]  # file order, not grouped by kind
+    assert report.reasons == {"unknown-attack": 2, "bad-number": 1, "field-count": 1}
+
+
+def test_load_strict_raises_parse_record_error_for_first_bad_line():
+    schema, taxonomy = toy_schema(), toy_taxonomy()
+    for first_bad in ("red,1,warp.", "purple,1,normal."):
+        lines = ["red,1.5,normal.", first_bad, "red,abc,normal."]
+        with pytest.raises(DataFormatError) as expected:
+            parse_record(first_bad, schema, taxonomy, line_number=2)
+        with pytest.raises(DataFormatError) as got:
+            load_dataset(lines, schema, taxonomy)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert "line 2" in str(got.value)
+
+
+def test_load_permissive_skipped_lines_leave_domains():
+    lines = toy_lines() + ["purple,abc,normal.", "pink,2,warp."]
+    ds = load_dataset(lines, toy_schema(), toy_taxonomy(), permissive=True)
+    assert ds.load_report.skipped == 2
+    assert ds.schema.attributes[0].domain == ("red", "green", "blue")
+    assert ds.load_report.extended_domains == {}
 
 
 def test_load_permissive_extends_domain():
@@ -177,6 +206,110 @@ def test_bulk_load_matches_per_record_parse():
         got = ds.example(i)
         assert got.values == ex.values
         assert got.label == ex.label
+
+
+def property_schema():
+    return Schema(
+        (
+            AttributeSpec("color", "discrete", ("red", "green", "blue")),
+            AttributeSpec("size", "continuous"),
+            AttributeSpec("proto", "discrete"),  # domain defined by the load
+            AttributeSpec("rate", "continuous"),
+        ),
+        ("A", "B"),
+    )
+
+
+def property_taxonomy():
+    return parse_taxonomy_text("normal A\nattack B\nodd Z\n")  # Z is no schema class
+
+
+GOOD_FIELDS = st.tuples(
+    st.sampled_from(["red", "green", "blue"]),
+    st.sampled_from(["0", "1.5", "-2", "1e3", "7"]),
+    st.sampled_from(["tcp", "udp", "icmp"]),
+    st.sampled_from(["0.25", "1", "0"]),
+    st.sampled_from(["normal.", "attack.", "normal", "attack", "normal.."]),
+)
+BAD_EDITS = {
+    "good": lambda f: f,
+    "extra-field": lambda f: f + ["x"],
+    "missing-field": lambda f: f[1:],
+    "bad-number": lambda f: f[:1] + ["abc"] + f[2:],
+    "nan": lambda f: f[:3] + ["nan"] + f[4:],
+    "inf": lambda f: f[:1] + ["inf"] + f[2:],
+    "-inf": lambda f: f[:3] + ["-inf"] + f[4:],
+    "empty-number": lambda f: f[:3] + [""] + f[4:],
+    "unknown-attack": lambda f: f[:4] + ["warp."],
+    "unknown-class": lambda f: f[:4] + ["odd."],
+    "unseen-symbol": lambda f: ["purple"] + f[1:],
+    "new-proto": lambda f: f[:2] + ["sctp"] + f[3:],
+    "blank": lambda f: None,
+}
+LINES = st.lists(
+    st.tuples(GOOD_FIELDS, st.sampled_from(sorted(BAD_EDITS))), min_size=1, max_size=40
+).map(lambda drawn: [
+    "   " if (f := BAD_EDITS[kind](list(fields))) is None else ",".join(f)
+    for fields, kind in drawn
+])
+
+
+def reference_load(lines, schema, taxonomy, permissive):
+    """Loop over ``parse_record``: the kept examples, the skipped line
+    numbers with their reasons, and the domains the kept examples give.
+    Raises the error a strict load must raise, or the empty-load error."""
+    kept, skipped = [], []
+    domains = {a.name: list(a.domain) for a in schema.attributes if a.is_discrete}
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            ex = parse_record(line, schema, taxonomy, permissive=permissive, line_number=ln)
+        except DataFormatError as exc:
+            if not permissive:
+                raise
+            skipped.append((ln, exc.reason))
+            continue
+        kept.append(ex)
+        for spec, v in zip(schema.attributes, ex.values):
+            if spec.is_discrete and v not in domains[spec.name]:
+                domains[spec.name].append(v)
+    if not kept:
+        raise EmptyDatasetError("record source yielded no usable examples")
+    return kept, skipped, domains
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=LINES, chunk=st.integers(1, 7), permissive=st.booleans())
+def test_load_matches_parse_record_loop(lines, chunk, permissive):
+    schema, taxonomy = property_schema(), property_taxonomy()
+    try:
+        kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive)
+    except DataFormatError as exc:
+        expected = exc
+    else:
+        expected = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "_CHUNK_LINES", chunk)
+        if expected is not None:
+            with pytest.raises(DataFormatError) as got:
+                load_dataset(lines, schema, taxonomy, permissive=permissive)
+            assert type(got.value) is type(expected)
+            assert str(got.value) == str(expected)
+            return
+        ds = load_dataset(lines, schema, taxonomy, permissive=permissive)
+    assert [ds.example(i) for i in range(ds.n)] == [
+        Example(ex.values, ex.label, ex.raw_label, 1.0 / len(kept)) for ex in kept
+    ]
+    assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
+    report = ds.load_report
+    assert report.skipped_lines == [ln for ln, _ in skipped]
+    reasons: dict[str, int] = {}
+    for _, reason in skipped:
+        reasons[reason] = reasons.get(reason, 0) + 1
+    assert report.reasons == reasons
+    extended = {"color": domains["color"][3:]} if len(domains["color"]) > 3 else {}
+    assert report.extended_domains == extended
 
 
 # -- class_counts -------------------------------------------------------------------
