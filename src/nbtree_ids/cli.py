@@ -375,6 +375,7 @@ def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
     test = load_dataset(_resolve_path(config.test), schema, taxonomy,
                         permissive=config.permissive)
     run = _Run(config)
+    run.write_json("composition.json", _composition_doc(test))
     reports = []
     for path in model_paths:
         model = load_model_file(_resolve_path(path))

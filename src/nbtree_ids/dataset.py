@@ -136,12 +136,6 @@ class AttackTaxonomy:
         except KeyError:
             raise TaxonomyError(f"unknown attack name {raw_name!r}") from None
 
-    def __contains__(self, raw_name: str) -> bool:
-        return raw_name in self.mapping
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
 
 @dataclass
 class Example:

@@ -6,7 +6,8 @@ leaf holds a naive-Bayes model fitted on exactly the examples routed to
 it, classified with the attribute-weight exponents from the weighting
 pass. A node stays a leaf when its own NB model already classifies the
 node's examples perfectly, or when no candidate split is significantly
-better than not splitting.
+better than not splitting; that model, fitted once per node, becomes the
+leaf (or the fallback of a split node's empty branches).
 
 Split utility follows the classic NBTree protocol: the utility of a split
 is the weighted average, over the child partitions it induces, of
@@ -18,7 +19,9 @@ are assigned by a deterministic hash of (example row, node path), so
 builds are exactly reproducible.
 
 Continuous attributes are re-binned on each node's partition and on each
-candidate child's partition, so both the perfect-classification check and
+candidate child's partition, and the add-k smoothing strength k is counted
+in units of the NB-tree training set's mean example weight, for the split
+search and the leaves alike. So both the perfect-classification check and
 the split utility see exactly what the corresponding leaf model would see:
 a split is scored by the leaf models it would create.
 
@@ -37,11 +40,14 @@ from .attribute_weighting import _threshold_candidates
 from .dataset import Example, WeightedDataset
 from .exceptions import DataFormatError, TrainingError
 from .probability import (
+    ClassPriors,
     NaiveBayesModel,
     as_weight_array,
     bin_codes,
+    conditionals_from_codes,
     equal_frequency_edges,
-    fit_naive_bayes,
+    smoothed_conditionals,
+    smoothed_priors,
     _normalise_rows,
 )
 from .tree import (
@@ -59,7 +65,7 @@ class NBTreeParams:
     significance: float = 0.05        # required relative error reduction
     min_split_examples: float = 30.0  # node weight floor, in example-mass units
     max_depth: int = 10
-    smoothing_k: float = 1.0
+    smoothing_k: float = 1.0          # add-k, in units of the training set's mean example weight
     bins: int = 10
     carry_weights: bool = True        # False resets example weights to 1/n
 
@@ -116,11 +122,12 @@ class _NodeView:
     are re-binned so the partition sees exactly what its own leaf model
     would see)."""
 
-    __slots__ = ("rows", "codes", "V", "labels", "weights")
+    __slots__ = ("rows", "codes", "edges", "V", "labels", "weights")
 
-    def __init__(self, rows, codes, V, labels, weights):
+    def __init__(self, rows, codes, edges, V, labels, weights):
         self.rows = rows          # global row ids (fold hashing key)
         self.codes = codes        # (m, A) node-level codes
+        self.edges = edges        # per attribute; empty for discrete ones
         self.V = V
         self.labels = labels
         self.weights = weights
@@ -140,7 +147,8 @@ class _BuildContext:
         self.folds = params.folds
         self.attr_w = as_weight_array(attr_weights, ds.schema.attribute_names)
         self.example_mass = ds.total_weight / ds.n
-        # smoothing in example-mass units, like fit_naive_bayes
+        # smoothing in example-mass units, like fit_naive_bayes, but of the
+        # whole training set for every node
         self.k = params.smoothing_k * self.example_mass
         self.raw = ds.columns
 
@@ -148,6 +156,7 @@ class _BuildContext:
         A = self.schema.n_attributes
         m = len(rows)
         codes = np.empty((m, A), dtype=np.int64, order="F")  # column reads
+        edges = [np.empty(0)] * A
         V = np.empty(A, dtype=np.int64)
         for j, (spec, col) in enumerate(zip(self.schema.attributes, self.raw)):
             vals = col[rows]
@@ -155,45 +164,24 @@ class _BuildContext:
                 codes[:, j] = vals
                 V[j] = len(spec.domain)
             else:
-                edges = equal_frequency_edges(vals, self.params.bins)
-                codes[:, j] = bin_codes(vals, edges)
-                V[j] = len(edges) + 1
-        return _NodeView(rows, codes, V, self.labels[rows], self.weights[rows])
+                edges[j] = equal_frequency_edges(vals, self.params.bins)
+                codes[:, j] = bin_codes(vals, edges[j])
+                V[j] = len(edges[j]) + 1
+        return _NodeView(rows, codes, edges, V, self.labels[rows], self.weights[rows])
 
-    # priors with the usual rule: raw ratios unless a class has no weight
-    def _log_priors(self, cw: np.ndarray) -> np.ndarray:
-        totals = cw.sum(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            raw = np.where(totals > 0, cw / np.where(totals > 0, totals, 1.0), 0.0)
-            if self.k > 0:
-                smoothed = (cw + self.k) / (totals + self.k * self.C)
-                need = (cw.min(axis=-1, keepdims=True) <= 0) | (totals <= 0)
-                raw = np.where(need, smoothed, raw)
-            return np.log(raw)
+    def node_model(self, view: _NodeView) -> NaiveBayesModel:
+        """The NB model fitted on the view's codes and bins with the build's
+        k; priors are class mass over the view's class-mass sum."""
+        cw = np.bincount(view.labels, weights=view.weights, minlength=self.C)
+        priors = ClassPriors(self.schema.class_names, smoothed_priors(cw, cw.sum(), self.k))
+        conds = conditionals_from_codes(self.schema, view.codes.T, view.edges, view.labels,
+                                        view.weights, cw, self.k)
+        return NaiveBayesModel(self.schema, priors, conds)
 
-    def train_scores(self, view: _NodeView) -> np.ndarray:
-        """(m, C) weighted log scores of an NB model fitted on the view and
-        applied to the same examples."""
-        lab, w = view.labels, view.weights
-        cw = np.bincount(lab, weights=w, minlength=self.C)
-        scores = np.tile(self._log_priors(cw), (len(lab), 1))
-        k = self.k
-        for j, wa in enumerate(self.attr_w):
-            if wa == 0.0:
-                continue
-            V = int(view.V[j])
-            code = view.codes[:, j]
-            cnt = np.bincount(lab * V + code, weights=w, minlength=self.C * V)
-            cnt = cnt.reshape(self.C, V)
-            denom = cw[:, None] + k * V
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cond = np.where(denom > 0, (cnt + k) / np.where(denom > 0, denom, 1.0), 0.0)
-                logc = np.log(cond)
-            scores += wa * logc[:, code].T
-        return scores
-
-    def misclassified(self, view: _NodeView) -> int:
-        pred = np.argmax(self.train_scores(view), axis=1)
+    def misclassified(self, view: _NodeView, model: NaiveBayesModel) -> int:
+        """Examples of the view that ``model`` (its node model) gets wrong
+        under the tree's attribute weights."""
+        pred = np.argmax(model.log_scores(view.codes, self.attr_w), axis=1)
         return int(np.count_nonzero(pred != view.labels))
 
     def cv_accuracy(self, view: _NodeView, salt: np.uint64) -> float:
@@ -208,7 +196,8 @@ class _BuildContext:
         F, C, k = self.folds, self.C, self.k
         cw_fold = np.bincount(f * C + lab, weights=w, minlength=F * C).reshape(F, C)
         cw_train = cw_fold.sum(axis=0)[None, :] - cw_fold
-        scores = self._log_priors(cw_train)[f]
+        with np.errstate(divide="ignore"):
+            scores = np.log(smoothed_priors(cw_train, cw_train.sum(axis=-1, keepdims=True), k))[f]
         fc = f * C + lab
         for j, wa in enumerate(self.attr_w):
             if wa == 0.0:
@@ -218,10 +207,8 @@ class _BuildContext:
             cnt = np.bincount(fc * V + code, weights=w, minlength=F * C * V)
             cnt = cnt.reshape(F, C, V)
             train_cnt = cnt.sum(axis=0)[None, :, :] - cnt
-            denom = cw_train[:, :, None] + k * V
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cond = np.where(denom > 0, (train_cnt + k) / np.where(denom > 0, denom, 1.0), 0.0)
-                logc = np.log(cond)
+            with np.errstate(divide="ignore"):
+                logc = np.log(smoothed_conditionals(train_cnt, cw_train, k))
             # row i reads logc[f[i], :, code[i]] from the (F*V, C) transpose
             table = logc.transpose(0, 2, 1).reshape(F * V, C)
             scores += wa * np.take(table, f * V + code, axis=0)
@@ -311,7 +298,8 @@ def node_misclassification_check(
         raise TrainingError("empty partition")
     ctx = _BuildContext(partition, attr_weights,
                         NBTreeParams(smoothing_k=k, bins=bins))
-    return ctx.misclassified(ctx.node_view(np.arange(partition.n)))
+    view = ctx.node_view(np.arange(partition.n))
+    return ctx.misclassified(view, ctx.node_model(view))
 
 
 def split_utility(
@@ -411,6 +399,8 @@ def build_nbtree(
     is partitioned on the best-utility attribute and each child is grown
     the same way. Discrete splits branch on every domain value; values
     with no examples become fallback leaves that reuse the parent's model.
+    Each node fits its NB model once, with the build's k, and that model
+    is the one the check scored.
     """
     params = params or NBTreeParams()
     if train.n == 0:
@@ -421,17 +411,15 @@ def build_nbtree(
     ctx = _BuildContext(ds, attr_weights, params)
     schema = ds.schema
 
-    def fit_leaf_model(rows: np.ndarray) -> NaiveBayesModel:
-        return fit_naive_bayes(ds.take(rows), k=params.smoothing_k, bins=params.bins)
-
     def grow(rows: np.ndarray, path: str, depth: int) -> TreeNode:
         node = TreeNode(depth=depth, weight=float(ds.weights[rows].sum()), n=len(rows))
         view = ctx.node_view(rows)
+        model = ctx.node_model(view)
         found = None
-        if depth < params.max_depth and ctx.misclassified(view) > 0:
+        if depth < params.max_depth and ctx.misclassified(view, model) > 0:
             found = ctx.best_split(view, _path_salt(path))
         if found is None:
-            node.payload = fit_leaf_model(rows)
+            node.payload = model
             return node
         j = schema.attribute_index(found.attribute)
         node.attribute, node.threshold = found.attribute, found.threshold
@@ -449,7 +437,7 @@ def build_nbtree(
             }
             node.empty_branches = tuple(sym for sym, sub in branches if not len(sub))
             if node.empty_branches:
-                node.fallback_model = fit_leaf_model(rows)
+                node.fallback_model = model
         return node
 
     root = grow(np.arange(ds.n), "root", 1)

@@ -96,9 +96,8 @@ class ConditionalModel:
         raise SchemaError(f"no conditional table for attribute {name!r}")
 
     def unseen_floor(self, attr: AttributeConditional) -> np.ndarray:
-        if self.smoothing_k <= 0:
-            return np.zeros(len(self.class_weights))
-        return self.smoothing_k / (self.class_weights + self.smoothing_k * attr.n_values)
+        zero = np.zeros((len(self.class_weights), attr.n_values))
+        return smoothed_conditionals(zero, self.class_weights, self.smoothing_k)[:, 0]
 
 
 @dataclass
@@ -115,69 +114,72 @@ class PosteriorVector:
         return float(self.probs[self.classes.index(class_name)])
 
 
-def estimate_priors(dataset: WeightedDataset, k: float = 1.0) -> ClassPriors:
-    """Weighted class priors: class weight mass over total mass.
+def smoothed_priors(class_mass: np.ndarray, total: float | np.ndarray, k: float) -> np.ndarray:
+    """Class priors over (..., C) class masses: class mass over ``total``,
+    switching to add-k over classes only where some class has no mass, so
+    the unsmoothed ratios stay exact in the common case. A zero total with
+    k = 0 gives probability 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = np.where(total > 0, class_mass / total, 0.0)
+    if k > 0:
+        missing = class_mass.min(axis=-1, keepdims=True) <= 0
+        probs = np.where(missing, (class_mass + k) / (total + k * class_mass.shape[-1]), probs)
+    return probs
 
-    Plain ratios are used whenever every class carries weight; only when
-    some class has zero mass does add-k smoothing over classes kick in, so
-    the unsmoothed values stay exact in the common case.
-    """
+
+def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float) -> np.ndarray:
+    """Add-k conditionals over (..., C, V) weighted count tables:
+    P(value | class) = (weight of (value, class) + k) / (class mass + k*V).
+    A class with no mass under k = 0 gets probability 0."""
+    denom = class_mass[..., None] + k * counts.shape[-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, (counts + k) / denom, 0.0)
+
+
+def estimate_priors(dataset: WeightedDataset, k: float = 1.0) -> ClassPriors:
+    """Weighted class priors: class weight mass over total mass (see
+    :func:`smoothed_priors`)."""
     total = dataset.total_weight
     if total <= 0:
         raise TrainingError("cannot estimate priors: zero total weight")
     cw = np.bincount(dataset.labels, weights=dataset.weights,
                      minlength=dataset.schema.n_classes)
-    if cw.min() <= 0 and k > 0:
-        probs = (cw + k) / (total + k * len(cw))
-    else:
-        probs = cw / total
-    return ClassPriors(dataset.schema.class_names, probs)
+    return ClassPriors(dataset.schema.class_names, smoothed_priors(cw, total, k))
 
 
-def estimate_conditionals(
-    dataset: WeightedDataset,
-    k: float = 1.0,
-    bins: int = 10,
-    edges: dict[str, np.ndarray] | None = None,
-) -> ConditionalModel:
-    """Add-k weighted conditional tables for every attribute.
-
-    P(value | class) = (weight of (value, class) + k) / (class weight + k*V)
-    with V the attribute's symbol/bin count. Continuous attributes use the
-    given bin edges, or fit equal-frequency edges on this dataset.
-    """
-    schema = dataset.schema
+def conditionals_from_codes(schema: Schema, codes, edges, labels: np.ndarray,
+                            weights: np.ndarray, class_mass: np.ndarray,
+                            k: float) -> ConditionalModel:
+    """Add-k conditional tables from per-attribute value codes (symbol
+    codes, or bin codes under the given continuous ``edges``)."""
     C = schema.n_classes
-    cw = np.bincount(dataset.labels, weights=dataset.weights, minlength=C)
+    out: list[AttributeConditional] = []
+    for spec, code, attr_edges in zip(schema.attributes, codes, edges):
+        V = len(spec.domain) if spec.is_discrete else len(attr_edges) + 1
+        counts = np.bincount(labels * V + code, weights=weights, minlength=C * V)
+        cond = smoothed_conditionals(counts.reshape(C, V), class_mass, k)
+        domain = spec.domain if spec.is_discrete else ()
+        out.append(AttributeConditional(spec.name, spec.kind, domain, attr_edges, cond))
+    return ConditionalModel(out, k, class_mass)
+
+
+def estimate_conditionals(dataset: WeightedDataset, k: float = 1.0,
+                          bins: int = 10) -> ConditionalModel:
+    """Add-k weighted conditional tables for every attribute (see
+    :func:`smoothed_conditionals`). Continuous attributes are binned with
+    equal-frequency edges fitted on this dataset."""
+    schema = dataset.schema
+    cw = np.bincount(dataset.labels, weights=dataset.weights, minlength=schema.n_classes)
     if k <= 0 and cw.min() <= 0:
         zero = schema.class_names[int(np.argmin(cw))]
         raise TrainingError(
             f"class {zero!r} has zero weight and smoothing is off (k=0)"
         )
-    out: list[AttributeConditional] = []
-    for spec, col in zip(schema.attributes, dataset.columns):
-        if spec.is_discrete:
-            codes = col.astype(np.int64)
-            V = len(spec.domain)
-            attr_edges = np.empty(0)
-            domain = spec.domain
-        else:
-            if edges is not None and spec.name in edges:
-                attr_edges = np.asarray(edges[spec.name], dtype=np.float64)
-            else:
-                attr_edges = equal_frequency_edges(col, bins)
-            codes = bin_codes(col, attr_edges).astype(np.int64)
-            V = len(attr_edges) + 1
-            domain = ()
-        counts = np.bincount(
-            dataset.labels * V + codes, weights=dataset.weights, minlength=C * V
-        ).reshape(C, V)
-        denom = cw[:, None] + k * V
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = (counts + k) / denom
-        cond = np.nan_to_num(cond, nan=0.0)
-        out.append(AttributeConditional(spec.name, spec.kind, domain, attr_edges, cond))
-    return ConditionalModel(out, k, cw)
+    edges = [np.empty(0) if spec.is_discrete else equal_frequency_edges(col, bins)
+             for spec, col in zip(schema.attributes, dataset.columns)]
+    codes = [col if spec.is_discrete else bin_codes(col, e)
+             for spec, col, e in zip(schema.attributes, dataset.columns, edges)]
+    return conditionals_from_codes(schema, codes, edges, dataset.labels, dataset.weights, cw, k)
 
 
 class NaiveBayesModel:
@@ -201,9 +203,11 @@ class NaiveBayesModel:
         self.schema_hash = schema.structural_hash()
         with np.errstate(divide="ignore"):
             self._log_priors = np.log(priors.probs)
-            self._log_cond = [np.log(a.cond) for a in conditionals.attributes]
-            self._log_unseen = [
-                np.log(conditionals.unseen_floor(a)) for a in conditionals.attributes
+            # one (V+1, C) log table per attribute; its last row is the
+            # unseen floor, which code -1 (and code V) reads
+            self._log_tables = [
+                np.log(np.vstack([a.cond.T, conditionals.unseen_floor(a)]))
+                for a in conditionals.attributes
             ]
 
     # -- encoding ----------------------------------------------------------
@@ -252,27 +256,15 @@ class NaiveBayesModel:
 
     # -- scoring -----------------------------------------------------------
 
-    def _attr_log_probs(self, i: int, codes_i: np.ndarray) -> np.ndarray:
-        """(n, C) log conditionals for attribute i at the given codes."""
-        lc = self._log_cond[i]
-        V = lc.shape[1]
-        ext = np.concatenate([lc, self._log_unseen[i][:, None]], axis=1)
-        safe = np.where((codes_i < 0) | (codes_i >= V), V, codes_i)
-        return ext[:, safe].T
-
     def log_scores(self, codes: np.ndarray, attr_weights: np.ndarray | None = None) -> np.ndarray:
-        """(n, C) unnormalised log scores; ``attr_weights`` exponentiates
-        each attribute's conditional (weight 0 skips the attribute)."""
-        n = codes.shape[0]
-        scores = np.tile(self._log_priors, (n, 1))
-        for i in range(self.attribute_count):
-            if attr_weights is not None:
-                w = float(attr_weights[i])
-                if w == 0.0:
-                    continue
-                scores += w * self._attr_log_probs(i, codes[:, i])
-            else:
-                scores += self._attr_log_probs(i, codes[:, i])
+        """(n, C) unnormalised log scores of (n, A) codes in [-1, V];
+        ``attr_weights`` exponentiates each attribute's conditional (weight
+        0 skips the attribute)."""
+        scores = np.tile(self._log_priors, (codes.shape[0], 1))
+        for i, table in enumerate(self._log_tables):
+            w = 1.0 if attr_weights is None else float(attr_weights[i])
+            if w != 0.0:
+                scores += np.take(w * table, codes[:, i], axis=0)
         return scores
 
     def predict_dataset(self, dataset: WeightedDataset,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import synth
 from nbtree_ids import evaluation
 from nbtree_ids.cli import RunConfig, load_model_file, main
 
@@ -140,6 +141,16 @@ def test_train_without_baselines(toy_corpus, tmp_path):
     assert names == ["proposed-nbtree.json"]
 
 
+def test_train_with_smoothing_off_exits_0(tmp_path):
+    # NB-tree leaves that lack a class score it with probability 0, as the
+    # split search that chose them did, instead of failing the build
+    corpus = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.01)
+    code = main(["train", "--train", str(corpus), "--out", str(tmp_path / "r"),
+                 "--smoothing-k", "0"])
+    assert code == 0
+
+
 def test_train_reruns_identical_tree_dumps(toy_corpus, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["train", *base_args(toy_corpus, out1)]) == 0
@@ -172,6 +183,22 @@ def test_eval_perfect_toy_models(toy_corpus, tmp_path):
                 assert row["dr"] == 100.0
     bundle = json.loads((run_dir(out2) / "bundle.json").read_text())
     assert len(bundle["reports"]) == 5
+
+
+def test_eval_permissive_records_skipped_lines(toy_corpus, tmp_path):
+    out = tmp_path / "train"
+    assert main(["train", *base_args(toy_corpus, out), "--no-baselines"]) == 0
+    models = [str(p) for p in (run_dir(out) / "models").iterdir()]
+    test = tmp_path / "test.csv"
+    test.write_text(toy_corpus.read_text() + "0,tcp,http,SF,200,normal.\n")
+    out2 = tmp_path / "eval"
+    code = main(["eval", "--permissive", "--test", str(test), "--out", str(out2),
+                 "--models", *models])
+    assert code == 0
+    doc = json.loads((run_dir(out2) / "composition.json").read_text())
+    assert doc["total"] == 80
+    assert doc["skipped"] == 1
+    assert doc["skip_reasons"] == {"field-count": 1}
 
 
 def test_eval_schema_mismatch_exits_4(toy_corpus, tmp_path):

@@ -22,6 +22,7 @@ from nbtree_ids.probability import (
     fit_naive_bayes,
     weighted_class_score,
 )
+from nbtree_ids.tree import iter_nodes, route_rows
 
 
 def disc_schema(*domains, classes=("A", "B")):
@@ -416,6 +417,36 @@ def test_equal_weights_match_unweighted_reestimation():
                     )
                     want = (n_cv + 1.0) / (n_c + V)
                     assert attr.cond[ci, vi] == pytest.approx(want, abs=1e-9)
+
+
+def test_leaves_are_the_models_the_split_search_scored():
+    ds = synth.make_xor_dataset(30)
+    skewed = ds.with_weights(np.linspace(0.5, 1.5, ds.n))
+    params = NBTreeParams(min_split_examples=1.0)
+    tree = build_nbtree(skewed, params=params)
+    assert not tree.root.is_leaf
+    # k in units of the training set's mean example weight, at every node
+    k = params.smoothing_k * skewed.total_weight / skewed.n
+    nodes = list(iter_nodes(tree.root))
+    models = [n.payload for n in nodes if n.is_leaf]
+    models += [n.fallback_model for n in nodes if n.fallback_model is not None]
+    for model in models:
+        assert model.conditionals.smoothing_k == k
+    # a leaf whose own rows the perfect check (NB with the build's k) gets
+    # all right must classify those rows without error
+    domains = [spec.domain for spec in skewed.schema.attributes]
+    perfect = 0
+    for _, rows in route_rows(tree.root, skewed):
+        part = skewed.take(rows)
+        examples = [part.example(i) for i in range(part.n)]
+        values = [ex.values for ex in examples]
+        labels = [ex.label for ex in examples]
+        preds = _oracle_nb_predict(values, labels, list(part.weights), values,
+                                   tree.classes, domains, k)
+        if preds == labels:
+            perfect += 1
+            np.testing.assert_array_equal(tree.predict_dataset(part), part.labels)
+    assert perfect > 0
 
 
 def test_builds_are_deterministic():

@@ -345,6 +345,32 @@ def test_argmax_invariant_under_normalisation():
             assert norm.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_unseen_symbol_scores_the_smoothing_floor():
+    schema = schema_ab(("x", "y"), ("0", "1"))
+    rows = [("x", "0"), ("x", "1"), ("y", "0"), ("y", "1"), ("x", "0")]
+    ds = WeightedDataset.from_rows(schema, rows, ["A", "A", "B", "B", "B"])
+    model = fit_naive_bayes(ds, k=1.0)
+    # k = 1/5 in mass units: floor = k / (class mass + k*V), V = 2
+    floor = model.conditionals.unseen_floor(model.conditionals.attributes[0])
+    np.testing.assert_allclose(floor, [0.2 / (0.4 + 0.4), 0.2 / (0.6 + 0.4)], rtol=1e-12)
+    # a permissively extended domain: "z" was never seen and encodes as -1
+    wide = schema_ab(("x", "y", "z"), ("0", "1"))
+    assert wide.structural_hash() == schema.structural_hash()
+    probe = WeightedDataset.from_rows(wide, [("z", "1")], ["A"])
+    codes = model.encode_dataset(probe)
+    assert codes.tolist() == [[-1, 1]]
+    log_prior = np.log(model.priors.probs)
+    log_f1 = np.log(model.conditionals.attributes[1].cond[:, 1])
+    np.testing.assert_allclose(
+        model.log_scores(codes)[0], log_prior + np.log(floor) + log_f1, rtol=1e-12
+    )
+    w = np.array([0.5, 1.0])
+    np.testing.assert_allclose(
+        model.log_scores(codes, w)[0], log_prior + 0.5 * np.log(floor) + log_f1, rtol=1e-12
+    )
+    assert model.classes[model.predict_dataset(probe)[0]] == classify_nb(probe.example(0), model)
+
+
 # -- serialisation ----------------------------------------------------------------------------
 
 
