@@ -195,14 +195,14 @@ class DecisionTree(TreeModel):
 def build_weighted_tree(
     dataset: WeightedDataset,
     max_depth: int | None = None,
-    min_weight_leaf: float | None = None,
+    min_leaf_examples: float | None = None,
 ) -> DecisionTree:
     """Grow the weighted information-gain tree.
 
     Greedy recursion on the max-gain attribute (ties break by schema
     order). A node becomes a leaf when it is pure, when no attribute gives
     positive gain, at ``max_depth``, or when its weight mass drops below
-    ``min_weight_leaf`` (default: the mass of two average examples).
+    the mass of ``min_leaf_examples`` average examples (default 2).
     Discrete attributes are tested at most once per path; continuous
     attributes may recur with different thresholds.
     """
@@ -210,8 +210,8 @@ def build_weighted_tree(
         raise TrainingError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     C = schema.n_classes
-    if min_weight_leaf is None:
-        min_weight_leaf = 2.0 * dataset.total_weight / dataset.n
+    n_ex = 2.0 if min_leaf_examples is None else min_leaf_examples
+    min_weight_leaf = n_ex * dataset.total_weight / dataset.n
     labels = dataset.labels
     weights = dataset.weights
     columns = dataset.columns
@@ -344,19 +344,13 @@ def update_example_weights(
 
 @dataclass
 class SelectionParams:
-    """Knobs for the attribute-weighting pass.
-
-    ``min_weight_leaf`` is an absolute weight mass; ``min_leaf_examples``
-    expresses the same floor in average-example units and is converted at
-    tree-build time (the absolute value wins when both are set).
-    """
+    """Knobs for the attribute-weighting pass."""
 
     smoothing_k: float = 1.0
     bins: int = 10
     relabel: bool = True
     iterations: int = 1
     max_depth: int | None = None
-    min_weight_leaf: float | None = None
     min_leaf_examples: float | None = None
 
 
@@ -420,18 +414,15 @@ def select_attributes(
     for _ in range(max(1, params.iterations)):
         model = fit_naive_bayes(work, k=params.smoothing_k, bins=params.bins)
         work = update_example_weights(work, model, relabel=params.relabel)
-    min_weight_leaf = params.min_weight_leaf
-    if min_weight_leaf is None and params.min_leaf_examples is not None:
-        min_weight_leaf = params.min_leaf_examples * work.total_weight / work.n
     tree = build_weighted_tree(
-        work, max_depth=params.max_depth, min_weight_leaf=min_weight_leaf
+        work, max_depth=params.max_depth, min_leaf_examples=params.min_leaf_examples
     )
     weights = compute_attribute_weights(tree, dataset.schema)
     kept = weights.kept_names()
     if not kept:
         raise DegenerateTreeError(
             "the weighting tree is a single leaf, so every attribute would be "
-            "dropped; lower min_weight_leaf, raise max_depth, or check that "
+            "dropped; lower min_leaf_examples, raise max_depth, or check that "
             "the data is not single-class"
         )
     reduced = project_attributes(work, kept)

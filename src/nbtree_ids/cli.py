@@ -27,6 +27,7 @@ from pathlib import Path
 from .attribute_weighting import (
     DecisionTree,
     SelectionParams,
+    SelectionReport,
     TREE_FORMAT,
     select_attributes,
 )
@@ -36,11 +37,17 @@ from .dataset import (
     load_dataset,
     load_schema_file,
     load_taxonomy_file,
-    project_attributes,
     stratified_sample,
     stratified_split,
 )
-from .evaluation import ComparisonConfig, evaluate, run_comparison, train_models
+from .evaluation import (
+    ComparisonConfig,
+    EvalReport,
+    evaluate,
+    project_for_model,
+    run_comparison,
+    train_models,
+)
 from .exceptions import (
     ConfigError,
     DataFormatError,
@@ -139,19 +146,15 @@ class RunConfig:
             max_depth=self.nbtree_max_depth,
             smoothing_k=self.smoothing_k,
             bins=self.bins,
-            carry_weights=self.carry_weights,
         )
 
     def comparison_config(self) -> ComparisonConfig:
         return ComparisonConfig(
             selection=self.selection_params(),
             nbtree=self.nbtree_params(),
-            smoothing_k=self.smoothing_k,
-            bins=self.bins,
             baselines=self.baselines,
             train_on_relabeled=self.train_on_relabeled,
-            tree_max_depth=self.weighting_max_depth,
-            tree_min_leaf_examples=self.weighting_min_leaf_examples,
+            carry_weights=self.carry_weights,
         )
 
 
@@ -317,13 +320,23 @@ def cmd_inspect(config: RunConfig) -> int:
     return 0
 
 
+def _write_selection(run: _Run, report: SelectionReport) -> None:
+    run.write_json("selection.json", report.to_dict())
+    run.write_text("selection.txt", report.to_text())
+    run.write_text("trees/weighting-tree.txt", report.tree_dump)
+
+
+def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
+    for report in reports:
+        run.write_json(f"reports/{report.model_id}.json", report.to_dict())
+        run.write_text(f"reports/{report.model_id}.txt", report.to_text())
+
+
 def cmd_select(config: RunConfig) -> int:
     ds = _load_train(config)
     run = _Run(config)
     result = select_attributes(ds, config.selection_params())
-    run.write_json("selection.json", result.report.to_dict())
-    run.write_text("selection.txt", result.report.to_text())
-    run.write_text("trees/weighting-tree.txt", result.report.tree_dump)
+    _write_selection(run, result.report)
     run.write_json("kept.json", {
         "format": "kept-attributes/1",
         "kept": list(result.weights.kept_names()),
@@ -344,26 +357,10 @@ def cmd_train(config: RunConfig) -> int:
     ds = _load_train(config)
     run = _Run(config)
     selection, models = train_models(ds, config.comparison_config())
-    run.write_json("selection.json", selection.report.to_dict())
-    run.write_text("selection.txt", selection.report.to_text())
-    run.write_text("trees/weighting-tree.txt", selection.report.tree_dump)
+    _write_selection(run, selection.report)
     _write_models(run, models)
     print(f"trained {len(models)} model(s) into {run.dir}")
     return 0
-
-
-def _project_for_model(model, test: WeightedDataset) -> WeightedDataset:
-    if model.schema_hash == test.schema.structural_hash():
-        return test
-    names = set(model.attribute_names)
-    if names.issubset(set(test.schema.attribute_names)):
-        projected = project_attributes(test, model.attribute_names)
-        if model.schema_hash == projected.schema.structural_hash():
-            return projected
-    raise EvaluationError(
-        f"model {getattr(model, 'model_id', '?')!r} does not match the test "
-        "schema (attribute names/kinds or class order differ)"
-    )
 
 
 def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
@@ -379,11 +376,10 @@ def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
     reports = []
     for path in model_paths:
         model = load_model_file(_resolve_path(path))
-        report = evaluate(model, _project_for_model(model, test))
+        report = evaluate(model, project_for_model(model, test))
         reports.append(report)
-        run.write_json(f"reports/{report.model_id}.json", report.to_dict())
-        run.write_text(f"reports/{report.model_id}.txt", report.to_text())
         print(report.to_text())
+    _write_reports(run, reports)
     run.write_json("bundle.json", {
         "format": "eval-bundle/1",
         "reports": [r.to_dict() for r in reports],
@@ -396,13 +392,9 @@ def cmd_compare(config: RunConfig) -> int:
     run = _Run(config)
     run.write_json("composition.json", _composition_doc(train))
     bundle = run_comparison(train, test, config.comparison_config())
-    run.write_json("selection.json", bundle.selection.to_dict())
-    run.write_text("selection.txt", bundle.selection.to_text())
-    run.write_text("trees/weighting-tree.txt", bundle.selection.tree_dump)
+    _write_selection(run, bundle.selection)
     _write_models(run, bundle.models)
-    for report in bundle.reports:
-        run.write_json(f"reports/{report.model_id}.json", report.to_dict())
-        run.write_text(f"reports/{report.model_id}.txt", report.to_text())
+    _write_reports(run, bundle.reports)
     run.write_json("bundle.json", bundle.to_dict())
     print(bundle.to_text())
     print(f"artifacts in {run.dir}")

@@ -50,9 +50,6 @@ class ConfusionMatrix:
     def row_sums(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
-    def column_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
     def index(self, class_name: str) -> int:
         try:
             return self.classes.index(class_name)
@@ -230,16 +227,15 @@ def evaluate(model, test: WeightedDataset, model_id: str | None = None) -> EvalR
 
 @dataclass
 class ComparisonConfig:
-    """What to train and how."""
+    """What to train and how. The baselines are the weighting pass's own
+    learners without the posterior weighting, so they take their smoothing,
+    bins, depth and leaf floor from ``selection``."""
 
     selection: SelectionParams = field(default_factory=SelectionParams)
     nbtree: NBTreeParams = field(default_factory=NBTreeParams)
-    smoothing_k: float = 1.0
-    bins: int = 10
     baselines: bool = True
     train_on_relabeled: bool = False
-    tree_max_depth: int | None = None
-    tree_min_leaf_examples: float | None = None
+    carry_weights: bool = True
 
 
 @dataclass
@@ -274,12 +270,13 @@ class ComparisonBundle:
 
 def train_models(train: WeightedDataset, config: ComparisonConfig | None = None):
     """Run the attribute weighting once and train the proposed NB-tree on
-    the reduced attributes (carrying the posterior weights), plus plain NB
-    and gain-tree baselines on the full and reduced attribute sets unless
-    baselines are disabled.
+    the reduced attributes, plus plain NB and gain-tree baselines on the
+    full and reduced attribute sets unless baselines are disabled.
 
-    The NB-tree trains on load-time labels by default; set
-    ``train_on_relabeled`` to hand it the relabeled working labels instead.
+    This alone decides what the NB-tree trains on. It carries the
+    posterior weights unless ``carry_weights`` is off (then every example
+    weighs 1/n), and it uses load-time labels unless ``train_on_relabeled``
+    hands it the relabeled working labels.
     Baselines always train on uniformly weighted, load-time-labeled data.
     Returns (selection result, ordered {model_id: model}). An unexpected
     failure is raised as :class:`TrainingError`.
@@ -293,42 +290,45 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None)
 
 
 def _train_models(train: WeightedDataset, config: ComparisonConfig):
-    selection = select_attributes(train, config.selection)
+    params = config.selection
+    selection = select_attributes(train, params)
     kept = selection.weights.kept_names()
     reduced_train = selection.reduced
     if not config.train_on_relabeled:
         reduced_train = reduced_train.with_true_labels()
-
-    def leaf_floor(ds: WeightedDataset) -> float | None:
-        if config.tree_min_leaf_examples is None:
-            return None
-        return config.tree_min_leaf_examples * ds.total_weight / ds.n
+    if not config.carry_weights:
+        reduced_train = reduced_train.with_uniform_weights()
 
     nbt = build_nbtree(reduced_train, selection.weights.as_array(kept), config.nbtree)
     nbt.model_id = "proposed-nbtree"
     models: dict[str, object] = {"proposed-nbtree": nbt}
 
     if config.baselines:
-        k, bins = config.smoothing_k, config.bins
-        nb_full = fit_naive_bayes(train, k=k, bins=bins)
-        nb_full.model_id = "nb-full"
-        tree_full = build_weighted_tree(
-            train, max_depth=config.tree_max_depth, min_weight_leaf=leaf_floor(train)
-        )
-        tree_full.model_id = "tree-full"
         plain_reduced = project_attributes(train, kept)
-        nb_reduced = fit_naive_bayes(plain_reduced, k=k, bins=bins)
-        nb_reduced.model_id = "nb-reduced"
-        tree_reduced = build_weighted_tree(
-            plain_reduced, max_depth=config.tree_max_depth,
-            min_weight_leaf=leaf_floor(plain_reduced),
-        )
-        tree_reduced.model_id = "tree-reduced"
-        models.update({
-            "nb-full": nb_full, "tree-full": tree_full,
-            "nb-reduced": nb_reduced, "tree-reduced": tree_reduced,
-        })
+        for suffix, ds in (("full", train), ("reduced", plain_reduced)):
+            nb = fit_naive_bayes(ds, k=params.smoothing_k, bins=params.bins)
+            nb.model_id = f"nb-{suffix}"
+            tree = build_weighted_tree(ds, max_depth=params.max_depth,
+                                       min_leaf_examples=params.min_leaf_examples)
+            tree.model_id = f"tree-{suffix}"
+            models.update({nb.model_id: nb, tree.model_id: tree})
     return selection, models
+
+
+def project_for_model(model, test: WeightedDataset) -> WeightedDataset:
+    """The test set as ``model`` sees it: unchanged when the schemas match,
+    else projected onto the model's attributes. Raises
+    :class:`EvaluationError` when no projection matches the model's schema."""
+    if model.schema_hash == test.schema.structural_hash():
+        return test
+    if set(model.attribute_names).issubset(test.schema.attribute_names):
+        projected = project_attributes(test, model.attribute_names)
+        if model.schema_hash == projected.schema.structural_hash():
+            return projected
+    raise EvaluationError(
+        f"model {getattr(model, 'model_id', '?')!r} does not match the test "
+        "schema (attribute names/kinds or class order differ)"
+    )
 
 
 def run_comparison(
@@ -341,16 +341,13 @@ def run_comparison(
     the kept attributes)."""
     config = config or ComparisonConfig()
     selection, models = train_models(train, config)
-    kept = selection.weights.kept_names()
-    reduced_test = project_attributes(test, kept)
-    full_ids = {"nb-full", "tree-full"}
     reports = [
-        evaluate(model, test if mid in full_ids else reduced_test, model_id=model.model_id)
-        for mid, model in models.items()
+        evaluate(model, project_for_model(model, test), model_id=model.model_id)
+        for model in models.values()
     ]
     return ComparisonBundle(
         selection=selection.report,
-        kept_attributes=list(kept),
+        kept_attributes=list(selection.weights.kept_names()),
         reports=reports,
         models=models,
     )

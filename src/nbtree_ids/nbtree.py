@@ -67,7 +67,6 @@ class NBTreeParams:
     max_depth: int = 10
     smoothing_k: float = 1.0          # add-k, in units of the training set's mean example weight
     bins: int = 10
-    carry_weights: bool = True        # False resets example weights to 1/n
 
     def validate(self) -> None:
         if self.folds < 2:
@@ -400,19 +399,19 @@ def build_nbtree(
     the same way. Discrete splits branch on every domain value; values
     with no examples become fallback leaves that reuse the parent's model.
     Each node fits its NB model once, with the build's k, and that model
-    is the one the check scored.
+    is the one the check scored. The tree learns from ``train`` as given:
+    its example weights and its working labels.
     """
     params = params or NBTreeParams()
     if train.n == 0:
         raise TrainingError("cannot build a tree from an empty dataset")
     if attr_weights is None:
         attr_weights = np.ones(train.schema.n_attributes)
-    ds = train if params.carry_weights else train.with_uniform_weights()
-    ctx = _BuildContext(ds, attr_weights, params)
-    schema = ds.schema
+    ctx = _BuildContext(train, attr_weights, params)
+    schema = train.schema
 
     def grow(rows: np.ndarray, path: str, depth: int) -> TreeNode:
-        node = TreeNode(depth=depth, weight=float(ds.weights[rows].sum()), n=len(rows))
+        node = TreeNode(depth=depth, weight=float(train.weights[rows].sum()), n=len(rows))
         view = ctx.node_view(rows)
         model = ctx.node_model(view)
         found = None
@@ -440,7 +439,7 @@ def build_nbtree(
                 node.fallback_model = model
         return node
 
-    root = grow(np.arange(ds.n), "root", 1)
+    root = grow(np.arange(train.n), "root", 1)
     return NBTree(
         schema.structural_hash(), schema.class_names, schema.attribute_names,
         ctx.attr_w, root,

@@ -175,7 +175,7 @@ def test_deciding_attribute_becomes_root():
     rows = [("x", "p"), ("x", "q"), ("y", "p"), ("y", "q")] * 3
     labels = (["A", "A", "B", "B"]) * 3
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    tree = build_weighted_tree(ds, min_weight_leaf=0.0)
+    tree = build_weighted_tree(ds, min_leaf_examples=0.0)
     assert tree.root.attribute == "f0"
     assert all(child.is_leaf for child in tree.root.children.values())
     np.testing.assert_array_equal(tree.predict_dataset(ds), ds.labels)
@@ -188,7 +188,7 @@ def test_root_is_oracle_max_gain_attribute():
         gains = [weighted_info_gain(ds, a.name).gain for a in ds.schema.attributes]
         if max(gains) <= 1e-12:
             continue
-        tree = build_weighted_tree(ds, min_weight_leaf=0.0)
+        tree = build_weighted_tree(ds, min_leaf_examples=0.0)
         if tree.root.is_leaf:
             continue
         assert tree.root.attribute == ds.schema.attributes[int(np.argmax(gains))].name
@@ -206,7 +206,7 @@ def test_uniform_weights_reproduce_unweighted_id3():
         labels = [("A", "B")[int(rng.integers(2))] for _ in range(n)]
         schema = disc_schema(*domains)
         ds = WeightedDataset.from_rows(schema, rows, labels)  # uniform 1/n
-        tree = build_weighted_tree(ds, min_weight_leaf=0.0)
+        tree = build_weighted_tree(ds, min_leaf_examples=0.0)
         want = oracles.id3_unweighted(rows, labels, ("A", "B"), domains)
         assert oracles.tree_to_tuple(tree.root, schema) == want
 
@@ -218,19 +218,19 @@ def test_max_depth_stops_growth():
     assert tree.root.is_leaf
 
 
-def test_min_weight_leaf_stops_growth():
+def test_min_leaf_examples_stops_growth():
     schema = disc_schema(("x", "y"))
     rows = [("x",), ("y",)] * 4
     labels = ["A", "B"] * 4
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    tree = build_weighted_tree(ds, min_weight_leaf=10.0)  # above total weight
+    tree = build_weighted_tree(ds, min_leaf_examples=10.0)  # above total weight
     assert tree.root.is_leaf
 
 
 def test_tree_json_round_trip():
     rng = np.random.default_rng(43)
     ds = random_gain_dataset(rng, continuous=True)
-    tree = build_weighted_tree(ds, min_weight_leaf=0.0)
+    tree = build_weighted_tree(ds, min_leaf_examples=0.0)
     text = tree.to_json()
     again = DecisionTree.from_json(text)
     assert again.to_json() == text
@@ -243,7 +243,7 @@ def test_unseen_branch_value_routes_to_heaviest_child():
     rows = [("x",)] * 6 + [("y",)] * 2
     labels = ["A"] * 6 + ["B"] * 2
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    tree = build_weighted_tree(ds, min_weight_leaf=0.0)
+    tree = build_weighted_tree(ds, min_leaf_examples=0.0)
     assert tree.root.attribute == "f0"
     assert "z" not in tree.root.children
     probe = WeightedDataset.from_rows(schema, [("z",)], ["B"])
@@ -256,7 +256,7 @@ def test_heaviest_child_tie_survives_reload():
     rows = [("b",)] * 20 + [("a",)] * 20 + [("c",)]
     labels = ["P"] * 20 + ["Q"] * 20 + ["P"]
     tree = build_weighted_tree(WeightedDataset.from_rows(schema, rows, labels),
-                               min_weight_leaf=0.0)
+                               min_leaf_examples=0.0)
     again = DecisionTree.from_json(tree.to_json())
     probe = WeightedDataset.from_rows(disc_schema(("b", "a", "c", "z"), classes=("P", "Q")),
                                       [("z",)], ["P"])
@@ -298,7 +298,7 @@ def test_attribute_weights_from_depths():
 def test_weights_monotone_in_depth():
     rng = np.random.default_rng(53)
     ds = random_gain_dataset(rng, continuous=True)
-    tree = build_weighted_tree(ds, min_weight_leaf=0.0)
+    tree = build_weighted_tree(ds, min_leaf_examples=0.0)
     aw = compute_attribute_weights(tree, ds.schema)
     pairs = [(d, w) for d, w in zip(aw.min_depths, aw.weights) if d is not None]
     for d1, w1 in pairs:
@@ -376,7 +376,7 @@ def test_select_single_attribute_dataset():
     ds = WeightedDataset.from_rows(
         schema, [("x",)] * 5 + [("y",)] * 5, ["A"] * 5 + ["B"] * 5
     )
-    result = select_attributes(ds, SelectionParams(min_weight_leaf=0.0))
+    result = select_attributes(ds, SelectionParams(min_leaf_examples=0.0))
     assert result.weights.as_mapping() == {"f0": 1.0}
     assert result.reduced.schema.attribute_names == ("f0",)
     assert result.reduced.n == ds.n

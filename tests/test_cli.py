@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import synth
 from nbtree_ids import evaluation
-from nbtree_ids.cli import RunConfig, load_model_file, main
+from nbtree_ids.cli import RunConfig, build_parser, load_model_file, main
 
 # a tiny but learnable KDD-format corpus: three crisply separated behaviours
 def write_toy_corpus(path, n_normal=30, n_neptune=30, n_ipsweep=20):
@@ -300,3 +302,17 @@ def test_data_dir_env_var_resolves_relative_paths(toy_corpus, tmp_path, monkeypa
     assert main(["inspect", "--train", toy_corpus.name, "--out", str(out)]) == 0
     doc = json.loads((run_dir(out) / "composition.json").read_text())
     assert doc["total"] == 80
+
+
+def test_readme_names_every_long_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    missing = set()
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            names = [o for o in action.option_strings if o.startswith("--") and o != "--help"]
+            if names and not any(re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme)
+                                 for o in names):
+                missing.add(names[0])
+    assert not missing, f"README.md does not name {sorted(missing)}"

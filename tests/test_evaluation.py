@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
+import synth
+from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
 from nbtree_ids.evaluation import (
     ComparisonConfig,
     ConfusionMatrix,
@@ -13,10 +14,12 @@ from nbtree_ids.evaluation import (
     false_positive_rate,
     normal_false_positive,
     run_comparison,
+    train_models,
 )
 from nbtree_ids.exceptions import EvaluationError
-from nbtree_ids.nbtree import NBTreeParams
-from nbtree_ids.attribute_weighting import SelectionParams
+from nbtree_ids.nbtree import NBTreeParams, build_nbtree
+from nbtree_ids.attribute_weighting import SelectionParams, build_weighted_tree
+from nbtree_ids.tree import iter_nodes
 from nbtree_ids.probability import fit_naive_bayes
 
 CLASSES = ("Normal", "Probe", "DoS")
@@ -210,7 +213,7 @@ def comparison_dataset(n_per_class=40):
 
 def comparison_config():
     return ComparisonConfig(
-        selection=SelectionParams(min_weight_leaf=0.0),
+        selection=SelectionParams(min_leaf_examples=0.0),
         nbtree=NBTreeParams(min_split_examples=1.0),
     )
 
@@ -245,3 +248,26 @@ def test_comparison_reports_have_uniform_structure():
     reduced = bundle.report("nb-reduced")
     assert full.attribute_count == 3
     assert reduced.attribute_count == len(bundle.kept_attributes)
+
+
+def test_baseline_trees_follow_selection_params():
+    ds = synth.make_majority_dataset(seed=5, n=300)
+    selection, models = train_models(ds, ComparisonConfig(selection=SelectionParams(max_depth=2)))
+    reduced = project_attributes(ds, selection.weights.kept_names())
+    for mid, plain in (("tree-full", ds), ("tree-reduced", reduced)):
+        tree = models[mid]
+        assert max(node.depth for node in iter_nodes(tree.root)) <= 2
+        assert tree.dump() == build_weighted_tree(plain, max_depth=2).dump()
+
+
+def test_train_models_carry_weights():
+    ds = synth.make_majority_dataset(seed=5, n=300)
+    params = NBTreeParams(min_split_examples=1.0)
+    selection, carried = train_models(ds, ComparisonConfig(nbtree=params, baselines=False))
+    _, reset = train_models(
+        ds, ComparisonConfig(nbtree=params, baselines=False, carry_weights=False))
+    kept = selection.weights.kept_names()
+    uniform = build_nbtree(selection.reduced.with_true_labels().with_uniform_weights(),
+                           selection.weights.as_array(kept), params)
+    assert reset["proposed-nbtree"].dump() == uniform.dump()
+    assert carried["proposed-nbtree"].dump() != uniform.dump()

@@ -530,18 +530,3 @@ def test_nbtree_json_round_trip():
     again = NBTree.from_json(text)
     assert again.to_json() == text
     np.testing.assert_array_equal(again.predict_dataset(ds), tree.predict_dataset(ds))
-
-
-def test_carry_weights_flag():
-    ds = synth.make_xor_dataset(30)
-    skewed = ds.with_weights(np.linspace(0.5, 1.5, ds.n))
-    carried = build_nbtree(skewed, params=NBTreeParams(min_split_examples=1.0))
-    reset = build_nbtree(
-        skewed, params=NBTreeParams(min_split_examples=1.0, carry_weights=False)
-    )
-    uniform = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
-    assert reset.dump() == uniform.dump()
-    assert (
-        carried.root.weight != uniform.root.weight
-        or carried.to_json() != reset.to_json()
-    )

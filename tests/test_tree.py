@@ -64,7 +64,7 @@ def probe_dataset(rng, schema, roots):
 def test_batch_routing_matches_per_example_walk(seed, kinds):
     rng = np.random.default_rng(seed)
     ds = random_training(rng, kinds)
-    gain = build_weighted_tree(ds, min_weight_leaf=0.0)
+    gain = build_weighted_tree(ds, min_leaf_examples=0.0)
     nbt = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0, max_depth=4))
     probe = probe_dataset(rng, ds.schema, [gain.root, nbt.root])
     names = probe.schema.attribute_names
