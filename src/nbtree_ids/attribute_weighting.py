@@ -22,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Schema, WeightedDataset, project_attributes
+from .dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
 from .exceptions import DataFormatError, DegenerateTreeError, SchemaError, TrainingError
 from .probability import NaiveBayesModel, fit_naive_bayes
-from .tree import TreeModel, TreeNode, iter_nodes, node_from_dict, node_to_dict, route_rows
+from .tree import (
+    TreeModel, TreeNode, grow_tree, iter_nodes, node_from_dict, node_to_dict, route_rows,
+    threshold_candidates,
+)
 
 TREE_FORMAT = "gain-tree/1"
 
-_THRESHOLD_CAP = 32     # candidate cut points per continuous attribute
 _GAIN_TOL = 1e-12       # below this a split is considered useless
 
 
@@ -58,33 +60,6 @@ def weighted_entropy(dataset: WeightedDataset) -> float:
     return _entropy(cw)
 
 
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    cw = np.cumsum(weights[order])
-    cw /= cw[-1]
-    idx = np.searchsorted(cw, levels, side="left")
-    return sv[np.clip(idx, 0, len(sv) - 1)]
-
-
-def _threshold_candidates(values: np.ndarray, weights: np.ndarray,
-                          cap: int = _THRESHOLD_CAP) -> np.ndarray:
-    """Candidate thresholds: midpoints between consecutive distinct values,
-    capped by taking midpoints between weighted-quantile cut points when
-    there are more than ``cap`` gaps."""
-    u = np.unique(values)
-    if u.size < 2:
-        return np.empty(0)
-    if u.size - 1 <= cap:
-        return (u[1:] + u[:-1]) / 2.0
-    levels = np.arange(1, cap + 1) / (cap + 1)
-    qv = np.unique(_weighted_quantile(values, weights, levels))
-    if qv.size < 2:
-        # weight mass collapsed onto one value: fall back to evenly spaced cuts
-        qv = np.unique(u[np.linspace(0, u.size - 1, cap + 1).astype(int)])
-    return (qv[1:] + qv[:-1]) / 2.0
-
-
 def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                    n_values: int, n_classes: int) -> float:
     total = weights.sum()
@@ -98,8 +73,8 @@ def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
 
 
 def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                     n_classes: int, cap: int = _THRESHOLD_CAP) -> tuple[float, float | None]:
-    thresholds = _threshold_candidates(values, weights, cap)
+                     n_classes: int) -> tuple[float, float | None]:
+    thresholds = threshold_candidates(values, weights)
     if thresholds.size == 0:
         return 0.0, None
     order = np.argsort(values, kind="stable")
@@ -120,6 +95,14 @@ def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray
     return float(gains[best]), float(thresholds[best])
 
 
+def _gain(spec: AttributeSpec, column: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+          n_classes: int) -> tuple[float, float | None]:
+    """(gain, threshold); the threshold is None for a discrete attribute."""
+    if spec.is_discrete:
+        return _gain_discrete(column, labels, weights, len(spec.domain), n_classes), None
+    return _gain_continuous(column, labels, weights, n_classes)
+
+
 @dataclass(frozen=True)
 class GainResult:
     attribute: str
@@ -137,14 +120,8 @@ def weighted_info_gain(dataset: WeightedDataset, attribute: str) -> GainResult:
     if dataset.total_weight <= 0:
         raise TrainingError("cannot compute gain: zero total weight")
     j = dataset.schema.attribute_index(attribute)
-    spec = dataset.schema.attributes[j]
-    col = dataset.columns[j]
-    C = dataset.schema.n_classes
-    if spec.is_discrete:
-        gain = _gain_discrete(col, dataset.labels, dataset.weights, len(spec.domain), C)
-        thr = None
-    else:
-        gain, thr = _gain_continuous(col, dataset.labels, dataset.weights, C)
+    gain, thr = _gain(dataset.schema.attributes[j], dataset.columns[j], dataset.labels,
+                      dataset.weights, dataset.schema.n_classes)
     if gain < 0:
         gain = 0.0 if gain > -_GAIN_TOL else gain
     return GainResult(attribute, gain, thr)
@@ -197,75 +174,43 @@ def build_weighted_tree(
     max_depth: int | None = None,
     min_leaf_examples: float | None = None,
 ) -> DecisionTree:
-    """Grow the weighted information-gain tree.
+    """Grow the weighted information-gain tree through ``tree.grow_tree``.
 
-    Greedy recursion on the max-gain attribute (ties break by schema
-    order). A node becomes a leaf when it is pure, when no attribute gives
-    positive gain, at ``max_depth``, or when its weight mass drops below
-    the mass of ``min_leaf_examples`` average examples (default 2).
-    Discrete attributes are tested at most once per path; continuous
-    attributes may recur with different thresholds.
+    Greedy on the max-gain attribute (ties break by schema order). A node
+    becomes a leaf when it is pure, when no attribute gives positive gain,
+    at ``max_depth``, or when its weight mass drops below the mass of
+    ``min_leaf_examples`` average examples (default 2; negative or nan
+    raises ``ValueError``). A discrete attribute tested above a node has
+    one symbol there and so no gain; continuous attributes may recur with
+    different thresholds.
     """
     if dataset.n == 0:
         raise TrainingError("cannot build a tree from an empty dataset")
+    n_ex = 2.0 if min_leaf_examples is None else min_leaf_examples
+    if not n_ex >= 0:
+        raise ValueError(f"min_leaf_examples must be >= 0, got {n_ex!r}")
     schema = dataset.schema
     C = schema.n_classes
-    n_ex = 2.0 if min_leaf_examples is None else min_leaf_examples
     min_weight_leaf = n_ex * dataset.total_weight / dataset.n
-    labels = dataset.labels
-    weights = dataset.weights
-    columns = dataset.columns
-    specs = schema.attributes
 
-    stack: list[tuple[TreeNode, np.ndarray, frozenset]] = []
-
-    def grow(depth: int, rows: np.ndarray, consumed: frozenset) -> TreeNode:
-        """A node over these rows, filled in when it leaves the stack."""
-        node = TreeNode(depth=depth, weight=0.0, n=len(rows))
-        stack.append((node, rows, consumed))
-        return node
-
-    root = grow(1, np.arange(dataset.n), frozenset())
-    while stack:
-        node, rows, consumed = stack.pop()
-        lab = labels[rows]
-        w = weights[rows]
+    def split_of(node: TreeNode, rows: np.ndarray, _path: str):
+        lab = dataset.labels[rows]
+        w = dataset.weights[rows]
         cw = np.bincount(lab, weights=w, minlength=C)
         node.weight = float(cw.sum())
-        label = schema.class_names[int(np.argmax(cw))]
         pure = np.count_nonzero(cw > 0) <= 1
         depth_stop = max_depth is not None and node.depth >= max_depth
-        if pure or depth_stop or node.weight < min_weight_leaf:
-            node.payload = label
-            continue
-        best_gain = 0.0
-        best_j = -1
-        best_thr: float | None = None
-        for j, spec in enumerate(specs):
-            if spec.is_discrete:
-                if j in consumed:
-                    continue
-                gain = _gain_discrete(columns[j][rows], lab, w, len(spec.domain), C)
-                thr = None
-            else:
-                gain, thr = _gain_continuous(columns[j][rows], lab, w, C)
-            if gain > best_gain + _GAIN_TOL:
-                best_gain, best_j, best_thr = gain, j, thr
-        if best_j < 0:
-            node.payload = label
-            continue
-        node.attribute, node.threshold = specs[best_j].name, best_thr
-        if best_thr is not None:
-            mask = columns[best_j][rows] <= best_thr
-            node.left = grow(node.depth + 1, rows[mask], consumed)
-            node.right = grow(node.depth + 1, rows[~mask], consumed)
-        else:
-            codes = columns[best_j][rows]
-            domain = specs[best_j].domain
-            node.children = {
-                domain[code]: grow(node.depth + 1, rows[codes == code], consumed | {best_j})
-                for code in np.unique(codes)
-            }
+        best_gain, best = 0.0, None
+        if not (pure or depth_stop or node.weight < min_weight_leaf):
+            for j, spec in enumerate(schema.attributes):
+                gain, thr = _gain(spec, dataset.columns[j][rows], lab, w, C)
+                if gain > best_gain + _GAIN_TOL:
+                    best_gain, best = gain, (j, thr, None)
+        if best is None:
+            node.payload = schema.class_names[int(np.argmax(cw))]
+        return best
+
+    root = grow_tree(dataset, split_of)
     return DecisionTree(
         schema.structural_hash(), schema.class_names, schema.attribute_names, root,
     )
@@ -408,10 +353,12 @@ def select_attributes(
     need the load-time labels take ``reduced.with_true_labels()``.
     """
     params = params or SelectionParams()
+    if params.iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {params.iterations!r}")
     if dataset.n == 0:
         raise TrainingError("cannot select attributes on an empty dataset")
     work = dataset.with_uniform_weights()
-    for _ in range(max(1, params.iterations)):
+    for _ in range(params.iterations):
         model = fit_naive_bayes(work, k=params.smoothing_k, bins=params.bins)
         work = update_example_weights(work, model, relabel=params.relabel)
     tree = build_weighted_tree(

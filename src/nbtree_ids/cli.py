@@ -108,6 +108,11 @@ class RunConfig:
         if self.weighting_max_depth is not None:
             checks.append((self.weighting_max_depth >= 1,
                            "weighting_max_depth must be >= 1"))
+        if self.weighting_min_leaf_examples is not None:
+            checks.append((self.weighting_min_leaf_examples >= 0,
+                           "weighting_min_leaf_examples must be >= 0"))
+        if self.seed is not None:
+            checks.append((self.seed >= 0, "seed must be >= 0"))
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)

@@ -272,9 +272,6 @@ class WeightedDataset:
     def examples(self) -> "_ExampleView":
         return _ExampleView(self)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[self.schema.attribute_index(name)]
-
     @property
     def dataset_id(self) -> str:
         return self.source or f"<memory:{self.n} examples>"

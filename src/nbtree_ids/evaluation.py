@@ -173,10 +173,6 @@ class EvalReport:
                 return row["dr"]
         raise SchemaError(f"unknown class {class_name!r}")
 
-    def macro_dr(self) -> float:
-        vals = [r["dr"] for r in self.per_class if r["dr"] is not None]
-        return float(np.mean(vals)) if vals else 0.0
-
 
 def evaluate(model, test: WeightedDataset, model_id: str | None = None) -> EvalReport:
     """Classify every test example and assemble the per-class report.

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribute_weighting import _threshold_candidates
 from .dataset import Example, WeightedDataset
 from .exceptions import DataFormatError, TrainingError
 from .probability import (
@@ -51,7 +50,8 @@ from .probability import (
     _normalise_rows,
 )
 from .tree import (
-    TreeModel, TreeNode, iter_nodes, node_from_dict, node_to_dict, route_example, route_rows,
+    TreeModel, TreeNode, grow_tree, iter_nodes, node_from_dict, node_to_dict, route_example,
+    route_rows, split_rows, threshold_candidates,
 )
 
 NBTREE_FORMAT = "nbtree/1"
@@ -133,18 +133,20 @@ class _NodeView:
 
 
 class _BuildContext:
-    """Training data plus the knobs shared by every node evaluation."""
+    """Training data plus the knobs shared by every node evaluation (all-ones
+    attribute weights and ``NBTreeParams()`` by default); no per-node state."""
 
-    def __init__(self, ds: WeightedDataset, attr_weights, params: NBTreeParams):
+    def __init__(self, ds: WeightedDataset, attr_weights=None, params: NBTreeParams | None = None):
+        params = params or NBTreeParams()
         params.validate()
-        self.ds = ds
         self.params = params
         self.schema = ds.schema
         self.C = ds.schema.n_classes
         self.labels = ds.labels
         self.weights = ds.weights
         self.folds = params.folds
-        self.attr_w = as_weight_array(attr_weights, ds.schema.attribute_names)
+        self.attr_w = (np.ones(ds.schema.n_attributes) if attr_weights is None
+                       else as_weight_array(attr_weights, ds.schema.attribute_names))
         self.example_mass = ds.total_weight / ds.n
         # smoothing in example-mass units, like fit_naive_bayes, but of the
         # whole training set for every node
@@ -215,17 +217,6 @@ class _BuildContext:
         total = w.sum()
         return float(min(1.0, max(0.0, (w * (pred == lab)).sum() / total)))
 
-    def children_for(self, view: _NodeView, j: int, threshold: float | None):
-        """(branch key, child positions) pairs; discrete branches only for
-        values present in the partition."""
-        if threshold is None:
-            codes = view.codes[:, j]
-            domain = self.schema.attributes[j].domain
-            return [(domain[c], np.flatnonzero(codes == c)) for c in np.unique(codes)]
-        vals = self.raw[j][view.rows]
-        mask = vals <= threshold
-        return [("le", np.flatnonzero(mask)), ("gt", np.flatnonzero(~mask))]
-
     def split_utility_value(self, view: _NodeView, j: int, salt: np.uint64,
                             node_accuracy: float) -> tuple[float, float | None]:
         """Best utility for attribute j (searching thresholds when
@@ -235,23 +226,23 @@ class _BuildContext:
         if spec.is_discrete:
             candidates = [None]
         else:
-            thr = _threshold_candidates(self.raw[j][view.rows], view.weights)
+            thr = threshold_candidates(self.raw[j][view.rows], view.weights)
             if thr.size == 0:
                 return node_accuracy, None
             candidates = list(thr)
         total = float(view.weights.sum())
         best_u, best_t = -1.0, None
         for t in candidates:
-            groups = self.children_for(view, j, t)
+            keys = spec.domain if t is None else ("le", "gt")
             u = 0.0
-            for key, pos in groups:
-                wch = float(view.weights[pos].sum())
+            for key, rows in zip(keys, split_rows(self.raw[j], view.rows, t, spec.domain)):
+                wch = float(self.weights[rows].sum())
                 if wch <= 0:
                     continue
                 if wch < self.example_mass:
                     acc = node_accuracy
                 else:
-                    child = self.node_view(view.rows[pos])
+                    child = self.node_view(rows)
                     acc = self.cv_accuracy(child, salt ^ _path_salt(f"{j}:{key}:{t}"))
                 u += (wch / total) * acc
             u = min(1.0, max(0.0, u))
@@ -278,6 +269,20 @@ class _BuildContext:
         if reduction <= self.params.significance:
             return None
         return best
+
+    def split_of(self, node: TreeNode, rows: np.ndarray, path: str):
+        """The NB-tree's node decision for ``tree.grow_tree``: the node's
+        own model is its leaf, or the fallback of its empty branches."""
+        node.weight = float(self.weights[rows].sum())
+        view = self.node_view(rows)
+        model = self.node_model(view)
+        found = None
+        if node.depth < self.params.max_depth and self.misclassified(view, model) > 0:
+            found = self.best_split(view, _path_salt(path))
+        if found is None:
+            node.payload = model
+            return None
+        return self.schema.attribute_index(found.attribute), found.threshold, model
 
 
 # -- public node-level operations ----------------------------------------------
@@ -310,9 +315,6 @@ def split_utility(
     """Utility of splitting the partition on one attribute: the weighted
     average over the induced children of cross-validated NB accuracy.
     ``attr_weights`` defaults to all ones."""
-    params = params or NBTreeParams()
-    if attr_weights is None:
-        attr_weights = np.ones(partition.schema.n_attributes)
     ctx = _BuildContext(partition, attr_weights, params)
     j = partition.schema.attribute_index(attribute)
     view = ctx.node_view(np.arange(partition.n))
@@ -330,9 +332,6 @@ def best_split(
     """Highest-utility split, or None when no split passes the significance
     test (better relative error reduction than ``significance`` on a node
     carrying at least ``min_split_examples`` examples' weight)."""
-    params = params or NBTreeParams()
-    if attr_weights is None:
-        attr_weights = np.ones(partition.schema.n_attributes)
     ctx = _BuildContext(partition, attr_weights, params)
     view = ctx.node_view(np.arange(partition.n))
     return ctx.best_split(view, _path_salt("root"))
@@ -390,7 +389,8 @@ def build_nbtree(
     attr_weights=None,
     params: NBTreeParams | None = None,
 ) -> NBTree:
-    """Grow the tree recursively.
+    """Grow the tree through ``tree.grow_tree``, which also owns the rule
+    that partitions a node's rows by a split.
 
     Each node first checks whether its own NB model classifies the node's
     examples perfectly; if so (or at max depth, or when no split passes
@@ -402,44 +402,11 @@ def build_nbtree(
     is the one the check scored. The tree learns from ``train`` as given:
     its example weights and its working labels.
     """
-    params = params or NBTreeParams()
     if train.n == 0:
         raise TrainingError("cannot build a tree from an empty dataset")
-    if attr_weights is None:
-        attr_weights = np.ones(train.schema.n_attributes)
     ctx = _BuildContext(train, attr_weights, params)
     schema = train.schema
-
-    def grow(rows: np.ndarray, path: str, depth: int) -> TreeNode:
-        node = TreeNode(depth=depth, weight=float(train.weights[rows].sum()), n=len(rows))
-        view = ctx.node_view(rows)
-        model = ctx.node_model(view)
-        found = None
-        if depth < params.max_depth and ctx.misclassified(view, model) > 0:
-            found = ctx.best_split(view, _path_salt(path))
-        if found is None:
-            node.payload = model
-            return node
-        j = schema.attribute_index(found.attribute)
-        node.attribute, node.threshold = found.attribute, found.threshold
-        if found.threshold is not None:
-            mask = ctx.raw[j][rows] <= found.threshold
-            node.left = grow(rows[mask], f"{path}/{found.attribute}<=", depth + 1)
-            node.right = grow(rows[~mask], f"{path}/{found.attribute}>", depth + 1)
-        else:
-            codes = ctx.raw[j][rows]
-            branches = [(sym, rows[codes == code])
-                        for code, sym in enumerate(schema.attributes[j].domain)]
-            node.children = {
-                sym: grow(sub, f"{path}/{found.attribute}={sym}", depth + 1)
-                for sym, sub in branches if len(sub)
-            }
-            node.empty_branches = tuple(sym for sym, sub in branches if not len(sub))
-            if node.empty_branches:
-                node.fallback_model = model
-        return node
-
-    root = grow(np.arange(train.n), "root", 1)
+    root = grow_tree(train, ctx.split_of)
     return NBTree(
         schema.structural_hash(), schema.class_names, schema.attribute_names,
         ctx.attr_w, root,

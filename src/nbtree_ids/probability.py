@@ -107,9 +107,6 @@ class PosteriorVector:
     classes: tuple[str, ...]
     probs: np.ndarray
 
-    def best(self) -> str:
-        return self.classes[int(np.argmax(self.probs))]
-
     def __getitem__(self, class_name: str) -> float:
         return float(self.probs[self.classes.index(class_name)])
 

@@ -1,17 +1,18 @@
-"""The node type, routing and file form shared by the gain tree and the NB-tree.
+"""The node type, growth, routing and file form shared by the gain tree and the NB-tree.
 
 Both trees split the same way: multi-way on a discrete attribute (one child
 per symbol seen at the node), binary on a continuous one (``v <= threshold``
-goes left). They differ only in what a leaf holds: the gain tree
-(``attribute_weighting.DecisionTree``) keeps a class label, the NB-tree
-(``nbtree.NBTree``) a naive-Bayes model. An NB-tree node may also list
-domain symbols that had no training rows; a value on such an empty branch
-ends at the node's own ``fallback_model``. A symbol unseen at training time
-goes to the heaviest child.
+goes left). They differ only in when a node stops and what a leaf holds: the
+gain tree (``attribute_weighting.DecisionTree``) keeps a class label, the
+NB-tree (``nbtree.NBTree``) a naive-Bayes model. An NB-tree node may also
+list domain symbols that had no training rows; a value on such an empty
+branch ends at the node's own ``fallback_model``. A symbol unseen at
+training time goes to the heaviest child.
 
-``TreeNode.branch`` is the one place that decides where a value goes. Two
-walks apply it: ``route_rows`` partitions a whole dataset node by node (it
-asks ``branch`` once per domain symbol, which gives a code-to-child table),
+Both builders grow through ``grow_tree`` and cut continuous attributes at
+``threshold_candidates``. ``split_rows`` partitions rows by a split and
+``TreeNode.branch`` sends one value down. ``route_rows`` partitions a
+whole dataset node by node (it asks ``branch`` once per domain symbol),
 and ``route_example`` follows one example, the per-example reference.
 """
 
@@ -19,13 +20,54 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .dataset import WeightedDataset
 from .exceptions import SchemaError
 from .probability import NaiveBayesModel
+
+_THRESHOLD_CAP = 32     # candidate cut points per continuous attribute
+
+
+def goes_left(values, threshold):   # a value or an array of values
+    return values <= threshold
+
+
+def threshold_candidates(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Candidate thresholds: midpoints between consecutive distinct values,
+    capped by taking midpoints between weighted-quantile cut points when
+    there are more than ``_THRESHOLD_CAP`` gaps."""
+    u = np.unique(values)
+    if u.size < 2:
+        return np.empty(0)
+    if u.size - 1 <= _THRESHOLD_CAP:
+        return (u[1:] + u[:-1]) / 2.0
+    levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
+    order = np.argsort(values, kind="stable")
+    cw = np.cumsum(weights[order])
+    cw /= cw[-1]
+    idx = np.clip(np.searchsorted(cw, levels, side="left"), 0, len(values) - 1)
+    qv = np.unique(values[order][idx])
+    if qv.size < 2:
+        # weight mass collapsed onto one value: fall back to evenly spaced cuts
+        qv = np.unique(u[np.linspace(0, u.size - 1, _THRESHOLD_CAP + 1).astype(int)])
+    return (qv[1:] + qv[:-1]) / 2.0
+
+
+def split_rows(column: np.ndarray, rows: np.ndarray, threshold: float | None,
+               domain: tuple[str, ...]) -> list[np.ndarray]:
+    """The rows of each branch of a split on ``column``: ``[<=, >]`` for a
+    threshold, else one entry per domain symbol in domain order (empty
+    where no row has the symbol). Each part keeps the order of ``rows``."""
+    values = column[rows]
+    if threshold is not None:
+        left = goes_left(values, threshold)
+        return [rows[left], rows[~left]]
+    order = np.argsort(values, kind="stable")
+    ends = np.cumsum(np.bincount(values, minlength=len(domain)))
+    return np.split(rows[order], ends[:-1])
 
 
 @dataclass
@@ -65,16 +107,12 @@ class TreeNode:
             return self.left if self.left.weight >= self.right.weight else self.right
         return min(self.children.items(), key=lambda kv: (-kv[1].weight, kv[0]))[1]
 
-    def goes_left(self, values):
-        """Threshold test for a value or an array of values."""
-        return values <= self.threshold
-
     def branch(self, value) -> "TreeNode | None":
         """The child one attribute value goes to, or None when the value's
         branch was empty at training time (the walk ends at
         ``fallback_model``)."""
         if self.threshold is not None:
-            return self.left if self.goes_left(value) else self.right
+            return self.left if goes_left(value, self.threshold) else self.right
         child = self.children.get(value)
         if child is not None:
             return child
@@ -89,6 +127,45 @@ def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
         node = stack.pop()
         yield node
         stack.extend(node.child_nodes())
+
+
+def grow_tree(dataset: WeightedDataset, split_of: Callable) -> TreeNode:
+    """Grow a tree over ``dataset`` and return its root. ``split_of(node,
+    rows, path)`` sets the node's weight and payload and returns None for a
+    leaf, or ``(attribute index, threshold, fallback model)``. The loop then
+    creates one child per non-empty branch of ``split_rows``, in branch
+    order, and records a discrete split's empty branches only when given a
+    fallback. A path is ``root`` plus ``/<attr><=``, ``/<attr>>`` or
+    ``/<attr>=<sym>`` per split above; nodes are visited in no set order.
+    """
+    specs = dataset.schema.attributes
+    root = TreeNode(depth=1, weight=0.0, n=dataset.n)
+    stack = [(root, np.arange(dataset.n), "root")]
+    while stack:
+        node, rows, path = stack.pop()
+        split = split_of(node, rows, path)
+        if split is None:
+            continue
+        j, threshold, fallback = split
+        spec = specs[j]
+        node.attribute, node.threshold = spec.name, threshold
+        parts = split_rows(dataset.columns[j], rows, threshold, spec.domain)
+        keys = ["<=", ">"] if threshold is not None else [f"={sym}" for sym in spec.domain]
+        children = {}
+        for key, sub in zip(keys, parts):
+            if len(sub):
+                children[key] = TreeNode(depth=node.depth + 1, weight=0.0, n=len(sub))
+                stack.append((children[key], sub, f"{path}/{spec.name}{key}"))
+        if threshold is not None:
+            node.left, node.right = children["<="], children[">"]
+            continue
+        node.children = {key[1:]: child for key, child in children.items()}
+        if fallback is not None:
+            node.empty_branches = tuple(sym for sym, sub in zip(spec.domain, parts)
+                                        if not len(sub))
+            if node.empty_branches:
+                node.fallback_model = fallback
+    return root
 
 
 def route_rows(root: TreeNode, dataset: WeightedDataset,
@@ -106,16 +183,16 @@ def route_rows(root: TreeNode, dataset: WeightedDataset,
             yield node.payload, rows
             continue
         j = attr_index[node.attribute]
-        col = dataset.columns[j][rows]
+        col = dataset.columns[j]
         if node.threshold is not None:
-            left = node.goes_left(col)
-            parts = [(node.left, rows[left]), (node.right, rows[~left])]
+            parts = zip((node.left, node.right), split_rows(col, rows, node.threshold, ()))
         else:
             # code -> where that symbol goes; codes that go to the same
             # place share the slot of the first of them
             ends = [node.branch(sym) for sym in dataset.schema.attributes[j].domain]
             first: dict[int, int] = {}
-            slots = np.array([first.setdefault(id(end), k) for k, end in enumerate(ends)])[col]
+            slots = np.array([first.setdefault(id(end), k) for k, end in enumerate(ends)])
+            slots = slots[col[rows]]
             parts = [(ends[k], rows[slots == k]) for k in first.values()]
         for child, sub in parts:
             if child is not None:

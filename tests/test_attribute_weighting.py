@@ -227,6 +227,14 @@ def test_min_leaf_examples_stops_growth():
     assert tree.root.is_leaf
 
 
+@pytest.mark.parametrize("floor", [-5.0, float("nan")])
+def test_bad_min_leaf_examples_raises(floor):
+    schema = disc_schema(("x", "y"))
+    ds = WeightedDataset.from_rows(schema, [("x",), ("y",)] * 4, ["A", "B"] * 4)
+    with pytest.raises(ValueError, match="min_leaf_examples"):
+        build_weighted_tree(ds, min_leaf_examples=floor)
+
+
 def test_tree_json_round_trip():
     rng = np.random.default_rng(43)
     ds = random_gain_dataset(rng, continuous=True)
@@ -387,6 +395,13 @@ def test_select_degenerate_single_class_errors():
     ds = WeightedDataset.from_rows(schema, [("x",), ("y",)] * 3, ["A"] * 6)
     with pytest.raises(DegenerateTreeError):
         select_attributes(ds)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_select_rejects_fewer_than_one_pass(iterations):
+    ds = synth.make_majority_dataset(seed=1, n=100)
+    with pytest.raises(ValueError, match="iterations"):
+        select_attributes(ds, SelectionParams(iterations=iterations))
 
 
 def test_select_is_deterministic():

@@ -74,9 +74,15 @@ def test_inspect_missing_train_exits_1(tmp_path):
     assert main(["inspect", "--out", str(tmp_path / "r")]) == 1
 
 
-def test_bad_flag_value_exits_1(toy_corpus, tmp_path):
-    code = main(["inspect", "--train", str(toy_corpus), "--out",
-                 str(tmp_path / "r"), "--bins", "0"])
+@pytest.mark.parametrize("command, flags", [
+    ("inspect", ["--bins", "0"]),
+    ("inspect", ["--weighting-min-leaf-examples", "-5"]),
+    ("inspect", ["--weighting-min-leaf-examples", "nan"]),
+    ("compare", ["--seed", "-1", "--test-fraction", "0.3"]),
+], ids=["bins-0", "min-leaf-negative", "min-leaf-nan", "seed-negative"])
+def test_bad_flag_value_exits_1(toy_corpus, tmp_path, command, flags):
+    code = main([command, "--train", str(toy_corpus), "--out",
+                 str(tmp_path / "r"), *flags])
     assert code == 1
 
 

@@ -1,4 +1,5 @@
-"""The batch router against the per-example walk, on both kinds of tree."""
+"""The grower's invariants and the batch router against the per-example walk,
+on both kinds of tree."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -56,6 +57,28 @@ def probe_dataset(rng, schema, roots):
     return WeightedDataset.from_rows(Schema(tuple(attrs), CLASSES), rows, labels)
 
 
+def check_growth(root, schema, gain_tree):
+    """Children's row counts add up to their parent's. An NB-tree's
+    discrete split covers the domain with its children and empty
+    branches; a gain tree's lists no empty branch, and no path of a gain
+    tree tests a discrete attribute twice."""
+    stack = [(root, frozenset())]
+    while stack:
+        node, tested = stack.pop()
+        if node.is_leaf:
+            continue
+        children = node.child_nodes()
+        assert sum(c.n for c in children) == node.n
+        if node.threshold is None and gain_tree:
+            assert node.empty_branches == ()
+            assert node.attribute not in tested
+            tested = tested | {node.attribute}
+        elif node.threshold is None:
+            domain = schema.attributes[schema.attribute_index(node.attribute)].domain
+            assert sorted([*node.children, *node.empty_branches]) == sorted(domain)
+        stack.extend((c, tested) for c in children)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -66,6 +89,8 @@ def test_batch_routing_matches_per_example_walk(seed, kinds):
     ds = random_training(rng, kinds)
     gain = build_weighted_tree(ds, min_leaf_examples=0.0)
     nbt = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0, max_depth=4))
+    check_growth(gain.root, ds.schema, gain_tree=True)
+    check_growth(nbt.root, ds.schema, gain_tree=False)
     probe = probe_dataset(rng, ds.schema, [gain.root, nbt.root])
     names = probe.schema.attribute_names
     examples = [probe.example(i) for i in range(probe.n)]
