@@ -24,13 +24,10 @@ from .dataset import (
     stratified_split,
 )
 from .probability import (
-    ClassPriors,
-    ConditionalModel,
     NaiveBayesModel,
     PosteriorVector,
     classify_nb,
-    estimate_conditionals,
-    estimate_priors,
+    fit_codes,
     fit_naive_bayes,
     posterior,
     weighted_class_score,

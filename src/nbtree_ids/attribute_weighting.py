@@ -163,9 +163,10 @@ class DecisionTree(TreeModel):
     def from_dict(cls, doc: dict) -> "DecisionTree":
         if doc.get("format") != TREE_FORMAT:
             raise DataFormatError(f"not a {TREE_FORMAT} document")
+        attributes = tuple(doc["attributes"])
         return cls(
-            doc["schema_hash"], tuple(doc["classes"]), tuple(doc["attributes"]),
-            node_from_dict(doc["root"]), doc.get("model_id", "gain-tree"),
+            doc["schema_hash"], tuple(doc["classes"]), attributes,
+            node_from_dict(doc["root"], attributes), doc.get("model_id", "gain-tree"),
         )
 
 

@@ -269,19 +269,20 @@ def _train_test(config: RunConfig) -> tuple[WeightedDataset, WeightedDataset]:
 
 
 def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
-    """Dispatch a saved model document on its format tag."""
+    """Dispatch a saved model document on its format tag. Any fault of
+    the document is a ``DataFormatError`` naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read model file {path}: {exc}") from None
-    fmt = doc.get("format")
-    if fmt == MODEL_FORMAT:
-        return NaiveBayesModel.from_dict(doc)
-    if fmt == TREE_FORMAT:
-        return DecisionTree.from_dict(doc)
-    if fmt == NBTREE_FORMAT:
-        return NBTree.from_dict(doc)
-    raise DataFormatError(f"unrecognised model format {fmt!r} in {path}")
+    loaders = {MODEL_FORMAT: NaiveBayesModel, TREE_FORMAT: DecisionTree, NBTREE_FORMAT: NBTree}
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt not in loaders:
+        raise DataFormatError(f"unrecognised model format {fmt!r} in {path}")
+    try:
+        return loaders[fmt].from_dict(doc)
+    except (KeyError, TypeError, ValueError, DataFormatError, SchemaError) as exc:
+        raise DataFormatError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _composition_doc(ds: WeightedDataset) -> dict:
@@ -373,16 +374,17 @@ def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
         raise ConfigError("eval needs at least one --models path")
     if not config.test:
         raise ConfigError("--test is required for eval")
+    models = [load_model_file(_resolve_path(path)) for path in model_paths]
+    for i, model in enumerate(models):
+        if model.model_id in [m.model_id for m in models[:i]]:
+            raise ConfigError(f"two models have model_id {model.model_id!r}")
     schema, taxonomy = _schema_and_taxonomy(config)
     test = load_dataset(_resolve_path(config.test), schema, taxonomy,
                         permissive=config.permissive)
     run = _Run(config)
     run.write_json("composition.json", _composition_doc(test))
-    reports = []
-    for path in model_paths:
-        model = load_model_file(_resolve_path(path))
-        report = evaluate(model, project_for_model(model, test))
-        reports.append(report)
+    reports = [evaluate(model, project_for_model(model, test)) for model in models]
+    for report in reports:
         print(report.to_text())
     _write_reports(run, reports)
     run.write_json("bundle.json", {

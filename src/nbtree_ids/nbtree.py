@@ -18,12 +18,15 @@ accepted only if it cuts the node's cross-validated error by more than
 are assigned by a deterministic hash of (example row, node path), so
 builds are exactly reproducible.
 
-Continuous attributes are re-binned on each node's partition and on each
-candidate child's partition, and the add-k smoothing strength k is counted
-in units of the NB-tree training set's mean example weight, for the split
-search and the leaves alike. So both the perfect-classification check and
-the split utility see exactly what the corresponding leaf model would see:
-a split is scored by the leaf models it would create.
+Continuous attributes are re-binned (``probability.bin_columns``) on each
+node's partition and on each candidate child's partition, and the add-k
+smoothing strength k is counted in units of the NB-tree training set's
+mean example weight, for the split search and the leaves alike. Each node
+fits its model with ``probability.fit_codes``, the baselines' fit. So the
+perfect-classification check and the split utility see exactly what the
+corresponding leaf model would see: a split is scored by the leaf models
+it would create. An attribute that would give a node one child scores the
+node's own accuracy, so it never wins.
 
 The node type, routing, dump and JSON codec live in ``tree``, shared with
 the gain tree; ``NBTree`` adds the naive-Bayes leaves and their scoring.
@@ -33,20 +36,20 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Example, WeightedDataset
 from .exceptions import DataFormatError, TrainingError
 from .probability import (
-    ClassPriors,
     NaiveBayesModel,
     as_weight_array,
-    bin_codes,
-    conditionals_from_codes,
-    equal_frequency_edges,
+    bin_columns,
+    fit_codes,
     smoothed_conditionals,
     smoothed_priors,
+    value_count,
     _normalise_rows,
 )
 from .tree import (
@@ -115,21 +118,17 @@ def _fold_assign(labels: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray
 # -- encoded view used during construction -------------------------------------
 
 
-class _NodeView:
+class _NodeView(NamedTuple):
     """One node's or candidate child's partition, encoded with bins fitted
     on the partition itself (discrete codes are global; continuous columns
     are re-binned so the partition sees exactly what its own leaf model
     would see)."""
 
-    __slots__ = ("rows", "codes", "edges", "V", "labels", "weights")
-
-    def __init__(self, rows, codes, edges, V, labels, weights):
-        self.rows = rows          # global row ids (fold hashing key)
-        self.codes = codes        # (m, A) node-level codes
-        self.edges = edges        # per attribute; empty for discrete ones
-        self.V = V
-        self.labels = labels
-        self.weights = weights
+    rows: np.ndarray      # global row ids (fold hashing key)
+    codes: np.ndarray     # (m, A), column-major: the CV reads one attribute at a time
+    edges: list           # per attribute; empty for discrete ones
+    labels: np.ndarray
+    weights: np.ndarray
 
 
 class _BuildContext:
@@ -141,10 +140,8 @@ class _BuildContext:
         params.validate()
         self.params = params
         self.schema = ds.schema
-        self.C = ds.schema.n_classes
         self.labels = ds.labels
         self.weights = ds.weights
-        self.folds = params.folds
         self.attr_w = (np.ones(ds.schema.n_attributes) if attr_weights is None
                        else as_weight_array(attr_weights, ds.schema.attribute_names))
         self.example_mass = ds.total_weight / ds.n
@@ -154,30 +151,9 @@ class _BuildContext:
         self.raw = ds.columns
 
     def node_view(self, rows: np.ndarray) -> _NodeView:
-        A = self.schema.n_attributes
-        m = len(rows)
-        codes = np.empty((m, A), dtype=np.int64, order="F")  # column reads
-        edges = [np.empty(0)] * A
-        V = np.empty(A, dtype=np.int64)
-        for j, (spec, col) in enumerate(zip(self.schema.attributes, self.raw)):
-            vals = col[rows]
-            if spec.is_discrete:
-                codes[:, j] = vals
-                V[j] = len(spec.domain)
-            else:
-                edges[j] = equal_frequency_edges(vals, self.params.bins)
-                codes[:, j] = bin_codes(vals, edges[j])
-                V[j] = len(edges[j]) + 1
-        return _NodeView(rows, codes, edges, V, self.labels[rows], self.weights[rows])
-
-    def node_model(self, view: _NodeView) -> NaiveBayesModel:
-        """The NB model fitted on the view's codes and bins with the build's
-        k; priors are class mass over the view's class-mass sum."""
-        cw = np.bincount(view.labels, weights=view.weights, minlength=self.C)
-        priors = ClassPriors(self.schema.class_names, smoothed_priors(cw, cw.sum(), self.k))
-        conds = conditionals_from_codes(self.schema, view.codes.T, view.edges, view.labels,
-                                        view.weights, cw, self.k)
-        return NaiveBayesModel(self.schema, priors, conds)
+        codes, edges = bin_columns(self.schema, [col[rows] for col in self.raw], self.params.bins)
+        codes = np.array(codes, dtype=np.int64).reshape(len(codes), len(rows)).T  # A may be 0
+        return _NodeView(rows, codes, edges, self.labels[rows], self.weights[rows])
 
     def misclassified(self, view: _NodeView, model: NaiveBayesModel) -> int:
         """Examples of the view that ``model`` (its node model) gets wrong
@@ -193,8 +169,8 @@ class _BuildContext:
             return 0.0
         lab, w = view.labels, view.weights
         keys = _mix64(view.rows.astype(np.uint64) ^ salt)
-        f = _fold_assign(lab, keys, self.folds)
-        F, C, k = self.folds, self.C, self.k
+        F, C, k = self.params.folds, self.schema.n_classes, self.k
+        f = _fold_assign(lab, keys, F)
         cw_fold = np.bincount(f * C + lab, weights=w, minlength=F * C).reshape(F, C)
         cw_train = cw_fold.sum(axis=0)[None, :] - cw_fold
         with np.errstate(divide="ignore"):
@@ -203,7 +179,7 @@ class _BuildContext:
         for j, wa in enumerate(self.attr_w):
             if wa == 0.0:
                 continue
-            V = int(view.V[j])
+            V = value_count(self.schema.attributes[j], view.edges[j])
             code = view.codes[:, j]
             cnt = np.bincount(fc * V + code, weights=w, minlength=F * C * V)
             cnt = cnt.reshape(F, C, V)
@@ -221,9 +197,14 @@ class _BuildContext:
                             node_accuracy: float) -> tuple[float, float | None]:
         """Best utility for attribute j (searching thresholds when
         continuous). Children lighter than one example's mass fall back to
-        the node's own accuracy."""
+        the node's own accuracy, and so does an attribute that would give
+        the node one child: a discrete one with a single symbol there, or
+        a constant continuous one."""
         spec = self.schema.attributes[j]
         if spec.is_discrete:
+            code = view.codes[:, j]
+            if code.min() == code.max():
+                return node_accuracy, None
             candidates = [None]
         else:
             thr = threshold_candidates(self.raw[j][view.rows], view.weights)
@@ -275,7 +256,7 @@ class _BuildContext:
         own model is its leaf, or the fallback of its empty branches."""
         node.weight = float(self.weights[rows].sum())
         view = self.node_view(rows)
-        model = self.node_model(view)
+        model = fit_codes(self.schema, view.codes.T, view.edges, view.labels, view.weights, self.k)
         found = None
         if node.depth < self.params.max_depth and self.misclassified(view, model) > 0:
             found = self.best_split(view, _path_salt(path))
@@ -303,7 +284,8 @@ def node_misclassification_check(
     ctx = _BuildContext(partition, attr_weights,
                         NBTreeParams(smoothing_k=k, bins=bins))
     view = ctx.node_view(np.arange(partition.n))
-    return ctx.misclassified(view, ctx.node_model(view))
+    model = fit_codes(ctx.schema, view.codes.T, view.edges, view.labels, view.weights, ctx.k)
+    return ctx.misclassified(view, model)
 
 
 def split_utility(
@@ -377,10 +359,13 @@ class NBTree(TreeModel):
     def from_dict(cls, doc: dict) -> "NBTree":
         if doc.get("format") != NBTREE_FORMAT:
             raise DataFormatError(f"not a {NBTREE_FORMAT} document")
+        attributes = tuple(doc["attributes"])
+        attr_weights = np.asarray(doc["attr_weights"], dtype=np.float64)
+        if attr_weights.shape != (len(attributes),):
+            raise DataFormatError("attr_weights do not cover the tree's attributes")
         return cls(
-            doc["schema_hash"], tuple(doc["classes"]), tuple(doc["attributes"]),
-            np.asarray(doc["attr_weights"], dtype=np.float64),
-            node_from_dict(doc["root"]), doc.get("model_id", "nbtree"),
+            doc["schema_hash"], tuple(doc["classes"]), attributes, attr_weights,
+            node_from_dict(doc["root"], attributes), doc.get("model_id", "nbtree"),
         )
 
 

@@ -1,12 +1,22 @@
 """Weighted naive-Bayes estimation and classification.
 
-Class priors are weighted relative frequencies; per-attribute conditionals
-are add-k smoothed weighted frequencies over the attribute's symbols (or
-over equal-frequency bins for continuous attributes, fitted on the data
-the model is estimated from). All scoring runs in the natural-log domain:
-a class score is log P(C) plus the sum of per-attribute log conditionals,
-each optionally raised to an attribute weight in [0, 1]. Probabilities
-reported to callers are exponentiated after normalisation across classes.
+A ``NaiveBayesModel`` is its schema plus plain arrays: the (C,) priors,
+one (C, V) conditional table per attribute, the bin edges (empty for a
+discrete attribute), the smoothing k and the fit-time class masses. Names,
+kinds and domains are read from the schema alone.
+
+``bin_columns`` is the one binning: discrete attributes keep their symbol
+codes, continuous ones get equal-frequency bins fitted on the data the
+model is estimated from. ``fit_codes`` is the one fit: priors are class
+mass over total mass, conditionals are add-k smoothed weighted
+frequencies, with k in absolute weight units. ``fit_naive_bayes`` (the
+baselines and the weighting pass) states k in units of the dataset's mean
+example weight; each NB-tree node calls ``fit_codes`` with the tree's k.
+
+All scoring runs in the natural-log domain: a class score is log P(C) plus
+the sum of per-attribute log conditionals, each optionally raised to an
+attribute weight in [0, 1]. Probabilities reported to callers are
+exponentiated after normalisation across classes.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Example, Schema, WeightedDataset
+from .dataset import AttributeSpec, Example, Schema, WeightedDataset
 from .exceptions import DataFormatError, SchemaError, TrainingError
 
 MODEL_FORMAT = "nb-model/1"
@@ -42,62 +52,6 @@ def equal_frequency_edges(values: np.ndarray, bins: int) -> np.ndarray:
 def bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Map values to bin indices: bin i covers (edge[i-1], edge[i]]."""
     return np.searchsorted(edges, values, side="left").astype(np.int32)
-
-
-@dataclass(frozen=True)
-class ClassPriors:
-    """Per-class prior probabilities in schema class order."""
-
-    classes: tuple[str, ...]
-    probs: np.ndarray
-
-    def __getitem__(self, class_name: str) -> float:
-        return float(self.probs[self.classes.index(class_name)])
-
-
-@dataclass
-class AttributeConditional:
-    """Conditional table for one attribute: one row per class, one column
-    per symbol/bin. Values never seen at fit time score the smoothing
-    floor from :meth:`ConditionalModel.unseen_floor`."""
-
-    name: str
-    kind: str
-    domain: tuple[str, ...]    # discrete only
-    edges: np.ndarray          # continuous only
-    cond: np.ndarray
-
-    @property
-    def n_values(self) -> int:
-        return self.cond.shape[1]
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind == "discrete"
-
-
-@dataclass
-class ConditionalModel:
-    """All per-(attribute, class) conditional distributions plus k.
-
-    ``class_weights`` is the fit-time weight mass per class; it fixes the
-    smoothing floor k / (class weight + k*V) used for values that never
-    occurred at fit time.
-    """
-
-    attributes: list[AttributeConditional]
-    smoothing_k: float
-    class_weights: np.ndarray
-
-    def by_name(self, name: str) -> AttributeConditional:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise SchemaError(f"no conditional table for attribute {name!r}")
-
-    def unseen_floor(self, attr: AttributeConditional) -> np.ndarray:
-        zero = np.zeros((len(self.class_weights), attr.n_values))
-        return smoothed_conditionals(zero, self.class_weights, self.smoothing_k)[:, 0]
 
 
 @dataclass
@@ -133,54 +87,42 @@ def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float) 
         return np.where(denom > 0, (counts + k) / denom, 0.0)
 
 
-def estimate_priors(dataset: WeightedDataset, k: float = 1.0) -> ClassPriors:
-    """Weighted class priors: class weight mass over total mass (see
-    :func:`smoothed_priors`)."""
-    total = dataset.total_weight
-    if total <= 0:
-        raise TrainingError("cannot estimate priors: zero total weight")
-    cw = np.bincount(dataset.labels, weights=dataset.weights,
-                     minlength=dataset.schema.n_classes)
-    return ClassPriors(dataset.schema.class_names, smoothed_priors(cw, total, k))
+def value_count(spec, edges: np.ndarray) -> int:
+    """V, the codes an attribute takes: its domain size, or its bin count."""
+    return len(spec.domain) if spec.is_discrete else len(edges) + 1
 
 
-def conditionals_from_codes(schema: Schema, codes, edges, labels: np.ndarray,
-                            weights: np.ndarray, class_mass: np.ndarray,
-                            k: float) -> ConditionalModel:
-    """Add-k conditional tables from per-attribute value codes (symbol
-    codes, or bin codes under the given continuous ``edges``)."""
-    C = schema.n_classes
-    out: list[AttributeConditional] = []
-    for spec, code, attr_edges in zip(schema.attributes, codes, edges):
-        V = len(spec.domain) if spec.is_discrete else len(attr_edges) + 1
-        counts = np.bincount(labels * V + code, weights=weights, minlength=C * V)
-        cond = smoothed_conditionals(counts.reshape(C, V), class_mass, k)
-        domain = spec.domain if spec.is_discrete else ()
-        out.append(AttributeConditional(spec.name, spec.kind, domain, attr_edges, cond))
-    return ConditionalModel(out, k, class_mass)
-
-
-def estimate_conditionals(dataset: WeightedDataset, k: float = 1.0,
-                          bins: int = 10) -> ConditionalModel:
-    """Add-k weighted conditional tables for every attribute (see
-    :func:`smoothed_conditionals`). Continuous attributes are binned with
-    equal-frequency edges fitted on this dataset."""
-    schema = dataset.schema
-    cw = np.bincount(dataset.labels, weights=dataset.weights, minlength=schema.n_classes)
-    if k <= 0 and cw.min() <= 0:
-        zero = schema.class_names[int(np.argmin(cw))]
-        raise TrainingError(
-            f"class {zero!r} has zero weight and smoothing is off (k=0)"
-        )
+def bin_columns(schema: Schema, columns, bins: int) -> tuple[list, list]:
+    """The one binning: per-attribute value codes and bin edges. Discrete
+    columns keep their symbol codes (no edges); continuous ones get
+    equal-frequency edges fitted on these values."""
     edges = [np.empty(0) if spec.is_discrete else equal_frequency_edges(col, bins)
-             for spec, col in zip(schema.attributes, dataset.columns)]
+             for spec, col in zip(schema.attributes, columns)]
     codes = [col if spec.is_discrete else bin_codes(col, e)
-             for spec, col, e in zip(schema.attributes, dataset.columns, edges)]
-    return conditionals_from_codes(schema, codes, edges, dataset.labels, dataset.weights, cw, k)
+             for spec, col, e in zip(schema.attributes, columns, edges)]
+    return codes, edges
+
+
+def fit_codes(schema: Schema, codes, edges, labels: np.ndarray, weights: np.ndarray,
+              k: float) -> "NaiveBayesModel":
+    """The one fit: priors are class mass over ``weights.sum()`` and each
+    attribute's table holds add-k conditionals over its codes (symbol
+    codes, or bin codes under its ``edges``), with k in absolute weight
+    units."""
+    C = schema.n_classes
+    cw = np.bincount(labels, weights=weights, minlength=C)
+    cond = []
+    for spec, code, attr_edges in zip(schema.attributes, codes, edges):
+        V = value_count(spec, attr_edges)
+        counts = np.bincount(labels * V + code, weights=weights, minlength=C * V)
+        cond.append(smoothed_conditionals(counts.reshape(C, V), cw, k))
+    return NaiveBayesModel(schema, smoothed_priors(cw, weights.sum(), k), cond, edges, k, cw)
 
 
 class NaiveBayesModel:
-    """A fitted naive-Bayes classifier bound to a schema.
+    """A fitted naive-Bayes classifier: its schema plus plain arrays (see
+    the module docstring). ``class_weights`` and ``smoothing_k`` fix the
+    floor k / (class mass + k*V) scored by values never seen at fit time.
 
     Immutable once fitted; safe to share across threads. ``predict_dataset``
     and friends align any dataset with a structurally identical schema to
@@ -190,46 +132,50 @@ class NaiveBayesModel:
 
     model_id = "nb"
 
-    def __init__(self, schema: Schema, priors: ClassPriors, conditionals: ConditionalModel):
-        if len(conditionals.attributes) != schema.n_attributes:
-            raise SchemaError("conditional tables do not cover the schema")
+    def __init__(self, schema: Schema, priors, cond, edges, smoothing_k: float, class_weights):
         self.schema = schema
-        self.priors = priors
-        self.conditionals = conditionals
+        self.priors = np.asarray(priors, dtype=np.float64)
+        self.cond = [np.asarray(t, dtype=np.float64) for t in cond]
+        self.edges = [np.asarray(e, dtype=np.float64) for e in edges]
+        self.smoothing_k = smoothing_k
+        self.class_weights = np.asarray(class_weights, dtype=np.float64)
+        C = schema.n_classes
+        shapes = [(C, value_count(spec, e)) for spec, e in zip(schema.attributes, self.edges)]
+        if ([t.shape for t in self.cond] != shapes or len(self.edges) != schema.n_attributes
+                or self.priors.shape != (C,) or self.class_weights.shape != (C,)):
+            raise SchemaError("model arrays do not match its schema: tables must be C x V")
         self.classes = schema.class_names
         self.schema_hash = schema.structural_hash()
         with np.errstate(divide="ignore"):
-            self._log_priors = np.log(priors.probs)
+            self._log_priors = np.log(self.priors)
             # one (V+1, C) log table per attribute; its last row is the
             # unseen floor, which code -1 (and code V) reads
             self._log_tables = [
-                np.log(np.vstack([a.cond.T, conditionals.unseen_floor(a)]))
-                for a in conditionals.attributes
+                np.log(np.vstack([t.T, smoothed_conditionals(
+                    np.zeros_like(t), self.class_weights, smoothing_k)[:, 0]]))
+                for t in self.cond
             ]
 
     # -- encoding ----------------------------------------------------------
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.conditionals.attributes)
+        return self.schema.attribute_names
 
     @property
     def attribute_count(self) -> int:
-        return len(self.conditionals.attributes)
+        return self.schema.n_attributes
 
     def encode_example(self, example: Example) -> np.ndarray:
         """Codes per model attribute; -1 marks an unseen discrete symbol."""
         if len(example.values) != self.schema.n_attributes:
             raise SchemaError("example does not conform to the model schema")
         codes = np.empty(self.attribute_count, dtype=np.int64)
-        for i, (a, v) in enumerate(zip(self.conditionals.attributes, example.values)):
-            if a.is_discrete:
-                try:
-                    codes[i] = a.domain.index(str(v))
-                except ValueError:
-                    codes[i] = -1
+        for i, (spec, e, v) in enumerate(zip(self.schema.attributes, self.edges, example.values)):
+            if spec.is_discrete:
+                codes[i] = spec.domain.index(str(v)) if str(v) in spec.domain else -1
             else:
-                codes[i] = int(np.searchsorted(a.edges, float(v), side="left"))
+                codes[i] = int(np.searchsorted(e, float(v), side="left"))
         return codes
 
     def encode_dataset(self, dataset: WeightedDataset) -> np.ndarray:
@@ -238,17 +184,17 @@ class NaiveBayesModel:
             raise SchemaError("dataset schema does not match the model schema")
         n = dataset.n
         codes = np.empty((n, self.attribute_count), dtype=np.int64)
-        for i, (a, spec, col) in enumerate(
-            zip(self.conditionals.attributes, dataset.schema.attributes, dataset.columns)
-        ):
-            if a.is_discrete:
-                model_index = {s: j for j, s in enumerate(a.domain)}
+        for i, (spec, e, data_spec, col) in enumerate(zip(
+            self.schema.attributes, self.edges, dataset.schema.attributes, dataset.columns
+        )):
+            if spec.is_discrete:
+                model_index = {s: j for j, s in enumerate(spec.domain)}
                 trans = np.array(
-                    [model_index.get(s, -1) for s in spec.domain], dtype=np.int64
+                    [model_index.get(s, -1) for s in data_spec.domain], dtype=np.int64
                 )
                 codes[:, i] = trans[col]
             else:
-                codes[:, i] = np.searchsorted(a.edges, col, side="left")
+                codes[:, i] = np.searchsorted(e, col, side="left")
         return codes
 
     # -- scoring -----------------------------------------------------------
@@ -278,25 +224,20 @@ class NaiveBayesModel:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The ``nb-model/1`` document: ``classes`` and ``attributes``
+        restate ``schema``, each attribute with its edges and table."""
+        schema = _schema_to_dict(self.schema)
         return {
             "format": MODEL_FORMAT,
             "model_id": self.model_id,
             "schema_hash": self.schema_hash,
             "classes": list(self.classes),
-            "smoothing_k": self.conditionals.smoothing_k,
-            "class_weights": [float(w) for w in self.conditionals.class_weights],
-            "priors": [float(p) for p in self.priors.probs],
-            "attributes": [
-                {
-                    "name": a.name,
-                    "kind": a.kind,
-                    "domain": list(a.domain),
-                    "edges": [float(e) for e in a.edges],
-                    "cond": [[float(p) for p in row] for row in a.cond],
-                }
-                for a in self.conditionals.attributes
-            ],
-            "schema": _schema_to_dict(self.schema),
+            "smoothing_k": self.smoothing_k,
+            "class_weights": self.class_weights.tolist(),
+            "priors": self.priors.tolist(),
+            "attributes": [dict(a, edges=e.tolist(), cond=table.tolist())
+                           for a, e, table in zip(schema["attributes"], self.edges, self.cond)],
+            "schema": schema,
         }
 
     @classmethod
@@ -304,19 +245,11 @@ class NaiveBayesModel:
         if doc.get("format") != MODEL_FORMAT:
             raise DataFormatError(f"not a {MODEL_FORMAT} document")
         schema = _schema_from_dict(doc["schema"])
-        priors = ClassPriors(tuple(doc["classes"]), np.asarray(doc["priors"]))
-        attrs = [
-            AttributeConditional(
-                a["name"], a["kind"], tuple(a["domain"]),
-                np.asarray(a["edges"], dtype=np.float64),
-                np.asarray(a["cond"], dtype=np.float64),
-            )
-            for a in doc["attributes"]
-        ]
-        conds = ConditionalModel(
-            attrs, doc["smoothing_k"], np.asarray(doc["class_weights"], dtype=np.float64)
-        )
-        model = cls(schema, priors, conds)
+        attrs = doc["attributes"]
+        if _schema_from_dict({"classes": doc["classes"], "attributes": attrs}) != schema:
+            raise DataFormatError("model attributes or classes disagree with its schema")
+        model = cls(schema, doc["priors"], [a["cond"] for a in attrs],
+                    [a["edges"] for a in attrs], doc["smoothing_k"], doc["class_weights"])
         model.model_id = doc.get("model_id", "nb")
         return model
 
@@ -339,8 +272,8 @@ def _schema_to_dict(schema: Schema) -> dict:
 
 
 def _schema_from_dict(doc: dict) -> Schema:
-    from .dataset import AttributeSpec
-
+    """The schema that a document's ``classes`` and ``attributes`` name
+    (other keys of an attribute entry are ignored)."""
     return Schema(
         tuple(
             AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
@@ -351,17 +284,23 @@ def _schema_from_dict(doc: dict) -> Schema:
 
 
 def fit_naive_bayes(dataset: WeightedDataset, k: float = 1.0, bins: int = 10) -> NaiveBayesModel:
-    """Estimate priors and conditionals on one dataset.
+    """Bin and fit one dataset with :func:`fit_codes`.
 
     ``k`` is expressed in units of average example weight, so smoothing
     strength does not depend on the overall weight scale: on uniformly
     weighted data the fit is exactly the classic add-k estimate from
     counts, whether the weights are 1/n or 1.
     """
-    k_eff = k * dataset.total_weight / dataset.n if dataset.n else k
-    priors = estimate_priors(dataset, k_eff)
-    conds = estimate_conditionals(dataset, k_eff, bins)
-    return NaiveBayesModel(dataset.schema, priors, conds)
+    total = dataset.total_weight
+    if total <= 0:
+        raise TrainingError("cannot estimate priors: zero total weight")
+    k_eff = k * total / dataset.n
+    codes, edges = bin_columns(dataset.schema, dataset.columns, bins)
+    model = fit_codes(dataset.schema, codes, edges, dataset.labels, dataset.weights, k_eff)
+    if k_eff <= 0 and model.class_weights.min() <= 0:
+        zero = dataset.schema.class_names[int(np.argmin(model.class_weights))]
+        raise TrainingError(f"class {zero!r} has zero weight and smoothing is off (k=0)")
+    return model
 
 
 def _normalise_rows(log_scores: np.ndarray) -> np.ndarray:

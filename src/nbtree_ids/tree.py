@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dataset import WeightedDataset
-from .exceptions import SchemaError
+from .exceptions import DataFormatError, SchemaError
 from .probability import NaiveBayesModel
 
 _THRESHOLD_CAP = 32     # candidate cut points per continuous attribute
@@ -261,18 +261,21 @@ def node_to_dict(node: TreeNode) -> dict:
     return doc
 
 
-def node_from_dict(doc: dict) -> TreeNode:
+def node_from_dict(doc: dict, attributes: tuple[str, ...]) -> TreeNode:
+    """Rebuild a subtree whose splits test only the tree's ``attributes``."""
     node = TreeNode(depth=doc["depth"], weight=doc["weight"], n=doc["n"])
     if "attribute" not in doc:
         node.payload = NaiveBayesModel.from_dict(doc["model"]) if "model" in doc else doc["label"]
         return node
     node.attribute = doc["attribute"]
+    if node.attribute not in attributes:
+        raise DataFormatError(f"split on {node.attribute!r}, not one of the tree's attributes")
     if "threshold" in doc:
         node.threshold = doc["threshold"]
-        node.left = node_from_dict(doc["left"])
-        node.right = node_from_dict(doc["right"])
+        node.left = node_from_dict(doc["left"], attributes)
+        node.right = node_from_dict(doc["right"], attributes)
         return node
-    node.children = {sym: node_from_dict(c) for sym, c in doc["children"].items()}
+    node.children = {sym: node_from_dict(c, attributes) for sym, c in doc["children"].items()}
     if "empty_branches" in doc:
         node.empty_branches = tuple(doc["empty_branches"])
         node.fallback_model = NaiveBayesModel.from_dict(doc["fallback_model"])

@@ -205,15 +205,15 @@ def test_criterion_5_nbtree_structure():
                 stack.append((child, rows[sym_cols[j][rows] == sym]))
             continue
         labels = xor.labels[rows]
-        for j, attr in enumerate(node.payload.conditionals.attributes):
+        for j, (spec, table) in enumerate(zip(node.payload.schema.attributes, node.payload.cond)):
             for ci in range(2):
                 n_c = int(np.count_nonzero(labels == ci))
-                for vi, sym in enumerate(attr.domain):
+                for vi, sym in enumerate(spec.domain):
                     n_cv = int(
                         np.count_nonzero((labels == ci) & (sym_cols[j][rows] == sym))
                     )
-                    want = (n_cv + 1.0) / (n_c + attr.n_values)
-                    worst = max(worst, abs(attr.cond[ci, vi] - want))
+                    want = (n_cv + 1.0) / (n_c + table.shape[1])
+                    worst = max(worst, abs(table[ci, vi] - want))
     ok_c = worst <= 1e-9
     report(
         "nbtree-structural-checks",

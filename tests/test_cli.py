@@ -225,6 +225,57 @@ def test_eval_schema_mismatch_exits_4(toy_corpus, tmp_path):
     assert code == 4
 
 
+def _no_priors(doc):
+    del doc["priors"]
+
+
+def _narrow_table(doc):
+    attr = next(a for a in doc["attributes"] if a["kind"] == "discrete")
+    attr["cond"] = [row[:-1] for row in attr["cond"]]
+
+
+def _reordered_domain(doc):
+    attr = next(a for a in doc["attributes"] if len(a["domain"]) > 1)
+    attr["domain"] = attr["domain"][::-1]
+
+
+def _split_outside_attributes(doc):
+    leaf = doc["root"]
+    doc["root"] = {"depth": leaf["depth"], "weight": leaf["weight"], "n": leaf["n"],
+                   "attribute": "protocol_type", "children": {"tcp": leaf}}
+    assert "protocol_type" not in doc["attributes"]
+
+
+@pytest.mark.parametrize("model, damage", [
+    ("nb-full", _no_priors),
+    ("nb-full", _narrow_table),
+    ("nb-full", _reordered_domain),
+    ("proposed-nbtree", _split_outside_attributes),
+], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes"])
+def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
+    out = tmp_path / "train"
+    assert main(["train", *base_args(toy_corpus, out)]) == 0
+    doc = json.loads((run_dir(out) / "models" / f"{model}.json").read_text())
+    damage(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["eval", "--test", str(toy_corpus), "--out", str(tmp_path / "e"),
+                 "--models", str(broken)])
+    assert code == 2
+    assert str(broken) in capsys.readouterr().err
+
+
+def test_eval_rejects_two_models_with_one_id(toy_corpus, tmp_path, capsys):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["train", *base_args(toy_corpus, out1), "--no-baselines"]) == 0
+    assert main(["train", *base_args(toy_corpus, out2), "--no-baselines"]) == 0
+    models = [str(run_dir(o) / "models" / "proposed-nbtree.json") for o in (out1, out2)]
+    code = main(["eval", "--test", str(toy_corpus), "--out", str(tmp_path / "e"),
+                 "--models", *models])
+    assert code == 1
+    assert "'proposed-nbtree'" in capsys.readouterr().err
+
+
 def test_eval_requires_models_and_test(toy_corpus, tmp_path):
     assert main(["eval", "--test", str(toy_corpus), "--out", str(tmp_path)]) == 1
     assert main(["eval", "--models", "x.json", "--out", str(tmp_path)]) == 1

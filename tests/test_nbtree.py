@@ -339,6 +339,13 @@ def test_nb_separable_data_yields_single_leaf():
     np.testing.assert_array_equal(tree.predict_dataset(ds), ds.labels)
 
 
+def test_no_attributes_yields_prior_leaf():
+    ds = WeightedDataset.from_rows(Schema((), ("A", "B")), [()] * 4, ["A", "A", "B", "A"])
+    tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
+    assert tree.root.is_leaf
+    np.testing.assert_array_equal(tree.predict_dataset(ds), [0, 0, 0, 0])
+
+
 def test_xor_splits_and_reaches_perfect_leaves():
     ds = synth.make_xor_dataset(50)
     tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
@@ -373,7 +380,7 @@ def test_single_leaf_tree_delegates_to_weighted_scores():
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     direct = fit_naive_bayes(ds, k=1.0)
     np.testing.assert_allclose(
-        model.priors.probs, direct.priors.probs, atol=1e-12
+        model.priors, direct.priors, atol=1e-12
     )
 
 
@@ -407,16 +414,16 @@ def test_equal_weights_match_unweighted_reestimation():
                 stack.append((child, rows[sym_cols[j][rows] == sym]))
             continue
         labels = ds.labels[rows]
-        for j, attr in enumerate(node.payload.conditionals.attributes):
-            V = attr.n_values
+        for j, (spec, table) in enumerate(zip(node.payload.schema.attributes, node.payload.cond)):
+            V = table.shape[1]
             for ci in range(len(tree.classes)):
                 n_c = int(np.count_nonzero(labels == ci))
-                for vi, sym in enumerate(attr.domain):
+                for vi, sym in enumerate(spec.domain):
                     n_cv = int(
                         np.count_nonzero((labels == ci) & (sym_cols[j][rows] == sym))
                     )
                     want = (n_cv + 1.0) / (n_c + V)
-                    assert attr.cond[ci, vi] == pytest.approx(want, abs=1e-9)
+                    assert table[ci, vi] == pytest.approx(want, abs=1e-9)
 
 
 def test_leaves_are_the_models_the_split_search_scored():
@@ -431,7 +438,7 @@ def test_leaves_are_the_models_the_split_search_scored():
     models = [n.payload for n in nodes if n.is_leaf]
     models += [n.fallback_model for n in nodes if n.fallback_model is not None]
     for model in models:
-        assert model.conditionals.smoothing_k == k
+        assert model.smoothing_k == k
     # a leaf whose own rows the perfect check (NB with the build's k) gets
     # all right must classify those rows without error
     domains = [spec.domain for spec in skewed.schema.attributes]

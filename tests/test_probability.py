@@ -10,10 +10,10 @@ from nbtree_ids.exceptions import TrainingError
 from nbtree_ids.probability import (
     NaiveBayesModel,
     bin_codes,
+    bin_columns,
     classify_nb,
     equal_frequency_edges,
-    estimate_conditionals,
-    estimate_priors,
+    fit_codes,
     fit_naive_bayes,
     posterior,
     weighted_class_score,
@@ -48,6 +48,12 @@ def random_discrete_dataset(rng, n_max=30, a_max=4, c_max=3, random_weights=Fals
     return ds, rows, labels, domains, classes
 
 
+def fit_absolute_k(ds, k, bins=10):
+    """The one fit with k in absolute weight units."""
+    codes, edges = bin_columns(ds.schema, ds.columns, bins)
+    return fit_codes(ds.schema, codes, edges, ds.labels, ds.weights, k)
+
+
 # -- priors ------------------------------------------------------------------------
 
 
@@ -55,9 +61,9 @@ def test_priors_symmetric():
     ds = WeightedDataset.from_rows(
         schema_ab(("x", "y")), [("x",)] * 4, ["A", "A", "B", "B"]
     )
-    priors = estimate_priors(ds, k=0.0)
-    assert priors["A"] == pytest.approx(0.5)
-    assert priors["B"] == pytest.approx(0.5)
+    priors = fit_absolute_k(ds, k=0.0).priors
+    assert priors[0] == pytest.approx(0.5)
+    assert priors[1] == pytest.approx(0.5)
 
 
 def test_priors_follow_weights():
@@ -65,15 +71,15 @@ def test_priors_follow_weights():
         schema_ab(("x", "y")), [("x",)] * 4, ["A", "A", "B", "B"],
         weights=[0.6, 0.2, 0.1, 0.1],
     )
-    priors = estimate_priors(ds, k=0.0)
-    assert priors["A"] == pytest.approx(0.8)
+    priors = fit_absolute_k(ds, k=0.0).priors
+    assert priors[0] == pytest.approx(0.8)
 
 
 def test_priors_scale_invariant():
     rng = np.random.default_rng(0)
     ds, *_ = random_discrete_dataset(rng, random_weights=True)
-    p1 = estimate_priors(ds, k=0.0).probs
-    p2 = estimate_priors(ds.with_weights(ds.weights * 7.0), k=0.0).probs
+    p1 = fit_absolute_k(ds, k=0.0).priors
+    p2 = fit_absolute_k(ds.with_weights(ds.weights * 7.0), k=0.0).priors
     np.testing.assert_allclose(p1, p2, rtol=1e-12)
 
 
@@ -83,14 +89,14 @@ def test_priors_zero_total_weight_errors():
         [np.zeros(0, np.int32)], np.zeros(0, np.int64), np.zeros(0),
     )
     with pytest.raises(TrainingError):
-        estimate_priors(ds)
+        fit_naive_bayes(ds)
 
 
 def test_priors_smoothed_only_when_class_missing():
     ds = WeightedDataset.from_rows(schema_ab(("x",)), [("x",)] * 3, ["A"] * 3)
-    priors = estimate_priors(ds, k=1.0)  # class B absent -> smoothing kicks in
-    assert 0 < priors["B"] < priors["A"] < 1
-    assert priors.probs.sum() == pytest.approx(1.0)
+    priors = fit_absolute_k(ds, k=1.0).priors  # class B absent -> smoothing kicks in
+    assert 0 < priors[1] < priors[0] < 1
+    assert priors.sum() == pytest.approx(1.0)
 
 
 # -- conditionals ---------------------------------------------------------------------
@@ -99,8 +105,7 @@ def test_priors_smoothed_only_when_class_missing():
 def test_conditionals_pure_column_k0():
     schema = Schema((AttributeSpec("f0", "discrete", ("0", "1")),), ("A",))
     ds = WeightedDataset.from_rows(schema, [("1",)] * 4, ["A"] * 4)
-    cond = estimate_conditionals(ds, k=0.0)
-    table = cond.by_name("f0").cond
+    table = fit_absolute_k(ds, k=0.0).cond[0]
     assert table[0, 1] == pytest.approx(1.0)
     assert table[0, 0] == pytest.approx(0.0)
 
@@ -110,8 +115,7 @@ def test_conditionals_add_k_exact_value():
     schema = Schema((AttributeSpec("f0", "discrete", ("0", "1")),), ("A",))
     ds = WeightedDataset.from_rows(schema, [("1",)] * 4, ["A"] * 4)  # weights 0.25
     assert ds.total_weight == pytest.approx(1.0)
-    cond = estimate_conditionals(ds, k=1.0)
-    assert cond.by_name("f0").cond[0, 1] == pytest.approx(2.0 / 3.0)
+    assert fit_absolute_k(ds, k=1.0).cond[0][0, 1] == pytest.approx(2.0 / 3.0)
 
 
 def test_conditionals_match_counting_oracle():
@@ -121,14 +125,14 @@ def test_conditionals_match_counting_oracle():
     weights = [0.3, 0.1, 0.25, 0.05, 0.2, 0.1]
     ds = WeightedDataset.from_rows(schema, rows, labels, weights)
     for k in (0.0, 1.0, 0.5):
-        cond = estimate_conditionals(ds, k=k)
+        model = fit_absolute_k(ds, k=k)
         _, tables, _ = oracles.nb_reference(
             rows, labels, weights, ("A", "B"), [("x", "y"), ("0", "1")], k
         )
-        for j, attr in enumerate(cond.attributes):
+        for j, (spec, table) in enumerate(zip(schema.attributes, model.cond)):
             for ci, c in enumerate(("A", "B")):
-                for vi, v in enumerate(attr.domain):
-                    assert attr.cond[ci, vi] == pytest.approx(
+                for vi, v in enumerate(spec.domain):
+                    assert table[ci, vi] == pytest.approx(
                         tables[j][(c, v)], rel=1e-12
                     )
 
@@ -136,19 +140,18 @@ def test_conditionals_match_counting_oracle():
 def test_conditionals_zero_weight_class_k0_errors():
     ds = WeightedDataset.from_rows(schema_ab(("x",)), [("x",)] * 3, ["A"] * 3)
     with pytest.raises(TrainingError, match="zero weight"):
-        estimate_conditionals(ds, k=0.0)
+        fit_naive_bayes(ds, k=0.0)
 
 
 def test_conditional_rows_sum_to_one_and_avoid_extremes():
     rng = np.random.default_rng(5)
     for _ in range(20):
         ds, *_ = random_discrete_dataset(rng, random_weights=True)
-        cond = estimate_conditionals(ds, k=1.0)
-        for attr in cond.attributes:
-            np.testing.assert_allclose(attr.cond.sum(axis=1), 1.0, atol=1e-9)
-            if attr.n_values > 1:
-                assert np.all(attr.cond > 0)
-                assert np.all(attr.cond < 1)
+        for table in fit_absolute_k(ds, k=1.0).cond:
+            np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
+            if table.shape[1] > 1:
+                assert np.all(table > 0)
+                assert np.all(table < 1)
 
 
 # -- binning ----------------------------------------------------------------------------
@@ -318,9 +321,9 @@ def test_weighted_score_hand_computed():
         got = weighted_class_score(ds.example(i), model, w)
         codes = model.encode_example(ds.example(i))
         for ci in range(2):
-            expected = math.log(model.priors.probs[ci])
-            expected += 0.5 * math.log(model.conditionals.attributes[0].cond[ci, codes[0]])
-            expected += 1.0 * math.log(model.conditionals.attributes[1].cond[ci, codes[1]])
+            expected = math.log(model.priors[ci])
+            expected += 0.5 * math.log(model.cond[0][ci, codes[0]])
+            expected += 1.0 * math.log(model.cond[1][ci, codes[1]])
             assert got[ci] == pytest.approx(expected, rel=1e-12)
 
 
@@ -351,7 +354,7 @@ def test_unseen_symbol_scores_the_smoothing_floor():
     ds = WeightedDataset.from_rows(schema, rows, ["A", "A", "B", "B", "B"])
     model = fit_naive_bayes(ds, k=1.0)
     # k = 1/5 in mass units: floor = k / (class mass + k*V), V = 2
-    floor = model.conditionals.unseen_floor(model.conditionals.attributes[0])
+    floor = model.smoothing_k / (model.class_weights + 2 * model.smoothing_k)
     np.testing.assert_allclose(floor, [0.2 / (0.4 + 0.4), 0.2 / (0.6 + 0.4)], rtol=1e-12)
     # a permissively extended domain: "z" was never seen and encodes as -1
     wide = schema_ab(("x", "y", "z"), ("0", "1"))
@@ -359,8 +362,8 @@ def test_unseen_symbol_scores_the_smoothing_floor():
     probe = WeightedDataset.from_rows(wide, [("z", "1")], ["A"])
     codes = model.encode_dataset(probe)
     assert codes.tolist() == [[-1, 1]]
-    log_prior = np.log(model.priors.probs)
-    log_f1 = np.log(model.conditionals.attributes[1].cond[:, 1])
+    log_prior = np.log(model.priors)
+    log_f1 = np.log(model.cond[1][:, 1])
     np.testing.assert_allclose(
         model.log_scores(codes)[0], log_prior + np.log(floor) + log_f1, rtol=1e-12
     )

@@ -2,7 +2,7 @@
 on both kinds of tree."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nbtree_ids.attribute_weighting import build_weighted_tree
@@ -58,7 +58,8 @@ def probe_dataset(rng, schema, roots):
 
 
 def check_growth(root, schema, gain_tree):
-    """Children's row counts add up to their parent's. An NB-tree's
+    """Every split has at least two children, and their row counts add up
+    to their parent's. An NB-tree's
     discrete split covers the domain with its children and empty
     branches; a gain tree's lists no empty branch, and no path of a gain
     tree tests a discrete attribute twice."""
@@ -68,6 +69,7 @@ def check_growth(root, schema, gain_tree):
         if node.is_leaf:
             continue
         children = node.child_nodes()
+        assert len(children) >= 2
         assert sum(c.n for c in children) == node.n
         if node.threshold is None and gain_tree:
             assert node.empty_branches == ()
@@ -84,6 +86,7 @@ def check_growth(root, schema, gain_tree):
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(["discrete", "continuous"]), min_size=1, max_size=3),
 )
+@example(seed=37, kinds=["discrete", "discrete"])  # once re-split a one-symbol node
 def test_batch_routing_matches_per_example_walk(seed, kinds):
     rng = np.random.default_rng(seed)
     ds = random_training(rng, kinds)
