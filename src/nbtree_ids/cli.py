@@ -203,9 +203,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 class _Run:
-    """One run directory with config-stamped JSON/text writers."""
+    """One run directory with config-stamped JSON/text writers.
 
-    def __init__(self, config: RunConfig):
+    ``run_info.json`` holds what may differ between identical runs: the
+    start time and the counters of every record file the run loaded."""
+
+    def __init__(self, config: RunConfig, loads: list[dict]):
         self.config = config
         self.hash = config.config_hash()
         self.dir = Path(config.out) / f"run-{self.hash}"
@@ -213,7 +216,7 @@ class _Run:
         self.write_json("config.json", {"format": "run-config/1"})
         (self.dir / "run_info.json").write_text(
             json.dumps({"started": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                        "config_hash": self.hash}, indent=1) + "\n",
+                        "config_hash": self.hash, "loads": loads}, indent=1) + "\n",
             encoding="utf-8",
         )
 
@@ -240,26 +243,41 @@ def _schema_and_taxonomy(config: RunConfig):
     return schema, taxonomy
 
 
-def _load_train(config: RunConfig) -> WeightedDataset:
+def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> WeightedDataset:
+    """Load one record file and append its loader counters to ``loads``."""
+    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=config.permissive)
+    report = ds.load_report
+    loads.append({
+        "source": ds.dataset_id,
+        "records": report.n_loaded,
+        "skipped": report.skipped,
+        "skip_reasons": report.reasons,
+        "load_s": report.seconds,
+        "records_per_s": report.n_loaded / report.seconds,
+        "reader_lines": report.reader_lines,
+        "fallback_lines": report.fallback_lines,
+    })
+    return ds
+
+
+def _load_train(config: RunConfig, loads: list[dict]) -> WeightedDataset:
     if not config.train:
         raise ConfigError("--train is required for this command")
     schema, taxonomy = _schema_and_taxonomy(config)
-    ds = load_dataset(_resolve_path(config.train), schema, taxonomy,
-                      permissive=config.permissive)
+    ds = _load(config.train, schema, taxonomy, config, loads)
     if config.sample_fraction is not None:
         seed = config.require_seed("--sample-fraction is set")
         ds = stratified_sample(ds, config.sample_fraction, seed)
     return ds
 
 
-def _train_test(config: RunConfig) -> tuple[WeightedDataset, WeightedDataset]:
-    train = _load_train(config)
+def _train_test(config: RunConfig,
+                loads: list[dict]) -> tuple[WeightedDataset, WeightedDataset]:
+    train = _load_train(config, loads)
     if config.test:
         _, taxonomy = _schema_and_taxonomy(config)
         # test shares the train schema so symbol domains stay aligned
-        test = load_dataset(_resolve_path(config.test), train.schema, taxonomy,
-                            permissive=config.permissive)
-        return train, test
+        return train, _load(config.test, train.schema, taxonomy, config, loads)
     fraction = config.test_fraction
     if fraction is None:
         raise ConfigError("provide --test or --test-fraction")
@@ -316,8 +334,9 @@ def _composition_text(doc: dict) -> str:
 
 
 def cmd_inspect(config: RunConfig) -> int:
-    ds = _load_train(config)
-    run = _Run(config)
+    loads: list[dict] = []
+    ds = _load_train(config, loads)
+    run = _Run(config, loads)
     doc = _composition_doc(ds)
     run.write_json("composition.json", doc)
     text = _composition_text(doc)
@@ -339,8 +358,9 @@ def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
 
 
 def cmd_select(config: RunConfig) -> int:
-    ds = _load_train(config)
-    run = _Run(config)
+    loads: list[dict] = []
+    ds = _load_train(config, loads)
+    run = _Run(config, loads)
     result = select_attributes(ds, config.selection_params())
     _write_selection(run, result.report)
     run.write_json("kept.json", {
@@ -360,8 +380,9 @@ def _write_models(run: _Run, models: dict) -> None:
 
 
 def cmd_train(config: RunConfig) -> int:
-    ds = _load_train(config)
-    run = _Run(config)
+    loads: list[dict] = []
+    ds = _load_train(config, loads)
+    run = _Run(config, loads)
     selection, models = train_models(ds, config.comparison_config())
     _write_selection(run, selection.report)
     _write_models(run, models)
@@ -379,9 +400,9 @@ def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
         if model.model_id in [m.model_id for m in models[:i]]:
             raise ConfigError(f"two models have model_id {model.model_id!r}")
     schema, taxonomy = _schema_and_taxonomy(config)
-    test = load_dataset(_resolve_path(config.test), schema, taxonomy,
-                        permissive=config.permissive)
-    run = _Run(config)
+    loads: list[dict] = []
+    test = _load(config.test, schema, taxonomy, config, loads)
+    run = _Run(config, loads)
     run.write_json("composition.json", _composition_doc(test))
     reports = [evaluate(model, project_for_model(model, test)) for model in models]
     for report in reports:
@@ -395,8 +416,9 @@ def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
 
 
 def cmd_compare(config: RunConfig) -> int:
-    train, test = _train_test(config)
-    run = _Run(config)
+    loads: list[dict] = []
+    train, test = _train_test(config, loads)
+    run = _Run(config, loads)
     run.write_json("composition.json", _composition_doc(train))
     bundle = run_comparison(train, test, config.comparison_config())
     _write_selection(run, bundle.selection)

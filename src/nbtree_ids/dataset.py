@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import time
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +32,15 @@ from .exceptions import (
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
-_CHUNK_LINES = 65536
+# lines per block; a block is decided whole, so it stays small: one bad
+# line sends only its block to the slow path, and the reader's str columns
+# stay near 1 MB
+_CHUNK_LINES = 1024
+_STR_WIDTH = 32  # chars the C reader keeps of a symbol or a label
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# characters the C reader reads otherwise than the reference path: it drops
+# a NUL from the end of a str field, and \x1c-\x1f around a number
+_READER_BLIND = "\0\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -160,6 +170,9 @@ class LoadReport:
     skipped_lines: list[int] = field(default_factory=list)
     reasons: dict[str, int] = field(default_factory=dict)
     extended_domains: dict[str, list[str]] = field(default_factory=dict)
+    reader_lines: int = 0  # lines in blocks the C reader decided
+    fallback_lines: int = 0  # lines in blocks the split-and-convert path decided
+    seconds: float = 0.0
 
     def note_skip(self, line_number: int, reason: str) -> None:
         self.skipped += 1
@@ -345,9 +358,13 @@ def parse_record(
     The line must carry exactly one field per attribute plus the label; the
     label may end with a period. In permissive mode discrete values outside
     a non-empty domain are accepted rather than rejected (the load loop
-    extends the domain); numbers and arity are never forgiven.
+    extends the domain); numbers and arity are never forgiven. A line that
+    holds a lone surrogate (a byte that did not decode as UTF-8) is
+    rejected as ``bad-encoding``.
     """
     where = f" at line {line_number}" if line_number is not None else ""
+    if _undecoded(line):
+        raise DataFormatError(f"line is not valid UTF-8{where}", reason="bad-encoding")
     fields = line.rstrip("\r\n").split(",")
     expected = schema.n_attributes + 1
     if len(fields) != expected:
@@ -410,11 +427,15 @@ def serialize_record(example: Example, schema: Schema) -> str:
 
 
 def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
+    if not isinstance(source, (str, Path)):
         yield from source
+        return
+    try:
+        # undecodable bytes become lone surrogates, which parse_record rejects
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            yield from fh
+    except OSError as exc:
+        raise DataFormatError(f"cannot read record file {source}: {exc}") from None
 
 
 def load_dataset(
@@ -427,17 +448,26 @@ def load_dataset(
     """Ingest a record stream and return a uniformly weighted dataset.
 
     ``source`` may be a path or any iterable of lines. Every example gets
-    weight 1/n and file order is preserved. Lines are parsed a chunk at a
-    time, column by column. A line this path cannot take whole (wrong field
-    count, a number that does not parse or is not finite, an attack name
-    with no class, or in strict mode a symbol outside a non-empty domain)
-    is handed to :func:`parse_record`, whose verdict alone counts. In
-    strict mode (default) the first bad record aborts the load with that
-    error; in permissive mode bad records are skipped and counted by reason
-    in ``dataset.load_report``. Unseen discrete values of kept records
-    extend the attribute domain in permissive mode, and define it in either
-    mode when the schema domain is empty.
+    weight 1/n and file order is preserved. Lines are read in blocks of
+    ``_CHUNK_LINES``, and each block is decided in one of two ways:
+
+    1. numpy's C reader parses the block against the full record dtype.
+       It only decides that a block is clean: every line has the right
+       field count, every number is finite, every label has a class, no
+       symbol fills the reader's str width (it may have been cut), no
+       byte failed to decode, no character of ``_READER_BLIND`` occurs,
+       and in strict mode every symbol lies in its non-empty domain.
+    2. Any other block goes to the split-and-convert path. It parses the
+       block column by column and hands each suspect line to
+       :func:`parse_record`, whose verdict alone counts.
+
+    In strict mode (default) the first bad record aborts the load with
+    that error; in permissive mode bad records are skipped and counted by
+    reason in ``dataset.load_report``. Unseen discrete values of kept
+    records extend the attribute domain in permissive mode, and define it
+    in either mode when the schema domain is empty.
     """
+    start = time.perf_counter()
     attrs = schema.attributes
     expected = len(attrs) + 1
     cont_idx = [j for j, a in enumerate(attrs) if not a.is_discrete]
@@ -457,13 +487,37 @@ def load_dataset(
     out.append(np.empty(0, np.intp))
     n = 0
     wrong_count = ["0"] * expected  # stands in for a line of the wrong arity
+    record, packed = _reader_dtypes(attrs)
 
-    def flush(chunk: list[tuple[int, str]]) -> None:
-        nonlocal n
+    def read_clean(texts: list[str]):
+        """The C reader's columns of a clean block, or None."""
+        text = "".join(texts)
+        # a lone surrogate is an undecodable byte, for parse_record to judge
+        if _undecoded(text) or any(c in text for c in _READER_BLIND):
+            return None
+        try:
+            block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=record)
+        except ValueError:
+            return None
+        block = block.view(packed)
+        numbers, symbols = block["numbers"], block["symbols"]
+        if not np.isfinite(numbers).all() or np.char.str_len(symbols).max() >= _STR_WIDTH:
+            return None
+        *columns, labels = symbols.T.tolist()
+        cols = dict(zip(disc_idx, columns))
+        codes = np.fromiter(map(name_code.get, labels, repeat(-1)), np.intp, len(labels))
+        if (codes < 0).any() or any(not sym_index[j].keys() >= set(cols[j]) for j in checked):
+            return None
+        return dict(zip(cont_idx, numbers.T)), cols, codes
+
+    def read_suspect(chunk: list[tuple[int, str]]):
+        """Split-and-convert columns of a block, with every bad line either
+        raised (strict) or dropped from ``keep`` (permissive)."""
         m = len(chunk)
         rows = [f if len(f) == expected else wrong_count
                 for f in (text.rstrip("\r\n").split(",") for _, text in chunk)]
-        suspect = np.fromiter((f is wrong_count for f in rows), bool, m)
+        suspect = np.fromiter((f is wrong_count or _undecoded(text)
+                               for f, (_, text) in zip(rows, chunk)), bool, m)
         cols = list(zip(*rows))
         values = {j: _floats(cols[j]) for j in cont_idx}
         for v in values.values():
@@ -489,35 +543,46 @@ def load_dataset(
             for j in cont_idx:
                 values[j][i] = ex.values[j]
             codes[i] = name_code[ex.raw_label]
-        n_kept = int(np.count_nonzero(keep))
+        symbols = {j: cols[j] for j in disc_idx}
+        if not keep.all():
+            kept = keep.tolist()
+            values = {j: v[keep] for j, v in values.items()}
+            symbols = {j: list(compress(col, kept)) for j, col in symbols.items()}
+            codes = codes[keep]
+        return values, symbols, codes
+
+    def flush(chunk: list[tuple[int, str]]) -> None:
+        nonlocal n
+        read = read_clean([text for _, text in chunk])
+        if read is None:
+            read = read_suspect(chunk)
+            report.fallback_lines += len(chunk)
+        else:
+            report.reader_lines += len(chunk)
+        values, cols, codes = read
+        n_kept = len(codes)
         if n + n_kept > len(out[-1]):
             for arr in out:  # no views of `out` outlive a statement
                 arr.resize(max(2 * len(arr), n + n_kept), refcheck=False)
         new = slice(n, n + n_kept)
         for j in cont_idx:
-            np.compress(keep, values[j], out=out[j][new])
-        kept = keep.tolist()
+            out[j][new] = values[j]
         for j in disc_idx:
-            col = cols[j] if all(kept) else list(compress(cols[j], kept))
+            col = cols[j]
             index = sym_index[j]
             added = [s for s in dict.fromkeys(col) if s not in index]
             if added and attrs[j].domain:
                 report.extended_domains.setdefault(attrs[j].name, []).extend(added)
             index.update({s: len(index) + k for k, s in enumerate(added)})
             out[j][new] = np.fromiter(map(index.__getitem__, col), np.int32, n_kept)
-        np.compress(keep, codes, out=out[-1][new])
+        out[-1][new] = codes
         n += n_kept
 
-    chunk: list[tuple[int, str]] = []
-    for line_number, text in enumerate(_iter_lines(source), start=1):
-        if not text.strip():
-            continue
-        chunk.append((line_number, text))
-        if len(chunk) >= _CHUNK_LINES:
+    numbered = enumerate(_iter_lines(source), start=1)
+    while lines := list(islice(numbered, _CHUNK_LINES)):
+        chunk = [(ln, text) for ln, text in lines if text.strip()]
+        if chunk:
             flush(chunk)
-            chunk = []
-    if chunk:
-        flush(chunk)
 
     for arr in out:
         arr.resize(n, refcheck=False)
@@ -530,10 +595,39 @@ def load_dataset(
         {attrs[j].name: tuple(sym_index[j]) for j in disc_idx}
     )
     src = str(source) if isinstance(source, (str, Path)) else None
+    report.seconds = time.perf_counter() - start
     return WeightedDataset(
         final_schema, out, name_class[codes], np.full(n, 1.0 / n),
         raw_labels=np.array(names, dtype=object)[codes], source=src, load_report=report,
     )
+
+
+def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
+    """The C reader's record dtype, one field per record field in line
+    order, and a view of the same bytes as one ``numbers`` row and one
+    ``symbols`` row: the numbers are packed first, then the symbols and
+    the label."""
+    kinds = [a.kind for a in attrs] + [DISCRETE]  # the label reads as a symbol
+    numbers = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
+    symbols = [i for i, kind in enumerate(kinds) if kind == DISCRETE]
+    text = np.dtype(f"U{_STR_WIDTH}")
+    offset = {i: 8 * k for k, i in enumerate(numbers)}
+    offset.update({i: 8 * len(numbers) + text.itemsize * k for k, i in enumerate(symbols)})
+    itemsize = 8 * len(numbers) + text.itemsize * len(symbols)
+    record = np.dtype({"names": [f"f{i}" for i in range(len(kinds))],
+                       "formats": ["f8" if kind == CONTINUOUS else text for kind in kinds],
+                       "offsets": [offset[i] for i in range(len(kinds))],
+                       "itemsize": itemsize})
+    packed = np.dtype({"names": ["numbers", "symbols"],
+                       "formats": [("f8", (len(numbers),)), (text, (len(symbols),))],
+                       "offsets": [0, 8 * len(numbers)], "itemsize": itemsize})
+    return record, packed
+
+
+def _undecoded(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate: a byte that did not decode
+    as UTF-8 under ``surrogateescape``, or a str no file could hold."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def _floats(column: Sequence[str]) -> np.ndarray:

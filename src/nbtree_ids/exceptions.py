@@ -12,9 +12,9 @@ class ConfigError(NbtreeIdsError):
 class DataFormatError(NbtreeIdsError):
     """Malformed record, schema file, or model file.
 
-    ``reason`` names the fault of a rejected record (``field-count``,
-    ``bad-number``, ``unknown-attack``, ``unknown-class`` or
-    ``out-of-domain``); it is ``None`` for every other error.
+    ``reason`` names the fault of a rejected record (``bad-encoding``,
+    ``field-count``, ``bad-number``, ``unknown-attack``, ``unknown-class``
+    or ``out-of-domain``); it is ``None`` for every other error.
     """
 
     def __init__(self, *args, reason: str | None = None):

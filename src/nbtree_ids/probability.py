@@ -360,20 +360,11 @@ def weighted_class_score(
 
 
 def as_weight_array(attr_weights, names) -> np.ndarray:
-    """Coerce attribute weights (mapping, weight object, or vector) to an
-    array aligned with ``names``; rejects negative weights."""
-    names = tuple(names)
-    if hasattr(attr_weights, "as_array"):
-        w = attr_weights.as_array(names)
-    elif isinstance(attr_weights, dict):
-        try:
-            w = np.array([attr_weights[n] for n in names], dtype=np.float64)
-        except KeyError as exc:
-            raise SchemaError(f"attribute weight missing for {exc.args[0]!r}") from None
-    else:
-        w = np.asarray(attr_weights, dtype=np.float64)
-        if w.shape != (len(names),):
-            raise SchemaError("attribute weight vector does not cover the schema")
+    """Attribute weights as a float vector aligned with ``names``; rejects
+    a vector of the wrong length and negative weights."""
+    w = np.asarray(attr_weights, dtype=np.float64)
+    if w.shape != (len(names),):
+        raise SchemaError("attribute weight vector does not cover the schema")
     if np.any(w < 0):
         raise ValueError("attribute weights must be non-negative")
     return w

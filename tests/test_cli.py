@@ -74,6 +74,45 @@ def test_inspect_missing_train_exits_1(tmp_path):
     assert main(["inspect", "--out", str(tmp_path / "r")]) == 1
 
 
+def test_unreadable_record_file_exits_2_naming_it(toy_corpus, tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    for args, path in (
+        (["inspect", *base_args(missing, tmp_path / "r")], missing),
+        (["compare", *base_args(toy_corpus, tmp_path / "r"), "--test", str(missing)], missing),
+        (["inspect", *base_args(tmp_path, tmp_path / "r")], tmp_path),  # a directory
+    ):
+        assert main(args) == 2
+        assert f"cannot read record file {path}:" in capsys.readouterr().err
+
+
+def _with_undecodable_line(toy_corpus, tmp_path, line_number):
+    lines = toy_corpus.read_bytes().splitlines(keepends=True)
+    lines[line_number - 1] = lines[line_number - 1].replace(b"http", b"htt\xe9p")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines))
+    return bad
+
+
+def test_undecodable_line_strict_exits_2_naming_it(toy_corpus, tmp_path, capsys):
+    bad = _with_undecodable_line(toy_corpus, tmp_path, 7)
+    assert main(["inspect", *base_args(bad, tmp_path / "r")]) == 2
+    assert "line is not valid UTF-8 at line 7" in capsys.readouterr().err
+
+
+def test_undecodable_line_permissive_is_skipped_and_counted(toy_corpus, tmp_path):
+    bad = _with_undecodable_line(toy_corpus, tmp_path, 7)
+    # a later field-count fault must still be reported at its own line
+    bad.write_bytes(bad.read_bytes() + b"0,tcp,http,SF,200,normal.\n")
+    out = tmp_path / "r"
+    assert main(["inspect", "--permissive", *base_args(bad, out)]) == 0
+    doc = json.loads((run_dir(out) / "composition.json").read_text())
+    assert doc["total"] == 79
+    assert doc["skip_reasons"] == {"bad-encoding": 1, "field-count": 1}
+    (load,) = json.loads((run_dir(out) / "run_info.json").read_text())["loads"]
+    assert load["skipped"] == 2
+    assert load["reader_lines"] + load["fallback_lines"] == 81
+
+
 @pytest.mark.parametrize("command, flags", [
     ("inspect", ["--bins", "0"]),
     ("inspect", ["--weighting-min-leaf-examples", "-5"]),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import synth
 from nbtree_ids import dataset as dataset_module
 from nbtree_ids.dataset import (
     AttributeSpec,
@@ -197,6 +198,34 @@ def test_load_fills_empty_domains_in_strict_mode():
     assert ds.schema.attributes[0].domain == ("red", "blue")
 
 
+def test_clean_kdd_corpus_is_decided_wholly_by_the_c_reader(tmp_path):
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    n_lines = len(path.read_text(encoding="utf-8").splitlines())
+    report = load_dataset(path, kdd99_schema(), kdd99_taxonomy()).load_report
+    assert report.n_loaded == report.reader_lines == n_lines
+    assert report.fallback_lines == 0
+    assert report.seconds > 0
+
+
+def test_load_undecodable_line_is_a_bad_record(tmp_path):
+    path = tmp_path / "records.csv"
+    lines = [line.encode() for line in toy_lines()]
+    lines[2] = b"bl\xe9ue,1,normal."
+    path.write_bytes(b"\n".join(lines + [b"red,1"]) + b"\n")
+    with pytest.raises(DataFormatError, match="not valid UTF-8 at line 3$") as strict:
+        load_dataset(path, toy_schema(), toy_taxonomy())
+    assert strict.value.reason == "bad-encoding"
+    report = load_dataset(path, toy_schema(), toy_taxonomy(), permissive=True).load_report
+    assert report.skipped_lines == [3, 5]
+    assert report.reasons == {"bad-encoding": 1, "field-count": 1}
+
+
+def test_load_missing_file_is_a_data_format_error(tmp_path):
+    with pytest.raises(DataFormatError, match="cannot read record file"):
+        load_dataset(tmp_path / "missing.csv", toy_schema(), toy_taxonomy())
+
+
 def test_bulk_load_matches_per_record_parse():
     schema, taxonomy = toy_schema(), toy_taxonomy()
     lines = toy_lines(5, 7) + ["green,-3.5,attack."]
@@ -220,8 +249,14 @@ def property_schema():
     )
 
 
+# an attack name as wide as the C reader's str field: a longer label cut to
+# that width would read as this name
+LONG_NAME = "long_attack_" + "x" * (dataset_module._STR_WIDTH - len("long_attack_"))
+
+
 def property_taxonomy():
-    return parse_taxonomy_text("normal A\nattack B\nodd Z\n")  # Z is no schema class
+    # Z is no schema class
+    return parse_taxonomy_text(f"normal A\nattack B\nodd Z\n{LONG_NAME} B\n")
 
 
 GOOD_FIELDS = st.tuples(
@@ -245,6 +280,20 @@ BAD_EDITS = {
     "unseen-symbol": lambda f: ["purple"] + f[1:],
     "new-proto": lambda f: f[:2] + ["sctp"] + f[3:],
     "blank": lambda f: None,
+    "long-symbol": lambda f: f[:2] + ["tcp" * 12] + f[3:],
+    "long-color": lambda f: ["purple" * 6] + f[1:],
+    "long-label": lambda f: f[:4] + [LONG_NAME + "."],
+    "long-label-cut": lambda f: f[:4] + [LONG_NAME + "x."],
+    "padded-symbols": lambda f: [" " + f[0]] + f[1:2] + [f[2] + " "] + f[3:],
+    "padded-numbers": lambda f: f[:1] + [f" {f[1]}\t"] + f[2:3] + [f"\t{f[3]} "] + f[4:],
+    "python-only-numbers": lambda f: f[:1] + ["1_000"] + f[2:3] + ["\u0661"] + f[4:],
+    "exact-numbers": lambda f: f[:1] + ["0.30000000000000004"] + f[2:3]
+    + ["4.9406564584124654e-324"] + f[4:],
+    "subnormal": lambda f: f[:1] + ["2.2250738585072009e-308"] + f[2:],
+    "crlf": lambda f: f[:4] + [f[4] + "\r\n"],
+    "undecodable": lambda f: f[:2] + ["tc\udce9p"] + f[3:],
+    "nul-symbol": lambda f: f[:2] + [f[2] + "\0"] + f[3:],
+    "separator-padded-number": lambda f: f[:1] + ["\x1c" + f[1]] + f[2:],
 }
 LINES = st.lists(
     st.tuples(GOOD_FIELDS, st.sampled_from(sorted(BAD_EDITS))), min_size=1, max_size=40
