@@ -206,7 +206,8 @@ class _Run:
     """One run directory with config-stamped JSON/text writers.
 
     ``run_info.json`` holds what may differ between identical runs: the
-    start time and the counters of every record file the run loaded."""
+    start time, the counters of every record file the run loaded and, once
+    an NB-tree is built, its build counters."""
 
     def __init__(self, config: RunConfig, loads: list[dict]):
         self.config = config
@@ -214,11 +215,15 @@ class _Run:
         self.dir = Path(config.out) / f"run-{self.hash}"
         self.dir.mkdir(parents=True, exist_ok=True)
         self.write_json("config.json", {"format": "run-config/1"})
-        (self.dir / "run_info.json").write_text(
-            json.dumps({"started": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                        "config_hash": self.hash, "loads": loads}, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        self.info = {"started": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                     "config_hash": self.hash, "loads": loads}
+        self.note_info()
+
+    def note_info(self, **entries) -> None:
+        """Add entries to ``run_info.json`` and rewrite it."""
+        self.info.update(entries)
+        (self.dir / "run_info.json").write_text(json.dumps(self.info, indent=1) + "\n",
+                                                encoding="utf-8")
 
     def write_json(self, rel: str, doc: dict) -> Path:
         doc = dict(doc)
@@ -384,6 +389,7 @@ def cmd_train(config: RunConfig) -> int:
     ds = _load_train(config, loads)
     run = _Run(config, loads)
     selection, models = train_models(ds, config.comparison_config())
+    run.note_info(nbtree=models["proposed-nbtree"].build_stats)
     _write_selection(run, selection.report)
     _write_models(run, models)
     print(f"trained {len(models)} model(s) into {run.dir}")
@@ -421,6 +427,7 @@ def cmd_compare(config: RunConfig) -> int:
     run = _Run(config, loads)
     run.write_json("composition.json", _composition_doc(train))
     bundle = run_comparison(train, test, config.comparison_config())
+    run.note_info(nbtree=bundle.models["proposed-nbtree"].build_stats)
     _write_selection(run, bundle.selection)
     _write_models(run, bundle.models)
     _write_reports(run, bundle.reports)

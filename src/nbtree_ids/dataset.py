@@ -188,7 +188,9 @@ class WeightedDataset:
     columns hold float64 values. ``labels`` are class indices in schema
     order; ``true_labels`` preserve the labels assigned at load time even
     when a downstream step relabels the working copy. ``raw_labels``, when
-    known, is an object array of the raw attack names.
+    known, is an object array of the raw attack names. ``load_report``
+    describes the load a dataset came from; samples, splits and
+    projections keep it.
     """
 
     def __init__(
@@ -302,18 +304,21 @@ class WeightedDataset:
             raw_labels=raw,
             true_labels=self.true_labels[rows],
             source=self.source,
+            load_report=self.load_report,
         )
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         return WeightedDataset(
             self.schema, self.columns, self.labels, np.asarray(weights, dtype=np.float64),
             raw_labels=self.raw_labels, true_labels=self.true_labels, source=self.source,
+            load_report=self.load_report,
         )
 
     def with_labels(self, labels: np.ndarray) -> "WeightedDataset":
         return WeightedDataset(
             self.schema, self.columns, np.asarray(labels, dtype=np.int64), self.weights,
             raw_labels=self.raw_labels, true_labels=self.true_labels, source=self.source,
+            load_report=self.load_report,
         )
 
     def with_uniform_weights(self) -> "WeightedDataset":
@@ -702,6 +707,7 @@ def project_attributes(dataset: WeightedDataset, kept: Iterable[str]) -> Weighte
         raw_labels=dataset.raw_labels,
         true_labels=dataset.true_labels,
         source=dataset.source,
+        load_report=dataset.load_report,
     )
 
 

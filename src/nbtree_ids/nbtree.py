@@ -28,14 +28,29 @@ corresponding leaf model would see: a split is scored by the leaf models
 it would create. An attribute that would give a node one child scores the
 node's own accuracy, so it never wins.
 
+The search never re-encodes a candidate child. Each searched node ranks
+the distinct values of its continuous columns once; a child's
+equal-frequency edges are read from its histogram of those ranks at the
+"lower" quantile positions, and its codes are a lookup of its ranks. They
+equal ``bin_columns`` on the child's rows exactly. The children of one
+split attribute are cross-validated in batches: one ``bincount`` per
+attribute over (child, fold, class, code), with each child's tables at
+its own code count. Every per-row sum runs over a child's rows in node
+order, so each utility is bit for bit the one scoring the child alone
+gives (the reference in ``tests/oracles.py``). Folds stay salted per
+child, by split attribute, branch and threshold: inheriting the node's
+folds would be cheaper, but it would change which rows each child trains
+on, and so the trees.
+
 The node type, routing, dump and JSON codec live in ``tree``, shared with
 the gain tree; ``NBTree`` adds the naive-Bayes leaves and their scoring.
 """
 
 from __future__ import annotations
 
+import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +64,6 @@ from .probability import (
     fit_codes,
     smoothed_conditionals,
     smoothed_priors,
-    value_count,
     _normalise_rows,
 )
 from .tree import (
@@ -104,36 +118,81 @@ def _path_salt(path: str) -> np.uint64:
     return np.uint64(zlib.crc32(path.encode()))
 
 
-def _fold_assign(labels: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray:
-    """Round-robin folds within each class, ordered by hash key: stratified
-    and a pure function of (row identity, node path)."""
+def _fold_assign(groups: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray:
+    """Round-robin folds within each group (a class, or one child's class),
+    ordered by hash key: stratified and a pure function of (row identity,
+    node path). Keys are distinct within a group."""
+    order = np.argsort(keys)
+    # a stable sort of 8- or 16-bit group ids is a radix sort
+    small = groups.astype(np.min_scalar_type(int(groups.max(initial=0))))
+    order = order[np.argsort(small[order], kind="stable")]
+    g = groups[order]
+    sizes = np.bincount(g)
+    first = (np.cumsum(sizes) - sizes)[g]
     fold = np.empty(len(keys), dtype=np.int64)
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        order = np.argsort(keys[idx])  # keys are distinct: any sort is stable
-        fold[idx[order]] = np.arange(len(idx)) % folds
+    fold[order] = (np.arange(len(g)) - first) % folds
     return fold
+
+
+# -- candidate-child bins from node ranks ---------------------------------------
+
+
+class _Ranks(NamedTuple):
+    """One continuous column at a node: its sorted distinct values and the
+    dense rank of each node row among them."""
+
+    distinct: np.ndarray
+    rank: np.ndarray
+
+
+def _rank_codes(ranks: _Ranks, pos: np.ndarray, child: np.ndarray, sizes: np.ndarray,
+                bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-frequency codes of one continuous column for a batch of
+    children, and each child's code count V. ``pos`` lists the children's
+    node positions back to back, ``child`` the child of each and ``sizes``
+    their lengths. Exactly ``bin_columns`` on each child's own values: a
+    child's histogram of node ranks, summed, gives its sorted values, read
+    at the "lower" quantile positions of ``equal_frequency_edges``."""
+    K, U = len(sizes), len(ranks.distinct)
+    flat = child * U + ranks.rank[pos]
+    cum = np.cumsum(np.bincount(flat, minlength=K * U))   # over children, back to back
+    start = cum[U - 1::U] - sizes   # rows of earlier children
+    at = np.searchsorted(   # child k's edge ranks, as k*U + rank
+        cum, start[:, None] + np.floor((sizes[:, None] - 1) * (np.arange(1, bins) / bins))
+        .astype(np.intp), side="right")
+    top = np.searchsorted(cum, start + sizes - 1, side="right")   # each child's largest value
+    keep = at < top[:, None]
+    keep[:, 1:] &= at[:, 1:] != at[:, :-1]   # ties collapse
+    n_edges = keep.sum(axis=1)
+    # each child's edges below each rank
+    below = np.cumsum(np.bincount(at[keep] + 1, minlength=K * U)).reshape(K, U)
+    below -= (np.cumsum(n_edges) - n_edges)[:, None]
+    return below.ravel()[flat], n_edges + 1
 
 
 # -- encoded view used during construction -------------------------------------
 
 
 class _NodeView(NamedTuple):
-    """One node's or candidate child's partition, encoded with bins fitted
-    on the partition itself (discrete codes are global; continuous columns
-    are re-binned so the partition sees exactly what its own leaf model
-    would see)."""
+    """One node's partition, encoded with bins fitted on the partition
+    itself (discrete codes are global), so the node sees exactly what its
+    own leaf model sees. Candidate children are not re-encoded: their bins
+    come from the node's ranks (``_rank_codes``)."""
 
     rows: np.ndarray      # global row ids (fold hashing key)
-    codes: np.ndarray     # (m, A), column-major: the CV reads one attribute at a time
+    codes: np.ndarray     # (m, A), column-major: the search reads one attribute at a time
     edges: list           # per attribute; empty for discrete ones
     labels: np.ndarray
     weights: np.ndarray
 
 
+_BATCH_ROWS = 1 << 15   # child rows (and histogram cells) cross-validated in one batch
+
+
 class _BuildContext:
     """Training data plus the knobs shared by every node evaluation (all-ones
-    attribute weights and ``NBTreeParams()`` by default); no per-node state."""
+    attribute weights and ``NBTreeParams()`` by default), and the build's
+    counters; no per-node state."""
 
     def __init__(self, ds: WeightedDataset, attr_weights=None, params: NBTreeParams | None = None):
         params = params or NBTreeParams()
@@ -149,11 +208,20 @@ class _BuildContext:
         # whole training set for every node
         self.k = params.smoothing_k * self.example_mass
         self.raw = ds.columns
+        self.stats = dict.fromkeys(
+            ("nodes", "split_searches", "children_scored", "cross_validations", "cv_batches"), 0)
 
     def node_view(self, rows: np.ndarray) -> _NodeView:
         codes, edges = bin_columns(self.schema, [col[rows] for col in self.raw], self.params.bins)
         codes = np.array(codes, dtype=np.int64).reshape(len(codes), len(rows)).T  # A may be 0
         return _NodeView(rows, codes, edges, self.labels[rows], self.weights[rows])
+
+    def node_ranks(self, view: _NodeView) -> list:
+        """Per attribute: ``_Ranks`` of a continuous column, None for a
+        discrete one."""
+        return [None if spec.is_discrete
+                else _Ranks(*np.unique(col[view.rows], return_inverse=True))
+                for spec, col in zip(self.schema.attributes, self.raw)]
 
     def misclassified(self, view: _NodeView, model: NaiveBayesModel) -> int:
         """Examples of the view that ``model`` (its node model) gets wrong
@@ -161,87 +229,145 @@ class _BuildContext:
         pred = np.argmax(model.log_scores(view.codes, self.attr_w), axis=1)
         return int(np.count_nonzero(pred != view.labels))
 
-    def cv_accuracy(self, view: _NodeView, salt: np.uint64) -> float:
-        """Stratified k-fold cross-validated, weight-averaged NB accuracy;
-        folds keyed by (global row id, salt)."""
-        m = len(view.rows)
-        if m == 0:
-            return 0.0
-        lab, w = view.labels, view.weights
-        keys = _mix64(view.rows.astype(np.uint64) ^ salt)
+    def cv_accuracies(self, view: _NodeView, ranks: list, children) -> list[float]:
+        """Stratified k-fold cross-validated, weight-averaged NB accuracy of
+        each ``(positions, salt)`` child of the view, each with bins fitted
+        on its own rows and folds keyed by (global row id, its salt).
+        Children are scored in batches of about ``_BATCH_ROWS`` rows."""
+        accs: list[float] = []
+        batch: list = []
+        rows = cells = 0   # cells: the batch's rank histograms, children x distinct values
+        widest = max([len(r.distinct) for r in ranks if r is not None], default=1)
+        for pos, salt in children:
+            if batch and (rows + len(pos) > _BATCH_ROWS or cells + widest > _BATCH_ROWS):
+                accs += self._cv_batch(view, ranks, batch)
+                batch, rows, cells = [], 0, 0
+            batch.append((pos, salt))
+            rows += len(pos)
+            cells += widest
+        if batch:
+            accs += self._cv_batch(view, ranks, batch)
+        return accs
+
+    def _cv_batch(self, view: _NodeView, ranks: list, batch: list) -> list[float]:
+        """``cv_accuracies`` of one batch: one ``bincount`` per attribute
+        over (child, fold, class, code), tables stacked at each child's own
+        V. Rows stay in node order within a child, so every sum is the one a
+        child scored alone would make."""
         F, C, k = self.params.folds, self.schema.n_classes, self.k
-        f = _fold_assign(lab, keys, F)
-        cw_fold = np.bincount(f * C + lab, weights=w, minlength=F * C).reshape(F, C)
-        cw_train = cw_fold.sum(axis=0)[None, :] - cw_fold
+        K = len(batch)
+        self.stats["cross_validations"] += K
+        self.stats["cv_batches"] += 1
+        sizes = np.array([len(pos) for pos, _ in batch])
+        pos = np.concatenate([p for p, _ in batch])
+        child = np.repeat(np.arange(K), sizes)
+        lab, w = view.labels[pos], view.weights[pos]
+        salts = np.array([salt for _, salt in batch], dtype=np.uint64)
+        keys = _mix64(view.rows[pos].astype(np.uint64) ^ salts[child])
+        kf = child * F + _fold_assign(child * C + lab, keys, F)
+        cell = kf * C + lab
+        cw_fold = np.bincount(cell, weights=w, minlength=K * F * C).reshape(K, F, C)
+        cw_train = cw_fold.sum(axis=1, keepdims=True) - cw_fold
         with np.errstate(divide="ignore"):
-            scores = np.log(smoothed_priors(cw_train, cw_train.sum(axis=-1, keepdims=True), k))[f]
-        fc = f * C + lab
+            log_priors = np.log(smoothed_priors(cw_train, cw_train.sum(axis=-1, keepdims=True), k))
+        # class-major scores: each class's column is one 1-D gather per attribute
+        scores = np.take(log_priors.reshape(K * F, C).T, kf, axis=1)
         for j, wa in enumerate(self.attr_w):
             if wa == 0.0:
                 continue
-            V = value_count(self.schema.attributes[j], view.edges[j])
-            code = view.codes[:, j]
-            cnt = np.bincount(fc * V + code, weights=w, minlength=F * C * V)
-            cnt = cnt.reshape(F, C, V)
-            train_cnt = cnt.sum(axis=0)[None, :, :] - cnt
+            if ranks[j] is None:
+                code = view.codes[pos, j]
+                V = np.full(K, len(self.schema.attributes[j].domain))
+            else:
+                code, V = _rank_codes(ranks[j], pos, child, sizes, self.params.bins)
+            width = int(V.max())
+            cnt = np.bincount(cell * width + code, weights=w, minlength=K * F * C * width)
+            cnt = cnt.reshape(K, F, C, width)
+            train_cnt = cnt.sum(axis=1, keepdims=True) - cnt
             with np.errstate(divide="ignore"):
-                logc = np.log(smoothed_conditionals(train_cnt, cw_train, k))
-            # row i reads logc[f[i], :, code[i]] from the (F*V, C) transpose
-            table = logc.transpose(0, 2, 1).reshape(F * V, C)
-            scores += wa * np.take(table, f * V + code, axis=0)
-        pred = np.argmax(scores, axis=1)
-        total = w.sum()
-        return float(min(1.0, max(0.0, (w * (pred == lab)).sum() / total)))
+                logc = np.log(smoothed_conditionals(train_cnt, cw_train, k, V[:, None, None, None]))
+            # row i reads logc[child[i], f[i], c, code[i]] for each class c
+            table = (wa * logc).transpose(2, 0, 1, 3).reshape(C, K * F * width)
+            at = kf * width + code
+            for c in range(C):
+                scores[c] += table[c].take(at)
+        # argmax over classes, ties to the first
+        pred = np.zeros(len(pos), dtype=np.int64)
+        top = scores[0]
+        for c in range(1, C):
+            better = scores[c] > top
+            pred[better] = c
+            top = np.where(better, scores[c], top)
+        hit = w * (pred == lab)
+        ends = np.cumsum(sizes)
+        return [float(min(1.0, max(0.0, hit[e - m:e].sum() / w[e - m:e].sum())))
+                for m, e in zip(sizes.tolist(), ends.tolist())]
 
-    def split_utility_value(self, view: _NodeView, j: int, salt: np.uint64,
+    def split_utility_value(self, view: _NodeView, ranks: list, j: int, salt: np.uint64,
                             node_accuracy: float) -> tuple[float, float | None]:
         """Best utility for attribute j (searching thresholds when
-        continuous). Children lighter than one example's mass fall back to
-        the node's own accuracy, and so does an attribute that would give
-        the node one child: a discrete one with a single symbol there, or
-        a constant continuous one."""
+        continuous): the weight-averaged cross-validated accuracy of the
+        children a split makes. Children lighter than one example's mass
+        fall back to the node's own accuracy, and so does an attribute that
+        would give the node one child: a discrete one with a single symbol
+        there, or a constant continuous one."""
         spec = self.schema.attributes[j]
         if spec.is_discrete:
-            code = view.codes[:, j]
-            if code.min() == code.max():
+            values = view.codes[:, j]
+            if values.min() == values.max():
                 return node_accuracy, None
             candidates = [None]
         else:
-            thr = threshold_candidates(self.raw[j][view.rows], view.weights)
+            values = self.raw[j][view.rows]
+            thr = threshold_candidates(values, view.weights, ranks[j].distinct)
             if thr.size == 0:
                 return node_accuracy, None
             candidates = list(thr)
+        parts: list[tuple[int, float, bool]] = []   # (candidate, child weight, scored)
+
+        def scored_children():
+            everything = np.arange(len(view.rows))
+            for i, t in enumerate(candidates):
+                keys = spec.domain if t is None else ("le", "gt")
+                for key, pos in zip(keys, split_rows(values, everything, t, spec.domain)):
+                    wch = float(view.weights[pos].sum())
+                    if wch <= 0:
+                        continue
+                    scored = wch >= self.example_mass
+                    parts.append((i, wch, scored))
+                    if scored:
+                        yield pos, salt ^ _path_salt(f"{j}:{key}:{t}")
+
+        accs = iter(self.cv_accuracies(view, ranks, scored_children()))
+        self.stats["children_scored"] += sum(scored for _, _, scored in parts)
         total = float(view.weights.sum())
+        utils = [0.0] * len(candidates)
+        for i, wch, scored in parts:
+            utils[i] += (wch / total) * (next(accs) if scored else node_accuracy)
         best_u, best_t = -1.0, None
-        for t in candidates:
-            keys = spec.domain if t is None else ("le", "gt")
-            u = 0.0
-            for key, rows in zip(keys, split_rows(self.raw[j], view.rows, t, spec.domain)):
-                wch = float(self.weights[rows].sum())
-                if wch <= 0:
-                    continue
-                if wch < self.example_mass:
-                    acc = node_accuracy
-                else:
-                    child = self.node_view(rows)
-                    acc = self.cv_accuracy(child, salt ^ _path_salt(f"{j}:{key}:{t}"))
-                u += (wch / total) * acc
+        for t, u in zip(candidates, utils):
             u = min(1.0, max(0.0, u))
             if u > best_u:
                 best_u, best_t = u, t
         return best_u, (None if best_t is None else float(best_t))
 
+    def node_accuracy(self, view: _NodeView, ranks: list, salt: np.uint64) -> float:
+        """The node's own cross-validated accuracy, folds keyed by its salt."""
+        return self.cv_accuracies(view, ranks, [(np.arange(len(view.rows)), salt)])[0]
+
     def best_split(self, view: _NodeView, salt: np.uint64) -> SplitUtility | None:
         node_weight = float(view.weights.sum())
         if node_weight < self.params.min_split_examples * self.example_mass:
             return None
-        node_acc = self.cv_accuracy(view, salt)
+        self.stats["split_searches"] += 1
+        ranks = self.node_ranks(view)
+        node_acc = self.node_accuracy(view, ranks, salt)
         node_err = 1.0 - node_acc
         if node_err <= 0:
             return None
         best: SplitUtility | None = None
         for j, spec in enumerate(self.schema.attributes):
-            u, t = self.split_utility_value(view, j, salt, node_acc)
+            u, t = self.split_utility_value(view, ranks, j, salt, node_acc)
             if best is None or u > best.utility:
                 best = SplitUtility(spec.name, u, t)
         if best is None:
@@ -254,6 +380,7 @@ class _BuildContext:
     def split_of(self, node: TreeNode, rows: np.ndarray, path: str):
         """The NB-tree's node decision for ``tree.grow_tree``: the node's
         own model is its leaf, or the fallback of its empty branches."""
+        self.stats["nodes"] += 1
         node.weight = float(self.weights[rows].sum())
         view = self.node_view(rows)
         model = fit_codes(self.schema, view.codes.T, view.edges, view.labels, view.weights, self.k)
@@ -300,9 +427,9 @@ def split_utility(
     ctx = _BuildContext(partition, attr_weights, params)
     j = partition.schema.attribute_index(attribute)
     view = ctx.node_view(np.arange(partition.n))
+    ranks = ctx.node_ranks(view)
     salt = _path_salt("root")
-    node_acc = ctx.cv_accuracy(view, salt)
-    u, t = ctx.split_utility_value(view, j, salt, node_acc)
+    u, t = ctx.split_utility_value(view, ranks, j, salt, ctx.node_accuracy(view, ranks, salt))
     return SplitUtility(attribute, u, t)
 
 
@@ -332,6 +459,8 @@ class NBTree(TreeModel):
     attr_weights: np.ndarray
     root: TreeNode
     model_id: str = "nbtree"
+    # counters and seconds of the build that made this tree; not saved
+    build_stats: dict | None = field(default=None, compare=False, repr=False)
 
     def predict_dataset(self, dataset: WeightedDataset) -> np.ndarray:
         self.check_schema(dataset)
@@ -389,12 +518,13 @@ def build_nbtree(
     """
     if train.n == 0:
         raise TrainingError("cannot build a tree from an empty dataset")
+    start = time.perf_counter()
     ctx = _BuildContext(train, attr_weights, params)
     schema = train.schema
     root = grow_tree(train, ctx.split_of)
     return NBTree(
         schema.structural_hash(), schema.class_names, schema.attribute_names,
-        ctx.attr_w, root,
+        ctx.attr_w, root, build_stats=dict(ctx.stats, build_s=time.perf_counter() - start),
     )
 
 

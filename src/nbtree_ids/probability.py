@@ -78,11 +78,14 @@ def smoothed_priors(class_mass: np.ndarray, total: float | np.ndarray, k: float)
     return probs
 
 
-def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float) -> np.ndarray:
+def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float,
+                          n_values=None) -> np.ndarray:
     """Add-k conditionals over (..., C, V) weighted count tables:
     P(value | class) = (weight of (value, class) + k) / (class mass + k*V).
-    A class with no mass under k = 0 gets probability 0."""
-    denom = class_mass[..., None] + k * counts.shape[-1]
+    V is the table width unless ``n_values`` gives each of a stack of
+    tables, padded to one width, its own. A class with no mass under k = 0
+    gets probability 0."""
+    denom = class_mass[..., None] + k * (counts.shape[-1] if n_values is None else n_values)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, (counts + k) / denom, 0.0)
 

@@ -35,11 +35,13 @@ def goes_left(values, threshold):   # a value or an array of values
     return values <= threshold
 
 
-def threshold_candidates(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Candidate thresholds: midpoints between consecutive distinct values,
-    capped by taking midpoints between weighted-quantile cut points when
-    there are more than ``_THRESHOLD_CAP`` gaps."""
-    u = np.unique(values)
+def threshold_candidates(values: np.ndarray, weights: np.ndarray,
+                         distinct: np.ndarray | None = None) -> np.ndarray:
+    """Candidate thresholds: midpoints between consecutive distinct values
+    (``distinct``, when the caller has them already), capped by taking
+    midpoints between weighted-quantile cut points when there are more
+    than ``_THRESHOLD_CAP`` gaps."""
+    u = np.unique(values) if distinct is None else distinct
     if u.size < 2:
         return np.empty(0)
     if u.size - 1 <= _THRESHOLD_CAP:

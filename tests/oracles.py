@@ -2,10 +2,18 @@
 
 Everything here is deliberately written with plain dict/loop arithmetic,
 no shared code with the package internals, so a disagreement points at a
-real defect rather than a shared bug.
+real defect rather than a shared bug. The one exception is the last
+section: the NB-tree's per-child split search, kept as the scalar
+reference its batched kernel must equal bit for bit.
 """
 
 import math
+
+import numpy as np
+
+from nbtree_ids.nbtree import SplitUtility, _mix64, _path_salt
+from nbtree_ids.probability import smoothed_conditionals, smoothed_priors, value_count
+from nbtree_ids.tree import split_rows, threshold_candidates
 
 
 # -- naive Bayes by explicit enumeration ---------------------------------------
@@ -173,3 +181,108 @@ def fp_rate(mat, classes, c):
     denom = sum(mat[(t, p)] for t in classes for p in classes if t != c)
     hits = sum(mat[(t, c)] for t in classes if t != c)
     return None if denom == 0 else hits / denom * 100.0
+
+
+# -- the NB-tree split search, one candidate child at a time ----------------------
+#
+# The search as it ran before it was batched: every candidate child is
+# re-encoded with ``bin_columns`` on its own rows (``ctx.node_view``) and
+# cross-validated alone. It reads the training data and knobs of a
+# ``nbtree._BuildContext`` and shares its fold hash, estimators and row
+# partition, each pinned by the oracles above or by its own tests, so any
+# difference from the batched kernel is in the batching.
+
+
+def fold_assign_by_class(labels, keys, folds):
+    """Round-robin folds within each class, ordered by hash key."""
+    fold = np.empty(len(keys), dtype=np.int64)
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        order = np.argsort(keys[idx])
+        fold[idx[order]] = np.arange(len(idx)) % folds
+    return fold
+
+
+def cv_accuracy(ctx, view, salt):
+    """Stratified k-fold cross-validated, weight-averaged NB accuracy of one
+    encoded view; folds keyed by (global row id, salt)."""
+    m = len(view.rows)
+    if m == 0:
+        return 0.0
+    lab, w = view.labels, view.weights
+    keys = _mix64(view.rows.astype(np.uint64) ^ salt)
+    F, C, k = ctx.params.folds, ctx.schema.n_classes, ctx.k
+    f = fold_assign_by_class(lab, keys, F)
+    cw_fold = np.bincount(f * C + lab, weights=w, minlength=F * C).reshape(F, C)
+    cw_train = cw_fold.sum(axis=0)[None, :] - cw_fold
+    with np.errstate(divide="ignore"):
+        scores = np.log(smoothed_priors(cw_train, cw_train.sum(axis=-1, keepdims=True), k))[f]
+    fc = f * C + lab
+    for j, wa in enumerate(ctx.attr_w):
+        if wa == 0.0:
+            continue
+        V = value_count(ctx.schema.attributes[j], view.edges[j])
+        code = view.codes[:, j]
+        cnt = np.bincount(fc * V + code, weights=w, minlength=F * C * V).reshape(F, C, V)
+        train_cnt = cnt.sum(axis=0)[None, :, :] - cnt
+        with np.errstate(divide="ignore"):
+            logc = np.log(smoothed_conditionals(train_cnt, cw_train, k))
+        table = logc.transpose(0, 2, 1).reshape(F * V, C)
+        scores += wa * np.take(table, f * V + code, axis=0)
+    pred = np.argmax(scores, axis=1)
+    total = w.sum()
+    return float(min(1.0, max(0.0, (w * (pred == lab)).sum() / total)))
+
+
+def split_utility_value(ctx, view, j, salt, node_accuracy):
+    """Best (utility, threshold) for attribute j, each child re-binned and
+    cross-validated alone; children lighter than one example's mass, and
+    attributes that give the node one child, score ``node_accuracy``."""
+    spec = ctx.schema.attributes[j]
+    if spec.is_discrete:
+        code = view.codes[:, j]
+        if code.min() == code.max():
+            return node_accuracy, None
+        candidates = [None]
+    else:
+        thr = threshold_candidates(ctx.raw[j][view.rows], view.weights)
+        if thr.size == 0:
+            return node_accuracy, None
+        candidates = list(thr)
+    total = float(view.weights.sum())
+    best_u, best_t = -1.0, None
+    for t in candidates:
+        keys = spec.domain if t is None else ("le", "gt")
+        u = 0.0
+        for key, rows in zip(keys, split_rows(ctx.raw[j], view.rows, t, spec.domain)):
+            wch = float(ctx.weights[rows].sum())
+            if wch <= 0:
+                continue
+            if wch < ctx.example_mass:
+                acc = node_accuracy
+            else:
+                acc = cv_accuracy(ctx, ctx.node_view(rows), salt ^ _path_salt(f"{j}:{key}:{t}"))
+            u += (wch / total) * acc
+        u = min(1.0, max(0.0, u))
+        if u > best_u:
+            best_u, best_t = u, t
+    return best_u, (None if best_t is None else float(best_t))
+
+
+def best_split(ctx, view, salt):
+    """The node's split decision, with every utility from
+    ``split_utility_value``."""
+    if float(view.weights.sum()) < ctx.params.min_split_examples * ctx.example_mass:
+        return None
+    node_acc = cv_accuracy(ctx, view, salt)
+    node_err = 1.0 - node_acc
+    if node_err <= 0:
+        return None
+    best = None
+    for j, spec in enumerate(ctx.schema.attributes):
+        u, t = split_utility_value(ctx, view, j, salt, node_acc)
+        if best is None or u > best.utility:
+            best = SplitUtility(spec.name, u, t)
+    if best is None or (node_err - (1.0 - best.utility)) / node_err <= ctx.params.significance:
+        return None
+    return best

@@ -113,6 +113,20 @@ def test_undecodable_line_permissive_is_skipped_and_counted(toy_corpus, tmp_path
     assert load["reader_lines"] + load["fallback_lines"] == 81
 
 
+def test_sampled_permissive_run_keeps_skip_counts(toy_corpus, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(toy_corpus.read_text() + "0,tcp,http,SF,200,normal.\n"
+                   + toy_corpus.read_text().splitlines()[0].replace("normal.", "nosuch.") + "\n")
+    for command, extra in (("inspect", []), ("compare", ["--test-fraction", "0.25"])):
+        out = tmp_path / command
+        args = [command, "--permissive", "--sample-fraction", "0.5", "--seed", "1", *extra]
+        assert main([*args, *base_args(bad, out)]) == 0
+        doc = json.loads((run_dir(out) / "composition.json").read_text())
+        assert doc["total"] < 80
+        assert doc["skipped"] == 2
+        assert doc["skip_reasons"] == {"field-count": 1, "unknown-attack": 1}
+
+
 @pytest.mark.parametrize("command, flags", [
     ("inspect", ["--bins", "0"]),
     ("inspect", ["--weighting-min-leaf-examples", "-5"]),
@@ -337,6 +351,26 @@ def test_compare_end_to_end(toy_corpus, tmp_path):
     }
     assert bundle["config"]["seed"] == 7
     assert (rd / "composition.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []), ("compare", ["--test-fraction", "0.25", "--seed", "7"]),
+])
+def test_run_info_records_the_nbtree_build(toy_corpus, tmp_path, command, extra):
+    out = tmp_path / "runs"
+    assert main([command, *base_args(toy_corpus, out), *extra]) == 0
+    info = json.loads((run_dir(out) / "run_info.json").read_text())
+    build = info["nbtree"]
+    tree = json.loads((run_dir(out) / "models" / "proposed-nbtree.json").read_text())
+    assert "build_stats" not in json.dumps(tree)
+    nodes = [tree["root"]]
+    for node in nodes:
+        nodes += [node[k] for k in ("left", "right") if k in node]
+        nodes += list(node.get("children", {}).values())
+    assert build["nodes"] == len(nodes)
+    assert build["cross_validations"] == build["split_searches"] + build["children_scored"]
+    assert build["cv_batches"] <= build["cross_validations"]
+    assert build["build_s"] > 0
 
 
 def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monkeypatch):

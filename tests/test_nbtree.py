@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 import synth
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.nbtree import (
     NBTree,
     NBTreeParams,
+    SplitUtility,
+    _BuildContext,
     _fold_assign,
     _mix64,
     _path_salt,
+    _rank_codes,
     best_split,
     build_nbtree,
     classify_nbtree,
@@ -22,7 +28,8 @@ from nbtree_ids.probability import (
     fit_naive_bayes,
     weighted_class_score,
 )
-from nbtree_ids.tree import iter_nodes, route_rows
+from nbtree_ids.tree import grow_tree, iter_nodes, node_to_dict, route_rows
+from test_tree import CLASSES, random_training
 
 
 def disc_schema(*domains, classes=("A", "B")):
@@ -537,3 +544,86 @@ def test_nbtree_json_round_trip():
     again = NBTree.from_json(text)
     assert again.to_json() == text
     np.testing.assert_array_equal(again.predict_dataset(ds), tree.predict_dataset(ds))
+
+
+# -- the batched split search against the per-child reference ----------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_child_bins_from_node_ranks_equal_bin_columns(data):
+    pool = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True))
+    n = data.draw(st.integers(1, 30))
+    column = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    bins = data.draw(st.integers(1, 12))   # often more bins than distinct values
+    node = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    node = node if len(node) else np.arange(n)
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=len(node), max_size=len(node)),
+                               max_size=4))
+    children = [np.flatnonzero(mask) for mask in masks]
+    children += [np.empty(0, dtype=np.int64), np.array([len(node) - 1])]   # 0 and 1 rows
+    schema = Schema((AttributeSpec("x", "continuous"),), ("A",))
+    ctx = _BuildContext(WeightedDataset(schema, [column], np.zeros(n), np.ones(n)),
+                        params=NBTreeParams(bins=bins))
+    view = ctx.node_view(node)
+    (ranks,) = ctx.node_ranks(view)
+    sizes = np.array([len(pos) for pos in children])
+    codes, n_values = _rank_codes(ranks, np.concatenate(children),
+                                  np.repeat(np.arange(len(children)), sizes), sizes, bins)
+    for pos, got, V in zip(children, np.split(codes, np.cumsum(sizes)[:-1]), n_values):
+        want = ctx.node_view(view.rows[pos])   # bin_columns on the child's own rows
+        assert np.array_equal(got, want.codes[:, 0])
+        assert V == len(want.edges[0]) + 1
+        # each edge is the largest value of its bin
+        values = column[view.rows[pos]]
+        assert np.array_equal([values[got == b].max() for b in range(V - 1)], want.edges[0])
+
+
+def with_lone_row(ds, rng, uneven):
+    """``ds`` plus one row holding a value no other row has (100.0, or the
+    symbol left out of training), so every attribute has a one-row
+    candidate child. With ``uneven`` weights that row weighs 0.01, less
+    than one example's mass; otherwise every row weighs 1.0, exactly one
+    example's mass."""
+    rows = [ds.example(i).values for i in range(ds.n)]
+    rows.append(tuple(a.domain[-1] if a.is_discrete else 100.0 for a in ds.schema.attributes))
+    labels = [ds.schema.class_names[c] for c in ds.labels] + [CLASSES[int(rng.integers(3))]]
+    weights = [*rng.uniform(0.1, 3.0, size=ds.n), 0.01] if uneven else [1.0] * len(rows)
+    return WeightedDataset.from_rows(ds.schema, rows, labels, weights)
+
+
+class _PerChildContext(_BuildContext):
+    """A build whose every split decision is the per-child reference's."""
+
+    def best_split(self, view, salt):
+        return oracles.best_split(self, view, salt)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["discrete", "continuous"]), min_size=1, max_size=3),
+    folds=st.integers(2, 9),
+    bins=st.integers(1, 12),
+    k=st.sampled_from([0.0, 0.5, 1.0]),
+    significance=st.sampled_from([0.0, 0.05]),
+    uneven=st.booleans(),
+)
+def test_split_search_equals_per_child_reference(seed, kinds, folds, bins, k, significance,
+                                                 uneven):
+    rng = np.random.default_rng(seed)
+    ds = with_lone_row(random_training(rng, kinds), rng, uneven)
+    attr_w = rng.choice([0.0, 0.4, 1.0], size=len(kinds))
+    params = NBTreeParams(folds=folds, bins=bins, smoothing_k=k, significance=significance,
+                          min_split_examples=1.0, max_depth=4)
+    ctx = _BuildContext(ds, attr_w, params)
+    view = ctx.node_view(np.arange(ds.n))
+    salt = _path_salt("root")
+    node_acc = oracles.cv_accuracy(ctx, view, salt)
+    for j, name in enumerate(ds.schema.attribute_names):
+        u, t = oracles.split_utility_value(ctx, view, j, salt, node_acc)
+        assert split_utility(ds, name, attr_w, params) == SplitUtility(name, u, t)
+    assert best_split(ds, attr_w, params) == oracles.best_split(ctx, view, salt)
+    # and at every node of a build, where rows and path salts vary
+    reference = grow_tree(ds, _PerChildContext(ds, attr_w, params).split_of)
+    assert node_to_dict(build_nbtree(ds, attr_w, params).root) == node_to_dict(reference)
