@@ -74,11 +74,12 @@ def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
 
 def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                      n_classes: int) -> tuple[float, float | None]:
-    thresholds = threshold_candidates(values, weights)
-    if thresholds.size == 0:
-        return 0.0, None
     order = np.argsort(values, kind="stable")
     sv = values[order]
+    # the distinct values, read off the sort (loaded columns are finite)
+    thresholds = threshold_candidates(values, weights, sv[np.r_[True, sv[1:] != sv[:-1]]])
+    if thresholds.size == 0:
+        return 0.0, None
     onehot = np.zeros((len(values), n_classes))
     onehot[np.arange(len(values)), labels[order]] = weights[order]
     cum = np.cumsum(onehot, axis=0)
@@ -163,10 +164,16 @@ class DecisionTree(TreeModel):
     def from_dict(cls, doc: dict) -> "DecisionTree":
         if doc.get("format") != TREE_FORMAT:
             raise DataFormatError(f"not a {TREE_FORMAT} document")
-        attributes = tuple(doc["attributes"])
+        attributes, classes = tuple(doc["attributes"]), tuple(doc["classes"])
+
+        def label(payload):
+            if payload not in classes:
+                raise DataFormatError(f"leaf label {payload!r} is not one of the tree's classes")
+            return payload
+
         return cls(
-            doc["schema_hash"], tuple(doc["classes"]), attributes,
-            node_from_dict(doc["root"], attributes), doc.get("model_id", "gain-tree"),
+            doc["schema_hash"], classes, attributes,
+            node_from_dict(doc["root"], attributes, label), doc.get("model_id", "gain-tree"),
         )
 
 

@@ -180,7 +180,7 @@ class _NodeView(NamedTuple):
     come from the node's ranks (``_rank_codes``)."""
 
     rows: np.ndarray      # global row ids (fold hashing key)
-    codes: np.ndarray     # (m, A), column-major: the search reads one attribute at a time
+    codes: list           # one code column per attribute, as ``bin_columns`` returns them
     edges: list           # per attribute; empty for discrete ones
     labels: np.ndarray
     weights: np.ndarray
@@ -213,7 +213,6 @@ class _BuildContext:
 
     def node_view(self, rows: np.ndarray) -> _NodeView:
         codes, edges = bin_columns(self.schema, [col[rows] for col in self.raw], self.params.bins)
-        codes = np.array(codes, dtype=np.int64).reshape(len(codes), len(rows)).T  # A may be 0
         return _NodeView(rows, codes, edges, self.labels[rows], self.weights[rows])
 
     def node_ranks(self, view: _NodeView) -> list:
@@ -226,7 +225,7 @@ class _BuildContext:
     def misclassified(self, view: _NodeView, model: NaiveBayesModel) -> int:
         """Examples of the view that ``model`` (its node model) gets wrong
         under the tree's attribute weights."""
-        pred = np.argmax(model.log_scores(view.codes, self.attr_w), axis=1)
+        pred = np.argmax(model.log_scores(view.codes, self.attr_w, n=len(view.rows)), axis=1)
         return int(np.count_nonzero(pred != view.labels))
 
     def cv_accuracies(self, view: _NodeView, ranks: list, children) -> list[float]:
@@ -276,7 +275,7 @@ class _BuildContext:
             if wa == 0.0:
                 continue
             if ranks[j] is None:
-                code = view.codes[pos, j]
+                code = view.codes[j][pos]
                 V = np.full(K, len(self.schema.attributes[j].domain))
             else:
                 code, V = _rank_codes(ranks[j], pos, child, sizes, self.params.bins)
@@ -313,7 +312,7 @@ class _BuildContext:
         there, or a constant continuous one."""
         spec = self.schema.attributes[j]
         if spec.is_discrete:
-            values = view.codes[:, j]
+            values = view.codes[j]
             if values.min() == values.max():
                 return node_accuracy, None
             candidates = [None]
@@ -383,7 +382,7 @@ class _BuildContext:
         self.stats["nodes"] += 1
         node.weight = float(self.weights[rows].sum())
         view = self.node_view(rows)
-        model = fit_codes(self.schema, view.codes.T, view.edges, view.labels, view.weights, self.k)
+        model = fit_codes(self.schema, view.codes, view.edges, view.labels, view.weights, self.k)
         found = None
         if node.depth < self.params.max_depth and self.misclassified(view, model) > 0:
             found = self.best_split(view, _path_salt(path))
@@ -411,7 +410,7 @@ def node_misclassification_check(
     ctx = _BuildContext(partition, attr_weights,
                         NBTreeParams(smoothing_k=k, bins=bins))
     view = ctx.node_view(np.arange(partition.n))
-    model = fit_codes(ctx.schema, view.codes.T, view.edges, view.labels, view.weights, ctx.k)
+    model = fit_codes(ctx.schema, view.codes, view.edges, view.labels, view.weights, ctx.k)
     return ctx.misclassified(view, model)
 
 
@@ -466,8 +465,8 @@ class NBTree(TreeModel):
         self.check_schema(dataset)
         out = np.empty(dataset.n, dtype=np.int64)
         for model, rows in route_rows(self.root, dataset):
-            scores = model.log_scores(model.encode_dataset(dataset.take(rows)), self.attr_weights)
-            out[rows] = np.argmax(scores, axis=1)
+            codes = model.encode_dataset(dataset, rows)
+            out[rows] = np.argmax(model.log_scores(codes, self.attr_weights, n=len(rows)), axis=1)
         return out
 
     def leaf_sizes(self) -> list[int]:
@@ -492,9 +491,16 @@ class NBTree(TreeModel):
         attr_weights = np.asarray(doc["attr_weights"], dtype=np.float64)
         if attr_weights.shape != (len(attributes),):
             raise DataFormatError("attr_weights do not cover the tree's attributes")
+
+        def model(payload):
+            if not (isinstance(payload, NaiveBayesModel)
+                    and payload.schema_hash == doc["schema_hash"]):
+                raise DataFormatError("a leaf or fallback is not a model of the tree's schema")
+            return payload
+
         return cls(
             doc["schema_hash"], tuple(doc["classes"]), attributes, attr_weights,
-            node_from_dict(doc["root"], attributes), doc.get("model_id", "nbtree"),
+            node_from_dict(doc["root"], attributes, model), doc.get("model_id", "nbtree"),
         )
 
 
@@ -533,5 +539,5 @@ def classify_nbtree(tree: NBTree, example: Example) -> tuple[str, np.ndarray]:
     the tree's attribute weights. Returns (label, normalised per-class
     probabilities)."""
     model = route_example(tree.root, dict(zip(tree.attribute_names, example.values)))
-    scores = model.log_scores(model.encode_example(example)[None, :], tree.attr_weights)
+    scores = model.log_scores(model.encode_example(example)[:, None], tree.attr_weights, n=1)
     return tree.classes[int(np.argmax(scores[0]))], _normalise_rows(scores)[0]

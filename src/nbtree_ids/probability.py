@@ -13,6 +13,10 @@ frequencies, with k in absolute weight units. ``fit_naive_bayes`` (the
 baselines and the weighting pass) states k in units of the dataset's mean
 example weight; each NB-tree node calls ``fit_codes`` with the tree's k.
 
+Codes have one layout, one column per attribute: ``bin_columns`` returns
+them, ``fit_codes`` counts them, and ``encode_dataset`` yields them one at a
+time for ``log_scores`` to add, so scoring never holds an (n, A) matrix.
+
 All scoring runs in the natural-log domain: a class score is log P(C) plus
 the sum of per-attribute log conditionals, each optionally raised to an
 attribute weight in [0, 1]. Probabilities reported to callers are
@@ -181,48 +185,48 @@ class NaiveBayesModel:
                 codes[i] = int(np.searchsorted(e, float(v), side="left"))
         return codes
 
-    def encode_dataset(self, dataset: WeightedDataset) -> np.ndarray:
-        """(n, A) code matrix aligned to this model's coding."""
+    def encode_dataset(self, dataset: WeightedDataset, rows: np.ndarray | slice = slice(None)):
+        """Lazily, one attribute at a time, the code column of each model
+        attribute for ``rows`` (default all), aligned to this model's coding."""
         if dataset.schema.structural_hash() != self.schema_hash:
             raise SchemaError("dataset schema does not match the model schema")
-        n = dataset.n
-        codes = np.empty((n, self.attribute_count), dtype=np.int64)
-        for i, (spec, e, data_spec, col) in enumerate(zip(
-            self.schema.attributes, self.edges, dataset.schema.attributes, dataset.columns
-        )):
-            if spec.is_discrete:
-                model_index = {s: j for j, s in enumerate(spec.domain)}
-                trans = np.array(
-                    [model_index.get(s, -1) for s in data_spec.domain], dtype=np.int64
-                )
-                codes[:, i] = trans[col]
-            else:
-                codes[:, i] = np.searchsorted(e, col, side="left")
-        return codes
+
+        def column(spec, e, data_spec, col):
+            if not spec.is_discrete:
+                return np.searchsorted(e, col[rows], side="left")
+            model_index = {s: j for j, s in enumerate(spec.domain)}
+            trans = np.array([model_index.get(s, -1) for s in data_spec.domain], dtype=np.int64)
+            return trans[col[rows]]
+
+        return map(column, self.schema.attributes, self.edges, dataset.schema.attributes,
+                   dataset.columns)
 
     # -- scoring -----------------------------------------------------------
 
-    def log_scores(self, codes: np.ndarray, attr_weights: np.ndarray | None = None) -> np.ndarray:
-        """(n, C) unnormalised log scores of (n, A) codes in [-1, V];
-        ``attr_weights`` exponentiates each attribute's conditional (weight
-        0 skips the attribute)."""
-        scores = np.tile(self._log_priors, (codes.shape[0], 1))
-        for i, table in enumerate(self._log_tables):
+    def log_scores(self, codes, attr_weights: np.ndarray | None = None,
+                   n: int | None = None) -> np.ndarray:
+        """(n, C) unnormalised log scores of one code column per attribute
+        (codes in [-1, V], added in attribute order); ``attr_weights``
+        exponentiates each conditional (weight 0 skips the attribute). A
+        model with no attributes has no column to count rows from: give ``n``."""
+        scores = None
+        for i, (table, code) in enumerate(zip(self._log_tables, codes)):
+            if scores is None:
+                scores = np.tile(self._log_priors, (len(code), 1))
             w = 1.0 if attr_weights is None else float(attr_weights[i])
             if w != 0.0:
-                scores += np.take(w * table, codes[:, i], axis=0)
-        return scores
+                scores += np.take(w * table, code, axis=0)
+        return np.tile(self._log_priors, (n, 1)) if scores is None else scores
 
     def predict_dataset(self, dataset: WeightedDataset,
                         attr_weights: np.ndarray | None = None) -> np.ndarray:
         """Argmax class index per example (ties: first class in order)."""
-        scores = self.log_scores(self.encode_dataset(dataset), attr_weights)
+        scores = self.log_scores(self.encode_dataset(dataset), attr_weights, n=dataset.n)
         return np.argmax(scores, axis=1)
 
     def posteriors_dataset(self, dataset: WeightedDataset) -> np.ndarray:
         """(n, C) normalised posteriors."""
-        scores = self.log_scores(self.encode_dataset(dataset))
-        return _normalise_rows(scores)
+        return _normalise_rows(self.log_scores(self.encode_dataset(dataset), n=dataset.n))
 
     # -- serialisation -------------------------------------------------------
 
@@ -325,15 +329,13 @@ def posterior(example: Example, model: NaiveBayesModel) -> PosteriorVector:
     this is the per-class prior-times-conditionals product rescaled to sum
     to one.
     """
-    codes = model.encode_example(example)
-    scores = model.log_scores(codes[None, :])
+    scores = model.log_scores(model.encode_example(example)[:, None], n=1)
     return PosteriorVector(model.classes, _normalise_rows(scores)[0])
 
 
 def classify_nb(example: Example, model: NaiveBayesModel) -> str:
     """Argmax-posterior class; ties go to the earlier class in schema order."""
-    codes = model.encode_example(example)
-    scores = model.log_scores(codes[None, :])[0]
+    scores = model.log_scores(model.encode_example(example)[:, None], n=1)[0]
     if not np.isfinite(scores.max()):
         raise TrainingError(
             "all class scores are zero for the given example (k=0); use k > 0"
@@ -355,8 +357,7 @@ def weighted_class_score(
     scores, or normalised probabilities when ``normalized`` is set.
     """
     w = as_weight_array(attr_weights, model.attribute_names)
-    codes = model.encode_example(example)
-    scores = model.log_scores(codes[None, :], w)
+    scores = model.log_scores(model.encode_example(example)[:, None], w, n=1)
     if normalized:
         return _normalise_rows(scores)[0]
     return scores[0]

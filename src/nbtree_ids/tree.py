@@ -263,24 +263,28 @@ def node_to_dict(node: TreeNode) -> dict:
     return doc
 
 
-def node_from_dict(doc: dict, attributes: tuple[str, ...]) -> TreeNode:
-    """Rebuild a subtree whose splits test only the tree's ``attributes``."""
+def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable) -> TreeNode:
+    """Rebuild a subtree whose splits test only the tree's ``attributes``;
+    ``check`` returns each leaf and fallback payload, or raises
+    ``DataFormatError`` when the payload does not fit the tree."""
     node = TreeNode(depth=doc["depth"], weight=doc["weight"], n=doc["n"])
     if "attribute" not in doc:
-        node.payload = NaiveBayesModel.from_dict(doc["model"]) if "model" in doc else doc["label"]
+        node.payload = check(NaiveBayesModel.from_dict(doc["model"]) if "model" in doc
+                             else doc["label"])
         return node
     node.attribute = doc["attribute"]
     if node.attribute not in attributes:
         raise DataFormatError(f"split on {node.attribute!r}, not one of the tree's attributes")
     if "threshold" in doc:
         node.threshold = doc["threshold"]
-        node.left = node_from_dict(doc["left"], attributes)
-        node.right = node_from_dict(doc["right"], attributes)
+        node.left = node_from_dict(doc["left"], attributes, check)
+        node.right = node_from_dict(doc["right"], attributes, check)
         return node
-    node.children = {sym: node_from_dict(c, attributes) for sym, c in doc["children"].items()}
+    node.children = {sym: node_from_dict(c, attributes, check)
+                     for sym, c in doc["children"].items()}
     if "empty_branches" in doc:
         node.empty_branches = tuple(doc["empty_branches"])
-        node.fallback_model = NaiveBayesModel.from_dict(doc["fallback_model"])
+        node.fallback_model = check(NaiveBayesModel.from_dict(doc["fallback_model"]))
     return node
 
 

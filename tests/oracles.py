@@ -222,7 +222,7 @@ def cv_accuracy(ctx, view, salt):
         if wa == 0.0:
             continue
         V = value_count(ctx.schema.attributes[j], view.edges[j])
-        code = view.codes[:, j]
+        code = view.codes[j]
         cnt = np.bincount(fc * V + code, weights=w, minlength=F * C * V).reshape(F, C, V)
         train_cnt = cnt.sum(axis=0)[None, :, :] - cnt
         with np.errstate(divide="ignore"):
@@ -240,7 +240,7 @@ def split_utility_value(ctx, view, j, salt, node_accuracy):
     attributes that give the node one child, score ``node_accuracy``."""
     spec = ctx.schema.attributes[j]
     if spec.is_discrete:
-        code = view.codes[:, j]
+        code = view.codes[j]
         if code.min() == code.max():
             return node_accuracy, None
         candidates = [None]

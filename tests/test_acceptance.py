@@ -146,7 +146,7 @@ def test_criterion_3_weighted_score_reduction():
         kept_w = np.delete(zero_w, drop)
         for i in range(min(ds.n, 10)):
             ex = ds.example(i)
-            plain = model.log_scores(model.encode_example(ex)[None, :])[0]
+            plain = model.log_scores(model.encode_example(ex)[:, None])[0]
             unit = weighted_class_score(ex, model, ones)
             worst_unit = max(worst_unit, float(np.max(np.abs(unit - plain))))
             full = weighted_class_score(ex, model, zero_w)

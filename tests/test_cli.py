@@ -299,12 +299,31 @@ def _split_outside_attributes(doc):
     assert "protocol_type" not in doc["attributes"]
 
 
+def _first_leaf(node):
+    while "attribute" in node:
+        node = node["left"] if "threshold" in node else next(iter(node["children"].values()))
+    return node
+
+
+def _bogus_leaf_label(doc):
+    _first_leaf(doc["root"])["label"] = "Bogus"
+
+
+def _foreign_leaf_schema(doc):
+    model = _first_leaf(doc["root"])["model"]
+    for part in (model, model["schema"]):
+        part["classes"] = part["classes"][::-1]
+
+
 @pytest.mark.parametrize("model, damage", [
     ("nb-full", _no_priors),
     ("nb-full", _narrow_table),
     ("nb-full", _reordered_domain),
     ("proposed-nbtree", _split_outside_attributes),
-], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes"])
+    ("tree-full", _bogus_leaf_label),
+    ("proposed-nbtree", _foreign_leaf_schema),
+], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
+        "bogus-leaf-label", "foreign-leaf-schema"])
 def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
+from nbtree_ids.kdd99 import kdd99_schema
 from nbtree_ids.nbtree import (
     NBTree,
     NBTreeParams,
@@ -546,6 +548,29 @@ def test_nbtree_json_round_trip():
     np.testing.assert_array_equal(again.predict_dataset(ds), tree.predict_dataset(ds))
 
 
+def test_scoring_holds_no_code_matrix():
+    # 41 attributes over 50,000 rows: one (n, A) int64 code matrix is 16.4 MB
+    schema = kdd99_schema()
+    n = 50_000
+    rng = np.random.default_rng(67)
+    columns = [rng.integers(len(a.domain), size=n, dtype=np.int32) if a.is_discrete
+               else rng.exponential(100.0, size=n) for a in schema.attributes]
+    flag, logged_in = (schema.attribute_index(a) for a in ("flag", "logged_in"))
+    labels = (columns[flag] % 2) ^ columns[logged_in]   # XOR: one NB model cannot fit it
+    ds = WeightedDataset(schema, columns, labels.astype(np.int64), np.ones(n))
+    train = ds.take(np.arange(600))
+    tree = build_nbtree(train, params=NBTreeParams(max_depth=2))
+    assert not tree.root.is_leaf
+    for predict in (fit_naive_bayes(train).predict_dataset, tree.predict_dataset):
+        tracemalloc.start()
+        try:
+            predict(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * schema.n_attributes * 8
+
+
 # -- the batched split search against the per-child reference ----------------------
 
 
@@ -572,7 +597,7 @@ def test_child_bins_from_node_ranks_equal_bin_columns(data):
                                   np.repeat(np.arange(len(children)), sizes), sizes, bins)
     for pos, got, V in zip(children, np.split(codes, np.cumsum(sizes)[:-1]), n_values):
         want = ctx.node_view(view.rows[pos])   # bin_columns on the child's own rows
-        assert np.array_equal(got, want.codes[:, 0])
+        assert np.array_equal(got, want.codes[0])
         assert V == len(want.edges[0]) + 1
         # each edge is the largest value of its bin
         values = column[view.rows[pos]]

@@ -275,7 +275,7 @@ def test_log_and_direct_product_agree():
         for i, row in enumerate(rows):
             direct = oracles.nb_joint_scores(row, priors, tables, classes)
             codes = model.encode_example(ds.example(i))
-            logs = model.log_scores(codes[None, :])[0]
+            logs = model.log_scores(codes[:, None])[0]
             for ci, c in enumerate(classes):
                 assert math.exp(logs[ci]) == pytest.approx(direct[c], rel=1e-9)
 
@@ -290,7 +290,7 @@ def test_weighted_score_reduces_to_plain_with_unit_weights():
     ones = np.ones(model.attribute_count)
     for i in range(ds.n):
         ex = ds.example(i)
-        plain = model.log_scores(model.encode_example(ex)[None, :])[0]
+        plain = model.log_scores(model.encode_example(ex)[:, None])[0]
         weighted = weighted_class_score(ex, model, ones)
         np.testing.assert_allclose(weighted, plain, atol=1e-12)
 
@@ -360,8 +360,8 @@ def test_unseen_symbol_scores_the_smoothing_floor():
     wide = schema_ab(("x", "y", "z"), ("0", "1"))
     assert wide.structural_hash() == schema.structural_hash()
     probe = WeightedDataset.from_rows(wide, [("z", "1")], ["A"])
-    codes = model.encode_dataset(probe)
-    assert codes.tolist() == [[-1, 1]]
+    codes = list(model.encode_dataset(probe))
+    assert [c.tolist() for c in codes] == [[-1], [1]]
     log_prior = np.log(model.priors)
     log_f1 = np.log(model.cond[1][:, 1])
     np.testing.assert_allclose(
@@ -399,8 +399,18 @@ def test_model_json_round_trip_is_bit_stable():
 
 def test_batch_predictions_match_per_example():
     rng = np.random.default_rng(61)
-    ds, *_ = random_discrete_dataset(rng, random_weights=True)
+    ds, rows, labels, domains, classes = random_discrete_dataset(rng, random_weights=True)
     model = fit_naive_bayes(ds, k=1.0)
     batch = model.predict_dataset(ds)
     for i in range(ds.n):
         assert model.classes[batch[i]] == classify_nb(ds.example(i), model)
+    # a permissively widened domain: "new" lies outside the model's domain
+    wide = schema_ab(*(dom + ("new",) for dom in domains), classes=classes)
+    probe_rows = [tuple("new" if rng.random() < 0.3 else v for v in row) for row in rows]
+    probe = WeightedDataset.from_rows(wide, probe_rows, labels)
+    w = rng.uniform(0.0, 1.0, model.attribute_count)
+    w[0] = 0.0
+    sub = rng.permutation(probe.n)[: probe.n // 2 + 1]
+    scores = model.log_scores(model.encode_dataset(probe, sub), w, len(sub))
+    for got, i in zip(scores, sub):
+        assert (got == weighted_class_score(probe.example(i), model, w)).all()
