@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,6 +176,10 @@ def _resolve_path(path: str | None) -> str | None:
     return path
 
 
+# the JSON values a RunConfig field type takes, where they are not its own
+_JSON_TYPES = {float: (int, float)}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -182,19 +187,25 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        unknown = set(doc) - fields.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in doc.items():
+            types = typing.get_args(hints[key]) or (hints[key],)
+            # a bool field takes only true or false, and no other field a bool
+            if not any(isinstance(value, bool) == (t is bool)
+                       and isinstance(value, _JSON_TYPES.get(t, t)) for t in types):
+                raise ConfigError(f"config key {key!r} must be {fields[key].type}, not {value!r}")
         values.update(doc)
     for f in dataclasses.fields(RunConfig):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    config = RunConfig(**values)
     config.validate()
     return config
 

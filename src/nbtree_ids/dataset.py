@@ -32,9 +32,8 @@ from .exceptions import (
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
-# lines per block; a block is decided whole, so it stays small: one bad
-# line sends only its block to the slow path, and the reader's str columns
-# stay near 1 MB
+# lines per block: a line the C reader cannot read sends its block to the
+# split-and-convert path, and the reader's str columns stay near 1 MB
 _CHUNK_LINES = 1024
 _STR_WIDTH = 32  # chars the C reader keeps of a symbol or a label
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -170,8 +169,8 @@ class LoadReport:
     skipped_lines: list[int] = field(default_factory=list)
     reasons: dict[str, int] = field(default_factory=dict)
     extended_domains: dict[str, list[str]] = field(default_factory=dict)
-    reader_lines: int = 0  # lines in blocks the C reader decided
-    fallback_lines: int = 0  # lines in blocks the split-and-convert path decided
+    reader_lines: int = 0  # lines of blocks the C reader read
+    fallback_lines: int = 0  # lines of blocks it raised on, split and converted
     seconds: float = 0.0
 
     def note_skip(self, line_number: int, reason: str) -> None:
@@ -454,17 +453,16 @@ def load_dataset(
 
     ``source`` may be a path or any iterable of lines. Every example gets
     weight 1/n and file order is preserved. Lines are read in blocks of
-    ``_CHUNK_LINES``, and each block is decided in one of two ways:
-
-    1. numpy's C reader parses the block against the full record dtype.
-       It only decides that a block is clean: every line has the right
-       field count, every number is finite, every label has a class, no
-       symbol fills the reader's str width (it may have been cut), no
-       byte failed to decode, no character of ``_READER_BLIND`` occurs,
-       and in strict mode every symbol lies in its non-empty domain.
-    2. Any other block goes to the split-and-convert path. It parses the
-       block column by column and hands each suspect line to
-       :func:`parse_record`, whose verdict alone counts.
+    ``_CHUNK_LINES``. numpy's C reader parses each block against the full
+    record dtype; a block it raises on (a wrong field count, or a number
+    it cannot read) is split and converted in Python instead. One verdict
+    then flags each row that :func:`parse_record` might judge otherwise: a
+    wrong field count, a non-finite number, a label with no class, in
+    strict mode a symbol outside its non-empty domain, a symbol as wide as
+    the reader's str width (it may have been cut), or a line holding an
+    undecodable byte or a character of ``_READER_BLIND``. Only flagged
+    lines go to :func:`parse_record`, whose verdict alone counts; a line
+    it keeps overwrites its own row.
 
     In strict mode (default) the first bad record aborts the load with
     that error; in permissive mode bad records are skipped and counted by
@@ -494,84 +492,72 @@ def load_dataset(
     wrong_count = ["0"] * expected  # stands in for a line of the wrong arity
     record, packed = _reader_dtypes(attrs)
 
-    def read_clean(texts: list[str]):
-        """The C reader's columns of a clean block, or None."""
-        text = "".join(texts)
-        # a lone surrogate is an undecodable byte, for parse_record to judge
-        if _undecoded(text) or any(c in text for c in _READER_BLIND):
-            return None
+    def read(texts: list[str]):
+        """The block's numbers (one row per continuous attribute), its symbol
+        columns, its labels, and the rows the reader may have misread: a
+        wrong field count, or a symbol the C reader may have cut to its
+        str width."""
+        m = len(texts)
         try:
             block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=record)
-        except ValueError:
-            return None
+        except ValueError:  # a wrong field count or a number the C reader cannot read
+            report.fallback_lines += m
+            rows = [f if len(f) == expected else wrong_count
+                    for f in (text.rstrip("\r\n").split(",") for text in texts)]
+            cols = list(zip(*rows))
+            numbers = np.array([_floats(cols[j]) for j in cont_idx]).reshape(-1, m)
+            *symbols, labels = (list(cols[j]) for j in (*disc_idx, -1))
+            arity = np.fromiter((f is wrong_count for f in rows), bool, m)
+            return numbers, dict(zip(disc_idx, symbols)), labels, arity
+        report.reader_lines += m
         block = block.view(packed)
-        numbers, symbols = block["numbers"], block["symbols"]
-        if not np.isfinite(numbers).all() or np.char.str_len(symbols).max() >= _STR_WIDTH:
-            return None
-        *columns, labels = symbols.T.tolist()
-        cols = dict(zip(disc_idx, columns))
-        codes = np.fromiter(map(name_code.get, labels, repeat(-1)), np.intp, len(labels))
-        if (codes < 0).any() or any(not sym_index[j].keys() >= set(cols[j]) for j in checked):
-            return None
-        return dict(zip(cont_idx, numbers.T)), cols, codes
+        *symbols, labels = block["symbols"].T.tolist()
+        # a str field may have been cut when its last code point is not NUL
+        cut = block["symbols"].view(np.uint32)[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
+        return block["numbers"].T, dict(zip(disc_idx, symbols)), labels, cut
 
-    def read_suspect(chunk: list[tuple[int, str]]):
-        """Split-and-convert columns of a block, with every bad line either
-        raised (strict) or dropped from ``keep`` (permissive)."""
-        m = len(chunk)
-        rows = [f if len(f) == expected else wrong_count
-                for f in (text.rstrip("\r\n").split(",") for _, text in chunk)]
-        suspect = np.fromiter((f is wrong_count or _undecoded(text)
-                               for f, (_, text) in zip(rows, chunk)), bool, m)
-        cols = list(zip(*rows))
-        values = {j: _floats(cols[j]) for j in cont_idx}
-        for v in values.values():
-            suspect |= ~np.isfinite(v)
-        codes = np.fromiter(map(name_code.get, cols[-1], repeat(-1)), np.intp, m)
-        suspect |= codes < 0
+    def flush(chunk: list[tuple[int, str]]) -> None:
+        nonlocal n
+        texts = [text for _, text in chunk]
+        m = len(texts)
+        numbers, cols, labels, flagged = read(texts)
+        # the verdict: every row parse_record might judge otherwise than read
+        flagged |= ~np.isfinite(numbers).all(axis=0)
+        codes = np.fromiter(map(name_code.get, labels, repeat(-1)), np.intp, m)
+        flagged |= codes < 0
         for j in checked:
             unseen = set(cols[j]) - sym_index[j].keys()
             if unseen:
-                suspect |= np.fromiter((s in unseen for s in cols[j]), bool, m)
+                flagged |= np.fromiter((s in unseen for s in cols[j]), bool, m)
+        if _reader_may_misread("".join(texts)):
+            flagged |= np.fromiter(map(_reader_may_misread, texts), bool, m)
         keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(suspect):
-            ln, text = chunk[i]
+        for i in np.flatnonzero(flagged):
+            ln = chunk[i][0]
             try:
-                ex = parse_record(text, schema, taxonomy, permissive=permissive, line_number=ln)
+                ex = parse_record(texts[i], schema, taxonomy, permissive=permissive, line_number=ln)
             except DataFormatError as exc:
                 if not permissive:
                     raise
                 report.note_skip(ln, exc.reason)
                 keep[i] = False
                 continue
-            # a kept line has the right arity, so its symbols are already in cols
-            for j in cont_idx:
-                values[j][i] = ex.values[j]
+            numbers[:, i] = [ex.values[j] for j in cont_idx]
+            for j in disc_idx:
+                cols[j][i] = ex.values[j]
             codes[i] = name_code[ex.raw_label]
-        symbols = {j: cols[j] for j in disc_idx}
         if not keep.all():
             kept = keep.tolist()
-            values = {j: v[keep] for j, v in values.items()}
-            symbols = {j: list(compress(col, kept)) for j, col in symbols.items()}
+            numbers = numbers[:, keep]
+            cols = {j: list(compress(col, kept)) for j, col in cols.items()}
             codes = codes[keep]
-        return values, symbols, codes
-
-    def flush(chunk: list[tuple[int, str]]) -> None:
-        nonlocal n
-        read = read_clean([text for _, text in chunk])
-        if read is None:
-            read = read_suspect(chunk)
-            report.fallback_lines += len(chunk)
-        else:
-            report.reader_lines += len(chunk)
-        values, cols, codes = read
         n_kept = len(codes)
         if n + n_kept > len(out[-1]):
             for arr in out:  # no views of `out` outlive a statement
                 arr.resize(max(2 * len(arr), n + n_kept), refcheck=False)
         new = slice(n, n + n_kept)
-        for j in cont_idx:
-            out[j][new] = values[j]
+        for j, row in zip(cont_idx, numbers):
+            out[j][new] = row
         for j in disc_idx:
             col = cols[j]
             index = sym_index[j]
@@ -627,6 +613,12 @@ def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
                        "formats": [("f8", (len(numbers),)), (text, (len(symbols),))],
                        "offsets": [0, 8 * len(numbers)], "itemsize": itemsize})
     return record, packed
+
+
+def _reader_may_misread(text: str) -> bool:
+    """Whether the C reader may misread ``text``: it holds an undecodable
+    byte or a character of ``_READER_BLIND``."""
+    return _undecoded(text) or any(c in text for c in _READER_BLIND)
 
 
 def _undecoded(text: str) -> bool:

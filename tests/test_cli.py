@@ -436,6 +436,23 @@ def test_unknown_config_key_exits_1(toy_corpus, tmp_path):
     assert main(["inspect", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"permissive": "no"}, "'permissive'"),
+    ({"bins": 2.5}, "'bins'"),
+    ({"folds": 2.5}, "'folds'"),
+    ({"bins": "10"}, "'bins'"),
+    ({"seed": 1.5, "sample_fraction": 0.5}, "'seed'"),
+    (5, "JSON object"),
+], ids=["bool-as-str", "int-as-float", "folds-as-float", "int-as-str", "seed-as-float",
+        "not-an-object"])
+def test_ill_typed_config_value_exits_1(toy_corpus, tmp_path, capsys, doc, named):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(cfg_path), *base_args(toy_corpus, tmp_path / "r")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+
+
 def test_config_hash_is_stable_and_excludes_out():
     a = RunConfig(train="x.csv", seed=1, out="here")
     b = RunConfig(train="x.csv", seed=1, out="elsewhere")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import synth
 from nbtree_ids import dataset as dataset_module
 from nbtree_ids.dataset import (
+    AttackTaxonomy,
     AttributeSpec,
     Example,
     Schema,
@@ -208,6 +211,18 @@ def test_clean_kdd_corpus_is_decided_wholly_by_the_c_reader(tmp_path):
     assert report.seconds > 0
 
 
+def test_unknown_attack_line_leaves_its_block_to_the_c_reader(tmp_path):
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[100] = lines[100].rsplit(",", 1)[0] + ",warp.\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    report = load_dataset(path, kdd99_schema(), kdd99_taxonomy(), permissive=True).load_report
+    assert report.skipped == 1
+    assert report.fallback_lines == 0
+    assert report.reader_lines == sum(1 for line in lines if line.strip())
+
+
 def test_load_undecodable_line_is_a_bad_record(tmp_path):
     path = tmp_path / "records.csv"
     lines = [line.encode() for line in toy_lines()]
@@ -359,6 +374,64 @@ def test_load_matches_parse_record_loop(lines, chunk, permissive):
     assert report.reasons == reasons
     extended = {"color": domains["color"][3:]} if len(domains["color"]) > 3 else {}
     assert report.extended_domains == extended
+    assert report.reader_lines + report.fallback_lines == sum(1 for line in lines if line.strip())
+
+
+# a KDD attack name wider than the C reader's str field; it and the name
+# the reader would cut it to map to two classes
+KDD_LONG_NAME = "long_attack_" + "x" * dataset_module._STR_WIDTH
+KDD_LONG_NAMES = {KDD_LONG_NAME: "DoS", KDD_LONG_NAME[:dataset_module._STR_WIDTH]: "Probe"}
+KDD_EDITS = {
+    "field-count": lambda f: f[:5] + f[6:],
+    "unparseable-number": lambda f: f[:4] + [f[4] + "?"] + f[5:],
+    "nan": lambda f: f[:22] + ["nan"] + f[23:],
+    "unknown-attack": lambda f: f[:-1] + ["warp."],
+    "long-label": lambda f: f[:-1] + [KDD_LONG_NAME + "."],
+    "undecodable": lambda f: f[:2] + [f[2] + "\udce9"] + f[3:],  # the byte 0xe9
+}
+# the edits of each block; blocks 2 and 3 hold lines the C reader raises on
+KDD_EDITED_BLOCKS = {
+    0: ["nan", "unknown-attack", "long-label", "undecodable"],
+    2: ["field-count", "unparseable-number", "nan", "long-label"],
+    3: ["unknown-attack", "undecodable", "field-count"],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    block = dataset_module._CHUNK_LINES
+    for b, kinds in KDD_EDITED_BLOCKS.items():
+        rows = rng.choice(np.arange(b * block, (b + 1) * block), len(kinds), replace=False)
+        for i, kind in zip(rows, kinds):
+            lines[i] = ",".join(KDD_EDITS[kind](lines[i].rstrip("\n").split(","))) + "\n"
+    path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+    schema = kdd99_schema()
+    taxonomy = AttackTaxonomy({**kdd99_taxonomy().mapping, **KDD_LONG_NAMES})
+
+    with pytest.raises(DataFormatError) as expected:
+        reference_load(lines, schema, taxonomy, permissive=False)
+    with pytest.raises(DataFormatError) as got:
+        load_dataset(path, schema, taxonomy)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+    kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive=True)
+    ds = load_dataset(path, schema, taxonomy, permissive=True)
+    assert [ds.example(i) for i in range(ds.n)] == [
+        Example(ex.values, ex.label, ex.raw_label, 1.0 / len(kept)) for ex in kept
+    ]
+    assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
+    report = ds.load_report
+    assert report.skipped_lines == [ln for ln, _ in skipped]
+    assert report.reasons == Counter(reason for _, reason in skipped)
+    assert len(skipped) == 9  # every edit but the two long labels
+    assert report.extended_domains == {}
+    assert report.fallback_lines == 2 * block
+    assert report.reader_lines == len(lines) - 2 * block
 
 
 # -- class_counts -------------------------------------------------------------------
