@@ -200,7 +200,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if not any(isinstance(value, bool) == (t is bool)
                        and isinstance(value, _JSON_TYPES.get(t, t)) for t in types):
                 raise ConfigError(f"config key {key!r} must be {fields[key].type}, not {value!r}")
-        values.update(doc)
+            # a JSON integer for a float field hashes as the same flag would
+            values[key] = float(value) if float in types and value is not None else value
     for f in dataclasses.fields(RunConfig):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:

@@ -236,7 +236,8 @@ class WeightedDataset:
         source: str | None = None,
     ) -> "WeightedDataset":
         """Build a dataset from in-memory value rows (mainly for tests and
-        synthetic data). Discrete values must already be in the domain."""
+        synthetic data). Discrete values must already be in the domain and
+        continuous ones finite."""
         if len(rows) != len(labels):
             raise SchemaError("rows and labels differ in length")
         n = len(rows)
@@ -254,7 +255,12 @@ class WeightedDataset:
                         f"value {exc.args[0]!r} outside domain of {spec.name!r}"
                     ) from None
             else:
-                cols.append(np.asarray(raw, dtype=np.float64))
+                col = np.asarray(raw, dtype=np.float64)
+                bad = np.flatnonzero(~np.isfinite(col))
+                if bad.size:
+                    raise SchemaError(f"non-finite value {col[bad[0]]} of {spec.name!r} "
+                                      f"in row {int(bad[0])}")
+                cols.append(col)
         lab = np.array([schema.class_index(c) for c in labels], dtype=np.int64)
         if weights is None:
             w = np.full(n, 1.0 / n)

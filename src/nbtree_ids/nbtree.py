@@ -18,29 +18,28 @@ accepted only if it cuts the node's cross-validated error by more than
 are assigned by a deterministic hash of (example row, node path), so
 builds are exactly reproducible.
 
-Continuous attributes are re-binned (``probability.bin_columns``) on each
-node's partition and on each candidate child's partition, and the add-k
-smoothing strength k is counted in units of the NB-tree training set's
-mean example weight, for the split search and the leaves alike. Each node
-fits its model with ``probability.fit_codes``, the baselines' fit. So the
-perfect-classification check and the split utility see exactly what the
-corresponding leaf model would see: a split is scored by the leaf models
-it would create. An attribute that would give a node one child scores the
-node's own accuracy, so it never wins.
+Continuous attributes are re-binned on each node's partition and on each
+candidate child's partition by ``probability.rank_codes``, the baselines'
+binning, and the add-k smoothing strength k is counted in units of the
+NB-tree training set's mean example weight, for the split search and the
+leaves alike. Each node fits its model with ``probability.fit_codes``,
+the baselines' fit. So the perfect-classification check and the split
+utility see exactly what the corresponding leaf model would see: a split
+is scored by the leaf models it would create. An attribute that would
+give a node one child scores the node's own accuracy, so it never wins.
 
-The search never re-encodes a candidate child. Each searched node ranks
-the distinct values of its continuous columns once; a child's
-equal-frequency edges are read from its histogram of those ranks at the
-"lower" quantile positions, and its codes are a lookup of its ranks. They
-equal ``bin_columns`` on the child's rows exactly. The children of one
-split attribute are cross-validated in batches: one ``bincount`` per
-attribute over (child, fold, class, code), with each child's tables at
-its own code count. Every per-row sum runs over a child's rows in node
-order, so each utility is bit for bit the one scoring the child alone
-gives (the reference in ``tests/oracles.py``). Folds stay salted per
-child, by split attribute, branch and threshold: inheriting the node's
-folds would be cheaper, but it would change which rows each child trains
-on, and so the trees.
+The search never re-encodes a candidate child. Each node sorts each
+continuous column once (``probability.bin_column``) and keeps the ranks
+of its rows among the distinct values; a batch of children is binned
+from its histograms of those ranks, exactly as each child's own column
+would be. The children of one split attribute are cross-validated in
+batches: one ``bincount`` per attribute over (child, fold, class, code),
+with each child's tables at its own code count. Every per-row sum runs
+over a child's rows in node order, so each utility is bit for bit the one
+scoring the child alone gives (the reference in ``tests/oracles.py``).
+Folds stay salted per child, by split attribute, branch and threshold:
+inheriting the node's folds would be cheaper, but it would change which
+rows each child trains on, and so the trees.
 
 The node type, routing, dump and JSON codec live in ``tree``, shared with
 the gain tree; ``NBTree`` adds the naive-Bayes leaves and their scoring.
@@ -60,8 +59,9 @@ from .exceptions import DataFormatError, TrainingError
 from .probability import (
     NaiveBayesModel,
     as_weight_array,
-    bin_columns,
+    bin_column,
     fit_codes,
+    rank_codes,
     smoothed_conditionals,
     smoothed_priors,
     _normalise_rows,
@@ -92,6 +92,12 @@ class NBTreeParams:
             raise ValueError("max_depth must be >= 1")
         if not (0.0 <= self.significance < 1.0):
             raise ValueError("significance must be in [0, 1)")
+        if not self.min_split_examples >= 0:
+            raise ValueError("min_split_examples must be >= 0")
+        if not self.smoothing_k >= 0:
+            raise ValueError("smoothing_k must be >= 0")
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,42 +140,6 @@ def _fold_assign(groups: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray
     return fold
 
 
-# -- candidate-child bins from node ranks ---------------------------------------
-
-
-class _Ranks(NamedTuple):
-    """One continuous column at a node: its sorted distinct values and the
-    dense rank of each node row among them."""
-
-    distinct: np.ndarray
-    rank: np.ndarray
-
-
-def _rank_codes(ranks: _Ranks, pos: np.ndarray, child: np.ndarray, sizes: np.ndarray,
-                bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-frequency codes of one continuous column for a batch of
-    children, and each child's code count V. ``pos`` lists the children's
-    node positions back to back, ``child`` the child of each and ``sizes``
-    their lengths. Exactly ``bin_columns`` on each child's own values: a
-    child's histogram of node ranks, summed, gives its sorted values, read
-    at the "lower" quantile positions of ``equal_frequency_edges``."""
-    K, U = len(sizes), len(ranks.distinct)
-    flat = child * U + ranks.rank[pos]
-    cum = np.cumsum(np.bincount(flat, minlength=K * U))   # over children, back to back
-    start = cum[U - 1::U] - sizes   # rows of earlier children
-    at = np.searchsorted(   # child k's edge ranks, as k*U + rank
-        cum, start[:, None] + np.floor((sizes[:, None] - 1) * (np.arange(1, bins) / bins))
-        .astype(np.intp), side="right")
-    top = np.searchsorted(cum, start + sizes - 1, side="right")   # each child's largest value
-    keep = at < top[:, None]
-    keep[:, 1:] &= at[:, 1:] != at[:, :-1]   # ties collapse
-    n_edges = keep.sum(axis=1)
-    # each child's edges below each rank
-    below = np.cumsum(np.bincount(at[keep] + 1, minlength=K * U)).reshape(K, U)
-    below -= (np.cumsum(n_edges) - n_edges)[:, None]
-    return below.ravel()[flat], n_edges + 1
-
-
 # -- encoded view used during construction -------------------------------------
 
 
@@ -177,11 +147,12 @@ class _NodeView(NamedTuple):
     """One node's partition, encoded with bins fitted on the partition
     itself (discrete codes are global), so the node sees exactly what its
     own leaf model sees. Candidate children are not re-encoded: their bins
-    come from the node's ranks (``_rank_codes``)."""
+    come from the node's ranks (``probability.rank_codes``)."""
 
     rows: np.ndarray      # global row ids (fold hashing key)
-    codes: list           # one code column per attribute, as ``bin_columns`` returns them
+    codes: list           # one code column per attribute
     edges: list           # per attribute; empty for discrete ones
+    ranks: list           # per attribute: (sorted distinct values, row ranks); None if discrete
     labels: np.ndarray
     weights: np.ndarray
 
@@ -212,15 +183,14 @@ class _BuildContext:
             ("nodes", "split_searches", "children_scored", "cross_validations", "cv_batches"), 0)
 
     def node_view(self, rows: np.ndarray) -> _NodeView:
-        codes, edges = bin_columns(self.schema, [col[rows] for col in self.raw], self.params.bins)
-        return _NodeView(rows, codes, edges, self.labels[rows], self.weights[rows])
-
-    def node_ranks(self, view: _NodeView) -> list:
-        """Per attribute: ``_Ranks`` of a continuous column, None for a
-        discrete one."""
-        return [None if spec.is_discrete
-                else _Ranks(*np.unique(col[view.rows], return_inverse=True))
-                for spec, col in zip(self.schema.attributes, self.raw)]
+        codes, edges, ranks = [], [], []
+        for spec, col in zip(self.schema.attributes, self.raw):
+            code, attr_edges, rank = ((col[rows], np.empty(0), None) if spec.is_discrete
+                                      else bin_column(col[rows], self.params.bins))
+            codes.append(code)
+            edges.append(attr_edges)
+            ranks.append(rank)
+        return _NodeView(rows, codes, edges, ranks, self.labels[rows], self.weights[rows])
 
     def misclassified(self, view: _NodeView, model: NaiveBayesModel) -> int:
         """Examples of the view that ``model`` (its node model) gets wrong
@@ -228,7 +198,7 @@ class _BuildContext:
         pred = np.argmax(model.log_scores(view.codes, self.attr_w, n=len(view.rows)), axis=1)
         return int(np.count_nonzero(pred != view.labels))
 
-    def cv_accuracies(self, view: _NodeView, ranks: list, children) -> list[float]:
+    def cv_accuracies(self, view: _NodeView, children) -> list[float]:
         """Stratified k-fold cross-validated, weight-averaged NB accuracy of
         each ``(positions, salt)`` child of the view, each with bins fitted
         on its own rows and folds keyed by (global row id, its salt).
@@ -236,19 +206,19 @@ class _BuildContext:
         accs: list[float] = []
         batch: list = []
         rows = cells = 0   # cells: the batch's rank histograms, children x distinct values
-        widest = max([len(r.distinct) for r in ranks if r is not None], default=1)
+        widest = max([len(r[0]) for r in view.ranks if r is not None], default=1)
         for pos, salt in children:
             if batch and (rows + len(pos) > _BATCH_ROWS or cells + widest > _BATCH_ROWS):
-                accs += self._cv_batch(view, ranks, batch)
+                accs += self._cv_batch(view, batch)
                 batch, rows, cells = [], 0, 0
             batch.append((pos, salt))
             rows += len(pos)
             cells += widest
         if batch:
-            accs += self._cv_batch(view, ranks, batch)
+            accs += self._cv_batch(view, batch)
         return accs
 
-    def _cv_batch(self, view: _NodeView, ranks: list, batch: list) -> list[float]:
+    def _cv_batch(self, view: _NodeView, batch: list) -> list[float]:
         """``cv_accuracies`` of one batch: one ``bincount`` per attribute
         over (child, fold, class, code), tables stacked at each child's own
         V. Rows stay in node order within a child, so every sum is the one a
@@ -274,11 +244,12 @@ class _BuildContext:
         for j, wa in enumerate(self.attr_w):
             if wa == 0.0:
                 continue
-            if ranks[j] is None:
+            if view.ranks[j] is None:
                 code = view.codes[j][pos]
                 V = np.full(K, len(self.schema.attributes[j].domain))
             else:
-                code, V = _rank_codes(ranks[j], pos, child, sizes, self.params.bins)
+                distinct, rank = view.ranks[j]
+                code, V, _ = rank_codes(rank[pos], child, sizes, len(distinct), self.params.bins)
             width = int(V.max())
             cnt = np.bincount(cell * width + code, weights=w, minlength=K * F * C * width)
             cnt = cnt.reshape(K, F, C, width)
@@ -302,7 +273,7 @@ class _BuildContext:
         return [float(min(1.0, max(0.0, hit[e - m:e].sum() / w[e - m:e].sum())))
                 for m, e in zip(sizes.tolist(), ends.tolist())]
 
-    def split_utility_value(self, view: _NodeView, ranks: list, j: int, salt: np.uint64,
+    def split_utility_value(self, view: _NodeView, j: int, salt: np.uint64,
                             node_accuracy: float) -> tuple[float, float | None]:
         """Best utility for attribute j (searching thresholds when
         continuous): the weight-averaged cross-validated accuracy of the
@@ -318,7 +289,7 @@ class _BuildContext:
             candidates = [None]
         else:
             values = self.raw[j][view.rows]
-            thr = threshold_candidates(values, view.weights, ranks[j].distinct)
+            thr = threshold_candidates(values, view.weights, view.ranks[j][0])
             if thr.size == 0:
                 return node_accuracy, None
             candidates = list(thr)
@@ -337,7 +308,7 @@ class _BuildContext:
                     if scored:
                         yield pos, salt ^ _path_salt(f"{j}:{key}:{t}")
 
-        accs = iter(self.cv_accuracies(view, ranks, scored_children()))
+        accs = iter(self.cv_accuracies(view, scored_children()))
         self.stats["children_scored"] += sum(scored for _, _, scored in parts)
         total = float(view.weights.sum())
         utils = [0.0] * len(candidates)
@@ -350,23 +321,22 @@ class _BuildContext:
                 best_u, best_t = u, t
         return best_u, (None if best_t is None else float(best_t))
 
-    def node_accuracy(self, view: _NodeView, ranks: list, salt: np.uint64) -> float:
+    def node_accuracy(self, view: _NodeView, salt: np.uint64) -> float:
         """The node's own cross-validated accuracy, folds keyed by its salt."""
-        return self.cv_accuracies(view, ranks, [(np.arange(len(view.rows)), salt)])[0]
+        return self.cv_accuracies(view, [(np.arange(len(view.rows)), salt)])[0]
 
     def best_split(self, view: _NodeView, salt: np.uint64) -> SplitUtility | None:
         node_weight = float(view.weights.sum())
         if node_weight < self.params.min_split_examples * self.example_mass:
             return None
         self.stats["split_searches"] += 1
-        ranks = self.node_ranks(view)
-        node_acc = self.node_accuracy(view, ranks, salt)
+        node_acc = self.node_accuracy(view, salt)
         node_err = 1.0 - node_acc
         if node_err <= 0:
             return None
         best: SplitUtility | None = None
         for j, spec in enumerate(self.schema.attributes):
-            u, t = self.split_utility_value(view, ranks, j, salt, node_acc)
+            u, t = self.split_utility_value(view, j, salt, node_acc)
             if best is None or u > best.utility:
                 best = SplitUtility(spec.name, u, t)
         if best is None:
@@ -426,9 +396,8 @@ def split_utility(
     ctx = _BuildContext(partition, attr_weights, params)
     j = partition.schema.attribute_index(attribute)
     view = ctx.node_view(np.arange(partition.n))
-    ranks = ctx.node_ranks(view)
     salt = _path_salt("root")
-    u, t = ctx.split_utility_value(view, ranks, j, salt, ctx.node_accuracy(view, ranks, salt))
+    u, t = ctx.split_utility_value(view, j, salt, ctx.node_accuracy(view, salt))
     return SplitUtility(attribute, u, t)
 
 

@@ -5,10 +5,11 @@ one (C, V) conditional table per attribute, the bin edges (empty for a
 discrete attribute), the smoothing k and the fit-time class masses. Names,
 kinds and domains are read from the schema alone.
 
-``bin_columns`` is the one binning: discrete attributes keep their symbol
-codes, continuous ones get equal-frequency bins fitted on the data the
-model is estimated from. ``fit_codes`` is the one fit: priors are class
-mass over total mass, conditionals are add-k smoothed weighted
+``rank_codes`` is the one equal-frequency binning, of a batch of row
+groups by their value ranks; ``bin_columns`` bins each continuous column
+as one group on the data the model is estimated from, and discrete
+attributes keep their symbol codes. ``fit_codes`` is the one fit: priors
+are class mass over total mass, conditionals are add-k smoothed weighted
 frequencies, with k in absolute weight units. ``fit_naive_bayes`` (the
 baselines and the weighting pass) states k in units of the dataset's mean
 example weight; each NB-tree node calls ``fit_codes`` with the tree's k.
@@ -36,26 +37,43 @@ from .exceptions import DataFormatError, SchemaError, TrainingError
 MODEL_FORMAT = "nb-model/1"
 
 
-def equal_frequency_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Interior cut points for equal-frequency binning.
+def rank_codes(rank: np.ndarray, group: np.ndarray | int, sizes: np.ndarray,
+               n_distinct: int, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal-frequency codes for a batch of row groups (one column, or the
+    candidate children of an NB-tree node), from ``rank``, each row's rank
+    among the ``n_distinct`` sorted distinct values, ``group``, each row's
+    group, and ``sizes``, the group lengths. Returns the int32 codes, each
+    group's code count V and the edge ranks, as group * n_distinct + rank.
+    A group of m rows cuts at its sorted values floor((m - 1) * i / bins),
+    i = 1 .. bins - 1 (the "lower" quantiles), read from its histogram of
+    ranks; ties collapse and an edge at its largest value is dropped. Bin i
+    covers (edge[i-1], edge[i]]."""
+    K, U = len(sizes), max(n_distinct, 1)
+    flat = group * U + rank
+    cum = np.cumsum(np.bincount(flat, minlength=K * U))   # over groups, back to back
+    start = cum[U - 1::U] - sizes   # rows of earlier groups
+    at = np.searchsorted(   # group k's edge ranks, as k*U + rank
+        cum, start[:, None] + np.floor((sizes[:, None] - 1) * (np.arange(1, bins) / bins))
+        .astype(np.intp), side="right")
+    top = np.searchsorted(cum, start + sizes - 1, side="right")   # each group's largest value
+    keep = at < top[:, None]
+    keep[:, 1:] &= at[:, 1:] != at[:, :-1]   # ties collapse
+    n_edges = keep.sum(axis=1)
+    # each group's edges below each rank
+    below = np.cumsum(np.bincount(at[keep] + 1, minlength=K * U)).reshape(K, U)
+    below -= (np.cumsum(n_edges) - n_edges)[:, None]
+    return below.astype(np.int32).ravel()[flat], n_edges + 1, at[keep]
 
-    Edges are actual data values; ties collapse duplicated edges, so heavy-
-    tailed columns may end up with fewer than ``bins`` bins. A constant
-    column yields no edges (a single bin).
-    """
+
+def bin_column(values: np.ndarray, bins: int):
+    """One continuous column binned on its own values by ``rank_codes``:
+    its int32 codes, its edges, and (its sorted distinct values, each
+    value's rank among them)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0 or bins == 1:
-        return np.empty(0)
-    qs = np.quantile(values, np.arange(1, bins) / bins, method="lower")
-    edges = np.unique(qs)
-    return edges[edges < values.max()]
-
-
-def bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Map values to bin indices: bin i covers (edge[i-1], edge[i]]."""
-    return np.searchsorted(edges, values, side="left").astype(np.int32)
+    distinct, rank = np.unique(values, return_inverse=True)
+    codes, _, edge_ranks = rank_codes(rank, 0, np.array([len(rank)]), len(distinct), bins)
+    return codes, distinct[edge_ranks], (distinct, rank)
 
 
 @dataclass
@@ -100,14 +118,11 @@ def value_count(spec, edges: np.ndarray) -> int:
 
 
 def bin_columns(schema: Schema, columns, bins: int) -> tuple[list, list]:
-    """The one binning: per-attribute value codes and bin edges. Discrete
-    columns keep their symbol codes (no edges); continuous ones get
-    equal-frequency edges fitted on these values."""
-    edges = [np.empty(0) if spec.is_discrete else equal_frequency_edges(col, bins)
-             for spec, col in zip(schema.attributes, columns)]
-    codes = [col if spec.is_discrete else bin_codes(col, e)
-             for spec, col, e in zip(schema.attributes, columns, edges)]
-    return codes, edges
+    """Per-attribute value codes and bin edges. Discrete columns keep their
+    symbol codes (no edges); continuous ones get ``bin_column``."""
+    binned = [(col, np.empty(0)) if spec.is_discrete else bin_column(col, bins)[:2]
+              for spec, col in zip(schema.attributes, columns)]
+    return [code for code, _ in binned], [edges for _, edges in binned]
 
 
 def fit_codes(schema: Schema, codes, edges, labels: np.ndarray, weights: np.ndarray,
@@ -298,6 +313,8 @@ def fit_naive_bayes(dataset: WeightedDataset, k: float = 1.0, bins: int = 10) ->
     weighted data the fit is exactly the classic add-k estimate from
     counts, whether the weights are 1/n or 1.
     """
+    if not k >= 0:
+        raise ValueError("k must be >= 0")
     total = dataset.total_weight
     if total <= 0:
         raise TrainingError("cannot estimate priors: zero total weight")

@@ -1,17 +1,19 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately written with plain dict/loop arithmetic,
-no shared code with the package internals, so a disagreement points at a
-real defect rather than a shared bug. The one exception is the last
-section: the NB-tree's per-child split search, kept as the scalar
-reference its batched kernel must equal bit for bit.
+Everything here is deliberately written with plain dict/loop arithmetic
+or plain numpy, no shared code with the package internals, so a
+disagreement points at a real defect rather than a shared bug. The
+equal-frequency binning is the ``np.quantile`` version the package's rank
+kernel replaced. The one exception is the last section: the NB-tree's
+per-child split search, kept as the scalar reference its batched kernel
+must equal bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from nbtree_ids.nbtree import SplitUtility, _mix64, _path_salt
+from nbtree_ids.nbtree import SplitUtility, _NodeView, _mix64, _path_salt
 from nbtree_ids.probability import smoothed_conditionals, smoothed_priors, value_count
 from nbtree_ids.tree import split_rows, threshold_candidates
 
@@ -70,6 +72,27 @@ def argmax_class(scores, classes):
         if scores[c] == best:
             return c
     raise AssertionError("unreachable")
+
+
+# -- equal-frequency binning by np.quantile -------------------------------------
+
+
+def equal_frequency_edges(values, bins):
+    """Interior cut points of equal-frequency binning: the "lower"
+    quantiles at i / bins, i = 1 .. bins - 1. Edges are data values; ties
+    collapse duplicated edges and an edge at the maximum is dropped, so a
+    constant (or empty) column yields no edges (a single bin)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0 or bins == 1:
+        return np.empty(0)
+    qs = np.quantile(values, np.arange(1, bins) / bins, method="lower")
+    edges = np.unique(qs)
+    return edges[edges < values.max()]
+
+
+def bin_codes(values, edges):
+    """Map values to bin indices: bin i covers (edge[i-1], edge[i]]."""
+    return np.searchsorted(edges, values, side="left").astype(np.int32)
 
 
 # -- entropy and information gain by direct summation ---------------------------
@@ -186,11 +209,23 @@ def fp_rate(mat, classes, c):
 # -- the NB-tree split search, one candidate child at a time ----------------------
 #
 # The search as it ran before it was batched: every candidate child is
-# re-encoded with ``bin_columns`` on its own rows (``ctx.node_view``) and
-# cross-validated alone. It reads the training data and knobs of a
-# ``nbtree._BuildContext`` and shares its fold hash, estimators and row
-# partition, each pinned by the oracles above or by its own tests, so any
-# difference from the batched kernel is in the batching.
+# re-encoded on its own rows with the quantile binning above
+# (``reference_view``) and cross-validated alone. It reads the training
+# data and knobs of a ``nbtree._BuildContext`` and shares its fold hash,
+# estimators and row partition, each pinned by the oracles above or by
+# its own tests, so any difference from the batched kernel is in the
+# batching or the rank binning.
+
+
+def reference_view(ctx, rows):
+    """The node view of ``rows``, each continuous column binned by
+    ``equal_frequency_edges`` on those rows (no ranks)."""
+    edges = [np.empty(0) if spec.is_discrete
+             else equal_frequency_edges(col[rows], ctx.params.bins)
+             for spec, col in zip(ctx.schema.attributes, ctx.raw)]
+    codes = [col[rows] if spec.is_discrete else bin_codes(col[rows], e)
+             for spec, col, e in zip(ctx.schema.attributes, ctx.raw, edges)]
+    return _NodeView(rows, codes, edges, None, ctx.labels[rows], ctx.weights[rows])
 
 
 def fold_assign_by_class(labels, keys, folds):
@@ -261,7 +296,8 @@ def split_utility_value(ctx, view, j, salt, node_accuracy):
             if wch < ctx.example_mass:
                 acc = node_accuracy
             else:
-                acc = cv_accuracy(ctx, ctx.node_view(rows), salt ^ _path_salt(f"{j}:{key}:{t}"))
+                acc = cv_accuracy(ctx, reference_view(ctx, rows),
+                                  salt ^ _path_salt(f"{j}:{key}:{t}"))
             u += (wch / total) * acc
         u = min(1.0, max(0.0, u))
         if u > best_u:

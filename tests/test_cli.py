@@ -453,6 +453,20 @@ def test_ill_typed_config_value_exits_1(toy_corpus, tmp_path, capsys, doc, named
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, flags", [
+    ({"smoothing_k": 1}, ["--smoothing-k", "1"]),
+    ({"weighting_min_leaf_examples": 30}, []),
+    ({"test_fraction": None}, []),
+], ids=["int-for-float", "int-restating-default", "null-for-optional-float"])
+def test_config_file_number_hashes_as_flag(toy_corpus, tmp_path, doc, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    train = ["--train", str(toy_corpus)]
+    assert main(["inspect", "--config", str(cfg_path), *train, "--out", str(tmp_path / "a")]) == 0
+    assert main(["inspect", *flags, *train, "--out", str(tmp_path / "b")]) == 0
+    assert run_dir(tmp_path / "a").name == run_dir(tmp_path / "b").name
+
+
 def test_config_hash_is_stable_and_excludes_out():
     a = RunConfig(train="x.csv", seed=1, out="here")
     b = RunConfig(train="x.csv", seed=1, out="elsewhere")

@@ -493,6 +493,14 @@ def test_project_subset_keeps_labels_weights_and_order():
     assert class_counts(red).by_class() == class_counts(ds).by_class()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_from_rows_rejects_non_finite_numbers(bad):
+    schema = Schema((AttributeSpec("a", "discrete", ("x",)), AttributeSpec("b", "continuous")),
+                    ("A",))
+    with pytest.raises(SchemaError, match=r"'b' in row 1"):
+        WeightedDataset.from_rows(schema, [("x", 1.0), ("x", bad)], ["A", "A"])
+
+
 def test_project_rejects_unknown_or_empty():
     ds = load_dataset(toy_lines(), toy_schema(), toy_taxonomy())
     with pytest.raises(SchemaError):

@@ -18,7 +18,6 @@ from nbtree_ids.nbtree import (
     _fold_assign,
     _mix64,
     _path_salt,
-    _rank_codes,
     best_split,
     build_nbtree,
     classify_nbtree,
@@ -26,8 +25,10 @@ from nbtree_ids.nbtree import (
     split_utility,
 )
 from nbtree_ids.probability import (
-    equal_frequency_edges,
+    bin_column,
+    bin_columns,
     fit_naive_bayes,
+    rank_codes,
     weighted_class_score,
 )
 from nbtree_ids.tree import grow_tree, iter_nodes, node_to_dict, route_rows
@@ -85,7 +86,7 @@ def _oracle_encode(rows, domains, bins):
     for j, dom in enumerate(domains):
         col = [r[j] for r in rows]
         if dom is None:
-            edges = equal_frequency_edges(np.asarray(col, dtype=float), bins)
+            edges = oracles.equal_frequency_edges(np.asarray(col, dtype=float), bins)
             col = [sum(1 for e in edges if e < v) for v in col]
             dom = tuple(range(len(edges) + 1))
         cols.append(col)
@@ -255,7 +256,7 @@ def test_continuous_split_utility_rebins_each_child():
         ("D", "N", "P"),
     )
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    assert list(equal_frequency_edges(ds.columns[1], 10)) == [0.0]
+    assert list(oracles.equal_frequency_edges(ds.columns[1], 10)) == [0.0]
     k_eff = 1.0 * ds.total_weight / ds.n
     want, node_acc = _oracle_split_utility(
         rows, labels, list(ds.weights), ("D", "N", "P"), [None, None], 0, k_eff, 5
@@ -591,17 +592,22 @@ def test_child_bins_from_node_ranks_equal_bin_columns(data):
     ctx = _BuildContext(WeightedDataset(schema, [column], np.zeros(n), np.ones(n)),
                         params=NBTreeParams(bins=bins))
     view = ctx.node_view(node)
-    (ranks,) = ctx.node_ranks(view)
+    ((distinct, rank),) = view.ranks
     sizes = np.array([len(pos) for pos in children])
-    codes, n_values = _rank_codes(ranks, np.concatenate(children),
-                                  np.repeat(np.arange(len(children)), sizes), sizes, bins)
+    codes, n_values, edge_ranks = rank_codes(
+        rank[np.concatenate(children)], np.repeat(np.arange(len(children)), sizes), sizes,
+        len(distinct), bins)
+    all_edges = []
     for pos, got, V in zip(children, np.split(codes, np.cumsum(sizes)[:-1]), n_values):
-        want = ctx.node_view(view.rows[pos])   # bin_columns on the child's own rows
-        assert np.array_equal(got, want.codes[0])
-        assert V == len(want.edges[0]) + 1
-        # each edge is the largest value of its bin
+        # the quantile reference on the child's own values
         values = column[view.rows[pos]]
-        assert np.array_equal([values[got == b].max() for b in range(V - 1)], want.edges[0])
+        edges = oracles.equal_frequency_edges(values, bins)
+        assert np.array_equal(got, oracles.bin_codes(values, edges))
+        assert V == len(edges) + 1
+        # each edge is the largest value of its bin
+        assert np.array_equal([values[got == b].max() for b in range(V - 1)], edges)
+        all_edges += list(edges)
+    assert np.array_equal(distinct[edge_ranks % len(distinct)], all_edges)
 
 
 def with_lone_row(ds, rng, uneven):
@@ -621,7 +627,7 @@ class _PerChildContext(_BuildContext):
     """A build whose every split decision is the per-child reference's."""
 
     def best_split(self, view, salt):
-        return oracles.best_split(self, view, salt)
+        return oracles.best_split(self, oracles.reference_view(self, view.rows), salt)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -642,7 +648,7 @@ def test_split_search_equals_per_child_reference(seed, kinds, folds, bins, k, si
     params = NBTreeParams(folds=folds, bins=bins, smoothing_k=k, significance=significance,
                           min_split_examples=1.0, max_depth=4)
     ctx = _BuildContext(ds, attr_w, params)
-    view = ctx.node_view(np.arange(ds.n))
+    view = oracles.reference_view(ctx, np.arange(ds.n))
     salt = _path_salt("root")
     node_acc = oracles.cv_accuracy(ctx, view, salt)
     for j, name in enumerate(ds.schema.attribute_names):
@@ -652,3 +658,52 @@ def test_split_search_equals_per_child_reference(seed, kinds, folds, bins, k, si
     # and at every node of a build, where rows and path salts vary
     reference = grow_tree(ds, _PerChildContext(ds, attr_w, params).split_of)
     assert node_to_dict(build_nbtree(ds, attr_w, params).root) == node_to_dict(reference)
+
+
+# -- fit-time codes against score-time codes ----------------------------------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fit_codes_equal_score_codes(data):
+    # few distinct values: heavy ties, and every edge is a value of the data
+    n = data.draw(st.integers(2, 80))
+    pool = data.draw(st.lists(st.floats(-50, 50), min_size=1, max_size=5, unique=True))
+    columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+               for _ in range(2)]
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    bins = data.draw(st.integers(1, 12))
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("y", "continuous")),
+                    ("A", "B"))
+    ds = WeightedDataset(schema, columns, labels, np.ones(n))
+    fitted = bin_columns(schema, ds.columns, bins)
+    model = fit_naive_bayes(ds, bins=bins)
+    checks = [(model, np.arange(n), fitted)]
+    params = NBTreeParams(folds=2, bins=bins, min_split_examples=1.0, max_depth=3)
+    ctx = _BuildContext(ds, params=params)
+    for leaf, rows in route_rows(build_nbtree(ds, params=params).root, ds):
+        view = ctx.node_view(rows)   # the leaf's own fit
+        checks.append((leaf, rows, (view.codes, view.edges)))
+    for model, rows, (codes, edges) in checks:
+        assert all(np.array_equal(a, b) for a, b in zip(model.edges, edges))
+        assert all(np.array_equal(a, b) for a, b in zip(model.encode_dataset(ds, rows), codes))
+
+
+# -- parameter ranges --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda ds: fit_naive_bayes(ds, k=-0.5),
+    lambda ds: fit_naive_bayes(ds, k=float("nan")),
+    lambda ds: bin_column(ds.columns[0], 0),
+    lambda ds: NBTreeParams(bins=0).validate(),
+    lambda ds: NBTreeParams(smoothing_k=-1).validate(),
+    lambda ds: NBTreeParams(min_split_examples=-5).validate(),
+    lambda ds: NBTreeParams(min_split_examples=float("nan")).validate(),
+], ids=["nb-negative-k", "nb-nan-k", "zero-bins", "tree-zero-bins", "tree-negative-k",
+        "tree-negative-min-split", "tree-nan-min-split"])
+def test_out_of_range_params_raise_value_error(call):
+    schema = Schema((AttributeSpec("x", "continuous"),), ("A", "B"))
+    ds = WeightedDataset.from_rows(schema, [(float(v),) for v in range(6)], ["A", "B"] * 3)
+    with pytest.raises(ValueError):
+        call(ds)

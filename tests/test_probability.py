@@ -3,16 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.exceptions import TrainingError
 from nbtree_ids.probability import (
     NaiveBayesModel,
-    bin_codes,
+    bin_column,
     bin_columns,
     classify_nb,
-    equal_frequency_edges,
     fit_codes,
     fit_naive_bayes,
     posterior,
@@ -157,28 +158,56 @@ def test_conditional_rows_sum_to_one_and_avoid_extremes():
 # -- binning ----------------------------------------------------------------------------
 
 
+def assert_bins_equal_reference(values, bins):
+    """``bin_column`` against the ``np.quantile`` reference; returns its
+    codes and edges."""
+    codes, edges, (distinct, rank) = bin_column(values, bins)
+    want = oracles.equal_frequency_edges(values, bins)
+    assert np.array_equal(edges, want)
+    assert np.array_equal(codes, oracles.bin_codes(values, want))
+    assert codes.dtype == np.int32
+    assert np.array_equal(distinct[rank], values)
+    return codes, edges
+
+
 def test_equal_frequency_edges_basic():
     values = np.arange(100, dtype=float)
-    edges = equal_frequency_edges(values, 4)
+    edges = oracles.equal_frequency_edges(values, 4)
     assert len(edges) == 3
-    codes = bin_codes(values, edges)
+    codes = oracles.bin_codes(values, edges)
     counts = np.bincount(codes)
     assert counts.min() >= 24 and counts.max() <= 26
+    assert_bins_equal_reference(values, 4)
 
 
 def test_equal_frequency_edges_heavy_ties():
     values = np.array([0.0] * 90 + [1.0, 2.0, 3.0] * 3 + [5.0])
-    edges = equal_frequency_edges(values, 10)
+    edges = oracles.equal_frequency_edges(values, 10)
     assert len(edges) >= 1
     assert len(np.unique(edges)) == len(edges)
-    codes = bin_codes(values, edges)
+    codes = oracles.bin_codes(values, edges)
     assert codes.max() == len(edges)
+    assert_bins_equal_reference(values, 10)
 
 
 def test_constant_column_is_single_bin():
-    edges = equal_frequency_edges(np.full(50, 3.25), 10)
+    edges = oracles.equal_frequency_edges(np.full(50, 3.25), 10)
     assert len(edges) == 0
-    assert np.all(bin_codes(np.full(50, 3.25), edges) == 0)
+    assert np.all(oracles.bin_codes(np.full(50, 3.25), edges) == 0)
+    assert_bins_equal_reference(np.full(50, 3.25), 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.sampled_from([-2.5, 0.0, 1.0, 7.0]),
+                              st.floats(-1e6, 1e6, allow_subnormal=False)), max_size=60),
+    bins=st.integers(1, 12),   # often more bins than distinct values
+)
+@example(values=[], bins=4)              # an empty column
+@example(values=[3.0], bins=12)          # one row
+@example(values=[1.5] * 40, bins=10)     # a constant column
+def test_bin_column_equals_quantile_reference(values, bins):
+    assert_bins_equal_reference(np.array(values, dtype=np.float64), bins)
 
 
 # -- posterior / classify ------------------------------------------------------------------
