@@ -63,32 +63,41 @@ from .probability import MODEL_FORMAT, NaiveBayesModel
 DATA_DIR_ENV = "NBTREE_IDS_DATA"
 
 
+def _setting(default, doc: str):
+    """A ``RunConfig`` field whose flag shows ``doc`` as its help."""
+    return dataclasses.field(default=default, metadata={"help": doc})
+
+
 @dataclass
 class RunConfig:
-    """Resolved run configuration; field names double as config-file keys."""
+    """Resolved run configuration. Each field is a config-file key and a
+    ``--<name>`` flag of every command (``--<name>/--no-<name>`` for a
+    bool), typed by the field's annotation, with the field's help."""
 
-    train: str | None = None
-    test: str | None = None
-    schema: str | None = None        # schema file; default: built-in KDD99
-    taxonomy: str | None = None      # taxonomy file; default: built-in KDD99
-    out: str = "runs"
-    seed: int | None = None
-    smoothing_k: float = 1.0
-    bins: int = 10
-    folds: int = 5
-    significance_pct: float = 5.0
-    min_split_examples: float = 30.0
+    train: str | None = _setting(None, "training records (comma-separated, 42 fields)")
+    test: str | None = _setting(None, "test records")
+    schema: str | None = _setting(None, "schema file (default: built-in KDD99 schema)")
+    taxonomy: str | None = _setting(None, "attack-name mapping file (default: built-in)")
+    out: str = _setting("runs", "output root (default: runs)")
+    seed: int | None = _setting(None, "seed for sampling/splitting")
+    smoothing_k: float = _setting(1.0, "add-k smoothing strength, in average-example units")
+    bins: int = _setting(10, "equal-frequency bins for continuous attributes")
+    folds: int = _setting(5, "cross-validation folds for split utility")
+    significance_pct: float = _setting(
+        5.0, "required relative error reduction for a split (percent)")
+    min_split_examples: float = _setting(30.0, "example-mass floor for trying a split")
     nbtree_max_depth: int = 10
-    relabel: bool = True
-    iterations: int = 1
+    relabel: bool = _setting(True, "relabel examples to their argmax posterior during weighting")
+    iterations: int = _setting(1, "reweighting passes before the tree")
     weighting_max_depth: int | None = 15
     weighting_min_leaf_examples: float | None = 30.0
-    baselines: bool = True
-    sample_fraction: float | None = None
-    test_fraction: float | None = None
-    permissive: bool = False
-    carry_weights: bool = True
-    train_on_relabeled: bool = False
+    baselines: bool = _setting(True, "train NB / gain-tree baselines alongside the pipeline")
+    sample_fraction: float | None = _setting(None, "stratified subsample of the training file")
+    test_fraction: float | None = _setting(
+        None, "hold out this fraction of train as test (when no --test)")
+    permissive: bool = _setting(False, "skip bad records and extend domains instead of aborting")
+    carry_weights: bool = _setting(True, "carry posterior weights into the NB-tree (default on)")
+    train_on_relabeled: bool = _setting(False, "train the NB-tree on relabeled working labels")
 
     def validate(self) -> None:
         checks = [
@@ -180,6 +189,13 @@ def _resolve_path(path: str | None) -> str | None:
 _JSON_TYPES = {float: (int, float)}
 
 
+def _field_types() -> dict[str, tuple[type, ...]]:
+    """Each ``RunConfig`` field's types: the members of its annotation's
+    union, the flag's type first, or the annotation alone."""
+    return {name: typing.get_args(hint) or (hint,)
+            for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -193,9 +209,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(doc) - fields.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(RunConfig)
+        field_types = _field_types()
         for key, value in doc.items():
-            types = typing.get_args(hints[key]) or (hints[key],)
+            types = field_types[key]
             # a bool field takes only true or false, and no other field a bool
             if not any(isinstance(value, bool) == (t is bool)
                        and isinstance(value, _JSON_TYPES.get(t, t)) for t in types):
@@ -350,7 +366,7 @@ def _composition_text(doc: dict) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_inspect(config: RunConfig) -> int:
+def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> int:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
@@ -374,7 +390,7 @@ def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
         run.write_text(f"reports/{report.model_id}.txt", report.to_text())
 
 
-def cmd_select(config: RunConfig) -> int:
+def cmd_select(config: RunConfig, _args: argparse.Namespace) -> int:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
@@ -396,7 +412,7 @@ def _write_models(run: _Run, models: dict) -> None:
             run.write_text(f"trees/{mid}.txt", model.dump())
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, _args: argparse.Namespace) -> int:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
@@ -408,7 +424,8 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
+def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
+    model_paths = args.models or []
     if not model_paths:
         raise ConfigError("eval needs at least one --models path")
     if not config.test:
@@ -433,7 +450,7 @@ def cmd_eval(config: RunConfig, model_paths: list[str]) -> int:
     return 0
 
 
-def cmd_compare(config: RunConfig) -> int:
+def cmd_compare(config: RunConfig, _args: argparse.Namespace) -> int:
     loads: list[dict] = []
     train, test = _train_test(config, loads)
     run = _Run(config, loads)
@@ -458,55 +475,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per ``RunConfig`` field. An unset flag is
+    None, so it overrides no config-file value."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--train", help="training records (comma-separated, 42 fields)")
-    p.add_argument("--test", help="test records")
-    p.add_argument("--schema", help="schema file (default: built-in KDD99 schema)")
-    p.add_argument("--taxonomy", help="attack-name mapping file (default: built-in)")
-    p.add_argument("--out", help="output root (default: runs)")
-    p.add_argument("--seed", type=int, help="seed for sampling/splitting")
-    p.add_argument("--smoothing-k", dest="smoothing_k", type=float,
-                   help="add-k smoothing strength, in average-example units")
-    p.add_argument("--bins", type=int, help="equal-frequency bins for continuous attributes")
-    p.add_argument("--folds", type=int, help="cross-validation folds for split utility")
-    p.add_argument("--significance-pct", dest="significance_pct", type=float,
-                   help="required relative error reduction for a split (percent)")
-    p.add_argument("--min-split-examples", dest="min_split_examples", type=float,
-                   help="example-mass floor for trying a split")
-    p.add_argument("--nbtree-max-depth", dest="nbtree_max_depth", type=int)
-    p.add_argument("--relabel", action=argparse.BooleanOptionalAction, default=None,
-                   help="relabel examples to their argmax posterior during weighting")
-    p.add_argument("--iterations", type=int, help="reweighting passes before the tree")
-    p.add_argument("--weighting-max-depth", dest="weighting_max_depth", type=int)
-    p.add_argument("--weighting-min-leaf-examples", dest="weighting_min_leaf_examples",
-                   type=float)
-    p.add_argument("--baselines", action=argparse.BooleanOptionalAction, default=None,
-                   help="train NB / gain-tree baselines alongside the pipeline")
-    p.add_argument("--sample-fraction", dest="sample_fraction", type=float,
-                   help="stratified subsample of the training file")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float,
-                   help="hold out this fraction of train as test (when no --test)")
-    p.add_argument("--permissive", action=argparse.BooleanOptionalAction, default=None,
-                   help="skip bad records and extend domains instead of aborting")
-    p.add_argument("--carry-weights", dest="carry_weights",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="carry posterior weights into the NB-tree (default on)")
-    p.add_argument("--train-on-relabeled", dest="train_on_relabeled",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="train the NB-tree on relabeled working labels")
+    field_types = _field_types()
+    for f in dataclasses.fields(RunConfig):
+        kind = field_types[f.name][0]
+        how = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        p.add_argument(f"--{f.name.replace('_', '-')}", help=f.metadata.get("help"), **how)
+
+
+# each command's handler, called with the resolved config and the parsed
+# arguments, and its help line
+_COMMANDS = {
+    "inspect": (cmd_inspect, "per-class composition of a dataset"),
+    "select": (cmd_select, "run attribute weighting and report kept attributes"),
+    "train": (cmd_train, "train the proposed model and any baselines"),
+    "eval": (cmd_eval, "evaluate saved models on a test set"),
+    "compare": (cmd_compare, "select, train and evaluate in one run"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nbtree-ids",
                      description="Attribute weighting + NB-tree intrusion detection toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("inspect", "per-class composition of a dataset"),
-        ("select", "run attribute weighting and report kept attributes"),
-        ("train", "train the proposed model and any baselines"),
-        ("eval", "evaluate saved models on a test set"),
-        ("compare", "select, train and evaluate in one run"),
-    ]:
+    for name, (_, doc) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         _add_common(p)
         if name == "eval":
@@ -518,18 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args)
-        if args.command == "inspect":
-            return cmd_inspect(config)
-        if args.command == "select":
-            return cmd_select(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config, args.models or [])
-        if args.command == "compare":
-            return cmd_compare(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler, _ = _COMMANDS[args.command]
+        return handler(_load_config(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -298,33 +298,26 @@ class WeightedDataset:
 
     # -- derivations -------------------------------------------------------
 
+    def _derive(self, **changes) -> "WeightedDataset":
+        """This dataset with some constructor arguments replaced; every
+        attribute is named after the argument it came from."""
+        return WeightedDataset(**{**vars(self), **changes})
+
     def take(self, rows: np.ndarray) -> "WeightedDataset":
         rows = np.asarray(rows)
-        raw = self.raw_labels[rows] if self.raw_labels is not None else None
-        return WeightedDataset(
-            self.schema,
-            [col[rows] for col in self.columns],
-            self.labels[rows],
-            self.weights[rows],
-            raw_labels=raw,
+        return self._derive(
+            columns=[col[rows] for col in self.columns],
+            labels=self.labels[rows],
+            weights=self.weights[rows],
+            raw_labels=self.raw_labels[rows] if self.raw_labels is not None else None,
             true_labels=self.true_labels[rows],
-            source=self.source,
-            load_report=self.load_report,
         )
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
-        return WeightedDataset(
-            self.schema, self.columns, self.labels, np.asarray(weights, dtype=np.float64),
-            raw_labels=self.raw_labels, true_labels=self.true_labels, source=self.source,
-            load_report=self.load_report,
-        )
+        return self._derive(weights=np.asarray(weights, dtype=np.float64))
 
     def with_labels(self, labels: np.ndarray) -> "WeightedDataset":
-        return WeightedDataset(
-            self.schema, self.columns, np.asarray(labels, dtype=np.int64), self.weights,
-            raw_labels=self.raw_labels, true_labels=self.true_labels, source=self.source,
-            load_report=self.load_report,
-        )
+        return self._derive(labels=np.asarray(labels, dtype=np.int64))
 
     def with_uniform_weights(self) -> "WeightedDataset":
         return self.with_weights(np.full(self.n, 1.0 / self.n))
@@ -697,16 +690,7 @@ def project_attributes(dataset: WeightedDataset, kept: Iterable[str]) -> Weighte
         tuple(dataset.schema.attributes[i] for i in keep_idx),
         dataset.schema.class_names,
     )
-    return WeightedDataset(
-        new_schema,
-        [dataset.columns[i] for i in keep_idx],
-        dataset.labels,
-        dataset.weights,
-        raw_labels=dataset.raw_labels,
-        true_labels=dataset.true_labels,
-        source=dataset.source,
-        load_report=dataset.load_report,
-    )
+    return dataset._derive(schema=new_schema, columns=[dataset.columns[i] for i in keep_idx])
 
 
 @dataclass

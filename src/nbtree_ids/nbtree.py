@@ -457,9 +457,7 @@ class NBTree(TreeModel):
         if doc.get("format") != NBTREE_FORMAT:
             raise DataFormatError(f"not a {NBTREE_FORMAT} document")
         attributes = tuple(doc["attributes"])
-        attr_weights = np.asarray(doc["attr_weights"], dtype=np.float64)
-        if attr_weights.shape != (len(attributes),):
-            raise DataFormatError("attr_weights do not cover the tree's attributes")
+        attr_weights = as_weight_array(doc["attr_weights"], attributes)
 
         def model(payload):
             if not (isinstance(payload, NaiveBayesModel)

@@ -382,10 +382,11 @@ def weighted_class_score(
 
 def as_weight_array(attr_weights, names) -> np.ndarray:
     """Attribute weights as a float vector aligned with ``names``; rejects
-    a vector of the wrong length and negative weights."""
+    a vector of the wrong length and weights that are negative or not
+    finite."""
     w = np.asarray(attr_weights, dtype=np.float64)
     if w.shape != (len(names),):
         raise SchemaError("attribute weight vector does not cover the schema")
-    if np.any(w < 0):
-        raise ValueError("attribute weights must be non-negative")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("attribute weights must be finite and non-negative")
     return w

@@ -2,9 +2,11 @@
 
 Both trees split the same way: multi-way on a discrete attribute (one child
 per symbol seen at the node), binary on a continuous one (``v <= threshold``
-goes left). They differ only in when a node stops and what a leaf holds: the
-gain tree (``attribute_weighting.DecisionTree``) keeps a class label, the
-NB-tree (``nbtree.NBTree``) a naive-Bayes model. An NB-tree node may also
+goes left). A node holds its children in one map, keyed by symbol, or by
+``"<="`` and ``">"`` under a threshold. The trees differ only in when a
+node stops and what a leaf holds: the gain tree
+(``attribute_weighting.DecisionTree``) keeps a class label, the NB-tree
+(``nbtree.NBTree``) a naive-Bayes model. An NB-tree node may also
 list domain symbols that had no training rows; a value on such an empty
 branch ends at the node's own ``fallback_model``. A symbol unseen at
 training time goes to the heaviest child.
@@ -14,12 +16,13 @@ Both builders grow through ``grow_tree`` and cut continuous attributes at
 ``TreeNode.branch`` sends one value down. ``route_rows`` partitions a
 whole dataset node by node (it asks ``branch`` once per domain symbol),
 and ``route_example`` follows one example, the per-example reference.
+The file form names a threshold split's children ``left`` and ``right``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -36,16 +39,15 @@ def goes_left(values, threshold):   # a value or an array of values
 
 
 def threshold_candidates(values: np.ndarray, weights: np.ndarray,
-                         distinct: np.ndarray | None = None) -> np.ndarray:
-    """Candidate thresholds: midpoints between consecutive distinct values
-    (``distinct``, when the caller has them already), capped by taking
-    midpoints between weighted-quantile cut points when there are more
-    than ``_THRESHOLD_CAP`` gaps."""
-    u = np.unique(values) if distinct is None else distinct
-    if u.size < 2:
+                         distinct: np.ndarray) -> np.ndarray:
+    """Candidate thresholds: midpoints between consecutive ``distinct``
+    values (the sorted distinct ``values``), capped by taking midpoints
+    between weighted-quantile cut points when there are more than
+    ``_THRESHOLD_CAP`` gaps."""
+    if distinct.size < 2:
         return np.empty(0)
-    if u.size - 1 <= _THRESHOLD_CAP:
-        return (u[1:] + u[:-1]) / 2.0
+    if distinct.size - 1 <= _THRESHOLD_CAP:
+        return (distinct[1:] + distinct[:-1]) / 2.0
     levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
     order = np.argsort(values, kind="stable")
     cw = np.cumsum(weights[order])
@@ -54,7 +56,7 @@ def threshold_candidates(values: np.ndarray, weights: np.ndarray,
     qv = np.unique(values[order][idx])
     if qv.size < 2:
         # weight mass collapsed onto one value: fall back to evenly spaced cuts
-        qv = np.unique(u[np.linspace(0, u.size - 1, _THRESHOLD_CAP + 1).astype(int)])
+        qv = np.unique(distinct[np.linspace(0, distinct.size - 1, _THRESHOLD_CAP + 1).astype(int)])
     return (qv[1:] + qv[:-1]) / 2.0
 
 
@@ -75,8 +77,9 @@ def split_rows(column: np.ndarray, rows: np.ndarray, threshold: float | None,
 @dataclass
 class TreeNode:
     """One tree node. Internal nodes carry a split attribute (and for
-    continuous splits a threshold); leaves carry ``payload``, a class label
-    or a naive-Bayes model. Root depth is 1."""
+    continuous splits a threshold) and their ``children``, keyed by symbol,
+    or by ``"<="`` and ``">"`` under a threshold; leaves carry ``payload``,
+    a class label or a naive-Bayes model. Root depth is 1."""
 
     depth: int
     weight: float
@@ -84,9 +87,7 @@ class TreeNode:
     payload: str | NaiveBayesModel | None = None
     attribute: str | None = None
     threshold: float | None = None
-    children: dict[str, "TreeNode"] | None = None   # discrete branches by symbol
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    children: dict[str, "TreeNode"] = field(default_factory=dict)
     empty_branches: tuple[str, ...] = ()
     fallback_model: NaiveBayesModel | None = None
 
@@ -94,19 +95,10 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.attribute is None
 
-    def child_nodes(self) -> list["TreeNode"]:
-        if self.is_leaf:
-            return []
-        if self.threshold is not None:
-            return [self.left, self.right]
-        return list(self.children.values())
-
     def heaviest_child(self) -> "TreeNode":
-        """The child with the most weight. Ties go left, or to the smallest
-        symbol in sorted order, which is the order a saved tree lists them,
-        so a built tree and its reloaded copy agree."""
-        if self.threshold is not None:
-            return self.left if self.left.weight >= self.right.weight else self.right
+        """The child with the most weight. Ties go to the smallest key in
+        sorted order (``"<="`` before ``">"``, so left), which is the order a
+        saved tree lists them, so a built tree and its reloaded copy agree."""
         return min(self.children.items(), key=lambda kv: (-kv[1].weight, kv[0]))[1]
 
     def branch(self, value) -> "TreeNode | None":
@@ -114,13 +106,11 @@ class TreeNode:
         branch was empty at training time (the walk ends at
         ``fallback_model``)."""
         if self.threshold is not None:
-            return self.left if goes_left(value, self.threshold) else self.right
+            value = "<=" if goes_left(value, self.threshold) else ">"
         child = self.children.get(value)
-        if child is not None:
-            return child
-        if value in self.empty_branches:
-            return None
-        return self.heaviest_child()   # value unseen at training time
+        if child is None and value not in self.empty_branches:
+            return self.heaviest_child()   # value unseen at training time
+        return child
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
@@ -128,7 +118,7 @@ def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(node.child_nodes())
+        stack.extend(node.children.values())
 
 
 def grow_tree(dataset: WeightedDataset, split_of: Callable) -> TreeNode:
@@ -152,19 +142,15 @@ def grow_tree(dataset: WeightedDataset, split_of: Callable) -> TreeNode:
         spec = specs[j]
         node.attribute, node.threshold = spec.name, threshold
         parts = split_rows(dataset.columns[j], rows, threshold, spec.domain)
-        keys = ["<=", ">"] if threshold is not None else [f"={sym}" for sym in spec.domain]
-        children = {}
+        keys = ("<=", ">") if threshold is not None else spec.domain
         for key, sub in zip(keys, parts):
             if len(sub):
-                children[key] = TreeNode(depth=node.depth + 1, weight=0.0, n=len(sub))
-                stack.append((children[key], sub, f"{path}/{spec.name}{key}"))
-        if threshold is not None:
-            node.left, node.right = children["<="], children[">"]
-            continue
-        node.children = {key[1:]: child for key, child in children.items()}
+                child = node.children[key] = TreeNode(depth=node.depth + 1, weight=0.0,
+                                                      n=len(sub))
+                step = key if threshold is not None else f"={key}"
+                stack.append((child, sub, f"{path}/{spec.name}{step}"))
         if fallback is not None:
-            node.empty_branches = tuple(sym for sym, sub in zip(spec.domain, parts)
-                                        if not len(sub))
+            node.empty_branches = tuple(key for key, sub in zip(keys, parts) if not len(sub))
             if node.empty_branches:
                 node.fallback_model = fallback
     return root
@@ -187,7 +173,8 @@ def route_rows(root: TreeNode, dataset: WeightedDataset,
         j = attr_index[node.attribute]
         col = dataset.columns[j]
         if node.threshold is not None:
-            parts = zip((node.left, node.right), split_rows(col, rows, node.threshold, ()))
+            parts = zip((node.children["<="], node.children[">"]),
+                        split_rows(col, rows, node.threshold, ()))
         else:
             # code -> where that symbol goes; codes that go to the same
             # place share the slot of the first of them
@@ -226,14 +213,11 @@ def dump_tree(root: TreeNode) -> str:
             what = "nb-leaf" if isinstance(node.payload, NaiveBayesModel) else f"leaf {node.payload}"
             lines.append(f"{pad}{node.depth} {branch}{what} (n={node.n}, w={node.weight:.6g})")
             return
-        if node.threshold is not None:
-            lines.append(f"{pad}{node.depth} {branch}split {node.attribute} @ {node.threshold!r}")
-            walk(node.left, f"<= {node.threshold!r} -> ")
-            walk(node.right, f"> {node.threshold!r} -> ")
-            return
-        lines.append(f"{pad}{node.depth} {branch}split {node.attribute}")
-        for sym, child in node.children.items():
-            walk(child, f"= {sym} -> ")
+        thr = node.threshold
+        at = "" if thr is None else f" @ {thr!r}"
+        lines.append(f"{pad}{node.depth} {branch}split {node.attribute}{at}")
+        for key, child in node.children.items():
+            walk(child, f"= {key} -> " if thr is None else f"{key} {thr!r} -> ")
         if node.empty_branches:
             lines.append(f"{pad}  {node.depth + 1} empty branches "
                          f"{list(node.empty_branches)} -> parent nb")
@@ -253,8 +237,8 @@ def node_to_dict(node: TreeNode) -> dict:
     doc["attribute"] = node.attribute
     if node.threshold is not None:
         doc["threshold"] = node.threshold
-        doc["left"] = node_to_dict(node.left)
-        doc["right"] = node_to_dict(node.right)
+        doc["left"] = node_to_dict(node.children["<="])
+        doc["right"] = node_to_dict(node.children[">"])
         return doc
     doc["children"] = {sym: node_to_dict(c) for sym, c in node.children.items()}
     if node.empty_branches:
@@ -277,8 +261,8 @@ def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable) -> T
         raise DataFormatError(f"split on {node.attribute!r}, not one of the tree's attributes")
     if "threshold" in doc:
         node.threshold = doc["threshold"]
-        node.left = node_from_dict(doc["left"], attributes, check)
-        node.right = node_from_dict(doc["right"], attributes, check)
+        node.children = {"<=": node_from_dict(doc["left"], attributes, check),
+                         ">": node_from_dict(doc["right"], attributes, check)}
         return node
     node.children = {sym: node_from_dict(c, attributes, check)
                      for sym, c in doc["children"].items()}

@@ -280,7 +280,8 @@ def split_utility_value(ctx, view, j, salt, node_accuracy):
             return node_accuracy, None
         candidates = [None]
     else:
-        thr = threshold_candidates(ctx.raw[j][view.rows], view.weights)
+        values = ctx.raw[j][view.rows]
+        thr = threshold_candidates(values, view.weights, np.unique(values))
         if thr.size == 0:
             return node_accuracy, None
         candidates = list(thr)

@@ -278,11 +278,12 @@ def test_heaviest_child_tie_survives_reload():
 def test_attribute_weights_from_depths():
     leaf = TreeNode(depth=5, weight=1.0, n=1, payload="A")
     inner4 = TreeNode(depth=4, weight=1.0, n=2, attribute="f1", threshold=0.5,
-                      left=leaf, right=TreeNode(depth=5, weight=1.0, n=1, payload="B"))
+                      children={"<=": leaf, ">": TreeNode(depth=5, weight=1.0, n=1, payload="B")})
     chain = inner4
     for d in (3, 2):
         chain = TreeNode(depth=d, weight=1.0, n=2, attribute="f2", threshold=float(d),
-                         left=chain, right=TreeNode(depth=d + 1, weight=1.0, n=1, payload="B"))
+                         children={"<=": chain,
+                                   ">": TreeNode(depth=d + 1, weight=1.0, n=1, payload="B")})
     root = TreeNode(depth=1, weight=1.0, n=4, attribute="f0",
                     children={"x": chain, "y": TreeNode(depth=2, weight=1.0, n=1, payload="A")})
     schema = Schema(

@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import synth
 from nbtree_ids import evaluation
-from nbtree_ids.cli import RunConfig, build_parser, load_model_file, main
+from nbtree_ids.cli import RunConfig, _load_config, build_parser, load_model_file, main
 
 # a tiny but learnable KDD-format corpus: three crisply separated behaviours
 def write_toy_corpus(path, n_normal=30, n_neptune=30, n_ipsweep=20):
@@ -315,6 +317,14 @@ def _foreign_leaf_schema(doc):
         part["classes"] = part["classes"][::-1]
 
 
+def _nan_attr_weight(doc):
+    doc["attr_weights"][0] = float("nan")   # json writes and reads it as NaN
+
+
+def _negative_attr_weight(doc):
+    doc["attr_weights"][0] = -3.0
+
+
 @pytest.mark.parametrize("model, damage", [
     ("nb-full", _no_priors),
     ("nb-full", _narrow_table),
@@ -322,8 +332,10 @@ def _foreign_leaf_schema(doc):
     ("proposed-nbtree", _split_outside_attributes),
     ("tree-full", _bogus_leaf_label),
     ("proposed-nbtree", _foreign_leaf_schema),
+    ("proposed-nbtree", _nan_attr_weight),
+    ("proposed-nbtree", _negative_attr_weight),
 ], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
-        "bogus-leaf-label", "foreign-leaf-schema"])
+        "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight"])
 def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out)]) == 0
@@ -465,6 +477,49 @@ def test_config_file_number_hashes_as_flag(toy_corpus, tmp_path, doc, flags):
     assert main(["inspect", "--config", str(cfg_path), *train, "--out", str(tmp_path / "a")]) == 0
     assert main(["inspect", *flags, *train, "--out", str(tmp_path / "b")]) == 0
     assert run_dir(tmp_path / "a").name == run_dir(tmp_path / "b").name
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _setting_cases():
+    """(field, flag arguments, config-file value): a value other than the
+    default for every field, and both values of every bool."""
+    values = {str: "x.csv", int: 3, float: 0.25}
+    for f in dataclasses.fields(RunConfig):
+        if isinstance(f.default, bool):
+            yield f.name, [_flag(f.name)], True
+            yield f.name, ["--no-" + _flag(f.name)[2:]], False
+        else:
+            hint = typing.get_type_hints(RunConfig)[f.name]
+            kind = (typing.get_args(hint) or (hint,))[0]
+            yield f.name, [_flag(f.name), str(values[kind])], values[kind]
+
+
+@pytest.mark.parametrize("name, flags, value", list(_setting_cases()),
+                         ids=[" ".join(c[1]) for c in _setting_cases()])
+def test_every_setting_hashes_alike_as_flag_and_config_key(tmp_path, name, flags, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({name: value}))
+    parser = build_parser()
+    from_flag = _load_config(parser.parse_args(["inspect", *flags]))
+    from_file = _load_config(parser.parse_args(["inspect", "--config", str(cfg_path)]))
+    assert getattr(from_flag, name) == value
+    assert from_flag == from_file
+    assert from_flag.config_hash() == from_file.config_hash()
+
+
+def test_parser_offers_exactly_the_settings_flags():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"inspect", "select", "train", "eval", "compare"}
+    fields = dataclasses.fields(RunConfig)
+    expected = {_flag(f.name) for f in fields} | {"--config"} | {
+        "--no-" + _flag(f.name)[2:] for f in fields if isinstance(f.default, bool)}
+    for name, sub in commands.choices.items():
+        offered = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert offered == expected | ({"--models"} if name == "eval" else set()), name
 
 
 def test_config_hash_is_stable_and_excludes_out():

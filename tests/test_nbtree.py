@@ -339,6 +339,13 @@ def test_best_split_finds_error_halving_attribute():
 # -- tree construction ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_build_rejects_non_finite_attr_weights(bad):
+    ds = WeightedDataset.from_rows(disc_schema(("a", "b")), [("a",), ("b",)], ["A", "B"])
+    with pytest.raises(ValueError, match="finite"):
+        build_nbtree(ds, [bad])
+
+
 def test_nb_separable_data_yields_single_leaf():
     schema = disc_schema(("x", "y"))
     rows = [("x",)] * 30 + [("y",)] * 30

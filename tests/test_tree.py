@@ -1,11 +1,13 @@
 """The grower's invariants and the batch router against the per-example walk,
 on both kinds of tree."""
 
+import json
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nbtree_ids.attribute_weighting import build_weighted_tree
+from nbtree_ids.attribute_weighting import DecisionTree, build_weighted_tree
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree, classify_nbtree
 from nbtree_ids.tree import iter_nodes, route_example
@@ -68,7 +70,7 @@ def check_growth(root, schema, gain_tree):
         node, tested = stack.pop()
         if node.is_leaf:
             continue
-        children = node.child_nodes()
+        children = list(node.children.values())
         assert len(children) >= 2
         assert sum(c.n for c in children) == node.n
         if node.threshold is None and gain_tree:
@@ -104,3 +106,41 @@ def test_batch_routing_matches_per_example_walk(seed, kinds):
 
     walked = [CLASSES.index(classify_nbtree(nbt, ex)[0]) for ex in examples]
     np.testing.assert_array_equal(nbt.predict_dataset(probe), walked)
+
+
+# A gain-tree/1 document in its pinned file form: a threshold split, whose
+# children are saved as "left" and "right", under a discrete split
+SAVED_GAIN_TREE = """{
+ "format": "gain-tree/1", "model_id": "tree-full", "schema_hash": "1d8f46548c201a59",
+ "classes": ["normal", "attack"], "attributes": ["proto", "bytes"],
+ "root": {"depth": 1, "weight": 1.0, "n": 8, "attribute": "proto", "children": {
+  "tcp": {"depth": 2, "weight": 0.5, "n": 4, "attribute": "bytes", "threshold": 120.5,
+          "left": {"depth": 3, "weight": 0.25, "n": 2, "label": "normal"},
+          "right": {"depth": 3, "weight": 0.25, "n": 2, "label": "attack"}},
+  "udp": {"depth": 2, "weight": 0.5, "n": 4, "label": "attack"}}}
+}"""
+
+SAVED_GAIN_TREE_DUMP = """\
+1 split proto
+  2 = tcp -> split bytes @ 120.5
+    3 <= 120.5 -> leaf normal (n=2, w=0.25)
+    3 > 120.5 -> leaf attack (n=2, w=0.25)
+  2 = udp -> leaf attack (n=4, w=0.5)
+"""
+
+
+def test_saved_gain_tree_loads_dumps_and_routes_unchanged():
+    doc = json.loads(SAVED_GAIN_TREE)
+    tree = DecisionTree.from_dict(json.loads(SAVED_GAIN_TREE))
+    assert tree.to_dict() == doc
+    assert tree.dump() == SAVED_GAIN_TREE_DUMP
+    schema = Schema((AttributeSpec("proto", "discrete", ("tcp", "udp", "icmp")),
+                     AttributeSpec("bytes", "continuous")), ("normal", "attack"))
+    # a threshold value goes left; icmp, unseen at training, goes to the
+    # heaviest child, tcp by the tie-break on the smaller symbol
+    rows = [("tcp", 100.0), ("tcp", 120.5), ("tcp", 121.0), ("udp", 0.0),
+            ("icmp", 50.0), ("icmp", 500.0)]
+    probe = WeightedDataset.from_rows(schema, rows, ["normal"] * len(rows))
+    walked = [route_example(tree.root, dict(zip(schema.attribute_names, r))) for r in rows]
+    assert walked == ["normal", "normal", "attack", "attack", "normal", "attack"]
+    assert [tree.classes[i] for i in tree.predict_dataset(probe)] == walked
