@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 import typing
@@ -86,11 +87,12 @@ class RunConfig:
     significance_pct: float = _setting(
         5.0, "required relative error reduction for a split (percent)")
     min_split_examples: float = _setting(30.0, "example-mass floor for trying a split")
-    nbtree_max_depth: int = 10
+    nbtree_max_depth: int = _setting(10, "depth limit of the NB-tree (the root is depth 1)")
     relabel: bool = _setting(True, "relabel examples to their argmax posterior during weighting")
     iterations: int = _setting(1, "reweighting passes before the tree")
-    weighting_max_depth: int | None = 15
-    weighting_min_leaf_examples: float | None = 30.0
+    weighting_max_depth: int | None = _setting(15, "depth limit of the weighting tree")
+    weighting_min_leaf_examples: float | None = _setting(
+        30.0, "example-mass floor of a weighting-tree node; a lighter node is a leaf")
     baselines: bool = _setting(True, "train NB / gain-tree baselines alongside the pipeline")
     sample_fraction: float | None = _setting(None, "stratified subsample of the training file")
     test_fraction: float | None = _setting(
@@ -234,8 +236,8 @@ class _Run:
     """One run directory with config-stamped JSON/text writers.
 
     ``run_info.json`` holds what may differ between identical runs: the
-    start time, the counters of every record file the run loaded and, once
-    an NB-tree is built, its build counters."""
+    start time, the counters of every record file the run loaded, any
+    NB-tree's build counters and the peak RSS when the command ends."""
 
     def __init__(self, config: RunConfig, loads: list[dict]):
         self.config = config
@@ -276,6 +278,11 @@ def _schema_and_taxonomy(config: RunConfig):
     return schema, taxonomy
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (Linux counts KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> WeightedDataset:
     """Load one record file and append its loader counters to ``loads``."""
     ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=config.permissive)
@@ -289,6 +296,7 @@ def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> 
         "records_per_s": report.n_loaded / report.seconds,
         "reader_lines": report.reader_lines,
         "fallback_lines": report.fallback_lines,
+        "peak_rss_mb": _peak_rss_mb(),
     })
     return ds
 
@@ -300,7 +308,10 @@ def _load_train(config: RunConfig, loads: list[dict]) -> WeightedDataset:
     ds = _load(config.train, schema, taxonomy, config, loads)
     if config.sample_fraction is not None:
         seed = config.require_seed("--sample-fraction is set")
-        ds = stratified_sample(ds, config.sample_fraction, seed)
+        try:
+            ds = stratified_sample(ds, config.sample_fraction, seed)
+        except ValueError as exc:
+            raise ConfigError(f"--sample-fraction {config.sample_fraction}: {exc}") from None
     return ds
 
 
@@ -315,7 +326,10 @@ def _train_test(config: RunConfig,
     if fraction is None:
         raise ConfigError("provide --test or --test-fraction")
     seed = config.require_seed("splitting the training file")
-    split = stratified_split(train, fraction, seed)
+    try:
+        split = stratified_split(train, fraction, seed)
+    except ValueError as exc:
+        raise ConfigError(f"--test-fraction {fraction}: {exc}") from None
     return split.train, split.test
 
 
@@ -332,7 +346,7 @@ def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
         raise DataFormatError(f"unrecognised model format {fmt!r} in {path}")
     try:
         return loaders[fmt].from_dict(doc)
-    except (KeyError, TypeError, ValueError, DataFormatError, SchemaError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataFormatError, SchemaError) as exc:
         raise DataFormatError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -366,7 +380,7 @@ def _composition_text(doc: dict) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> int:
+def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> _Run:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
@@ -375,7 +389,7 @@ def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> int:
     text = _composition_text(doc)
     run.write_text("composition.txt", text)
     print(text, end="")
-    return 0
+    return run
 
 
 def _write_selection(run: _Run, report: SelectionReport) -> None:
@@ -390,7 +404,7 @@ def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
         run.write_text(f"reports/{report.model_id}.txt", report.to_text())
 
 
-def cmd_select(config: RunConfig, _args: argparse.Namespace) -> int:
+def cmd_select(config: RunConfig, _args: argparse.Namespace) -> _Run:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
@@ -401,7 +415,7 @@ def cmd_select(config: RunConfig, _args: argparse.Namespace) -> int:
         "kept": list(result.weights.kept_names()),
     })
     print(result.report.to_text(), end="")
-    return 0
+    return run
 
 
 def _write_models(run: _Run, models: dict) -> None:
@@ -412,7 +426,7 @@ def _write_models(run: _Run, models: dict) -> None:
             run.write_text(f"trees/{mid}.txt", model.dump())
 
 
-def cmd_train(config: RunConfig, _args: argparse.Namespace) -> int:
+def cmd_train(config: RunConfig, _args: argparse.Namespace) -> _Run:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
@@ -421,10 +435,10 @@ def cmd_train(config: RunConfig, _args: argparse.Namespace) -> int:
     _write_selection(run, selection.report)
     _write_models(run, models)
     print(f"trained {len(models)} model(s) into {run.dir}")
-    return 0
+    return run
 
 
-def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_eval(config: RunConfig, args: argparse.Namespace) -> _Run:
     model_paths = args.models or []
     if not model_paths:
         raise ConfigError("eval needs at least one --models path")
@@ -447,10 +461,10 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
         "format": "eval-bundle/1",
         "reports": [r.to_dict() for r in reports],
     })
-    return 0
+    return run
 
 
-def cmd_compare(config: RunConfig, _args: argparse.Namespace) -> int:
+def cmd_compare(config: RunConfig, _args: argparse.Namespace) -> _Run:
     loads: list[dict] = []
     train, test = _train_test(config, loads)
     run = _Run(config, loads)
@@ -463,7 +477,7 @@ def cmd_compare(config: RunConfig, _args: argparse.Namespace) -> int:
     run.write_json("bundle.json", bundle.to_dict())
     print(bundle.to_text())
     print(f"artifacts in {run.dir}")
-    return 0
+    return run
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -486,7 +500,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 # each command's handler, called with the resolved config and the parsed
-# arguments, and its help line
+# arguments and returning its run, and its help line
 _COMMANDS = {
     "inspect": (cmd_inspect, "per-class composition of a dataset"),
     "select": (cmd_select, "run attribute weighting and report kept attributes"),
@@ -513,7 +527,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         handler, _ = _COMMANDS[args.command]
-        return handler(_load_config(args), args)
+        handler(_load_config(args), args).note_info(peak_rss_mb=_peak_rss_mb())
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

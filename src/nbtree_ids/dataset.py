@@ -189,7 +189,8 @@ class WeightedDataset:
     when a downstream step relabels the working copy. ``raw_labels``, when
     known, is an object array of the raw attack names. ``load_report``
     describes the load a dataset came from; samples, splits and
-    projections keep it.
+    projections keep it. A derived dataset shares every array it does not
+    replace with its parent, and nothing writes into these arrays.
     """
 
     def __init__(
@@ -217,10 +218,10 @@ class WeightedDataset:
             raise SchemaError("non-empty dataset must carry positive total weight")
         self.schema = schema
         self.columns = columns
-        self.labels = labels.astype(np.int64)
-        self.weights = weights.astype(np.float64)
+        self.labels = np.asarray(labels, np.int64)
+        self.weights = np.asarray(weights, np.float64)
         self.raw_labels = None if raw_labels is None else np.asarray(raw_labels, dtype=object)
-        self.true_labels = (true_labels if true_labels is not None else labels).astype(np.int64)
+        self.true_labels = self.labels if true_labels is None else np.asarray(true_labels, np.int64)
         self.source = source
         self.load_report = load_report
 
@@ -715,6 +716,26 @@ class Split:
         return iter((self.train, self.test))
 
 
+def _draw(dataset: WeightedDataset, fraction: float, seed: int) -> tuple[np.ndarray, SplitReport]:
+    """The per-class draw of a split or a sample: its rows' mask and the report."""
+    rng = np.random.default_rng(seed)
+    report = SplitReport(test_fraction=fraction, seed=seed)
+    drawn = np.zeros(dataset.n, dtype=bool)
+    for ci, cname in enumerate(dataset.schema.class_names):
+        rows = np.flatnonzero(dataset.labels == ci)
+        n_c = len(rows)
+        if n_c == 0:
+            continue
+        if n_c < 2:
+            report.flagged.append(cname)
+        n_test = int(round(n_c * fraction))
+        drawn[rng.permutation(rows)[:n_test]] = True
+        report.per_class[cname] = (n_c - n_test, n_test)
+    if not drawn.any() or drawn.all():
+        raise ValueError("split produced an empty part; adjust the fraction")
+    return drawn, report
+
+
 def stratified_split(dataset: WeightedDataset, test_fraction: float, seed: int) -> Split:
     """Deterministic per-class split preserving class proportions within
     one example. Weights are re-initialised to 1/n inside each part; file
@@ -723,34 +744,19 @@ def stratified_split(dataset: WeightedDataset, test_fraction: float, seed: int) 
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"degenerate test fraction {test_fraction!r}")
-    rng = np.random.default_rng(seed)
-    report = SplitReport(test_fraction=test_fraction, seed=seed)
-    test_mask = np.zeros(dataset.n, dtype=bool)
-    for ci, cname in enumerate(dataset.schema.class_names):
-        rows = np.flatnonzero(dataset.labels == ci)
-        n_c = len(rows)
-        if n_c == 0:
-            continue
-        if n_c < 2:
-            report.flagged.append(cname)
-        n_test = int(round(n_c * test_fraction))
-        chosen = rng.permutation(rows)[:n_test]
-        test_mask[chosen] = True
-        report.per_class[cname] = (n_c - n_test, n_test)
-    train_rows = np.flatnonzero(~test_mask)
-    test_rows = np.flatnonzero(test_mask)
-    if len(train_rows) == 0 or len(test_rows) == 0:
-        raise ValueError("split produced an empty part; adjust the fraction")
-    train = dataset.take(train_rows).with_uniform_weights()
-    test = dataset.take(test_rows).with_uniform_weights()
+    test_mask, report = _draw(dataset, test_fraction, seed)
+    train = dataset.take(np.flatnonzero(~test_mask)).with_uniform_weights()
+    test = dataset.take(np.flatnonzero(test_mask)).with_uniform_weights()
     return Split(train, test, report)
 
 
 def stratified_sample(dataset: WeightedDataset, fraction: float, seed: int) -> WeightedDataset:
-    """Seeded per-class subsample (weights re-initialised to 1/n)."""
+    """Seeded per-class subsample (weights re-initialised to 1/n): the
+    test part of ``stratified_split``, drawn without building the rest."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"degenerate sample fraction {fraction!r}")
-    return stratified_split(dataset, fraction, seed).test
+    drawn, _ = _draw(dataset, fraction, seed)
+    return dataset.take(np.flatnonzero(drawn)).with_uniform_weights()
 
 
 # -- schema / taxonomy files --------------------------------------------------

@@ -22,6 +22,7 @@ The file form names a threshold split's children ``left`` and ``right``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -247,11 +248,21 @@ def node_to_dict(node: TreeNode) -> dict:
     return doc
 
 
+def _number(doc: dict, key: str, kind: type | tuple[type, ...] = (int, float)):
+    """``doc[key]``, or ``DataFormatError`` unless it is a finite ``kind`` (not a bool)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise DataFormatError(f"node {key} must be a finite "
+                              f"{'integer' if kind is int else 'number'}, not {value!r}")
+    return value
+
+
 def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable) -> TreeNode:
     """Rebuild a subtree whose splits test only the tree's ``attributes``;
     ``check`` returns each leaf and fallback payload, or raises
     ``DataFormatError`` when the payload does not fit the tree."""
-    node = TreeNode(depth=doc["depth"], weight=doc["weight"], n=doc["n"])
+    node = TreeNode(depth=_number(doc, "depth", int), weight=_number(doc, "weight"),
+                    n=_number(doc, "n", int))
     if "attribute" not in doc:
         node.payload = check(NaiveBayesModel.from_dict(doc["model"]) if "model" in doc
                              else doc["label"])
@@ -260,12 +271,14 @@ def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable) -> T
     if node.attribute not in attributes:
         raise DataFormatError(f"split on {node.attribute!r}, not one of the tree's attributes")
     if "threshold" in doc:
-        node.threshold = doc["threshold"]
+        node.threshold = _number(doc, "threshold")
         node.children = {"<=": node_from_dict(doc["left"], attributes, check),
                          ">": node_from_dict(doc["right"], attributes, check)}
         return node
     node.children = {sym: node_from_dict(c, attributes, check)
                      for sym, c in doc["children"].items()}
+    if not node.children:
+        raise DataFormatError(f"split on {node.attribute!r} has no children")
     if "empty_branches" in doc:
         node.empty_branches = tuple(doc["empty_branches"])
         node.fallback_model = check(NaiveBayesModel.from_dict(doc["fallback_model"]))

@@ -110,9 +110,11 @@ def test_undecodable_line_permissive_is_skipped_and_counted(toy_corpus, tmp_path
     doc = json.loads((run_dir(out) / "composition.json").read_text())
     assert doc["total"] == 79
     assert doc["skip_reasons"] == {"bad-encoding": 1, "field-count": 1}
-    (load,) = json.loads((run_dir(out) / "run_info.json").read_text())["loads"]
+    info = json.loads((run_dir(out) / "run_info.json").read_text())
+    (load,) = info["loads"]
     assert load["skipped"] == 2
     assert load["reader_lines"] + load["fallback_lines"] == 81
+    assert 0 < load["peak_rss_mb"] <= info["peak_rss_mb"]
 
 
 def test_sampled_permissive_run_keeps_skip_counts(toy_corpus, tmp_path):
@@ -317,6 +319,33 @@ def _foreign_leaf_schema(doc):
         part["classes"] = part["classes"][::-1]
 
 
+def _root_split(doc, **split):
+    """Replace the tree's root by a split over its first leaf."""
+    leaf = _first_leaf(doc["root"])
+    doc["root"] = {"depth": 1, "weight": leaf["weight"], "n": leaf["n"], **split}
+    return leaf
+
+
+def _empty_children(doc):
+    _root_split(doc, attribute="service", children={})
+
+
+def _heavy_weight(doc):
+    leaf = _root_split(doc, attribute="service")
+    doc["root"]["children"] = {"http": {**leaf, "weight": "heavy"}}
+
+
+def _threshold(value):
+    def damage(doc):
+        leaf = _root_split(doc, attribute="src_bytes", threshold=value)
+        doc["root"].update(left=leaf, right=leaf)
+    return damage
+
+
+def _text_depth(doc):
+    doc["root"]["depth"] = "deep"
+
+
 def _nan_attr_weight(doc):
     doc["attr_weights"][0] = float("nan")   # json writes and reads it as NaN
 
@@ -334,8 +363,16 @@ def _negative_attr_weight(doc):
     ("proposed-nbtree", _foreign_leaf_schema),
     ("proposed-nbtree", _nan_attr_weight),
     ("proposed-nbtree", _negative_attr_weight),
+    ("tree-full", _empty_children),
+    ("tree-full", _heavy_weight),
+    ("tree-full", _threshold("x")),
+    ("tree-full", _threshold(float("nan"))),
+    ("tree-full", _threshold(10**400)),
+    ("proposed-nbtree", _text_depth),
 ], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
-        "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight"])
+        "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight",
+        "empty-children", "text-weight", "text-threshold", "nan-threshold", "huge-threshold",
+        "text-depth"])
 def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out)]) == 0
@@ -414,6 +451,16 @@ def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monke
         "--test-fraction", "0.25", "--seed", "7",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("inspect", "--sample-fraction"), ("compare", "--test-fraction"),
+])
+def test_fraction_that_leaves_an_empty_part_exits_1(toy_corpus, tmp_path, capsys, command, flag):
+    code = main([command, *base_args(toy_corpus, tmp_path / "r"), flag, "0.0001", "--seed", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{flag} 0.0001" in err
 
 
 def test_compare_requires_seed_for_split(toy_corpus, tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from nbtree_ids.dataset import (
     AttackTaxonomy,
     AttributeSpec,
     Example,
+    LoadReport,
     Schema,
     WeightedDataset,
     class_counts,
@@ -20,6 +22,7 @@ from nbtree_ids.dataset import (
     parse_taxonomy_text,
     project_attributes,
     serialize_record,
+    stratified_sample,
     stratified_split,
 )
 from nbtree_ids.exceptions import (
@@ -550,6 +553,72 @@ def test_split_flags_tiny_classes():
     ds = load_dataset(lines, toy_schema(), toy_taxonomy())
     split = stratified_split(ds, 0.3, seed=5)
     assert "B" in split.report.flagged
+
+
+def labelled_dataset(labels, n_attributes=2):
+    """A dataset of the given class indices (of classes A, B, C) whose
+    columns, true labels and raw labels tell every row apart."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "continuous") for j in range(n_attributes)),
+                    ("A", "B", "C"))
+    rng = np.random.default_rng(n)
+    return WeightedDataset(
+        schema, [rng.random(n) for _ in range(n_attributes)], labels, np.full(n, 1.0),
+        raw_labels=np.array([f"r{i}" for i in range(n)], dtype=object),
+        true_labels=(labels + 1) % 3, source="mix.csv", load_report=LoadReport(n_loaded=n),
+    )
+
+
+def _arrays(ds):
+    return [*ds.columns, ds.labels, ds.true_labels, ds.raw_labels, ds.weights]
+
+
+def _drawn(draw):
+    try:
+        return draw()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 2), max_size=40),
+       fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_is_the_test_part_of_the_split(labels, fraction, seed):
+    ds = labelled_dataset(labels)
+    sample = _drawn(lambda: stratified_sample(ds, fraction, seed))
+    test = _drawn(lambda: stratified_split(ds, fraction, seed).test)
+    if isinstance(sample, str) or isinstance(test, str):
+        assert sample == test
+        return
+    for a, b in zip(_arrays(sample), _arrays(test)):
+        np.testing.assert_array_equal(a, b)
+    assert sample.schema == test.schema and sample.source == test.source
+    assert sample.load_report == test.load_report == ds.load_report
+
+
+def test_sample_holds_only_its_rows():
+    rng = np.random.default_rng(0)
+    ds = labelled_dataset(rng.integers(0, 3, 100_000), n_attributes=30)
+    array_bytes = sum(a.nbytes for a in _arrays(ds))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample = stratified_sample(ds, 0.1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.n == pytest.approx(10_000, abs=3)
+    assert peak - before < array_bytes / 4
+
+
+def test_derived_datasets_share_their_parents_arrays():
+    ds = two_class_dataset(5)
+    reweighted = ds.with_weights(np.full(ds.n, 0.5))
+    assert reweighted.labels is ds.labels and reweighted.true_labels is ds.true_labels
+    assert reweighted.raw_labels is ds.raw_labels and reweighted.columns is ds.columns
+    assert ds.with_true_labels().weights is ds.weights
 
 
 # -- schema / taxonomy files -------------------------------------------------------------
