@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
 from .exceptions import DataFormatError, DegenerateTreeError, SchemaError, TrainingError
-from .probability import NaiveBayesModel, fit_naive_bayes
+from .probability import BINS, SMOOTHING_K, NaiveBayesModel, check_fit_settings, fit_naive_bayes
 from .tree import (
     TreeModel, TreeNode, grow_tree, iter_nodes, node_from_dict, node_to_dict, route_rows,
     threshold_candidates,
@@ -194,12 +194,9 @@ def build_weighted_tree(
     """
     if dataset.n == 0:
         raise TrainingError("cannot build a tree from an empty dataset")
-    n_ex = 2.0 if min_leaf_examples is None else min_leaf_examples
-    if not n_ex >= 0:
-        raise ValueError(f"min_leaf_examples must be >= 0, got {n_ex!r}")
     schema = dataset.schema
     C = schema.n_classes
-    min_weight_leaf = n_ex * dataset.total_weight / dataset.n
+    min_weight_leaf = _leaf_floor(min_leaf_examples) * dataset.total_weight / dataset.n
 
     def split_of(node: TreeNode, rows: np.ndarray, _path: str):
         lab = dataset.labels[rows]
@@ -222,6 +219,14 @@ def build_weighted_tree(
     return DecisionTree(
         schema.structural_hash(), schema.class_names, schema.attribute_names, root,
     )
+
+
+def _leaf_floor(min_leaf_examples: float | None) -> float:
+    """``min_leaf_examples``, or 2 when None; negative or nan raises ``ValueError``."""
+    n_ex = 2.0 if min_leaf_examples is None else min_leaf_examples
+    if not n_ex >= 0:
+        raise ValueError(f"min_leaf_examples must be >= 0, got {n_ex!r}")
+    return n_ex
 
 
 # -- attribute weights --------------------------------------------------------
@@ -295,16 +300,24 @@ def update_example_weights(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionParams:
-    """Knobs for the attribute-weighting pass."""
+    """Knobs for the attribute-weighting pass, checked when built (so frozen)."""
 
-    smoothing_k: float = 1.0
-    bins: int = 10
+    smoothing_k: float = SMOOTHING_K
+    bins: int = BINS
     relabel: bool = True
     iterations: int = 1
-    max_depth: int | None = None
-    min_leaf_examples: float | None = None
+    max_depth: int | None = 15
+    min_leaf_examples: float | None = 30.0
+
+    def __post_init__(self) -> None:
+        check_fit_settings(self.smoothing_k, self.bins)
+        _leaf_floor(self.min_leaf_examples)
+        if not self.iterations >= 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
+        if self.max_depth is not None and not self.max_depth >= 1:
+            raise ValueError(f"weighting-tree max_depth must be >= 1, got {self.max_depth!r}")
 
 
 @dataclass
@@ -361,8 +374,6 @@ def select_attributes(
     need the load-time labels take ``reduced.with_true_labels()``.
     """
     params = params or SelectionParams()
-    if params.iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {params.iterations!r}")
     if dataset.n == 0:
         raise TrainingError("cannot select attributes on an empty dataset")
     work = dataset.with_uniform_weights()

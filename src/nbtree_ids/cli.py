@@ -73,7 +73,8 @@ def _setting(default, doc: str):
 class RunConfig:
     """Resolved run configuration. Each field is a config-file key and a
     ``--<name>`` flag of every command (``--<name>/--no-<name>`` for a
-    bool), typed by the field's annotation, with the field's help."""
+    bool), typed by the field's annotation, with the field's help. A model
+    setting's default and range are those of the library class it sets."""
 
     train: str | None = _setting(None, "training records (comma-separated, 42 fields)")
     test: str | None = _setting(None, "test records")
@@ -81,53 +82,46 @@ class RunConfig:
     taxonomy: str | None = _setting(None, "attack-name mapping file (default: built-in)")
     out: str = _setting("runs", "output root (default: runs)")
     seed: int | None = _setting(None, "seed for sampling/splitting")
-    smoothing_k: float = _setting(1.0, "add-k smoothing strength, in average-example units")
-    bins: int = _setting(10, "equal-frequency bins for continuous attributes")
-    folds: int = _setting(5, "cross-validation folds for split utility")
+    smoothing_k: float = _setting(
+        NBTreeParams.smoothing_k, "add-k smoothing strength, in average-example units")
+    bins: int = _setting(NBTreeParams.bins, "equal-frequency bins for continuous attributes")
+    folds: int = _setting(NBTreeParams.folds, "cross-validation folds for split utility")
     significance_pct: float = _setting(
-        5.0, "required relative error reduction for a split (percent)")
-    min_split_examples: float = _setting(30.0, "example-mass floor for trying a split")
-    nbtree_max_depth: int = _setting(10, "depth limit of the NB-tree (the root is depth 1)")
-    relabel: bool = _setting(True, "relabel examples to their argmax posterior during weighting")
-    iterations: int = _setting(1, "reweighting passes before the tree")
-    weighting_max_depth: int | None = _setting(15, "depth limit of the weighting tree")
+        NBTreeParams.significance * 100, "required relative error reduction for a split (percent)")
+    min_split_examples: float = _setting(
+        NBTreeParams.min_split_examples, "example-mass floor for trying a split")
+    nbtree_max_depth: int = _setting(
+        NBTreeParams.max_depth, "depth limit of the NB-tree (the root is depth 1)")
+    relabel: bool = _setting(
+        SelectionParams.relabel, "relabel examples to their argmax posterior during weighting")
+    iterations: int = _setting(SelectionParams.iterations, "reweighting passes before the tree")
+    weighting_max_depth: int | None = _setting(
+        SelectionParams.max_depth, "depth limit of the weighting tree")
     weighting_min_leaf_examples: float | None = _setting(
-        30.0, "example-mass floor of a weighting-tree node; a lighter node is a leaf")
-    baselines: bool = _setting(True, "train NB / gain-tree baselines alongside the pipeline")
+        SelectionParams.min_leaf_examples,
+        "example-mass floor of a weighting-tree node; a lighter node is a leaf")
+    baselines: bool = _setting(
+        ComparisonConfig.baselines, "train NB / gain-tree baselines alongside the pipeline")
     sample_fraction: float | None = _setting(None, "stratified subsample of the training file")
     test_fraction: float | None = _setting(
         None, "hold out this fraction of train as test (when no --test)")
     permissive: bool = _setting(False, "skip bad records and extend domains instead of aborting")
-    carry_weights: bool = _setting(True, "carry posterior weights into the NB-tree (default on)")
-    train_on_relabeled: bool = _setting(False, "train the NB-tree on relabeled working labels")
+    carry_weights: bool = _setting(
+        ComparisonConfig.carry_weights, "carry posterior weights into the NB-tree (default on)")
+    train_on_relabeled: bool = _setting(
+        ComparisonConfig.train_on_relabeled, "train the NB-tree on relabeled working labels")
 
     def validate(self) -> None:
-        checks = [
-            (self.bins >= 1, "bins must be >= 1"),
-            (self.folds >= 2, "folds must be >= 2"),
-            (self.smoothing_k >= 0, "smoothing_k must be >= 0"),
-            (0 <= self.significance_pct < 100, "significance_pct must be in [0, 100)"),
-            (self.min_split_examples >= 0, "min_split_examples must be >= 0"),
-            (self.nbtree_max_depth >= 1, "nbtree_max_depth must be >= 1"),
-            (self.iterations >= 1, "iterations must be >= 1"),
-        ]
-        if self.sample_fraction is not None:
-            checks.append((0 < self.sample_fraction < 1,
-                           "sample_fraction must be in (0, 1)"))
-        if self.test_fraction is not None:
-            checks.append((0 < self.test_fraction < 1,
-                           "test_fraction must be in (0, 1)"))
-        if self.weighting_max_depth is not None:
-            checks.append((self.weighting_max_depth >= 1,
-                           "weighting_max_depth must be >= 1"))
-        if self.weighting_min_leaf_examples is not None:
-            checks.append((self.weighting_min_leaf_examples >= 0,
-                           "weighting_min_leaf_examples must be >= 0"))
-        if self.seed is not None:
-            checks.append((self.seed >= 0, "seed must be >= 0"))
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        for name in ("sample_fraction", "test_fraction"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < 1:
+                raise ConfigError(f"{name} must be in (0, 1)")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        try:
+            self.comparison_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def require_seed(self, why: str) -> int:
         if self.seed is None:
@@ -145,34 +139,22 @@ class RunConfig:
         raw = json.dumps(self.resolved(), sort_keys=True).encode()
         return hashlib.sha256(raw).hexdigest()[:12]
 
+    def _build(self, cls, **renamed):
+        """A ``cls`` given this config's fields of the same names, and ``renamed``."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
+                      if f.name in vars(self)}, **renamed)
+
     def selection_params(self) -> SelectionParams:
-        return SelectionParams(
-            smoothing_k=self.smoothing_k,
-            bins=self.bins,
-            relabel=self.relabel,
-            iterations=self.iterations,
-            max_depth=self.weighting_max_depth,
-            min_leaf_examples=self.weighting_min_leaf_examples,
-        )
+        return self._build(SelectionParams, max_depth=self.weighting_max_depth,
+                           min_leaf_examples=self.weighting_min_leaf_examples)
 
     def nbtree_params(self) -> NBTreeParams:
-        return NBTreeParams(
-            folds=self.folds,
-            significance=self.significance_pct / 100.0,
-            min_split_examples=self.min_split_examples,
-            max_depth=self.nbtree_max_depth,
-            smoothing_k=self.smoothing_k,
-            bins=self.bins,
-        )
+        return self._build(NBTreeParams, significance=self.significance_pct / 100.0,
+                           max_depth=self.nbtree_max_depth)
 
     def comparison_config(self) -> ComparisonConfig:
-        return ComparisonConfig(
-            selection=self.selection_params(),
-            nbtree=self.nbtree_params(),
-            baselines=self.baselines,
-            train_on_relabeled=self.train_on_relabeled,
-            carry_weights=self.carry_weights,
-        )
+        return self._build(ComparisonConfig, selection=self.selection_params(),
+                           nbtree=self.nbtree_params())
 
 
 def _resolve_path(path: str | None) -> str | None:

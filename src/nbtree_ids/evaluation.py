@@ -335,7 +335,6 @@ def run_comparison(
     """Train the proposed pipeline and any baselines, then evaluate each on
     the test set (reduced-attribute models see the test set projected onto
     the kept attributes)."""
-    config = config or ComparisonConfig()
     selection, models = train_models(train, config)
     reports = [
         evaluate(model, project_for_model(model, test), model_id=model.model_id)

@@ -57,9 +57,12 @@ import numpy as np
 from .dataset import Example, WeightedDataset
 from .exceptions import DataFormatError, TrainingError
 from .probability import (
+    BINS,
+    SMOOTHING_K,
     NaiveBayesModel,
     as_weight_array,
     bin_column,
+    check_fit_settings,
     fit_codes,
     rank_codes,
     smoothed_conditionals,
@@ -74,30 +77,25 @@ from .tree import (
 NBTREE_FORMAT = "nbtree/1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NBTreeParams:
-    """Construction knobs."""
+    """Construction knobs, checked when built (so frozen)."""
 
     folds: int = 5
     significance: float = 0.05        # required relative error reduction
     min_split_examples: float = 30.0  # node weight floor, in example-mass units
     max_depth: int = 10
-    smoothing_k: float = 1.0          # add-k, in units of the training set's mean example weight
-    bins: int = 10
+    smoothing_k: float = SMOOTHING_K  # add-k, in units of the training set's mean example weight
+    bins: int = BINS
 
-    def validate(self) -> None:
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not (0.0 <= self.significance < 1.0):
-            raise ValueError("significance must be in [0, 1)")
-        if not self.min_split_examples >= 0:
-            raise ValueError("min_split_examples must be >= 0")
-        if not self.smoothing_k >= 0:
-            raise ValueError("smoothing_k must be >= 0")
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
+    def __post_init__(self) -> None:
+        check_fit_settings(self.smoothing_k, self.bins)
+        for name, ok, bound in (("folds", self.folds >= 2, ">= 2"),
+                                ("significance", 0.0 <= self.significance < 1.0, "in [0, 1)"),
+                                ("min_split_examples", self.min_split_examples >= 0, ">= 0"),
+                                ("max_depth", self.max_depth >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"NB-tree {name} must be {bound}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -166,9 +164,7 @@ class _BuildContext:
     counters; no per-node state."""
 
     def __init__(self, ds: WeightedDataset, attr_weights=None, params: NBTreeParams | None = None):
-        params = params or NBTreeParams()
-        params.validate()
-        self.params = params
+        self.params = params = params or NBTreeParams()
         self.schema = ds.schema
         self.labels = ds.labels
         self.weights = ds.weights
@@ -368,8 +364,8 @@ class _BuildContext:
 def node_misclassification_check(
     partition: WeightedDataset,
     attr_weights,
-    k: float = 1.0,
-    bins: int = 10,
+    k: float = SMOOTHING_K,
+    bins: int = BINS,
 ) -> int:
     """Fit an NB model on the partition, classify the partition with the
     attribute-weight exponents, and count the examples whose prediction

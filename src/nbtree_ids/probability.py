@@ -27,6 +27,7 @@ exponentiated after normalisation across classes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,18 @@ from .dataset import AttributeSpec, Example, Schema, WeightedDataset
 from .exceptions import DataFormatError, SchemaError, TrainingError
 
 MODEL_FORMAT = "nb-model/1"
+
+SMOOTHING_K = 1.0   # the default add-k, in units of the data's mean example weight
+BINS = 10           # the default equal-frequency bins of a continuous attribute
+
+
+def check_fit_settings(k: float = SMOOTHING_K, bins: int = BINS) -> None:
+    """Raise ``ValueError`` unless the smoothing k is finite and >= 0 and
+    ``bins`` >= 1."""
+    if not (math.isfinite(k) and k >= 0):
+        raise ValueError(f"smoothing_k must be finite and >= 0, got {k!r}")
+    if not bins >= 1:
+        raise ValueError(f"bins must be >= 1, got {bins!r}")
 
 
 def rank_codes(rank: np.ndarray, group: np.ndarray | int, sizes: np.ndarray,
@@ -69,8 +82,7 @@ def bin_column(values: np.ndarray, bins: int):
     """One continuous column binned on its own values by ``rank_codes``:
     its int32 codes, its edges, and (its sorted distinct values, each
     value's rank among them)."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    check_fit_settings(bins=bins)
     distinct, rank = np.unique(values, return_inverse=True)
     codes, _, edge_ranks = rank_codes(rank, 0, np.array([len(rank)]), len(distinct), bins)
     return codes, distinct[edge_ranks], (distinct, rank)
@@ -168,7 +180,7 @@ class NaiveBayesModel:
             raise SchemaError("model arrays do not match its schema: tables must be C x V")
         self.classes = schema.class_names
         self.schema_hash = schema.structural_hash()
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):   # from_dict rejects p < 0
             self._log_priors = np.log(self.priors)
             # one (V+1, C) log table per attribute; its last row is the
             # unseen floor, which code -1 (and code V) reads
@@ -273,7 +285,24 @@ class NaiveBayesModel:
         model = cls(schema, doc["priors"], [a["cond"] for a in attrs],
                     [a["edges"] for a in attrs], doc["smoothing_k"], doc["class_weights"])
         model.model_id = doc.get("model_id", "nb")
+        model._check_fitted()
         return model
+
+    def _check_fitted(self) -> None:
+        """Raise ``DataFormatError`` unless a fit could make these arrays:
+        edges finite and strictly increasing; k and class masses finite and
+        >= 0; priors and table rows finite, >= 0 and summing to 1 within
+        1e-9, a row summing to 0 only where k = 0 left its class no mass."""
+        k, cw = self.smoothing_k, self.class_weights
+        if not (math.isfinite(k) and k >= 0 and np.all(np.isfinite(cw) & (cw >= 0))):
+            raise DataFormatError("smoothing_k and class_weights must be finite and >= 0")
+        if not all(np.all(np.isfinite(e)) and np.all(np.diff(e) > 0) for e in self.edges):
+            raise DataFormatError("bin edges must be finite and strictly increasing")
+        for p, may_be_0 in [(self.priors, False), *((t, (cw == 0) & (k == 0)) for t in self.cond)]:
+            total = p.sum(axis=-1)
+            if not (np.all(np.isfinite(p) & (p >= 0))
+                    and np.all((np.abs(total - 1) <= 1e-9) | (may_be_0 & (total == 0)))):
+                raise DataFormatError("priors and table rows must be probabilities summing to 1")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
@@ -305,7 +334,8 @@ def _schema_from_dict(doc: dict) -> Schema:
     )
 
 
-def fit_naive_bayes(dataset: WeightedDataset, k: float = 1.0, bins: int = 10) -> NaiveBayesModel:
+def fit_naive_bayes(dataset: WeightedDataset, k: float = SMOOTHING_K,
+                    bins: int = BINS) -> NaiveBayesModel:
     """Bin and fit one dataset with :func:`fit_codes`.
 
     ``k`` is expressed in units of average example weight, so smoothing
@@ -313,8 +343,7 @@ def fit_naive_bayes(dataset: WeightedDataset, k: float = 1.0, bins: int = 10) ->
     weighted data the fit is exactly the classic add-k estimate from
     counts, whether the weights are 1/n or 1.
     """
-    if not k >= 0:
-        raise ValueError("k must be >= 0")
+    check_fit_settings(k, bins)
     total = dataset.total_weight
     if total <= 0:
         raise TrainingError("cannot estimate priors: zero total weight")

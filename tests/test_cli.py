@@ -10,7 +10,10 @@ import pytest
 
 import synth
 from nbtree_ids import evaluation
+from nbtree_ids.attribute_weighting import SelectionParams
 from nbtree_ids.cli import RunConfig, _load_config, build_parser, load_model_file, main
+from nbtree_ids.evaluation import ComparisonConfig
+from nbtree_ids.nbtree import NBTreeParams
 
 # a tiny but learnable KDD-format corpus: three crisply separated behaviours
 def write_toy_corpus(path, n_normal=30, n_neptune=30, n_ipsweep=20):
@@ -131,16 +134,35 @@ def test_sampled_permissive_run_keeps_skip_counts(toy_corpus, tmp_path):
         assert doc["skip_reasons"] == {"field-count": 1, "unknown-attack": 1}
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("inspect", ["--bins", "0"]),
-    ("inspect", ["--weighting-min-leaf-examples", "-5"]),
-    ("inspect", ["--weighting-min-leaf-examples", "nan"]),
-    ("compare", ["--seed", "-1", "--test-fraction", "0.3"]),
-], ids=["bins-0", "min-leaf-negative", "min-leaf-nan", "seed-negative"])
-def test_bad_flag_value_exits_1(toy_corpus, tmp_path, command, flags):
-    code = main([command, "--train", str(toy_corpus), "--out",
+@pytest.mark.parametrize("command, flags, field", [
+    ("inspect", ["--bins", "0"], "bins"),
+    ("inspect", ["--weighting-min-leaf-examples", "-5"], "min_leaf_examples"),
+    ("inspect", ["--weighting-min-leaf-examples", "nan"], "min_leaf_examples"),
+    ("compare", ["--seed", "-1", "--test-fraction", "0.3"], "seed"),
+    ("train", ["--folds", "1"], "folds"),
+    ("train", ["--significance-pct", "100"], "significance"),
+    ("train", ["--nbtree-max-depth", "0"], "max_depth"),
+    ("select", ["--weighting-max-depth", "0"], "max_depth"),
+    ("select", ["--iterations", "0"], "iterations"),
+    ("compare", ["--smoothing-k", "-1"], "smoothing_k"),
+    ("compare", ["--smoothing-k", "inf"], "smoothing_k"),
+    ("train", ["--min-split-examples", "-1"], "min_split_examples"),
+], ids=["bins-0", "min-leaf-negative", "min-leaf-nan", "seed-negative", "folds-1",
+        "significance-100", "nbtree-depth-0", "weighting-depth-0", "iterations-0",
+        "smoothing-k-negative", "smoothing-k-inf", "min-split-negative"])
+def test_bad_flag_value_exits_1(tmp_path, capsys, command, flags, field):
+    # no such training file: a check made only after the load would exit 2
+    code = main([command, "--train", str(tmp_path / "missing.csv"), "--out",
                  str(tmp_path / "r"), *flags])
     assert code == 1
+    assert field in capsys.readouterr().err
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    config = RunConfig()
+    assert config.selection_params() == SelectionParams()
+    assert config.nbtree_params() == NBTreeParams()
+    assert config.comparison_config() == ComparisonConfig()
 
 
 # -- select ------------------------------------------------------------------------
@@ -346,6 +368,36 @@ def _text_depth(doc):
     doc["root"]["depth"] = "deep"
 
 
+def _binned(doc):
+    return next(a for a in doc["attributes"] if len(a["edges"]) > 1)
+
+
+def _reversed_edges(doc):
+    _binned(doc)["edges"].reverse()
+
+
+def _nan_edge(doc):
+    _binned(doc)["edges"][0] = float("nan")
+
+
+def _table_entry(value):
+    def damage(doc):
+        doc["attributes"][0]["cond"][0][0] = value
+    return damage
+
+
+def _priors_sum_to_5(doc):
+    doc["priors"] = [5 * p for p in doc["priors"]]
+
+
+def _negative_k(doc):
+    doc["smoothing_k"] = -1.0
+
+
+def _negative_class_weight(doc):
+    doc["class_weights"][0] = -doc["class_weights"][0]
+
+
 def _nan_attr_weight(doc):
     doc["attr_weights"][0] = float("nan")   # json writes and reads it as NaN
 
@@ -369,10 +421,18 @@ def _negative_attr_weight(doc):
     ("tree-full", _threshold(float("nan"))),
     ("tree-full", _threshold(10**400)),
     ("proposed-nbtree", _text_depth),
+    ("nb-full", _reversed_edges),
+    ("nb-full", _nan_edge),
+    ("nb-full", _table_entry(-1.0)),
+    ("nb-full", _table_entry(float("nan"))),
+    ("nb-full", _priors_sum_to_5),
+    ("nb-full", _negative_k),
+    ("nb-full", _negative_class_weight),
 ], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
         "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight",
         "empty-children", "text-weight", "text-threshold", "nan-threshold", "huge-threshold",
-        "text-depth"])
+        "text-depth", "reversed-edges", "nan-edge", "negative-table-entry", "nan-table-entry",
+        "priors-sum-to-5", "negative-smoothing-k", "negative-class-weight"])
 def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out)]) == 0

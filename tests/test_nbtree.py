@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
+from nbtree_ids.attribute_weighting import SelectionParams
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.kdd99 import kdd99_schema
 from nbtree_ids.nbtree import (
@@ -703,12 +704,18 @@ def test_fit_codes_equal_score_codes(data):
     lambda ds: fit_naive_bayes(ds, k=-0.5),
     lambda ds: fit_naive_bayes(ds, k=float("nan")),
     lambda ds: bin_column(ds.columns[0], 0),
-    lambda ds: NBTreeParams(bins=0).validate(),
-    lambda ds: NBTreeParams(smoothing_k=-1).validate(),
-    lambda ds: NBTreeParams(min_split_examples=-5).validate(),
-    lambda ds: NBTreeParams(min_split_examples=float("nan")).validate(),
-], ids=["nb-negative-k", "nb-nan-k", "zero-bins", "tree-zero-bins", "tree-negative-k",
-        "tree-negative-min-split", "tree-nan-min-split"])
+    lambda ds: fit_naive_bayes(ds, k=float("inf")),
+    lambda ds: NBTreeParams(bins=0),
+    lambda ds: NBTreeParams(smoothing_k=-1),
+    lambda ds: NBTreeParams(smoothing_k=float("inf")),
+    lambda ds: NBTreeParams(min_split_examples=-5),
+    lambda ds: NBTreeParams(min_split_examples=float("nan")),
+    lambda ds: SelectionParams(bins=0),
+    lambda ds: SelectionParams(max_depth=0),
+    lambda ds: SelectionParams(min_leaf_examples=float("nan")),
+], ids=["nb-negative-k", "nb-nan-k", "zero-bins", "nb-inf-k", "tree-zero-bins",
+        "tree-negative-k", "tree-inf-k", "tree-negative-min-split", "tree-nan-min-split",
+        "weighting-zero-bins", "weighting-zero-depth", "weighting-nan-min-leaf"])
 def test_out_of_range_params_raise_value_error(call):
     schema = Schema((AttributeSpec("x", "continuous"),), ("A", "B"))
     ds = WeightedDataset.from_rows(schema, [(float(v),) for v in range(6)], ["A", "B"] * 3)
