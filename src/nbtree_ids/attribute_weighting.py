@@ -321,46 +321,39 @@ class SelectionParams:
 
 
 @dataclass
-class SelectionReport:
-    """Audit record of one attribute-weighting run."""
+class SelectionResult:
+    """One attribute-weighting run: its weights, the reduced working
+    dataset and the weighting tree. Its audit record reads them."""
 
+    weights: AttributeWeights
+    reduced: WeightedDataset
+    tree: DecisionTree
+    params: SelectionParams
     n_examples: int
-    iterations: int
-    relabel: bool
     relabeled_count: int
-    attributes: list[dict]
-    kept: list[str]
-    tree_dump: str = ""
 
     def to_dict(self) -> dict:
         return {
             "format": "attribute-weights/1",
             "n_examples": self.n_examples,
-            "iterations": self.iterations,
-            "relabel": self.relabel,
+            "iterations": self.params.iterations,
+            "relabel": self.params.relabel,
             "relabeled_count": self.relabeled_count,
-            "attributes": self.attributes,
-            "kept": self.kept,
+            "attributes": self.weights.rows(),
+            "kept": list(self.weights.kept_names()),
         }
 
     def to_text(self) -> str:
-        width = max(len(r["name"]) for r in self.attributes)
+        rows = self.weights.rows()
+        width = max(len(r["name"]) for r in rows)
         lines = [f"{'attribute':<{width}}  min_depth  weight      kept"]
-        for r in self.attributes:
+        for r in rows:
             d = "-" if r["min_depth"] is None else str(r["min_depth"])
             lines.append(
                 f"{r['name']:<{width}}  {d:>9}  {r['weight']:<10.6f}  {'yes' if r['kept'] else 'no'}"
             )
-        lines.append(f"kept {len(self.kept)} of {len(self.attributes)} attributes")
+        lines.append(f"kept {len(self.weights.kept_names())} of {len(rows)} attributes")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class SelectionResult:
-    weights: AttributeWeights
-    reduced: WeightedDataset
-    tree: DecisionTree
-    report: SelectionReport
 
 
 def select_attributes(
@@ -393,13 +386,4 @@ def select_attributes(
         )
     reduced = project_attributes(work, kept)
     relabeled = int(np.count_nonzero(work.labels != work.true_labels))
-    report = SelectionReport(
-        n_examples=dataset.n,
-        iterations=params.iterations,
-        relabel=params.relabel,
-        relabeled_count=relabeled,
-        attributes=weights.rows(),
-        kept=list(kept),
-        tree_dump=tree.dump(),
-    )
-    return SelectionResult(weights, reduced, tree, report)
+    return SelectionResult(weights, reduced, tree, params, dataset.n, relabeled)

@@ -29,7 +29,7 @@ from pathlib import Path
 from .attribute_weighting import (
     DecisionTree,
     SelectionParams,
-    SelectionReport,
+    SelectionResult,
     TREE_FORMAT,
     select_attributes,
 )
@@ -46,7 +46,6 @@ from .evaluation import (
     ComparisonConfig,
     EvalReport,
     evaluate,
-    project_for_model,
     run_comparison,
     train_models,
 )
@@ -374,10 +373,10 @@ def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> _Run:
     return run
 
 
-def _write_selection(run: _Run, report: SelectionReport) -> None:
-    run.write_json("selection.json", report.to_dict())
-    run.write_text("selection.txt", report.to_text())
-    run.write_text("trees/weighting-tree.txt", report.tree_dump)
+def _write_selection(run: _Run, selection: SelectionResult) -> None:
+    run.write_json("selection.json", selection.to_dict())
+    run.write_text("selection.txt", selection.to_text())
+    run.write_text("trees/weighting-tree.txt", selection.tree.dump())
 
 
 def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
@@ -391,12 +390,12 @@ def cmd_select(config: RunConfig, _args: argparse.Namespace) -> _Run:
     ds = _load_train(config, loads)
     run = _Run(config, loads)
     result = select_attributes(ds, config.selection_params())
-    _write_selection(run, result.report)
+    _write_selection(run, result)
     run.write_json("kept.json", {
         "format": "kept-attributes/1",
         "kept": list(result.weights.kept_names()),
     })
-    print(result.report.to_text(), end="")
+    print(result.to_text(), end="")
     return run
 
 
@@ -414,7 +413,7 @@ def cmd_train(config: RunConfig, _args: argparse.Namespace) -> _Run:
     run = _Run(config, loads)
     selection, models = train_models(ds, config.comparison_config())
     run.note_info(nbtree=models["proposed-nbtree"].build_stats)
-    _write_selection(run, selection.report)
+    _write_selection(run, selection)
     _write_models(run, models)
     print(f"trained {len(models)} model(s) into {run.dir}")
     return run
@@ -435,7 +434,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> _Run:
     test = _load(config.test, schema, taxonomy, config, loads)
     run = _Run(config, loads)
     run.write_json("composition.json", _composition_doc(test))
-    reports = [evaluate(model, project_for_model(model, test)) for model in models]
+    reports = [evaluate(model, test) for model in models]
     for report in reports:
         print(report.to_text())
     _write_reports(run, reports)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attribute_weighting import (
     SelectionParams,
-    SelectionReport,
+    SelectionResult,
     build_weighted_tree,
     select_attributes,
 )
@@ -121,17 +121,32 @@ def accuracy(matrix: ConfusionMatrix) -> float:
 
 @dataclass
 class EvalReport:
-    """One model evaluated on one test set."""
+    """One model evaluated on one test set; its rates are read from ``matrix``."""
 
     model_id: str
     dataset_id: str
     attribute_count: int
-    classes: tuple[str, ...]
     matrix: ConfusionMatrix
-    per_class: list[dict]
-    accuracy: float
-    normal_fp: float | None
     wall_clock_sec: float
+
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return self.matrix.classes
+
+    @property
+    def per_class(self) -> list[dict]:
+        m = self.matrix
+        return [{"class": c, "dr": detection_rate(m, c), "fp": false_positive_rate(m, c),
+                 "support": int(support)} for c, support in zip(m.classes, m.row_sums())]
+
+    @property
+    def accuracy(self) -> float:
+        return accuracy(self.matrix)
+
+    @property
+    def normal_fp(self) -> float | None:
+        return normal_false_positive(
+            self.matrix, "Normal" if "Normal" in self.classes else self.classes[0])
 
     def to_dict(self) -> dict:
         return {
@@ -168,52 +183,48 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def dr(self, class_name: str) -> float | None:
-        for row in self.per_class:
-            if row["class"] == class_name:
-                return row["dr"]
-        raise SchemaError(f"unknown class {class_name!r}")
+        return detection_rate(self.matrix, class_name)
+
+
+def project_for_model(model, test: WeightedDataset) -> WeightedDataset:
+    """The test set as ``model`` sees it: unchanged when the schemas match,
+    else projected onto the model's attributes. Raises
+    :class:`EvaluationError` when no projection matches the model's schema
+    and class order."""
+    seen = test
+    if (model.schema_hash != test.schema.structural_hash()
+            and set(model.attribute_names).issubset(test.schema.attribute_names)):
+        seen = project_attributes(test, model.attribute_names)
+    if (model.schema_hash == seen.schema.structural_hash()
+            and tuple(model.classes) == seen.schema.class_names):
+        return seen
+    raise EvaluationError(
+        f"model {getattr(model, 'model_id', '?')!r} does not match the test "
+        "schema (attribute names/kinds or class order differ)"
+    )
 
 
 def evaluate(model, test: WeightedDataset, model_id: str | None = None) -> EvalReport:
-    """Classify every test example and assemble the per-class report.
+    """Classify every test example, projected onto the model's attributes
+    (``project_for_model``), and count the confusion matrix.
 
     ``model`` is anything with ``predict_dataset``, ``schema_hash``,
-    ``classes`` and ``attribute_count`` (naive-Bayes models, gain trees,
-    NB-trees). Test labels must be the load-time labels; a relabeled
-    working copy is rejected.
+    ``classes``, ``attribute_names`` and ``attribute_count`` (naive-Bayes
+    models, gain trees, NB-trees). Test labels must be the load-time
+    labels; a relabeled working copy is rejected.
     """
-    if model.schema_hash != test.schema.structural_hash():
-        raise EvaluationError(
-            f"model schema ({model.schema_hash}) does not match test schema "
-            f"({test.schema.structural_hash()})"
-        )
+    test = project_for_model(model, test)
     if np.any(test.labels != test.true_labels):
         raise EvaluationError("test set carries relabeled working labels; "
                               "evaluate against the load-time labels")
     start = time.perf_counter()
     pred = model.predict_dataset(test)
     elapsed = time.perf_counter() - start
-    classes = tuple(model.classes)
-    matrix = ConfusionMatrix.from_indices(test.labels, pred, classes)
-    per_class = []
-    for i, c in enumerate(classes):
-        per_class.append({
-            "class": c,
-            "dr": detection_rate(matrix, c),
-            "fp": false_positive_rate(matrix, c),
-            "support": int(matrix.counts[i].sum()),
-        })
     return EvalReport(
         model_id=model_id or getattr(model, "model_id", model.__class__.__name__),
         dataset_id=test.dataset_id,
         attribute_count=model.attribute_count,
-        classes=classes,
-        matrix=matrix,
-        per_class=per_class,
-        accuracy=accuracy(matrix),
-        normal_fp=normal_false_positive(
-            matrix, "Normal" if "Normal" in classes else classes[0]
-        ),
+        matrix=ConfusionMatrix.from_indices(test.labels, pred, tuple(model.classes)),
         wall_clock_sec=elapsed,
     )
 
@@ -237,12 +248,15 @@ class ComparisonConfig:
 @dataclass
 class ComparisonBundle:
     """Reports for the proposed pipeline and any baselines, plus the
-    attribute-selection audit trail."""
+    attribute selection they share."""
 
-    selection: SelectionReport
-    kept_attributes: list[str]
+    selection: SelectionResult
     reports: list[EvalReport]
     models: dict = field(default_factory=dict)
+
+    @property
+    def kept_attributes(self) -> list[str]:
+        return list(self.selection.weights.kept_names())
 
     def report(self, model_id: str) -> EvalReport:
         for r in self.reports:
@@ -300,8 +314,8 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig):
     models: dict[str, object] = {"proposed-nbtree": nbt}
 
     if config.baselines:
-        plain_reduced = project_attributes(train, kept)
-        for suffix, ds in (("full", train), ("reduced", plain_reduced)):
+        plain = train.with_uniform_weights().with_true_labels()
+        for suffix, ds in (("full", plain), ("reduced", project_attributes(plain, kept))):
             nb = fit_naive_bayes(ds, k=params.smoothing_k, bins=params.bins)
             nb.model_id = f"nb-{suffix}"
             tree = build_weighted_tree(ds, max_depth=params.max_depth,
@@ -311,38 +325,13 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig):
     return selection, models
 
 
-def project_for_model(model, test: WeightedDataset) -> WeightedDataset:
-    """The test set as ``model`` sees it: unchanged when the schemas match,
-    else projected onto the model's attributes. Raises
-    :class:`EvaluationError` when no projection matches the model's schema."""
-    if model.schema_hash == test.schema.structural_hash():
-        return test
-    if set(model.attribute_names).issubset(test.schema.attribute_names):
-        projected = project_attributes(test, model.attribute_names)
-        if model.schema_hash == projected.schema.structural_hash():
-            return projected
-    raise EvaluationError(
-        f"model {getattr(model, 'model_id', '?')!r} does not match the test "
-        "schema (attribute names/kinds or class order differ)"
-    )
-
-
 def run_comparison(
     train: WeightedDataset,
     test: WeightedDataset,
     config: ComparisonConfig | None = None,
 ) -> ComparisonBundle:
     """Train the proposed pipeline and any baselines, then evaluate each on
-    the test set (reduced-attribute models see the test set projected onto
-    the kept attributes)."""
+    the test set."""
     selection, models = train_models(train, config)
-    reports = [
-        evaluate(model, project_for_model(model, test), model_id=model.model_id)
-        for model in models.values()
-    ]
-    return ComparisonBundle(
-        selection=selection.report,
-        kept_attributes=list(selection.weights.kept_names()),
-        reports=reports,
-        models=models,
-    )
+    reports = [evaluate(model, test, model_id=model.model_id) for model in models.values()]
+    return ComparisonBundle(selection, reports, models)

@@ -452,17 +452,17 @@ class NBTree(TreeModel):
     def from_dict(cls, doc: dict) -> "NBTree":
         if doc.get("format") != NBTREE_FORMAT:
             raise DataFormatError(f"not a {NBTREE_FORMAT} document")
-        attributes = tuple(doc["attributes"])
+        attributes, classes = tuple(doc["attributes"]), tuple(doc["classes"])
         attr_weights = as_weight_array(doc["attr_weights"], attributes)
 
         def model(payload):
-            if not (isinstance(payload, NaiveBayesModel)
+            if not (isinstance(payload, NaiveBayesModel) and payload.classes == classes
                     and payload.schema_hash == doc["schema_hash"]):
                 raise DataFormatError("a leaf or fallback is not a model of the tree's schema")
             return payload
 
         return cls(
-            doc["schema_hash"], tuple(doc["classes"]), attributes, attr_weights,
+            doc["schema_hash"], classes, attributes, attr_weights,
             node_from_dict(doc["root"], attributes, model), doc.get("model_id", "nbtree"),
         )
 

@@ -276,7 +276,7 @@ class NaiveBayesModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NaiveBayesModel":
-        if doc.get("format") != MODEL_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise DataFormatError(f"not a {MODEL_FORMAT} document")
         schema = _schema_from_dict(doc["schema"])
         attrs = doc["attributes"]

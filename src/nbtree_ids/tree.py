@@ -14,8 +14,9 @@ training time goes to the heaviest child.
 Both builders grow through ``grow_tree`` and cut continuous attributes at
 ``threshold_candidates``. ``split_rows`` partitions rows by a split and
 ``TreeNode.branch`` sends one value down. ``route_rows`` partitions a
-whole dataset node by node (it asks ``branch`` once per domain symbol),
-and ``route_example`` follows one example, the per-example reference.
+whole dataset node by node with ``split_rows`` (sending each symbol's rows
+where ``branch`` sends the symbol), and ``route_example`` follows one
+example, the per-example reference.
 The file form names a threshold split's children ``left`` and ``right``.
 """
 
@@ -160,8 +161,9 @@ def grow_tree(dataset: WeightedDataset, split_of: Callable) -> TreeNode:
 def route_rows(root: TreeNode, dataset: WeightedDataset,
                ) -> Iterator[tuple[str | NaiveBayesModel, np.ndarray]]:
     """Partition the dataset's rows node by node. Yields (payload, row
-    indices) for every leaf or empty branch that receives rows; each row is
-    in exactly one pair."""
+    indices) pairs for the leaves and empty branches that receive rows, a
+    leaf once per symbol part that reaches it; each row is in exactly one
+    pair."""
     attr_index = {name: j for j, name in enumerate(dataset.schema.attribute_names)}
     stack = [(root, np.arange(dataset.n))]
     while stack:
@@ -172,19 +174,10 @@ def route_rows(root: TreeNode, dataset: WeightedDataset,
             yield node.payload, rows
             continue
         j = attr_index[node.attribute]
-        col = dataset.columns[j]
-        if node.threshold is not None:
-            parts = zip((node.children["<="], node.children[">"]),
-                        split_rows(col, rows, node.threshold, ()))
-        else:
-            # code -> where that symbol goes; codes that go to the same
-            # place share the slot of the first of them
-            ends = [node.branch(sym) for sym in dataset.schema.attributes[j].domain]
-            first: dict[int, int] = {}
-            slots = np.array([first.setdefault(id(end), k) for k, end in enumerate(ends)])
-            slots = slots[col[rows]]
-            parts = [(ends[k], rows[slots == k]) for k in first.values()]
-        for child, sub in parts:
+        domain = dataset.schema.attributes[j].domain
+        ends = ((node.children["<="], node.children[">"]) if node.threshold is not None
+                else [node.branch(sym) for sym in domain])
+        for child, sub in zip(ends, split_rows(dataset.columns[j], rows, node.threshold, domain)):
             if child is not None:
                 stack.append((child, sub))
             elif sub.size:
@@ -248,21 +241,29 @@ def node_to_dict(node: TreeNode) -> dict:
     return doc
 
 
-def _number(doc: dict, key: str, kind: type | tuple[type, ...] = (int, float)):
-    """``doc[key]``, or ``DataFormatError`` unless it is a finite ``kind`` (not a bool)."""
+def _number(doc: dict, key: str, kind: type | tuple[type, ...] = (int, float),
+            least: float = -math.inf):
+    """``doc[key]``, or ``DataFormatError`` unless it is a finite ``kind`` (not
+    a bool) of at least ``least``."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+    if (isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value)
+            or value < least):
+        at_least = "" if least == -math.inf else f" >= {least:g}"
         raise DataFormatError(f"node {key} must be a finite "
-                              f"{'integer' if kind is int else 'number'}, not {value!r}")
+                              f"{'integer' if kind is int else 'number'}{at_least}, not {value!r}")
     return value
 
 
-def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable) -> TreeNode:
-    """Rebuild a subtree whose splits test only the tree's ``attributes``;
-    ``check`` returns each leaf and fallback payload, or raises
-    ``DataFormatError`` when the payload does not fit the tree."""
-    node = TreeNode(depth=_number(doc, "depth", int), weight=_number(doc, "weight"),
-                    n=_number(doc, "n", int))
+def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable,
+                   depth: int = 1) -> TreeNode:
+    """Rebuild a subtree whose root sits at ``depth`` and whose splits test
+    only the tree's ``attributes``; ``check`` returns each leaf and fallback
+    payload, or raises ``DataFormatError`` when the payload does not fit
+    the tree."""
+    node = TreeNode(depth=_number(doc, "depth", int), weight=_number(doc, "weight", least=0),
+                    n=_number(doc, "n", int, least=0))
+    if node.depth != depth:
+        raise DataFormatError(f"node depth is {node.depth}, not its parent's plus one ({depth})")
     if "attribute" not in doc:
         node.payload = check(NaiveBayesModel.from_dict(doc["model"]) if "model" in doc
                              else doc["label"])
@@ -272,15 +273,20 @@ def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable) -> T
         raise DataFormatError(f"split on {node.attribute!r}, not one of the tree's attributes")
     if "threshold" in doc:
         node.threshold = _number(doc, "threshold")
-        node.children = {"<=": node_from_dict(doc["left"], attributes, check),
-                         ">": node_from_dict(doc["right"], attributes, check)}
+        node.children = {"<=": node_from_dict(doc["left"], attributes, check, depth + 1),
+                         ">": node_from_dict(doc["right"], attributes, check, depth + 1)}
         return node
-    node.children = {sym: node_from_dict(c, attributes, check)
-                     for sym, c in doc["children"].items()}
-    if not node.children:
-        raise DataFormatError(f"split on {node.attribute!r} has no children")
+    children = doc["children"]
+    if not isinstance(children, dict) or not children:
+        raise DataFormatError(f"split on {node.attribute!r} must map at least one symbol "
+                              "to a child")
+    node.children = {sym: node_from_dict(c, attributes, check, depth + 1)
+                     for sym, c in children.items()}
     if "empty_branches" in doc:
         node.empty_branches = tuple(doc["empty_branches"])
+        if set(node.empty_branches) & node.children.keys():
+            raise DataFormatError(f"split on {node.attribute!r} lists a child among its "
+                                  "empty branches")
         node.fallback_model = check(NaiveBayesModel.from_dict(doc["fallback_model"]))
     return node
 

@@ -409,15 +409,15 @@ def test_select_is_deterministic():
     ds = synth.make_majority_dataset(seed=5, n=400)
     a = select_attributes(ds, SelectionParams())
     b = select_attributes(ds, SelectionParams())
-    assert a.report.to_dict() == b.report.to_dict()
+    assert a.to_dict() == b.to_dict()
     assert a.tree.dump() == b.tree.dump()
 
 
 def test_selection_report_shape():
     ds = synth.make_majority_dataset(seed=9, n=300)
     result = select_attributes(ds, SelectionParams())
-    rows = result.report.to_dict()["attributes"]
+    rows = result.to_dict()["attributes"]
     assert len(rows) == 10
     assert {r["name"] for r in rows} == set(ds.schema.attribute_names)
-    text = result.report.to_text()
+    text = result.to_text()
     assert "kept" in text and "inf0" in text

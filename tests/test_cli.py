@@ -1,12 +1,19 @@
 import argparse
+import contextlib
+import copy
 import dataclasses
+import functools
+import io
 import json
+import operator
 import re
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
 from nbtree_ids import evaluation
@@ -304,6 +311,19 @@ def test_eval_schema_mismatch_exits_4(toy_corpus, tmp_path):
     assert code == 4
 
 
+def test_eval_of_a_tree_with_reordered_classes_exits_4(toy_corpus, tmp_path, capsys):
+    out = tmp_path / "train"
+    assert main(["train", *base_args(toy_corpus, out)]) == 0
+    doc = json.loads((run_dir(out) / "models" / "tree-full.json").read_text())
+    doc["classes"].reverse()
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["eval", "--test", str(toy_corpus), "--out", str(tmp_path / "e"),
+                 "--models", str(broken)])
+    assert code == 4
+    assert "does not match the test schema" in capsys.readouterr().err
+
+
 def _no_priors(doc):
     del doc["priors"]
 
@@ -394,6 +414,44 @@ def _negative_k(doc):
     doc["smoothing_k"] = -1.0
 
 
+def _nodes(node):
+    """A saved tree's nodes, ``node`` first."""
+    yield node
+    kids = ((node["left"], node["right"]) if "threshold" in node
+            else node.get("children", {}).values())
+    for child in kids:
+        yield from _nodes(child)
+
+
+def _every_node(key, value):
+    """Set ``key`` of every node to ``value(old value)``."""
+    def damage(doc):
+        for node in _nodes(doc["root"]):
+            node[key] = value(node[key])
+    return damage
+
+
+def _deep_child(doc):
+    next(iter(doc["root"]["children"].values()))["depth"] = 3
+
+
+def _listed_children(doc):
+    doc["root"]["children"] = list(doc["root"]["children"].values())
+
+
+def _model_not_an_object(doc):
+    doc["root"]["model"] = 1.5
+
+
+def _no_classes(doc):
+    doc["classes"] = []
+
+
+def _empty_branch_child(doc):
+    leaf = _root_split(doc, attribute="service", empty_branches=["http"])
+    doc["root"].update(children={"http": {**leaf, "depth": 2}}, fallback_model=leaf["model"])
+
+
 def _negative_class_weight(doc):
     doc["class_weights"][0] = -doc["class_weights"][0]
 
@@ -428,11 +486,26 @@ def _negative_attr_weight(doc):
     ("nb-full", _priors_sum_to_5),
     ("nb-full", _negative_k),
     ("nb-full", _negative_class_weight),
+    ("tree-full", _every_node("weight", lambda w: -w)),
+    ("proposed-nbtree", _every_node("weight", lambda w: -w)),
+    ("tree-full", _every_node("n", lambda n: -5)),
+    ("proposed-nbtree", _every_node("n", lambda n: -5)),
+    ("tree-full", _every_node("depth", lambda d: 7)),
+    ("proposed-nbtree", _every_node("depth", lambda d: 7)),
+    ("tree-full", _deep_child),
+    ("tree-full", _listed_children),
+    ("proposed-nbtree", _empty_branch_child),
+    ("proposed-nbtree", _model_not_an_object),
+    ("proposed-nbtree", _no_classes),
 ], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
         "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight",
         "empty-children", "text-weight", "text-threshold", "nan-threshold", "huge-threshold",
         "text-depth", "reversed-edges", "nan-edge", "negative-table-entry", "nan-table-entry",
-        "priors-sum-to-5", "negative-smoothing-k", "negative-class-weight"])
+        "priors-sum-to-5", "negative-smoothing-k", "negative-class-weight",
+        "negative-tree-weights", "negative-nbtree-weights", "negative-tree-n",
+        "negative-nbtree-n", "tree-depth-7", "nbtree-depth-7", "child-depth-3",
+        "listed-children", "empty-branch-is-a-child", "model-not-an-object",
+        "nbtree-without-classes"])
 def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out)]) == 0
@@ -444,6 +517,71 @@ def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, 
                  "--models", str(broken)])
     assert code == 2
     assert str(broken) in capsys.readouterr().err
+
+
+MODEL_IDS = ("proposed-nbtree", "nb-full", "tree-full", "nb-reduced", "tree-reduced")
+
+
+@pytest.fixture(scope="module")
+def trained_toy(tmp_path_factory):
+    """A work directory, its toy corpus and the five model documents that
+    ``train`` writes from it."""
+    work = tmp_path_factory.mktemp("fuzz")
+    corpus = work / "toy.csv"
+    write_toy_corpus(corpus)
+    assert main(["train", *base_args(corpus, work / "train")]) == 0
+    models = run_dir(work / "train") / "models"
+    return work, corpus, {m: json.loads((models / f"{m}.json").read_text()) for m in MODEL_IDS}
+
+
+def _places(value, path=()):
+    """The path of every value inside a model document but its config stamp."""
+    if isinstance(value, dict):
+        items = [(k, v) for k, v in value.items() if path or k not in ("config", "config_hash")]
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return
+    for key, sub in items:
+        yield path + (key,)
+        yield from _places(sub, path + (key,))
+
+
+_DROP = object()
+# one change to one value; a change that does not apply to the value keeps it
+_CHANGES = {
+    "drop": lambda v: _DROP,
+    "retype": lambda v: ("x" if v is None or isinstance(v, (bool, int, float))
+                         else {} if isinstance(v, list) else [] if isinstance(v, dict) else 1),
+    "nan": lambda v: float("nan"),
+    "negate": lambda v: -v if isinstance(v, (int, float)) and not isinstance(v, bool) else v,
+    "reverse": lambda v: v[::-1] if isinstance(v, list) else v,
+    "empty": lambda v: type(v)() if isinstance(v, (list, dict)) else v,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_eval_of_a_damaged_model_file_exits_0_or_2(trained_toy, data):
+    work, corpus, docs = trained_toy
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(MODEL_IDS), label="model")])
+    *head, key = data.draw(st.sampled_from(list(_places(doc))), label="path")
+    parent = functools.reduce(operator.getitem, head, doc)
+    changed = _CHANGES[data.draw(st.sampled_from(sorted(_CHANGES)), label="change")](parent[key])
+    if changed is _DROP:
+        del parent[key]
+    else:
+        parent[key] = changed
+    broken = work / "broken.json"
+    broken.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--test", str(corpus), "--out", str(work / "eval"),
+                     "--models", str(broken)])
+    # a file that no longer fits the test schema is an evaluation error (exit 4)
+    assert (code == 0 or (code == 2 and str(broken) in err.getvalue())
+            or (code == 4 and "does not match the test schema" in err.getvalue())), \
+        (code, err.getvalue())
 
 
 def test_eval_rejects_two_models_with_one_id(toy_corpus, tmp_path, capsys):
@@ -648,13 +786,17 @@ def test_data_dir_env_var_resolves_relative_paths(toy_corpus, tmp_path, monkeypa
 
 def test_readme_names_every_long_option():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    # a flag ends at a letter, so the --<name>/--no-<name> template names none
+    named = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*(?![\w<-])", section))
     (commands,) = [a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    missing = set()
+    missing, offered = set(), set()
     for sub in commands.choices.values():
         for action in sub._actions:
             names = [o for o in action.option_strings if o.startswith("--") and o != "--help"]
-            if names and not any(re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme)
-                                 for o in names):
+            offered.update(names)
+            if names and not named.intersection(names):
                 missing.add(names[0])
-    assert not missing, f"README.md does not name {sorted(missing)}"
+    assert not missing, f"README.md's Command line section does not name {sorted(missing)}"
+    assert not named - offered, f"README.md names flags no command takes: {sorted(named - offered)}"

@@ -271,3 +271,20 @@ def test_train_models_carry_weights():
                            selection.weights.as_array(kept), params)
     assert reset["proposed-nbtree"].dump() == uniform.dump()
     assert carried["proposed-nbtree"].dump() != uniform.dump()
+
+
+@pytest.mark.parametrize("bend", ["random-weights", "rolled-labels"])
+def test_baselines_train_on_uniform_weights_and_load_time_labels(bend):
+    ds = synth.make_majority_dataset(seed=5, n=300)
+    bent = (ds.with_weights(np.random.default_rng(3).random(ds.n)) if bend == "random-weights"
+            else ds.with_labels(np.roll(ds.labels, 1)))
+    params = SelectionParams(max_depth=4)
+    selection, models = train_models(bent, ComparisonConfig(selection=params))
+    reduced = project_attributes(ds, selection.weights.kept_names())
+    for suffix, plain in (("full", ds), ("reduced", reduced)):
+        nb = fit_naive_bayes(plain, k=params.smoothing_k, bins=params.bins)
+        tree = build_weighted_tree(plain, max_depth=params.max_depth,
+                                   min_leaf_examples=params.min_leaf_examples)
+        for mid, expected in ((f"nb-{suffix}", nb), (f"tree-{suffix}", tree)):
+            expected.model_id = mid
+            assert models[mid].to_dict() == expected.to_dict()
