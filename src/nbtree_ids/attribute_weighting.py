@@ -18,7 +18,8 @@ continuous ones). Its node type, routing, dump and JSON codec live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -331,6 +332,8 @@ class SelectionResult:
     params: SelectionParams
     n_examples: int
     relabeled_count: int
+    # counters and seconds of the run that made this result; not saved
+    stats: dict | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -369,6 +372,7 @@ def select_attributes(
     params = params or SelectionParams()
     if dataset.n == 0:
         raise TrainingError("cannot select attributes on an empty dataset")
+    start = time.perf_counter()
     work = dataset.with_uniform_weights()
     for _ in range(params.iterations):
         model = fit_naive_bayes(work, k=params.smoothing_k, bins=params.bins)
@@ -386,4 +390,7 @@ def select_attributes(
         )
     reduced = project_attributes(work, kept)
     relabeled = int(np.count_nonzero(work.labels != work.true_labels))
-    return SelectionResult(weights, reduced, tree, params, dataset.n, relabeled)
+    stats = {"relabeled": relabeled, "tree_nodes": tree.node_count(),
+             "tree_depth": max(node.depth for node in iter_nodes(tree.root)), "kept": len(kept),
+             "select_s": time.perf_counter() - start}
+    return SelectionResult(weights, reduced, tree, params, dataset.n, relabeled, stats)

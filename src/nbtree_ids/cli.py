@@ -26,6 +26,8 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .attribute_weighting import (
     DecisionTree,
     SelectionParams,
@@ -34,18 +36,21 @@ from .attribute_weighting import (
     select_attributes,
 )
 from .dataset import (
+    ClassCounts,
+    LoadReport,
     WeightedDataset,
     class_counts,
     load_dataset,
     load_schema_file,
     load_taxonomy_file,
+    read_batches,
     stratified_sample,
     stratified_split,
 )
 from .evaluation import (
     ComparisonConfig,
     EvalReport,
-    evaluate,
+    evaluate_batches,
     run_comparison,
     train_models,
 )
@@ -61,6 +66,8 @@ from .nbtree import NBTREE_FORMAT, NBTree, NBTreeParams
 from .probability import MODEL_FORMAT, NaiveBayesModel
 
 DATA_DIR_ENV = "NBTREE_IDS_DATA"
+# rows eval reads and scores at once, so it never holds the whole test set
+_EVAL_BATCH_ROWS = 8_192
 
 
 def _setting(default, doc: str):
@@ -218,7 +225,8 @@ class _Run:
 
     ``run_info.json`` holds what may differ between identical runs: the
     start time, the counters of every record file the run loaded, any
-    NB-tree's build counters and the peak RSS when the command ends."""
+    attribute selection's and NB-tree build's counters and the peak RSS
+    when the command ends."""
 
     def __init__(self, config: RunConfig, loads: list[dict]):
         self.config = config
@@ -264,12 +272,9 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> WeightedDataset:
-    """Load one record file and append its loader counters to ``loads``."""
-    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=config.permissive)
-    report = ds.load_report
-    loads.append({
-        "source": ds.dataset_id,
+def _load_entry(source: str | None, report: LoadReport) -> dict:
+    return {
+        "source": source,
         "records": report.n_loaded,
         "skipped": report.skipped,
         "skip_reasons": report.reasons,
@@ -278,7 +283,13 @@ def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> 
         "reader_lines": report.reader_lines,
         "fallback_lines": report.fallback_lines,
         "peak_rss_mb": _peak_rss_mb(),
-    })
+    }
+
+
+def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> WeightedDataset:
+    """Load one record file and append its loader counters to ``loads``."""
+    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=config.permissive)
+    loads.append(_load_entry(ds.dataset_id, ds.load_report))
     return ds
 
 
@@ -331,20 +342,19 @@ def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
         raise DataFormatError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _composition_doc(ds: WeightedDataset) -> dict:
-    counts = class_counts(ds)
+def _composition_doc(dataset_id: str, counts: ClassCounts, report: LoadReport | None) -> dict:
     doc = {
         "format": "composition/1",
-        "dataset": ds.dataset_id,
+        "dataset": dataset_id,
         "total": counts.total,
         "per_class": [
             {"class": c, "count": int(counts.counts[i]), "weight": float(counts.weighted[i])}
             for i, c in enumerate(counts.classes)
         ],
     }
-    if ds.load_report is not None and ds.load_report.skipped:
-        doc["skipped"] = ds.load_report.skipped
-        doc["skip_reasons"] = ds.load_report.reasons
+    if report is not None and report.skipped:
+        doc["skipped"] = report.skipped
+        doc["skip_reasons"] = report.reasons
     return doc
 
 
@@ -365,7 +375,7 @@ def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> _Run:
     loads: list[dict] = []
     ds = _load_train(config, loads)
     run = _Run(config, loads)
-    doc = _composition_doc(ds)
+    doc = _composition_doc(ds.dataset_id, class_counts(ds), ds.load_report)
     run.write_json("composition.json", doc)
     text = _composition_text(doc)
     run.write_text("composition.txt", text)
@@ -374,6 +384,7 @@ def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> _Run:
 
 
 def _write_selection(run: _Run, selection: SelectionResult) -> None:
+    run.note_info(selection=selection.stats)
     run.write_json("selection.json", selection.to_dict())
     run.write_text("selection.txt", selection.to_text())
     run.write_text("trees/weighting-tree.txt", selection.tree.dump())
@@ -430,11 +441,20 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> _Run:
         if model.model_id in [m.model_id for m in models[:i]]:
             raise ConfigError(f"two models have model_id {model.model_id!r}")
     schema, taxonomy = _schema_and_taxonomy(config)
-    loads: list[dict] = []
-    test = _load(config.test, schema, taxonomy, config, loads)
-    run = _Run(config, loads)
-    run.write_json("composition.json", _composition_doc(test))
-    reports = [evaluate(model, test) for model in models]
+    load = LoadReport()
+    batches = read_batches(_resolve_path(config.test), schema, taxonomy, load,
+                           permissive=config.permissive, rows=_EVAL_BATCH_ROWS)
+    try:
+        reports = evaluate_batches(models, batches)
+    finally:  # read the whole file, so a bad record fails before any model does
+        for _ in batches:
+            pass
+    run = _Run(config, [_load_entry(reports[0].dataset_id, load)])
+    # the test labels, class by class: a report's rows count them in schema order
+    labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())
+    counts = ClassCounts(schema.class_names, reports[0].matrix.row_sums(), np.bincount(
+        labels, weights=np.full(len(labels), 1.0 / len(labels)), minlength=schema.n_classes))
+    run.write_json("composition.json", _composition_doc(reports[0].dataset_id, counts, load))
     for report in reports:
         print(report.to_text())
     _write_reports(run, reports)
@@ -449,7 +469,8 @@ def cmd_compare(config: RunConfig, _args: argparse.Namespace) -> _Run:
     loads: list[dict] = []
     train, test = _train_test(config, loads)
     run = _Run(config, loads)
-    run.write_json("composition.json", _composition_doc(train))
+    run.write_json("composition.json",
+                   _composition_doc(train.dataset_id, class_counts(train), train.load_report))
     bundle = run_comparison(train, test, config.comparison_config())
     run.note_info(nbtree=bundle.models["proposed-nbtree"].build_stats)
     _write_selection(run, bundle.selection)

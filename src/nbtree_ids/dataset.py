@@ -449,26 +449,37 @@ def load_dataset(
     *,
     permissive: bool = False,
 ) -> WeightedDataset:
-    """Ingest a record stream and return a uniformly weighted dataset.
+    """Ingest a record stream and return a uniformly weighted dataset: the
+    one batch of :func:`read_batches`, whose report is ``load_report``."""
+    (dataset,) = read_batches(source, schema, taxonomy, LoadReport(), permissive=permissive)
+    return dataset
 
-    ``source`` may be a path or any iterable of lines. Every example gets
-    weight 1/n and file order is preserved. Lines are read in blocks of
-    ``_CHUNK_LINES``. numpy's C reader parses each block against the full
-    record dtype; a block it raises on (a wrong field count, or a number
-    it cannot read) is split and converted in Python instead. One verdict
-    then flags each row that :func:`parse_record` might judge otherwise: a
-    wrong field count, a non-finite number, a label with no class, in
-    strict mode a symbol outside its non-empty domain, a symbol as wide as
-    the reader's str width (it may have been cut), or a line holding an
-    undecodable byte or a character of ``_READER_BLIND``. Only flagged
-    lines go to :func:`parse_record`, whose verdict alone counts; a line
-    it keeps overwrites its own row.
 
-    In strict mode (default) the first bad record aborts the load with
+def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport, *,
+                 permissive: bool = False, rows: float = math.inf) -> Iterator[WeightedDataset]:
+    """Read a record stream (a path or any iterable of lines) in file order
+    as uniformly weighted batches of ``rows`` examples or more, the last
+    maybe fewer, each on the symbol domains read so far (codes only grow).
+    ``report`` counts the whole stream; its ``seconds`` leave out the time
+    a batch is held.
+
+    Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
+    each block against the full record dtype; a block it raises on (a wrong
+    field count, or a number it cannot read) is split and converted in
+    Python instead. One verdict then flags each row that
+    :func:`parse_record` might judge otherwise: a wrong field count, a
+    non-finite number, a label with no class, in strict mode a symbol
+    outside its non-empty domain, a symbol as wide as the reader's str
+    width (it may have been cut), or a line holding an undecodable byte or
+    a character of ``_READER_BLIND``. Only flagged lines go to
+    :func:`parse_record`, whose verdict alone counts; a line it keeps
+    overwrites its own row.
+
+    In strict mode (default) the first bad record aborts the stream with
     that error; in permissive mode bad records are skipped and counted by
-    reason in ``dataset.load_report``. Unseen discrete values of kept
-    records extend the attribute domain in permissive mode, and define it
-    in either mode when the schema domain is empty.
+    reason in ``report``. Unseen discrete values of kept records extend the
+    attribute domain in permissive mode, and define it in either mode when
+    the schema domain is empty.
     """
     start = time.perf_counter()
     attrs = schema.attributes
@@ -482,7 +493,6 @@ def load_dataset(
     names = [r for r, c in taxonomy.mapping.items()
              if c in schema.class_names and not r.endswith(".")]
     name_code = {r + end: k for k, r in enumerate(names) for end in ("", ".")}
-    report = LoadReport()
     # one output per attribute, then the label codes; each chunk's kept rows
     # are copied in and the outputs grow in place, so no per-chunk copies
     # pile up on the heap to be freed (and kept resident) at the end
@@ -569,28 +579,36 @@ def load_dataset(
         out[-1][new] = codes
         n += n_kept
 
+    name_class = np.array([schema.class_index(taxonomy.mapping[r]) for r in names], dtype=np.int64)
+    src = str(source) if isinstance(source, (str, Path)) else None
+
+    def take_batch() -> WeightedDataset:
+        """The rows copied in so far, as a batch; the outputs start anew."""
+        nonlocal n
+        for arr in out:
+            arr.resize(n, refcheck=False)
+        *columns, codes = out
+        batch = WeightedDataset(
+            schema.with_domains({attrs[j].name: tuple(sym_index[j]) for j in disc_idx}),
+            columns, name_class[codes], np.full(n, 1.0 / n),
+            raw_labels=np.array(names, dtype=object)[codes], source=src, load_report=report)
+        out[:] = [np.empty(0, arr.dtype) for arr in out]
+        report.n_loaded, n = report.n_loaded + n, 0
+        report.seconds += time.perf_counter() - start
+        return batch
+
     numbered = enumerate(_iter_lines(source), start=1)
     while lines := list(islice(numbered, _CHUNK_LINES)):
         chunk = [(ln, text) for ln, text in lines if text.strip()]
         if chunk:
             flush(chunk)
-
-    for arr in out:
-        arr.resize(n, refcheck=False)
-    codes = out.pop()
-    if n == 0:
+        if n >= rows:
+            yield take_batch()
+            start = time.perf_counter()
+    if n:
+        yield take_batch()
+    if report.n_loaded == 0:
         raise EmptyDatasetError("record source yielded no usable examples")
-    report.n_loaded = n
-    name_class = np.array([schema.class_index(taxonomy.mapping[r]) for r in names], dtype=np.int64)
-    final_schema = schema.with_domains(
-        {attrs[j].name: tuple(sym_index[j]) for j in disc_idx}
-    )
-    src = str(source) if isinstance(source, (str, Path)) else None
-    report.seconds = time.perf_counter() - start
-    return WeightedDataset(
-        final_schema, out, name_class[codes], np.full(n, 1.0 / n),
-        raw_labels=np.array(names, dtype=object)[codes], source=src, load_report=report,
-    )
 
 
 def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:

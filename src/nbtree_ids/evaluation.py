@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -204,29 +205,36 @@ def project_for_model(model, test: WeightedDataset) -> WeightedDataset:
     )
 
 
-def evaluate(model, test: WeightedDataset, model_id: str | None = None) -> EvalReport:
-    """Classify every test example, projected onto the model's attributes
-    (``project_for_model``), and count the confusion matrix.
+def evaluate_batches(models: Sequence, batches: Iterable[WeightedDataset]) -> list[EvalReport]:
+    """Classify each test batch in turn, projected onto each model's
+    attributes (``project_for_model``), and add up each model's confusion
+    counts and predict seconds. A model is a naive-Bayes model, gain tree
+    or NB-tree. Test labels must be the load-time labels; a relabeled
+    working copy is rejected."""
+    reports = [EvalReport(getattr(m, "model_id", m.__class__.__name__), None, m.attribute_count,
+                          ConfusionMatrix(tuple(m.classes), np.zeros((len(m.classes),) * 2, int)),
+                          0.0) for m in models]
+    for batch in batches:
+        for model, report in zip(models, reports):
+            seen = project_for_model(model, batch)
+            if np.any(seen.labels != seen.true_labels):
+                raise EvaluationError("test set carries relabeled working labels; "
+                                      "evaluate against the load-time labels")
+            start = time.perf_counter()
+            pred = model.predict_dataset(seen)
+            report.wall_clock_sec += time.perf_counter() - start
+            report.matrix.counts += ConfusionMatrix.from_indices(seen.labels, pred,
+                                                                 report.classes).counts
+            report.dataset_id = batch.dataset_id
+        batch = seen = None   # hold no batch while the next is read
+    return reports
 
-    ``model`` is anything with ``predict_dataset``, ``schema_hash``,
-    ``classes``, ``attribute_names`` and ``attribute_count`` (naive-Bayes
-    models, gain trees, NB-trees). Test labels must be the load-time
-    labels; a relabeled working copy is rejected.
-    """
-    test = project_for_model(model, test)
-    if np.any(test.labels != test.true_labels):
-        raise EvaluationError("test set carries relabeled working labels; "
-                              "evaluate against the load-time labels")
-    start = time.perf_counter()
-    pred = model.predict_dataset(test)
-    elapsed = time.perf_counter() - start
-    return EvalReport(
-        model_id=model_id or getattr(model, "model_id", model.__class__.__name__),
-        dataset_id=test.dataset_id,
-        attribute_count=model.attribute_count,
-        matrix=ConfusionMatrix.from_indices(test.labels, pred, tuple(model.classes)),
-        wall_clock_sec=elapsed,
-    )
+
+def evaluate(model, test: WeightedDataset, model_id: str | None = None) -> EvalReport:
+    """``model`` scored on ``test`` as one batch of ``evaluate_batches``."""
+    (report,) = evaluate_batches([model], [test])
+    report.model_id = model_id or report.model_id
+    return report
 
 
 # -- the five-way comparison ---------------------------------------------------

@@ -275,7 +275,7 @@ def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable,
         node.threshold = _number(doc, "threshold")
         node.children = {"<=": node_from_dict(doc["left"], attributes, check, depth + 1),
                          ">": node_from_dict(doc["right"], attributes, check, depth + 1)}
-        return node
+        return _parts_add_up(node)
     children = doc["children"]
     if not isinstance(children, dict) or not children:
         raise DataFormatError(f"split on {node.attribute!r} must map at least one symbol "
@@ -288,6 +288,19 @@ def node_from_dict(doc: dict, attributes: tuple[str, ...], check: Callable,
             raise DataFormatError(f"split on {node.attribute!r} lists a child among its "
                                   "empty branches")
         node.fallback_model = check(NaiveBayesModel.from_dict(doc["fallback_model"]))
+    return _parts_add_up(node)
+
+
+def _parts_add_up(node: TreeNode) -> TreeNode:
+    """``node``, or ``DataFormatError`` unless its children's ``n`` add up to
+    its own and their weights to its weight within 1e-9 relative; a split
+    hands each row to exactly one child."""
+    n = sum(child.n for child in node.children.values())
+    weight = sum(child.weight for child in node.children.values())
+    if n != node.n or not math.isclose(weight, node.weight, rel_tol=1e-9):
+        raise DataFormatError(f"the children of the split on {node.attribute!r} hold n={n}, "
+                              f"weight={weight!r}, not the node's n={node.n}, "
+                              f"weight={node.weight!r}")
     return node
 
 

@@ -7,6 +7,8 @@ import io
 import json
 import operator
 import re
+import shutil
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -16,10 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
-from nbtree_ids import evaluation
+from nbtree_ids import cli, evaluation
+from nbtree_ids import dataset as dataset_module
 from nbtree_ids.attribute_weighting import SelectionParams
 from nbtree_ids.cli import RunConfig, _load_config, build_parser, load_model_file, main
-from nbtree_ids.evaluation import ComparisonConfig
+from nbtree_ids.dataset import class_counts, load_dataset
+from nbtree_ids.evaluation import ComparisonConfig, evaluate
+from nbtree_ids.exceptions import DataFormatError
+from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import NBTreeParams
 
 # a tiny but learnable KDD-format corpus: three crisply separated behaviours
@@ -452,6 +458,15 @@ def _empty_branch_child(doc):
     doc["root"].update(children={"http": {**leaf, "depth": 2}}, fallback_model=leaf["model"])
 
 
+def _heavier_first_child(doc):
+    children = list(doc["root"]["children"].values())
+    children[0]["weight"] = 2 * max(child["weight"] for child in children)
+
+
+def _first_child_n_plus_one(doc):
+    next(iter(doc["root"]["children"].values()))["n"] += 1
+
+
 def _negative_class_weight(doc):
     doc["class_weights"][0] = -doc["class_weights"][0]
 
@@ -497,6 +512,8 @@ def _negative_attr_weight(doc):
     ("proposed-nbtree", _empty_branch_child),
     ("proposed-nbtree", _model_not_an_object),
     ("proposed-nbtree", _no_classes),
+    ("tree-full", _heavier_first_child),
+    ("tree-full", _first_child_n_plus_one),
 ], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
         "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight",
         "empty-children", "text-weight", "text-threshold", "nan-threshold", "huge-threshold",
@@ -505,7 +522,8 @@ def _negative_attr_weight(doc):
         "negative-tree-weights", "negative-nbtree-weights", "negative-tree-n",
         "negative-nbtree-n", "tree-depth-7", "nbtree-depth-7", "child-depth-3",
         "listed-children", "empty-branch-is-a-child", "model-not-an-object",
-        "nbtree-without-classes"])
+        "nbtree-without-classes", "children-outweigh-their-node",
+        "children-outnumber-their-node"])
 def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, damage):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out)]) == 0
@@ -523,15 +541,22 @@ MODEL_IDS = ("proposed-nbtree", "nb-full", "tree-full", "nb-reduced", "tree-redu
 
 
 @pytest.fixture(scope="module")
-def trained_toy(tmp_path_factory):
-    """A work directory, its toy corpus and the five model documents that
-    ``train`` writes from it."""
+def trained_kdd(tmp_path_factory):
+    """A work directory, a test file of every 8th line of a small synthetic
+    KDD corpus (1,987 lines) and the five model documents a default
+    ``train`` writes from that corpus. Unlike the toy corpus's, its trees
+    split on thresholds."""
     work = tmp_path_factory.mktemp("fuzz")
-    corpus = work / "toy.csv"
-    write_toy_corpus(corpus)
-    assert main(["train", *base_args(corpus, work / "train")]) == 0
+    corpus = work / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
+    assert main(["train", "--train", str(corpus), "--out", str(work / "train")]) == 0
     models = run_dir(work / "train") / "models"
-    return work, corpus, {m: json.loads((models / f"{m}.json").read_text()) for m in MODEL_IDS}
+    docs = {m: json.loads((models / f"{m}.json").read_text()) for m in MODEL_IDS}
+    for tree in ("proposed-nbtree", "tree-full"):
+        assert any("threshold" in node for node in _nodes(docs[tree]["root"]))
+    test = work / "test.csv"
+    test.write_text("".join(corpus.read_text().splitlines(keepends=True)[::8]))
+    return work, test, docs
 
 
 def _places(value, path=()):
@@ -562,8 +587,8 @@ _CHANGES = {
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_eval_of_a_damaged_model_file_exits_0_or_2(trained_toy, data):
-    work, corpus, docs = trained_toy
+def test_eval_of_a_damaged_model_file_exits_0_or_2(trained_kdd, data):
+    work, corpus, docs = trained_kdd
     doc = copy.deepcopy(docs[data.draw(st.sampled_from(MODEL_IDS), label="model")])
     *head, key = data.draw(st.sampled_from(list(_places(doc))), label="path")
     parent = functools.reduce(operator.getitem, head, doc)
@@ -598,6 +623,135 @@ def test_eval_rejects_two_models_with_one_id(toy_corpus, tmp_path, capsys):
 def test_eval_requires_models_and_test(toy_corpus, tmp_path):
     assert main(["eval", "--test", str(toy_corpus), "--out", str(tmp_path)]) == 1
     assert main(["eval", "--models", "x.json", "--out", str(tmp_path)]) == 1
+
+
+@pytest.fixture(scope="module")
+def toy_models(tmp_path_factory):
+    """A work directory, the toy corpus's lines and the paths of the five
+    models ``train`` writes from it."""
+    work = tmp_path_factory.mktemp("stream")
+    corpus = work / "toy.csv"
+    write_toy_corpus(corpus)
+    assert main(["train", *base_args(corpus, work / "train")]) == 0
+    models = sorted(str(p) for p in (run_dir(work / "train") / "models").glob("*.json"))
+    return work, corpus.read_text().splitlines(keepends=True), models
+
+
+def _stream_eval(work, lines, models, *flags, batch_rows, chunk_lines):
+    """Exit code, stderr and output root of an ``eval`` of ``lines`` that reads
+    ``chunk_lines`` lines a block and scores ``batch_rows`` rows a batch."""
+    test, out = work / "stream.csv", work / "stream-out"
+    test.write_text("".join(lines))
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(cli, "_EVAL_BATCH_ROWS", batch_rows)
+        mp.setattr(dataset_module, "_CHUNK_LINES", chunk_lines)
+        code = main(["eval", *flags, "--test", str(test), "--out", str(out), "--models", *models])
+    return code, err.getvalue(), out
+
+
+def _untimed(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k not in ("wall_clock_sec", "config", "config_hash")}
+
+
+def _stream_line(toy: list[str], kind: str, k: int) -> str:
+    """A line of the streamed test file: a toy row, a toy row with a service
+    no schema lists (a new symbol in permissive mode), a bad line or a blank."""
+    row = toy[k % len(toy)]
+    fields = row.rstrip("\n").split(",")
+    if kind == "new-symbol":
+        fields[2] = f"svc{k % 3}"
+    elif kind == "field-count":
+        del fields[5]
+    elif kind == "bad-number":
+        fields[4] = "12x"
+    elif kind == "unknown-attack":
+        fields[-1] = "nosuch."
+    elif kind == "blank":
+        return "\n"
+    return ",".join(fields) + "\n"
+
+
+_STREAM_KINDS = ("row", "row", "row", "new-symbol", "field-count", "bad-number",
+                 "unknown-attack", "blank")
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.tuples(st.sampled_from(_STREAM_KINDS), st.integers(0, 79)),
+                      min_size=1, max_size=60),
+       batch_rows=st.integers(1, 12), chunk_lines=st.integers(1, 5), permissive=st.booleans())
+def test_streamed_eval_equals_eval_of_the_whole_load(toy_models, picks, batch_rows, chunk_lines,
+                                                     permissive):
+    """Scored batch by batch, ``eval`` writes the reports and composition of
+    a whole load: symbols first seen in a later batch, bad lines on block
+    and batch edges. A fault of the file exits 2 naming its line, and
+    leaves no run directory."""
+    work, toy, models = toy_models
+    lines = [_stream_line(toy, kind, k) for kind, k in picks]
+    flags = ["--permissive"] if permissive else []
+    code, err, out = _stream_eval(work, lines, models, *flags, batch_rows=batch_rows,
+                                  chunk_lines=chunk_lines)
+    try:
+        whole = load_dataset(work / "stream.csv", kdd99_schema(), kdd99_taxonomy(),
+                             permissive=permissive)
+    except DataFormatError as exc:   # EmptyDatasetError too
+        assert code == 2 and str(exc) in err and not out.exists(), (code, err)
+        return
+    assert code == 0, err
+    rd = run_dir(out)
+    composition = cli._composition_doc(whole.dataset_id, class_counts(whole), whole.load_report)
+    assert _untimed(json.loads((rd / "composition.json").read_text())) == composition
+    for path in models:
+        model = load_model_file(path)
+        got = json.loads((rd / "reports" / f"{model.model_id}.json").read_text())
+        assert _untimed(got) == _untimed(evaluate(model, whole).to_dict())
+
+
+def test_strict_eval_of_a_bad_line_in_a_late_batch_exits_2(toy_models):
+    work, toy, models = toy_models
+    lines = list(toy)
+    lines[70] = _stream_line(toy, "bad-number", 70)
+    code, err, out = _stream_eval(work, lines, models, batch_rows=8, chunk_lines=4)
+    assert code == 2
+    assert "line 71" in err
+    assert not out.exists()
+
+
+def test_eval_reports_a_bad_line_before_a_model_that_does_not_fit(toy_models, tmp_path):
+    """The first batch already shows the model does not fit the test schema,
+    but the file is read whole first, as a whole load would."""
+    work, toy, models = toy_models
+    doc = json.loads(Path(next(m for m in models if m.endswith("tree-full.json"))).read_text())
+    doc["classes"].reverse()
+    misfit = tmp_path / "misfit.json"
+    misfit.write_text(json.dumps(doc))
+    lines = list(toy)
+    lines[70] = _stream_line(toy, "bad-number", 70)
+    code, err, out = _stream_eval(work, lines, [str(misfit)], batch_rows=8, chunk_lines=4)
+    assert (code, "line 71" in err, out.exists()) == (2, True, False)
+    code, err, _ = _stream_eval(work, toy, [str(misfit)], batch_rows=8, chunk_lines=4)
+    assert (code, "does not match the test schema" in err) == (4, True)
+
+
+def test_eval_peaks_below_a_quarter_of_the_test_columns(toy_models):
+    """``eval`` holds one batch of the test set at a time, never all of it."""
+    work, toy, models = toy_models
+    big = work / "big.csv"
+    big.write_text("".join(toy * 1250))   # 100,000 rows
+    column_bytes = sum(col.nbytes for col in
+                       load_dataset(big, kdd99_schema(), kdd99_taxonomy()).columns)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--test", str(big), "--out", str(work / "big-out"),
+                         "--models", *models])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < column_bytes / 4, (peak, column_bytes)
 
 
 # -- compare -----------------------------------------------------------------------
@@ -637,6 +791,25 @@ def test_run_info_records_the_nbtree_build(toy_corpus, tmp_path, command, extra)
     assert build["cross_validations"] == build["split_searches"] + build["children_scored"]
     assert build["cv_batches"] <= build["cross_validations"]
     assert build["build_s"] > 0
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []), ("compare", ["--test-fraction", "0.25", "--seed", "7"]),
+])
+def test_run_info_records_the_selection(toy_corpus, tmp_path, command, extra):
+    out = tmp_path / "runs"
+    assert main([command, *base_args(toy_corpus, out), *extra]) == 0
+    rd = run_dir(out)
+    selection = json.loads((rd / "run_info.json").read_text())["selection"]
+    audit = json.loads((rd / "selection.json").read_text())
+    # one line per weighting-tree node, its depth first
+    depths = [int(line.split()[0]) for line in
+              (rd / "trees" / "weighting-tree.txt").read_text().splitlines()[1:]]
+    assert selection["relabeled"] == audit["relabeled_count"]
+    assert selection["kept"] == len(audit["kept"]) > 0
+    assert (selection["tree_nodes"], selection["tree_depth"]) == (len(depths), max(depths))
+    assert selection["tree_depth"] > 1
+    assert selection["select_s"] > 0
 
 
 def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monkeypatch):
