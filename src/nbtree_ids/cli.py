@@ -79,8 +79,9 @@ def _setting(default, doc: str):
 class RunConfig:
     """Resolved run configuration. Each field is a config-file key and a
     ``--<name>`` flag of every command (``--<name>/--no-<name>`` for a
-    bool), typed by the field's annotation, with the field's help. A model
-    setting's default and range are those of the library class it sets."""
+    bool, one or more values for a list), typed by the field's annotation,
+    with the field's help. A model setting's default and range are those
+    of the library class it sets."""
 
     train: str | None = _setting(None, "training records (comma-separated, 42 fields)")
     test: str | None = _setting(None, "test records")
@@ -116,6 +117,7 @@ class RunConfig:
         ComparisonConfig.carry_weights, "carry posterior weights into the NB-tree (default on)")
     train_on_relabeled: bool = _setting(
         ComparisonConfig.train_on_relabeled, "train the NB-tree on relabeled working labels")
+    models: list[str] | None = _setting(None, "model files to evaluate")
 
     def validate(self) -> None:
         for name in ("sample_fraction", "test_fraction"):
@@ -136,9 +138,12 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Canonical dict for hashing and embedding; the output directory is
-        excluded so runs into different directories stay comparable."""
+        excluded so runs into different directories stay comparable, and
+        unset model files so the commands that take none hash as before."""
         doc = dataclasses.asdict(self)
         doc.pop("out")
+        if self.models is None:
+            doc.pop("models")
         return doc
 
     def config_hash(self) -> str:
@@ -176,7 +181,7 @@ def _resolve_path(path: str | None) -> str | None:
 
 
 # the JSON values a RunConfig field type takes, where they are not its own
-_JSON_TYPES = {float: (int, float)}
+_JSON_TYPES = {float: (int, float), list[str]: list}
 
 
 def _field_types() -> dict[str, tuple[type, ...]]:
@@ -191,7 +196,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
@@ -202,12 +207,17 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         field_types = _field_types()
         for key, value in doc.items():
             types = field_types[key]
-            # a bool field takes only true or false, and no other field a bool
+            # a bool field takes only true or false, and no other field a bool;
+            # a list field takes only strings
             if not any(isinstance(value, bool) == (t is bool)
-                       and isinstance(value, _JSON_TYPES.get(t, t)) for t in types):
+                       and isinstance(value, _JSON_TYPES.get(t, t)) for t in types) or (
+                    isinstance(value, list) and not all(isinstance(v, str) for v in value)):
                 raise ConfigError(f"config key {key!r} must be {fields[key].type}, not {value!r}")
             # a JSON integer for a float field hashes as the same flag would
-            values[key] = float(value) if float in types and value is not None else value
+            try:
+                values[key] = float(value) if float in types and value is not None else value
+            except OverflowError:
+                raise ConfigError(f"config key {key!r} is too large for a real number") from None
     for f in dataclasses.fields(RunConfig):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
@@ -221,43 +231,42 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 class _Run:
-    """One run directory with config-stamped JSON/text writers.
+    """One run: its config and the artifacts the command makes, held until
+    ``save`` writes them all under ``<out>/run-<hash>/``.
 
     ``run_info.json`` holds what may differ between identical runs: the
     start time, the counters of every record file the run loaded, any
     attribute selection's and NB-tree build's counters and the peak RSS
     when the command ends."""
 
-    def __init__(self, config: RunConfig, loads: list[dict]):
+    def __init__(self, config: RunConfig):
         self.config = config
         self.hash = config.config_hash()
         self.dir = Path(config.out) / f"run-{self.hash}"
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.artifacts: dict[str, str] = {}  # path in the run directory -> text
         self.write_json("config.json", {"format": "run-config/1"})
         self.info = {"started": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                     "config_hash": self.hash, "loads": loads}
-        self.note_info()
+                     "config_hash": self.hash, "loads": []}
 
-    def note_info(self, **entries) -> None:
-        """Add entries to ``run_info.json`` and rewrite it."""
-        self.info.update(entries)
-        (self.dir / "run_info.json").write_text(json.dumps(self.info, indent=1) + "\n",
-                                                encoding="utf-8")
-
-    def write_json(self, rel: str, doc: dict) -> Path:
+    def write_json(self, rel: str, doc: dict) -> None:
         doc = dict(doc)
         doc["config_hash"] = self.hash
         doc["config"] = self.config.resolved()
-        path = self.dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        return path
+        self.artifacts[rel] = json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
-    def write_text(self, rel: str, text: str) -> Path:
-        path = self.dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"# config {self.hash}\n{text}", encoding="utf-8")
-        return path
+    def write_text(self, rel: str, text: str) -> None:
+        self.artifacts[rel] = f"# config {self.hash}\n{text}"
+
+    def save(self) -> None:
+        """Write the run directory: every artifact, then ``run_info.json``."""
+        files = {**self.artifacts, "run_info.json": json.dumps(self.info, indent=1) + "\n"}
+        try:
+            for rel, text in files.items():
+                path = self.dir / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write run directory {self.dir}: {exc}") from None
 
 
 def _schema_and_taxonomy(config: RunConfig):
@@ -286,18 +295,19 @@ def _load_entry(source: str | None, report: LoadReport) -> dict:
     }
 
 
-def _load(path: str, schema, taxonomy, config: RunConfig, loads: list[dict]) -> WeightedDataset:
-    """Load one record file and append its loader counters to ``loads``."""
-    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=config.permissive)
-    loads.append(_load_entry(ds.dataset_id, ds.load_report))
+def _load(run: _Run, path: str, schema, taxonomy) -> WeightedDataset:
+    """Load one record file and add its loader counters to the run's ``loads``."""
+    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive)
+    run.info["loads"].append(_load_entry(ds.dataset_id, ds.load_report))
     return ds
 
 
-def _load_train(config: RunConfig, loads: list[dict]) -> WeightedDataset:
+def _load_train(run: _Run) -> WeightedDataset:
+    config = run.config
     if not config.train:
         raise ConfigError("--train is required for this command")
     schema, taxonomy = _schema_and_taxonomy(config)
-    ds = _load(config.train, schema, taxonomy, config, loads)
+    ds = _load(run, config.train, schema, taxonomy)
     if config.sample_fraction is not None:
         seed = config.require_seed("--sample-fraction is set")
         try:
@@ -307,13 +317,13 @@ def _load_train(config: RunConfig, loads: list[dict]) -> WeightedDataset:
     return ds
 
 
-def _train_test(config: RunConfig,
-                loads: list[dict]) -> tuple[WeightedDataset, WeightedDataset]:
-    train = _load_train(config, loads)
+def _train_test(run: _Run) -> tuple[WeightedDataset, WeightedDataset]:
+    config = run.config
+    train = _load_train(run)
     if config.test:
         _, taxonomy = _schema_and_taxonomy(config)
         # test shares the train schema so symbol domains stay aligned
-        return train, _load(config.test, train.schema, taxonomy, config, loads)
+        return train, _load(run, config.test, train.schema, taxonomy)
     fraction = config.test_fraction
     if fraction is None:
         raise ConfigError("provide --test or --test-fraction")
@@ -371,20 +381,17 @@ def _composition_text(doc: dict) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_inspect(config: RunConfig, _args: argparse.Namespace) -> _Run:
-    loads: list[dict] = []
-    ds = _load_train(config, loads)
-    run = _Run(config, loads)
+def cmd_inspect(run: _Run) -> None:
+    ds = _load_train(run)
     doc = _composition_doc(ds.dataset_id, class_counts(ds), ds.load_report)
     run.write_json("composition.json", doc)
     text = _composition_text(doc)
     run.write_text("composition.txt", text)
     print(text, end="")
-    return run
 
 
 def _write_selection(run: _Run, selection: SelectionResult) -> None:
-    run.note_info(selection=selection.stats)
+    run.info["selection"] = selection.stats
     run.write_json("selection.json", selection.to_dict())
     run.write_text("selection.txt", selection.to_text())
     run.write_text("trees/weighting-tree.txt", selection.tree.dump())
@@ -396,18 +403,14 @@ def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
         run.write_text(f"reports/{report.model_id}.txt", report.to_text())
 
 
-def cmd_select(config: RunConfig, _args: argparse.Namespace) -> _Run:
-    loads: list[dict] = []
-    ds = _load_train(config, loads)
-    run = _Run(config, loads)
-    result = select_attributes(ds, config.selection_params())
+def cmd_select(run: _Run) -> None:
+    result = select_attributes(_load_train(run), run.config.selection_params())
     _write_selection(run, result)
     run.write_json("kept.json", {
         "format": "kept-attributes/1",
         "kept": list(result.weights.kept_names()),
     })
     print(result.to_text(), end="")
-    return run
 
 
 def _write_models(run: _Run, models: dict) -> None:
@@ -418,25 +421,21 @@ def _write_models(run: _Run, models: dict) -> None:
             run.write_text(f"trees/{mid}.txt", model.dump())
 
 
-def cmd_train(config: RunConfig, _args: argparse.Namespace) -> _Run:
-    loads: list[dict] = []
-    ds = _load_train(config, loads)
-    run = _Run(config, loads)
-    selection, models = train_models(ds, config.comparison_config())
-    run.note_info(nbtree=models["proposed-nbtree"].build_stats)
+def cmd_train(run: _Run) -> None:
+    selection, models = train_models(_load_train(run), run.config.comparison_config())
+    run.info["nbtree"] = models["proposed-nbtree"].build_stats
     _write_selection(run, selection)
     _write_models(run, models)
     print(f"trained {len(models)} model(s) into {run.dir}")
-    return run
 
 
-def cmd_eval(config: RunConfig, args: argparse.Namespace) -> _Run:
-    model_paths = args.models or []
-    if not model_paths:
+def cmd_eval(run: _Run) -> None:
+    config = run.config
+    if not config.models:
         raise ConfigError("eval needs at least one --models path")
     if not config.test:
         raise ConfigError("--test is required for eval")
-    models = [load_model_file(_resolve_path(path)) for path in model_paths]
+    models = [load_model_file(_resolve_path(path)) for path in config.models]
     for i, model in enumerate(models):
         if model.model_id in [m.model_id for m in models[:i]]:
             raise ConfigError(f"two models have model_id {model.model_id!r}")
@@ -449,7 +448,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> _Run:
     finally:  # read the whole file, so a bad record fails before any model does
         for _ in batches:
             pass
-    run = _Run(config, [_load_entry(reports[0].dataset_id, load)])
+    run.info["loads"].append(_load_entry(reports[0].dataset_id, load))
     # the test labels, class by class: a report's rows count them in schema order
     labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())
     counts = ClassCounts(schema.class_names, reports[0].matrix.row_sums(), np.bincount(
@@ -462,24 +461,20 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> _Run:
         "format": "eval-bundle/1",
         "reports": [r.to_dict() for r in reports],
     })
-    return run
 
 
-def cmd_compare(config: RunConfig, _args: argparse.Namespace) -> _Run:
-    loads: list[dict] = []
-    train, test = _train_test(config, loads)
-    run = _Run(config, loads)
+def cmd_compare(run: _Run) -> None:
+    train, test = _train_test(run)
     run.write_json("composition.json",
                    _composition_doc(train.dataset_id, class_counts(train), train.load_report))
-    bundle = run_comparison(train, test, config.comparison_config())
-    run.note_info(nbtree=bundle.models["proposed-nbtree"].build_stats)
+    bundle = run_comparison(train, test, run.config.comparison_config())
+    run.info["nbtree"] = bundle.models["proposed-nbtree"].build_stats
     _write_selection(run, bundle.selection)
     _write_models(run, bundle.models)
     _write_reports(run, bundle.reports)
     run.write_json("bundle.json", bundle.to_dict())
     print(bundle.to_text())
     print(f"artifacts in {run.dir}")
-    return run
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -497,12 +492,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     field_types = _field_types()
     for f in dataclasses.fields(RunConfig):
         kind = field_types[f.name][0]
-        how = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        how = ({"action": argparse.BooleanOptionalAction} if kind is bool
+               else {"type": str, "nargs": "+"} if kind == list[str] else {"type": kind})
         p.add_argument(f"--{f.name.replace('_', '-')}", help=f.metadata.get("help"), **how)
 
 
-# each command's handler, called with the resolved config and the parsed
-# arguments and returning its run, and its help line
+# each command's handler, which fills the run that main then saves, and its
+# help line
 _COMMANDS = {
     "inspect": (cmd_inspect, "per-class composition of a dataset"),
     "select": (cmd_select, "run attribute weighting and report kept attributes"),
@@ -517,10 +513,7 @@ def build_parser() -> _Parser:
                      description="Attribute weighting + NB-tree intrusion detection toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, doc) in _COMMANDS.items():
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "eval":
-            p.add_argument("--models", nargs="+", help="model files to evaluate")
+        _add_common(sub.add_parser(name, help=doc))
     return parser
 
 
@@ -529,7 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         handler, _ = _COMMANDS[args.command]
-        handler(_load_config(args), args).note_info(peak_rss_mb=_peak_rss_mb())
+        run = _Run(_load_config(args))
+        handler(run)
+        run.info["peak_rss_mb"] = _peak_rss_mb()
+        run.save()
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

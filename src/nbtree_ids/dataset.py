@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,6 +212,8 @@ class WeightedDataset:
                 raise SchemaError("ragged columns")
         if len(weights) != n:
             raise SchemaError("weight count does not match example count")
+        if n and not np.isfinite(weights).all():
+            raise SchemaError("non-finite example weight")
         if n and np.any(weights < 0):
             raise SchemaError("negative example weight")
         if n and float(weights.sum()) <= 0:
@@ -275,9 +277,6 @@ class WeightedDataset:
     def n(self) -> int:
         return len(self.labels)
 
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -290,8 +289,8 @@ class WeightedDataset:
         return Example(tuple(values), self.schema.class_names[self.labels[i]], raw, float(self.weights[i]))
 
     @property
-    def examples(self) -> "_ExampleView":
-        return _ExampleView(self)
+    def examples(self) -> Iterator[Example]:
+        return map(self.example, range(self.n))
 
     @property
     def dataset_id(self) -> str:
@@ -325,25 +324,6 @@ class WeightedDataset:
 
     def with_true_labels(self) -> "WeightedDataset":
         return self.with_labels(self.true_labels)
-
-
-class _ExampleView(Sequence):
-    """Lazy, ordered sequence of :class:`Example` objects."""
-
-    def __init__(self, dataset: WeightedDataset):
-        self._ds = dataset
-
-    def __len__(self) -> int:
-        return self._ds.n
-
-    def __getitem__(self, i: int) -> Example:
-        if isinstance(i, slice):
-            return [self._ds.example(j) for j in range(*i.indices(self._ds.n))]
-        return self._ds.example(int(i))
-
-    def __iter__(self) -> Iterator[Example]:
-        for i in range(self._ds.n):
-            yield self._ds.example(i)
 
 
 # -- record parsing ---------------------------------------------------------
@@ -712,60 +692,38 @@ def project_attributes(dataset: WeightedDataset, kept: Iterable[str]) -> Weighte
     return dataset._derive(schema=new_schema, columns=[dataset.columns[i] for i in keep_idx])
 
 
-@dataclass
-class SplitReport:
-    """Bookkeeping for a stratified split."""
+class Split(NamedTuple):
+    """Train/test pair; unpacks as ``train, test``."""
 
-    test_fraction: float
-    seed: int
-    per_class: dict[str, tuple[int, int]] = field(default_factory=dict)
-    flagged: list[str] = field(default_factory=list)
+    train: WeightedDataset
+    test: WeightedDataset
 
 
-class Split:
-    """Train/test pair; unpacks as ``train, test`` and carries a report."""
-
-    def __init__(self, train: WeightedDataset, test: WeightedDataset, report: SplitReport):
-        self.train = train
-        self.test = test
-        self.report = report
-
-    def __iter__(self):
-        return iter((self.train, self.test))
-
-
-def _draw(dataset: WeightedDataset, fraction: float, seed: int) -> tuple[np.ndarray, SplitReport]:
-    """The per-class draw of a split or a sample: its rows' mask and the report."""
+def _draw(dataset: WeightedDataset, fraction: float, seed: int) -> np.ndarray:
+    """The per-class draw of a split or a sample: its rows' mask."""
     rng = np.random.default_rng(seed)
-    report = SplitReport(test_fraction=fraction, seed=seed)
     drawn = np.zeros(dataset.n, dtype=bool)
-    for ci, cname in enumerate(dataset.schema.class_names):
+    for ci in range(dataset.schema.n_classes):
         rows = np.flatnonzero(dataset.labels == ci)
-        n_c = len(rows)
-        if n_c == 0:
-            continue
-        if n_c < 2:
-            report.flagged.append(cname)
-        n_test = int(round(n_c * fraction))
-        drawn[rng.permutation(rows)[:n_test]] = True
-        report.per_class[cname] = (n_c - n_test, n_test)
+        if len(rows):
+            drawn[rng.permutation(rows)[:int(round(len(rows) * fraction))]] = True
     if not drawn.any() or drawn.all():
         raise ValueError("split produced an empty part; adjust the fraction")
-    return drawn, report
+    return drawn
 
 
 def stratified_split(dataset: WeightedDataset, test_fraction: float, seed: int) -> Split:
     """Deterministic per-class split preserving class proportions within
     one example. Weights are re-initialised to 1/n inside each part; file
-    order is preserved within parts. Classes with fewer than two examples
-    are flagged in the report rather than rejected.
+    order is preserved within parts. A class with one example lands in
+    one part, and is not rejected.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"degenerate test fraction {test_fraction!r}")
-    test_mask, report = _draw(dataset, test_fraction, seed)
+    test_mask = _draw(dataset, test_fraction, seed)
     train = dataset.take(np.flatnonzero(~test_mask)).with_uniform_weights()
     test = dataset.take(np.flatnonzero(test_mask)).with_uniform_weights()
-    return Split(train, test, report)
+    return Split(train, test)
 
 
 def stratified_sample(dataset: WeightedDataset, fraction: float, seed: int) -> WeightedDataset:
@@ -773,7 +731,7 @@ def stratified_sample(dataset: WeightedDataset, fraction: float, seed: int) -> W
     test part of ``stratified_split``, drawn without building the rest."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"degenerate sample fraction {fraction!r}")
-    drawn, _ = _draw(dataset, fraction, seed)
+    drawn = _draw(dataset, fraction, seed)
     return dataset.take(np.flatnonzero(drawn)).with_uniform_weights()
 
 
@@ -814,8 +772,15 @@ def parse_schema_text(text: str) -> Schema:
     return Schema(tuple(attrs), classes)
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise DataFormatError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def load_schema_file(path) -> Schema:
-    return parse_schema_text(Path(path).read_text(encoding="utf-8"))
+    return parse_schema_text(_read_text(path, "schema"))
 
 
 def parse_taxonomy_text(text: str) -> AttackTaxonomy:
@@ -838,4 +803,4 @@ def parse_taxonomy_text(text: str) -> AttackTaxonomy:
 
 
 def load_taxonomy_file(path) -> AttackTaxonomy:
-    return parse_taxonomy_text(Path(path).read_text(encoding="utf-8"))
+    return parse_taxonomy_text(_read_text(path, "taxonomy"))

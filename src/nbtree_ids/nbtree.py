@@ -257,14 +257,9 @@ class _BuildContext:
             at = kf * width + code
             for c in range(C):
                 scores[c] += table[c].take(at)
-        # argmax over classes, ties to the first
-        pred = np.zeros(len(pos), dtype=np.int64)
-        top = scores[0]
-        for c in range(1, C):
-            better = scores[c] > top
-            pred[better] = c
-            top = np.where(better, scores[c], top)
-        hit = w * (pred == lab)
+        # argmax over classes, ties to the first (no score is NaN: each is a sum
+        # of finite logs or -inf); np.argmax(scores, axis=0) would copy scores
+        hit = w * ((scores == scores.max(axis=0)).argmax(axis=0) == lab)
         ends = np.cumsum(sizes)
         return [float(min(1.0, max(0.0, hit[e - m:e].sum() / w[e - m:e].sum())))
                 for m, e in zip(sizes.tolist(), ends.tolist())]

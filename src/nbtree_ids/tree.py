@@ -48,18 +48,22 @@ def threshold_candidates(values: np.ndarray, weights: np.ndarray,
     ``_THRESHOLD_CAP`` gaps."""
     if distinct.size < 2:
         return np.empty(0)
-    if distinct.size - 1 <= _THRESHOLD_CAP:
-        return (distinct[1:] + distinct[:-1]) / 2.0
-    levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
-    order = np.argsort(values, kind="stable")
-    cw = np.cumsum(weights[order])
-    cw /= cw[-1]
-    idx = np.clip(np.searchsorted(cw, levels, side="left"), 0, len(values) - 1)
-    qv = np.unique(values[order][idx])
-    if qv.size < 2:
-        # weight mass collapsed onto one value: fall back to evenly spaced cuts
-        qv = np.unique(distinct[np.linspace(0, distinct.size - 1, _THRESHOLD_CAP + 1).astype(int)])
-    return (qv[1:] + qv[:-1]) / 2.0
+    cuts = distinct
+    if distinct.size - 1 > _THRESHOLD_CAP:
+        levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
+        order = np.argsort(values, kind="stable")
+        cw = np.cumsum(weights[order])
+        cw /= cw[-1]
+        idx = np.clip(np.searchsorted(cw, levels, side="left"), 0, len(values) - 1)
+        cuts = np.unique(values[order][idx])
+        if cuts.size < 2:
+            # weight mass collapsed onto one value: fall back to evenly spaced cuts
+            cuts = np.unique(distinct[np.linspace(0, distinct.size - 1,
+                                                  _THRESHOLD_CAP + 1).astype(int)])
+    mid = (cuts[1:] + cuts[:-1]) / 2.0
+    # the midpoint of two adjacent floats rounds to one of them; cut at the
+    # lower one then, so that each cut sends a value to either side
+    return np.where(mid < cuts[1:], mid, cuts[:-1])
 
 
 def split_rows(column: np.ndarray, rows: np.ndarray, threshold: float | None,

@@ -211,6 +211,7 @@ def test_select_single_class_input_exits_3(tmp_path):
     path = tmp_path / "mono.csv"
     write_toy_corpus(path, n_normal=20, n_neptune=0, n_ipsweep=0)
     assert main(["select", "--train", str(path), "--out", str(tmp_path / "r")]) == 3
+    assert not (tmp_path / "r").exists()
 
 
 # -- train -------------------------------------------------------------------------
@@ -315,6 +316,7 @@ def test_eval_schema_mismatch_exits_4(toy_corpus, tmp_path):
         "--models", str(broken),
     ])
     assert code == 4
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_of_a_tree_with_reordered_classes_exits_4(toy_corpus, tmp_path, capsys):
@@ -637,6 +639,21 @@ def toy_models(tmp_path_factory):
     return work, corpus.read_text().splitlines(keepends=True), models
 
 
+def test_evals_of_other_models_make_their_own_runs(toy_models):
+    work, _, models = toy_models
+    out = work / "two-evals"
+    for model in models[:2]:
+        assert main(["eval", "--test", str(work / "toy.csv"), "--out", str(out),
+                     "--models", model]) == 0
+    runs = sorted(out.glob("run-*"))
+    assert len(runs) == 2
+    named = [json.loads((run / "config.json").read_text())["config"]["models"] for run in runs]
+    assert sorted(named) == [[m] for m in models[:2]]
+    for run, (model,) in zip(runs, named):
+        (report,) = (run / "reports").glob("*.json")
+        assert report.name == Path(model).name
+
+
 def _stream_eval(work, lines, models, *flags, batch_rows, chunk_lines):
     """Exit code, stderr and output root of an ``eval`` of ``lines`` that reads
     ``chunk_lines`` lines a block and scores ``batch_rows`` rows a batch."""
@@ -822,6 +839,7 @@ def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monke
         "--test-fraction", "0.25", "--seed", "7",
     ])
     assert code == 3
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -872,9 +890,12 @@ def test_unknown_config_key_exits_1(toy_corpus, tmp_path):
     ({"folds": 2.5}, "'folds'"),
     ({"bins": "10"}, "'bins'"),
     ({"seed": 1.5, "sample_fraction": 0.5}, "'seed'"),
+    ({"smoothing_k": 10**400}, "'smoothing_k'"),
+    ({"models": ["a.json", 1]}, "'models'"),
+    ({"models": "a.json"}, "'models'"),
     (5, "JSON object"),
 ], ids=["bool-as-str", "int-as-float", "folds-as-float", "int-as-str", "seed-as-float",
-        "not-an-object"])
+        "int-too-large-for-float", "models-holding-a-number", "models-as-str", "not-an-object"])
 def test_ill_typed_config_value_exits_1(toy_corpus, tmp_path, capsys, doc, named):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))
@@ -904,15 +925,16 @@ def _flag(name):
 def _setting_cases():
     """(field, flag arguments, config-file value): a value other than the
     default for every field, and both values of every bool."""
-    values = {str: "x.csv", int: 3, float: 0.25}
+    values = {str: "x.csv", int: 3, float: 0.25, list[str]: ["a.json", "b.json"]}
     for f in dataclasses.fields(RunConfig):
         if isinstance(f.default, bool):
             yield f.name, [_flag(f.name)], True
             yield f.name, ["--no-" + _flag(f.name)[2:]], False
         else:
             hint = typing.get_type_hints(RunConfig)[f.name]
-            kind = (typing.get_args(hint) or (hint,))[0]
-            yield f.name, [_flag(f.name), str(values[kind])], values[kind]
+            value = values[(typing.get_args(hint) or (hint,))[0]]
+            words = value if isinstance(value, list) else [value]
+            yield f.name, [_flag(f.name), *map(str, words)], value
 
 
 @pytest.mark.parametrize("name, flags, value", list(_setting_cases()),
@@ -937,7 +959,7 @@ def test_parser_offers_exactly_the_settings_flags():
         "--no-" + _flag(f.name)[2:] for f in fields if isinstance(f.default, bool)}
     for name, sub in commands.choices.items():
         offered = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
-        assert offered == expected | ({"--models"} if name == "eval" else set()), name
+        assert offered == expected, name
 
 
 def test_config_hash_is_stable_and_excludes_out():
@@ -948,13 +970,58 @@ def test_config_hash_is_stable_and_excludes_out():
     assert a.config_hash() != c.config_hash()
 
 
-def test_data_dir_env_var_resolves_relative_paths(toy_corpus, tmp_path, monkeypatch):
+def test_data_dir_env_var_resolves_relative_paths(toy_corpus, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NBTREE_IDS_DATA", str(toy_corpus.parent))
-    monkeypatch.chdir(tmp_path)  # the bare name must not resolve locally
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")  # the bare name must not resolve locally
     out = tmp_path / "runs"
     assert main(["inspect", "--train", toy_corpus.name, "--out", str(out)]) == 0
     doc = json.loads((run_dir(out) / "composition.json").read_text())
     assert doc["total"] == 80
+    assert f"dataset: {toy_corpus}\n" in capsys.readouterr().out
+
+
+def _schema_file_text() -> str:
+    """The built-in schema written as a schema file."""
+    schema = kdd99_schema()
+    return "".join([f"classes: {' '.join(schema.class_names)}\n",
+                    *(f"{a.name}: {a.kind}\n" for a in schema.attributes)])
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["inspect", "--train", "{toy}", "--schema", "{work}/kdd.schema"], 0, "dataset: {toy}"),
+    (["inspect", "--train", "{toy}", "--schema", "{work}/none.schema"], 2,
+     "cannot read schema file {work}/none.schema"),
+    (["inspect", "--train", "{toy}", "--taxonomy", "{work}/none.taxonomy"], 2,
+     "cannot read taxonomy file {work}/none.taxonomy"),
+    (["train", "--train", "{work}/bad.csv"], 2, "expected 42 fields, got 3 at line 81"),
+    (["compare", "--train", "{toy}", "--test-fraction", "1.5", "--seed", "1"], 1,
+     "test_fraction must be in (0, 1)"),
+    (["compare", "--train", "{toy}"], 1, "provide --test or --test-fraction"),
+    (["inspect", "--config", "{work}/none.json"], 1, "cannot read config file {work}/none.json"),
+    (["inspect", "--config", "{work}/latin-1.json"], 1,
+     "cannot read config file {work}/latin-1.json"),
+    (["eval", "--test", "{toy}", "--models", "{work}/none.json"], 2,
+     "cannot read model file {work}/none.json"),
+    (["eval", "--test", "{toy}", "--models", "{work}/odd.json"], 2,
+     "unrecognised model format 'odd/1' in {work}/odd.json"),
+    (["inspect", "--train", "{toy}", "--out", "{toy}"], 1,
+     "cannot write run directory {toy}/run-"),
+], ids=["schema-file", "unreadable-schema-file", "unreadable-taxonomy-file", "train-bad-line",
+        "fraction-outside-0-1", "no-test-and-no-fraction", "unreadable-config", "config-not-utf-8",
+        "unreadable-model-file", "unknown-model-format", "out-is-a-file"])
+def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, named):
+    (tmp_path / "kdd.schema").write_text(_schema_file_text())
+    (tmp_path / "bad.csv").write_text(toy_corpus.read_text() + "0,tcp,http\n")
+    (tmp_path / "odd.json").write_text(json.dumps({"format": "odd/1"}))
+    (tmp_path / "latin-1.json").write_bytes(b'{"train": "caf\xe9.csv"}')
+    fill = [arg.format(toy=toy_corpus, work=tmp_path) for arg in argv]
+    # a later --out overrides this one
+    assert main([fill[0], "--out", str(tmp_path / "r"), *fill[1:]]) == code
+    printed = capsys.readouterr()
+    assert named.format(toy=toy_corpus, work=tmp_path) in (printed.err or printed.out)
+    # only a command that succeeds makes a run directory
+    assert (tmp_path / "r").exists() == (code == 0)
 
 
 def test_readme_names_every_long_option():

@@ -504,6 +504,22 @@ def test_from_rows_rejects_non_finite_numbers(bad):
         WeightedDataset.from_rows(schema, [("x", 1.0), ("x", bad)], ["A", "A"])
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([np.nan, 0.5, 0.5, 0.5], "non-finite example weight"),
+    ([np.inf, 1, 1, 1], "non-finite example weight"),
+    ([0.5, 0.5, -np.inf, 0.5], "non-finite example weight"),
+    ([0.5, 0.5, 0.5, -0.5], "negative example weight"),
+    ([0, 0, 0, 0], "positive total weight"),
+], ids=["nan", "inf", "-inf", "negative", "zero-total"])
+def test_dataset_rejects_bad_example_weights(weights, message):
+    rows = [("red", 1.0), ("red", 2.0), ("blue", 3.0), ("blue", 4.0)]
+    with pytest.raises(SchemaError, match=message):
+        WeightedDataset.from_rows(toy_schema(), rows, ["A", "A", "B", "B"], weights=weights)
+    ds = WeightedDataset.from_rows(toy_schema(), rows, ["A", "A", "B", "B"])
+    with pytest.raises(SchemaError, match=message):
+        ds.with_weights(np.array(weights, dtype=float))
+
+
 def test_project_rejects_unknown_or_empty():
     ds = load_dataset(toy_lines(), toy_schema(), toy_taxonomy())
     with pytest.raises(SchemaError):
@@ -552,7 +568,8 @@ def test_split_flags_tiny_classes():
     lines = [f"red,{i},normal." for i in range(10)] + ["blue,1,attack."]
     ds = load_dataset(lines, toy_schema(), toy_taxonomy())
     split = stratified_split(ds, 0.3, seed=5)
-    assert "B" in split.report.flagged
+    # the one-row class B is not rejected: it lands in exactly one part
+    assert sorted(sum(part.labels == 1) for part in split) == [0, 1]
 
 
 def labelled_dataset(labels, n_attributes=2):

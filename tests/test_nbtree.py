@@ -507,6 +507,12 @@ def test_empty_branch_falls_back_to_parent_model():
     parent = split_node.fallback_model
     scores = parent.log_scores(parent.encode_dataset(probe), tree.attr_weights)
     assert pred[0] == int(np.argmax(scores[0]))
+    # the empty branch and its fallback model survive the model file and the dump
+    again = NBTree.from_json(tree.to_json())
+    assert again.root.empty_branches == ("2",)
+    assert again.root.fallback_model.to_dict() == parent.to_dict()
+    np.testing.assert_array_equal(again.predict_dataset(probe), pred)
+    assert "2 empty branches ['2'] -> parent nb" in tree.dump()
 
 
 def test_unseen_value_routes_to_heaviest_child():

@@ -1,11 +1,19 @@
 """The benchmark's entry points resolve against the package: every function
 and method that ``perfbench/traced.py`` wraps still exists where it names
-it, and ``perfbench/checks.py`` imports. A refactor that renames or moves
-one of them fails here instead of silently breaking ``--trace 1``."""
+it, ``perfbench/checks.py`` imports, ``perfbench/run.py``'s own imports of
+the package bind to its calls, and ``train`` leaves the one run directory
+``perfbench/inputs.py`` takes its models from. A refactor that renames or
+moves one of them fails here instead of silently breaking a benchmark run."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import synth
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -13,6 +21,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -33,3 +42,30 @@ def test_every_traced_name_resolves():
 def test_output_checks_import():
     checks = load("checks")
     assert callable(checks.artifact_mismatches)
+
+
+def test_run_calls_of_the_package_bind():
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("nbtree_ids") for alias in node.names}
+    assert {"load_dataset", "evaluate"} <= imported.keys()
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in imported]
+    assert {call.func.id for call in calls} >= {"load_dataset", "evaluate"}
+    for call in calls:
+        # raises TypeError unless the call's arguments fit the function's signature
+        inspect.signature(imported[call.func.id]).bind(
+            *call.args, **{k.arg: k.value for k in call.keywords})
+
+
+def test_train_leaves_one_run_directory_with_every_model(tmp_path):
+    inputs = load("inputs")
+    synth.write_kdd_corpus(tmp_path / "train.csv", seed=1, scale=0.004)
+    # the command inputs.set_up runs to make eval-full's models
+    subprocess.run([sys.executable, "-m", "nbtree_ids.cli", "train", "--train", "train.csv",
+                    "--out", "train-out"],
+                   cwd=tmp_path, env=inputs.program_env(), stdout=subprocess.DEVNULL, check=True)
+    (run_dir,) = (tmp_path / "train-out").glob("run-*")
+    models = sorted(p.name for p in (run_dir / "models").iterdir())
+    assert models == sorted(f"{m}.json" for m in inputs.MODEL_IDS)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nbtree_ids.attribute_weighting import DecisionTree, build_weighted_tree
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree, classify_nbtree
-from nbtree_ids.tree import iter_nodes, route_example
+from nbtree_ids.tree import iter_nodes, route_example, threshold_candidates
 
 CLASSES = ("A", "B", "C")
 
@@ -144,3 +144,22 @@ def test_saved_gain_tree_loads_dumps_and_routes_unchanged():
     walked = [route_example(tree.root, dict(zip(schema.attribute_names, r))) for r in rows]
     assert walked == ["normal", "normal", "attack", "attack", "normal", "attack"]
     assert [tree.classes[i] for i in tree.predict_dataset(probe)] == walked
+
+
+
+def test_threshold_between_adjacent_floats_cuts_between_them():
+    # their midpoint rounds to the upper one, which would send every value left
+    lo, hi = 49.99999999999999, 50.0
+    assert (lo + hi) / 2 == hi
+    values = np.tile([lo, hi], 20)
+    (t,) = threshold_candidates(values, np.ones(len(values)), np.array([lo, hi]))
+    assert lo <= t < hi
+    # the class is x xor y, which no single naive-Bayes model fits
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("y", "discrete", ("0", "1"))),
+                    ("A", "B"))
+    rows = [(v, y) for v in values for y in "01"]
+    labels = ["AB"[int((v == hi) != (y == "1"))] for v, y in rows]
+    tree = build_nbtree(WeightedDataset.from_rows(schema, rows, labels),
+                        params=NBTreeParams(min_split_examples=1.0))
+    cuts = [node for node in iter_nodes(tree.root) if node.threshold is not None]
+    assert cuts and all(set(node.children) == {"<=", ">"} for node in cuts)
