@@ -6,8 +6,12 @@ the published 10% composition (the real capture files are not shipped);
 point KDD99 tooling at a real file via the CLI for live runs.
 """
 
+import hashlib
 import json
+import os
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,12 +233,20 @@ COMPARE_ARGS = [
 ]
 
 
+def run_beside(corpus, command, out, *args) -> int:
+    """Run one command from the directory of ``corpus``, named by its file
+    name, so the config and the dataset ids in the artifacts are the same
+    wherever the corpus lies."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(corpus.parent)
+        return main([command, "--train", corpus.name, "--out", str(out), *args])
+
+
 @pytest.fixture(scope="module")
 def compare_run(kdd_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("compare-a")
     start = time.perf_counter()
-    code = main(["compare", "--train", str(kdd_corpus), "--out", str(out),
-                 *COMPARE_ARGS])
+    code = run_beside(kdd_corpus, "compare", out, *COMPARE_ARGS)
     elapsed = time.perf_counter() - start
     assert code == 0
     run_dirs = [p for p in out.iterdir() if p.name.startswith("run-")]
@@ -296,37 +308,86 @@ def _strip_timing(doc):
     return doc
 
 
+def _comparable(path) -> bytes:
+    """An artifact with its timing stripped: JSON without ``wall_clock_sec``
+    fields, a report text without its ``wall:`` lines."""
+    if path.suffix == ".json":
+        return json.dumps(_strip_timing(json.loads(path.read_text())), sort_keys=True).encode()
+    if path.parent.name == "reports":
+        return "\n".join(ln for ln in path.read_text().splitlines()
+                         if "wall:" not in ln).encode()
+    return path.read_bytes()
+
+
+def _artifacts(run_dir):
+    """Every artifact of a run but ``run_info.json``, by relative path."""
+    return {p.relative_to(run_dir).as_posix(): p for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "run_info.json"}
+
+
 def test_criterion_8_determinism(compare_run, kdd_corpus, tmp_path_factory):
     run_a, _ = compare_run
     out_b = tmp_path_factory.mktemp("compare-b")
-    code = main(["compare", "--train", str(kdd_corpus), "--out", str(out_b),
-                 *COMPARE_ARGS])
-    assert code == 0
+    assert run_beside(kdd_corpus, "compare", out_b, *COMPARE_ARGS) == 0
     run_b = next(p for p in out_b.iterdir() if p.name.startswith("run-"))
     assert run_b.name == run_a.name  # same config hash
 
     mismatches = []
     compared = 0
-    for pa in sorted(run_a.rglob("*")):
-        if pa.is_dir() or pa.name == "run_info.json":
-            continue
-        pb = run_b / pa.relative_to(run_a)
-        if pa.suffix == ".json":
-            da = json.dumps(_strip_timing(json.loads(pa.read_text())), sort_keys=True)
-            db = json.dumps(_strip_timing(json.loads(pb.read_text())), sort_keys=True)
-            same = da == db
-        elif pa.parent.name == "reports":
-            strip = lambda text: "\n".join(
-                ln for ln in text.splitlines() if "wall:" not in ln
-            )
-            same = strip(pa.read_text()) == strip(pb.read_text())
-        else:
-            same = pa.read_bytes() == pb.read_bytes()
+    for name, pa in _artifacts(run_a).items():
         compared += 1
-        if not same:
-            mismatches.append(str(pa.relative_to(run_a)))
+        if _comparable(pa) != _comparable(run_b / name):
+            mismatches.append(name)
     report(
         "compare-determinism",
         not mismatches and compared > 10,
         f"{compared} artifacts compared" + (f", mismatches: {mismatches}" if mismatches else ""),
     )
+
+
+# -- artifacts pinned across commits -------------------------------------------------
+#
+# ``pins.json`` holds the SHA-256 of every artifact of two runs, timing
+# stripped by criterion 8's rule: the seed-42 compare above and a train on
+# a small synthetic corpus (scale 0.004: 1,987 records). Its NB-tree splits,
+# on thresholds too, and every tree cuts a continuous attribute with more
+# than 32 distinct values at the node (the capped cuts); it is the smallest
+# scale tried whose trees all change when the cap does (32 -> 31; at scale
+# 0.002 none does). A change that alters an artifact on purpose rewrites the pins with
+# ``NBTREE_IDS_WRITE_PINS=1 pytest tests/test_acceptance.py -k pinned`` and
+# names each changed artifact and why.
+
+PINS = Path(__file__).with_name("pins.json")
+
+
+def _check_pins(key: str, run_dir) -> None:
+    got = {"run": run_dir.name, "artifacts": {
+        name: hashlib.sha256(_comparable(path)).hexdigest()
+        for name, path in _artifacts(run_dir).items()}}
+    doc = json.loads(PINS.read_text()) if PINS.exists() else {}
+    stack = {"python": platform.python_version(), "numpy": np.__version__}
+    if os.environ.get("NBTREE_IDS_WRITE_PINS"):
+        doc.update(stack)
+        doc[key] = got
+        PINS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    want = doc.get(key, {"run": None, "artifacts": {}})
+    differ = [name for name in sorted(got["artifacts"].keys() | want["artifacts"].keys())
+              if got["artifacts"].get(name) != want["artifacts"].get(name)]
+    if got["run"] != want["run"]:
+        differ.insert(0, f"run directory {got['run']} (pinned {want['run']})")
+    pinned_on = f"python {doc.get('python')}, numpy {doc.get('numpy')}"
+    report(f"pinned-artifacts-{key}", not differ,
+           f"{len(got['artifacts'])} artifacts; pinned on {pinned_on}, running on "
+           f"python {stack['python']}, numpy {stack['numpy']}"
+           + (f"; differ: {differ}" if differ else ""))
+
+
+def test_pinned_artifacts_compare(compare_run):
+    _check_pins("compare-seed42", compare_run[0])
+
+
+def test_pinned_artifacts_train(tmp_path):
+    corpus = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
+    assert run_beside(corpus, "train", tmp_path / "out") == 0
+    _check_pins("train-kdd-0.004", next((tmp_path / "out").glob("run-*")))
