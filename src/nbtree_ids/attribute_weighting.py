@@ -75,20 +75,18 @@ def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
 
 def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                      n_classes: int) -> tuple[float, float | None]:
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    # the distinct values, read off the sort (loaded columns are finite)
-    thresholds = threshold_candidates(values, weights, sv[np.r_[True, sv[1:] != sv[:-1]]])
+    distinct, rank = np.unique(values, return_inverse=True)
+    thresholds = threshold_candidates(distinct, rank, weights)
     if thresholds.size == 0:
         return 0.0, None
-    onehot = np.zeros((len(values), n_classes))
-    onehot[np.arange(len(values)), labels[order]] = weights[order]
-    cum = np.cumsum(onehot, axis=0)
+    # row u: the class mass at or below distinct[u]
+    cum = np.cumsum(np.bincount(rank * n_classes + labels, weights=weights,
+                                minlength=distinct.size * n_classes)
+                    .reshape(distinct.size, n_classes), axis=0)
     total_cw = cum[-1]
     total = total_cw.sum()
     node_h = _entropy(total_cw)
-    idx = np.searchsorted(sv, thresholds, side="right")
-    left = cum[idx - 1]
+    left = cum[np.searchsorted(distinct, thresholds, side="right") - 1]
     right = total_cw[None, :] - left
     wl = left.sum(axis=1) / total
     wr = right.sum(axis=1) / total

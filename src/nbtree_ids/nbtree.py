@@ -30,9 +30,9 @@ give a node one child scores the node's own accuracy, so it never wins.
 
 The search never re-encodes a candidate child. Each node sorts each
 continuous column once (``probability.bin_column``) and keeps the ranks
-of its rows among the distinct values; a batch of children is binned
-from its histograms of those ranks, exactly as each child's own column
-would be. The children of one split attribute are cross-validated in
+of its rows among the distinct values; its threshold candidates and a
+batch of children's bins are read from histograms of those ranks, the
+bins exactly as each child's own column would give them. The children of one split attribute are cross-validated in
 batches: one ``bincount`` per attribute over (child, fold, class, code),
 with each child's tables at its own code count. Every per-row sum runs
 over a child's rows in node order, so each utility is bit for bit the one
@@ -280,7 +280,7 @@ class _BuildContext:
             candidates = [None]
         else:
             values = self.raw[j][view.rows]
-            thr = threshold_candidates(values, view.weights, view.ranks[j][0])
+            thr = threshold_candidates(*view.ranks[j], view.weights)
             if thr.size == 0:
                 return node_accuracy, None
             candidates = list(thr)

@@ -40,22 +40,21 @@ def goes_left(values, threshold):   # a value or an array of values
     return values <= threshold
 
 
-def threshold_candidates(values: np.ndarray, weights: np.ndarray,
-                         distinct: np.ndarray) -> np.ndarray:
-    """Candidate thresholds: midpoints between consecutive ``distinct``
-    values (the sorted distinct ``values``), capped by taking midpoints
-    between weighted-quantile cut points when there are more than
-    ``_THRESHOLD_CAP`` gaps."""
+def threshold_candidates(distinct: np.ndarray, rank: np.ndarray,
+                         weights: np.ndarray) -> np.ndarray:
+    """Candidate thresholds of a column given as its sorted ``distinct``
+    values and each row's ``rank`` among them: midpoints between
+    consecutive distinct values, capped, when there are more than
+    ``_THRESHOLD_CAP`` gaps, by taking midpoints between weighted-quantile
+    cut points read from the weighted histogram of ranks."""
     if distinct.size < 2:
         return np.empty(0)
     cuts = distinct
     if distinct.size - 1 > _THRESHOLD_CAP:
         levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
-        order = np.argsort(values, kind="stable")
-        cw = np.cumsum(weights[order])
+        cw = np.cumsum(np.bincount(rank, weights, minlength=distinct.size))
         cw /= cw[-1]
-        idx = np.clip(np.searchsorted(cw, levels, side="left"), 0, len(values) - 1)
-        cuts = np.unique(values[order][idx])
+        cuts = distinct[np.unique(np.searchsorted(cw, levels, side="left"))]
         if cuts.size < 2:
             # weight mass collapsed onto one value: fall back to evenly spaced cuts
             cuts = np.unique(distinct[np.linspace(0, distinct.size - 1,

@@ -4,7 +4,8 @@ Everything here is deliberately written with plain dict/loop arithmetic
 or plain numpy, no shared code with the package internals, so a
 disagreement points at a real defect rather than a shared bug. The
 equal-frequency binning is the ``np.quantile`` version the package's rank
-kernel replaced. The one exception is the last section: the NB-tree's
+kernel replaced, and the capped threshold cuts the row-sorted version its
+histogram of ranks replaced. The one exception is the last section: the NB-tree's
 per-child split search, kept as the scalar reference its batched kernel
 must equal bit for bit.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from nbtree_ids.nbtree import SplitUtility, _NodeView, _mix64, _path_salt
 from nbtree_ids.probability import smoothed_conditionals, smoothed_priors, value_count
-from nbtree_ids.tree import split_rows, threshold_candidates
+from nbtree_ids.tree import _THRESHOLD_CAP, split_rows
 
 
 # -- naive Bayes by explicit enumeration ---------------------------------------
@@ -121,17 +122,19 @@ def gain_discrete(column, labels, weights, classes):
     return h - remainder
 
 
-def gain_continuous(column, labels, weights, classes):
-    """Exhaustive search over all midpoints between consecutive distinct
-    values; returns (best gain, best threshold)."""
+def gain_continuous(column, labels, weights, classes, thresholds=None):
+    """Exhaustive search over ``thresholds``, by default all midpoints
+    between consecutive distinct values; returns (best gain, best
+    threshold)."""
     u = sorted(set(column))
-    if len(u) < 2:
+    if thresholds is None:
+        thresholds = [(a + b) / 2.0 for a, b in zip(u, u[1:])]
+    if len(thresholds) == 0:
         return 0.0, None
     total = sum(weights)
     h = entropy_bits(labels, weights, classes)
     best_gain, best_t = -1.0, None
-    for a, b in zip(u, u[1:]):
-        t = (a + b) / 2.0
+    for t in thresholds:
         left = [i for i, x in enumerate(column) if x <= t]
         right = [i for i, x in enumerate(column) if x > t]
         wl = sum(weights[i] for i in left)
@@ -145,6 +148,30 @@ def gain_continuous(column, labels, weights, classes):
         if gain > best_gain + 1e-15:
             best_gain, best_t = gain, t
     return best_gain, best_t
+
+
+def threshold_candidates(values, weights):
+    """The trees' candidate cuts of a continuous column, computed over its
+    rows sorted by value: midpoints between consecutive distinct values,
+    or, past ``_THRESHOLD_CAP`` gaps, between the values of the first rows
+    whose cumulative weight share reaches each level i / (cap + 1)."""
+    values = np.asarray(values, dtype=np.float64)
+    distinct = np.unique(values)
+    if distinct.size < 2:
+        return np.empty(0)
+    cuts = distinct
+    if distinct.size - 1 > _THRESHOLD_CAP:
+        levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
+        order = np.argsort(values, kind="stable")
+        cw = np.cumsum(np.asarray(weights, dtype=np.float64)[order])
+        cw /= cw[-1]
+        idx = np.clip(np.searchsorted(cw, levels, side="left"), 0, len(values) - 1)
+        cuts = np.unique(values[order][idx])
+        if cuts.size < 2:
+            cuts = np.unique(distinct[np.linspace(0, distinct.size - 1,
+                                                  _THRESHOLD_CAP + 1).astype(int)])
+    mid = (cuts[1:] + cuts[:-1]) / 2.0
+    return np.where(mid < cuts[1:], mid, cuts[:-1])
 
 
 # -- a tiny unweighted ID3 for tree equivalence checks ---------------------------
@@ -280,8 +307,7 @@ def split_utility_value(ctx, view, j, salt, node_accuracy):
             return node_accuracy, None
         candidates = [None]
     else:
-        values = ctx.raw[j][view.rows]
-        thr = threshold_candidates(values, view.weights, np.unique(values))
+        thr = threshold_candidates(ctx.raw[j][view.rows], view.weights)
         if thr.size == 0:
             return node_accuracy, None
         candidates = list(thr)

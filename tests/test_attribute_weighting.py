@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synth
@@ -18,7 +20,7 @@ from nbtree_ids.attribute_weighting import (
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.exceptions import DegenerateTreeError, TrainingError
 from nbtree_ids.probability import fit_naive_bayes
-from nbtree_ids.tree import TreeNode
+from nbtree_ids.tree import TreeNode, threshold_candidates
 
 
 def disc_schema(*domains, classes=("A", "B")):
@@ -142,6 +144,34 @@ def test_continuous_gain_matches_exhaustive_oracle():
         assert got.gain == pytest.approx(max(want_gain, 0.0), abs=1e-9)
         if want_gain > 1e-9:
             assert got.threshold == pytest.approx(want_t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_capped_cuts_and_gain_match_row_sorted_reference(data):
+    # more than 32 distinct values, so the cuts are capped; integer weights
+    # sum exactly in any order, so the cuts must agree to the bit
+    distinct = data.draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=33,
+                                  max_size=60, unique=True))
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=90))
+    values = distinct + repeats
+    n = len(values)
+    weights = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    heavy = data.draw(st.none() | st.integers(0, n - 1))
+    if heavy is not None:   # one row may carry almost all the mass
+        weights[heavy] = 10**9
+    classes = ("A", "B", "C")[:data.draw(st.integers(2, 3))]
+    labels = data.draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+
+    want = oracles.threshold_candidates(values, weights)
+    got = threshold_candidates(*np.unique(values, return_inverse=True),
+                               np.asarray(weights, dtype=np.float64))
+    assert want.size <= 32
+    np.testing.assert_array_equal(got, want)
+    schema = Schema((AttributeSpec("x", "continuous"),), classes)
+    ds = WeightedDataset.from_rows(schema, [(v,) for v in values], labels, weights)
+    want_gain, _ = oracles.gain_continuous(values, labels, weights, classes, list(want))
+    assert abs(weighted_info_gain(ds, "x").gain - max(want_gain, 0.0)) <= 1e-12
 
 
 def test_gain_never_negative():
