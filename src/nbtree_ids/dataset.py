@@ -779,8 +779,17 @@ def _read_text(path, what: str) -> str:
         raise DataFormatError(f"cannot read {what} file {path}: {exc}") from None
 
 
+def _parse_file(parse, path, what: str):
+    """``parse`` of the text of a ``what`` file, its faults naming the file."""
+    text = _read_text(path, what)
+    try:
+        return parse(text)
+    except (DataFormatError, SchemaError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_schema_file(path) -> Schema:
-    return parse_schema_text(_read_text(path, "schema"))
+    return _parse_file(parse_schema_text, path, "schema")
 
 
 def parse_taxonomy_text(text: str) -> AttackTaxonomy:
@@ -803,4 +812,4 @@ def parse_taxonomy_text(text: str) -> AttackTaxonomy:
 
 
 def load_taxonomy_file(path) -> AttackTaxonomy:
-    return parse_taxonomy_text(_read_text(path, "taxonomy"))
+    return _parse_file(parse_taxonomy_text, path, "taxonomy")

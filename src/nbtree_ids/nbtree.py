@@ -75,6 +75,9 @@ from .tree import (
 )
 
 NBTREE_FORMAT = "nbtree/1"
+# the cross-validation tables hold children x folds x classes x codes cells,
+# and past 100 folds a fold holds under 1% of a node's rows
+_MAX_FOLDS = 100
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,8 @@ class NBTreeParams:
 
     def __post_init__(self) -> None:
         check_fit_settings(self.smoothing_k, self.bins)
-        for name, ok, bound in (("folds", self.folds >= 2, ">= 2"),
+        for name, ok, bound in (("folds", 2 <= self.folds <= _MAX_FOLDS,
+                                 f"in [2, {_MAX_FOLDS}]"),
                                 ("significance", 0.0 <= self.significance < 1.0, "in [0, 1)"),
                                 ("min_split_examples", self.min_split_examples >= 0, ">= 0"),
                                 ("max_depth", self.max_depth >= 1, ">= 1")):

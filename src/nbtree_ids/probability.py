@@ -60,8 +60,10 @@ def rank_codes(rank: np.ndarray, group: np.ndarray | int, sizes: np.ndarray,
     A group of m rows cuts at its sorted values floor((m - 1) * i / bins),
     i = 1 .. bins - 1 (the "lower" quantiles), read from its histogram of
     ranks; ties collapse and an edge at its largest value is dropped. Bin i
-    covers (edge[i-1], edge[i]]."""
+    covers (edge[i-1], edge[i]]. A group of m <= bins rows cuts at every
+    value but its largest, so ``bins`` is clamped to the largest group."""
     K, U = len(sizes), max(n_distinct, 1)
+    bins = min(bins, max(int(sizes.max()), 1))
     flat = group * U + rank
     cum = np.cumsum(np.bincount(flat, minlength=K * U))   # over groups, back to back
     start = cum[U - 1::U] - sizes   # rows of earlier groups

@@ -95,6 +95,7 @@ class TreeNode:
     children: dict[str, "TreeNode"] = field(default_factory=dict)
     empty_branches: tuple[str, ...] = ()
     fallback_model: NaiveBayesModel | None = None
+    _heaviest: "TreeNode | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -103,8 +104,12 @@ class TreeNode:
     def heaviest_child(self) -> "TreeNode":
         """The child with the most weight. Ties go to the smallest key in
         sorted order (``"<="`` before ``">"``, so left), which is the order a
-        saved tree lists them, so a built tree and its reloaded copy agree."""
-        return min(self.children.items(), key=lambda kv: (-kv[1].weight, kv[0]))[1]
+        saved tree lists them, so a built tree and its reloaded copy agree.
+        Found on the first call: a built tree does not change."""
+        if self._heaviest is None:
+            self._heaviest = min(self.children.items(),
+                                 key=lambda kv: (-kv[1].weight, kv[0]))[1]
+        return self._heaviest
 
     def branch(self, value) -> "TreeNode | None":
         """The child one attribute value goes to, or None when the value's

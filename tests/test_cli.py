@@ -153,6 +153,8 @@ def test_sampled_permissive_run_keeps_skip_counts(toy_corpus, tmp_path):
     ("inspect", ["--weighting-min-leaf-examples", "nan"], "min_leaf_examples"),
     ("compare", ["--seed", "-1", "--test-fraction", "0.3"], "seed"),
     ("train", ["--folds", "1"], "folds"),
+    ("train", ["--folds", "101"], "folds"),
+    ("train", ["--folds", str(10**29)], "folds"),
     ("train", ["--significance-pct", "100"], "significance"),
     ("train", ["--nbtree-max-depth", "0"], "max_depth"),
     ("select", ["--weighting-max-depth", "0"], "max_depth"),
@@ -160,8 +162,8 @@ def test_sampled_permissive_run_keeps_skip_counts(toy_corpus, tmp_path):
     ("compare", ["--smoothing-k", "-1"], "smoothing_k"),
     ("compare", ["--smoothing-k", "inf"], "smoothing_k"),
     ("train", ["--min-split-examples", "-1"], "min_split_examples"),
-], ids=["bins-0", "min-leaf-negative", "min-leaf-nan", "seed-negative", "folds-1",
-        "significance-100", "nbtree-depth-0", "weighting-depth-0", "iterations-0",
+], ids=["bins-0", "min-leaf-negative", "min-leaf-nan", "seed-negative", "folds-1", "folds-101",
+        "folds-huge", "significance-100", "nbtree-depth-0", "weighting-depth-0", "iterations-0",
         "smoothing-k-negative", "smoothing-k-inf", "min-split-negative"])
 def test_bad_flag_value_exits_1(tmp_path, capsys, command, flags, field):
     # no such training file: a check made only after the load would exit 2
@@ -904,6 +906,19 @@ def test_ill_typed_config_value_exits_1(toy_corpus, tmp_path, capsys, doc, named
     assert named in capsys.readouterr().err
 
 
+def test_huge_bins_trains(toy_corpus, tmp_path):
+    # 10**29 overflows every numpy integer; the bins of a column with fewer
+    # rows hold one value each. The small KDD corpus's NB-tree also bins
+    # candidate children, which the toy corpus's never scores
+    kdd = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(kdd, seed=1, scale=0.004)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bins": 10**29}))
+    for args in (base_args(toy_corpus, tmp_path / "toy"),
+                 ["--train", str(kdd), "--out", str(tmp_path / "kdd")]):
+        assert main(["train", "--config", str(cfg_path), *args]) == 0
+
+
 @pytest.mark.parametrize("doc, flags", [
     ({"smoothing_k": 1}, ["--smoothing-k", "1"]),
     ({"weighting_min_leaf_examples": 30}, []),
@@ -994,6 +1009,12 @@ def _schema_file_text() -> str:
      "cannot read schema file {work}/none.schema"),
     (["inspect", "--train", "{toy}", "--taxonomy", "{work}/none.taxonomy"], 2,
      "cannot read taxonomy file {work}/none.taxonomy"),
+    (["inspect", "--train", "{toy}", "--schema", "{work}/bad.schema",
+      "--taxonomy", "{work}/kdd.taxonomy"], 2,
+     "{work}/bad.schema: expected 'name: kind' at line 3 of schema file"),
+    (["inspect", "--train", "{toy}", "--schema", "{work}/kdd.schema",
+      "--taxonomy", "{work}/bad.taxonomy"], 2,
+     "{work}/bad.taxonomy: expected 'raw_name class' at line 2 of taxonomy file"),
     (["train", "--train", "{work}/bad.csv"], 2, "expected 42 fields, got 3 at line 81"),
     (["compare", "--train", "{toy}", "--test-fraction", "1.5", "--seed", "1"], 1,
      "test_fraction must be in (0, 1)"),
@@ -1007,11 +1028,17 @@ def _schema_file_text() -> str:
      "unrecognised model format 'odd/1' in {work}/odd.json"),
     (["inspect", "--train", "{toy}", "--out", "{toy}"], 1,
      "cannot write run directory {toy}/run-"),
-], ids=["schema-file", "unreadable-schema-file", "unreadable-taxonomy-file", "train-bad-line",
+], ids=["schema-file", "unreadable-schema-file", "unreadable-taxonomy-file",
+        "bad-schema-line", "bad-taxonomy-line", "train-bad-line",
         "fraction-outside-0-1", "no-test-and-no-fraction", "unreadable-config", "config-not-utf-8",
         "unreadable-model-file", "unknown-model-format", "out-is-a-file"])
 def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, named):
     (tmp_path / "kdd.schema").write_text(_schema_file_text())
+    header, first, *rest = _schema_file_text().splitlines(keepends=True)
+    (tmp_path / "bad.schema").write_text("".join([header, first, "no_kind\n", *rest]))
+    taxonomy = (Path(cli.__file__).parent / "data" / "kdd99.taxonomy").read_text()
+    (tmp_path / "kdd.taxonomy").write_text(taxonomy)
+    (tmp_path / "bad.taxonomy").write_text("normal Normal\nneptune\n")
     (tmp_path / "bad.csv").write_text(toy_corpus.read_text() + "0,tcp,http\n")
     (tmp_path / "odd.json").write_text(json.dumps({"format": "odd/1"}))
     (tmp_path / "latin-1.json").write_bytes(b'{"train": "caf\xe9.csv"}')
