@@ -353,9 +353,9 @@ def test_criterion_8_determinism(compare_run, kdd_corpus, tmp_path_factory):
 # on thresholds too, and every tree cuts a continuous attribute with more
 # than 32 distinct values at the node (the capped cuts); it is the smallest
 # scale tried whose trees all change when the cap does (32 -> 31; at scale
-# 0.002 none does). A change that alters an artifact on purpose rewrites the pins with
-# ``NBTREE_IDS_WRITE_PINS=1 pytest tests/test_acceptance.py -k pinned`` and
-# names each changed artifact and why.
+# 0.002 none does). A change that alters an artifact on purpose rewrites
+# the pins with ``NBTREE_IDS_WRITE_PINS=1 pytest tests/test_acceptance.py
+# -k pinned`` and names each changed artifact and why.
 
 PINS = Path(__file__).with_name("pins.json")
 
