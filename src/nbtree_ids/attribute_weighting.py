@@ -27,8 +27,8 @@ from .dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
 from .exceptions import DataFormatError, DegenerateTreeError, SchemaError, TrainingError
 from .probability import BINS, SMOOTHING_K, NaiveBayesModel, check_fit_settings, fit_naive_bayes
 from .tree import (
-    TreeModel, TreeNode, grow_tree, iter_nodes, node_from_dict, node_to_dict, route_rows,
-    threshold_candidates,
+    TreeModel, TreeNode, cut_entropies, entropy_rows, grow_tree, iter_nodes, node_from_dict,
+    node_to_dict, route_rows, threshold_candidates,
 )
 
 TREE_FORMAT = "gain-tree/1"
@@ -39,17 +39,8 @@ _GAIN_TOL = 1e-12       # below this a split is considered useless
 # -- entropy and gain ---------------------------------------------------------
 
 
-def _entropy_rows(class_weights: np.ndarray) -> np.ndarray:
-    """Entropy in bits for each row of a (rows, classes) weight matrix."""
-    totals = class_weights.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = class_weights / totals
-    plogp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -plogp.sum(axis=1)
-
-
 def _entropy(class_weights: np.ndarray) -> float:
-    return float(_entropy_rows(class_weights[None, :])[0])
+    return float(entropy_rows(class_weights[None, :])[0])
 
 
 def weighted_entropy(dataset: WeightedDataset) -> float:
@@ -70,7 +61,7 @@ def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
     ).reshape(n_values, n_classes)
     node_h = _entropy(child.sum(axis=0))
     shares = child.sum(axis=1) / total
-    return node_h - float((shares * _entropy_rows(child)).sum())
+    return node_h - float((shares * entropy_rows(child)).sum())
 
 
 def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
@@ -79,18 +70,9 @@ def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray
     thresholds = threshold_candidates(distinct, rank, weights)
     if thresholds.size == 0:
         return 0.0, None
-    # row u: the class mass at or below distinct[u]
-    cum = np.cumsum(np.bincount(rank * n_classes + labels, weights=weights,
-                                minlength=distinct.size * n_classes)
-                    .reshape(distinct.size, n_classes), axis=0)
-    total_cw = cum[-1]
-    total = total_cw.sum()
-    node_h = _entropy(total_cw)
-    left = cum[np.searchsorted(distinct, thresholds, side="right") - 1]
-    right = total_cw[None, :] - left
-    wl = left.sum(axis=1) / total
-    wr = right.sum(axis=1) / total
-    gains = node_h - wl * _entropy_rows(left) - wr * _entropy_rows(right)
+    left_h, right_h, total_cw = cut_entropies(distinct, rank, labels, weights, thresholds,
+                                              n_classes)
+    gains = _entropy(total_cw) - left_h - right_h
     best = int(np.argmax(gains))
     return float(gains[best]), float(thresholds[best])
 

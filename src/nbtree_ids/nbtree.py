@@ -14,7 +14,11 @@ is the weighted average, over the child partitions it induces, of
 stratified cross-validated NB accuracy inside each child; a split is
 accepted only if it cuts the node's cross-validated error by more than
 ``significance`` (relative) and the node carries at least
-``min_split_examples`` examples' worth of weight. Cross-validation folds
+``min_split_examples`` examples' worth of weight. A continuous attribute
+is cross-validated only at its best cuts (``tree.best_cuts``): the
+``tree._BEST_CUTS`` of its capped threshold candidates that leave the
+least weighted class entropy at the node, C4.5's criterion and the gain
+tree's. Of equal utilities the lowest cut wins. Cross-validation folds
 are assigned by a deterministic hash of (example row, node path), so
 builds are exactly reproducible.
 
@@ -30,10 +34,12 @@ give a node one child scores the node's own accuracy, so it never wins.
 
 The search never re-encodes a candidate child. Each node sorts each
 continuous column once (``probability.bin_column``) and keeps the ranks
-of its rows among the distinct values; its threshold candidates and a
-batch of children's bins are read from histograms of those ranks, the
-bins exactly as each child's own column would give them. The children of one split attribute are cross-validated in
-batches: one ``bincount`` per attribute over (child, fold, class, code),
+of its rows among the distinct values; its threshold candidates, their
+entropies (one ``bincount`` over (rank, class), ``tree.cut_entropies``)
+and a batch of children's bins are read from histograms of those ranks,
+the bins exactly as each child's own column would give them. The
+children of one split attribute are cross-validated in batches: one
+``bincount`` per attribute over (child, fold, class, code),
 with each child's tables at its own code count. Every per-row sum runs
 over a child's rows in node order, so each utility is bit for bit the one
 scoring the child alone gives (the reference in ``tests/oracles.py``).
@@ -70,8 +76,8 @@ from .probability import (
     _normalise_rows,
 )
 from .tree import (
-    TreeModel, TreeNode, grow_tree, iter_nodes, node_from_dict, node_to_dict, route_example,
-    route_rows, split_rows, threshold_candidates,
+    TreeModel, TreeNode, best_cuts, grow_tree, iter_nodes, node_from_dict, node_to_dict,
+    route_example, route_rows, split_rows,
 )
 
 NBTREE_FORMAT = "nbtree/1"
@@ -270,7 +276,7 @@ class _BuildContext:
 
     def split_utility_value(self, view: _NodeView, j: int, salt: np.uint64,
                             node_accuracy: float) -> tuple[float, float | None]:
-        """Best utility for attribute j (searching thresholds when
+        """Best utility for attribute j (searching its ``best_cuts`` when
         continuous): the weight-averaged cross-validated accuracy of the
         children a split makes. Children lighter than one example's mass
         fall back to the node's own accuracy, and so does an attribute that
@@ -284,7 +290,7 @@ class _BuildContext:
             candidates = [None]
         else:
             values = self.raw[j][view.rows]
-            thr = threshold_candidates(*view.ranks[j], view.weights)
+            thr = best_cuts(*view.ranks[j], view.labels, view.weights, self.schema.n_classes)
             if thr.size == 0:
                 return node_accuracy, None
             candidates = list(thr)

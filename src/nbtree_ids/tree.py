@@ -11,12 +11,14 @@ list domain symbols that had no training rows; a value on such an empty
 branch ends at the node's own ``fallback_model``. A symbol unseen at
 training time goes to the heaviest child.
 
-Both builders grow through ``grow_tree`` and cut continuous attributes at
-``threshold_candidates``. ``split_rows`` partitions rows by a split and
-``TreeNode.branch`` sends one value down. ``route_rows`` partitions a
-whole dataset node by node with ``split_rows`` (sending each symbol's rows
-where ``branch`` sends the symbol), and ``route_example`` follows one
-example, the per-example reference.
+Both builders grow through ``grow_tree``, cut continuous attributes at
+``threshold_candidates`` and weigh a cut by the class entropy it leaves
+(``cut_entropies``): the gain tree takes the best cut, the NB-tree
+cross-validates the ``best_cuts``. ``split_rows`` partitions rows by a
+split and ``TreeNode.branch`` sends one value down. ``route_rows``
+partitions a whole dataset node by node with ``split_rows`` (sending each
+symbol's rows where ``branch`` sends the symbol), and ``route_example``
+follows one example, the per-example reference.
 The file form names a threshold split's children ``left`` and ``right``.
 """
 
@@ -34,6 +36,9 @@ from .exceptions import DataFormatError, SchemaError
 from .probability import NaiveBayesModel
 
 _THRESHOLD_CAP = 32     # candidate cut points per continuous attribute
+# of those, the lowest-entropy ones the NB-tree cross-validates: the fewest
+# that keep the NB-tree's quality on the desk seeds (BENCH_quality.json)
+_BEST_CUTS = 3
 
 
 def goes_left(values, threshold):   # a value or an array of values
@@ -63,6 +68,43 @@ def threshold_candidates(distinct: np.ndarray, rank: np.ndarray,
     # the midpoint of two adjacent floats rounds to one of them; cut at the
     # lower one then, so that each cut sends a value to either side
     return np.where(mid < cuts[1:], mid, cuts[:-1])
+
+
+def entropy_rows(class_mass: np.ndarray) -> np.ndarray:
+    """Entropy in bits for each row of a (rows, classes) weight matrix."""
+    totals = class_mass.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = class_mass / totals
+    plogp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return -plogp.sum(axis=1)
+
+
+def cut_entropies(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
+                  weights: np.ndarray, thresholds: np.ndarray, n_classes: int):
+    """The class entropy (bits) of each side of each cut ``v <= threshold``
+    of a column given as in ``threshold_candidates``, weighted by the side's
+    share of the mass: (left, right, the column's class mass). Every cut's
+    class mass is read from the cumulative sum, over distinct values, of one
+    ``bincount`` over (rank, class)."""
+    cum = np.cumsum(np.bincount(rank * n_classes + labels, weights=weights,
+                                minlength=distinct.size * n_classes)
+                    .reshape(distinct.size, n_classes), axis=0)
+    total_cw = cum[-1]
+    total = total_cw.sum()
+    left = cum[np.searchsorted(distinct, thresholds, side="right") - 1]
+    right = total_cw[None, :] - left
+    return (left.sum(axis=1) / total * entropy_rows(left),
+            right.sum(axis=1) / total * entropy_rows(right), total_cw)
+
+
+def best_cuts(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
+              weights: np.ndarray, n_classes: int) -> np.ndarray:
+    """The ``_BEST_CUTS`` of a column's ``threshold_candidates`` that leave
+    the least class entropy (``cut_entropies``, left plus right), in
+    ascending order; of cuts with equal entropy the lower one is kept."""
+    thresholds = threshold_candidates(distinct, rank, weights)
+    left_h, right_h, _ = cut_entropies(distinct, rank, labels, weights, thresholds, n_classes)
+    return thresholds[np.sort(np.argsort(left_h + right_h, kind="stable")[:_BEST_CUTS])]
 
 
 def split_rows(column: np.ndarray, rows: np.ndarray, threshold: float | None,

@@ -5,9 +5,11 @@ or plain numpy, no shared code with the package internals, so a
 disagreement points at a real defect rather than a shared bug. The
 equal-frequency binning is the ``np.quantile`` version the package's rank
 kernel replaced, and the capped threshold cuts the row-sorted version its
-histogram of ranks replaced. The one exception is the last section: the NB-tree's
-per-child split search, kept as the scalar reference its batched kernel
-must equal bit for bit.
+histogram of ranks replaced. A cut's class masses are sums under boolean
+masks over the rows sorted by value, not read from a cumulative histogram
+of ranks as the trees read them. The one exception is the last section:
+the NB-tree's per-child split search, kept as the scalar reference its
+batched kernel must equal bit for bit.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from nbtree_ids.nbtree import SplitUtility, _NodeView, _mix64, _path_salt
 from nbtree_ids.probability import smoothed_conditionals, smoothed_priors, value_count
-from nbtree_ids.tree import _THRESHOLD_CAP, split_rows
+from nbtree_ids.tree import _BEST_CUTS, _THRESHOLD_CAP, split_rows
 
 
 # -- naive Bayes by explicit enumeration ---------------------------------------
@@ -122,6 +124,32 @@ def gain_discrete(column, labels, weights, classes):
     return h - remainder
 
 
+def mass_entropy(masses):
+    """Entropy in bits of a list of class masses (0 when they sum to 0)."""
+    total = sum(masses)
+    return sum(m / total * math.log2(total / m) for m in masses if m > 0)
+
+
+def cut_entropies(column, labels, weights, classes, thresholds):
+    """The class entropy left by each cut ``x <= t``: each side's entropy
+    times its share of the mass, summed. Each side's class masses are sums
+    under boolean masks over the rows sorted by value."""
+    order = np.argsort(np.asarray(column, dtype=np.float64), kind="stable")
+    x = np.asarray(column, dtype=np.float64)[order]
+    w = np.asarray(weights, dtype=np.float64)[order]
+    in_class = [np.asarray(labels)[order] == c for c in classes]
+    total = float(w.sum())
+    out = []
+    for t in thresholds:
+        left = x <= t
+        h = 0.0
+        for side in (left, ~left):
+            masses = [float(w[side & member].sum()) for member in in_class]
+            h += sum(masses) / total * mass_entropy(masses)
+        out.append(h)
+    return out
+
+
 def gain_continuous(column, labels, weights, classes, thresholds=None):
     """Exhaustive search over ``thresholds``, by default all midpoints
     between consecutive distinct values; returns (best gain, best
@@ -131,20 +159,10 @@ def gain_continuous(column, labels, weights, classes, thresholds=None):
         thresholds = [(a + b) / 2.0 for a, b in zip(u, u[1:])]
     if len(thresholds) == 0:
         return 0.0, None
-    total = sum(weights)
     h = entropy_bits(labels, weights, classes)
     best_gain, best_t = -1.0, None
-    for t in thresholds:
-        left = [i for i, x in enumerate(column) if x <= t]
-        right = [i for i, x in enumerate(column) if x > t]
-        wl = sum(weights[i] for i in left)
-        gain = h
-        gain -= (wl / total) * entropy_bits(
-            [labels[i] for i in left], [weights[i] for i in left], classes
-        )
-        gain -= ((total - wl) / total) * entropy_bits(
-            [labels[i] for i in right], [weights[i] for i in right], classes
-        )
+    for t, cut_h in zip(thresholds, cut_entropies(column, labels, weights, classes, thresholds)):
+        gain = h - cut_h
         if gain > best_gain + 1e-15:
             best_gain, best_t = gain, t
     return best_gain, best_t
@@ -172,6 +190,16 @@ def threshold_candidates(values, weights):
                                                   _THRESHOLD_CAP + 1).astype(int)])
     mid = (cuts[1:] + cuts[:-1]) / 2.0
     return np.where(mid < cuts[1:], mid, cuts[:-1])
+
+
+def best_cuts(column, labels, weights, classes):
+    """The NB-tree's cuts of a continuous column: the ``_BEST_CUTS`` of
+    ``threshold_candidates`` with the least ``cut_entropies``, ties to the
+    lower threshold, in ascending order."""
+    thresholds = threshold_candidates(column, weights)
+    h = cut_entropies(column, labels, weights, classes, thresholds)
+    kept = sorted(sorted(range(len(thresholds)), key=lambda i: (h[i], i))[:_BEST_CUTS])
+    return thresholds[np.array(kept, dtype=np.int64)]
 
 
 # -- a tiny unweighted ID3 for tree equivalence checks ---------------------------
@@ -237,7 +265,8 @@ def fp_rate(mat, classes, c):
 #
 # The search as it ran before it was batched: every candidate child is
 # re-encoded on its own rows with the quantile binning above
-# (``reference_view``) and cross-validated alone. It reads the training
+# (``reference_view``) and cross-validated alone. A continuous attribute is
+# cut only at its ``best_cuts`` above. It reads the training
 # data and knobs of a ``nbtree._BuildContext`` and shares its fold hash,
 # estimators and row partition, each pinned by the oracles above or by
 # its own tests, so any difference from the batched kernel is in the
@@ -297,9 +326,10 @@ def cv_accuracy(ctx, view, salt):
 
 
 def split_utility_value(ctx, view, j, salt, node_accuracy):
-    """Best (utility, threshold) for attribute j, each child re-binned and
-    cross-validated alone; children lighter than one example's mass, and
-    attributes that give the node one child, score ``node_accuracy``."""
+    """Best (utility, threshold) for attribute j, over ``best_cuts`` when
+    it is continuous, each child re-binned and cross-validated alone;
+    children lighter than one example's mass, and attributes that give the
+    node one child, score ``node_accuracy``."""
     spec = ctx.schema.attributes[j]
     if spec.is_discrete:
         code = view.codes[j]
@@ -307,7 +337,8 @@ def split_utility_value(ctx, view, j, salt, node_accuracy):
             return node_accuracy, None
         candidates = [None]
     else:
-        thr = threshold_candidates(ctx.raw[j][view.rows], view.weights)
+        thr = best_cuts(ctx.raw[j][view.rows], view.labels, view.weights,
+                        range(ctx.schema.n_classes))
         if thr.size == 0:
             return node_accuracy, None
         candidates = list(thr)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
+from nbtree_ids import tree
 from nbtree_ids.attribute_weighting import SelectionParams
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
-from nbtree_ids.kdd99 import kdd99_schema
+from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, load_dataset
+from nbtree_ids.evaluation import train_models
+from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import (
     NBTree,
     NBTreeParams,
@@ -32,7 +34,7 @@ from nbtree_ids.probability import (
     rank_codes,
     weighted_class_score,
 )
-from nbtree_ids.tree import grow_tree, iter_nodes, node_to_dict, route_rows
+from nbtree_ids.tree import _BEST_CUTS, best_cuts, grow_tree, iter_nodes, node_to_dict, route_rows
 from test_tree import CLASSES, random_training
 
 
@@ -672,6 +674,66 @@ def test_split_search_equals_per_child_reference(seed, kinds, folds, bins, k, si
     # and at every node of a build, where rows and path salts vary
     reference = grow_tree(ds, _PerChildContext(ds, attr_w, params).split_of)
     assert node_to_dict(build_nbtree(ds, attr_w, params).root) == node_to_dict(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_best_cuts_equal_row_sorted_reference(data):
+    # up to 45 distinct values, so the cuts are often capped; integer
+    # weights keep every class mass exact, so the kernel and the reference
+    # rank the same masses, and unit weights make entropy ties common
+    pool = data.draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1,
+                              max_size=45, unique=True))
+    n = data.draw(st.integers(1, 120))
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    top = data.draw(st.sampled_from([1, 20]))
+    weights = np.array(data.draw(st.lists(st.integers(1, top), min_size=n, max_size=n)),
+                       dtype=np.float64)
+    n_classes = data.draw(st.integers(2, 3))
+    labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                                         max_size=n)))
+    got = best_cuts(*np.unique(values, return_inverse=True), labels, weights, n_classes)
+    np.testing.assert_array_equal(got, oracles.best_cuts(values, labels, weights,
+                                                         range(n_classes)))
+
+
+def test_best_cuts_break_entropy_ties_to_the_lower_cut(monkeypatch):
+    # cuts 0.5 and 2.5 leave the same entropy, less than 1.5 leaves
+    distinct, rank = np.unique([0.0, 1.0, 2.0, 3.0], return_inverse=True)
+    labels = np.array([0, 1, 1, 0])
+    for k, want in ((1, [0.5]), (2, [0.5, 2.5]), (3, [0.5, 1.5, 2.5])):
+        monkeypatch.setattr(tree, "_BEST_CUTS", k)
+        assert list(best_cuts(distinct, rank, labels, np.ones(4), 2)) == want
+
+
+class _CountingContext(_BuildContext):
+    """A build that also counts the children scored for discrete attributes."""
+
+    discrete_children = 0
+
+    def split_utility_value(self, view, j, salt, node_accuracy):
+        before = self.stats["children_scored"]
+        found = super().split_utility_value(view, j, salt, node_accuracy)
+        if self.schema.attributes[j].is_discrete:
+            self.discrete_children += self.stats["children_scored"] - before
+        return found
+
+
+def test_split_search_scores_only_the_best_cuts(tmp_path):
+    # the train pin's corpus, where every continuous attribute the NB-tree
+    # searches has more than _BEST_CUTS cuts at the root
+    corpus = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
+    selection, models = train_models(load_dataset(corpus, kdd99_schema(), kdd99_taxonomy()))
+    stats = models["proposed-nbtree"].build_stats
+    train = selection.reduced.with_true_labels()   # what train_models builds on
+    ctx = _CountingContext(train, selection.weights.as_array(train.schema.attribute_names))
+    grow_tree(train, ctx.split_of)
+    assert ctx.stats == {key: v for key, v in stats.items() if key != "build_s"}
+    continuous = sum(not a.is_discrete for a in train.schema.attributes)
+    assert stats["split_searches"] > 0 and continuous > 0
+    assert stats["children_scored"] <= (2 * _BEST_CUTS * continuous * stats["split_searches"]
+                                        + ctx.discrete_children)
 
 
 # -- fit-time codes against score-time codes ----------------------------------------
