@@ -53,12 +53,12 @@ def weighted_entropy(dataset: WeightedDataset) -> float:
 
 
 def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                   n_values: int, n_classes: int) -> float:
+                   n_symbols: int, n_classes: int) -> float:
     total = weights.sum()
     child = np.bincount(
         codes.astype(np.int64) * n_classes + labels,
-        weights=weights, minlength=n_values * n_classes,
-    ).reshape(n_values, n_classes)
+        weights=weights, minlength=n_symbols * n_classes,
+    ).reshape(n_symbols, n_classes)
     node_h = _entropy(child.sum(axis=0))
     shares = child.sum(axis=1) / total
     return node_h - float((shares * entropy_rows(child)).sum())

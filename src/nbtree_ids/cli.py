@@ -126,10 +126,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in (0, 1)")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        try:
-            self.comparison_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # each setting alone on the defaults, so a range error names its key
+        # even where the library's parameter has another name (significance)
+        for f in dataclasses.fields(self):
+            try:
+                dataclasses.replace(RunConfig(), **{f.name: getattr(self, f.name)}
+                                    ).comparison_config()
+            except ValueError as exc:
+                raise ConfigError(f"{f.name}: {exc}") from None
 
     def require_seed(self, why: str) -> int:
         if self.seed is None:

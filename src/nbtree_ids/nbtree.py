@@ -36,16 +36,15 @@ The search never re-encodes a candidate child. Each node sorts each
 continuous column once (``probability.bin_column``) and keeps the ranks
 of its rows among the distinct values; its threshold candidates, their
 entropies (one ``bincount`` over (rank, class), ``tree.cut_entropies``)
-and a batch of children's bins are read from histograms of those ranks,
-the bins exactly as each child's own column would give them. The
-children of one split attribute are cross-validated in batches: one
-``bincount`` per attribute over (child, fold, class, code),
-with each child's tables at its own code count. Every per-row sum runs
-over a child's rows in node order, so each utility is bit for bit the one
-scoring the child alone gives (the reference in ``tests/oracles.py``).
-Folds stay salted per child, by split attribute, branch and threshold:
-inheriting the node's folds would be cheaper, but it would change which
-rows each child trains on, and so the trees.
+and each child's bins are read from histograms of those ranks, the bins
+exactly as the child's own column would give them. Each child is then
+cross-validated on its own (``_BuildContext.cv_accuracy``): one
+``bincount`` per attribute over (fold, class, code), its rows in node
+order, so each utility is bit for bit the one of the per-child reference
+in ``tests/oracles.py``, which re-encodes every child. Folds stay salted
+per child, by split attribute, branch and threshold: inheriting the
+node's folds would be cheaper, but it would change which rows each child
+trains on, and so the trees.
 
 The node type, routing, dump and JSON codec live in ``tree``, shared with
 the gain tree; ``NBTree`` adds the naive-Bayes leaves and their scoring.
@@ -81,8 +80,8 @@ from .tree import (
 )
 
 NBTREE_FORMAT = "nbtree/1"
-# the cross-validation tables hold children x folds x classes x codes cells,
-# and past 100 folds a fold holds under 1% of a node's rows
+# a child's cross-validation tables hold folds x classes x codes cells, and
+# past 100 folds a fold holds under 1% of a node's rows
 _MAX_FOLDS = 100
 
 
@@ -132,15 +131,14 @@ def _path_salt(path: str) -> np.uint64:
     return np.uint64(zlib.crc32(path.encode()))
 
 
-def _fold_assign(groups: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray:
-    """Round-robin folds within each group (a class, or one child's class),
-    ordered by hash key: stratified and a pure function of (row identity,
-    node path). Keys are distinct within a group."""
+def _fold_assign(labels: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray:
+    """Round-robin folds within each class, ordered by hash key: stratified
+    and a pure function of (row identity, node path). Keys are distinct."""
     order = np.argsort(keys)
-    # a stable sort of 8- or 16-bit group ids is a radix sort
-    small = groups.astype(np.min_scalar_type(int(groups.max(initial=0))))
+    # a stable sort of 8- or 16-bit class ids is a radix sort
+    small = labels.astype(np.min_scalar_type(int(labels.max(initial=0))))
     order = order[np.argsort(small[order], kind="stable")]
-    g = groups[order]
+    g = labels[order]
     sizes = np.bincount(g)
     first = (np.cumsum(sizes) - sizes)[g]
     fold = np.empty(len(keys), dtype=np.int64)
@@ -165,9 +163,6 @@ class _NodeView(NamedTuple):
     weights: np.ndarray
 
 
-_BATCH_ROWS = 1 << 15   # child rows (and histogram cells) cross-validated in one batch
-
-
 class _BuildContext:
     """Training data plus the knobs shared by every node evaluation (all-ones
     attribute weights and ``NBTreeParams()`` by default), and the build's
@@ -186,7 +181,7 @@ class _BuildContext:
         self.k = params.smoothing_k * self.example_mass
         self.raw = ds.columns
         self.stats = dict.fromkeys(
-            ("nodes", "split_searches", "children_scored", "cross_validations", "cv_batches"), 0)
+            ("nodes", "split_searches", "children_scored", "cross_validations"), 0)
 
     def node_view(self, rows: np.ndarray) -> _NodeView:
         codes, edges, ranks = [], [], []
@@ -204,75 +199,41 @@ class _BuildContext:
         pred = np.argmax(model.log_scores(view.codes, self.attr_w, n=len(view.rows)), axis=1)
         return int(np.count_nonzero(pred != view.labels))
 
-    def cv_accuracies(self, view: _NodeView, children) -> list[float]:
+    def cv_accuracy(self, view: _NodeView, pos: np.ndarray, salt: np.uint64) -> float:
         """Stratified k-fold cross-validated, weight-averaged NB accuracy of
-        each ``(positions, salt)`` child of the view, each with bins fitted
-        on its own rows and folds keyed by (global row id, its salt).
-        Children are scored in batches of about ``_BATCH_ROWS`` rows."""
-        accs: list[float] = []
-        batch: list = []
-        rows = cells = 0   # cells: the batch's rank histograms, children x distinct values
-        widest = max([len(r[0]) for r in view.ranks if r is not None], default=1)
-        for pos, salt in children:
-            if batch and (rows + len(pos) > _BATCH_ROWS or cells + widest > _BATCH_ROWS):
-                accs += self._cv_batch(view, batch)
-                batch, rows, cells = [], 0, 0
-            batch.append((pos, salt))
-            rows += len(pos)
-            cells += widest
-        if batch:
-            accs += self._cv_batch(view, batch)
-        return accs
-
-    def _cv_batch(self, view: _NodeView, batch: list) -> list[float]:
-        """``cv_accuracies`` of one batch: one ``bincount`` per attribute
-        over (child, fold, class, code), tables stacked at each child's own
-        V. Rows stay in node order within a child, so every sum is the one a
-        child scored alone would make."""
+        the view's rows at ``pos`` (in node order), with bins fitted on
+        those rows and folds keyed by (global row id, ``salt``)."""
         F, C, k = self.params.folds, self.schema.n_classes, self.k
-        K = len(batch)
-        self.stats["cross_validations"] += K
-        self.stats["cv_batches"] += 1
-        sizes = np.array([len(pos) for pos, _ in batch])
-        pos = np.concatenate([p for p, _ in batch])
-        child = np.repeat(np.arange(K), sizes)
+        self.stats["cross_validations"] += 1
         lab, w = view.labels[pos], view.weights[pos]
-        salts = np.array([salt for _, salt in batch], dtype=np.uint64)
-        keys = _mix64(view.rows[pos].astype(np.uint64) ^ salts[child])
-        kf = child * F + _fold_assign(child * C + lab, keys, F)
-        cell = kf * C + lab
-        cw_fold = np.bincount(cell, weights=w, minlength=K * F * C).reshape(K, F, C)
-        cw_train = cw_fold.sum(axis=1, keepdims=True) - cw_fold
+        f = _fold_assign(lab, _mix64(view.rows[pos].astype(np.uint64) ^ salt), F)
+        cell = f * C + lab
+        cw_fold = np.bincount(cell, weights=w, minlength=F * C).reshape(F, C)
+        cw_train = cw_fold.sum(axis=0) - cw_fold
         with np.errstate(divide="ignore"):
             log_priors = np.log(smoothed_priors(cw_train, cw_train.sum(axis=-1, keepdims=True), k))
         # class-major scores: each class's column is one 1-D gather per attribute
-        scores = np.take(log_priors.reshape(K * F, C).T, kf, axis=1)
+        scores = np.take(log_priors.T, f, axis=1)
         for j, wa in enumerate(self.attr_w):
             if wa == 0.0:
                 continue
             if view.ranks[j] is None:
-                code = view.codes[j][pos]
-                V = np.full(K, len(self.schema.attributes[j].domain))
+                code, V = view.codes[j][pos], len(self.schema.attributes[j].domain)
             else:
                 distinct, rank = view.ranks[j]
-                code, V, _ = rank_codes(rank[pos], child, sizes, len(distinct), self.params.bins)
-            width = int(V.max())
-            cnt = np.bincount(cell * width + code, weights=w, minlength=K * F * C * width)
-            cnt = cnt.reshape(K, F, C, width)
-            train_cnt = cnt.sum(axis=1, keepdims=True) - cnt
+                code, V, _ = rank_codes(rank[pos], len(distinct), self.params.bins)
+            cnt = np.bincount(cell * V + code, weights=w, minlength=F * C * V).reshape(F, C, V)
             with np.errstate(divide="ignore"):
-                logc = np.log(smoothed_conditionals(train_cnt, cw_train, k, V[:, None, None, None]))
-            # row i reads logc[child[i], f[i], c, code[i]] for each class c
-            table = (wa * logc).transpose(2, 0, 1, 3).reshape(C, K * F * width)
-            at = kf * width + code
+                logc = np.log(smoothed_conditionals(cnt.sum(axis=0) - cnt, cw_train, k))
+            # row i reads logc[f[i], c, code[i]] for each class c
+            table = (wa * logc).transpose(1, 0, 2).reshape(C, F * V)
+            at = f * V + code
             for c in range(C):
                 scores[c] += table[c].take(at)
         # argmax over classes, ties to the first (no score is NaN: each is a sum
         # of finite logs or -inf); np.argmax(scores, axis=0) would copy scores
         hit = w * ((scores == scores.max(axis=0)).argmax(axis=0) == lab)
-        ends = np.cumsum(sizes)
-        return [float(min(1.0, max(0.0, hit[e - m:e].sum() / w[e - m:e].sum())))
-                for m, e in zip(sizes.tolist(), ends.tolist())]
+        return float(min(1.0, max(0.0, hit.sum() / w.sum())))
 
     def split_utility_value(self, view: _NodeView, j: int, salt: np.uint64,
                             node_accuracy: float) -> tuple[float, float | None]:
@@ -294,29 +255,21 @@ class _BuildContext:
             if thr.size == 0:
                 return node_accuracy, None
             candidates = list(thr)
-        parts: list[tuple[int, float, bool]] = []   # (candidate, child weight, scored)
-
-        def scored_children():
-            everything = np.arange(len(view.rows))
-            for i, t in enumerate(candidates):
-                keys = spec.domain if t is None else ("le", "gt")
-                for key, pos in zip(keys, split_rows(values, everything, t, spec.domain)):
-                    wch = float(view.weights[pos].sum())
-                    if wch <= 0:
-                        continue
-                    scored = wch >= self.example_mass
-                    parts.append((i, wch, scored))
-                    if scored:
-                        yield pos, salt ^ _path_salt(f"{j}:{key}:{t}")
-
-        accs = iter(self.cv_accuracies(view, scored_children()))
-        self.stats["children_scored"] += sum(scored for _, _, scored in parts)
+        everything = np.arange(len(view.rows))
         total = float(view.weights.sum())
-        utils = [0.0] * len(candidates)
-        for i, wch, scored in parts:
-            utils[i] += (wch / total) * (next(accs) if scored else node_accuracy)
         best_u, best_t = -1.0, None
-        for t, u in zip(candidates, utils):
+        for t in candidates:
+            keys = spec.domain if t is None else ("le", "gt")
+            u = 0.0
+            for key, pos in zip(keys, split_rows(values, everything, t, spec.domain)):
+                wch = float(view.weights[pos].sum())
+                if wch <= 0:
+                    continue
+                acc = node_accuracy
+                if wch >= self.example_mass:
+                    self.stats["children_scored"] += 1
+                    acc = self.cv_accuracy(view, pos, salt ^ _path_salt(f"{j}:{key}:{t}"))
+                u += (wch / total) * acc
             u = min(1.0, max(0.0, u))
             if u > best_u:
                 best_u, best_t = u, t
@@ -324,7 +277,7 @@ class _BuildContext:
 
     def node_accuracy(self, view: _NodeView, salt: np.uint64) -> float:
         """The node's own cross-validated accuracy, folds keyed by its salt."""
-        return self.cv_accuracies(view, [(np.arange(len(view.rows)), salt)])[0]
+        return self.cv_accuracy(view, np.arange(len(view.rows)), salt)
 
     def best_split(self, view: _NodeView, salt: np.uint64) -> SplitUtility | None:
         node_weight = float(view.weights.sum())

@@ -5,12 +5,12 @@ one (C, V) conditional table per attribute, the bin edges (empty for a
 discrete attribute), the smoothing k and the fit-time class masses. Names,
 kinds and domains are read from the schema alone.
 
-``rank_codes`` is the one equal-frequency binning, of a batch of row
-groups by their value ranks; ``bin_columns`` bins each continuous column
-as one group on the data the model is estimated from, and discrete
-attributes keep their symbol codes. ``fit_codes`` is the one fit: priors
-are class mass over total mass, conditionals are add-k smoothed weighted
-frequencies, with k in absolute weight units. ``fit_naive_bayes`` (the
+``rank_codes`` is the one equal-frequency binning, of one column by its
+value ranks; ``bin_columns`` bins each continuous column on the data the
+model is estimated from, and discrete attributes keep their symbol codes.
+``fit_codes`` is the one fit: priors are class mass over total mass,
+conditionals are add-k smoothed weighted frequencies, with k in absolute
+weight units. ``fit_naive_bayes`` (the
 baselines and the weighting pass) states k in units of the dataset's mean
 example weight; each NB-tree node calls ``fit_codes`` with the tree's k.
 
@@ -50,34 +50,27 @@ def check_fit_settings(k: float = SMOOTHING_K, bins: int = BINS) -> None:
         raise ValueError(f"bins must be >= 1, got {bins!r}")
 
 
-def rank_codes(rank: np.ndarray, group: np.ndarray | int, sizes: np.ndarray,
-               n_distinct: int, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equal-frequency codes for a batch of row groups (one column, or the
-    candidate children of an NB-tree node), from ``rank``, each row's rank
-    among the ``n_distinct`` sorted distinct values, ``group``, each row's
-    group, and ``sizes``, the group lengths. Returns the int32 codes, each
-    group's code count V and the edge ranks, as group * n_distinct + rank.
-    A group of m rows cuts at its sorted values floor((m - 1) * i / bins),
-    i = 1 .. bins - 1 (the "lower" quantiles), read from its histogram of
-    ranks; ties collapse and an edge at its largest value is dropped. Bin i
-    covers (edge[i-1], edge[i]]. A group of m <= bins rows cuts at every
-    value but its largest, so ``bins`` is clamped to the largest group."""
-    K, U = len(sizes), max(n_distinct, 1)
-    bins = min(bins, max(int(sizes.max()), 1))
-    flat = group * U + rank
-    cum = np.cumsum(np.bincount(flat, minlength=K * U))   # over groups, back to back
-    start = cum[U - 1::U] - sizes   # rows of earlier groups
-    at = np.searchsorted(   # group k's edge ranks, as k*U + rank
-        cum, start[:, None] + np.floor((sizes[:, None] - 1) * (np.arange(1, bins) / bins))
-        .astype(np.intp), side="right")
-    top = np.searchsorted(cum, start + sizes - 1, side="right")   # each group's largest value
-    keep = at < top[:, None]
-    keep[:, 1:] &= at[:, 1:] != at[:, :-1]   # ties collapse
-    n_edges = keep.sum(axis=1)
-    # each group's edges below each rank
-    below = np.cumsum(np.bincount(at[keep] + 1, minlength=K * U)).reshape(K, U)
-    below -= (np.cumsum(n_edges) - n_edges)[:, None]
-    return below.astype(np.int32).ravel()[flat], n_edges + 1, at[keep]
+def rank_codes(rank: np.ndarray, n_distinct: int,
+               bins: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Equal-frequency codes of one column (a fit's, a node's or a
+    candidate child's) from ``rank``, each row's rank among ``n_distinct``
+    sorted distinct values: the column's own, or those of the node column
+    a child's rows were taken from. Returns the int32 codes, the code count V and the edge ranks. A column
+    of m rows cuts at its sorted values floor((m - 1) * i / bins),
+    i = 1 .. bins - 1 (the "lower" quantiles), read from the cumulative
+    histogram of its ranks; ties collapse and an edge at its largest value
+    is dropped. Bin i covers (edge[i-1], edge[i]]. A column of m <= bins
+    rows cuts at every value but its largest, so ``bins`` is clamped to m."""
+    m, U = len(rank), max(n_distinct, 1)
+    bins = min(bins, max(m, 1))
+    cum = np.cumsum(np.bincount(rank, minlength=U))
+    at = np.searchsorted(cum, np.floor((m - 1) * (np.arange(1, bins) / bins)).astype(np.intp),
+                         side="right")
+    keep = at < np.searchsorted(cum, m - 1, side="right")   # below the largest value
+    keep[1:] &= at[1:] != at[:-1]   # ties collapse
+    at = at[keep]
+    below = np.cumsum(np.bincount(at + 1, minlength=U))   # edges below each rank
+    return below.astype(np.int32)[rank], len(at) + 1, at
 
 
 def bin_column(values: np.ndarray, bins: int):
@@ -86,7 +79,7 @@ def bin_column(values: np.ndarray, bins: int):
     value's rank among them)."""
     check_fit_settings(bins=bins)
     distinct, rank = np.unique(values, return_inverse=True)
-    codes, _, edge_ranks = rank_codes(rank, 0, np.array([len(rank)]), len(distinct), bins)
+    codes, _, edge_ranks = rank_codes(rank, len(distinct), bins)
     return codes, distinct[edge_ranks], (distinct, rank)
 
 
@@ -114,14 +107,12 @@ def smoothed_priors(class_mass: np.ndarray, total: float | np.ndarray, k: float)
     return probs
 
 
-def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float,
-                          n_values=None) -> np.ndarray:
-    """Add-k conditionals over (..., C, V) weighted count tables:
-    P(value | class) = (weight of (value, class) + k) / (class mass + k*V).
-    V is the table width unless ``n_values`` gives each of a stack of
-    tables, padded to one width, its own. A class with no mass under k = 0
-    gets probability 0."""
-    denom = class_mass[..., None] + k * (counts.shape[-1] if n_values is None else n_values)
+def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float) -> np.ndarray:
+    """Add-k conditionals over (..., C, V) weighted count tables (one
+    table, or one per cross-validation fold):
+    P(value | class) = (weight of (value, class) + k) / (class mass + k*V),
+    V the table width. A class with no mass under k = 0 gets probability 0."""
+    denom = class_mass[..., None] + k * counts.shape[-1]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, (counts + k) / denom, 0.0)
 

@@ -8,8 +8,8 @@ kernel replaced, and the capped threshold cuts the row-sorted version its
 histogram of ranks replaced. A cut's class masses are sums under boolean
 masks over the rows sorted by value, not read from a cumulative histogram
 of ranks as the trees read them. The one exception is the last section:
-the NB-tree's per-child split search, kept as the scalar reference its
-batched kernel must equal bit for bit.
+the NB-tree's per-child split search, kept as the reference its rank
+kernel must equal bit for bit.
 """
 
 import math
@@ -263,14 +263,14 @@ def fp_rate(mat, classes, c):
 
 # -- the NB-tree split search, one candidate child at a time ----------------------
 #
-# The search as it ran before it was batched: every candidate child is
-# re-encoded on its own rows with the quantile binning above
-# (``reference_view``) and cross-validated alone. A continuous attribute is
-# cut only at its ``best_cuts`` above. It reads the training
-# data and knobs of a ``nbtree._BuildContext`` and shares its fold hash,
-# estimators and row partition, each pinned by the oracles above or by
-# its own tests, so any difference from the batched kernel is in the
-# batching or the rank binning.
+# Every candidate child is re-encoded on its own rows with the quantile
+# binning above (``reference_view``) and cross-validated alone, with its
+# own fold assignment per class. A continuous attribute is cut only at its
+# ``best_cuts`` above. It reads the training data and knobs of a
+# ``nbtree._BuildContext`` and shares its fold hash, estimators and row
+# partition, each pinned by the oracles above or by its own tests, so any
+# difference from the package's search is in the rank binning, the fold
+# assignment or the order of the sums.
 
 
 def reference_view(ctx, rows):

@@ -588,7 +588,7 @@ def test_scoring_holds_no_code_matrix():
         assert peak < n * schema.n_attributes * 8
 
 
-# -- the batched split search against the per-child reference ----------------------
+# -- the split search against the per-child reference ------------------------------
 
 
 @settings(max_examples=150, deadline=None)
@@ -609,12 +609,8 @@ def test_child_bins_from_node_ranks_equal_bin_columns(data):
                         params=NBTreeParams(bins=bins))
     view = ctx.node_view(node)
     ((distinct, rank),) = view.ranks
-    sizes = np.array([len(pos) for pos in children])
-    codes, n_values, edge_ranks = rank_codes(
-        rank[np.concatenate(children)], np.repeat(np.arange(len(children)), sizes), sizes,
-        len(distinct), bins)
-    all_edges = []
-    for pos, got, V in zip(children, np.split(codes, np.cumsum(sizes)[:-1]), n_values):
+    for pos in children:
+        got, V, edge_ranks = rank_codes(rank[pos], len(distinct), bins)
         # the quantile reference on the child's own values
         values = column[view.rows[pos]]
         edges = oracles.equal_frequency_edges(values, bins)
@@ -622,8 +618,7 @@ def test_child_bins_from_node_ranks_equal_bin_columns(data):
         assert V == len(edges) + 1
         # each edge is the largest value of its bin
         assert np.array_equal([values[got == b].max() for b in range(V - 1)], edges)
-        all_edges += list(edges)
-    assert np.array_equal(distinct[edge_ranks % len(distinct)], all_edges)
+        assert np.array_equal(distinct[edge_ranks], edges)
 
 
 def with_lone_row(ds, rng, uneven):
