@@ -23,9 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
+from .dataset import Schema, WeightedDataset, project_attributes
 from .exceptions import DataFormatError, DegenerateTreeError, SchemaError, TrainingError
-from .probability import BINS, SMOOTHING_K, NaiveBayesModel, check_fit_settings, fit_naive_bayes
+from .probability import (
+    BINS, SMOOTHING_K, NaiveBayesModel, check_fit_settings, column_ranks, fit_naive_bayes,
+    subset_ranks,
+)
 from .tree import (
     TreeModel, TreeNode, cut_entropies, entropy_rows, grow_tree, iter_nodes, node_from_dict,
     node_to_dict, route_rows, threshold_candidates,
@@ -64,9 +67,8 @@ def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
     return node_h - float((shares * entropy_rows(child)).sum())
 
 
-def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                     n_classes: int) -> tuple[float, float | None]:
-    distinct, rank = np.unique(values, return_inverse=True)
+def _gain_continuous(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
+                     weights: np.ndarray, n_classes: int) -> tuple[float, float | None]:
     thresholds = threshold_candidates(distinct, rank, weights)
     if thresholds.size == 0:
         return 0.0, None
@@ -77,12 +79,15 @@ def _gain_continuous(values: np.ndarray, labels: np.ndarray, weights: np.ndarray
     return float(gains[best]), float(thresholds[best])
 
 
-def _gain(spec: AttributeSpec, column: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-          n_classes: int) -> tuple[float, float | None]:
-    """(gain, threshold); the threshold is None for a discrete attribute."""
+def _gain(dataset: WeightedDataset, j: int, rows: np.ndarray | slice, labels: np.ndarray,
+          weights: np.ndarray) -> tuple[float, float | None]:
+    """(gain, threshold) of attribute j over ``rows``, whose labels and
+    weights are given; the threshold is None for a discrete attribute. A
+    continuous column's ranks over the rows come from its one sort."""
+    spec, C = dataset.schema.attributes[j], dataset.schema.n_classes
     if spec.is_discrete:
-        return _gain_discrete(column, labels, weights, len(spec.domain), n_classes), None
-    return _gain_continuous(column, labels, weights, n_classes)
+        return _gain_discrete(dataset.columns[j][rows], labels, weights, len(spec.domain), C), None
+    return _gain_continuous(*subset_ranks(*column_ranks(dataset, j), rows), labels, weights, C)
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,7 @@ def weighted_info_gain(dataset: WeightedDataset, attribute: str) -> GainResult:
     if dataset.total_weight <= 0:
         raise TrainingError("cannot compute gain: zero total weight")
     j = dataset.schema.attribute_index(attribute)
-    gain, thr = _gain(dataset.schema.attributes[j], dataset.columns[j], dataset.labels,
-                      dataset.weights, dataset.schema.n_classes)
+    gain, thr = _gain(dataset, j, slice(None), dataset.labels, dataset.weights)
     if gain < 0:
         gain = 0.0 if gain > -_GAIN_TOL else gain
     return GainResult(attribute, gain, thr)
@@ -188,8 +192,8 @@ def build_weighted_tree(
         depth_stop = max_depth is not None and node.depth >= max_depth
         best_gain, best = 0.0, None
         if not (pure or depth_stop or node.weight < min_weight_leaf):
-            for j, spec in enumerate(schema.attributes):
-                gain, thr = _gain(spec, dataset.columns[j][rows], lab, w, C)
+            for j in range(schema.n_attributes):
+                gain, thr = _gain(dataset, j, rows, lab, w)
                 if gain > best_gain + _GAIN_TOL:
                     best_gain, best = gain, (j, thr, None)
         if best is None:

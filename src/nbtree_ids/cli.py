@@ -43,6 +43,7 @@ from .dataset import (
     load_dataset,
     load_schema_file,
     load_taxonomy_file,
+    naming_file,
     read_batches,
     stratified_sample,
     stratified_split,
@@ -240,8 +241,9 @@ class _Run:
 
     ``run_info.json`` holds what may differ between identical runs: the
     start time, the counters of every record file the run loaded, any
-    attribute selection's and NB-tree build's counters and the peak RSS
-    when the command ends."""
+    attribute selection's and NB-tree build's counters, the seconds of the
+    other stages (``stage_s``: sample or split, each baseline by model id,
+    and the models' scoring) and the peak RSS when the command ends."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -250,7 +252,7 @@ class _Run:
         self.artifacts: dict[str, str] = {}  # path in the run directory -> text
         self.write_json("config.json", {"format": "run-config/1"})
         self.info = {"started": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                     "config_hash": self.hash, "loads": []}
+                     "config_hash": self.hash, "loads": [], "stage_s": {}}
 
     def write_json(self, rel: str, doc: dict) -> None:
         doc = dict(doc)
@@ -301,7 +303,8 @@ def _load_entry(source: str | None, report: LoadReport) -> dict:
 
 def _load(run: _Run, path: str, schema, taxonomy) -> WeightedDataset:
     """Load one record file and add its loader counters to the run's ``loads``."""
-    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive)
+    with naming_file(path):
+        ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive)
     run.info["loads"].append(_load_entry(ds.dataset_id, ds.load_report))
     return ds
 
@@ -314,10 +317,12 @@ def _load_train(run: _Run) -> WeightedDataset:
     ds = _load(run, config.train, schema, taxonomy)
     if config.sample_fraction is not None:
         seed = config.require_seed("--sample-fraction is set")
+        start = time.perf_counter()
         try:
             ds = stratified_sample(ds, config.sample_fraction, seed)
         except ValueError as exc:
             raise ConfigError(f"--sample-fraction {config.sample_fraction}: {exc}") from None
+        run.info["stage_s"]["sample"] = time.perf_counter() - start
     return ds
 
 
@@ -332,10 +337,12 @@ def _train_test(run: _Run) -> tuple[WeightedDataset, WeightedDataset]:
     if fraction is None:
         raise ConfigError("provide --test or --test-fraction")
     seed = config.require_seed("splitting the training file")
+    start = time.perf_counter()
     try:
         split = stratified_split(train, fraction, seed)
     except ValueError as exc:
         raise ConfigError(f"--test-fraction {fraction}: {exc}") from None
+    run.info["stage_s"]["split"] = time.perf_counter() - start
     return split.train, split.test
 
 
@@ -402,6 +409,7 @@ def _write_selection(run: _Run, selection: SelectionResult) -> None:
 
 
 def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
+    run.info["stage_s"]["score"] = sum(report.wall_clock_sec for report in reports)
     for report in reports:
         run.write_json(f"reports/{report.model_id}.json", report.to_dict())
         run.write_text(f"reports/{report.model_id}.txt", report.to_text())
@@ -426,7 +434,8 @@ def _write_models(run: _Run, models: dict) -> None:
 
 
 def cmd_train(run: _Run) -> None:
-    selection, models = train_models(_load_train(run), run.config.comparison_config())
+    selection, models = train_models(_load_train(run), run.config.comparison_config(),
+                                     run.info["stage_s"])
     run.info["nbtree"] = models["proposed-nbtree"].build_stats
     _write_selection(run, selection)
     _write_models(run, models)
@@ -447,11 +456,12 @@ def cmd_eval(run: _Run) -> None:
     load = LoadReport()
     batches = read_batches(_resolve_path(config.test), schema, taxonomy, load,
                            permissive=config.permissive, rows=_EVAL_BATCH_ROWS)
-    try:
-        reports = evaluate_batches(models, batches)
-    finally:  # read the whole file, so a bad record fails before any model does
-        for _ in batches:
-            pass
+    with naming_file(config.test):
+        try:
+            reports = evaluate_batches(models, batches)
+        finally:  # read the whole file, so a bad record fails before any model does
+            for _ in batches:
+                pass
     run.info["loads"].append(_load_entry(reports[0].dataset_id, load))
     # the test labels, class by class: a report's rows count them in schema order
     labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())
@@ -471,7 +481,7 @@ def cmd_compare(run: _Run) -> None:
     train, test = _train_test(run)
     run.write_json("composition.json",
                    _composition_doc(train.dataset_id, class_counts(train), train.load_report))
-    bundle = run_comparison(train, test, run.config.comparison_config())
+    bundle = run_comparison(train, test, run.config.comparison_config(), run.info["stage_s"])
     run.info["nbtree"] = bundle.models["proposed-nbtree"].build_stats
     _write_selection(run, bundle.selection)
     _write_models(run, bundle.models)

@@ -10,6 +10,7 @@ dataset as immutable and derives new datasets instead of mutating.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -191,6 +192,9 @@ class WeightedDataset:
     describes the load a dataset came from; samples, splits and
     projections keep it. A derived dataset shares every array it does not
     replace with its parent, and nothing writes into these arrays.
+    ``rank_memo`` holds one cell per column for ``probability.column_ranks``;
+    a derived dataset shares the cells of the columns it keeps, and
+    ``take`` starts with empty ones.
     """
 
     def __init__(
@@ -203,6 +207,7 @@ class WeightedDataset:
         true_labels: np.ndarray | None = None,
         source: str | None = None,
         load_report: LoadReport | None = None,
+        rank_memo: list[list] | None = None,
     ):
         n = len(labels)
         if len(columns) != schema.n_attributes:
@@ -226,6 +231,7 @@ class WeightedDataset:
         self.true_labels = self.labels if true_labels is None else np.asarray(true_labels, np.int64)
         self.source = source
         self.load_report = load_report
+        self.rank_memo = [[] for _ in columns] if rank_memo is None else rank_memo
 
     # -- construction -----------------------------------------------------
 
@@ -311,6 +317,7 @@ class WeightedDataset:
             weights=self.weights[rows],
             raw_labels=self.raw_labels[rows] if self.raw_labels is not None else None,
             true_labels=self.true_labels[rows],
+            rank_memo=None,
         )
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
@@ -689,7 +696,8 @@ def project_attributes(dataset: WeightedDataset, kept: Iterable[str]) -> Weighte
         tuple(dataset.schema.attributes[i] for i in keep_idx),
         dataset.schema.class_names,
     )
-    return dataset._derive(schema=new_schema, columns=[dataset.columns[i] for i in keep_idx])
+    return dataset._derive(schema=new_schema, columns=[dataset.columns[i] for i in keep_idx],
+                           rank_memo=[dataset.rank_memo[i] for i in keep_idx])
 
 
 class Split(NamedTuple):
@@ -786,6 +794,19 @@ def _parse_file(parse, path, what: str):
         return parse(text)
     except (DataFormatError, SchemaError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def naming_file(path):
+    """Prefix ``path`` to the fault of a record read from it within the
+    block: the record may be at fault, or the schema or taxonomy it was
+    read by."""
+    try:
+        yield
+    except DataFormatError as exc:
+        if exc.reason is None:   # no record's fault
+            raise
+        raise type(exc)(f"{path}: {exc}", reason=exc.reason) from None
 
 
 def load_schema_file(path) -> Schema:

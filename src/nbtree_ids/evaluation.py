@@ -286,10 +286,13 @@ class ComparisonBundle:
         return "\n".join(parts)
 
 
-def train_models(train: WeightedDataset, config: ComparisonConfig | None = None):
+def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
+                 seconds: dict | None = None):
     """Run the attribute weighting once and train the proposed NB-tree on
     the reduced attributes, plus plain NB and gain-tree baselines on the
     full and reduced attribute sets unless baselines are disabled.
+    ``seconds``, when given, receives each baseline's wall seconds by
+    model id.
 
     This alone decides what the NB-tree trains on. It carries the
     posterior weights unless ``carry_weights`` is off (then every example
@@ -300,14 +303,15 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None)
     failure is raised as :class:`TrainingError`.
     """
     try:
-        return _train_models(train, config or ComparisonConfig())
+        return _train_models(train, config or ComparisonConfig(),
+                             {} if seconds is None else seconds)
     except NbtreeIdsError:
         raise
     except Exception as exc:  # surface unexpected failures as training errors
         raise TrainingError(str(exc)) from exc
 
 
-def _train_models(train: WeightedDataset, config: ComparisonConfig):
+def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dict):
     params = config.selection
     selection = select_attributes(train, params)
     kept = selection.weights.kept_names()
@@ -324,12 +328,16 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig):
     if config.baselines:
         plain = train.with_uniform_weights().with_true_labels()
         for suffix, ds in (("full", plain), ("reduced", project_attributes(plain, kept))):
+            start = time.perf_counter()
             nb = fit_naive_bayes(ds, k=params.smoothing_k, bins=params.bins)
             nb.model_id = f"nb-{suffix}"
+            fitted = time.perf_counter()
             tree = build_weighted_tree(ds, max_depth=params.max_depth,
                                        min_leaf_examples=params.min_leaf_examples)
             tree.model_id = f"tree-{suffix}"
             models.update({nb.model_id: nb, tree.model_id: tree})
+            seconds.update({nb.model_id: fitted - start,
+                            tree.model_id: time.perf_counter() - fitted})
     return selection, models
 
 
@@ -337,9 +345,10 @@ def run_comparison(
     train: WeightedDataset,
     test: WeightedDataset,
     config: ComparisonConfig | None = None,
+    seconds: dict | None = None,
 ) -> ComparisonBundle:
-    """Train the proposed pipeline and any baselines, then evaluate each on
-    the test set."""
-    selection, models = train_models(train, config)
+    """Train the proposed pipeline and any baselines (``seconds`` as in
+    ``train_models``), then evaluate each on the test set."""
+    selection, models = train_models(train, config, seconds)
     reports = [evaluate(model, test, model_id=model.model_id) for model in models.values()]
     return ComparisonBundle(selection, reports, models)

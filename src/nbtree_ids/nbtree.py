@@ -32,16 +32,19 @@ utility see exactly what the corresponding leaf model would see: a split
 is scored by the leaf models it would create. An attribute that would
 give a node one child scores the node's own accuracy, so it never wins.
 
-The search never re-encodes a candidate child. Each node sorts each
-continuous column once (``probability.bin_column``) and keeps the ranks
-of its rows among the distinct values; its threshold candidates, their
-entropies (one ``bincount`` over (rank, class), ``tree.cut_entropies``)
-and each child's bins are read from histograms of those ranks, the bins
-exactly as the child's own column would give them. Each child is then
-cross-validated on its own (``_BuildContext.cv_accuracy``): one
-``bincount`` per attribute over (fold, class, code), its rows in node
-order, so each utility is bit for bit the one of the per-child reference
-in ``tests/oracles.py``, which re-encodes every child. Folds stay salted
+The search never sorts at a node and never re-encodes a candidate
+child. Each continuous column of the training set is sorted once
+(``probability.column_ranks``, shared with the weighting pass and the
+baselines), and each node reads the distinct values its rows hold and
+their ranks from that sort (``probability.subset_ranks``). Its threshold
+candidates, their entropies (one ``bincount`` over (rank, class),
+``tree.cut_entropies``), its own bins and each child's are read from
+histograms of those ranks, the bins exactly as the child's own column
+would give them. Each child is then cross-validated on its own
+(``_BuildContext.cv_accuracy``): one ``bincount`` per attribute over
+(fold, class, code), its rows in node order, so each utility is bit for
+bit the one of the per-child reference in ``tests/oracles.py``, which
+re-encodes every child. Folds stay salted
 per child, by split attribute, branch and threshold: inheriting the
 node's folds would be cheaper, but it would change which rows each child
 trains on, and so the trees.
@@ -66,12 +69,14 @@ from .probability import (
     SMOOTHING_K,
     NaiveBayesModel,
     as_weight_array,
-    bin_column,
+    bin_ranks,
     check_fit_settings,
+    column_ranks,
     fit_codes,
     rank_codes,
     smoothed_conditionals,
     smoothed_priors,
+    subset_ranks,
     _normalise_rows,
 )
 from .tree import (
@@ -158,7 +163,7 @@ class _NodeView(NamedTuple):
     rows: np.ndarray      # global row ids (fold hashing key)
     codes: list           # one code column per attribute
     edges: list           # per attribute; empty for discrete ones
-    ranks: list           # per attribute: (sorted distinct values, row ranks); None if discrete
+    ranks: list           # per attribute: (distinct values, intp row ranks); None if discrete
     labels: np.ndarray
     weights: np.ndarray
 
@@ -180,14 +185,20 @@ class _BuildContext:
         # whole training set for every node
         self.k = params.smoothing_k * self.example_mass
         self.raw = ds.columns
+        # each continuous column's one sort, its ranks narrow (see rank_column)
+        self.ranks = [None if spec.is_discrete else column_ranks(ds, j)
+                      for j, spec in enumerate(ds.schema.attributes)]
         self.stats = dict.fromkeys(
             ("nodes", "split_searches", "children_scored", "cross_validations"), 0)
 
     def node_view(self, rows: np.ndarray) -> _NodeView:
         codes, edges, ranks = [], [], []
-        for spec, col in zip(self.schema.attributes, self.raw):
-            code, attr_edges, rank = ((col[rows], np.empty(0), None) if spec.is_discrete
-                                      else bin_column(col[rows], self.params.bins))
+        for col, col_ranks in zip(self.raw, self.ranks):
+            if col_ranks is None:
+                rank, code, attr_edges = None, col[rows], np.empty(0)
+            else:
+                rank = subset_ranks(*col_ranks, rows)
+                code, attr_edges = bin_ranks(*rank, self.params.bins)
             codes.append(code)
             edges.append(attr_edges)
             ranks.append(rank)

@@ -5,18 +5,28 @@ one (C, V) conditional table per attribute, the bin edges (empty for a
 discrete attribute), the smoothing k and the fit-time class masses. Names,
 kinds and domains are read from the schema alone.
 
+Each continuous column of a training set is sorted once: ``column_ranks``
+memoises its sorted distinct values and each row's rank among them on the
+dataset, and every dataset derived without copying the column (new
+weights or labels, a projection) shares that memo; ``take`` starts
+afresh. ``subset_ranks`` gives the (distinct, rank) of any rows from
+those ranks without a sort, exactly what ``np.unique`` of the rows would
+give, so the fits, the gain tree and every NB-tree node read one sort. A
+zero among the distinct values is always ``+0.0``: ``np.unique`` keeps
+whichever of ``-0.0`` and ``0.0`` its sort puts first, so without that an
+edge or cut at zero would take its sign from the rows ranked.
 ``rank_codes`` is the one equal-frequency binning, of one column by its
-value ranks; ``bin_columns`` bins each continuous column on the data the
-model is estimated from, and discrete attributes keep their symbol codes.
+value ranks; discrete attributes keep their symbol codes.
 ``fit_codes`` is the one fit: priors are class mass over total mass,
 conditionals are add-k smoothed weighted frequencies, with k in absolute
 weight units. ``fit_naive_bayes`` (the
 baselines and the weighting pass) states k in units of the dataset's mean
 example weight; each NB-tree node calls ``fit_codes`` with the tree's k.
 
-Codes have one layout, one column per attribute: ``bin_columns`` returns
-them, ``fit_codes`` counts them, and ``encode_dataset`` yields them one at a
-time for ``log_scores`` to add, so scoring never holds an (n, A) matrix.
+Codes have one layout, one column per attribute: ``fit_naive_bayes`` and
+the NB-tree's nodes bin them (``bin_ranks``), ``fit_codes`` counts them,
+and ``encode_dataset`` yields them one at a time for ``log_scores`` to
+add, so scoring never holds an (n, A) matrix.
 
 All scoring runs in the natural-log domain: a class score is log P(C) plus
 the sum of per-attribute log conditionals, each optionally raised to an
@@ -73,14 +83,40 @@ def rank_codes(rank: np.ndarray, n_distinct: int,
     return below.astype(np.int32)[rank], len(at) + 1, at
 
 
-def bin_column(values: np.ndarray, bins: int):
-    """One continuous column binned on its own values by ``rank_codes``:
-    its int32 codes, its edges, and (its sorted distinct values, each
-    value's rank among them)."""
-    check_fit_settings(bins=bins)
+def rank_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one sort of a continuous column: its sorted distinct values, a
+    zero among them made ``+0.0``, and each row's rank among them, in the
+    narrowest unsigned dtype that holds it. Such ranks may be gathered and
+    counted, not computed with (``uint8 * C`` wraps): arithmetic reads the
+    intp ranks of ``subset_ranks``."""
     distinct, rank = np.unique(values, return_inverse=True)
+    return distinct + 0.0, rank.astype(np.min_scalar_type(max(len(distinct) - 1, 0)))
+
+
+def column_ranks(dataset: WeightedDataset, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rank_column`` of the dataset's column j, sorted on first use and
+    kept in ``dataset.rank_memo``."""
+    memo = dataset.rank_memo[j]
+    if not memo:
+        memo.append(rank_column(dataset.columns[j]))
+    return memo[0]
+
+
+def subset_ranks(distinct: np.ndarray, rank: np.ndarray,
+                 rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+    """The (distinct, intp rank) of the rows ``rows`` of a column given as
+    ``rank_column`` gives it, without a sort: the distinct values the rows
+    hold, and each row's rank among them."""
+    sub = rank[rows]
+    present = np.bincount(sub, minlength=len(distinct)).astype(bool)
+    return distinct[present], (np.cumsum(present) - 1)[sub]
+
+
+def bin_ranks(distinct: np.ndarray, rank: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """A column given as its sorted ``distinct`` values and each row's
+    ``rank``, binned by ``rank_codes``: its int32 codes and its edges."""
     codes, _, edge_ranks = rank_codes(rank, len(distinct), bins)
-    return codes, distinct[edge_ranks], (distinct, rank)
+    return codes, distinct[edge_ranks]
 
 
 @dataclass
@@ -120,14 +156,6 @@ def smoothed_conditionals(counts: np.ndarray, class_mass: np.ndarray, k: float) 
 def value_count(spec, edges: np.ndarray) -> int:
     """V, the codes an attribute takes: its domain size, or its bin count."""
     return len(spec.domain) if spec.is_discrete else len(edges) + 1
-
-
-def bin_columns(schema: Schema, columns, bins: int) -> tuple[list, list]:
-    """Per-attribute value codes and bin edges. Discrete columns keep their
-    symbol codes (no edges); continuous ones get ``bin_column``."""
-    binned = [(col, np.empty(0)) if spec.is_discrete else bin_column(col, bins)[:2]
-              for spec, col in zip(schema.attributes, columns)]
-    return [code for code, _ in binned], [edges for _, edges in binned]
 
 
 def fit_codes(schema: Schema, codes, edges, labels: np.ndarray, weights: np.ndarray,
@@ -341,8 +369,11 @@ def fit_naive_bayes(dataset: WeightedDataset, k: float = SMOOTHING_K,
     if total <= 0:
         raise TrainingError("cannot estimate priors: zero total weight")
     k_eff = k * total / dataset.n
-    codes, edges = bin_columns(dataset.schema, dataset.columns, bins)
-    model = fit_codes(dataset.schema, codes, edges, dataset.labels, dataset.weights, k_eff)
+    binned = [(col, np.empty(0)) if spec.is_discrete
+              else bin_ranks(*column_ranks(dataset, j), bins)
+              for j, (spec, col) in enumerate(zip(dataset.schema.attributes, dataset.columns))]
+    model = fit_codes(dataset.schema, [code for code, _ in binned], [e for _, e in binned],
+                      dataset.labels, dataset.weights, k_eff)
     if k_eff <= 0 and model.class_weights.min() <= 0:
         zero = dataset.schema.class_names[int(np.argmin(model.class_weights))]
         raise TrainingError(f"class {zero!r} has zero weight and smoothing is off (k=0)")

@@ -14,11 +14,14 @@ training time goes to the heaviest child.
 Both builders grow through ``grow_tree``, cut continuous attributes at
 ``threshold_candidates`` and weigh a cut by the class entropy it leaves
 (``cut_entropies``): the gain tree takes the best cut, the NB-tree
-cross-validates the ``best_cuts``. ``split_rows`` partitions rows by a
-split and ``TreeNode.branch`` sends one value down. ``route_rows``
-partitions a whole dataset node by node with ``split_rows`` (sending each
-symbol's rows where ``branch`` sends the symbol), and ``route_example``
-follows one example, the per-example reference.
+cross-validates the ``best_cuts``. These kernels read a node's column as
+its sorted distinct values and each row's intp rank among them, which
+both builders take from the training set's one sort of the column
+(``probability.subset_ranks``), so no node sorts. ``split_rows``
+partitions rows by a split and ``TreeNode.branch`` sends one value down.
+``route_rows`` partitions a whole dataset node by node with ``split_rows``
+(sending each symbol's rows where ``branch`` sends the symbol), and
+``route_example`` follows one example, the per-example reference.
 The file form names a threshold split's children ``left`` and ``right``.
 """
 

@@ -98,6 +98,14 @@ def bin_codes(values, edges):
     return np.searchsorted(edges, values, side="left").astype(np.int32)
 
 
+def unique_ranks(values):
+    """The sorted distinct values of a column, a zero among them ``+0.0``,
+    and each value's rank among them, by ``np.unique`` of the column alone
+    (which keeps either zero of a column holding both)."""
+    distinct, rank = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True)
+    return np.where(distinct == 0.0, 0.0, distinct), rank
+
+
 # -- entropy and information gain by direct summation ---------------------------
 
 

@@ -24,7 +24,7 @@ from nbtree_ids import dataset as dataset_module
 from nbtree_ids.attribute_weighting import SelectionParams
 from nbtree_ids.cli import RunConfig, _load_config, build_parser, load_model_file, main
 from nbtree_ids.dataset import class_counts, load_dataset
-from nbtree_ids.evaluation import ComparisonConfig, evaluate
+from nbtree_ids.evaluation import ComparisonConfig, evaluate, train_models
 from nbtree_ids.exceptions import DataFormatError
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import NBTreeParams
@@ -831,6 +831,57 @@ def test_run_info_records_the_selection(toy_corpus, tmp_path, command, extra):
     assert selection["select_s"] > 0
 
 
+@pytest.mark.parametrize("command, extra, stages", [
+    ("train", ["--sample-fraction", "0.9", "--seed", "7"], {"sample"}),
+    ("compare", ["--test-fraction", "0.25", "--seed", "7"], {"split", "score"}),
+])
+def test_run_info_records_the_stage_seconds(toy_corpus, tmp_path, command, extra, stages):
+    out = tmp_path / "runs"
+    assert main([command, *base_args(toy_corpus, out), *extra]) == 0
+    seconds = json.loads((run_dir(out) / "run_info.json").read_text())["stage_s"]
+    assert set(seconds) == stages | {"nb-full", "tree-full", "nb-reduced", "tree-reduced"}
+    assert all(s > 0 for s in seconds.values())
+
+
+def _count_column_sorts(monkeypatch):
+    """The arrays ``np.unique`` ranks (``return_inverse``) from now on."""
+    sorted_arrays, unique = [], np.unique
+
+    def counting(values, *args, **kwargs):
+        if kwargs.get("return_inverse"):
+            sorted_arrays.append(values)
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    return sorted_arrays
+
+
+def test_training_sorts_each_continuous_column_once(tmp_path, monkeypatch):
+    """The weighting pass, the baselines and every node of both trees read
+    one sort of each continuous training column. The train pin's corpus,
+    where both trees split below the root (the toy corpus's do not)."""
+    corpus = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
+    train = load_dataset(corpus, kdd99_schema(), kdd99_taxonomy())
+    sorted_arrays = _count_column_sorts(monkeypatch)
+    selection, models = train_models(train)
+    assert selection.stats["tree_depth"] > 2
+    assert models["proposed-nbtree"].build_stats["split_searches"] > 1
+    continuous = [col for spec, col in zip(train.schema.attributes, train.columns)
+                  if not spec.is_discrete]
+    assert len(sorted_arrays) == len(continuous) == 34
+    assert all(any(a is col for a in sorted_arrays) for col in continuous)
+
+
+def test_eval_sorts_no_column(toy_models, monkeypatch):
+    work, _, models = toy_models
+    sorted_arrays = _count_column_sorts(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["eval", "--test", str(work / "toy.csv"), "--out", str(work / "no-sort"),
+                     "--models", *models]) == 0
+    assert sorted_arrays == []
+
+
 def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -978,6 +1029,56 @@ def test_inspect_with_one_config_key_changed_exits_0_1_or_2(config_work, data):
             or (code == 1 and (key in err or key == "out" and "run directory" in err))
             or (code == 2 and key in _PATH_KEYS and any(str(f) in err for f in files))), \
         (code, err)
+
+
+@pytest.fixture(scope="module")
+def input_files(toy_models):
+    """A work directory, the toy corpus, and the lines of a valid schema
+    file and of a valid taxonomy file (the built-in ones)."""
+    work, _, _ = toy_models
+    work = work / "input-files"
+    work.mkdir()
+    taxonomy = (Path(cli.__file__).parent / "data" / "kdd99.taxonomy").read_text()
+    return work, work.parent / "toy.csv", {
+        "schema": _schema_file_text().splitlines(keepends=True),
+        "taxonomy": taxonomy.splitlines(keepends=True)}
+
+
+@pytest.mark.parametrize("kind", ["schema", "taxonomy"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_inspect_with_one_input_file_line_changed_exits_0_or_2(input_files, kind, data):
+    """One line of a valid schema or taxonomy file dropped, of another type
+    (a schema attribute of the other kind, a taxonomy class that is a kind),
+    holding an extreme number, or repeated: ``inspect`` exits 0, or 2
+    naming the file, or the record file whose line disagrees with it;
+    never 3 or a traceback."""
+    work, toy, valid = input_files
+    lines = list(valid[kind])
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    change = data.draw(st.sampled_from(["drop", "retype", "number", "repeat"]), label="change")
+    tokens = lines[i].split()
+    if change == "drop":
+        del lines[i]
+    elif change == "repeat":
+        lines.insert(i, lines[i])
+    elif change == "number" and tokens:
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(
+            st.sampled_from(["0", "-1", str(10**29), "1e308", "-1e308", "1e400", "nan"]),
+            label="number")
+        lines[i] = " ".join(tokens) + "\n"
+    elif change == "retype" and tokens:
+        swap = {"discrete": "continuous", "continuous": "discrete"}
+        tokens[-1] = swap.get(tokens[-1], "continuous")
+        lines[i] = " ".join(tokens) + "\n"
+    changed = work / f"changed.{kind}"
+    changed.write_text("".join(lines))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["inspect", "--train", str(toy), "--out", str(work / "runs"),
+                     f"--{kind}", str(changed)])
+    err = err.getvalue()
+    assert code == 0 or (code == 2 and (f"{changed}: " in err or f"{toy}: " in err)), (code, err)
 
 
 @pytest.mark.parametrize("doc, flags", [

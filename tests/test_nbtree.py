@@ -28,10 +28,10 @@ from nbtree_ids.nbtree import (
     split_utility,
 )
 from nbtree_ids.probability import (
-    bin_column,
-    bin_columns,
+    bin_ranks,
     fit_naive_bayes,
     rank_codes,
+    rank_column,
     weighted_class_score,
 )
 from nbtree_ids.tree import _BEST_CUTS, best_cuts, grow_tree, iter_nodes, node_to_dict, route_rows
@@ -747,7 +747,7 @@ def test_fit_codes_equal_score_codes(data):
     schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("y", "continuous")),
                     ("A", "B"))
     ds = WeightedDataset(schema, columns, labels, np.ones(n))
-    fitted = bin_columns(schema, ds.columns, bins)
+    fitted = tuple(zip(*(bin_ranks(*rank_column(col), bins) for col in columns)))
     model = fit_naive_bayes(ds, bins=bins)
     checks = [(model, np.arange(n), fitted)]
     params = NBTreeParams(folds=2, bins=bins, min_split_examples=1.0, max_depth=3)
@@ -766,7 +766,7 @@ def test_fit_codes_equal_score_codes(data):
 @pytest.mark.parametrize("call", [
     lambda ds: fit_naive_bayes(ds, k=-0.5),
     lambda ds: fit_naive_bayes(ds, k=float("nan")),
-    lambda ds: bin_column(ds.columns[0], 0),
+    lambda ds: fit_naive_bayes(ds, bins=0),
     lambda ds: fit_naive_bayes(ds, k=float("inf")),
     lambda ds: NBTreeParams(bins=0),
     lambda ds: NBTreeParams(smoothing_k=-1),

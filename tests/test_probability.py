@@ -7,16 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
+from nbtree_ids.dataset import (
+    AttributeSpec, Schema, WeightedDataset, project_attributes, stratified_sample,
+    stratified_split,
+)
 from nbtree_ids.exceptions import TrainingError
 from nbtree_ids.probability import (
     NaiveBayesModel,
-    bin_column,
-    bin_columns,
+    bin_ranks,
     classify_nb,
+    column_ranks,
     fit_codes,
     fit_naive_bayes,
     posterior,
+    rank_column,
+    subset_ranks,
     weighted_class_score,
 )
 
@@ -51,8 +56,10 @@ def random_discrete_dataset(rng, n_max=30, a_max=4, c_max=3, random_weights=Fals
 
 def fit_absolute_k(ds, k, bins=10):
     """The one fit with k in absolute weight units."""
-    codes, edges = bin_columns(ds.schema, ds.columns, bins)
-    return fit_codes(ds.schema, codes, edges, ds.labels, ds.weights, k)
+    binned = [(col, np.empty(0)) if spec.is_discrete else bin_ranks(*column_ranks(ds, j), bins)
+              for j, (spec, col) in enumerate(zip(ds.schema.attributes, ds.columns))]
+    return fit_codes(ds.schema, [code for code, _ in binned], [e for _, e in binned],
+                     ds.labels, ds.weights, k)
 
 
 # -- priors ------------------------------------------------------------------------
@@ -159,9 +166,10 @@ def test_conditional_rows_sum_to_one_and_avoid_extremes():
 
 
 def assert_bins_equal_reference(values, bins):
-    """``bin_column`` against the ``np.quantile`` reference; returns its
-    codes and edges."""
-    codes, edges, (distinct, rank) = bin_column(values, bins)
+    """``bin_ranks`` of the column's ``rank_column`` against the
+    ``np.quantile`` reference; returns its codes and edges."""
+    distinct, rank = rank_column(values)
+    codes, edges = bin_ranks(distinct, rank, bins)
     want = oracles.equal_frequency_edges(values, bins)
     assert np.array_equal(edges, want)
     assert np.array_equal(codes, oracles.bin_codes(values, want))
@@ -208,6 +216,109 @@ def test_constant_column_is_single_bin():
 @example(values=[1.5] * 40, bins=10)     # a constant column
 def test_bin_column_equals_quantile_reference(values, bins):
     assert_bins_equal_reference(np.array(values, dtype=np.float64), bins)
+
+
+# -- the one sort of a column and its subsets ---------------------------------------------
+
+# zeros of both signs, the smallest subnormals, and floats adjacent to 1 and to each other
+_NEAR = [-0.0, 0.0, 5e-324, -5e-324, 1.0, float(np.nextafter(1.0, 2.0)),
+         float(np.nextafter(1.0, 0.0)), -1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_subset_ranks_equal_unique_of_the_rows(data):
+    """``subset_ranks`` of any rows (in any order, repeats allowed) equals
+    ``np.unique`` of those rows, on columns whose distinct counts cross
+    both narrow rank dtypes."""
+    if data is None:   # both zeros, the subset holding only -0.0
+        column, rows = np.array([0.0, -0.0, 1.0, -0.0]), np.array([3, 1])
+    elif data.draw(st.booleans(), label="wide"):
+        U = data.draw(st.sampled_from([255, 256, 257, 65535, 65536, 65537]), label="distinct")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = np.arange(U) - U // 2 + rng.choice([0.0, 0.5])   # holds 0 or 0.5 apart
+        column = rng.permutation(np.concatenate([values, rng.choice(values, size=U // 3)]))
+        column[column == 0] = rng.choice([-0.0, 0.0], size=np.count_nonzero(column == 0))
+        rows = rng.choice(len(column), size=int(rng.integers(0, 2 * len(column))))
+        if rng.random() < 0.5:
+            rows = np.unique(rows)
+    else:
+        column = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(_NEAR), st.floats(allow_nan=False, allow_infinity=False)),
+            max_size=80), label="column"), dtype=np.float64)
+        rows = np.array(data.draw(st.lists(st.integers(0, max(len(column) - 1, 0)),
+                                           max_size=len(column) and 100), label="rows"),
+                        dtype=np.intp)
+    distinct, rank = rank_column(column)
+    U = len(distinct)
+    assert rank.dtype == np.dtype(np.uint8 if U <= 256 else np.uint16 if U <= 65536
+                                  else np.uint32)
+    assert np.array_equal(distinct[rank], column)
+    for part in (rows, slice(None)):
+        got_distinct, got_rank = subset_ranks(distinct, rank, part)
+        want_distinct, want_rank = oracles.unique_ranks(column[part])
+        assert np.array_equal(got_distinct, want_distinct)
+        assert not np.signbit(got_distinct[got_distinct == 0]).any()
+        assert got_rank.dtype == np.intp
+        assert np.array_equal(got_rank, want_rank)
+
+
+@pytest.mark.parametrize("zeros", ["negative", "positive", "mixed"])
+def test_edges_and_cuts_at_zero_are_positive_zero(zeros):
+    """A bin edge at zero, of a fit or of any NB-tree node, and a gain-tree
+    cut at zero are ``+0.0`` whichever zeros the column holds."""
+    from nbtree_ids.attribute_weighting import build_weighted_tree, weighted_info_gain
+    from nbtree_ids.nbtree import NBTreeParams, build_nbtree
+    from nbtree_ids.tree import iter_nodes
+
+    rng = np.random.default_rng(5)
+    n = 60
+    signs = {"negative": [-0.0], "positive": [0.0], "mixed": [-0.0, 0.0]}[zeros]
+    # a third each of -1, zero and 1: the 3-bin edges are -1 and 0
+    x = np.repeat([-1.0, 0.0, 1.0], n // 3)
+    x[x == 0] = rng.choice(signs, size=n // 3)
+    # y cuts at zero, between -1 and 1; labels follow x's zeros and y's sign
+    y = rng.choice([-1.0, 1.0], size=n)
+    labels = ((x == 0) ^ (y > 0)).astype(np.int64)
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("y", "continuous")),
+                    ("A", "B"))
+    ds = WeightedDataset(schema, [x, y], labels, np.ones(n))
+    edges = [e for e in fit_naive_bayes(ds, bins=3).edges]
+    nbtree = build_nbtree(ds, params=NBTreeParams(bins=3, folds=2, min_split_examples=1.0))
+    for node in iter_nodes(nbtree.root):
+        if node.is_leaf:
+            edges.extend(node.payload.edges)
+    assert any(np.any(e == 0) for e in edges)
+    for e in edges:
+        assert not np.signbit(e[e == 0]).any()
+    cuts = [weighted_info_gain(ds, "y").threshold]
+    cuts += [node.threshold for node in iter_nodes(build_weighted_tree(ds).root)
+             if node.threshold is not None]
+    assert 0.0 in cuts
+    assert not any(np.signbit(c) for c in cuts if c == 0)
+
+
+def test_each_column_is_ranked_once_and_shared_only_where_kept():
+    """A continuous column is sorted on first use; a dataset derived with
+    the column shares that sort, and a ``take``, sample or split starts
+    with none."""
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("s", "discrete", ("a", "b")),
+                     AttributeSpec("y", "continuous")), ("A", "B"))
+    rows = [(float(i % 7), "ab"[i % 2], float(i % 5)) for i in range(40)]
+    ds = WeightedDataset.from_rows(schema, rows, ["AB"[i % 2] for i in range(40)])
+    ranked = column_ranks(ds, 0)
+    assert column_ranks(ds, 0) is ranked
+    for derived in (ds.with_weights(np.full(40, 2.0)), ds.with_labels(np.zeros(40, int)),
+                    ds.with_uniform_weights(), ds.with_true_labels()):
+        assert column_ranks(derived, 0) is ranked
+    assert not ds.rank_memo[2]   # not yet asked for
+    projected = project_attributes(ds, ["y", "x"])
+    assert column_ranks(projected, 0) is ranked
+    assert column_ranks(projected, 1) is column_ranks(ds, 2)
+    for fresh in (ds.take(np.arange(40)), stratified_sample(ds, 0.5, 1),
+                  *stratified_split(ds, 0.5, 1)):
+        assert not any(fresh.rank_memo)
 
 
 # -- posterior / classify ------------------------------------------------------------------
