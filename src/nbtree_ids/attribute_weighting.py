@@ -30,11 +30,8 @@ from .probability import (
     subset_ranks,
 )
 from .tree import (
-    TreeModel, TreeNode, cut_entropies, entropy_rows, grow_tree, iter_nodes, node_from_dict,
-    node_to_dict, route_rows, threshold_candidates,
+    TreeModel, TreeNode, cut_entropies, entropy_rows, grow_tree, iter_nodes, threshold_candidates,
 )
-
-TREE_FORMAT = "gain-tree/1"
 
 _GAIN_TOL = 1e-12       # below this a split is considered useless
 
@@ -121,6 +118,8 @@ class DecisionTree(TreeModel):
     """Weighted information-gain tree bound to a schema; its leaves hold
     class labels."""
 
+    FORMAT = "gain-tree/1"
+
     schema_hash: str
     classes: tuple[str, ...]
     attribute_names: tuple[str, ...]
@@ -128,38 +127,14 @@ class DecisionTree(TreeModel):
     model_id: str = "gain-tree"
 
     def predict_dataset(self, dataset: WeightedDataset) -> np.ndarray:
-        self.check_schema(dataset)
         class_index = {c: i for i, c in enumerate(self.classes)}
-        out = np.empty(dataset.n, dtype=np.int64)
-        for label, rows in route_rows(self.root, dataset):
-            out[rows] = class_index[label]
-        return out
+        return self.route_predict(dataset, lambda label, rows: class_index[label])
 
-    def to_dict(self) -> dict:
-        return {
-            "format": TREE_FORMAT,
-            "model_id": self.model_id,
-            "schema_hash": self.schema_hash,
-            "classes": list(self.classes),
-            "attributes": list(self.attribute_names),
-            "root": node_to_dict(self.root),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DecisionTree":
-        if doc.get("format") != TREE_FORMAT:
-            raise DataFormatError(f"not a {TREE_FORMAT} document")
-        attributes, classes = tuple(doc["attributes"]), tuple(doc["classes"])
-
-        def label(payload):
-            if payload not in classes:
-                raise DataFormatError(f"leaf label {payload!r} is not one of the tree's classes")
-            return payload
-
-        return cls(
-            doc["schema_hash"], classes, attributes,
-            node_from_dict(doc["root"], attributes, label), doc.get("model_id", "gain-tree"),
-        )
+    @staticmethod
+    def check_payload(payload, classes: tuple[str, ...], schema_hash: str) -> str:
+        if payload not in classes:
+            raise DataFormatError(f"leaf label {payload!r} is not one of the tree's classes")
+        return payload
 
 
 def build_weighted_tree(

@@ -32,10 +32,10 @@ from .attribute_weighting import (
     DecisionTree,
     SelectionParams,
     SelectionResult,
-    TREE_FORMAT,
     select_attributes,
 )
 from .dataset import (
+    AttackTaxonomy,
     ClassCounts,
     LoadReport,
     WeightedDataset,
@@ -43,7 +43,6 @@ from .dataset import (
     load_dataset,
     load_schema_file,
     load_taxonomy_file,
-    naming_file,
     read_batches,
     stratified_sample,
     stratified_split,
@@ -63,8 +62,8 @@ from .exceptions import (
     TrainingError,
 )
 from .kdd99 import kdd99_schema, kdd99_taxonomy
-from .nbtree import NBTREE_FORMAT, NBTree, NBTreeParams
-from .probability import MODEL_FORMAT, NaiveBayesModel
+from .nbtree import NBTree, NBTreeParams
+from .probability import NaiveBayesModel
 
 DATA_DIR_ENV = "NBTREE_IDS_DATA"
 # rows eval reads and scores at once, so it never holds the whole test set
@@ -303,13 +302,13 @@ def _load_entry(source: str | None, report: LoadReport) -> dict:
 
 def _load(run: _Run, path: str, schema, taxonomy) -> WeightedDataset:
     """Load one record file and add its loader counters to the run's ``loads``."""
-    with naming_file(path):
-        ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive)
+    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive)
     run.info["loads"].append(_load_entry(ds.dataset_id, ds.load_report))
     return ds
 
 
-def _load_train(run: _Run) -> WeightedDataset:
+def _load_train(run: _Run) -> tuple[WeightedDataset, AttackTaxonomy]:
+    """``--train``, sampled when asked, and the taxonomy it was read by."""
     config = run.config
     if not config.train:
         raise ConfigError("--train is required for this command")
@@ -323,14 +322,13 @@ def _load_train(run: _Run) -> WeightedDataset:
         except ValueError as exc:
             raise ConfigError(f"--sample-fraction {config.sample_fraction}: {exc}") from None
         run.info["stage_s"]["sample"] = time.perf_counter() - start
-    return ds
+    return ds, taxonomy
 
 
 def _train_test(run: _Run) -> tuple[WeightedDataset, WeightedDataset]:
     config = run.config
-    train = _load_train(run)
+    train, taxonomy = _load_train(run)
     if config.test:
-        _, taxonomy = _schema_and_taxonomy(config)
         # test shares the train schema so symbol domains stay aligned
         return train, _load(run, config.test, train.schema, taxonomy)
     fraction = config.test_fraction
@@ -353,7 +351,7 @@ def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read model file {path}: {exc}") from None
-    loaders = {MODEL_FORMAT: NaiveBayesModel, TREE_FORMAT: DecisionTree, NBTREE_FORMAT: NBTree}
+    loaders = {cls.FORMAT: cls for cls in (NaiveBayesModel, DecisionTree, NBTree)}
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt not in loaders:
         raise DataFormatError(f"unrecognised model format {fmt!r} in {path}")
@@ -393,7 +391,7 @@ def _composition_text(doc: dict) -> str:
 
 
 def cmd_inspect(run: _Run) -> None:
-    ds = _load_train(run)
+    ds, _ = _load_train(run)
     doc = _composition_doc(ds.dataset_id, class_counts(ds), ds.load_report)
     run.write_json("composition.json", doc)
     text = _composition_text(doc)
@@ -416,7 +414,8 @@ def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
 
 
 def cmd_select(run: _Run) -> None:
-    result = select_attributes(_load_train(run), run.config.selection_params())
+    train, _ = _load_train(run)
+    result = select_attributes(train, run.config.selection_params())
     _write_selection(run, result)
     run.write_json("kept.json", {
         "format": "kept-attributes/1",
@@ -434,8 +433,8 @@ def _write_models(run: _Run, models: dict) -> None:
 
 
 def cmd_train(run: _Run) -> None:
-    selection, models = train_models(_load_train(run), run.config.comparison_config(),
-                                     run.info["stage_s"])
+    train, _ = _load_train(run)
+    selection, models = train_models(train, run.config.comparison_config(), run.info["stage_s"])
     run.info["nbtree"] = models["proposed-nbtree"].build_stats
     _write_selection(run, selection)
     _write_models(run, models)
@@ -456,12 +455,11 @@ def cmd_eval(run: _Run) -> None:
     load = LoadReport()
     batches = read_batches(_resolve_path(config.test), schema, taxonomy, load,
                            permissive=config.permissive, rows=_EVAL_BATCH_ROWS)
-    with naming_file(config.test):
-        try:
-            reports = evaluate_batches(models, batches)
-        finally:  # read the whole file, so a bad record fails before any model does
-            for _ in batches:
-                pass
+    try:
+        reports = evaluate_batches(models, batches)
+    finally:  # read the whole file, so a bad record fails before any model does
+        for _ in batches:
+            pass
     run.info["loads"].append(_load_entry(reports[0].dataset_id, load))
     # the test labels, class by class: a report's rows count them in schema order
     labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())

@@ -10,7 +10,6 @@ dataset as immutable and derives new datasets instead of mutating.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -464,9 +463,11 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
 
     In strict mode (default) the first bad record aborts the stream with
     that error; in permissive mode bad records are skipped and counted by
-    reason in ``report``. Unseen discrete values of kept records extend the
-    attribute domain in permissive mode, and define it in either mode when
-    the schema domain is empty.
+    reason in ``report``. A stream that keeps no record raises
+    ``EmptyDatasetError`` with those counts. When ``source`` is a path,
+    both errors begin with it. Unseen discrete values of kept records
+    extend the attribute domain in permissive mode, and define it in
+    either mode when the schema domain is empty.
     """
     start = time.perf_counter()
     attrs = schema.attributes
@@ -488,6 +489,8 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
     n = 0
     wrong_count = ["0"] * expected  # stands in for a line of the wrong arity
     record, packed = _reader_dtypes(attrs)
+    src = str(source) if isinstance(source, (str, Path)) else None
+    at = f"{src}: " if src else ""
 
     def read(texts: list[str]):
         """The block's numbers (one row per continuous attribute), its symbol
@@ -535,7 +538,7 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
                 ex = parse_record(texts[i], schema, taxonomy, permissive=permissive, line_number=ln)
             except DataFormatError as exc:
                 if not permissive:
-                    raise
+                    raise type(exc)(f"{at}{exc}", reason=exc.reason) from None
                 report.note_skip(ln, exc.reason)
                 keep[i] = False
                 continue
@@ -567,7 +570,6 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
         n += n_kept
 
     name_class = np.array([schema.class_index(taxonomy.mapping[r]) for r in names], dtype=np.int64)
-    src = str(source) if isinstance(source, (str, Path)) else None
 
     def take_batch() -> WeightedDataset:
         """The rows copied in so far, as a batch; the outputs start anew."""
@@ -595,7 +597,9 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
     if n:
         yield take_batch()
     if report.n_loaded == 0:
-        raise EmptyDatasetError("record source yielded no usable examples")
+        skips = ", ".join(f"{reason} {count}" for reason, count in report.reasons.items())
+        raise EmptyDatasetError(f"{at}record source yielded no usable examples"
+                                + (f" (skipped: {skips})" if skips else ""))
 
 
 def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
@@ -780,33 +784,16 @@ def parse_schema_text(text: str) -> Schema:
     return Schema(tuple(attrs), classes)
 
 
-def _read_text(path, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeError) as exc:
-        raise DataFormatError(f"cannot read {what} file {path}: {exc}") from None
-
-
 def _parse_file(parse, path, what: str):
     """``parse`` of the text of a ``what`` file, its faults naming the file."""
-    text = _read_text(path, what)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise DataFormatError(f"cannot read {what} file {path}: {exc}") from None
     try:
         return parse(text)
     except (DataFormatError, SchemaError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-@contextlib.contextmanager
-def naming_file(path):
-    """Prefix ``path`` to the fault of a record read from it within the
-    block: the record may be at fault, or the schema or taxonomy it was
-    read by."""
-    try:
-        yield
-    except DataFormatError as exc:
-        if exc.reason is None:   # no record's fault
-            raise
-        raise type(exc)(f"{path}: {exc}", reason=exc.reason) from None
 
 
 def load_schema_file(path) -> Schema:

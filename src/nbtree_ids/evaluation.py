@@ -200,7 +200,7 @@ def project_for_model(model, test: WeightedDataset) -> WeightedDataset:
             and tuple(model.classes) == seen.schema.class_names):
         return seen
     raise EvaluationError(
-        f"model {getattr(model, 'model_id', '?')!r} does not match the test "
+        f"model {model.model_id!r} does not match the test "
         "schema (attribute names/kinds or class order differ)"
     )
 
@@ -211,9 +211,8 @@ def evaluate_batches(models: Sequence, batches: Iterable[WeightedDataset]) -> li
     counts and predict seconds. A model is a naive-Bayes model, gain tree
     or NB-tree. Test labels must be the load-time labels; a relabeled
     working copy is rejected."""
-    reports = [EvalReport(getattr(m, "model_id", m.__class__.__name__), None, m.attribute_count,
-                          ConfusionMatrix(tuple(m.classes), np.zeros((len(m.classes),) * 2, int)),
-                          0.0) for m in models]
+    reports = [EvalReport(m.model_id, None, m.attribute_count, ConfusionMatrix(
+        tuple(m.classes), np.zeros((len(m.classes),) * 2, int)), 0.0) for m in models]
     for batch in batches:
         for model, report in zip(models, reports):
             seen = project_for_model(model, batch)

@@ -79,12 +79,8 @@ from .probability import (
     subset_ranks,
     _normalise_rows,
 )
-from .tree import (
-    TreeModel, TreeNode, best_cuts, grow_tree, iter_nodes, node_from_dict, node_to_dict,
-    route_example, route_rows, split_rows,
-)
+from .tree import TreeModel, TreeNode, best_cuts, grow_tree, iter_nodes, route_example, split_rows
 
-NBTREE_FORMAT = "nbtree/1"
 # a child's cross-validation tables hold folds x classes x codes cells, and
 # past 100 folds a fold holds under 1% of a node's rows
 _MAX_FOLDS = 100
@@ -386,6 +382,8 @@ def best_split(
 class NBTree(TreeModel):
     """A built naive-Bayes tree plus the attribute weights its leaves use."""
 
+    FORMAT = "nbtree/1"
+
     schema_hash: str
     classes: tuple[str, ...]
     attribute_names: tuple[str, ...]
@@ -396,44 +394,27 @@ class NBTree(TreeModel):
     build_stats: dict | None = field(default=None, compare=False, repr=False)
 
     def predict_dataset(self, dataset: WeightedDataset) -> np.ndarray:
-        self.check_schema(dataset)
-        out = np.empty(dataset.n, dtype=np.int64)
-        for model, rows in route_rows(self.root, dataset):
+        def leaf_rule(model, rows):
             codes = model.encode_dataset(dataset, rows)
-            out[rows] = np.argmax(model.log_scores(codes, self.attr_weights, n=len(rows)), axis=1)
-        return out
+            return np.argmax(model.log_scores(codes, self.attr_weights, n=len(rows)), axis=1)
+        return self.route_predict(dataset, leaf_rule)
 
     def leaf_sizes(self) -> list[int]:
         return [node.n for node in iter_nodes(self.root) if node.is_leaf]
 
-    def to_dict(self) -> dict:
-        return {
-            "format": NBTREE_FORMAT,
-            "model_id": self.model_id,
-            "schema_hash": self.schema_hash,
-            "classes": list(self.classes),
-            "attributes": list(self.attribute_names),
-            "attr_weights": [float(w) for w in self.attr_weights],
-            "root": node_to_dict(self.root),
-        }
+    @staticmethod
+    def check_payload(payload, classes: tuple[str, ...], schema_hash: str) -> NaiveBayesModel:
+        if not (isinstance(payload, NaiveBayesModel) and payload.classes == classes
+                and payload.schema_hash == schema_hash):
+            raise DataFormatError("a leaf or fallback is not a model of the tree's schema")
+        return payload
+
+    def extra_entries(self) -> dict:
+        return {"attr_weights": [float(w) for w in self.attr_weights]}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "NBTree":
-        if doc.get("format") != NBTREE_FORMAT:
-            raise DataFormatError(f"not a {NBTREE_FORMAT} document")
-        attributes, classes = tuple(doc["attributes"]), tuple(doc["classes"])
-        attr_weights = as_weight_array(doc["attr_weights"], attributes)
-
-        def model(payload):
-            if not (isinstance(payload, NaiveBayesModel) and payload.classes == classes
-                    and payload.schema_hash == doc["schema_hash"]):
-                raise DataFormatError("a leaf or fallback is not a model of the tree's schema")
-            return payload
-
-        return cls(
-            doc["schema_hash"], classes, attributes, attr_weights,
-            node_from_dict(doc["root"], attributes, model), doc.get("model_id", "nbtree"),
-        )
+    def read_extra(cls, doc: dict, attributes: tuple[str, ...]) -> dict:
+        return {"attr_weights": as_weight_array(doc["attr_weights"], attributes)}
 
 
 def build_nbtree(

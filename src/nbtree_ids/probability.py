@@ -45,8 +45,6 @@ import numpy as np
 from .dataset import AttributeSpec, Example, Schema, WeightedDataset
 from .exceptions import DataFormatError, SchemaError, TrainingError
 
-MODEL_FORMAT = "nb-model/1"
-
 SMOOTHING_K = 1.0   # the default add-k, in units of the data's mean example weight
 BINS = 10           # the default equal-frequency bins of a continuous attribute
 
@@ -185,6 +183,7 @@ class NaiveBayesModel:
     classify (unknown symbols fall back to the smoothing floor).
     """
 
+    FORMAT = "nb-model/1"
     model_id = "nb"
 
     def __init__(self, schema: Schema, priors, cond, edges, smoothing_k: float, class_weights):
@@ -283,7 +282,7 @@ class NaiveBayesModel:
         restate ``schema``, each attribute with its edges and table."""
         schema = _schema_to_dict(self.schema)
         return {
-            "format": MODEL_FORMAT,
+            "format": self.FORMAT,
             "model_id": self.model_id,
             "schema_hash": self.schema_hash,
             "classes": list(self.classes),
@@ -297,8 +296,8 @@ class NaiveBayesModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NaiveBayesModel":
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            raise DataFormatError(f"not a {MODEL_FORMAT} document")
+        if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
+            raise DataFormatError(f"not a {cls.FORMAT} document")
         schema = _schema_from_dict(doc["schema"])
         attrs = doc["attributes"]
         if _schema_from_dict({"classes": doc["classes"], "attributes": attrs}) != schema:

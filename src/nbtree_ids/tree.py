@@ -22,7 +22,9 @@ partitions rows by a split and ``TreeNode.branch`` sends one value down.
 ``route_rows`` partitions a whole dataset node by node with ``split_rows``
 (sending each symbol's rows where ``branch`` sends the symbol), and
 ``route_example`` follows one example, the per-example reference.
-The file form names a threshold split's children ``left`` and ``right``.
+``TreeModel`` holds what the two tree classes share: the batch walk and
+the JSON document, whose file form names a threshold split's children
+``left`` and ``right``.
 """
 
 from __future__ import annotations
@@ -358,17 +360,57 @@ def _parts_add_up(node: TreeNode) -> TreeNode:
 
 
 class TreeModel:
-    """Inspection and the JSON file form, shared by the two tree classes.
-    A subclass is a dataclass with ``schema_hash``, ``attribute_names`` and
-    ``root`` fields and its own ``to_dict``/``from_dict``."""
+    """The batch walk, inspection and the JSON document shared by the two
+    tree classes. A subclass is a dataclass with ``schema_hash``,
+    ``classes``, ``attribute_names``, ``root`` and ``model_id`` fields; it
+    names its document's ``FORMAT``, rejects a leaf that does not fit it
+    (``check_payload``) and adds any entries of its own (``extra_entries``
+    and ``read_extra``)."""
 
     @property
     def attribute_count(self) -> int:
         return len(self.attribute_names)
 
-    def check_schema(self, dataset: WeightedDataset) -> None:
+    def route_predict(self, dataset: WeightedDataset, leaf_rule: Callable) -> np.ndarray:
+        """Each row's class index: ``route_rows`` hands every leaf (or empty
+        branch) its rows, and ``leaf_rule(payload, rows)`` classifies them."""
         if dataset.schema.structural_hash() != self.schema_hash:
             raise SchemaError("dataset schema does not match the tree schema")
+        out = np.empty(dataset.n, dtype=np.int64)
+        for payload, rows in route_rows(self.root, dataset):
+            out[rows] = leaf_rule(payload, rows)
+        return out
+
+    def extra_entries(self) -> dict:
+        return {}
+
+    @classmethod
+    def read_extra(cls, doc: dict, attributes: tuple[str, ...]) -> dict:
+        """The subclass's own fields, read from ``doc``."""
+        return {}
+
+    def to_dict(self) -> dict:
+        return {
+            "format": self.FORMAT,
+            "model_id": self.model_id,
+            "schema_hash": self.schema_hash,
+            "classes": list(self.classes),
+            "attributes": list(self.attribute_names),
+            **self.extra_entries(),
+            "root": node_to_dict(self.root),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        if doc.get("format") != cls.FORMAT:
+            raise DataFormatError(f"not a {cls.FORMAT} document")
+        model_id, schema_hash = doc.get("model_id", cls.model_id), doc["schema_hash"]
+        classes, attributes = tuple(doc["classes"]), tuple(doc["attributes"])
+        extra = cls.read_extra(doc, attributes)
+        root = node_from_dict(doc["root"], attributes,
+                              lambda payload: cls.check_payload(payload, classes, schema_hash))
+        return cls(schema_hash=schema_hash, classes=classes, attribute_names=attributes,
+                   root=root, model_id=model_id, **extra)
 
     def node_count(self) -> int:
         return sum(1 for _ in iter_nodes(self.root))

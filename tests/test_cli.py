@@ -1050,8 +1050,9 @@ def input_files(toy_models):
 def test_inspect_with_one_input_file_line_changed_exits_0_or_2(input_files, kind, data):
     """One line of a valid schema or taxonomy file dropped, of another type
     (a schema attribute of the other kind, a taxonomy class that is a kind),
-    holding an extreme number, or repeated: ``inspect`` exits 0, or 2
-    naming the file, or the record file whose line disagrees with it;
+    holding an extreme number, or repeated: ``inspect``, strict or
+    ``--permissive``, exits 0, or 2 naming the file, or the record file
+    whose line disagrees with it (or, permissive, that keeps no line);
     never 3 or a traceback."""
     work, toy, valid = input_files
     lines = list(valid[kind])
@@ -1071,12 +1072,13 @@ def test_inspect_with_one_input_file_line_changed_exits_0_or_2(input_files, kind
         swap = {"discrete": "continuous", "continuous": "discrete"}
         tokens[-1] = swap.get(tokens[-1], "continuous")
         lines[i] = " ".join(tokens) + "\n"
+    permissive = data.draw(st.booleans(), label="permissive")
     changed = work / f"changed.{kind}"
     changed.write_text("".join(lines))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["inspect", "--train", str(toy), "--out", str(work / "runs"),
-                     f"--{kind}", str(changed)])
+                     f"--{kind}", str(changed), *(["--permissive"] if permissive else [])])
     err = err.getvalue()
     assert code == 0 or (code == 2 and (f"{changed}: " in err or f"{toy}: " in err)), (code, err)
 

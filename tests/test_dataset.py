@@ -324,7 +324,8 @@ LINES = st.lists(
 def reference_load(lines, schema, taxonomy, permissive):
     """Loop over ``parse_record``: the kept examples, the skipped line
     numbers with their reasons, and the domains the kept examples give.
-    Raises the error a strict load must raise, or the empty-load error."""
+    Raises the error a strict load must raise, or the empty-load error with
+    the skip counts by reason."""
     kept, skipped = [], []
     domains = {a.name: list(a.domain) for a in schema.attributes if a.is_discrete}
     for ln, line in enumerate(lines, start=1):
@@ -342,7 +343,10 @@ def reference_load(lines, schema, taxonomy, permissive):
             if spec.is_discrete and v not in domains[spec.name]:
                 domains[spec.name].append(v)
     if not kept:
-        raise EmptyDatasetError("record source yielded no usable examples")
+        skips = ", ".join(f"{reason} {count}"
+                          for reason, count in Counter(reason for _, reason in skipped).items())
+        raise EmptyDatasetError("record source yielded no usable examples"
+                                + (f" (skipped: {skips})" if skips else ""))
     return kept, skipped, domains
 
 
@@ -420,7 +424,8 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     with pytest.raises(DataFormatError) as got:
         load_dataset(path, schema, taxonomy)
     assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
+    # a load of a path puts the path in front of a record's fault
+    assert str(got.value) == f"{path}: {expected.value}"
 
     kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive=True)
     ds = load_dataset(path, schema, taxonomy, permissive=True)

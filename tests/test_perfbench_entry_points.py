@@ -1,9 +1,11 @@
 """The benchmark's entry points resolve against the package: every function
 and method that ``perfbench/traced.py`` wraps still exists where it names
 it, ``perfbench/checks.py`` imports, ``perfbench/run.py``'s own imports of
-the package bind to its calls, and ``train`` leaves the one run directory
-``perfbench/inputs.py`` takes its models from. A refactor that renames or
-moves one of them fails here instead of silently breaking a benchmark run."""
+the package bind to its calls, ``train`` leaves the one run directory
+``perfbench/inputs.py`` takes its models from, and ``perfbench/checks.py``
+reloads those models and finds their batch scoring equal to per-example
+scoring. A refactor that renames or moves one of them fails here instead
+of silently breaking a benchmark run."""
 
 import ast
 import importlib
@@ -12,6 +14,8 @@ import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import synth
 
@@ -59,13 +63,30 @@ def test_run_calls_of_the_package_bind():
             *call.args, **{k.arg: k.value for k in call.keywords})
 
 
-def test_train_leaves_one_run_directory_with_every_model(tmp_path):
-    inputs = load("inputs")
-    synth.write_kdd_corpus(tmp_path / "train.csv", seed=1, scale=0.004)
+@pytest.fixture(scope="module")
+def toy_train(tmp_path_factory):
+    """The toy corpus and the run directory of ``train`` on it."""
+    work = tmp_path_factory.mktemp("toy-train")
+    synth.write_kdd_corpus(work / "train.csv", seed=1, scale=0.004)
     # the command inputs.set_up runs to make eval-full's models
     subprocess.run([sys.executable, "-m", "nbtree_ids.cli", "train", "--train", "train.csv",
                     "--out", "train-out"],
-                   cwd=tmp_path, env=inputs.program_env(), stdout=subprocess.DEVNULL, check=True)
-    (run_dir,) = (tmp_path / "train-out").glob("run-*")
+                   cwd=work, env=load("inputs").program_env(), stdout=subprocess.DEVNULL,
+                   check=True)
+    (run_dir,) = (work / "train-out").glob("run-*")
+    return work / "train.csv", run_dir
+
+
+def test_train_leaves_one_run_directory_with_every_model(toy_train):
+    _, run_dir = toy_train
     models = sorted(p.name for p in (run_dir / "models").iterdir())
-    assert models == sorted(f"{m}.json" for m in inputs.MODEL_IDS)
+    assert models == sorted(f"{m}.json" for m in load("inputs").MODEL_IDS)
+
+
+def test_reloaded_models_score_rows_as_one_example_at_a_time(toy_train):
+    corpus, run_dir = toy_train
+    checks, inputs = load("checks"), load("inputs")
+    models = checks.load_models(run_dir / "models", inputs.MODEL_IDS)
+    lines = len(corpus.read_text(encoding="utf-8").splitlines())
+    sample = checks.sample_rows(corpus, lines, seed=0, size=300)
+    assert checks.reference_problems(models, sample) == []
