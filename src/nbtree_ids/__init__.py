@@ -19,18 +19,14 @@ from .dataset import (
     load_taxonomy_file,
     parse_record,
     project_attributes,
-    serialize_record,
     stratified_sample,
     stratified_split,
 )
 from .probability import (
     NaiveBayesModel,
-    PosteriorVector,
     classify_nb,
     fit_codes,
     fit_naive_bayes,
-    posterior,
-    weighted_class_score,
 )
 from .attribute_weighting import (
     AttributeWeights,
@@ -41,24 +37,18 @@ from .attribute_weighting import (
     compute_attribute_weights,
     select_attributes,
     update_example_weights,
-    weighted_entropy,
-    weighted_info_gain,
 )
 from .nbtree import (
     NBTree,
     NBTreeParams,
     SplitUtility,
-    best_split,
     build_nbtree,
     classify_nbtree,
-    node_misclassification_check,
-    split_utility,
 )
 from .evaluation import (
     ComparisonConfig,
     ConfusionMatrix,
     EvalReport,
-    confusion,
     detection_rate,
     evaluate,
     false_positive_rate,

@@ -43,15 +43,6 @@ def _entropy(class_weights: np.ndarray) -> float:
     return float(entropy_rows(class_weights[None, :])[0])
 
 
-def weighted_entropy(dataset: WeightedDataset) -> float:
-    """Entropy (bits) of the class distribution by weight share."""
-    if dataset.total_weight <= 0:
-        raise TrainingError("cannot compute entropy: zero total weight")
-    cw = np.bincount(dataset.labels, weights=dataset.weights,
-                     minlength=dataset.schema.n_classes)
-    return _entropy(cw)
-
-
 def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                    n_symbols: int, n_classes: int) -> float:
     total = weights.sum()
@@ -87,29 +78,6 @@ def _gain(dataset: WeightedDataset, j: int, rows: np.ndarray | slice, labels: np
     return _gain_continuous(*subset_ranks(*column_ranks(dataset, j), rows), labels, weights, C)
 
 
-@dataclass(frozen=True)
-class GainResult:
-    attribute: str
-    gain: float
-    threshold: float | None = None
-
-
-def weighted_info_gain(dataset: WeightedDataset, attribute: str) -> GainResult:
-    """Weighted information gain of splitting on one attribute.
-
-    Discrete attributes partition by value; continuous attributes report
-    the best binary threshold among the candidate cut points. A constant
-    attribute has gain 0. Gains within 1e-12 below zero are clamped.
-    """
-    if dataset.total_weight <= 0:
-        raise TrainingError("cannot compute gain: zero total weight")
-    j = dataset.schema.attribute_index(attribute)
-    gain, thr = _gain(dataset, j, slice(None), dataset.labels, dataset.weights)
-    if gain < 0:
-        gain = 0.0 if gain > -_GAIN_TOL else gain
-    return GainResult(attribute, gain, thr)
-
-
 # -- decision tree ------------------------------------------------------------
 
 
@@ -131,7 +99,8 @@ class DecisionTree(TreeModel):
         return self.route_predict(dataset, lambda label, rows: class_index[label])
 
     @staticmethod
-    def check_payload(payload, classes: tuple[str, ...], schema_hash: str) -> str:
+    def check_payload(payload, classes: tuple[str, ...], attributes: tuple[str, ...],
+                      schema_hash: str) -> str:
         if payload not in classes:
             raise DataFormatError(f"leaf label {payload!r} is not one of the tree's classes")
         return payload
@@ -199,9 +168,6 @@ class AttributeWeights:
     names: tuple[str, ...]
     weights: tuple[float, ...]
     min_depths: tuple[int | None, ...]
-
-    def __getitem__(self, name: str) -> float:
-        return self.weights[self.names.index(name)]
 
     def as_mapping(self) -> dict[str, float]:
         return dict(zip(self.names, self.weights))

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import resource
 import sys
 import time
@@ -66,6 +67,7 @@ from .nbtree import NBTree, NBTreeParams
 from .probability import NaiveBayesModel
 
 DATA_DIR_ENV = "NBTREE_IDS_DATA"
+_MODEL_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 # rows eval reads and scores at once, so it never holds the whole test set
 _EVAL_BATCH_ROWS = 8_192
 
@@ -356,9 +358,14 @@ def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
     if fmt not in loaders:
         raise DataFormatError(f"unrecognised model format {fmt!r} in {path}")
     try:
-        return loaders[fmt].from_dict(doc)
+        model = loaders[fmt].from_dict(doc)
     except (KeyError, TypeError, ValueError, OverflowError, DataFormatError, SchemaError) as exc:
         raise DataFormatError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None
+    # eval names its report files after the model_id
+    if not (isinstance(model.model_id, str) and _MODEL_ID.fullmatch(model.model_id)):
+        raise DataFormatError(f"malformed model file {path}: model_id {model.model_id!r} is not "
+                              "letters, digits, '.', '_' and '-', not starting with '.'")
+    return model
 
 
 def _composition_doc(dataset_id: str, counts: ClassCounts, report: LoadReport | None) -> dict:

@@ -294,10 +294,6 @@ class WeightedDataset:
         return Example(tuple(values), self.schema.class_names[self.labels[i]], raw, float(self.weights[i]))
 
     @property
-    def examples(self) -> Iterator[Example]:
-        return map(self.example, range(self.n))
-
-    @property
     def dataset_id(self) -> str:
         return self.source or f"<memory:{self.n} examples>"
 
@@ -400,20 +396,6 @@ def _parse_number(raw: str, attribute: str, where: str) -> float:
             f"non-finite number {raw!r} for attribute {attribute!r}{where}", reason="bad-number"
         )
     return value
-
-
-def serialize_record(example: Example, schema: Schema) -> str:
-    """Render an example back to the comma-separated wire form (period-
-    terminated label, integers written without a decimal point)."""
-    parts = []
-    for spec, v in zip(schema.attributes, example.values):
-        if spec.is_discrete:
-            parts.append(str(v))
-        else:
-            f = float(v)
-            parts.append(str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f))
-    parts.append(example.raw_label + ".")
-    return ",".join(parts)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -665,15 +647,6 @@ class ClassCounts:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weighted.sum())
-
-    def by_class(self) -> dict[str, tuple[int, float]]:
-        return {
-            c: (int(self.counts[i]), float(self.weighted[i]))
-            for i, c in enumerate(self.classes)
-        }
 
 
 def class_counts(dataset: WeightedDataset) -> ClassCounts:

@@ -64,27 +64,6 @@ class ConfusionMatrix:
         }
 
 
-def confusion(truth, predicted, classes: tuple[str, ...]) -> ConfusionMatrix:
-    """Build a confusion matrix from parallel label sequences (class names
-    or class indices)."""
-    if len(truth) != len(predicted):
-        raise EvaluationError(
-            f"length mismatch: {len(truth)} truths vs {len(predicted)} predictions"
-        )
-    index = {c: i for i, c in enumerate(classes)}
-
-    def to_idx(seq) -> np.ndarray:
-        arr = np.asarray(seq)
-        if arr.dtype.kind in "iu":
-            return arr.astype(np.int64)
-        try:
-            return np.array([index[x] for x in seq], dtype=np.int64)
-        except KeyError as exc:
-            raise SchemaError(f"unknown class {exc.args[0]!r}") from None
-
-    return ConfusionMatrix.from_indices(to_idx(truth), to_idx(predicted), tuple(classes))
-
-
 def detection_rate(matrix: ConfusionMatrix, class_name: str) -> float | None:
     """Percentage of true class examples predicted as that class; None when
     the class has no true examples."""
@@ -183,9 +162,6 @@ class EvalReport:
         )
         return "\n".join(lines) + "\n"
 
-    def dr(self, class_name: str) -> float | None:
-        return detection_rate(self.matrix, class_name)
-
 
 def project_for_model(model, test: WeightedDataset) -> WeightedDataset:
     """The test set as ``model`` sees it: unchanged when the schemas match,
@@ -264,12 +240,6 @@ class ComparisonBundle:
     @property
     def kept_attributes(self) -> list[str]:
         return list(self.selection.weights.kept_names())
-
-    def report(self, model_id: str) -> EvalReport:
-        for r in self.reports:
-            if r.model_id == model_id:
-                return r
-        raise KeyError(model_id)
 
     def to_dict(self) -> dict:
         return {

@@ -323,58 +323,6 @@ class _BuildContext:
         return self.schema.attribute_index(found.attribute), found.threshold, model
 
 
-# -- public node-level operations ----------------------------------------------
-
-
-def node_misclassification_check(
-    partition: WeightedDataset,
-    attr_weights,
-    k: float = SMOOTHING_K,
-    bins: int = BINS,
-) -> int:
-    """Fit an NB model on the partition, classify the partition with the
-    attribute-weight exponents, and count the examples whose prediction
-    differs from their label. Zero means the caller should keep this node
-    as a leaf without evaluating any split."""
-    if partition.n == 0:
-        raise TrainingError("empty partition")
-    ctx = _BuildContext(partition, attr_weights,
-                        NBTreeParams(smoothing_k=k, bins=bins))
-    view = ctx.node_view(np.arange(partition.n))
-    model = fit_codes(ctx.schema, view.codes, view.edges, view.labels, view.weights, ctx.k)
-    return ctx.misclassified(view, model)
-
-
-def split_utility(
-    partition: WeightedDataset,
-    attribute: str,
-    attr_weights=None,
-    params: NBTreeParams | None = None,
-) -> SplitUtility:
-    """Utility of splitting the partition on one attribute: the weighted
-    average over the induced children of cross-validated NB accuracy.
-    ``attr_weights`` defaults to all ones."""
-    ctx = _BuildContext(partition, attr_weights, params)
-    j = partition.schema.attribute_index(attribute)
-    view = ctx.node_view(np.arange(partition.n))
-    salt = _path_salt("root")
-    u, t = ctx.split_utility_value(view, j, salt, ctx.node_accuracy(view, salt))
-    return SplitUtility(attribute, u, t)
-
-
-def best_split(
-    partition: WeightedDataset,
-    attr_weights=None,
-    params: NBTreeParams | None = None,
-) -> SplitUtility | None:
-    """Highest-utility split, or None when no split passes the significance
-    test (better relative error reduction than ``significance`` on a node
-    carrying at least ``min_split_examples`` examples' weight)."""
-    ctx = _BuildContext(partition, attr_weights, params)
-    view = ctx.node_view(np.arange(partition.n))
-    return ctx.best_split(view, _path_salt("root"))
-
-
 # -- the tree -------------------------------------------------------------------
 
 
@@ -403,10 +351,12 @@ class NBTree(TreeModel):
         return [node.n for node in iter_nodes(self.root) if node.is_leaf]
 
     @staticmethod
-    def check_payload(payload, classes: tuple[str, ...], schema_hash: str) -> NaiveBayesModel:
+    def check_payload(payload, classes: tuple[str, ...], attributes: tuple[str, ...],
+                      schema_hash: str) -> NaiveBayesModel:
         if not (isinstance(payload, NaiveBayesModel) and payload.classes == classes
-                and payload.schema_hash == schema_hash):
-            raise DataFormatError("a leaf or fallback is not a model of the tree's schema")
+                and payload.attribute_names == attributes and payload.schema_hash == schema_hash):
+            raise DataFormatError("a leaf or fallback is not a model of the tree's schema, "
+                                  "classes and attributes")
         return payload
 
     def extra_entries(self) -> dict:

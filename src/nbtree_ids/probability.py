@@ -36,9 +36,7 @@ exponentiated after normalisation across classes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,17 +113,6 @@ def bin_ranks(distinct: np.ndarray, rank: np.ndarray, bins: int) -> tuple[np.nda
     ``rank``, binned by ``rank_codes``: its int32 codes and its edges."""
     codes, _, edge_ranks = rank_codes(rank, len(distinct), bins)
     return codes, distinct[edge_ranks]
-
-
-@dataclass
-class PosteriorVector:
-    """Normalised per-class posterior probabilities."""
-
-    classes: tuple[str, ...]
-    probs: np.ndarray
-
-    def __getitem__(self, class_name: str) -> float:
-        return float(self.probs[self.classes.index(class_name)])
 
 
 def smoothed_priors(class_mass: np.ndarray, total: float | np.ndarray, k: float) -> np.ndarray:
@@ -324,13 +311,6 @@ class NaiveBayesModel:
                     and np.all((np.abs(total - 1) <= 1e-9) | (may_be_0 & (total == 0)))):
                 raise DataFormatError("priors and table rows must be probabilities summing to 1")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NaiveBayesModel":
-        return cls.from_dict(json.loads(text))
-
 
 def _schema_to_dict(schema: Schema) -> dict:
     return {
@@ -391,45 +371,15 @@ def _normalise_rows(log_scores: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def posterior(example: Example, model: NaiveBayesModel) -> PosteriorVector:
-    """Normalised per-class posterior for one example.
-
-    The class-independent evidence term cancels in the normalisation, so
-    this is the per-class prior-times-conditionals product rescaled to sum
-    to one.
-    """
-    scores = model.log_scores(model.encode_example(example)[:, None], n=1)
-    return PosteriorVector(model.classes, _normalise_rows(scores)[0])
-
-
 def classify_nb(example: Example, model: NaiveBayesModel) -> str:
-    """Argmax-posterior class; ties go to the earlier class in schema order."""
+    """Argmax-posterior class; ties go to the earlier class in schema order.
+    The per-example reference that batch ``predict_dataset`` must equal."""
     scores = model.log_scores(model.encode_example(example)[:, None], n=1)[0]
     if not np.isfinite(scores.max()):
         raise TrainingError(
             "all class scores are zero for the given example (k=0); use k > 0"
         )
     return model.classes[int(np.argmax(scores))]
-
-
-def weighted_class_score(
-    example: Example,
-    model: NaiveBayesModel,
-    attr_weights,
-    normalized: bool = False,
-) -> np.ndarray:
-    """Per-class scores with attribute-weight exponents.
-
-    In the log domain the score is log P(C) + sum_i w_i * log P(v_i | C);
-    a weight of zero removes the attribute entirely (x**0 == 1) and all
-    weights equal to one reduce to the plain product rule. Returns log
-    scores, or normalised probabilities when ``normalized`` is set.
-    """
-    w = as_weight_array(attr_weights, model.attribute_names)
-    scores = model.log_scores(model.encode_example(example)[:, None], w, n=1)
-    if normalized:
-        return _normalise_rows(scores)[0]
-    return scores[0]
 
 
 def as_weight_array(attr_weights, names) -> np.ndarray:

@@ -29,7 +29,6 @@ the JSON document, whose file form names a threshold split's children
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -408,7 +407,8 @@ class TreeModel:
         classes, attributes = tuple(doc["classes"]), tuple(doc["attributes"])
         extra = cls.read_extra(doc, attributes)
         root = node_from_dict(doc["root"], attributes,
-                              lambda payload: cls.check_payload(payload, classes, schema_hash))
+                              lambda payload: cls.check_payload(payload, classes, attributes,
+                                                                schema_hash))
         return cls(schema_hash=schema_hash, classes=classes, attribute_names=attributes,
                    root=root, model_id=model_id, **extra)
 
@@ -417,10 +417,3 @@ class TreeModel:
 
     def dump(self) -> str:
         return dump_tree(self.root)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))

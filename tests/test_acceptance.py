@@ -20,19 +20,14 @@ import oracles
 import synth
 from nbtree_ids.attribute_weighting import (
     SelectionParams,
+    _entropy,
+    _gain,
     select_attributes,
-    weighted_entropy,
-    weighted_info_gain,
 )
 from nbtree_ids.cli import main
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree
-from nbtree_ids.probability import (
-    classify_nb,
-    fit_naive_bayes,
-    posterior,
-    weighted_class_score,
-)
+from nbtree_ids.probability import classify_nb, fit_naive_bayes
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -73,8 +68,9 @@ def test_criterion_1_nb_oracle_equivalence():
         _, _, posts = oracles.nb_reference(
             rows, labels, list(ds.weights), classes, domains, k_eff
         )
+        posteriors = model.posteriors_dataset(ds)
         for i in range(ds.n):
-            got = posterior(ds.example(i), model).probs
+            got = posteriors[i]
             want = np.array([posts[i][c] for c in classes])
             rel = float(np.max(np.abs(got - want) / np.maximum(want, 1e-300)))
             worst = max(worst, rel)
@@ -113,15 +109,16 @@ def test_criterion_2_gain_oracle_equivalence():
         weights = list(rng.uniform(0.2, 2.0, n))
         ds = WeightedDataset.from_rows(schema, rows, labels, weights)
         h_want = oracles.entropy_bits(labels, weights, classes)
-        worst = max(worst, abs(weighted_entropy(ds) - h_want))
+        class_mass = np.bincount(ds.labels, weights=ds.weights, minlength=n_cls)
+        worst = max(worst, abs(_entropy(class_mass) - h_want))
         for j, spec in enumerate(schema.attributes):
-            got = weighted_info_gain(ds, spec.name)
+            got, _ = _gain(ds, j, slice(None), ds.labels, ds.weights)
             if spec.is_discrete:
                 want = oracles.gain_discrete(columns[j], labels, weights, classes)
             else:
                 want, _ = oracles.gain_continuous(columns[j], labels, weights, classes)
                 want = max(want, 0.0)
-            worst = max(worst, abs(got.gain - want))
+            worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
     report(
         "entropy-gain-oracle-equivalence",
@@ -148,15 +145,18 @@ def test_criterion_3_weighted_score_reduction():
         reduced = project_attributes(ds, kept)
         reduced_model = fit_naive_bayes(reduced, k=1.0)
         kept_w = np.delete(zero_w, drop)
-        for i in range(min(ds.n, 10)):
-            ex = ds.example(i)
-            plain = model.log_scores(model.encode_example(ex)[:, None])[0]
-            unit = weighted_class_score(ex, model, ones)
-            worst_unit = max(worst_unit, float(np.max(np.abs(unit - plain))))
-            full = weighted_class_score(ex, model, zero_w)
-            red = weighted_class_score(reduced.example(i), reduced_model, kept_w)
-            worst_zero = max(worst_zero, float(np.max(np.abs(full - red))))
-            probes += 1
+        rows = np.arange(min(ds.n, 10))
+
+        def scores(m, data, w=None):
+            return m.log_scores(m.encode_dataset(data, rows), w, n=len(rows))
+
+        plain = np.array([model.log_scores(model.encode_example(ds.example(i))[:, None])[0]
+                          for i in rows])
+        worst_unit = max(worst_unit, float(np.max(np.abs(scores(model, ds, ones) - plain))))
+        full = scores(model, ds, zero_w)
+        red = scores(reduced_model, reduced, kept_w)
+        worst_zero = max(worst_zero, float(np.max(np.abs(full - red))))
+        probes += len(rows)
     report(
         "weight-exponent-reduction",
         worst_unit <= 1e-12 and worst_zero <= 1e-12,
@@ -169,10 +169,10 @@ def test_criterion_4_feature_recovery():
     start = time.perf_counter()
     for seed in range(10):
         ds = synth.make_majority_dataset(seed=seed, n=2000)
-        result = select_attributes(ds, SelectionParams())
+        weights = select_attributes(ds, SelectionParams()).weights.as_mapping()
         for i in range(5):
-            assert result.weights[f"inf{i}"] > 0, f"seed {seed}: inf{i} dropped"
-            assert result.weights[f"noise{i}"] == 0.0, f"seed {seed}: noise{i} kept"
+            assert weights[f"inf{i}"] > 0, f"seed {seed}: inf{i} dropped"
+            assert weights[f"noise{i}"] == 0.0, f"seed {seed}: noise{i} kept"
     elapsed = time.perf_counter() - start
     report("feature-recovery-10-seeds", elapsed < 30, f"{elapsed:.1f}s")
 

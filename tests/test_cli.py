@@ -28,6 +28,7 @@ from nbtree_ids.evaluation import ComparisonConfig, evaluate, train_models
 from nbtree_ids.exceptions import DataFormatError
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import NBTreeParams
+from nbtree_ids.probability import NaiveBayesModel
 
 # a tiny but learnable KDD-format corpus: three crisply separated behaviours
 def write_toy_corpus(path, n_normal=30, n_neptune=30, n_ipsweep=20):
@@ -309,9 +310,20 @@ def test_eval_schema_mismatch_exits_4(toy_corpus, tmp_path):
     out = tmp_path / "train"
     assert main(["train", *base_args(toy_corpus, out), "--no-baselines"]) == 0
     model_file = next((run_dir(out) / "models").iterdir())
-    # damage the stored attribute list so projection cannot reconcile it
+    # rename the attributes throughout, so the file is consistent but no
+    # projection of the test set matches it
     doc = json.loads(model_file.read_text())
-    doc["attributes"] = ["no_such_attribute"]
+    names = set(doc["attributes"])
+
+    def rename(value):
+        if isinstance(value, dict):
+            return {k: rename(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [rename(v) for v in value]
+        return f"no_such_{value}" if value in names else value
+
+    doc = rename(doc)
+    doc["schema_hash"] = NaiveBayesModel.from_dict(_first_leaf(doc["root"])["model"]).schema_hash
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     code = main([
@@ -542,6 +554,24 @@ def test_eval_malformed_model_file_exits_2(toy_corpus, tmp_path, capsys, model, 
     assert str(broken) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model_id", ["../../escaped", "a/b", "..", ".hidden", "", 7, None])
+def test_eval_rejects_a_model_id_that_is_not_a_file_name(toy_corpus, tmp_path, capsys,
+                                                          model_id):
+    out = tmp_path / "train"
+    assert main(["train", *base_args(toy_corpus, out)]) == 0
+    doc = json.loads((run_dir(out) / "models" / "nb-full.json").read_text())
+    doc["model_id"] = model_id
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    evalout = tmp_path / "nested" / "evalout"
+    code = main(["eval", "--test", str(toy_corpus), "--out", str(evalout),
+                 "--models", str(edited)])
+    assert code == 2
+    assert str(edited) in capsys.readouterr().err
+    assert not evalout.exists()
+    assert not list(tmp_path.rglob("escaped*"))
+
+
 MODEL_IDS = ("proposed-nbtree", "nb-full", "tree-full", "nb-reduced", "tree-reduced")
 
 
@@ -612,6 +642,21 @@ def test_eval_of_a_damaged_model_file_exits_0_or_2(trained_kdd, data):
     assert (code == 0 or (code == 2 and str(broken) in err.getvalue())
             or (code == 4 and "does not match the test schema" in err.getvalue())), \
         (code, err.getvalue())
+
+
+def test_eval_rejects_an_nbtree_listing_its_attributes_unlike_its_leaves(trained_kdd, capsys):
+    work, corpus, docs = trained_kdd
+    doc = copy.deepcopy(docs["proposed-nbtree"])
+    assert len(doc["attributes"]) >= 2
+    doc["attributes"][:2] = doc["attributes"][1::-1]
+    swapped = work / "swapped.json"
+    swapped.write_text(json.dumps(doc))
+    code = main(["eval", "--test", str(corpus), "--out", str(work / "swapped-eval"),
+                 "--models", str(swapped)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(swapped) in err and "attributes" in err
+    assert not (work / "swapped-eval").exists()
 
 
 def test_eval_rejects_two_models_with_one_id(toy_corpus, tmp_path, capsys):

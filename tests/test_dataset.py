@@ -21,7 +21,6 @@ from nbtree_ids.dataset import (
     parse_schema_text,
     parse_taxonomy_text,
     project_attributes,
-    serialize_record,
     stratified_sample,
     stratified_split,
 )
@@ -107,19 +106,6 @@ def test_parse_domain_violation_strict_vs_permissive():
     assert ex.values[0] == "purple"
 
 
-def test_serialize_parse_round_trip():
-    schema, taxonomy = toy_schema(), toy_taxonomy()
-    for line in ["red,1.5,normal.", "blue,10,attack.", "green,0.125,normal."]:
-        ex = parse_record(line, schema, taxonomy)
-        again = parse_record(serialize_record(ex, schema), schema, taxonomy)
-        assert again == ex
-
-
-def test_serialize_uses_kdd_conventions():
-    ex = parse_record("red,3,normal.", toy_schema(), toy_taxonomy())
-    assert serialize_record(ex, toy_schema()) == "red,3,normal."
-
-
 # -- load_dataset -----------------------------------------------------------------
 
 
@@ -132,7 +118,7 @@ def test_load_assigns_uniform_weights():
 
 def test_load_preserves_order():
     ds = load_dataset(toy_lines(), toy_schema(), toy_taxonomy())
-    assert [e.raw_label for e in ds.examples] == ["normal", "normal", "attack", "attack"]
+    assert list(ds.raw_labels) == ["normal", "normal", "attack", "attack"]
     assert ds.example(2).values[0] == "blue"
 
 
@@ -448,17 +434,17 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
 def test_class_counts_toy():
     ds = load_dataset(toy_lines(3, 1), toy_schema(), toy_taxonomy())
     counts = class_counts(ds)
-    assert counts.by_class()["A"][0] == 3
-    assert counts.by_class()["B"][0] == 1
+    assert counts.classes == ("A", "B")
+    assert counts.counts.tolist() == [3, 1]
     assert counts.total == 4
-    assert abs(counts.total_weight - 1.0) < 1e-9
+    assert abs(counts.weighted.sum() - 1.0) < 1e-9
 
 
 def test_class_counts_single_class_weighted():
     ds = load_dataset(toy_lines(4, 0), toy_schema(), toy_taxonomy())
     counts = class_counts(ds)
-    assert counts.by_class()["A"] == (4, pytest.approx(1.0))
-    assert counts.by_class()["B"] == (0, 0.0)
+    assert counts.counts.tolist() == [4, 0]
+    assert counts.weighted.tolist() == [pytest.approx(1.0), 0.0]
 
 
 def test_class_counts_empty_dataset():
@@ -467,7 +453,7 @@ def test_class_counts_empty_dataset():
                          np.empty(0, np.int64), np.empty(0))
     counts = class_counts(ds)
     assert counts.total == 0
-    assert all(c == 0 for c, _ in counts.by_class().values())
+    assert not counts.counts.any()
 
 
 # -- project_attributes ---------------------------------------------------------------
@@ -498,7 +484,8 @@ def test_project_subset_keeps_labels_weights_and_order():
     assert red.n == 3
     np.testing.assert_array_equal(red.labels, ds.labels)
     np.testing.assert_array_equal(red.weights, ds.weights)
-    assert class_counts(red).by_class() == class_counts(ds).by_class()
+    np.testing.assert_array_equal(class_counts(red).counts, class_counts(ds).counts)
+    np.testing.assert_array_equal(class_counts(red).weighted, class_counts(ds).weighted)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -545,9 +532,7 @@ def two_class_dataset(n_each=50):
 def test_split_exact_stratification():
     ds = two_class_dataset(50)
     train, test = stratified_split(ds, 0.2, seed=3)
-    tc = class_counts(test)
-    assert tc.by_class()["A"][0] == 10
-    assert tc.by_class()["B"][0] == 10
+    assert class_counts(test).counts.tolist() == [10, 10]
     assert train.n == 80
     np.testing.assert_allclose(train.weights, 1.0 / 80)
     np.testing.assert_allclose(test.weights, 1.0 / 20)
@@ -557,9 +542,9 @@ def test_split_deterministic():
     ds = two_class_dataset(30)
     a = stratified_split(ds, 0.3, seed=11)
     b = stratified_split(ds, 0.3, seed=11)
-    assert [e.values for e in a.test.examples] == [e.values for e in b.test.examples]
+    assert [col.tolist() for col in a.test.columns] == [col.tolist() for col in b.test.columns]
     c = stratified_split(ds, 0.3, seed=12)
-    assert [e.values for e in a.test.examples] != [e.values for e in c.test.examples]
+    assert [col.tolist() for col in a.test.columns] != [col.tolist() for col in c.test.columns]
 
 
 def test_split_rejects_degenerate_fraction():

@@ -8,7 +8,6 @@ from nbtree_ids.evaluation import (
     ComparisonConfig,
     ConfusionMatrix,
     accuracy,
-    confusion,
     detection_rate,
     evaluate,
     false_positive_rate,
@@ -25,12 +24,20 @@ from nbtree_ids.probability import fit_naive_bayes
 CLASSES = ("Normal", "Probe", "DoS")
 
 
+def confusion(truth, pred):
+    """The confusion matrix of two sequences of class names, counted as
+    ``evaluate`` counts them: from class indices."""
+    def codes(names):
+        return np.array([CLASSES.index(c) for c in names])
+    return ConfusionMatrix.from_indices(codes(truth), codes(pred), CLASSES)
+
+
 # -- confusion matrix -----------------------------------------------------------
 
 
 def test_confusion_perfect_is_diagonal():
     truth = ["Normal"] * 4 + ["Probe"] * 3 + ["DoS"] * 3
-    m = confusion(truth, truth, CLASSES)
+    m = confusion(truth, truth)
     assert np.trace(m.counts) == 10
     assert m.counts.sum() == 10
 
@@ -38,7 +45,7 @@ def test_confusion_perfect_is_diagonal():
 def test_confusion_all_wrong_has_zero_diagonal():
     truth = ["Normal", "Normal", "Probe", "Probe"]
     pred = ["Probe", "Probe", "Normal", "Normal"]
-    m = confusion(truth, pred, CLASSES)
+    m = confusion(truth, pred)
     assert np.trace(m.counts) == 0
     assert m.total == 4
 
@@ -47,7 +54,7 @@ def test_confusion_row_sums_match_truth_counts():
     rng = np.random.default_rng(1)
     truth = [CLASSES[i] for i in rng.integers(0, 3, size=100)]
     pred = [CLASSES[i] for i in rng.integers(0, 3, size=100)]
-    m = confusion(truth, pred, CLASSES)
+    m = confusion(truth, pred)
     want = oracles.confusion_counts(truth, pred, CLASSES)
     for ti, t in enumerate(CLASSES):
         assert m.row_sums()[ti] == truth.count(t)
@@ -56,13 +63,8 @@ def test_confusion_row_sums_match_truth_counts():
 
 
 def test_confusion_accepts_indices():
-    m = confusion(np.array([0, 1, 2]), np.array([0, 1, 1]), CLASSES)
+    m = ConfusionMatrix.from_indices(np.array([0, 1, 2]), np.array([0, 1, 1]), CLASSES)
     assert m.counts[2, 1] == 1
-
-
-def test_confusion_length_mismatch_errors():
-    with pytest.raises(EvaluationError):
-        confusion(["Normal"], ["Normal", "DoS"], CLASSES)
 
 
 # -- rates ------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_false_positive_rate_matches_counting_oracle():
     rng = np.random.default_rng(3)
     truth = [CLASSES[i] for i in rng.integers(0, 3, size=60)]
     pred = [CLASSES[i] for i in rng.integers(0, 3, size=60)]
-    m = confusion(truth, pred, CLASSES)
+    m = confusion(truth, pred)
     counts = oracles.confusion_counts(truth, pred, CLASSES)
     for c in CLASSES:
         assert false_positive_rate(m, c) == pytest.approx(
@@ -183,7 +185,8 @@ def test_report_text_marks_undefined_rates():
     # drop every DoS example from the test set: its DR must render as n/a
     keep = np.flatnonzero(ds.labels != 2)
     report = evaluate(model, ds.take(keep))
-    assert report.dr("DoS") is None
+    assert detection_rate(report.matrix, "DoS") is None
+    assert [row["dr"] for row in report.per_class if row["class"] == "DoS"] == [None]
     assert "n/a" in report.to_text()
 
 
@@ -244,8 +247,8 @@ def test_comparison_reports_have_uniform_structure():
     bundle = run_comparison(ds, ds, comparison_config())
     keys = [tuple(sorted(r.to_dict())) for r in bundle.reports]
     assert len(set(keys)) == 1
-    full = bundle.report("nb-full")
-    reduced = bundle.report("nb-reduced")
+    reports = {r.model_id: r for r in bundle.reports}
+    full, reduced = reports["nb-full"], reports["nb-reduced"]
     assert full.attribute_count == 3
     assert reduced.attribute_count == len(bundle.kept_attributes)
 

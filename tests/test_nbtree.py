@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -12,27 +14,24 @@ from nbtree_ids import tree
 from nbtree_ids.attribute_weighting import SelectionParams
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, load_dataset
 from nbtree_ids.evaluation import train_models
+from nbtree_ids.exceptions import DataFormatError
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import (
     NBTree,
     NBTreeParams,
-    SplitUtility,
     _BuildContext,
     _fold_assign,
     _mix64,
     _path_salt,
-    best_split,
     build_nbtree,
     classify_nbtree,
-    node_misclassification_check,
-    split_utility,
 )
 from nbtree_ids.probability import (
     bin_ranks,
+    fit_codes,
     fit_naive_bayes,
     rank_codes,
     rank_column,
-    weighted_class_score,
 )
 from nbtree_ids.tree import _BEST_CUTS, best_cuts, grow_tree, iter_nodes, node_to_dict, route_rows
 from test_tree import CLASSES, random_training
@@ -43,6 +42,33 @@ def disc_schema(*domains, classes=("A", "B")):
         AttributeSpec(f"f{i}", "discrete", dom) for i, dom in enumerate(domains)
     )
     return Schema(attrs, classes)
+
+
+def root_search(ds, attr_weights=None, params=None):
+    """A build over ``ds``, its root's view and the root's fold salt."""
+    ctx = _BuildContext(ds, attr_weights, params)
+    return ctx, ctx.node_view(np.arange(ds.n)), _path_salt("root")
+
+
+def misclassified(ds, attr_weights):
+    """Rows of ``ds`` that the root's own model gets wrong, as the build's
+    perfect-leaf check counts them."""
+    ctx, view, _ = root_search(ds, attr_weights)
+    model = fit_codes(ctx.schema, view.codes, view.edges, view.labels, view.weights, ctx.k)
+    return ctx.misclassified(view, model)
+
+
+def split_utility(ds, name, attr_weights=None, params=None):
+    """The root's (utility, threshold) for attribute ``name``."""
+    ctx, view, salt = root_search(ds, attr_weights, params)
+    return ctx.split_utility_value(view, ds.schema.attribute_index(name), salt,
+                                   ctx.node_accuracy(view, salt))
+
+
+def best_split(ds, attr_weights=None, params=None):
+    """The root's split decision."""
+    ctx, view, salt = root_search(ds, attr_weights, params)
+    return ctx.best_split(view, salt)
 
 
 # -- reference re-implementation of the utility protocol --------------------------
@@ -170,12 +196,12 @@ def test_single_class_partition_has_no_misclassifications():
     ds = WeightedDataset.from_rows(
         disc_schema(("x", "y")), [("x",), ("y",), ("x",)], ["A"] * 3
     )
-    assert node_misclassification_check(ds, np.ones(1)) == 0
+    assert misclassified(ds, np.ones(1)) == 0
 
 
 def test_xor_partition_is_misclassified_by_nb():
     ds = synth.make_xor_dataset(50)
-    count = node_misclassification_check(ds, np.ones(2))
+    count = misclassified(ds, np.ones(2))
     assert count > 0
 
 
@@ -192,7 +218,7 @@ def test_misclassification_count_matches_oracle():
     preds = _oracle_nb_predict(rows, labels, list(ds.weights), rows,
                                ("A", "B"), domains, k_eff)
     want = sum(1 for p, t in zip(preds, labels) if p != t)
-    assert node_misclassification_check(ds, np.ones(2), k=1.0) == want
+    assert misclassified(ds, np.ones(2)) == want
 
 
 # -- split utility ---------------------------------------------------------------------
@@ -203,8 +229,7 @@ def test_pure_children_have_utility_one():
     rows = [("x", "0"), ("x", "1"), ("y", "0"), ("y", "1")] * 10
     labels = ["A", "A", "B", "B"] * 10
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    su = split_utility(ds, "f0")
-    assert su.utility == pytest.approx(1.0)
+    assert split_utility(ds, "f0")[0] == pytest.approx(1.0)
 
 
 def test_constant_attribute_keeps_node_utility():
@@ -212,13 +237,13 @@ def test_constant_attribute_keeps_node_utility():
     rows = [("only", ("0", "1")[i % 2]) for i in range(30)]
     labels = [("A", "B")[(i // 2) % 2] for i in range(30)]
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    su = split_utility(ds, "f0")
+    utility, _ = split_utility(ds, "f0")
     k_eff = 1.0 * ds.total_weight / ds.n
     node_acc = _oracle_cv_accuracy(
         rows, labels, list(ds.weights), np.arange(30), ("A", "B"),
         [("only",), ("0", "1")], k_eff, 5, _path_salt("root"),
     )
-    assert su.utility == pytest.approx(node_acc, abs=1e-9)
+    assert utility == pytest.approx(node_acc, abs=1e-9)
     bs = best_split(ds, params=NBTreeParams(min_split_examples=1.0))
     assert bs is None or bs.attribute != "f0"
 
@@ -239,9 +264,9 @@ def test_split_utility_matches_reimplementation():
         want, _ = _oracle_split_utility(
             rows, labels, weights, ("A", "B"), domains, j, k_eff, 5
         )
-        got = split_utility(ds, name)
-        assert got.utility == pytest.approx(want, abs=1e-9)
-        utilities[name] = got.utility
+        got, _ = split_utility(ds, name)
+        assert got == pytest.approx(want, abs=1e-9)
+        utilities[name] = got
     # ordering agrees with the oracle by construction of the equality above
     assert sorted(utilities) == ["f0", "f1"]
 
@@ -264,10 +289,10 @@ def test_continuous_split_utility_rebins_each_child():
     want, node_acc = _oracle_split_utility(
         rows, labels, list(ds.weights), ("D", "N", "P"), [None, None], 0, k_eff, 5
     )
-    got = split_utility(ds, "x")
-    assert got.threshold == pytest.approx(0.5)
-    assert got.utility == pytest.approx(want, abs=1e-9)
-    assert got.utility > node_acc
+    got, threshold = split_utility(ds, "x")
+    assert threshold == pytest.approx(0.5)
+    assert got == pytest.approx(want, abs=1e-9)
+    assert got > node_acc
 
 
 def test_continuous_split_utility_matches_reimplementation():
@@ -295,7 +320,7 @@ def test_continuous_split_utility_matches_reimplementation():
         want, _ = _oracle_split_utility(
             rows, labels, weights, ("A", "B"), domains, j, k_eff, 5, bins=4
         )
-        assert split_utility(ds, name, params=params).utility == pytest.approx(want, abs=1e-9)
+        assert split_utility(ds, name, params=params)[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_split_utility_ordering_pure_vs_noise():
@@ -307,8 +332,8 @@ def test_split_utility_ordering_pure_vs_noise():
         rows.append((a, ("0", "1")[int(rng.integers(2))]))
         labels.append("A" if a == "x" else "B")
     ds = WeightedDataset.from_rows(disc_schema(("x", "y"), ("0", "1")), rows, labels)
-    u_good = split_utility(ds, "f0").utility
-    u_noise = split_utility(ds, "f1").utility
+    u_good, _ = split_utility(ds, "f0")
+    u_noise, _ = split_utility(ds, "f1")
     assert u_good == pytest.approx(1.0)
     assert u_good > u_noise
 
@@ -389,18 +414,20 @@ def test_single_leaf_tree_delegates_to_weighted_scores():
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(40)]
     ds = WeightedDataset.from_rows(schema, rows, labels)
-    w = np.array([0.7, 0.4])
+    w = np.array([1.0, 0.2])
     tree = build_nbtree(ds, w, NBTreeParams(max_depth=1))  # force a single leaf
     assert tree.root.is_leaf
-    model = tree.root.payload
+    pred = tree.predict_dataset(ds)
     for i in range(ds.n):
         label, probs = classify_nbtree(tree, ds.example(i))
-        scores = weighted_class_score(ds.example(i), model, w)
-        assert label == tree.classes[int(np.argmax(scores))]
+        assert label == tree.classes[pred[i]]
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    # the weights decide some rows, so a leaf scored without them shows
+    unweighted = dataclasses.replace(tree, attr_weights=np.ones(2)).predict_dataset(ds)
+    assert np.any(unweighted != pred)
     direct = fit_naive_bayes(ds, k=1.0)
     np.testing.assert_allclose(
-        model.priors, direct.priors, atol=1e-12
+        tree.root.payload.priors, direct.priors, atol=1e-12
     )
 
 
@@ -481,7 +508,7 @@ def test_builds_are_deterministic():
     t1 = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
     t2 = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
     assert t1.dump() == t2.dump()
-    assert t1.to_json() == t2.to_json()
+    assert t1.to_dict() == t2.to_dict()
 
 
 def test_empty_branch_falls_back_to_parent_model():
@@ -510,7 +537,7 @@ def test_empty_branch_falls_back_to_parent_model():
     scores = parent.log_scores(parent.encode_dataset(probe), tree.attr_weights)
     assert pred[0] == int(np.argmax(scores[0]))
     # the empty branch and its fallback model survive the model file and the dump
-    again = NBTree.from_json(tree.to_json())
+    again = NBTree.from_dict(json.loads(json.dumps(tree.to_dict())))
     assert again.root.empty_branches == ("2",)
     assert again.root.fallback_model.to_dict() == parent.to_dict()
     np.testing.assert_array_equal(again.predict_dataset(probe), pred)
@@ -550,7 +577,7 @@ def test_heaviest_child_tie_survives_reload():
     ds = WeightedDataset.from_rows(schema(("b", "a")), rows, labels)
     tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
     assert tree.root.attribute == "s"
-    again = NBTree.from_json(tree.to_json())
+    again = NBTree.from_dict(json.loads(json.dumps(tree.to_dict())))
     probe = WeightedDataset.from_rows(schema(("b", "a", "z")), [("z", "0")], ["P"])
     assert tree.predict_dataset(probe)[0] == 1  # the tie goes to "a", where t=0 is Q
     assert again.predict_dataset(probe)[0] == 1
@@ -559,10 +586,19 @@ def test_heaviest_child_tie_survives_reload():
 def test_nbtree_json_round_trip():
     ds = synth.make_xor_dataset(30)
     tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
-    text = tree.to_json()
-    again = NBTree.from_json(text)
-    assert again.to_json() == text
+    text = json.dumps(tree.to_dict(), sort_keys=True, indent=1)
+    again = NBTree.from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True, indent=1) == text
     np.testing.assert_array_equal(again.predict_dataset(ds), tree.predict_dataset(ds))
+
+
+def test_leaf_models_must_list_the_tree_attributes():
+    # batch routing reads columns by name, per-example routing by position
+    ds = synth.make_xor_dataset(30)
+    doc = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0)).to_dict()
+    doc["attributes"].reverse()
+    with pytest.raises(DataFormatError, match="attributes"):
+        NBTree.from_dict(doc)
 
 
 def test_scoring_holds_no_code_matrix():
@@ -658,14 +694,14 @@ def test_split_search_equals_per_child_reference(seed, kinds, folds, bins, k, si
     attr_w = rng.choice([0.0, 0.4, 1.0], size=len(kinds))
     params = NBTreeParams(folds=folds, bins=bins, smoothing_k=k, significance=significance,
                           min_split_examples=1.0, max_depth=4)
-    ctx = _BuildContext(ds, attr_w, params)
-    view = oracles.reference_view(ctx, np.arange(ds.n))
-    salt = _path_salt("root")
-    node_acc = oracles.cv_accuracy(ctx, view, salt)
-    for j, name in enumerate(ds.schema.attribute_names):
-        u, t = oracles.split_utility_value(ctx, view, j, salt, node_acc)
-        assert split_utility(ds, name, attr_w, params) == SplitUtility(name, u, t)
-    assert best_split(ds, attr_w, params) == oracles.best_split(ctx, view, salt)
+    ctx, view, salt = root_search(ds, attr_w, params)
+    ref_view = oracles.reference_view(ctx, np.arange(ds.n))
+    node_acc = ctx.node_accuracy(view, salt)
+    ref_node_acc = oracles.cv_accuracy(ctx, ref_view, salt)
+    for j in range(ds.schema.n_attributes):
+        assert (ctx.split_utility_value(view, j, salt, node_acc)
+                == oracles.split_utility_value(ctx, ref_view, j, salt, ref_node_acc))
+    assert ctx.best_split(view, salt) == oracles.best_split(ctx, ref_view, salt)
     # and at every node of a build, where rows and path salts vary
     reference = grow_tree(ds, _PerChildContext(ds, attr_w, params).split_of)
     assert node_to_dict(build_nbtree(ds, attr_w, params).root) == node_to_dict(reference)

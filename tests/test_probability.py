@@ -12,6 +12,7 @@ from nbtree_ids.dataset import (
     stratified_split,
 )
 from nbtree_ids.exceptions import TrainingError
+from nbtree_ids.nbtree import build_nbtree
 from nbtree_ids.probability import (
     NaiveBayesModel,
     bin_ranks,
@@ -19,10 +20,8 @@ from nbtree_ids.probability import (
     column_ranks,
     fit_codes,
     fit_naive_bayes,
-    posterior,
     rank_column,
     subset_ranks,
-    weighted_class_score,
 )
 
 
@@ -268,8 +267,8 @@ def test_subset_ranks_equal_unique_of_the_rows(data):
 def test_edges_and_cuts_at_zero_are_positive_zero(zeros):
     """A bin edge at zero, of a fit or of any NB-tree node, and a gain-tree
     cut at zero are ``+0.0`` whichever zeros the column holds."""
-    from nbtree_ids.attribute_weighting import build_weighted_tree, weighted_info_gain
-    from nbtree_ids.nbtree import NBTreeParams, build_nbtree
+    from nbtree_ids.attribute_weighting import _gain, build_weighted_tree
+    from nbtree_ids.nbtree import NBTreeParams
     from nbtree_ids.tree import iter_nodes
 
     rng = np.random.default_rng(5)
@@ -292,7 +291,7 @@ def test_edges_and_cuts_at_zero_are_positive_zero(zeros):
     assert any(np.any(e == 0) for e in edges)
     for e in edges:
         assert not np.signbit(e[e == 0]).any()
-    cuts = [weighted_info_gain(ds, "y").threshold]
+    cuts = [_gain(ds, 1, slice(None), ds.labels, ds.weights)[1]]
     cuts += [node.threshold for node in iter_nodes(build_weighted_tree(ds).root)
              if node.threshold is not None]
     assert 0.0 in cuts
@@ -330,8 +329,7 @@ def test_posterior_uniform_under_symmetry():
         schema, [("x",), ("y",), ("x",), ("y",)], ["A", "A", "B", "B"]
     )
     model = fit_naive_bayes(ds, k=1.0)
-    p = posterior(ds.example(0), model)
-    np.testing.assert_allclose(p.probs, 0.5, atol=1e-12)
+    np.testing.assert_allclose(model.posteriors_dataset(ds), 0.5, atol=1e-12)
 
 
 def test_posterior_equals_priors_with_no_attributes():
@@ -340,10 +338,7 @@ def test_posterior_equals_priors_with_no_attributes():
         schema, [], np.array([0] * 9 + [1]), np.full(10, 0.1),
     )
     model = fit_naive_bayes(ds, k=1.0)
-    from nbtree_ids.dataset import Example
-
-    p = posterior(Example((), "A", "normal"), model)
-    np.testing.assert_allclose(p.probs, [0.9, 0.1], atol=1e-12)
+    np.testing.assert_allclose(model.posteriors_dataset(ds), [[0.9, 0.1]] * 10, atol=1e-12)
 
 
 def test_posterior_matches_enumeration_oracle():
@@ -357,11 +352,11 @@ def test_posterior_matches_enumeration_oracle():
         _, _, posts = oracles.nb_reference(
             rows, labels, list(ds.weights), classes, domains, k_eff
         )
+        got = model.posteriors_dataset(ds)
         for i in range(ds.n):
-            got = posterior(ds.example(i), model)
             want = np.array([posts[i][c] for c in classes])
-            np.testing.assert_allclose(got.probs, want, rtol=1e-9)
-            assert got.probs.sum() == pytest.approx(1.0, abs=1e-9)
+            np.testing.assert_allclose(got[i], want, rtol=1e-9)
+            assert got[i].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_posterior_k0_all_zero_vector_errors():
@@ -369,10 +364,9 @@ def test_posterior_k0_all_zero_vector_errors():
     # value "y" never seen: with k=0 every class gets probability 0
     ds = WeightedDataset.from_rows(schema, [("x",), ("x",)], ["A", "B"])
     model = fit_naive_bayes(ds, k=0.0)
-    from nbtree_ids.dataset import Example
-
+    probe = WeightedDataset.from_rows(schema, [("y",)], ["A"])
     with pytest.raises(TrainingError, match="zero"):
-        posterior(Example(("y",), "A", "normal"), model)
+        model.posteriors_dataset(probe)
 
 
 def test_classify_argmax_and_tie_break():
@@ -423,16 +417,21 @@ def test_log_and_direct_product_agree():
 # -- weighted scores -------------------------------------------------------------------------
 
 
+def weighted_scores(model, ds, attr_weights=None):
+    """(n, C) log scores of every row of ``ds`` under ``attr_weights``, as
+    the NB-tree's leaves score them."""
+    return model.log_scores(model.encode_dataset(ds), attr_weights, n=ds.n)
+
+
 def test_weighted_score_reduces_to_plain_with_unit_weights():
     rng = np.random.default_rng(41)
     ds, *_ = random_discrete_dataset(rng)
     model = fit_naive_bayes(ds, k=1.0)
     ones = np.ones(model.attribute_count)
+    weighted = weighted_scores(model, ds, ones)
     for i in range(ds.n):
-        ex = ds.example(i)
-        plain = model.log_scores(model.encode_example(ex)[:, None])[0]
-        weighted = weighted_class_score(ex, model, ones)
-        np.testing.assert_allclose(weighted, plain, atol=1e-12)
+        plain = model.log_scores(model.encode_example(ds.example(i))[:, None])[0]
+        np.testing.assert_allclose(weighted[i], plain, atol=1e-12)
 
 
 def test_zero_weight_ignores_attribute():
@@ -444,10 +443,9 @@ def test_zero_weight_ignores_attribute():
 
     reduced = project_attributes(ds, ["f1"])
     reduced_model = fit_naive_bayes(reduced, k=1.0)
-    for i in range(ds.n):
-        full = weighted_class_score(ds.example(i), model, np.array([0.0, 1.0]))
-        red = weighted_class_score(reduced.example(i), reduced_model, np.array([1.0]))
-        np.testing.assert_allclose(full, red, atol=1e-12)
+    full = weighted_scores(model, ds, np.array([0.0, 1.0]))
+    red = weighted_scores(reduced_model, reduced, np.array([1.0]))
+    np.testing.assert_allclose(full, red, atol=1e-12)
 
 
 def test_weighted_score_hand_computed():
@@ -457,8 +455,9 @@ def test_weighted_score_hand_computed():
     ds = WeightedDataset.from_rows(schema, rows, labels)
     model = fit_naive_bayes(ds, k=1.0)
     w = np.array([0.5, 1.0])
+    scores = weighted_scores(model, ds, w)
     for i in (0, 3):
-        got = weighted_class_score(ds.example(i), model, w)
+        got = scores[i]
         codes = model.encode_example(ds.example(i))
         for ci in range(2):
             expected = math.log(model.priors[ci])
@@ -470,9 +469,8 @@ def test_weighted_score_hand_computed():
 def test_weighted_score_rejects_negative_weight():
     rng = np.random.default_rng(47)
     ds, *_ = random_discrete_dataset(rng)
-    model = fit_naive_bayes(ds, k=1.0)
     with pytest.raises(ValueError):
-        weighted_class_score(ds.example(0), model, np.full(model.attribute_count, -0.1))
+        build_nbtree(ds, np.full(ds.schema.n_attributes, -0.1))
 
 
 def test_argmax_invariant_under_normalisation():
@@ -480,12 +478,11 @@ def test_argmax_invariant_under_normalisation():
     for _ in range(10):
         ds, *_ = random_discrete_dataset(rng, random_weights=True)
         model = fit_naive_bayes(ds, k=1.0)
-        ones = np.ones(model.attribute_count)
+        raw = weighted_scores(model, ds, np.ones(model.attribute_count))
+        norm = model.posteriors_dataset(ds)
         for i in range(ds.n):
-            raw = weighted_class_score(ds.example(i), model, ones)
-            norm = weighted_class_score(ds.example(i), model, ones, normalized=True)
-            assert int(np.argmax(raw)) == int(np.argmax(norm))
-            assert norm.sum() == pytest.approx(1.0, abs=1e-9)
+            assert int(np.argmax(raw[i])) == int(np.argmax(norm[i]))
+            assert norm[i].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unseen_symbol_scores_the_smoothing_floor():
@@ -531,9 +528,9 @@ def test_model_json_round_trip_is_bit_stable():
         ["A", "A", "B", "B", "A"],
     )
     model = fit_naive_bayes(ds, k=1.0)
-    text = model.to_json()
-    again = NaiveBayesModel.from_json(text)
-    assert again.to_json() == text
+    text = json.dumps(model.to_dict(), sort_keys=True, indent=1)
+    again = NaiveBayesModel.from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True, indent=1) == text
     np.testing.assert_array_equal(again.predict_dataset(ds), model.predict_dataset(ds))
 
 
@@ -553,4 +550,5 @@ def test_batch_predictions_match_per_example():
     sub = rng.permutation(probe.n)[: probe.n // 2 + 1]
     scores = model.log_scores(model.encode_dataset(probe, sub), w, len(sub))
     for got, i in zip(scores, sub):
-        assert (got == weighted_class_score(probe.example(i), model, w)).all()
+        one = model.log_scores(model.encode_example(probe.example(i))[:, None], w, n=1)[0]
+        assert (got == one).all()
