@@ -16,7 +16,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,7 +35,7 @@ CONTINUOUS = "continuous"
 # lines per block: a line the C reader cannot read sends its block to the
 # split-and-convert path, and the reader's str columns stay near 1 MB
 _CHUNK_LINES = 1024
-_STR_WIDTH = 32  # chars the C reader keeps of a symbol or a label
+_STR_WIDTH = 32  # chars (bytes, in an ASCII block) the C reader keeps of a symbol or a label
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # characters the C reader reads otherwise than the reference path: it drops
 # a NUL from the end of a str field, and \x1c-\x1f around a number
@@ -432,16 +432,21 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
     a batch is held.
 
     Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
-    each block against the full record dtype; a block it raises on (a wrong
-    field count, or a number it cannot read) is split and converted in
-    Python instead. One verdict then flags each row that
+    each block against the full record dtype, with the symbols and the
+    label as bytes when the block's text is ASCII and as str otherwise; a
+    block it raises on (a wrong field count, or a number it cannot read)
+    is split and converted in Python instead. Each symbol column and the
+    label is coded by binary search in a sorted table of its dict's keys,
+    or by ``dict.get`` for a split block; -1 marks a field that is no key.
+    One verdict then flags each row that
     :func:`parse_record` might judge otherwise: a wrong field count, a
     non-finite number, a label with no class, in strict mode a symbol
     outside its non-empty domain, a symbol as wide as the reader's str
     width (it may have been cut), or a line holding an undecodable byte or
     a character of ``_READER_BLIND``. Only flagged lines go to
     :func:`parse_record`, whose verdict alone counts; a line it keeps
-    overwrites its own row.
+    overwrites its own row. Only its symbols and those the lookup missed
+    are coded through the dicts, which grow in order of first appearance.
 
     In strict mode (default) the first bad record aborts the stream with
     that error; in permissive mode bad records are skipped and counted by
@@ -470,16 +475,21 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
     out.append(np.empty(0, np.intp))
     n = 0
     wrong_count = ["0"] * expected  # stands in for a line of the wrong arity
-    record, packed = _reader_dtypes(attrs)
+    indexes = {**sym_index, -1: name_code}  # the symbol columns, then the label
+    tables = {j: {} for j in indexes}  # their key tables, kept by `_codes`
+    dtypes = {kind: _reader_dtypes(attrs, kind) for kind in "SU"}
     src = str(source) if isinstance(source, (str, Path)) else None
     at = f"{src}: " if src else ""
 
-    def read(texts: list[str]):
+    def read(texts: list[str], joined: str):
         """The block's numbers (one row per continuous attribute), its symbol
-        columns, its labels, and the rows the reader may have misread: a
-        wrong field count, or a symbol the C reader may have cut to its
-        str width."""
+        columns and labels by column (the label as -1), and the rows the
+        reader may have misread: a wrong field count, or a symbol the C
+        reader may have cut to its str width. The C reader reads a symbol
+        as bytes when the block's text is ASCII, else as str; a block it
+        raises on gives lists of str."""
         m = len(texts)
+        record, packed = dtypes["S" if joined.isascii() else "U"]
         try:
             block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=record)
         except ValueError:  # a wrong field count or a number the C reader cannot read
@@ -488,33 +498,32 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
                     for f in (text.rstrip("\r\n").split(",") for text in texts)]
             cols = list(zip(*rows))
             numbers = np.array([_floats(cols[j]) for j in cont_idx]).reshape(-1, m)
-            *symbols, labels = (list(cols[j]) for j in (*disc_idx, -1))
             arity = np.fromiter((f is wrong_count for f in rows), bool, m)
-            return numbers, dict(zip(disc_idx, symbols)), labels, arity
+            return numbers, {j: list(cols[j]) for j in indexes}, arity
         report.reader_lines += m
         block = block.view(packed)
-        *symbols, labels = block["symbols"].T.tolist()
-        # a str field may have been cut when its last code point is not NUL
-        cut = block["symbols"].view(np.uint32)[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
-        return block["numbers"].T, dict(zip(disc_idx, symbols)), labels, cut
+        symbols = block["symbols"]
+        # a field may have been cut when its last byte or code point is not NUL
+        last = symbols.view(np.uint8 if symbols.dtype.kind == "S" else np.uint32)
+        cut = last[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
+        return block["numbers"].T, dict(zip(indexes, symbols.T)), cut
 
     def flush(chunk: list[tuple[int, str]]) -> None:
         nonlocal n
         texts = [text for _, text in chunk]
+        joined = "".join(texts)
         m = len(texts)
-        numbers, cols, labels, flagged = read(texts)
+        numbers, symbols, flagged = read(texts, joined)
+        codes = {j: _codes(symbols[j], index, tables[j]) for j, index in indexes.items()}
         # the verdict: every row parse_record might judge otherwise than read
         flagged |= ~np.isfinite(numbers).all(axis=0)
-        codes = np.fromiter(map(name_code.get, labels, repeat(-1)), np.intp, m)
-        flagged |= codes < 0
-        for j in checked:
-            unseen = set(cols[j]) - sym_index[j].keys()
-            if unseen:
-                flagged |= np.fromiter((s in unseen for s in cols[j]), bool, m)
-        if _reader_may_misread("".join(texts)):
+        for j in (*checked, -1):
+            flagged |= codes[j] < 0
+        if _reader_may_misread(joined):
             flagged |= np.fromiter(map(_reader_may_misread, texts), bool, m)
         keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(flagged):
+        kept_values = {}  # row -> values of a flagged line parse_record keeps
+        for i in np.flatnonzero(flagged).tolist():
             ln = chunk[i][0]
             try:
                 ex = parse_record(texts[i], schema, taxonomy, permissive=permissive, line_number=ln)
@@ -525,30 +534,34 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
                 keep[i] = False
                 continue
             numbers[:, i] = [ex.values[j] for j in cont_idx]
-            for j in disc_idx:
-                cols[j][i] = ex.values[j]
-            codes[i] = name_code[ex.raw_label]
+            kept_values[i] = ex.values
+            codes[-1][i] = name_code[ex.raw_label]
+        # a kept row the lookup missed or parse_record decided is coded by
+        # its symbol dict, which grows in first-appearance order
+        for j in disc_idx:
+            index, code, read_symbols = sym_index[j], codes[j], symbols[j]
+            added = []
+            for i in np.flatnonzero(keep & (flagged | (code < 0))).tolist():
+                s = kept_values[i][j] if i in kept_values else read_symbols[i]
+                s = s.decode() if isinstance(s, bytes) else str(s)  # an S field holds ASCII
+                if s not in index:
+                    index[s] = len(index)
+                    added.append(s)
+                code[i] = index[s]
+            if added and attrs[j].domain:
+                report.extended_domains.setdefault(attrs[j].name, []).extend(added)
         if not keep.all():
-            kept = keep.tolist()
             numbers = numbers[:, keep]
-            cols = {j: list(compress(col, kept)) for j, col in cols.items()}
-            codes = codes[keep]
-        n_kept = len(codes)
+            codes = {j: code[keep] for j, code in codes.items()}
+        n_kept = len(codes[-1])
         if n + n_kept > len(out[-1]):
             for arr in out:  # no views of `out` outlive a statement
                 arr.resize(max(2 * len(arr), n + n_kept), refcheck=False)
         new = slice(n, n + n_kept)
         for j, row in zip(cont_idx, numbers):
             out[j][new] = row
-        for j in disc_idx:
-            col = cols[j]
-            index = sym_index[j]
-            added = [s for s in dict.fromkeys(col) if s not in index]
-            if added and attrs[j].domain:
-                report.extended_domains.setdefault(attrs[j].name, []).extend(added)
-            index.update({s: len(index) + k for k, s in enumerate(added)})
-            out[j][new] = np.fromiter(map(index.__getitem__, col), np.int32, n_kept)
-        out[-1][new] = codes
+        for j, code in codes.items():
+            out[j][new] = code
         n += n_kept
 
     name_class = np.array([schema.class_index(taxonomy.mapping[r]) for r in names], dtype=np.int64)
@@ -584,15 +597,16 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
                                 + (f" (skipped: {skips})" if skips else ""))
 
 
-def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
+def _reader_dtypes(attrs: Sequence[AttributeSpec], kind: str) -> tuple[np.dtype, np.dtype]:
     """The C reader's record dtype, one field per record field in line
-    order, and a view of the same bytes as one ``numbers`` row and one
-    ``symbols`` row: the numbers are packed first, then the symbols and
-    the label."""
+    order, with the symbols and the label as ``kind`` (``S``, bytes, or
+    ``U``, str) ``_STR_WIDTH`` wide; and a view of the same bytes as one
+    ``numbers`` row and one ``symbols`` row: the numbers are packed first,
+    then the symbols and the label."""
     kinds = [a.kind for a in attrs] + [DISCRETE]  # the label reads as a symbol
     numbers = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
     symbols = [i for i, kind in enumerate(kinds) if kind == DISCRETE]
-    text = np.dtype(f"U{_STR_WIDTH}")
+    text = np.dtype(f"{kind}{_STR_WIDTH}")
     offset = {i: 8 * k for k, i in enumerate(numbers)}
     offset.update({i: 8 * len(numbers) + text.itemsize * k for k, i in enumerate(symbols)})
     itemsize = 8 * len(numbers) + text.itemsize * len(symbols)
@@ -604,6 +618,29 @@ def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
                        "formats": [("f8", (len(numbers),)), (text, (len(symbols),))],
                        "offsets": [0, 8 * len(numbers)], "itemsize": itemsize})
     return record, packed
+
+
+def _codes(symbols, index: dict, tables: dict) -> np.ndarray:
+    """The codes of ``symbols`` in ``index``, -1 where a symbol is no key.
+    A list of str is coded by ``dict.get``. A column the C reader read is
+    searched in a sorted table of the keys a field of its dtype can equal,
+    kept in ``tables`` under its dtype kind and rebuilt when ``index`` has
+    grown: a key ending in NUL stays out (the reader drops a field's
+    trailing NULs), and so does a non-ASCII key from a bytes table."""
+    if isinstance(symbols, list):
+        return np.fromiter(map(index.get, symbols, repeat(-1)), np.intp, len(symbols))
+    kind = symbols.dtype.kind
+    if kind not in tables or tables[kind][0] != len(index):
+        held = {s: c for s, c in index.items()
+                if not s.endswith("\0") and (kind == "U" or s.isascii())}
+        keys, codes = np.array(list(held), dtype=kind), np.array(list(held.values()), np.intp)
+        order = np.argsort(keys, kind="stable")
+        tables[kind] = len(index), keys[order], codes[order]
+    _, keys, codes = tables[kind]
+    if not len(keys):
+        return np.full(len(symbols), -1, np.intp)
+    at = np.minimum(np.searchsorted(keys, symbols), len(keys) - 1)
+    return np.where(keys[at] == symbols, codes[at], -1)
 
 
 def _reader_may_misread(text: str) -> bool:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import synth
@@ -426,6 +426,108 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     assert report.extended_domains == {}
     assert report.fallback_lines == 2 * block
     assert report.reader_lines == len(lines) - 2 * block
+
+
+# symbols next to each other in sort order or prefixes of one another, one
+# as wide as the reader's str field, a latin-1 one, one above U+00FF, and
+# one ending in NUL, which the reader reads as "tcp"
+LOOKUP_SYMBOLS = ["a", "a ", "ab", "b", "tc", "tcp", "tcpa", "s" * dataset_module._STR_WIDTH,
+                  "é", "中", "tcp\0"]
+LOOKUP_DOMAIN = ("tcp", "a", "é", "s" * dataset_module._STR_WIDTH)
+# the label table's neighbours: "norma" and "normal " are no attack names
+LOOKUP_LABELS = ["normal.", "attack", "normal", "attack.", "norma", "normal "]
+
+
+def lookup_schema():
+    return Schema(
+        (
+            AttributeSpec("fixed", "discrete", LOOKUP_DOMAIN),
+            AttributeSpec("size", "continuous"),
+            AttributeSpec("open", "discrete"),  # domain defined by the load
+        ),
+        ("A", "B"),
+    )
+
+
+def lookup_lines(in_domain):
+    fixed = st.sampled_from(LOOKUP_DOMAIN if in_domain else LOOKUP_SYMBOLS)
+    fields = st.tuples(fixed, st.sampled_from(["1", "2.5"]), st.sampled_from(LOOKUP_SYMBOLS),
+                       st.sampled_from(LOOKUP_LABELS))
+    return st.lists(fields.map(",".join), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.booleans().flatmap(lookup_lines), chunk=st.integers(1, 7),
+       permissive=st.booleans())
+@example(lines=["tcp\0,1,a,normal.", "tcp,1,tcp\0,normal.", "tcp,1,tcp,normal."],
+         chunk=1, permissive=True)
+@example(lines=["a,1,tcpa,normal.", "a,1,tc,attack", "a,1,中,normal", "a,1,tcp,attack.",
+                "a,1,a ,normal.", "a,1,ab,normal.", "a,1,b,normal.", "a,1,a,attack"],
+         chunk=2, permissive=False)
+@example(lines=["é,1,é,normal.", "a,2.5,a,attack", "tcp,1," + "s" * 32 + ",normal."],
+         chunk=1, permissive=False)
+@example(lines=["a,1,a,normal.", "a,1,b,normal", "a,1,ab,norma"], chunk=1, permissive=False)
+def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
+    schema, taxonomy = lookup_schema(), toy_taxonomy()
+    try:
+        kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive)
+    except DataFormatError as exc:
+        expected = exc
+    else:
+        expected = None
+    real_codes = dataset_module._codes
+
+    def checked_codes(symbols, index, tables):
+        # a lookup that misses still codes its row right, through the dict
+        # path, so every call is held to dict.get on the symbols as read
+        got = real_codes(symbols, index, tables)
+        read = symbols if isinstance(symbols, list) else symbols.tolist()
+        read = [s.decode() if isinstance(s, bytes) else s for s in read]
+        assert got.tolist() == [index.get(s, -1) for s in read]
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "_CHUNK_LINES", chunk)
+        mp.setattr(dataset_module, "_codes", checked_codes)
+        if expected is not None:
+            with pytest.raises(DataFormatError) as got:
+                load_dataset(lines, schema, taxonomy, permissive=permissive)
+            assert type(got.value) is type(expected)
+            assert str(got.value) == str(expected)
+            return
+        ds = load_dataset(lines, schema, taxonomy, permissive=permissive)
+    assert [ds.example(i) for i in range(ds.n)] == [
+        Example(ex.values, ex.label, ex.raw_label, 1.0 / len(kept)) for ex in kept
+    ]
+    assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
+    assert ds.load_report.skipped_lines == [ln for ln, _ in skipped]
+    extended = domains["fixed"][len(LOOKUP_DOMAIN):]
+    assert ds.load_report.extended_domains == ({"fixed": extended} if extended else {})
+    # every line here has its fields and numbers, so no block leaves the C reader
+    assert ds.load_report.fallback_lines == 0
+    assert ds.load_report.reader_lines == len(lines)
+
+
+@pytest.mark.parametrize("symbol, reason", [("é", None), ("中", None),
+                                            ("\udce9", "bad-encoding")],
+                         ids=["latin-1", "above-ff", "undecodable"])
+def test_non_ascii_line_leaves_its_block_to_the_c_reader(tmp_path, symbol, reason):
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[100].split(",")
+    fields[2] = symbol  # the service
+    lines[100] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+    ds = load_dataset(path, kdd99_schema(), kdd99_taxonomy(), permissive=True)
+    report = ds.load_report
+    assert report.fallback_lines == 0
+    assert report.reader_lines == len(lines)
+    if reason is None:
+        assert report.extended_domains == {"service": [symbol]}
+        assert ds.example(100).values[2] == symbol
+    else:
+        assert report.reasons == {reason: 1} and report.skipped_lines == [101]
 
 
 # -- class_counts -------------------------------------------------------------------
