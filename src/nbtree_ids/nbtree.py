@@ -37,8 +37,8 @@ child. Each continuous column of the training set is sorted once
 (``probability.column_ranks``, shared with the weighting pass and the
 baselines), and each node reads the distinct values its rows hold and
 their ranks from that sort (``probability.subset_ranks``). Its threshold
-candidates, their entropies (one ``bincount`` over (rank, class),
-``tree.cut_entropies``), its own bins and each child's are read from
+candidates, their class masses (one ``bincount`` over (rank, class),
+``tree.cut_masses``), its own bins and each child's are read from
 histograms of those ranks, the bins exactly as the child's own column
 would give them. Each child is then cross-validated on its own
 (``_BuildContext.cv_accuracy``): one ``bincount`` per attribute over

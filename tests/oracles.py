@@ -200,12 +200,40 @@ def threshold_candidates(values, weights):
     return np.where(mid < cuts[1:], mid, cuts[:-1])
 
 
+def cut_entropy_masses(column, labels, weights, classes, thresholds):
+    """The class entropy left by each cut ``x <= t`` times the column's
+    mass: n log2 n for each side's mass n, less m log2 m for each of its
+    class masses m (masked sums over the rows sorted by value), added one
+    by one in ascending order, so equal masses give equal sums."""
+    order = np.argsort(np.asarray(column, dtype=np.float64), kind="stable")
+    x = np.asarray(column, dtype=np.float64)[order]
+    w = np.asarray(weights, dtype=np.float64)[order]
+    in_class = [np.asarray(labels)[order] == c for c in classes]
+    out = []
+    for t in thresholds:
+        left = x <= t
+        sides, masses = [], []
+        for side in (left, ~left):
+            side_masses = [float(w[side & member].sum()) for member in in_class]
+            sides.append(sum(side_masses))
+            masses += side_masses
+        terms = np.array(sides + masses)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(terms > 0, terms * np.log2(terms), 0.0)
+        terms[len(sides):] *= -1.0
+        h = 0.0
+        for term in sorted(terms.tolist()):
+            h += term
+        out.append(h)
+    return out
+
+
 def best_cuts(column, labels, weights, classes):
     """The NB-tree's cuts of a continuous column: the ``_BEST_CUTS`` of
-    ``threshold_candidates`` with the least ``cut_entropies``, ties to the
-    lower threshold, in ascending order."""
+    ``threshold_candidates`` with the least ``cut_entropy_masses``, ties
+    to the lower threshold, in ascending order."""
     thresholds = threshold_candidates(column, weights)
-    h = cut_entropies(column, labels, weights, classes, thresholds)
+    h = cut_entropy_masses(column, labels, weights, classes, thresholds)
     kept = sorted(sorted(range(len(thresholds)), key=lambda i: (h[i], i))[:_BEST_CUTS])
     return thresholds[np.array(kept, dtype=np.int64)]
 
