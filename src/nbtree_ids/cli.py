@@ -284,8 +284,10 @@ def _schema_and_taxonomy(config: RunConfig):
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB (Linux counts KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """The peak resident set size so far of this process or of any reader
+    process it waited for, in MB (Linux counts KiB)."""
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
 
 
 def _load_entry(source: str | None, report: LoadReport) -> dict:
@@ -298,6 +300,7 @@ def _load_entry(source: str | None, report: LoadReport) -> dict:
         "records_per_s": report.n_loaded / report.seconds,
         "reader_lines": report.reader_lines,
         "fallback_lines": report.fallback_lines,
+        "readers": report.readers,
         "peak_rss_mb": _peak_rss_mb(),
     }
 

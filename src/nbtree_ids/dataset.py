@@ -13,12 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
+import os
+import pickle
 import re
+import signal
 import time
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -35,6 +39,16 @@ CONTINUOUS = "continuous"
 # lines per block: a line the C reader cannot read sends its block to the
 # split-and-convert path, and the reader's str columns stay near 1 MB
 _CHUNK_LINES = 1024
+# a record file is read in ranges of at least this many bytes, one process
+# each: a second process and the pass that cuts the file cost about 5 ms,
+# which a range of about 0.3 MB pays back (KDD records, 2 vCPUs)
+_RANGE_BYTES = 1 << 18
+# the pass that cuts a file into ranges reads 64 KiB at a time, and a
+# range's symbol codes are translated 8,192 rows (64 KiB of indexes) at a
+# time: freeing a block over glibc's 128 KiB mmap threshold raises the
+# heap's trim threshold, and with 1 MiB reads train-small peaked 2.7 MB higher
+_PASS_BYTES = 1 << 16
+_REMAP_ROWS = 1 << 13
 _STR_WIDTH = 32  # chars (bytes, in an ASCII block) the C reader keeps of a symbol or a label
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # characters the C reader reads otherwise than the reference path: it drops
@@ -172,12 +186,23 @@ class LoadReport:
     reader_lines: int = 0  # lines of blocks the C reader read
     fallback_lines: int = 0  # lines of blocks it raised on, split and converted
     seconds: float = 0.0
+    readers: int = 1  # processes that read the stream
 
     def note_skip(self, line_number: int, reason: str) -> None:
         self.skipped += 1
         if len(self.skipped_lines) < 100:
             self.skipped_lines.append(line_number)
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
+
+    def add(self, part: "LoadReport") -> None:
+        """Count in this report ``part``, the report of the stream's next
+        range; its extended domains are left to the caller."""
+        self.skipped += part.skipped
+        self.skipped_lines = (self.skipped_lines + part.skipped_lines)[:100]
+        for reason, count in part.reasons.items():
+            self.reasons[reason] = self.reasons.get(reason, 0) + count
+        self.reader_lines += part.reader_lines
+        self.fallback_lines += part.fallback_lines
 
 
 class WeightedDataset:
@@ -398,14 +423,18 @@ def _parse_number(raw: str, attribute: str, where: str) -> float:
     return value
 
 
-def _iter_lines(source) -> Iterator[str]:
+def _iter_lines(source, start: int = 0, count: int | None = None) -> Iterator[str]:
+    """The lines of ``source``: an iterable of lines, or a record file read
+    in text mode (universal newlines) from byte ``start``, a line start,
+    for ``count`` lines or to its end."""
     if not isinstance(source, (str, Path)):
         yield from source
         return
     try:
         # undecodable bytes become lone surrogates, which parse_record rejects
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            yield from fh
+            fh.seek(start)  # the decoder holds no state at a line start
+            yield from fh if count is None else islice(fh, count)
     except OSError as exc:
         raise DataFormatError(f"cannot read record file {source}: {exc}") from None
 
@@ -418,7 +447,9 @@ def load_dataset(
     permissive: bool = False,
 ) -> WeightedDataset:
     """Ingest a record stream and return a uniformly weighted dataset: the
-    one batch of :func:`read_batches`, whose report is ``load_report``."""
+    one batch of :func:`read_batches`, whose report is ``load_report``. A
+    record file is read in byte ranges, one process each, where the host
+    has the CPUs and the file the bytes for more than one range."""
     (dataset,) = read_batches(source, schema, taxonomy, LoadReport(), permissive=permissive)
     return dataset
 
@@ -430,6 +461,16 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
     maybe fewer, each on the symbol domains read so far (codes only grow).
     ``report`` counts the whole stream; its ``seconds`` leave out the time
     a batch is held.
+
+    A record file read as one batch is cut into line-aligned byte ranges
+    (:func:`_byte_ranges`): one per usable CPU, each at least
+    ``_RANGE_BYTES`` long. This process reads the first range and a forked
+    process each other one, all into columns shared with this one, and
+    the ranges are merged in file order into what a one-range read gives:
+    the dataset, its domains and its report (but ``readers`` and
+    ``seconds``) do not depend on the ranges. An iterable of lines, a read
+    in batches, a host without ``os.fork`` and a file too small for two
+    ranges are read in this process alone, as one range.
 
     Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
     each block against the full record dtype, with the symbols and the
@@ -457,31 +498,75 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
     either mode when the schema domain is empty.
     """
     start = time.perf_counter()
-    attrs = schema.attributes
-    expected = len(attrs) + 1
-    cont_idx = [j for j, a in enumerate(attrs) if not a.is_discrete]
-    disc_idx = [j for j, a in enumerate(attrs) if a.is_discrete]
-    # per discrete attribute: symbol -> code, insertion-ordered
-    sym_index = {j: {s: i for i, s in enumerate(attrs[j].domain)} for j in disc_idx}
-    checked = [j for j in disc_idx if attrs[j].domain and not permissive]
-    # label field, with or without its period -> index into `names`
-    names = [r for r, c in taxonomy.mapping.items()
-             if c in schema.class_names and not r.endswith(".")]
-    name_code = {r + end: k for k, r in enumerate(names) for end in ("", ".")}
-    # one output per attribute, then the label codes; each chunk's kept rows
-    # are copied in and the outputs grow in place, so no per-chunk copies
-    # pile up on the heap to be freed (and kept resident) at the end
-    out = [np.empty(0, np.int32 if a.is_discrete else np.float64) for a in attrs]
-    out.append(np.empty(0, np.intp))
-    n = 0
-    wrong_count = ["0"] * expected  # stands in for a line of the wrong arity
-    indexes = {**sym_index, -1: name_code}  # the symbol columns, then the label
-    tables = {j: {} for j in indexes}  # their key tables, kept by `_codes`
-    dtypes = {kind: _reader_dtypes(attrs, kind) for kind in "SU"}
-    src = str(source) if isinstance(source, (str, Path)) else None
-    at = f"{src}: " if src else ""
+    reader = _Reader(schema, taxonomy, report, permissive, source)
+    ranges = (_byte_ranges(source) if reader.src and rows == math.inf and hasattr(os, "fork")
+              else [])
+    if len(ranges) > 1:
+        batch = _read_ranges(reader, source, ranges)
+        report.seconds += time.perf_counter() - start
+        if batch is not None:
+            yield batch
+    else:
+        for _ in reader.blocks(_iter_lines(source)):
+            if reader.n >= rows:
+                yield reader.take_batch(start)
+                start = time.perf_counter()
+        if reader.n:
+            yield reader.take_batch(start)
+    if report.n_loaded == 0:
+        skips = ", ".join(f"{reason} {count}" for reason, count in report.reasons.items())
+        raise EmptyDatasetError(f"{reader.at}record source yielded no usable examples"
+                                + (f" (skipped: {skips})" if skips else ""))
 
-    def read(texts: list[str], joined: str):
+
+class _Reader:
+    """The block loop of :func:`read_batches`, over a record stream or one
+    byte range of a file. It writes each block's kept rows into ``out``,
+    one column per attribute and then the label codes (indexes into
+    ``names``), growing them as needed, and counts in ``report``; it
+    raises a strict load's first error, but never ``EmptyDatasetError``.
+    ``sym_index`` holds one dict per discrete attribute, symbol -> code,
+    in first-appearance order."""
+
+    def __init__(self, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport,
+                 permissive: bool, source):
+        attrs = self.attrs = schema.attributes
+        self.schema, self.taxonomy, self.report, self.permissive = (
+            schema, taxonomy, report, permissive)
+        self.expected = len(attrs) + 1
+        self.cont_idx = [j for j, a in enumerate(attrs) if not a.is_discrete]
+        self.disc_idx = [j for j, a in enumerate(attrs) if a.is_discrete]
+        # per discrete attribute: symbol -> code, insertion-ordered
+        self.sym_index = {j: {s: i for i, s in enumerate(attrs[j].domain)} for j in self.disc_idx}
+        self.checked = [j for j in self.disc_idx if attrs[j].domain and not permissive]
+        # label field, with or without its period -> index into `names`
+        self.names = [r for r, c in taxonomy.mapping.items()
+                      if c in schema.class_names and not r.endswith(".")]
+        self.name_code = {r + end: k for k, r in enumerate(self.names) for end in ("", ".")}
+        # one output per attribute, then the label codes; each chunk's kept rows
+        # are copied in and the outputs grow in place, so no per-chunk copies
+        # pile up on the heap to be freed (and kept resident) at the end
+        self.out = [np.empty(0, np.int32 if a.is_discrete else np.float64) for a in attrs]
+        self.out.append(np.empty(0, np.intp))
+        self.n = 0  # rows written to `out`
+        self.wrong_count = ["0"] * self.expected  # stands in for a line of the wrong arity
+        self.indexes = {**self.sym_index, -1: self.name_code}  # the symbol columns, then the label
+        self.tables = {j: {} for j in self.indexes}  # their key tables, kept by `_codes`
+        self.dtypes = {kind: _reader_dtypes(attrs, kind) for kind in "SU"}
+        self.src = str(source) if isinstance(source, (str, Path)) else None
+        self.at = f"{self.src}: " if self.src else ""
+
+    def blocks(self, lines: Iterable[str], first: int = 1) -> Iterator[None]:
+        """Read ``lines``, the first of them line number ``first``, one
+        block at a time, yielding after each."""
+        numbered = enumerate(lines, start=first)
+        while block := list(islice(numbered, _CHUNK_LINES)):
+            chunk = [(ln, text) for ln, text in block if text.strip()]
+            if chunk:
+                self.flush(chunk)
+            yield
+
+    def read(self, texts: list[str], joined: str):
         """The block's numbers (one row per continuous attribute), its symbol
         columns and labels by column (the label as -1), and the rows the
         reader may have misread: a wrong field count, or a symbol the C
@@ -489,35 +574,35 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
         as bytes when the block's text is ASCII, else as str; a block it
         raises on gives lists of str."""
         m = len(texts)
-        record, packed = dtypes["S" if joined.isascii() else "U"]
+        record, packed = self.dtypes["S" if joined.isascii() else "U"]
         try:
             block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=record)
         except ValueError:  # a wrong field count or a number the C reader cannot read
-            report.fallback_lines += m
-            rows = [f if len(f) == expected else wrong_count
+            self.report.fallback_lines += m
+            rows = [f if len(f) == self.expected else self.wrong_count
                     for f in (text.rstrip("\r\n").split(",") for text in texts)]
             cols = list(zip(*rows))
-            numbers = np.array([_floats(cols[j]) for j in cont_idx]).reshape(-1, m)
-            arity = np.fromiter((f is wrong_count for f in rows), bool, m)
-            return numbers, {j: list(cols[j]) for j in indexes}, arity
-        report.reader_lines += m
+            numbers = np.array([_floats(cols[j]) for j in self.cont_idx]).reshape(-1, m)
+            arity = np.fromiter((f is self.wrong_count for f in rows), bool, m)
+            return numbers, {j: list(cols[j]) for j in self.indexes}, arity
+        self.report.reader_lines += m
         block = block.view(packed)
         symbols = block["symbols"]
         # a field may have been cut when its last byte or code point is not NUL
         last = symbols.view(np.uint8 if symbols.dtype.kind == "S" else np.uint32)
         cut = last[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
-        return block["numbers"].T, dict(zip(indexes, symbols.T)), cut
+        return block["numbers"].T, dict(zip(self.indexes, symbols.T)), cut
 
-    def flush(chunk: list[tuple[int, str]]) -> None:
-        nonlocal n
+    def flush(self, chunk: list[tuple[int, str]]) -> None:
+        attrs, cont_idx, out = self.attrs, self.cont_idx, self.out
         texts = [text for _, text in chunk]
         joined = "".join(texts)
         m = len(texts)
-        numbers, symbols, flagged = read(texts, joined)
-        codes = {j: _codes(symbols[j], index, tables[j]) for j, index in indexes.items()}
+        numbers, symbols, flagged = self.read(texts, joined)
+        codes = {j: _codes(symbols[j], index, self.tables[j]) for j, index in self.indexes.items()}
         # the verdict: every row parse_record might judge otherwise than read
         flagged |= ~np.isfinite(numbers).all(axis=0)
-        for j in (*checked, -1):
+        for j in (*self.checked, -1):
             flagged |= codes[j] < 0
         if _reader_may_misread(joined):
             flagged |= np.fromiter(map(_reader_may_misread, texts), bool, m)
@@ -526,20 +611,21 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
         for i in np.flatnonzero(flagged).tolist():
             ln = chunk[i][0]
             try:
-                ex = parse_record(texts[i], schema, taxonomy, permissive=permissive, line_number=ln)
+                ex = parse_record(texts[i], self.schema, self.taxonomy,
+                                  permissive=self.permissive, line_number=ln)
             except DataFormatError as exc:
-                if not permissive:
-                    raise type(exc)(f"{at}{exc}", reason=exc.reason) from None
-                report.note_skip(ln, exc.reason)
+                if not self.permissive:
+                    raise type(exc)(f"{self.at}{exc}", reason=exc.reason) from None
+                self.report.note_skip(ln, exc.reason)
                 keep[i] = False
                 continue
             numbers[:, i] = [ex.values[j] for j in cont_idx]
             kept_values[i] = ex.values
-            codes[-1][i] = name_code[ex.raw_label]
+            codes[-1][i] = self.name_code[ex.raw_label]
         # a kept row the lookup missed or parse_record decided is coded by
         # its symbol dict, which grows in first-appearance order
-        for j in disc_idx:
-            index, code, read_symbols = sym_index[j], codes[j], symbols[j]
+        for j in self.disc_idx:
+            index, code, read_symbols = self.sym_index[j], codes[j], symbols[j]
             added = []
             for i in np.flatnonzero(keep & (flagged | (code < 0))).tolist():
                 s = kept_values[i][j] if i in kept_values else read_symbols[i]
@@ -549,11 +635,11 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
                     added.append(s)
                 code[i] = index[s]
             if added and attrs[j].domain:
-                report.extended_domains.setdefault(attrs[j].name, []).extend(added)
+                self.report.extended_domains.setdefault(attrs[j].name, []).extend(added)
         if not keep.all():
             numbers = numbers[:, keep]
             codes = {j: code[keep] for j, code in codes.items()}
-        n_kept = len(codes[-1])
+        n, n_kept = self.n, len(codes[-1])
         if n + n_kept > len(out[-1]):
             for arr in out:  # no views of `out` outlive a statement
                 arr.resize(max(2 * len(arr), n + n_kept), refcheck=False)
@@ -562,39 +648,194 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
             out[j][new] = row
         for j, code in codes.items():
             out[j][new] = code
-        n += n_kept
+        self.n += n_kept
 
-    name_class = np.array([schema.class_index(taxonomy.mapping[r]) for r in names], dtype=np.int64)
-
-    def take_batch() -> WeightedDataset:
-        """The rows copied in so far, as a batch; the outputs start anew."""
-        nonlocal n
-        for arr in out:
-            arr.resize(n, refcheck=False)
-        *columns, codes = out
-        batch = WeightedDataset(
-            schema.with_domains({attrs[j].name: tuple(sym_index[j]) for j in disc_idx}),
-            columns, name_class[codes], np.full(n, 1.0 / n),
-            raw_labels=np.array(names, dtype=object)[codes], source=src, load_report=report)
-        out[:] = [np.empty(0, arr.dtype) for arr in out]
-        report.n_loaded, n = report.n_loaded + n, 0
-        report.seconds += time.perf_counter() - start
+    def take_batch(self, start: float) -> WeightedDataset:
+        """The rows written so far, as a batch read since ``start``; the
+        outputs start anew."""
+        for arr in self.out:
+            arr.resize(self.n, refcheck=False)
+        *columns, codes = self.out
+        batch = self.dataset(columns, codes)
+        self.out = [np.empty(0, arr.dtype) for arr in self.out]
+        self.report.n_loaded, self.n = self.report.n_loaded + self.n, 0
+        self.report.seconds += time.perf_counter() - start
         return batch
 
-    numbered = enumerate(_iter_lines(source), start=1)
-    while lines := list(islice(numbered, _CHUNK_LINES)):
-        chunk = [(ln, text) for ln, text in lines if text.strip()]
-        if chunk:
-            flush(chunk)
-        if n >= rows:
-            yield take_batch()
-            start = time.perf_counter()
-    if n:
-        yield take_batch()
-    if report.n_loaded == 0:
-        skips = ", ".join(f"{reason} {count}" for reason, count in report.reasons.items())
-        raise EmptyDatasetError(f"{at}record source yielded no usable examples"
-                                + (f" (skipped: {skips})" if skips else ""))
+    def dataset(self, columns: list[np.ndarray], codes: np.ndarray) -> WeightedDataset:
+        """The uniformly weighted dataset of ``columns`` and label ``codes``,
+        on the symbol domains read so far."""
+        schema, n = self.schema, len(codes)
+        name_class = np.array([schema.class_index(self.taxonomy.mapping[r]) for r in self.names],
+                              dtype=np.int64)
+        return WeightedDataset(
+            schema.with_domains({self.attrs[j].name: tuple(self.sym_index[j])
+                                 for j in self.disc_idx}),
+            columns, name_class[codes], np.full(n, 1.0 / n),
+            raw_labels=np.array(self.names, dtype=object)[codes], source=self.src,
+            load_report=self.report)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
+    """The ranges of the record file ``path`` that a load reads, one
+    process each: ``(first byte, first line number, lines)`` each. There
+    are at most one per usable CPU, each at least ``_RANGE_BYTES`` long;
+    a file too small for two, or one that cannot be read, is one range,
+    ``(0, 1, None)``.
+
+    Line breaks are counted as text mode reads them: ``\\n``, ``\\r`` and
+    ``\\r\\n`` once each. A cut is the end of the first block at or past
+    its even share of the file and ``_RANGE_BYTES`` past the previous cut:
+    just past the line break that ends a multiple of ``_CHUNK_LINES``
+    lines. So every range starts a block, and reads the blocks a one-range
+    read does. ``lines`` bounds the rows the range can keep."""
+    try:
+        size = os.path.getsize(path)
+        readers = min(_usable_cpus(), size // _RANGE_BYTES)
+        if readers < 2:
+            return [(0, 1, None)]
+        cuts = []  # (byte, line breaks before it) of each range after the first
+        want = size // readers  # the next cut lies at or past this byte
+        pos = breaks = 0
+        last = b""
+        with open(path, "rb") as fh:
+            while data := fh.read(_PASS_BYTES):
+                while data.endswith(b"\r") and (more := fh.read(1)):
+                    data += more  # no \r\n is split between two reads
+                if len(cuts) < readers - 1 and want <= pos + len(data):
+                    a = np.frombuffer(data, np.uint8)
+                    # the byte past each \n, \r\n, and \r that no \n follows
+                    lone_cr = (a == 13) & (np.append(a[1:], 0) != 10)
+                    ends = pos + 1 + np.flatnonzero((a == 10) | lone_cr)
+                    numbers = breaks + np.arange(1, len(ends) + 1)
+                    for k in np.flatnonzero(numbers % _CHUNK_LINES == 0).tolist():
+                        if ends[k] >= want and len(cuts) < readers - 1:
+                            cuts.append((int(ends[k]), int(numbers[k])))
+                            want = max(size * (len(cuts) + 1) // readers,
+                                       cuts[-1][0] + _RANGE_BYTES)
+                    breaks += len(ends)
+                else:
+                    breaks += data.count(b"\n")
+                    if b"\r" in data:  # a search costs far less than a count
+                        breaks += data.count(b"\r") - data.count(b"\r\n")
+                pos, last = pos + len(data), data[-1:]
+    except OSError:  # the one-range read reports it
+        return [(0, 1, None)]
+    breaks += last not in (b"", b"\n", b"\r")  # a last line with no line break
+    cuts = [cut for cut in cuts if pos - cut[0] >= _RANGE_BYTES]
+    starts, ends = [(0, 0), *cuts], [*cuts, (pos, breaks)]
+    return [(byte, before + 1, after - before) for (byte, before), (_, after) in zip(starts, ends)]
+
+
+def _read_ranges(reader: _Reader, path, ranges: list[tuple[int, int, int]]
+                 ) -> WeightedDataset | None:
+    """Read ``ranges`` of the file ``path`` through ``reader``'s block
+    loop into anonymous shared maps sized by the ranges' lines: the first
+    range in this process, each other in a forked one
+    (:func:`_read_range`). Then merge the ranges in file order: a later
+    range's symbol codes are translated into the first-appearance order of
+    the whole file, and its rows moved up past the lines earlier ranges
+    did not keep. The dataset, or None when no range kept a row. Raises
+    the error of the earliest range that failed, and reaps every reader
+    process, killing any still running, on every way out.
+
+    The readers are forked, not spawned, so that they write into maps made
+    before the fork and need nothing pickled but their results. numpy's
+    BLAS threads are already running then, so a reader calls no BLAS."""
+    total = sum(lines for _, _, lines in ranges)
+    # one map per column and one for the label codes, freed with its last view
+    *columns, codes = [np.frombuffer(mmap.mmap(-1, max(1, total * arr.itemsize)), arr.dtype, total)
+                       for arr in reader.out]
+    workers = []  # (pid, result pipe, first row) per range after the first
+    try:
+        row = ranges[0][2]
+        for byte, first, lines in ranges[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:  # a reader process, which never leaves _read_range
+                    _read_range(reader, path, byte, first, lines, write_end,
+                                [arr[row:row + lines] for arr in (*columns, codes)])
+            except OSError:
+                os.close(read_end)
+                raise
+            finally:
+                os.close(write_end)
+            workers.append((pid, os.fdopen(read_end, "rb"), row))
+            row += lines
+        reader.out = [arr[:ranges[0][2]] for arr in (*columns, codes)]
+        for _ in reader.blocks(_iter_lines(path, 0, ranges[0][2])):
+            pass
+        report, n = reader.report, reader.n
+        for pid, pipe, row in workers:
+            result = pipe.read()
+            if not result:
+                raise DataFormatError(f"cannot read record file {path}: "
+                                      f"its reader process {pid} ended without a result")
+            kind, *value = pickle.loads(result)
+            if kind == "error":
+                error, message, reason = value
+                raise (error(message, reason=reason) if issubclass(error, DataFormatError)
+                       else error(message)) from None
+            kept, keys, part = value
+            known = {}  # per discrete attribute: its symbols before this range
+            for j, range_keys in zip(reader.disc_idx, keys):
+                index = reader.sym_index[j]
+                known[j] = len(index)
+                code = np.fromiter((index.setdefault(s, len(index)) for s in range_keys),
+                                   np.int32, len(range_keys))
+                if not np.array_equal(code, np.arange(len(code))):
+                    for at in range(row, row + kept, _REMAP_ROWS):
+                        rows = slice(at, min(at + _REMAP_ROWS, row + kept))
+                        columns[j][rows] = code[columns[j][rows]]
+            for name, symbols in part.extended_domains.items():
+                j = reader.schema.attribute_index(name)
+                added = [s for s in symbols if reader.sym_index[j][s] >= known[j]]
+                if added:
+                    report.extended_domains.setdefault(name, []).extend(added)
+            if row != n:  # an earlier range did not keep all its lines
+                for arr in (*columns, codes):
+                    arr[n:n + kept] = arr[row:row + kept]
+            n += kept
+            report.add(part)
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a process that ended is a zombie until reaped
+            os.waitpid(pid, 0)
+    report.n_loaded, report.readers = report.n_loaded + n, len(ranges)
+    return reader.dataset([col[:n] for col in columns], codes[:n]) if n else None
+
+
+def _read_range(reader: _Reader, path, byte: int, first: int, lines: int, pipe: int,
+                out: list[np.ndarray]) -> NoReturn:
+    """A reader process: read ``lines`` lines of ``path`` from ``byte``,
+    line number ``first``, into ``out``; write to the fd ``pipe`` the rows
+    kept, the symbol dicts' keys and the range's report, or the error it
+    raised; and end with ``os._exit``, so no exit handler runs and no
+    inherited buffer is flushed."""
+    try:
+        try:
+            reader.out, reader.report = out, LoadReport()
+            for _ in reader.blocks(_iter_lines(path, byte, lines), first):
+                pass
+            result = ("ok", reader.n, [list(reader.sym_index[j]) for j in reader.disc_idx],
+                      reader.report)
+        except BaseException as exc:  # reported to the parent, which raises it
+            result = ("error", type(exc), str(exc), getattr(exc, "reason", None))
+        result = pickle.dumps(result)
+        with os.fdopen(pipe, "wb") as fh:
+            fh.write(result)
+    finally:
+        os._exit(0)
 
 
 def _reader_dtypes(attrs: Sequence[AttributeSpec], kind: str) -> tuple[np.dtype, np.dtype]:
@@ -765,7 +1006,7 @@ def parse_schema_text(text: str) -> Schema:
     one ``name: kind`` line per attribute. ``#`` starts a comment."""
     classes: tuple[str, ...] | None = None
     attrs: list[AttributeSpec] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -813,7 +1054,7 @@ def load_schema_file(path) -> Schema:
 def parse_taxonomy_text(text: str) -> AttackTaxonomy:
     """Parse ``raw_name class`` pairs, whitespace-separated, ``#`` comments."""
     mapping: dict[str, str] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

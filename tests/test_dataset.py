@@ -1,9 +1,15 @@
+import os
+import pickle
+import re
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import synth
@@ -17,10 +23,13 @@ from nbtree_ids.dataset import (
     WeightedDataset,
     class_counts,
     load_dataset,
+    load_schema_file,
+    load_taxonomy_file,
     parse_record,
     parse_schema_text,
     parse_taxonomy_text,
     project_attributes,
+    read_batches,
     stratified_sample,
     stratified_split,
 )
@@ -530,6 +539,201 @@ def test_non_ascii_line_leaves_its_block_to_the_c_reader(tmp_path, symbol, reaso
         assert report.reasons == {reason: 1} and report.skipped_lines == [101]
 
 
+# -- byte ranges ---------------------------------------------------------------------
+
+
+# one record line: a good one, one of BAD_EDITS, or a non-ASCII, undecodable,
+# blank or whitespace-only one
+RANGE_LINE = st.one_of(
+    st.tuples(GOOD_FIELDS, st.sampled_from(sorted(BAD_EDITS))).map(
+        lambda drawn: "   " if (f := BAD_EDITS[drawn[1]](list(drawn[0]))) is None
+        else ",".join(f)),
+    st.sampled_from(["", "   ", "\t", "é,1,tcp,0,normal.", "red,1,中,0,attack",
+                     "blue,2,é,1,normal", "red,1,tc\udce9p,0,normal.", "green,1,a b,0,attack"]),
+)
+# a run of lines a permissive load skips, and in strict mode fails on
+DIRTY_LINE = "red,1,tcp,0,warp."
+
+
+def range_file(lines, endings, final, dirty, path):
+    """Write ``lines`` with their line endings, ``dirty`` = (count, place)
+    skipped lines put in among them, and a last line break when ``final``."""
+    count, place = dirty
+    lines = lines[:place] + [DIRTY_LINE] * count + lines[place:]
+    endings = (endings * len(lines))[:len(lines)]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if not final:
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+def load_outcome(path, schema, taxonomy, permissive):
+    """Everything a load of ``path`` gives that must not depend on its
+    ranges, or the error it raises; and its report's readers."""
+    try:
+        ds = load_dataset(path, schema, taxonomy, permissive=permissive)
+    except DataFormatError as exc:
+        return (type(exc), str(exc), exc.reason), None
+    report = ds.load_report
+    return ([ds.example(i) for i in range(ds.n)], ds.raw_labels.tolist(), ds.schema,
+            [c.dtype for c in ds.columns], report.n_loaded, report.skipped,
+            report.skipped_lines, list(report.reasons.items()),
+            list(report.extended_domains.items()), report.reader_lines,
+            report.fallback_lines), report.readers
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(RANGE_LINE, min_size=1, max_size=40),
+       endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+       final=st.booleans(), dirty=st.tuples(st.sampled_from([0, 0, 3, 130]), st.integers(0, 40)),
+       readers=st.integers(2, 4), range_bytes=st.sampled_from([1, 16, 200]),
+       pass_bytes=st.sampled_from([1, 7, 1 << 20]), chunk=st.integers(1, 4),
+       permissive=st.booleans())
+# symbols of the empty-domain column first seen in a later range, and
+# non-ASCII and undecodable lines there
+@example(lines=["red,1,tcp,0,normal."] * 3 + ["blue,1,udp,0,attack", "red,1,中,0,normal",
+                                               "é,1,icmp,1,attack", "red,1,tc\udce9p,0,normal."],
+         endings=["\n"], final=True, dirty=(0, 0), readers=3, range_bytes=1, pass_bytes=7,
+         chunk=1, permissive=True)
+# CRLF, lone CR and mixed endings, blank lines at range starts, no final
+# line break
+@example(lines=["red,1,tcp,0,normal.", "", "   ", "blue,2,udp,1,attack", "\t",
+                "green,1,icmp,0,normal"], endings=["\r\n", "\r", "\n"], final=False,
+         dirty=(0, 0), readers=4, range_bytes=1, pass_bytes=1, chunk=1, permissive=False)
+# strict errors in the first range, in a later one, and in both
+@example(lines=["red,1,tcp,0,normal."] * 8, endings=["\r"], final=True, dirty=(3, 6),
+         readers=2, range_bytes=16, pass_bytes=1, chunk=2, permissive=False)
+@example(lines=["red,1,tcp,0,normal.", DIRTY_LINE] + ["red,1,tcp,0,normal."] * 6 + [DIRTY_LINE],
+         endings=["\n"], final=True, dirty=(0, 0), readers=2, range_bytes=1, pass_bytes=1 << 20,
+         chunk=3, permissive=False)
+# more than 100 skipped lines over two ranges, one of which keeps nothing;
+# a line longer than a range
+@example(lines=["red,1,tcp,0,normal.", "blue,2,udp,1,attack", "red,1," + "tcp" * 12 + ",0,normal"],
+         endings=["\r\n"], final=False, dirty=(130, 2), readers=3, range_bytes=200,
+         pass_bytes=7, chunk=4, permissive=True)
+def test_ranged_load_matches_one_range_read(lines, endings, final, dirty, readers, range_bytes,
+                                            pass_bytes, chunk, permissive):
+    schema, taxonomy = property_schema(), property_taxonomy()
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        path = Path(work) / "records.csv"
+        range_file(lines, endings, final, dirty, path)
+        mp.setattr(dataset_module, "_CHUNK_LINES", chunk)
+        mp.setattr(dataset_module, "_RANGE_BYTES", range_bytes)
+        mp.setattr(dataset_module, "_PASS_BYTES", pass_bytes)
+        mp.setattr(dataset_module, "_REMAP_ROWS", 3)
+        mp.setattr(dataset_module, "_usable_cpus", lambda: 1)
+        expected, one = load_outcome(path, schema, taxonomy, permissive)
+        mp.setattr(dataset_module, "_usable_cpus", lambda: readers)
+        ranges = dataset_module._byte_ranges(path)
+        got, many = load_outcome(path, schema, taxonomy, permissive)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text_lines = sum(1 for _ in fh)
+    event(f"{len(ranges)} ranges")
+    assert got == expected
+    assert one in (1, None) and many in (len(ranges), None)
+    # the ranges tile the file, each line numbered as text mode counts it
+    if len(ranges) > 1:
+        assert [r[1] for r in ranges] == list(np.cumsum([1] + [r[2] for r in ranges[:-1]]))
+        assert sum(r[2] for r in ranges) == text_lines
+
+
+def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1 << 16)
+    outcomes = {}
+    for readers in (1, 3):
+        monkeypatch.setattr(dataset_module, "_usable_cpus", lambda readers=readers: readers)
+        outcomes[readers] = load_outcome(path, kdd99_schema(), kdd99_taxonomy(), False)
+    assert outcomes[3][0] == outcomes[1][0]
+    assert (outcomes[1][1], outcomes[3][1]) == (1, 3)
+    # a read in batches, and a list of lines, stay in this process
+    report = LoadReport()
+    for _ in read_batches(path, kdd99_schema(), kdd99_taxonomy(), report, rows=1000):
+        pass
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert report.readers == 1 and report.n_loaded == len(lines)
+    assert load_dataset(lines, kdd99_schema(), kdd99_taxonomy()).load_report.readers == 1
+    # a range is no shorter than _RANGE_BYTES: a file of less than two is one
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", path.stat().st_size // 2 + 1)
+    assert dataset_module._byte_ranges(path) == [(0, 1, None)]
+
+
+def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
+    def no_process_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    no_process_left()
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 64)
+    monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 4)
+    schema, taxonomy, path = toy_schema(), toy_taxonomy(), tmp_path / "records.csv"
+    lines = toy_lines(20, 20)
+    path.write_text("\n".join(lines) + "\n")
+    assert load_dataset(path, schema, taxonomy).load_report.readers == 2
+    no_process_left()
+
+    # a strict error in each range: the first range's is raised
+    lines[5] = lines[30] = "purple,1,normal."
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as error:
+        load_dataset(path, schema, taxonomy)
+    assert str(error.value) == (f"{path}: value 'purple' outside domain of attribute "
+                                "'color' at line 6")
+    assert error.value.reason == "out-of-domain"
+    no_process_left()
+
+    path.write_text("red,x,normal.\n" * 40)
+    with pytest.raises(EmptyDatasetError, match=r"no usable examples \(skipped: bad-number 40\)"):
+        load_dataset(path, schema, taxonomy, permissive=True)
+    no_process_left()
+
+    # a reader process that dies without a result, or raises, or a load
+    # interrupted while it waits for its readers
+    path.write_text("\n".join(toy_lines(20, 20)) + "\n")
+    parent, read_lines = os.getpid(), dataset_module._iter_lines
+
+    def dies(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return read_lines(*args)
+
+    def runs_out(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the block")
+        return read_lines(*args)
+
+    def interrupted(_result):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dataset_module, "_iter_lines", dies)
+        with pytest.raises(DataFormatError,
+                           match=f"^cannot read record file {re.escape(str(path))}: "):
+            load_dataset(path, schema, taxonomy)
+        no_process_left()
+        mp.setattr(dataset_module, "_iter_lines", runs_out)
+        with pytest.raises(MemoryError, match="^no room for the block$"):
+            load_dataset(path, schema, taxonomy)
+        no_process_left()
+        mp.setattr(dataset_module, "pickle",
+                   SimpleNamespace(dumps=pickle.dumps, loads=interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset(path, schema, taxonomy)
+        no_process_left()
+
+    # a fork that fails leaves no pipe open
+    def no_fork():
+        raise OSError("no process to spare")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(dataset_module.os, "fork", no_fork)
+    with pytest.raises(OSError, match="no process to spare"):
+        load_dataset(path, schema, taxonomy)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
 # -- class_counts -------------------------------------------------------------------
 
 
@@ -762,6 +966,30 @@ def test_taxonomy_file_parsing_and_conflicts():
         parse_taxonomy_text("x A\nx B\n")
     with pytest.raises(DataFormatError, match="raw_name"):
         parse_taxonomy_text("just_one_token\n")
+
+
+# characters str.splitlines breaks at but a file's lines do not
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_schema_comment_holding_a_line_separator_stays_one_line(tmp_path, char):
+    text = f"classes: A B\n# a{char}flag: discrete\nsize: nominal\n"
+    with pytest.raises(DataFormatError, match=r"kind must be .* \(line 3\)$"):
+        parse_schema_text(text)
+    path = tmp_path / "schema.txt"
+    path.write_text(text.replace("nominal", "continuous"), encoding="utf-8")
+    assert load_schema_file(path).attribute_names == ("size",)
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_taxonomy_comment_holding_a_line_separator_stays_one_line(tmp_path, char):
+    text = f"normal A\n# a{char}odd B\nwarp\n"
+    with pytest.raises(DataFormatError, match="at line 3 of taxonomy file"):
+        parse_taxonomy_text(text)
+    path = tmp_path / "taxonomy.txt"
+    path.write_text(text.replace("warp", "warp B"), encoding="utf-8")
+    assert load_taxonomy_file(path).mapping == {"normal": "A", "warp": "B"}
 
 
 def test_builtin_taxonomy_covers_known_attacks():
