@@ -30,52 +30,44 @@ from .probability import (
     subset_ranks,
 )
 from .tree import (
-    TreeModel, TreeNode, cut_entropies, entropy_rows, grow_tree, iter_nodes, threshold_candidates,
+    TreeModel, TreeNode, cut_masses, grow_tree, iter_nodes, split_entropy, threshold_candidates,
 )
 
 _GAIN_TOL = 1e-12       # below this a split is considered useless
 
 
-# -- entropy and gain ---------------------------------------------------------
-
-
-def _entropy(class_weights: np.ndarray) -> float:
-    return float(entropy_rows(class_weights[None, :])[0])
-
-
-def _gain_discrete(codes: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                   n_symbols: int, n_classes: int) -> float:
-    total = weights.sum()
-    child = np.bincount(
-        codes.astype(np.int64) * n_classes + labels,
-        weights=weights, minlength=n_symbols * n_classes,
-    ).reshape(n_symbols, n_classes)
-    node_h = _entropy(child.sum(axis=0))
-    shares = child.sum(axis=1) / total
-    return node_h - float((shares * entropy_rows(child)).sum())
-
-
-def _gain_continuous(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
-                     weights: np.ndarray, n_classes: int) -> tuple[float, float | None]:
-    thresholds = threshold_candidates(distinct, rank, weights)
-    if thresholds.size == 0:
-        return 0.0, None
-    left_h, right_h, total_cw = cut_entropies(distinct, rank, labels, weights, thresholds,
-                                              n_classes)
-    gains = _entropy(total_cw) - left_h - right_h
-    best = int(np.argmax(gains))
-    return float(gains[best]), float(thresholds[best])
+# -- information gain ---------------------------------------------------------
 
 
 def _gain(dataset: WeightedDataset, j: int, rows: np.ndarray | slice, labels: np.ndarray,
-          weights: np.ndarray) -> tuple[float, float | None]:
+          weights: np.ndarray, node: tuple[float, float] | None = None,
+          ) -> tuple[float, float | None]:
     """(gain, threshold) of attribute j over ``rows``, whose labels and
-    weights are given; the threshold is None for a discrete attribute. A
-    continuous column's ranks over the rows come from its one sort."""
+    weights are given; the threshold is None for a discrete attribute.
+    ``node`` is the rows' own ``split_entropy`` (one part) and mass, found
+    here when not given. The gain is that entropy less the least an
+    attribute's split leaves, over the mass: a discrete attribute has one
+    split, one part per symbol; a continuous one a split per
+    ``threshold_candidates`` cut, of which the lowest least-entropy one is
+    kept. A continuous column's ranks over the rows come from its one sort."""
     spec, C = dataset.schema.attributes[j], dataset.schema.n_classes
+    if node is None:
+        class_mass = np.bincount(labels, weights=weights, minlength=C)
+        node = float(split_entropy(class_mass[None])), float(class_mass.sum())
     if spec.is_discrete:
-        return _gain_discrete(dataset.columns[j][rows], labels, weights, len(spec.domain), C), None
-    return _gain_continuous(*subset_ranks(*column_ranks(dataset, j), rows), labels, weights, C)
+        parts = np.bincount(dataset.columns[j][rows].astype(np.int64) * C + labels,
+                            weights=weights, minlength=len(spec.domain) * C)
+        h, threshold = float(split_entropy(parts.reshape(-1, C))), None
+    else:
+        distinct, rank = subset_ranks(*column_ranks(dataset, j), rows)
+        thresholds = threshold_candidates(distinct, rank, weights)
+        if thresholds.size == 0:
+            return 0.0, None
+        cut_h = split_entropy(cut_masses(distinct, rank, labels, weights, thresholds, C))
+        best = int(np.argmin(cut_h))
+        h, threshold = float(cut_h[best]), float(thresholds[best])
+    own_h, mass = node
+    return (own_h - h) / mass, threshold
 
 
 # -- decision tree ------------------------------------------------------------
@@ -136,8 +128,9 @@ def build_weighted_tree(
         depth_stop = max_depth is not None and node.depth >= max_depth
         best_gain, best = 0.0, None
         if not (pure or depth_stop or node.weight < min_weight_leaf):
+            own = float(split_entropy(cw[None])), node.weight
             for j in range(schema.n_attributes):
-                gain, thr = _gain(dataset, j, rows, lab, w)
+                gain, thr = _gain(dataset, j, rows, lab, w, own)
                 if gain > best_gain + _GAIN_TOL:
                     best_gain, best = gain, (j, thr, None)
         if best is None:

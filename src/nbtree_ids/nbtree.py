@@ -17,8 +17,9 @@ accepted only if it cuts the node's cross-validated error by more than
 ``min_split_examples`` examples' worth of weight. A continuous attribute
 is cross-validated only at its best cuts (``tree.best_cuts``): the
 ``tree._BEST_CUTS`` of its capped threshold candidates that leave the
-least weighted class entropy at the node, C4.5's criterion and the gain
-tree's. Of equal utilities the lowest cut wins. Cross-validation folds
+least class entropy at the node (``tree.split_entropy``, the one
+criterion by which the gain tree picks every split, as C4.5 picks a
+cut). Of equal utilities the lowest cut wins. Cross-validation folds
 are assigned by a deterministic hash of (example row, node path), so
 builds are exactly reproducible.
 

@@ -12,12 +12,13 @@ branch ends at the node's own ``fallback_model``. A symbol unseen at
 training time goes to the heaviest child.
 
 Both builders grow through ``grow_tree``, cut continuous attributes at
-``threshold_candidates`` and weigh a cut by the class entropy it leaves
-(``cut_entropies``): the gain tree takes the best cut, the NB-tree
-cross-validates the ``best_cuts``, ranked by an entropy summed in an
-order that makes equal class masses tie exactly (``cut_entropy_masses``). These kernels read a node's column as
-its sorted distinct values and each row's intp rank among them, which
-both builders take from the training set's one sort of the column
+``threshold_candidates`` and weigh every split by one criterion, the
+class entropy it leaves (``split_entropy`` of its parts' class masses,
+summed in an order that makes equal masses tie exactly): the gain tree
+takes the best split, the NB-tree cross-validates a continuous
+attribute's ``best_cuts``. The cut kernels read a node's column as its
+sorted distinct values and each row's intp rank among them, which both
+builders take from the training set's one sort of the column
 (``probability.subset_ranks``), so no node sorts. ``split_rows``
 partitions rows by a split and ``TreeNode.branch`` sends one value down.
 ``route_rows`` partitions a whole dataset node by node with ``split_rows``
@@ -75,67 +76,43 @@ def threshold_candidates(distinct: np.ndarray, rank: np.ndarray,
     return np.where(mid < cuts[1:], mid, cuts[:-1])
 
 
-def entropy_rows(class_mass: np.ndarray) -> np.ndarray:
-    """Entropy in bits for each row of a (rows, classes) weight matrix."""
-    totals = class_mass.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = class_mass / totals
-    plogp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -plogp.sum(axis=1)
-
-
 def cut_masses(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
-               weights: np.ndarray, thresholds: np.ndarray, n_classes: int):
-    """The class mass of each side of each cut ``v <= threshold`` of a
-    column given as in ``threshold_candidates``: (left, right, the column's
-    class mass). Every cut's class mass is read from the cumulative sum,
-    over distinct values, of one ``bincount`` over (rank, class)."""
+               weights: np.ndarray, thresholds: np.ndarray, n_classes: int) -> np.ndarray:
+    """The (cuts, 2, classes) class masses of the two sides, ``v <= threshold``
+    and not, of each cut of a column given as in ``threshold_candidates``.
+    Every cut's masses are read from the cumulative sum, over distinct
+    values, of one ``bincount`` over (rank, class)."""
     cum = np.cumsum(np.bincount(rank * n_classes + labels, weights=weights,
                                 minlength=distinct.size * n_classes)
                     .reshape(distinct.size, n_classes), axis=0)
-    total_cw = cum[-1]
     left = cum[np.searchsorted(distinct, thresholds, side="right") - 1]
-    return left, total_cw[None, :] - left, total_cw
+    return np.stack([left, cum[-1] - left], axis=1)
 
 
-def cut_entropies(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
-                  weights: np.ndarray, thresholds: np.ndarray, n_classes: int):
-    """The class entropy (bits) of each side of each cut (``cut_masses``),
-    weighted by the side's share of the mass: (left, right, the column's
-    class mass)."""
-    left, right, total_cw = cut_masses(distinct, rank, labels, weights, thresholds, n_classes)
-    total = total_cw.sum()
-    return (left.sum(axis=1) / total * entropy_rows(left),
-            right.sum(axis=1) / total * entropy_rows(right), total_cw)
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(x > 0, x * np.log2(np.where(x > 0, x, 1.0)), 0.0)
-
-
-def cut_entropy_masses(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The class entropy (bits) each cut leaves, times the column's mass:
-    the sum over both sides of n log2 n less m log2 m for each of the
-    side's class masses m, where n is the side's mass. The terms are added
+def split_entropy(parts: np.ndarray) -> np.ndarray:
+    """The class entropy (bits) a split leaves times its mass, for each
+    (parts, classes) table of class masses in ``parts``' last two axes:
+    n log2 n for each part's mass n, less m log2 m for each class mass m.
+    One part gives a node's own entropy times its mass. The terms are added
     one by one in ascending order, so the sum depends only on which masses
-    the cut makes, not on which side or class holds them: two cuts whose
+    the split makes, not on which part or class holds them: two cuts whose
     sides hold the same masses (a mirror image, say) leave bit-equal
     entropies and tie."""
-    sides = np.stack([left.sum(axis=1), right.sum(axis=1)], axis=1)
-    terms = np.concatenate([_xlog2x(sides), -_xlog2x(left), -_xlog2x(right)], axis=1)
-    return np.cumsum(np.sort(terms, axis=1), axis=1)[:, -1]
+    *lead, k, c = parts.shape
+    masses = np.concatenate([parts.sum(axis=-1), parts.reshape(*lead, k * c)], axis=-1)
+    terms = masses * np.log2(masses, out=np.zeros_like(masses), where=masses > 0)
+    terms[..., k:] *= -1.0
+    return np.cumsum(np.sort(terms, axis=-1), axis=-1)[..., -1]
 
 
 def best_cuts(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
               weights: np.ndarray, n_classes: int) -> np.ndarray:
     """The ``_BEST_CUTS`` of a column's ``threshold_candidates`` that leave
-    the least class entropy (``cut_entropy_masses``), in ascending order;
-    of cuts with equal entropy the lower one is kept."""
+    the least class entropy (``split_entropy``), in ascending order; of
+    cuts with equal entropy the lower one is kept."""
     thresholds = threshold_candidates(distinct, rank, weights)
-    left, right, _ = cut_masses(distinct, rank, labels, weights, thresholds, n_classes)
-    return thresholds[np.sort(np.argsort(cut_entropy_masses(left, right),
-                                         kind="stable")[:_BEST_CUTS])]
+    h = split_entropy(cut_masses(distinct, rank, labels, weights, thresholds, n_classes))
+    return thresholds[np.sort(np.argsort(h, kind="stable")[:_BEST_CUTS])]
 
 
 def split_rows(column: np.ndarray, rows: np.ndarray, threshold: float | None,

@@ -1,5 +1,6 @@
-"""Quality record of the proposed NB-tree and ``nb-full``, on the test set
-and on the complement, for the six desk seeds.
+"""Quality record of the five models of ``compare``, on the test set and on
+the complement, for the six desk seeds, with McNemar's counts of each
+baseline against the proposed NB-tree on the complement.
 
 Run from the root of a checkout; it trains with that checkout's sources:
 
@@ -12,25 +13,32 @@ does not exist. For each seed (42, 1..5) the run draws the ``compare``
 sample and split of the ``compare-desk`` workload (``--sample-fraction
 0.1 --test-fraction 0.3 --seed S``, every model setting at its
 ``RunConfig`` default) and trains the five models as ``compare`` does. It
-scores the proposed NB-tree and ``nb-full`` on the test set and on the
-complement: the records the 10% sample leaves out,
-``stratified_split(full, 0.1, seed).train``. The complement holds about
-1,000 R2L and 47 U2R records where the test holds 34 and 2, so it can rank
-two models that the test macro DR cannot tell apart.
+scores each model on the test set and on the complement: the records the
+10% sample leaves out, ``stratified_split(full, 0.1, seed).train``. The
+complement holds about 1,000 R2L and 47 U2R records where the test holds
+34 and 2, so it can rank two models that the test macro DR cannot tell
+apart.
 
 Each model and set records its confusion matrix, per-class DR, the lowest
 per-class DR (a one-class collapse cannot hide in a mean), macro DR, normal
-FP and the error count. The result goes into ``--out`` under ``--label``,
-beside the labels already there. Every number repeats exactly between
-runs; no timing is recorded.
+FP and the error count. Each baseline also records, on the complement,
+McNemar's discordant counts against the proposed model: ``b`` rows the
+proposed model gets right and the baseline wrong, ``c`` the reverse, and
+the exact two-sided binomial p of b against c (Dietterich, Neural
+Computation 10(7), 1998), 0.0 where it is below the least positive
+double. The result goes into ``--out`` under ``--label``, beside the
+labels already there. Every number repeats exactly between runs; no
+timing is recorded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,14 +47,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import synth  # noqa: E402
 from nbtree_ids.cli import RunConfig  # noqa: E402
 from nbtree_ids.dataset import load_dataset, stratified_sample, stratified_split  # noqa: E402
-from nbtree_ids.evaluation import EvalReport, evaluate, train_models  # noqa: E402
+from nbtree_ids.evaluation import (  # noqa: E402
+    EvalReport, evaluate, project_for_model, train_models,
+)
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy  # noqa: E402
 
 SEEDS = (42, 1, 2, 3, 4, 5)
 CORPUS_SEED = 20240501
 SAMPLE_FRACTION = 0.1
 TEST_FRACTION = 0.3
-MODELS = ("proposed-nbtree", "nb-full")
+PROPOSED = "proposed-nbtree"
+BASELINES = ("nb-full", "nb-reduced", "tree-full", "tree-reduced")
+MODELS = (PROPOSED, *BASELINES)
 
 
 def scored(report: EvalReport) -> dict:
@@ -65,23 +77,39 @@ def scored(report: EvalReport) -> dict:
     }
 
 
+def mcnemar(proposed_right, baseline_right) -> dict:
+    """McNemar's discordant counts of a baseline against the proposed model
+    on the same rows, and the exact two-sided binomial p of b against c."""
+    b = int((proposed_right & ~baseline_right).sum())
+    c = int((~proposed_right & baseline_right).sum())
+    n = b + c
+    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    return {"b": b, "c": c, "p": min(1.0, float(Fraction(2 * tail, 2**n)))}
+
+
 def record_seed(full, seed: int) -> dict:
     config = RunConfig().comparison_config()
     split = stratified_split(stratified_sample(full, SAMPLE_FRACTION, seed), TEST_FRACTION, seed)
     _, models = train_models(split.train, config)
-    stats = models["proposed-nbtree"].build_stats
+    stats = models[PROPOSED].build_stats
     complement = stratified_split(full, SAMPLE_FRACTION, seed).train
     out = {"nbtree": {key: stats[key] for key in ("nodes", "split_searches", "children_scored")}}
+    right = {}
     for mid in MODELS:
         out[mid] = {"test": scored(evaluate(models[mid], split.test)),
                     "complement": scored(evaluate(models[mid], complement))}
+        seen = project_for_model(models[mid], complement)
+        right[mid] = models[mid].predict_dataset(seen) == seen.labels
+    for mid in BASELINES:
+        out[mid]["complement_mcnemar"] = mcnemar(right[PROPOSED], right[mid])
     return out
 
 
 def summary(seeds: dict) -> dict:
     """Per model: the test macro DR of each seed, and on the complement the
     mean macro DR, the lowest per-class DR of any seed, the errors of all
-    seeds and the mean normal FP."""
+    seeds and the mean normal FP; per baseline also each seed's McNemar b,
+    c and p against the proposed model."""
     out = {}
     for mid in MODELS:
         test = [seeds[str(s)][mid]["test"] for s in SEEDS]
@@ -94,6 +122,10 @@ def summary(seeds: dict) -> dict:
             "complement_errors": sum(r["errors"] for r in comp),
             "complement_mean_normal_fp": statistics.mean(r["normal_fp"] for r in comp),
         }
+        if mid in BASELINES:
+            tests = [seeds[str(s)][mid]["complement_mcnemar"] for s in SEEDS]
+            out[mid].update({f"complement_mcnemar_{k}": [t[k] for t in tests]
+                             for k in ("b", "c", "p")})
     out["children_scored"] = [seeds[str(s)]["nbtree"]["children_scored"] for s in SEEDS]
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -12,7 +13,6 @@ from nbtree_ids.attribute_weighting import (
     DecisionTree,
     SelectionParams,
     _GAIN_TOL,
-    _entropy,
     _gain,
     build_weighted_tree,
     compute_attribute_weights,
@@ -22,7 +22,7 @@ from nbtree_ids.attribute_weighting import (
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.exceptions import DegenerateTreeError, TrainingError
 from nbtree_ids.probability import fit_naive_bayes
-from nbtree_ids.tree import TreeNode, threshold_candidates
+from nbtree_ids.tree import TreeNode, split_entropy, threshold_candidates
 
 
 def disc_schema(*domains, classes=("A", "B")):
@@ -56,7 +56,8 @@ def random_gain_dataset(rng, continuous=False):
 def weighted_entropy(ds):
     """The entropy (bits) of the dataset's class mass, as a gain-tree node
     reads it."""
-    return _entropy(np.bincount(ds.labels, weights=ds.weights, minlength=ds.schema.n_classes))
+    class_mass = np.bincount(ds.labels, weights=ds.weights, minlength=ds.schema.n_classes)
+    return split_entropy(class_mass[None]) / class_mass.sum()
 
 
 def gain(ds, name):
@@ -157,6 +158,26 @@ def test_continuous_gain_matches_exhaustive_oracle():
         assert got == pytest.approx(max(want_gain, 0.0), abs=1e-9)
         if want_gain > 1e-9:
             assert got_t == pytest.approx(want_t)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_mirrored_cuts_tie_to_the_lower_cut(order):
+    # cuts 2.0 and 3.5 leave mirrored side masses, {2,4,2 | 3,3,4} and
+    # {2,4,4 | 3,3,2} rows, so equal entropies whichever class ids hold
+    # them; with 1/n weights the masses are not whole numbers
+    counts = {1.0: (2, 4, 2), 3.0: (0, 0, 2), 4.0: (3, 3, 2)}
+    classes = ("A", "B", "C")
+    values, labels = [], []
+    for v, per_class in counts.items():
+        for k, count in enumerate(per_class):
+            values += [v] * count
+            labels += [classes[order[k]]] * count
+    schema = Schema((AttributeSpec("x", "continuous"),), classes)
+    ds = WeightedDataset.from_rows(schema, [(v,) for v in values], labels)
+    got, got_t = gain(ds, "x")
+    want, _ = oracles.gain_continuous(values, labels, list(ds.weights), classes)
+    assert got_t == 2.0
+    assert abs(got - want) <= 1e-12
 
 
 # no shrink phase: shrinking a column of 33-60 drawn floats takes Hypothesis

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from nbtree_ids import tree
-from nbtree_ids.attribute_weighting import SelectionParams
+from nbtree_ids.attribute_weighting import SelectionParams, _gain
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, load_dataset
 from nbtree_ids.evaluation import train_models
 from nbtree_ids.exceptions import DataFormatError
@@ -726,6 +726,15 @@ def test_best_cuts_equal_row_sorted_reference(data):
     got = best_cuts(*np.unique(values, return_inverse=True), labels, weights, n_classes)
     np.testing.assert_array_equal(got, oracles.best_cuts(values, labels, weights,
                                                          range(n_classes)))
+    # the gain tree cuts the column at the first cut of that ranking
+    thresholds = oracles.threshold_candidates(values, weights)
+    h = oracles.cut_entropy_masses(values, labels, weights, range(n_classes), thresholds)
+    first = min(range(len(h)), key=lambda i: (h[i], i), default=None)
+    classes = tuple(f"c{k}" for k in range(n_classes))
+    ds = WeightedDataset.from_rows(Schema((AttributeSpec("x", "continuous"),), classes),
+                                   [(v,) for v in values], [classes[k] for k in labels], weights)
+    assert (_gain(ds, 0, slice(None), ds.labels, ds.weights)[1]
+            == (None if first is None else thresholds[first]))
 
 
 def test_best_cuts_break_entropy_ties_to_the_lower_cut(monkeypatch):
