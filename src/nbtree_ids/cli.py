@@ -44,7 +44,7 @@ from .dataset import (
     load_dataset,
     load_schema_file,
     load_taxonomy_file,
-    read_batches,
+    map_batches,
     stratified_sample,
     stratified_split,
 )
@@ -284,8 +284,9 @@ def _schema_and_taxonomy(config: RunConfig):
 
 
 def _peak_rss_mb() -> float:
-    """The peak resident set size so far of this process or of any reader
-    process it waited for, in MB (Linux counts KiB)."""
+    """The peak resident set size so far of this process or of any range
+    process it waited for (one that read or scored a range of a record
+    file), in MB (Linux counts KiB)."""
     return max(resource.getrusage(who).ru_maxrss
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
 
@@ -462,14 +463,22 @@ def cmd_eval(run: _Run) -> None:
         if model.model_id in [m.model_id for m in models[:i]]:
             raise ConfigError(f"two models have model_id {model.model_id!r}")
     schema, taxonomy = _schema_and_taxonomy(config)
+
+    def score(batches):  # in each range's process
+        try:
+            return evaluate_batches(models, batches)
+        except EvaluationError as exc:  # raised once the whole file is read
+            return exc
+
     load = LoadReport()
-    batches = read_batches(_resolve_path(config.test), schema, taxonomy, load,
-                           permissive=config.permissive, rows=_EVAL_BATCH_ROWS)
-    try:
-        reports = evaluate_batches(models, batches)
-    finally:  # read the whole file, so a bad record fails before any model does
-        for _ in batches:
-            pass
+    reports, *parts = map_batches(_resolve_path(config.test), schema, taxonomy, load, score,
+                                  permissive=config.permissive, rows=_EVAL_BATCH_ROWS)
+    for part in (reports, *parts):  # a bad record has failed before any model does
+        if isinstance(part, EvaluationError):
+            raise part
+    for part in parts:
+        for report, more in zip(reports, part):
+            report.add(more)
     run.info["loads"].append(_load_entry(reports[0].dataset_id, load))
     # the test labels, class by class: a report's rows count them in schema order
     labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())

@@ -196,11 +196,17 @@ class LoadReport:
 
     def add(self, part: "LoadReport") -> None:
         """Count in this report ``part``, the report of the stream's next
-        range; its extended domains are left to the caller."""
+        range, read from the schema's domains: a symbol it extends a domain
+        by is listed once, where the stream first holds it. ``seconds`` and
+        ``readers`` are left to the caller."""
+        self.n_loaded += part.n_loaded
         self.skipped += part.skipped
         self.skipped_lines = (self.skipped_lines + part.skipped_lines)[:100]
         for reason, count in part.reasons.items():
             self.reasons[reason] = self.reasons.get(reason, 0) + count
+        for name, symbols in part.extended_domains.items():
+            listed = self.extended_domains.setdefault(name, [])
+            listed += [s for s in symbols if s not in listed]
         self.reader_lines += part.reader_lines
         self.fallback_lines += part.fallback_lines
 
@@ -446,31 +452,18 @@ def load_dataset(
     *,
     permissive: bool = False,
 ) -> WeightedDataset:
-    """Ingest a record stream and return a uniformly weighted dataset: the
-    one batch of :func:`read_batches`, whose report is ``load_report``. A
-    record file is read in byte ranges, one process each, where the host
-    has the CPUs and the file the bytes for more than one range."""
-    (dataset,) = read_batches(source, schema, taxonomy, LoadReport(), permissive=permissive)
-    return dataset
+    """Ingest a record stream (a path or any iterable of lines) and return
+    a uniformly weighted dataset, whose report is ``load_report``.
 
-
-def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport, *,
-                 permissive: bool = False, rows: float = math.inf) -> Iterator[WeightedDataset]:
-    """Read a record stream (a path or any iterable of lines) in file order
-    as uniformly weighted batches of ``rows`` examples or more, the last
-    maybe fewer, each on the symbol domains read so far (codes only grow).
-    ``report`` counts the whole stream; its ``seconds`` leave out the time
-    a batch is held.
-
-    A record file read as one batch is cut into line-aligned byte ranges
+    A record file is cut into line-aligned byte ranges
     (:func:`_byte_ranges`): one per usable CPU, each at least
     ``_RANGE_BYTES`` long. This process reads the first range and a forked
-    process each other one, all into columns shared with this one, and
-    the ranges are merged in file order into what a one-range read gives:
-    the dataset, its domains and its report (but ``readers`` and
-    ``seconds``) do not depend on the ranges. An iterable of lines, a read
-    in batches, a host without ``os.fork`` and a file too small for two
-    ranges are read in this process alone, as one range.
+    process each other one, all into columns shared with this one
+    (:func:`_read_ranges`), and the ranges are merged in file order into
+    what a one-range read gives: the dataset, its domains and its report
+    (but ``readers`` and ``seconds``) do not depend on the ranges. An
+    iterable of lines, a host without ``os.fork`` and a file too small for
+    two ranges are read in this process alone, as one range.
 
     Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
     each block against the full record dtype, with the symbols and the
@@ -491,40 +484,85 @@ def read_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadR
 
     In strict mode (default) the first bad record aborts the stream with
     that error; in permissive mode bad records are skipped and counted by
-    reason in ``report``. A stream that keeps no record raises
+    reason in the report. A stream that keeps no record raises
     ``EmptyDatasetError`` with those counts. When ``source`` is a path,
     both errors begin with it. Unseen discrete values of kept records
     extend the attribute domain in permissive mode, and define it in
     either mode when the schema domain is empty.
     """
     start = time.perf_counter()
+    report = LoadReport()
     reader = _Reader(schema, taxonomy, report, permissive, source)
-    ranges = (_byte_ranges(source) if reader.src and rows == math.inf and hasattr(os, "fork")
-              else [])
+    ranges = _ranges(source)
     if len(ranges) > 1:
-        batch = _read_ranges(reader, source, ranges)
-        report.seconds += time.perf_counter() - start
-        if batch is not None:
-            yield batch
+        dataset = _read_ranges(reader, source, ranges)
     else:
-        for _ in reader.blocks(_iter_lines(source)):
-            if reader.n >= rows:
-                yield reader.take_batch(start)
-                start = time.perf_counter()
-        if reader.n:
-            yield reader.take_batch(start)
+        dataset = next(reader.batches(_iter_lines(source), 1, math.inf), None)
+    report.seconds = time.perf_counter() - start
+    _check_kept(report, reader.at)
+    return dataset
+
+
+def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport, fn, *,
+                rows: float, permissive: bool = False) -> list:
+    """``fn(batches)`` of each range of a record stream, in file order.
+    The ranges are :func:`load_dataset`'s, and so are the parser, the
+    verdict and the errors. This process maps the first range and a forked
+    process each other one (:func:`_fork_ranges`), so each other result
+    comes back pickled. ``batches`` iterates over the range's uniformly
+    weighted batches of ``rows`` examples or more, in file order, the last
+    maybe fewer, each on the symbol domains read so far in its range
+    (codes only grow). Once ``fn`` returns or raises, the rest of its range
+    is read: a strict read's bad record in a range is raised before any
+    error of ``fn`` there, and the earliest range's error before a later
+    one's.
+
+    ``report`` counts the whole stream as a one-range read does, but for
+    ``readers``, the ranges, and ``seconds``: the pass that cuts the file
+    and then the longest range's read, leaving out the time a batch is
+    held. A stream that keeps no record raises ``EmptyDatasetError``.
+    """
+    start = time.perf_counter()
+    ranges = _ranges(source)
+    cut = time.perf_counter() - start
+    reader = _Reader(schema, taxonomy, report, permissive, source)
+
+    def map_range(k):
+        byte, first, lines = ranges[k]
+        if k:
+            reader.report = LoadReport()
+        batches = reader.batches(_iter_lines(source, byte, lines), first, rows)
+        try:
+            return fn(batches), reader.report
+        finally:
+            for _ in batches:
+                pass
+
+    results = _fork_ranges(reader.src, ranges, map_range)
+    longest = max(part.seconds for _, part in results)
+    for _, part in results[1:]:
+        report.add(part)
+    report.seconds, report.readers = cut + longest, len(ranges)
+    _check_kept(report, reader.at)
+    return [result for result, _ in results]
+
+
+def _check_kept(report: LoadReport, at: str) -> None:
+    """Raise ``EmptyDatasetError``, beginning with ``at`` and giving the
+    skips by reason, when the stream of ``report`` kept no record."""
     if report.n_loaded == 0:
         skips = ", ".join(f"{reason} {count}" for reason, count in report.reasons.items())
-        raise EmptyDatasetError(f"{reader.at}record source yielded no usable examples"
+        raise EmptyDatasetError(f"{at}record source yielded no usable examples"
                                 + (f" (skipped: {skips})" if skips else ""))
 
 
 class _Reader:
-    """The block loop of :func:`read_batches`, over a record stream or one
-    byte range of a file. It writes each block's kept rows into ``out``,
-    one column per attribute and then the label codes (indexes into
-    ``names``), growing them as needed, and counts in ``report``; it
-    raises a strict load's first error, but never ``EmptyDatasetError``.
+    """The block loop of :func:`load_dataset` and :func:`map_batches`, over
+    a record stream or one byte range of a file. It writes each block's
+    kept rows into ``out``, one column per attribute and then the label
+    codes (indexes into ``names``), growing them as needed, and counts in
+    ``report``; it raises a strict load's first error, but never
+    ``EmptyDatasetError``.
     ``sym_index`` holds one dict per discrete attribute, symbol -> code,
     in first-appearance order."""
 
@@ -565,6 +603,19 @@ class _Reader:
             if chunk:
                 self.flush(chunk)
             yield
+
+    def batches(self, lines: Iterable[str], first: int, rows: float
+                ) -> Iterator[WeightedDataset]:
+        """Read ``lines``, the first of them line number ``first``, as
+        batches of ``rows`` examples or more, the last maybe fewer. The
+        report's ``seconds`` leave out the time a batch is held."""
+        start = time.perf_counter()
+        for _ in self.blocks(lines, first):
+            if self.n >= rows:
+                yield self.take_batch(start)
+                start = time.perf_counter()
+        if self.n:
+            yield self.take_batch(start)
 
     def read(self, texts: list[str], joined: str):
         """The block's numbers (one row per continuous attribute), its symbol
@@ -685,7 +736,7 @@ def _usable_cpus() -> int:
 
 
 def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
-    """The ranges of the record file ``path`` that a load reads, one
+    """The ranges of the record file ``path`` that a read takes, one
     process each: ``(first byte, first line number, lines)`` each. There
     are at most one per usable CPU, each at least ``_RANGE_BYTES`` long;
     a file too small for two, or one that cannot be read, is one range,
@@ -735,100 +786,114 @@ def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
     return [(byte, before + 1, after - before) for (byte, before), (_, after) in zip(starts, ends)]
 
 
+def _ranges(source) -> list[tuple[int, int, int | None]]:
+    """The ranges a read of ``source`` takes, one process each: a record
+    file's :func:`_byte_ranges` on a host with ``os.fork``, else one."""
+    if isinstance(source, (str, Path)) and hasattr(os, "fork"):
+        return _byte_ranges(source)
+    return [(0, 1, None)]
+
+
 def _read_ranges(reader: _Reader, path, ranges: list[tuple[int, int, int]]
                  ) -> WeightedDataset | None:
     """Read ``ranges`` of the file ``path`` through ``reader``'s block
-    loop into anonymous shared maps sized by the ranges' lines: the first
-    range in this process, each other in a forked one
-    (:func:`_read_range`). Then merge the ranges in file order: a later
-    range's symbol codes are translated into the first-appearance order of
-    the whole file, and its rows moved up past the lines earlier ranges
-    did not keep. The dataset, or None when no range kept a row. Raises
-    the error of the earliest range that failed, and reaps every reader
-    process, killing any still running, on every way out.
-
-    The readers are forked, not spawned, so that they write into maps made
-    before the fork and need nothing pickled but their results. numpy's
-    BLAS threads are already running then, so a reader calls no BLAS."""
+    loop into anonymous shared maps sized by the ranges' lines, each range
+    in its own process (:func:`_fork_ranges`). Then merge the ranges in
+    file order: a later range's symbol codes are translated into the
+    first-appearance order of the whole file, and its rows moved up past
+    the lines earlier ranges did not keep. The dataset, or None when no
+    range kept a row."""
     total = sum(lines for _, _, lines in ranges)
     # one map per column and one for the label codes, freed with its last view
     *columns, codes = [np.frombuffer(mmap.mmap(-1, max(1, total * arr.itemsize)), arr.dtype, total)
                        for arr in reader.out]
-    workers = []  # (pid, result pipe, first row) per range after the first
+    rows = np.cumsum([0] + [lines for _, _, lines in ranges]).tolist()  # each range's first row
+
+    def read(k):
+        byte, first, lines = ranges[k]
+        if k:
+            reader.report = LoadReport()
+        reader.out = [arr[rows[k]:rows[k] + lines] for arr in (*columns, codes)]
+        for _ in reader.blocks(_iter_lines(path, byte, lines), first):
+            pass
+        reader.report.n_loaded += reader.n
+        return [list(reader.sym_index[j]) for j in reader.disc_idx], reader.report
+
+    (_, report), *parts = _fork_ranges(path, ranges, read)
+    n = report.n_loaded
+    for (keys, part), row in zip(parts, rows[1:]):
+        kept = part.n_loaded
+        for j, range_keys in zip(reader.disc_idx, keys):
+            index = reader.sym_index[j]
+            code = np.fromiter((index.setdefault(s, len(index)) for s in range_keys),
+                               np.int32, len(range_keys))
+            if not np.array_equal(code, np.arange(len(code))):
+                for at in range(row, row + kept, _REMAP_ROWS):
+                    block = slice(at, min(at + _REMAP_ROWS, row + kept))
+                    columns[j][block] = code[columns[j][block]]
+        if row != n:  # an earlier range did not keep all its lines
+            for arr in (*columns, codes):
+                arr[n:n + kept] = arr[row:row + kept]
+        n += kept
+        report.add(part)
+    report.readers = len(ranges)
+    return reader.dataset([col[:n] for col in columns], codes[:n]) if n else None
+
+
+def _fork_ranges(path, ranges: list, read) -> list:
+    """``read(k)`` of each range ``k`` of ``ranges`` of the file ``path``,
+    in file order: the first range's in this process, each other's in a
+    forked process (:func:`_range_process`), which sends it back pickled
+    through a pipe. Raises the error of the earliest range that failed,
+    and reaps every range process, killing any still running, on every
+    way out.
+
+    The range processes are forked, not spawned, so that they share what
+    this process holds (the maps a load writes into, the models an eval
+    scores) and need nothing pickled but their results. numpy's BLAS
+    threads are already running then, so a range process calls no BLAS:
+    reading, coding and scoring use none."""
+    workers = []  # (pid, result pipe) per range after the first
     try:
-        row = ranges[0][2]
-        for byte, first, lines in ranges[1:]:
+        for k in range(1, len(ranges)):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-                if pid == 0:  # a reader process, which never leaves _read_range
-                    _read_range(reader, path, byte, first, lines, write_end,
-                                [arr[row:row + lines] for arr in (*columns, codes)])
+                if pid == 0:  # a range process, which never leaves _range_process
+                    _range_process(read, k, write_end)
             except OSError:
                 os.close(read_end)
                 raise
             finally:
                 os.close(write_end)
-            workers.append((pid, os.fdopen(read_end, "rb"), row))
-            row += lines
-        reader.out = [arr[:ranges[0][2]] for arr in (*columns, codes)]
-        for _ in reader.blocks(_iter_lines(path, 0, ranges[0][2])):
-            pass
-        report, n = reader.report, reader.n
-        for pid, pipe, row in workers:
+            workers.append((pid, os.fdopen(read_end, "rb")))
+        results = [read(0)]
+        for pid, pipe in workers:
             result = pipe.read()
             if not result:
                 raise DataFormatError(f"cannot read record file {path}: "
-                                      f"its reader process {pid} ended without a result")
+                                      f"its range process {pid} ended without a result")
             kind, *value = pickle.loads(result)
             if kind == "error":
                 error, message, reason = value
                 raise (error(message, reason=reason) if issubclass(error, DataFormatError)
                        else error(message)) from None
-            kept, keys, part = value
-            known = {}  # per discrete attribute: its symbols before this range
-            for j, range_keys in zip(reader.disc_idx, keys):
-                index = reader.sym_index[j]
-                known[j] = len(index)
-                code = np.fromiter((index.setdefault(s, len(index)) for s in range_keys),
-                                   np.int32, len(range_keys))
-                if not np.array_equal(code, np.arange(len(code))):
-                    for at in range(row, row + kept, _REMAP_ROWS):
-                        rows = slice(at, min(at + _REMAP_ROWS, row + kept))
-                        columns[j][rows] = code[columns[j][rows]]
-            for name, symbols in part.extended_domains.items():
-                j = reader.schema.attribute_index(name)
-                added = [s for s in symbols if reader.sym_index[j][s] >= known[j]]
-                if added:
-                    report.extended_domains.setdefault(name, []).extend(added)
-            if row != n:  # an earlier range did not keep all its lines
-                for arr in (*columns, codes):
-                    arr[n:n + kept] = arr[row:row + kept]
-            n += kept
-            report.add(part)
+            results += value
     finally:
-        for pid, pipe, _ in workers:
+        for pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # a process that ended is a zombie until reaped
             os.waitpid(pid, 0)
-    report.n_loaded, report.readers = report.n_loaded + n, len(ranges)
-    return reader.dataset([col[:n] for col in columns], codes[:n]) if n else None
+    return results
 
 
-def _read_range(reader: _Reader, path, byte: int, first: int, lines: int, pipe: int,
-                out: list[np.ndarray]) -> NoReturn:
-    """A reader process: read ``lines`` lines of ``path`` from ``byte``,
-    line number ``first``, into ``out``; write to the fd ``pipe`` the rows
-    kept, the symbol dicts' keys and the range's report, or the error it
-    raised; and end with ``os._exit``, so no exit handler runs and no
-    inherited buffer is flushed."""
+def _range_process(read, k: int, pipe: int) -> NoReturn:
+    """A range process: write to the fd ``pipe`` ``read(k)``, or the error
+    it raised, pickled; and end with ``os._exit``, so no exit handler runs
+    and no inherited buffer is flushed."""
     try:
         try:
-            reader.out, reader.report = out, LoadReport()
-            for _ in reader.blocks(_iter_lines(path, byte, lines), first):
-                pass
-            result = ("ok", reader.n, [list(reader.sym_index[j]) for j in reader.disc_idx],
-                      reader.report)
+            result = ("ok", read(k))
         except BaseException as exc:  # reported to the parent, which raises it
             result = ("error", type(exc), str(exc), getattr(exc, "reason", None))
         result = pickle.dumps(result)

@@ -128,6 +128,14 @@ class EvalReport:
         return normal_false_positive(
             self.matrix, "Normal" if "Normal" in self.classes else self.classes[0])
 
+    def add(self, part: "EvalReport") -> None:
+        """Count in this report ``part``, the same model's report on more
+        of the test set: its confusion counts and predict seconds. A part
+        that scored no row names no dataset."""
+        self.matrix.counts += part.matrix.counts
+        self.wall_clock_sec += part.wall_clock_sec
+        self.dataset_id = self.dataset_id or part.dataset_id
+
     def to_dict(self) -> dict:
         return {
             "format": "eval-report/1",
@@ -197,10 +205,10 @@ def evaluate_batches(models: Sequence, batches: Iterable[WeightedDataset]) -> li
                                       "evaluate against the load-time labels")
             start = time.perf_counter()
             pred = model.predict_dataset(seen)
-            report.wall_clock_sec += time.perf_counter() - start
-            report.matrix.counts += ConfusionMatrix.from_indices(seen.labels, pred,
-                                                                 report.classes).counts
-            report.dataset_id = batch.dataset_id
+            seconds = time.perf_counter() - start
+            report.add(EvalReport(report.model_id, batch.dataset_id, report.attribute_count,
+                                  ConfusionMatrix.from_indices(seen.labels, pred, report.classes),
+                                  seconds))
         batch = seen = None   # hold no batch while the next is read
     return reports
 

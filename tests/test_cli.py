@@ -7,15 +7,17 @@ import io
 import json
 import operator
 import os
+import pickle
 import re
 import shutil
 import tracemalloc
 import typing
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import synth
@@ -817,6 +819,152 @@ def test_eval_peaks_below_a_quarter_of_the_test_columns(toy_models):
         tracemalloc.stop()
     assert code == 0
     assert peak < column_bytes / 4, (peak, column_bytes)
+
+
+def test_a_one_range_eval_peaks_below_a_quarter_of_the_test_columns(toy_models, monkeypatch):
+    """The bound above, over a whole-file read in this one process: a
+    ranged eval's peak under ``tracemalloc`` covers only its first range."""
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 1)
+    test_eval_peaks_below_a_quarter_of_the_test_columns(toy_models)
+
+
+def _misfit(work) -> str:
+    """A copy of the toy ``tree-full`` model with its classes reversed,
+    which no projection of the test set fits, named ``misfit``."""
+    (path,) = (run_dir(work / "train") / "models").glob("tree-full.json")
+    doc = json.loads(path.read_text())
+    doc["classes"].reverse()
+    doc["model_id"] = "misfit"
+    misfit = work / "misfit.json"
+    misfit.write_text(json.dumps(doc))
+    return str(misfit)
+
+
+def _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines):
+    """An eval's untimed ``composition.json`` and reports, and its
+    ``readers``; or its exit code, stderr and whether it wrote a run."""
+    code, err, out = _stream_eval(work, lines, models, *flags, batch_rows=batch_rows,
+                                  chunk_lines=chunk_lines)
+    if code != 0:
+        return (code, err, out.exists()), None
+    rd = run_dir(out)
+    docs = {path.relative_to(rd).as_posix(): _untimed(json.loads(path.read_text()))
+            for path in [rd / "composition.json", *sorted((rd / "reports").glob("*.json"))]}
+    return docs, json.loads((rd / "run_info.json").read_text())["loads"][0]["readers"]
+
+
+_ROWS = [("row", k) for k in range(0, 80, 9)]  # nine toy rows, of all three classes
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=st.lists(st.tuples(st.sampled_from(_STREAM_KINDS), st.integers(0, 79)),
+                      min_size=1, max_size=60),
+       readers=st.integers(2, 4), range_bytes=st.integers(1, 200),
+       batch_rows=st.integers(1, 12), chunk_lines=st.integers(1, 5),
+       permissive=st.booleans(), misfit=st.booleans())
+# a symbol first seen in a later range
+@example(picks=_ROWS + [("new-symbol", 4), ("row", 5), ("new-symbol", 7)], readers=2,
+         range_bytes=1, batch_rows=3, chunk_lines=2, permissive=True, misfit=False)
+# a bad line in a later range, and a model that does not fit: exit 2 naming line 8
+@example(picks=_ROWS[:7] + [("bad-number", 1)] + _ROWS[:2], readers=2, range_bytes=1,
+         batch_rows=2, chunk_lines=1, permissive=False, misfit=True)
+# that model alone: exit 4
+@example(picks=_ROWS, readers=3, range_bytes=1, batch_rows=2, chunk_lines=1,
+         permissive=False, misfit=True)
+# ranges whose every line is skipped, the last among them
+@example(picks=_ROWS[:4] + [("field-count", 0), ("unknown-attack", 0), ("bad-number", 0),
+                             ("blank", 0)] * 2,
+         readers=3, range_bytes=1, batch_rows=2, chunk_lines=2, permissive=True, misfit=False)
+def test_ranged_eval_equals_one_process_eval(toy_models, picks, readers, range_bytes, batch_rows,
+                                             chunk_lines, permissive, misfit):
+    """Read and scored in ranges, one process each, ``eval`` writes the
+    composition and reports of a one-process eval, and fails as it does:
+    with the same exit code and message."""
+    work, toy, models = toy_models
+    lines = [_stream_line(toy, kind, k) for kind, k in picks]
+    models = [*models, _misfit(work)] if misfit else models
+    flags = ["--permissive"] if permissive else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "_RANGE_BYTES", range_bytes)
+        mp.setattr(dataset_module, "_CHUNK_LINES", chunk_lines)
+        mp.setattr(dataset_module, "_usable_cpus", lambda: 1)
+        expected, one = _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines)
+        mp.setattr(dataset_module, "_usable_cpus", lambda: readers)
+        got, many = _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines)
+        ranges = dataset_module._byte_ranges(work / "stream.csv")
+    event(f"{len(ranges)} ranges")
+    assert got == expected
+    assert (one, many) in ((1, len(ranges)), (None, None))
+
+
+def test_no_scorer_process_outlives_an_eval(toy_models, monkeypatch):
+    def no_process_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def run_eval():
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--test", str(test), "--out", str(out), "--models", *models])
+        return code, err.getvalue()
+
+    work, toy, models = toy_models
+    test, out = work / "ranged.csv", work / "ranged-out"
+    test.write_text("".join(toy))
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 64)
+    monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 4)
+    no_process_left()
+    assert run_eval() == (0, "")
+    assert json.loads((run_dir(out) / "run_info.json").read_text())["loads"][0]["readers"] == 2
+    no_process_left()
+
+    # a range process that dies without a result, or raises while it
+    # scores, or an eval interrupted while it waits for its range processes
+    parent, read_lines, score = os.getpid(), dataset_module._iter_lines, cli.evaluate_batches
+
+    def dies(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return read_lines(*args)
+
+    def runs_out(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the scores")
+        return score(*args)
+
+    def interrupted(_result):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dataset_module, "_iter_lines", dies)
+        code, err = run_eval()
+        assert code == 2 and err.startswith(f"data error: cannot read record file {test}: ")
+        assert not out.exists()
+        no_process_left()
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "evaluate_batches", runs_out)
+        with pytest.raises(MemoryError, match="^no room for the scores$"):
+            run_eval()
+        assert not out.exists()
+        no_process_left()
+        mp.setattr(dataset_module, "pickle",
+                   SimpleNamespace(dumps=pickle.dumps, loads=interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            run_eval()
+        no_process_left()
+
+    # a fork that fails leaves no pipe open
+    def no_fork():
+        raise OSError("no process to spare")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(dataset_module.os, "fork", no_fork)
+    with pytest.raises(OSError, match="no process to spare"):
+        run_eval()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    no_process_left()
 
 
 # -- compare -----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from nbtree_ids.dataset import (
     parse_schema_text,
     parse_taxonomy_text,
     project_attributes,
-    read_batches,
+    map_batches,
     stratified_sample,
     stratified_split,
 )
@@ -647,13 +647,23 @@ def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
         outcomes[readers] = load_outcome(path, kdd99_schema(), kdd99_taxonomy(), False)
     assert outcomes[3][0] == outcomes[1][0]
     assert (outcomes[1][1], outcomes[3][1]) == (1, 3)
-    # a read in batches, and a list of lines, stay in this process
+    # a read in batches maps each range in its own process, this one first;
+    # a list of lines stays in this process
+    def sizes_here(batches):
+        return os.getpid(), [batch.n for batch in batches]
+
     report = LoadReport()
-    for _ in read_batches(path, kdd99_schema(), kdd99_taxonomy(), report, rows=1000):
-        pass
+    mapped = map_batches(path, kdd99_schema(), kdd99_taxonomy(), report, sizes_here, rows=1000)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert report.readers == 1 and report.n_loaded == len(lines)
+    pids = [pid for pid, _ in mapped]
+    assert pids[0] == os.getpid() and len(set(pids)) == report.readers == 3
+    assert all(n >= 1000 for _, sizes in mapped for n in sizes[:-1])
+    assert sum(sum(sizes) for _, sizes in mapped) == report.n_loaded == len(lines)
     assert load_dataset(lines, kdd99_schema(), kdd99_taxonomy()).load_report.readers == 1
+    report = LoadReport()
+    assert map_batches(lines, kdd99_schema(), kdd99_taxonomy(), report, sizes_here,
+                       rows=1000)[0][0] == os.getpid()
+    assert report.readers == 1 and report.n_loaded == len(lines)
     # a range is no shorter than _RANGE_BYTES: a file of less than two is one
     monkeypatch.setattr(dataset_module, "_RANGE_BYTES", path.stat().st_size // 2 + 1)
     assert dataset_module._byte_ranges(path) == [(0, 1, None)]
