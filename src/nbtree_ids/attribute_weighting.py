@@ -101,15 +101,15 @@ class DecisionTree(TreeModel):
 def build_weighted_tree(
     dataset: WeightedDataset,
     max_depth: int | None = None,
-    min_leaf_examples: float | None = None,
+    min_leaf_examples: float = 2.0,
 ) -> DecisionTree:
     """Grow the weighted information-gain tree through ``tree.grow_tree``.
 
     Greedy on the max-gain attribute (ties break by schema order). A node
     becomes a leaf when it is pure, when no attribute gives positive gain,
     at ``max_depth``, or when its weight mass drops below the mass of
-    ``min_leaf_examples`` average examples (default 2; negative or nan
-    raises ``ValueError``). A discrete attribute tested above a node has
+    ``min_leaf_examples`` average examples (negative or nan raises
+    ``ValueError``). A discrete attribute tested above a node has
     one symbol there and so no gain; continuous attributes may recur with
     different thresholds.
     """
@@ -117,7 +117,8 @@ def build_weighted_tree(
         raise TrainingError("cannot build a tree from an empty dataset")
     schema = dataset.schema
     C = schema.n_classes
-    min_weight_leaf = _leaf_floor(min_leaf_examples) * dataset.total_weight / dataset.n
+    _check_leaf_floor(min_leaf_examples)
+    min_weight_leaf = min_leaf_examples * dataset.total_weight / dataset.n
 
     def split_of(node: TreeNode, rows: np.ndarray, _path: str):
         lab = dataset.labels[rows]
@@ -143,12 +144,10 @@ def build_weighted_tree(
     )
 
 
-def _leaf_floor(min_leaf_examples: float | None) -> float:
-    """``min_leaf_examples``, or 2 when None; negative or nan raises ``ValueError``."""
-    n_ex = 2.0 if min_leaf_examples is None else min_leaf_examples
-    if not n_ex >= 0:
-        raise ValueError(f"min_leaf_examples must be >= 0, got {n_ex!r}")
-    return n_ex
+def _check_leaf_floor(min_leaf_examples: float) -> None:
+    """Negative or nan raises ``ValueError``."""
+    if not min_leaf_examples >= 0:
+        raise ValueError(f"min_leaf_examples must be >= 0, got {min_leaf_examples!r}")
 
 
 # -- attribute weights --------------------------------------------------------
@@ -228,11 +227,11 @@ class SelectionParams:
     relabel: bool = True
     iterations: int = 1
     max_depth: int | None = 15
-    min_leaf_examples: float | None = 30.0
+    min_leaf_examples: float = 30.0
 
     def __post_init__(self) -> None:
         check_fit_settings(self.smoothing_k, self.bins)
-        _leaf_floor(self.min_leaf_examples)
+        _check_leaf_floor(self.min_leaf_examples)
         if not self.iterations >= 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if self.max_depth is not None and not self.max_depth >= 1:

@@ -106,7 +106,7 @@ class RunConfig:
     iterations: int = _setting(SelectionParams.iterations, "reweighting passes before the tree")
     weighting_max_depth: int | None = _setting(
         SelectionParams.max_depth, "depth limit of the weighting tree")
-    weighting_min_leaf_examples: float | None = _setting(
+    weighting_min_leaf_examples: float = _setting(
         SelectionParams.min_leaf_examples,
         "example-mass floor of a weighting-tree node; a lighter node is a leaf")
     baselines: bool = _setting(
@@ -115,10 +115,6 @@ class RunConfig:
     test_fraction: float | None = _setting(
         None, "hold out this fraction of train as test (when no --test)")
     permissive: bool = _setting(False, "skip bad records and extend domains instead of aborting")
-    carry_weights: bool = _setting(
-        ComparisonConfig.carry_weights, "carry posterior weights into the NB-tree (default on)")
-    train_on_relabeled: bool = _setting(
-        ComparisonConfig.train_on_relabeled, "train the NB-tree on relabeled working labels")
     models: list[str] | None = _setting(None, "model files to evaluate")
 
     def validate(self) -> None:

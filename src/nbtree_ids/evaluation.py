@@ -225,15 +225,16 @@ def evaluate(model, test: WeightedDataset, model_id: str | None = None) -> EvalR
 
 @dataclass
 class ComparisonConfig:
-    """What to train and how. The baselines are the weighting pass's own
-    learners without the posterior weighting, so they take their smoothing,
-    bins, depth and leaf floor from ``selection``."""
+    """What to train and how. The proposed NB-tree is built with ``nbtree``
+    on what the weighting pass (``selection``) leaves: the reduced
+    attributes and each example's posterior weight, against the load-time
+    labels. The baselines are the weighting pass's own learners without
+    the posterior weighting, so they take their smoothing, bins, depth and
+    leaf floor from ``selection``."""
 
     selection: SelectionParams = field(default_factory=SelectionParams)
     nbtree: NBTreeParams = field(default_factory=NBTreeParams)
     baselines: bool = True
-    train_on_relabeled: bool = False
-    carry_weights: bool = True
 
 
 @dataclass
@@ -271,10 +272,9 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
     ``seconds``, when given, receives each baseline's wall seconds by
     model id.
 
-    This alone decides what the NB-tree trains on. It carries the
-    posterior weights unless ``carry_weights`` is off (then every example
-    weighs 1/n), and it uses load-time labels unless ``train_on_relabeled``
-    hands it the relabeled working labels.
+    The NB-tree trains on ``selection.reduced.with_true_labels()``: the
+    posterior weights over the reduced attributes, with the load-time
+    labels, whether or not the weighting pass relabeled its working copy.
     Baselines always train on uniformly weighted, load-time-labeled data.
     Returns (selection result, ordered {model_id: model}). An unexpected
     failure is raised as :class:`TrainingError`.
@@ -292,13 +292,8 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dic
     params = config.selection
     selection = select_attributes(train, params)
     kept = selection.weights.kept_names()
-    reduced_train = selection.reduced
-    if not config.train_on_relabeled:
-        reduced_train = reduced_train.with_true_labels()
-    if not config.carry_weights:
-        reduced_train = reduced_train.with_uniform_weights()
-
-    nbt = build_nbtree(reduced_train, selection.weights.as_array(kept), config.nbtree)
+    nbt = build_nbtree(selection.reduced.with_true_labels(), selection.weights.as_array(kept),
+                       config.nbtree)
     nbt.model_id = "proposed-nbtree"
     models: dict[str, object] = {"proposed-nbtree": nbt}
 

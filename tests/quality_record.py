@@ -44,7 +44,6 @@ there. Every number repeats exactly between runs; no timing is recorded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import statistics
@@ -59,7 +58,7 @@ import synth  # noqa: E402
 from nbtree_ids.cli import RunConfig, _load_config, build_parser  # noqa: E402
 from nbtree_ids.dataset import load_dataset, stratified_sample, stratified_split  # noqa: E402
 from nbtree_ids.evaluation import (  # noqa: E402
-    EvalReport, evaluate, project_for_model, train_models,
+    ComparisonConfig, EvalReport, evaluate, project_for_model, train_models,
 )
 from nbtree_ids.exceptions import ConfigError  # noqa: E402
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy  # noqa: E402
@@ -138,8 +137,7 @@ def record_seed(full, seed: int, config: RunConfig | None = None) -> dict:
     for mid in BASELINES:
         out[mid]["complement_mcnemar"] = mcnemar(right[PROPOSED], right[mid])
     if config != RunConfig():
-        _, defaults = train_models(split.train, dataclasses.replace(
-            RunConfig(), baselines=False).comparison_config())
+        _, defaults = train_models(split.train, ComparisonConfig(baselines=False))
         out[PROPOSED]["complement_mcnemar"] = mcnemar(
             correct(defaults[PROPOSED], complement), right[PROPOSED])
     return out

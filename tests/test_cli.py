@@ -1130,6 +1130,18 @@ def test_unknown_config_key_exits_1(toy_corpus, tmp_path):
     assert main(["inspect", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--carry-weights", "--no-carry-weights",
+                                  "--train-on-relabeled", "--no-train-on-relabeled"])
+def test_nbtree_training_data_switches_are_gone(tmp_path, capsys, flag):
+    # the NB-tree always trains on the posterior weights and load-time labels
+    assert main(["train", "--train", str(tmp_path / "missing.csv"), flag]) == 1
+    assert flag in capsys.readouterr().err
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({flag.lstrip("-").removeprefix("no-").replace("-", "_"): True}))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, named", [
     ({"permissive": "no"}, "'permissive'"),
     ({"bins": 2.5}, "'bins'"),
@@ -1139,9 +1151,11 @@ def test_unknown_config_key_exits_1(toy_corpus, tmp_path):
     ({"smoothing_k": 10**400}, "'smoothing_k'"),
     ({"models": ["a.json", 1]}, "'models'"),
     ({"models": "a.json"}, "'models'"),
+    ({"weighting_min_leaf_examples": None}, "'weighting_min_leaf_examples'"),
     (5, "JSON object"),
 ], ids=["bool-as-str", "int-as-float", "folds-as-float", "int-as-str", "seed-as-float",
-        "int-too-large-for-float", "models-holding-a-number", "models-as-str", "not-an-object"])
+        "int-too-large-for-float", "models-holding-a-number", "models-as-str", "null-leaf-floor",
+        "not-an-object"])
 def test_ill_typed_config_value_exits_1(toy_corpus, tmp_path, capsys, doc, named):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))

@@ -263,17 +263,19 @@ def test_baseline_trees_follow_selection_params():
         assert tree.dump() == build_weighted_tree(plain, max_depth=2).dump()
 
 
-def test_train_models_carry_weights():
-    ds = synth.make_majority_dataset(seed=5, n=300)
+def test_proposed_nbtree_trains_on_posterior_weights_and_load_time_labels():
+    # a set on which the weighting pass relabels rows, and on which the tree
+    # differs if built on uniform weights or on the relabeled working labels
+    ds = synth.make_majority_dataset(seed=3, n=600)
     params = NBTreeParams(min_split_examples=1.0)
-    selection, carried = train_models(ds, ComparisonConfig(nbtree=params, baselines=False))
-    _, reset = train_models(
-        ds, ComparisonConfig(nbtree=params, baselines=False, carry_weights=False))
-    kept = selection.weights.kept_names()
-    uniform = build_nbtree(selection.reduced.with_true_labels().with_uniform_weights(),
-                           selection.weights.as_array(kept), params)
-    assert reset["proposed-nbtree"].dump() == uniform.dump()
-    assert carried["proposed-nbtree"].dump() != uniform.dump()
+    selection, models = train_models(ds, ComparisonConfig(nbtree=params, baselines=False))
+    assert selection.relabeled_count > 0
+    weights = selection.weights.as_array(selection.weights.kept_names())
+    got = models["proposed-nbtree"].dump()
+    assert got == build_nbtree(selection.reduced.with_true_labels(), weights, params).dump()
+    for other in (selection.reduced.with_true_labels().with_uniform_weights(),
+                  selection.reduced):
+        assert got != build_nbtree(other, weights, params).dump()
 
 
 @pytest.mark.parametrize("bend", ["random-weights", "rolled-labels"])

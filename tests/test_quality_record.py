@@ -30,6 +30,7 @@ def test_flags_give_the_cli_config():
     (["--seed", "3"], "seed"),
     (["--no-baselines"], "baselines"),
     (["--no-such-flag"], "--no-such-flag"),
+    (["--train-on-relabeled"], "--train-on-relabeled"),
 ])
 def test_bad_or_fixed_flags_raise_naming_the_setting(flags, key):
     with pytest.raises(ConfigError, match=key):
