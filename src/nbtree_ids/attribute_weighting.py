@@ -206,9 +206,9 @@ def update_example_weights(
 ) -> WeightedDataset:
     """Set each example's weight to its highest normalised posterior.
 
-    With ``relabel`` on (the default) the example's working label also
-    becomes the argmax class; the labels assigned at load time stay
-    available as ``dataset.true_labels`` so evaluation is never polluted.
+    With ``relabel`` on (the default) the example's label also becomes
+    the argmax class. The result is the weighting pass's working copy;
+    ``dataset`` keeps its own labels.
     """
     post = model.posteriors_dataset(dataset)
     new_weights = post.max(axis=1)
@@ -240,8 +240,8 @@ class SelectionParams:
 
 @dataclass
 class SelectionResult:
-    """One attribute-weighting run: its weights, the reduced working
-    dataset and the weighting tree. Its audit record reads them."""
+    """One attribute-weighting run: its weights, the reduced dataset and
+    the weighting tree. Its audit record reads them."""
 
     weights: AttributeWeights
     reduced: WeightedDataset
@@ -282,9 +282,10 @@ def select_attributes(
 ) -> SelectionResult:
     """Run the whole weighting procedure and drop zero-weight attributes.
 
-    The returned reduced dataset carries the posterior-updated weights and
-    (when relabeling is on) the relabeled working labels; callers that
-    need the load-time labels take ``reduced.with_true_labels()``.
+    The later iterations and the weighting tree read the working copy's
+    labels, which relabeling may change; ``relabeled_count`` counts the
+    rows where they differ from ``dataset``'s. The returned reduced
+    dataset carries the posterior weights and ``dataset``'s own labels.
     """
     params = params or SelectionParams()
     if dataset.n == 0:
@@ -305,8 +306,8 @@ def select_attributes(
             "dropped; lower min_leaf_examples, raise max_depth, or check that "
             "the data is not single-class"
         )
-    reduced = project_attributes(work, kept)
-    relabeled = int(np.count_nonzero(work.labels != work.true_labels))
+    reduced = project_attributes(dataset.with_weights(work.weights), kept)
+    relabeled = int(np.count_nonzero(work.labels != dataset.labels))
     stats = {"relabeled": relabeled, "tree_nodes": tree.node_count(),
              "tree_depth": max(node.depth for node in iter_nodes(tree.root)), "kept": len(kept),
              "select_s": time.perf_counter() - start}

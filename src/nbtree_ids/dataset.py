@@ -37,7 +37,7 @@ DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
 # lines per block: a line the C reader cannot read sends its block to the
-# split-and-convert path, and the reader's str columns stay near 1 MB
+# split-and-convert path, and the reader's symbol columns stay small
 _CHUNK_LINES = 1024
 # a record file is read in ranges of at least this many bytes, one process
 # each: a second process and the pass that cuts the file cost about 5 ms,
@@ -49,10 +49,10 @@ _RANGE_BYTES = 1 << 18
 # heap's trim threshold, and with 1 MiB reads train-small peaked 2.7 MB higher
 _PASS_BYTES = 1 << 16
 _REMAP_ROWS = 1 << 13
-_STR_WIDTH = 32  # chars (bytes, in an ASCII block) the C reader keeps of a symbol or a label
+_STR_WIDTH = 32  # bytes the C reader keeps of a symbol or a label
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # characters the C reader reads otherwise than the reference path: it drops
-# a NUL from the end of a str field, and \x1c-\x1f around a number
+# a NUL from the end of a symbol field, and \x1c-\x1f around a number
 _READER_BLIND = "\0\x1c\x1d\x1e\x1f"
 
 
@@ -184,7 +184,7 @@ class LoadReport:
     reasons: dict[str, int] = field(default_factory=dict)
     extended_domains: dict[str, list[str]] = field(default_factory=dict)
     reader_lines: int = 0  # lines of blocks the C reader read
-    fallback_lines: int = 0  # lines of blocks it raised on, split and converted
+    fallback_lines: int = 0  # lines of blocks it did not read, split and converted
     seconds: float = 0.0
     readers: int = 1  # processes that read the stream
 
@@ -216,12 +216,11 @@ class WeightedDataset:
 
     Discrete columns hold int32 codes into the attribute domain, continuous
     columns hold float64 values. ``labels`` are class indices in schema
-    order; ``true_labels`` preserve the labels assigned at load time even
-    when a downstream step relabels the working copy. ``raw_labels``, when
-    known, is an object array of the raw attack names. ``load_report``
-    describes the load a dataset came from; samples, splits and
-    projections keep it. A derived dataset shares every array it does not
-    replace with its parent, and nothing writes into these arrays.
+    order. ``raw_labels``, when known, is an object array of the raw
+    attack names. ``load_report`` describes the load a dataset came from;
+    samples, splits and projections keep it. A derived dataset shares
+    every array it does not replace with its parent, and nothing writes
+    into these arrays.
     ``rank_memo`` holds one cell per column for ``probability.column_ranks``;
     a derived dataset shares the cells of the columns it keeps, and
     ``take`` starts with empty ones.
@@ -234,7 +233,6 @@ class WeightedDataset:
         labels: np.ndarray,
         weights: np.ndarray,
         raw_labels: Sequence[str] | None = None,
-        true_labels: np.ndarray | None = None,
         source: str | None = None,
         load_report: LoadReport | None = None,
         rank_memo: list[list] | None = None,
@@ -258,7 +256,6 @@ class WeightedDataset:
         self.labels = np.asarray(labels, np.int64)
         self.weights = np.asarray(weights, np.float64)
         self.raw_labels = None if raw_labels is None else np.asarray(raw_labels, dtype=object)
-        self.true_labels = self.labels if true_labels is None else np.asarray(true_labels, np.int64)
         self.source = source
         self.load_report = load_report
         self.rank_memo = [[] for _ in columns] if rank_memo is None else rank_memo
@@ -342,7 +339,6 @@ class WeightedDataset:
             labels=self.labels[rows],
             weights=self.weights[rows],
             raw_labels=self.raw_labels[rows] if self.raw_labels is not None else None,
-            true_labels=self.true_labels[rows],
             rank_memo=None,
         )
 
@@ -354,9 +350,6 @@ class WeightedDataset:
 
     def with_uniform_weights(self) -> "WeightedDataset":
         return self.with_weights(np.full(self.n, 1.0 / self.n))
-
-    def with_true_labels(self) -> "WeightedDataset":
-        return self.with_labels(self.true_labels)
 
 
 # -- record parsing ---------------------------------------------------------
@@ -466,13 +459,13 @@ def load_dataset(
     two ranges are read in this process alone, as one range.
 
     Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
-    each block against the full record dtype, with the symbols and the
-    label as bytes when the block's text is ASCII and as str otherwise; a
-    block it raises on (a wrong field count, or a number it cannot read)
-    is split and converted in Python instead. Each symbol column and the
-    label is coded by binary search in a sorted table of its dict's keys,
-    or by ``dict.get`` for a split block; -1 marks a field that is no key.
-    One verdict then flags each row that
+    each ASCII block against the full record dtype, with the symbols and
+    the label as bytes; a block that is not ASCII, or that the C reader
+    raises on (a wrong field count, or a number it cannot read), is split
+    and converted in Python instead. Each symbol column and the label is
+    coded by binary search in a sorted table of its dict's keys, or by
+    ``dict.get`` for a split block; -1 marks a field that is no key. One
+    verdict then flags each row that
     :func:`parse_record` might judge otherwise: a wrong field count, a
     non-finite number, a label with no class, in strict mode a symbol
     outside its non-empty domain, a symbol as wide as the reader's str
@@ -589,8 +582,8 @@ class _Reader:
         self.n = 0  # rows written to `out`
         self.wrong_count = ["0"] * self.expected  # stands in for a line of the wrong arity
         self.indexes = {**self.sym_index, -1: self.name_code}  # the symbol columns, then the label
-        self.tables = {j: {} for j in self.indexes}  # their key tables, kept by `_codes`
-        self.dtypes = {kind: _reader_dtypes(attrs, kind) for kind in "SU"}
+        self.tables = {j: [] for j in self.indexes}  # their key tables, kept by `_codes`
+        self.record, self.packed = _reader_dtypes(attrs)
         self.src = str(source) if isinstance(source, (str, Path)) else None
         self.at = f"{self.src}: " if self.src else ""
 
@@ -621,14 +614,16 @@ class _Reader:
         """The block's numbers (one row per continuous attribute), its symbol
         columns and labels by column (the label as -1), and the rows the
         reader may have misread: a wrong field count, or a symbol the C
-        reader may have cut to its str width. The C reader reads a symbol
-        as bytes when the block's text is ASCII, else as str; a block it
-        raises on gives lists of str."""
+        reader may have cut to its width. The C reader reads an ASCII
+        block, its symbols as bytes; a block that is not ASCII, or that it
+        raises on, is split and converted, and gives lists of str."""
         m = len(texts)
-        record, packed = self.dtypes["S" if joined.isascii() else "U"]
         try:
-            block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=record)
+            block = (np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=self.record)
+                     if joined.isascii() else None)
         except ValueError:  # a wrong field count or a number the C reader cannot read
+            block = None
+        if block is None:
             self.report.fallback_lines += m
             rows = [f if len(f) == self.expected else self.wrong_count
                     for f in (text.rstrip("\r\n").split(",") for text in texts)]
@@ -637,11 +632,10 @@ class _Reader:
             arity = np.fromiter((f is self.wrong_count for f in rows), bool, m)
             return numbers, {j: list(cols[j]) for j in self.indexes}, arity
         self.report.reader_lines += m
-        block = block.view(packed)
+        block = block.view(self.packed)
         symbols = block["symbols"]
-        # a field may have been cut when its last byte or code point is not NUL
-        last = symbols.view(np.uint8 if symbols.dtype.kind == "S" else np.uint32)
-        cut = last[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
+        # a field may have been cut when its last byte is not NUL
+        cut = symbols.view(np.uint8)[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
         return block["numbers"].T, dict(zip(self.indexes, symbols.T)), cut
 
     def flush(self, chunk: list[tuple[int, str]]) -> None:
@@ -903,16 +897,16 @@ def _range_process(read, k: int, pipe: int) -> NoReturn:
         os._exit(0)
 
 
-def _reader_dtypes(attrs: Sequence[AttributeSpec], kind: str) -> tuple[np.dtype, np.dtype]:
+def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
     """The C reader's record dtype, one field per record field in line
-    order, with the symbols and the label as ``kind`` (``S``, bytes, or
-    ``U``, str) ``_STR_WIDTH`` wide; and a view of the same bytes as one
-    ``numbers`` row and one ``symbols`` row: the numbers are packed first,
-    then the symbols and the label."""
+    order, with the symbols and the label as bytes ``_STR_WIDTH`` wide;
+    and a view of the same bytes as one ``numbers`` row and one
+    ``symbols`` row: the numbers are packed first, then the symbols and
+    the label."""
     kinds = [a.kind for a in attrs] + [DISCRETE]  # the label reads as a symbol
     numbers = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
     symbols = [i for i, kind in enumerate(kinds) if kind == DISCRETE]
-    text = np.dtype(f"{kind}{_STR_WIDTH}")
+    text = np.dtype(f"S{_STR_WIDTH}")
     offset = {i: 8 * k for k, i in enumerate(numbers)}
     offset.update({i: 8 * len(numbers) + text.itemsize * k for k, i in enumerate(symbols)})
     itemsize = 8 * len(numbers) + text.itemsize * len(symbols)
@@ -926,23 +920,21 @@ def _reader_dtypes(attrs: Sequence[AttributeSpec], kind: str) -> tuple[np.dtype,
     return record, packed
 
 
-def _codes(symbols, index: dict, tables: dict) -> np.ndarray:
+def _codes(symbols, index: dict, table: list) -> np.ndarray:
     """The codes of ``symbols`` in ``index``, -1 where a symbol is no key.
-    A list of str is coded by ``dict.get``. A column the C reader read is
-    searched in a sorted table of the keys a field of its dtype can equal,
-    kept in ``tables`` under its dtype kind and rebuilt when ``index`` has
-    grown: a key ending in NUL stays out (the reader drops a field's
-    trailing NULs), and so does a non-ASCII key from a bytes table."""
+    A list of str is coded by ``dict.get``. A bytes column the C reader
+    read is searched in ``table``: the sorted keys a field can equal and
+    their codes, rebuilt when ``index`` has grown. A non-ASCII key stays
+    out, and so does a key ending in NUL (the reader drops a field's
+    trailing NULs)."""
     if isinstance(symbols, list):
         return np.fromiter(map(index.get, symbols, repeat(-1)), np.intp, len(symbols))
-    kind = symbols.dtype.kind
-    if kind not in tables or tables[kind][0] != len(index):
-        held = {s: c for s, c in index.items()
-                if not s.endswith("\0") and (kind == "U" or s.isascii())}
-        keys, codes = np.array(list(held), dtype=kind), np.array(list(held.values()), np.intp)
+    if not table or table[0] != len(index):
+        held = {s: c for s, c in index.items() if s.isascii() and not s.endswith("\0")}
+        keys, codes = np.array(list(held), dtype="S"), np.array(list(held.values()), np.intp)
         order = np.argsort(keys, kind="stable")
-        tables[kind] = len(index), keys[order], codes[order]
-    _, keys, codes = tables[kind]
+        table[:] = len(index), keys[order], codes[order]
+    _, keys, codes = table
     if not len(keys):
         return np.full(len(symbols), -1, np.intp)
     at = np.minimum(np.searchsorted(keys, symbols), len(keys) - 1)

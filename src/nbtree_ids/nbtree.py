@@ -384,7 +384,7 @@ def build_nbtree(
     with no examples become fallback leaves that reuse the parent's model.
     Each node fits its NB model once, with the build's k, and that model
     is the one the check scored. The tree learns from ``train`` as given:
-    its example weights and its working labels.
+    its example weights and its labels.
     """
     if train.n == 0:
         raise TrainingError("cannot build a tree from an empty dataset")

@@ -395,6 +395,7 @@ def test_update_weights_are_max_posteriors():
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(12)]
     ds = WeightedDataset.from_rows(schema, rows, labels)
+    loaded = ds.labels.copy()
     model = fit_naive_bayes(ds, k=1.0)
     updated = update_example_weights(ds, model, relabel=True)
     k_eff = 1.0 * ds.total_weight / ds.n
@@ -407,7 +408,7 @@ def test_update_weights_are_max_posteriors():
         assert updated.schema.class_names[updated.labels[i]] == oracles.argmax_class(
             posts[i], ("A", "B")
         )
-    np.testing.assert_array_equal(updated.true_labels, ds.labels)
+    np.testing.assert_array_equal(ds.labels, loaded)   # the input keeps its labels
 
 
 def test_update_weights_separable_k0():
@@ -445,6 +446,18 @@ def test_select_attributes_recovers_informative_features():
         assert weights[name] == 0.0
     assert set(result.reduced.schema.attribute_names) == {f"inf{i}" for i in range(5)}
     assert result.reduced.n == ds.n
+
+
+def test_selection_keeps_input_labels_and_posterior_weights():
+    # the pass relabels rows of this set, but only its own working copy
+    ds = synth.make_majority_dataset(seed=3, n=600)
+    params = SelectionParams()
+    result = select_attributes(ds, params)
+    assert result.relabeled_count > 0
+    np.testing.assert_array_equal(result.reduced.labels, ds.labels)
+    plain = ds.with_uniform_weights()
+    post = fit_naive_bayes(plain, k=params.smoothing_k, bins=params.bins).posteriors_dataset(plain)
+    np.testing.assert_array_equal(result.reduced.weights, post.max(axis=1))
 
 
 def test_select_single_attribute_dataset():

@@ -433,12 +433,13 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     assert report.reasons == Counter(reason for _, reason in skipped)
     assert len(skipped) == 9  # every edit but the two long labels
     assert report.extended_domains == {}
-    assert report.fallback_lines == 2 * block
-    assert report.reader_lines == len(lines) - 2 * block
+    # block 0 holds an undecodable byte, so it is no ASCII block
+    assert report.fallback_lines == 3 * block
+    assert report.reader_lines == len(lines) - 3 * block
 
 
 # symbols next to each other in sort order or prefixes of one another, one
-# as wide as the reader's str field, a latin-1 one, one above U+00FF, and
+# as wide as the reader's symbol field, a latin-1 one, one above U+00FF, and
 # one ending in NUL, which the reader reads as "tcp"
 LOOKUP_SYMBOLS = ["a", "a ", "ab", "b", "tc", "tcp", "tcpa", "s" * dataset_module._STR_WIDTH,
                   "é", "中", "tcp\0"]
@@ -486,10 +487,10 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
         expected = None
     real_codes = dataset_module._codes
 
-    def checked_codes(symbols, index, tables):
+    def checked_codes(symbols, index, table):
         # a lookup that misses still codes its row right, through the dict
         # path, so every call is held to dict.get on the symbols as read
-        got = real_codes(symbols, index, tables)
+        got = real_codes(symbols, index, table)
         read = symbols if isinstance(symbols, list) else symbols.tolist()
         read = [s.decode() if isinstance(s, bytes) else s for s in read]
         assert got.tolist() == [index.get(s, -1) for s in read]
@@ -512,15 +513,18 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
     assert ds.load_report.skipped_lines == [ln for ln, _ in skipped]
     extended = domains["fixed"][len(LOOKUP_DOMAIN):]
     assert ds.load_report.extended_domains == ({"fixed": extended} if extended else {})
-    # every line here has its fields and numbers, so no block leaves the C reader
-    assert ds.load_report.fallback_lines == 0
-    assert ds.load_report.reader_lines == len(lines)
+    # every line here has its fields and numbers, so only a block that is not
+    # ASCII is split and converted
+    blocks = [lines[i:i + chunk] for i in range(0, len(lines), chunk)]
+    fallback = sum(len(block) for block in blocks if not "".join(block).isascii())
+    assert ds.load_report.fallback_lines == fallback
+    assert ds.load_report.reader_lines == len(lines) - fallback
 
 
 @pytest.mark.parametrize("symbol, reason", [("é", None), ("中", None),
                                             ("\udce9", "bad-encoding")],
                          ids=["latin-1", "above-ff", "undecodable"])
-def test_non_ascii_line_leaves_its_block_to_the_c_reader(tmp_path, symbol, reason):
+def test_non_ascii_line_sends_its_block_to_split_and_convert(tmp_path, symbol, reason):
     path = tmp_path / "corpus.csv"
     synth.write_kdd_corpus(path, seed=7, scale=0.01)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -530,8 +534,9 @@ def test_non_ascii_line_leaves_its_block_to_the_c_reader(tmp_path, symbol, reaso
     path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
     ds = load_dataset(path, kdd99_schema(), kdd99_taxonomy(), permissive=True)
     report = ds.load_report
-    assert report.fallback_lines == 0
-    assert report.reader_lines == len(lines)
+    block = dataset_module._CHUNK_LINES
+    assert report.fallback_lines == block
+    assert report.reader_lines == len(lines) - block
     if reason is None:
         assert report.extended_domains == {"service": [symbol]}
         assert ds.example(100).values[2] == symbol
@@ -880,7 +885,7 @@ def test_split_flags_tiny_classes():
 
 def labelled_dataset(labels, n_attributes=2):
     """A dataset of the given class indices (of classes A, B, C) whose
-    columns, true labels and raw labels tell every row apart."""
+    columns and raw labels tell every row apart."""
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     schema = Schema(tuple(AttributeSpec(f"x{j}", "continuous") for j in range(n_attributes)),
@@ -889,12 +894,12 @@ def labelled_dataset(labels, n_attributes=2):
     return WeightedDataset(
         schema, [rng.random(n) for _ in range(n_attributes)], labels, np.full(n, 1.0),
         raw_labels=np.array([f"r{i}" for i in range(n)], dtype=object),
-        true_labels=(labels + 1) % 3, source="mix.csv", load_report=LoadReport(n_loaded=n),
+        source="mix.csv", load_report=LoadReport(n_loaded=n),
     )
 
 
 def _arrays(ds):
-    return [*ds.columns, ds.labels, ds.true_labels, ds.raw_labels, ds.weights]
+    return [*ds.columns, ds.labels, ds.raw_labels, ds.weights]
 
 
 def _drawn(draw):
@@ -939,9 +944,9 @@ def test_sample_holds_only_its_rows():
 def test_derived_datasets_share_their_parents_arrays():
     ds = two_class_dataset(5)
     reweighted = ds.with_weights(np.full(ds.n, 0.5))
-    assert reweighted.labels is ds.labels and reweighted.true_labels is ds.true_labels
-    assert reweighted.raw_labels is ds.raw_labels and reweighted.columns is ds.columns
-    assert ds.with_true_labels().weights is ds.weights
+    assert reweighted.labels is ds.labels and reweighted.raw_labels is ds.raw_labels
+    assert reweighted.columns is ds.columns
+    assert ds.with_labels(np.zeros(ds.n, int)).weights is ds.weights
 
 
 # -- schema / taxonomy files -------------------------------------------------------------

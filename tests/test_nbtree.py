@@ -766,7 +766,7 @@ def test_split_search_scores_only_the_best_cuts(tmp_path):
     synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
     selection, models = train_models(load_dataset(corpus, kdd99_schema(), kdd99_taxonomy()))
     stats = models["proposed-nbtree"].build_stats
-    train = selection.reduced.with_true_labels()   # what train_models builds on
+    train = selection.reduced   # what train_models builds on
     ctx = _CountingContext(train, selection.weights.as_array(train.schema.attribute_names))
     grow_tree(train, ctx.split_of)
     assert ctx.stats == {key: v for key, v in stats.items() if key != "build_s"}

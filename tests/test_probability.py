@@ -309,7 +309,7 @@ def test_each_column_is_ranked_once_and_shared_only_where_kept():
     ranked = column_ranks(ds, 0)
     assert column_ranks(ds, 0) is ranked
     for derived in (ds.with_weights(np.full(40, 2.0)), ds.with_labels(np.zeros(40, int)),
-                    ds.with_uniform_weights(), ds.with_true_labels()):
+                    ds.with_uniform_weights()):
         assert column_ranks(derived, 0) is ranked
     assert not ds.rank_memo[2]   # not yet asked for
     projected = project_attributes(ds, ["y", "x"])
