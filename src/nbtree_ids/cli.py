@@ -280,9 +280,9 @@ def _schema_and_taxonomy(config: RunConfig):
 
 
 def _peak_rss_mb() -> float:
-    """The peak resident set size so far of this process or of any range
-    process it waited for (one that read or scored a range of a record
-    file), in MB (Linux counts KiB)."""
+    """The peak resident set size so far of this process or of any worker
+    it waited for (one that read or scored a range of a record file,
+    searched a node or fitted baselines), in MB (Linux counts KiB)."""
     return max(resource.getrusage(who).ru_maxrss
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
 

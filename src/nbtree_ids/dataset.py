@@ -501,7 +501,7 @@ def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadRe
     """``fn(batches)`` of each range of a record stream, in file order.
     The ranges are :func:`load_dataset`'s, and so are the parser, the
     verdict and the errors. This process maps the first range and a forked
-    process each other one (:func:`_fork_ranges`), so each other result
+    process each other one (:func:`fork_map`), so each other result
     comes back pickled. ``batches`` iterates over the range's uniformly
     weighted batches of ``rows`` examples or more, in file order, the last
     maybe fewer, each on the symbol domains read so far in its range
@@ -531,7 +531,8 @@ def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadRe
             for _ in batches:
                 pass
 
-    results = _fork_ranges(reader.src, ranges, map_range)
+    results = fork_map(f"cannot read record file {reader.src}", len(ranges), map_range,
+                       DataFormatError)
     longest = max(part.seconds for _, part in results)
     for _, part in results[1:]:
         report.add(part)
@@ -729,12 +730,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _max_processes() -> int:
+    """The most processes a :func:`fork_map` may use: one per usable CPU
+    on a host with ``os.fork``, else one."""
+    return _usable_cpus() if hasattr(os, "fork") else 1
+
+
 def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
     """The ranges of the record file ``path`` that a read takes, one
     process each: ``(first byte, first line number, lines)`` each. There
-    are at most one per usable CPU, each at least ``_RANGE_BYTES`` long;
-    a file too small for two, or one that cannot be read, is one range,
-    ``(0, 1, None)``.
+    are at most :func:`_max_processes`, each at least ``_RANGE_BYTES``
+    long; a file too small for two, or one that cannot be read, is one
+    range, ``(0, 1, None)``.
 
     Line breaks are counted as text mode reads them: ``\\n``, ``\\r`` and
     ``\\r\\n`` once each. A cut is the end of the first block at or past
@@ -744,7 +751,7 @@ def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
     read does. ``lines`` bounds the rows the range can keep."""
     try:
         size = os.path.getsize(path)
-        readers = min(_usable_cpus(), size // _RANGE_BYTES)
+        readers = min(_max_processes(), size // _RANGE_BYTES)
         if readers < 2:
             return [(0, 1, None)]
         cuts = []  # (byte, line breaks before it) of each range after the first
@@ -782,8 +789,8 @@ def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
 
 def _ranges(source) -> list[tuple[int, int, int | None]]:
     """The ranges a read of ``source`` takes, one process each: a record
-    file's :func:`_byte_ranges` on a host with ``os.fork``, else one."""
-    if isinstance(source, (str, Path)) and hasattr(os, "fork"):
+    file's :func:`_byte_ranges`, else one."""
+    if isinstance(source, (str, Path)):
         return _byte_ranges(source)
     return [(0, 1, None)]
 
@@ -792,7 +799,7 @@ def _read_ranges(reader: _Reader, path, ranges: list[tuple[int, int, int]]
                  ) -> WeightedDataset | None:
     """Read ``ranges`` of the file ``path`` through ``reader``'s block
     loop into anonymous shared maps sized by the ranges' lines, each range
-    in its own process (:func:`_fork_ranges`). Then merge the ranges in
+    in its own process (:func:`fork_map`). Then merge the ranges in
     file order: a later range's symbol codes are translated into the
     first-appearance order of the whole file, and its rows moved up past
     the lines earlier ranges did not keep. The dataset, or None when no
@@ -813,7 +820,8 @@ def _read_ranges(reader: _Reader, path, ranges: list[tuple[int, int, int]]
         reader.report.n_loaded += reader.n
         return [list(reader.sym_index[j]) for j in reader.disc_idx], reader.report
 
-    (_, report), *parts = _fork_ranges(path, ranges, read)
+    (_, report), *parts = fork_map(f"cannot read record file {path}", len(ranges), read,
+                                   DataFormatError)
     n = report.n_loaded
     for (keys, part), row in zip(parts, rows[1:]):
         kept = part.n_loaded
@@ -834,44 +842,44 @@ def _read_ranges(reader: _Reader, path, ranges: list[tuple[int, int, int]]
     return reader.dataset([col[:n] for col in columns], codes[:n]) if n else None
 
 
-def _fork_ranges(path, ranges: list, read) -> list:
-    """``read(k)`` of each range ``k`` of ``ranges`` of the file ``path``,
-    in file order: the first range's in this process, each other's in a
-    forked process (:func:`_range_process`), which sends it back pickled
-    through a pipe. Raises the error of the earliest range that failed,
-    and reaps every range process, killing any still running, on every
-    way out.
+def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
+    """``[fn(0), ..., fn(n - 1)]``: ``fn(0)`` in this process, each other
+    in a forked process (:func:`_worker`), which sends its result back
+    pickled through a pipe. Raises the error of the earliest item that
+    failed, with its type and message, and reaps every worker, killing any
+    still running, on every way out; a worker that ends without a result
+    raises ``error``, naming ``what``.
 
-    The range processes are forked, not spawned, so that they share what
-    this process holds (the maps a load writes into, the models an eval
-    scores) and need nothing pickled but their results. numpy's BLAS
-    threads are already running then, so a range process calls no BLAS:
-    reading, coding and scoring use none."""
-    workers = []  # (pid, result pipe) per range after the first
+    The workers are forked, not spawned, so that they share what this
+    process holds (the maps a load writes into, the models an eval scores,
+    a training set and a node's rows) and need nothing pickled but their
+    results. numpy's BLAS threads are already running then, so a worker
+    calls no BLAS: reading, coding, scoring, fitting and cross-validating
+    use none."""
+    workers = []  # (pid, result pipe) per item after the first
     try:
-        for k in range(1, len(ranges)):
+        for k in range(1, n):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-                if pid == 0:  # a range process, which never leaves _range_process
-                    _range_process(read, k, write_end)
+                if pid == 0:  # a worker, which never leaves _worker
+                    _worker(fn, k, write_end)
             except OSError:
                 os.close(read_end)
                 raise
             finally:
                 os.close(write_end)
             workers.append((pid, os.fdopen(read_end, "rb")))
-        results = [read(0)]
+        results = [fn(0)]
         for pid, pipe in workers:
             result = pipe.read()
             if not result:
-                raise DataFormatError(f"cannot read record file {path}: "
-                                      f"its range process {pid} ended without a result")
+                raise error(f"{what}: worker process {pid} ended without a result")
             kind, *value = pickle.loads(result)
             if kind == "error":
-                error, message, reason = value
-                raise (error(message, reason=reason) if issubclass(error, DataFormatError)
-                       else error(message)) from None
+                raised, message, reason = value
+                raise (raised(message, reason=reason) if issubclass(raised, DataFormatError)
+                       else raised(message)) from None
             results += value
     finally:
         for pid, pipe in workers:
@@ -881,13 +889,13 @@ def _fork_ranges(path, ranges: list, read) -> list:
     return results
 
 
-def _range_process(read, k: int, pipe: int) -> NoReturn:
-    """A range process: write to the fd ``pipe`` ``read(k)``, or the error
-    it raised, pickled; and end with ``os._exit``, so no exit handler runs
-    and no inherited buffer is flushed."""
+def _worker(fn, k: int, pipe: int) -> NoReturn:
+    """A worker of :func:`fork_map`: write to the fd ``pipe`` ``fn(k)``,
+    or the error it raised, pickled; and end with ``os._exit``, so no exit
+    handler runs and no inherited buffer is flushed."""
     try:
         try:
-            result = ("ok", read(k))
+            result = ("ok", fn(k))
         except BaseException as exc:  # reported to the parent, which raises it
             result = ("error", type(exc), str(exc), getattr(exc, "reason", None))
         result = pickle.dumps(result)

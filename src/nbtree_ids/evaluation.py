@@ -24,10 +24,11 @@ from .attribute_weighting import (
     build_weighted_tree,
     select_attributes,
 )
+from . import dataset as _dataset
 from .dataset import WeightedDataset, project_attributes
 from .exceptions import EvaluationError, NbtreeIdsError, SchemaError, TrainingError
 from .nbtree import NBTreeParams, build_nbtree
-from .probability import fit_naive_bayes
+from .probability import column_ranks, fit_naive_bayes
 
 
 @dataclass
@@ -270,7 +271,13 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
 
     The NB-tree trains on ``selection.reduced``: the posterior weights
     over the reduced attributes, with the load-time labels. Baselines
-    train on ``train`` with uniform weights.
+    train on ``train`` with uniform weights. With more than one usable
+    CPU, a forked process (``dataset.fork_map``) fits the full baselines
+    while this one runs the weighting pass and builds the NB-tree, so
+    their seconds overlap; the reduced baselines follow here, as they need
+    the kept attributes. Models and their order do not depend on it, and
+    the weighting pass's or the NB-tree's error is raised before the full
+    baselines'.
     Returns (selection result, ordered {model_id: model}). An unexpected
     failure is raised as :class:`TrainingError`.
     """
@@ -285,25 +292,47 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
 
 def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dict):
     params = config.selection
-    selection = select_attributes(train, params)
-    kept = selection.weights.kept_names()
-    nbt = build_nbtree(selection.reduced, selection.weights.as_array(kept), config.nbtree)
-    nbt.model_id = "proposed-nbtree"
-    models: dict[str, object] = {"proposed-nbtree": nbt}
+    plain = train.with_uniform_weights()
 
+    def baselines(suffix: str, ds: WeightedDataset):
+        """The NB and gain-tree baselines on ``ds``, and their seconds."""
+        start = time.perf_counter()
+        nb = fit_naive_bayes(ds, k=params.smoothing_k, bins=params.bins)
+        nb.model_id = f"nb-{suffix}"
+        fitted = time.perf_counter()
+        tree = build_weighted_tree(ds, max_depth=params.max_depth,
+                                   min_leaf_examples=params.min_leaf_examples)
+        tree.model_id = f"tree-{suffix}"
+        return ({nb.model_id: nb, tree.model_id: tree},
+                {nb.model_id: fitted - start, tree.model_id: time.perf_counter() - fitted})
+
+    def proposed():
+        selection = select_attributes(train, params)
+        nbt = build_nbtree(selection.reduced,
+                           selection.weights.as_array(selection.weights.kept_names()),
+                           config.nbtree)
+        nbt.model_id = "proposed-nbtree"
+        return selection, nbt
+
+    # sort each continuous column once, as the weighting pass's first fit
+    # would, so that a process forked now shares the sorts
+    for j, spec in enumerate(train.schema.attributes):
+        if not spec.is_discrete:
+            column_ranks(train, j)
+    # the full baselines need no selection: another process fits them meanwhile
+    if config.baselines and _dataset._max_processes() > 1:
+        (selection, nbt), full = _dataset.fork_map(
+            "full baselines", 2, lambda k: baselines("full", plain) if k else proposed(),
+            TrainingError)
+    else:
+        selection, nbt = proposed()
+        full = baselines("full", plain) if config.baselines else None
+    models: dict[str, object] = {"proposed-nbtree": nbt}
     if config.baselines:
-        plain = train.with_uniform_weights()
-        for suffix, ds in (("full", plain), ("reduced", project_attributes(plain, kept))):
-            start = time.perf_counter()
-            nb = fit_naive_bayes(ds, k=params.smoothing_k, bins=params.bins)
-            nb.model_id = f"nb-{suffix}"
-            fitted = time.perf_counter()
-            tree = build_weighted_tree(ds, max_depth=params.max_depth,
-                                       min_leaf_examples=params.min_leaf_examples)
-            tree.model_id = f"tree-{suffix}"
-            models.update({nb.model_id: nb, tree.model_id: tree})
-            seconds.update({nb.model_id: fitted - start,
-                            tree.model_id: time.perf_counter() - fitted})
+        reduced = baselines("reduced", project_attributes(plain, selection.weights.kept_names()))
+        for part, part_seconds in (full, reduced):
+            models.update(part)
+            seconds.update(part_seconds)
     return selection, models
 
 

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 
 import synth
 from nbtree_ids import cli, evaluation
+from nbtree_ids import nbtree as nbtree_module
 from nbtree_ids import dataset as dataset_module
 from nbtree_ids.attribute_weighting import SelectionParams
 from nbtree_ids.cli import RunConfig, _load_config, build_parser, load_model_file, main
 from nbtree_ids.dataset import class_counts, load_dataset
 from nbtree_ids.evaluation import ComparisonConfig, evaluate, train_models
-from nbtree_ids.exceptions import DataFormatError
+from nbtree_ids.exceptions import DataFormatError, TrainingError
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import NBTreeParams
 from nbtree_ids.probability import NaiveBayesModel
@@ -965,6 +966,79 @@ def test_no_scorer_process_outlives_an_eval(toy_models, monkeypatch):
         run_eval()
     assert len(os.listdir("/proc/self/fd")) == open_fds
     no_process_left()
+
+
+def test_no_build_or_baseline_process_outlives_a_train(tmp_path, monkeypatch):
+    def no_process_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def run_train():
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--train", str(corpus), "--out", str(out)])
+        return code, err.getvalue()
+
+    corpus, out = tmp_path / "kdd.csv", tmp_path / "out"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
+    monkeypatch.setattr(nbtree_module, "_SEARCH_ROWS", 0)
+    # one usable CPU: nothing is forked
+    with monkeypatch.context() as mp:
+        mp.setattr(dataset_module, "_usable_cpus", lambda: 1)
+        mp.setattr(dataset_module.os, "fork", None)
+        assert run_train() == (0, "")
+    assert json.loads((run_dir(out) / "run_info.json").read_text())["nbtree"]["processes"] == 1
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 2)
+    no_process_left()
+    assert run_train() == (0, "")
+    assert json.loads((run_dir(out) / "run_info.json").read_text())["nbtree"]["processes"] == 2
+    no_process_left()
+
+    # a search process that raises or dies, a baseline process that fails
+    # alone or while the weighting pass fails too: the weighting pass's
+    # error wins, as the earliest item's
+    parent = os.getpid()
+    search, fit, select = (nbtree_module._BuildContext.cut_utility, evaluation.fit_naive_bayes,
+                           evaluation.select_attributes)
+
+    def in_child(fault, fn):
+        def patched(*args, **kwargs):
+            if os.getpid() != parent:
+                fault()
+            return fn(*args, **kwargs)
+        return patched
+
+    def raise_(message):
+        def fault():
+            raise TrainingError(message)
+        return fault
+
+    def weighting_fails(*args, **kwargs):
+        select(*args, **kwargs)
+        raise TrainingError("the weighting pass failed")
+
+    for patches, want in (
+            ([(nbtree_module._BuildContext, "cut_utility",
+               in_child(raise_("no room for the split"), search))],
+             "training error: no room for the split\n"),
+            ([(nbtree_module._BuildContext, "cut_utility", in_child(lambda: os._exit(3), search))],
+             "training error: NB-tree split search: worker process "),
+            ([(evaluation, "fit_naive_bayes", in_child(raise_("no room for the baseline"), fit))],
+             "training error: no room for the baseline\n"),
+            ([(evaluation, "fit_naive_bayes", in_child(raise_("no room for the baseline"), fit)),
+              (evaluation, "select_attributes", weighting_fails)],
+             "training error: the weighting pass failed\n"),
+            ([(evaluation, "fit_naive_bayes", in_child(lambda: os._exit(3), fit)),
+              (evaluation, "select_attributes", weighting_fails)],
+             "training error: the weighting pass failed\n")):
+        with monkeypatch.context() as mp:
+            for owner, name, value in patches:
+                mp.setattr(owner, name, value)
+            code, err = run_train()
+        assert code == 3 and err.startswith(want) and "record file" not in err
+        assert not out.exists()
+        no_process_left()
 
 
 # -- compare -----------------------------------------------------------------------

@@ -3,7 +3,11 @@ import pytest
 
 import oracles
 import synth
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
+from nbtree_ids import dataset as dataset_module
+from nbtree_ids import nbtree as nbtree_module
+from nbtree_ids.dataset import (
+    AttributeSpec, Schema, WeightedDataset, load_dataset, project_attributes,
+)
 from nbtree_ids.evaluation import (
     ComparisonConfig,
     ConfusionMatrix,
@@ -16,6 +20,7 @@ from nbtree_ids.evaluation import (
     train_models,
 )
 from nbtree_ids.exceptions import EvaluationError
+from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree
 from nbtree_ids.attribute_weighting import (
     SelectionParams, build_weighted_tree, update_example_weights,
@@ -24,6 +29,7 @@ from nbtree_ids.tree import iter_nodes
 from nbtree_ids.probability import fit_naive_bayes
 
 CLASSES = ("Normal", "Probe", "DoS")
+MODEL_IDS = ("proposed-nbtree", "nb-full", "tree-full", "nb-reduced", "tree-reduced")
 
 
 def confusion(truth, pred):
@@ -255,6 +261,27 @@ def test_baseline_trees_follow_selection_params():
         tree = models[mid]
         assert max(node.depth for node in iter_nodes(tree.root)) <= 2
         assert tree.dump() == build_weighted_tree(plain, max_depth=2).dump()
+
+
+def test_process_count_changes_no_model(tmp_path, monkeypatch):
+    # one CPU trains all five in this process; two fit the full baselines
+    # in a forked process and search every node in two
+    corpus = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
+    train = load_dataset(corpus, kdd99_schema(), kdd99_taxonomy())
+    monkeypatch.setattr(nbtree_module, "_SEARCH_ROWS", 0)
+    documents, seconds = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(dataset_module, "_usable_cpus", lambda cpus=cpus: cpus)
+        seconds[cpus] = {}
+        selection, models = train_models(train, seconds=seconds[cpus])
+        stats = dict(models["proposed-nbtree"].build_stats)
+        assert stats.pop("processes") == cpus and stats.pop("build_s") > 0
+        documents[cpus] = (selection.to_dict(), stats, models["proposed-nbtree"].dump(),
+                           [(mid, m.to_dict()) for mid, m in models.items()])
+    assert documents[2] == documents[1] and documents[1][1]["split_searches"] > 0
+    assert [mid for mid, _ in documents[1][3]] == list(MODEL_IDS)
+    assert list(seconds[2]) == list(seconds[1]) == list(MODEL_IDS[1:])
 
 
 def test_proposed_nbtree_trains_on_posterior_weights_and_load_time_labels():

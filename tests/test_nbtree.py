@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
+from nbtree_ids import dataset as dataset_module
+from nbtree_ids import nbtree as nbtree_module
 from nbtree_ids import tree
 from nbtree_ids.attribute_weighting import SelectionParams, _gain
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, load_dataset
@@ -759,9 +761,11 @@ class _CountingContext(_BuildContext):
         return found
 
 
-def test_split_search_scores_only_the_best_cuts(tmp_path):
+def test_split_search_scores_only_the_best_cuts(tmp_path, monkeypatch):
     # the train pin's corpus, where every continuous attribute the NB-tree
-    # searches has more than _BEST_CUTS cuts at the root
+    # searches has more than _BEST_CUTS cuts at the root; one CPU, so every
+    # search calls split_utility_value in this process, which counts
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 1)
     corpus = tmp_path / "kdd.csv"
     synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
     selection, models = train_models(load_dataset(corpus, kdd99_schema(), kdd99_taxonomy()))
@@ -774,6 +778,46 @@ def test_split_search_scores_only_the_best_cuts(tmp_path):
     assert stats["split_searches"] > 0 and continuous > 0
     assert stats["children_scored"] <= (2 * _BEST_CUTS * continuous * stats["split_searches"]
                                         + ctx.discrete_children)
+
+
+def build_at(ds, attr_w, params, cpus, monkeypatch):
+    """``build_nbtree`` with ``cpus`` usable CPUs and every node searched
+    in up to that many processes."""
+    with monkeypatch.context() as mp:
+        mp.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+        mp.setattr(nbtree_module, "_SEARCH_ROWS", 0)
+        return build_nbtree(ds, attr_w, params)
+
+
+def counters(tree):
+    return {key: v for key, v in tree.build_stats.items() if key not in ("build_s", "processes")}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["discrete", "continuous"]), min_size=1, max_size=4),
+    cpus=st.integers(2, 4),
+    uneven=st.booleans(),
+)
+def test_process_count_changes_no_build(seed, kinds, cpus, uneven, monkeypatch):
+    rng = np.random.default_rng(seed)
+    ds = with_lone_row(random_training(rng, kinds), rng, uneven)
+    attr_w = rng.choice([0.0, 0.4, 1.0], size=len(kinds))
+    params = NBTreeParams(min_split_examples=1.0, max_depth=4)
+    one = build_at(ds, attr_w, params, 1, monkeypatch)
+    many = build_at(ds, attr_w, params, cpus, monkeypatch)
+    assert many.to_dict() == one.to_dict()
+    assert many.dump() == one.dump()
+    assert counters(many) == counters(one)
+    assert one.build_stats["processes"] == 1 and 1 <= many.build_stats["processes"] <= cpus
+
+
+def test_no_attributes_deal_no_unit(monkeypatch):
+    ds = WeightedDataset.from_rows(Schema((), ("A", "B")), [()] * 4, ["A", "A", "B", "A"])
+    tree = build_at(ds, None, NBTreeParams(min_split_examples=1.0), 2, monkeypatch)
+    assert tree.root.is_leaf and tree.build_stats["processes"] == 1
 
 
 # -- fit-time codes against score-time codes ----------------------------------------
