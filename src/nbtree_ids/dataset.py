@@ -20,6 +20,7 @@ import re
 import signal
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
@@ -125,13 +126,16 @@ class Schema:
 
     def structural_hash(self) -> str:
         """Hash over names, kinds and class order (domains excluded, so a
-        permissively extended domain still pairs with the same models)."""
-        doc = {
-            "attributes": [[a.name, a.kind] for a in self.attributes],
-            "classes": list(self.class_names),
-        }
-        raw = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(raw).hexdigest()[:16]
+        permissively extended domain still pairs with the same models),
+        computed once per schema."""
+        if "_hash" not in self.__dict__:
+            doc = {
+                "attributes": [[a.name, a.kind] for a in self.attributes],
+                "classes": list(self.class_names),
+            }
+            raw = json.dumps(doc, sort_keys=True).encode()
+            object.__setattr__(self, "_hash", hashlib.sha256(raw).hexdigest()[:16])
+        return self._hash
 
     def with_domains(self, domains: dict[str, tuple[str, ...]]) -> "Schema":
         attrs = tuple(
@@ -463,7 +467,8 @@ def load_dataset(
     the label as bytes; a block that is not ASCII, or that the C reader
     raises on (a wrong field count, or a number it cannot read), is split
     and converted in Python instead. Each symbol column and the label is
-    coded by binary search in a sorted table of its dict's keys, or by
+    coded in a sorted table of its dict's keys (:func:`_codes`: a field of
+    at most 8 bytes as one ``uint64`` word, a longer one as bytes), or by
     ``dict.get`` for a split block; -1 marks a field that is no key. One
     verdict then flags each row that
     :func:`parse_record` might judge otherwise: a wrong field count, a
@@ -931,22 +936,44 @@ def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
 def _codes(symbols, index: dict, table: list) -> np.ndarray:
     """The codes of ``symbols`` in ``index``, -1 where a symbol is no key.
     A list of str is coded by ``dict.get``. A bytes column the C reader
-    read is searched in ``table``: the sorted keys a field can equal and
-    their codes, rebuilt when ``index`` has grown. A non-ASCII key stays
-    out, and so does a key ending in NUL (the reader drops a field's
-    trailing NULs)."""
+    read is searched in ``table``, the keys a field can equal and their
+    codes, rebuilt when ``index`` has grown: a key of at most 8 bytes as
+    one ``uint64`` word, which a field of at most 8 bytes (its other
+    words zero) equals or not in one comparison, and a longer key as
+    bytes. A non-ASCII key stays out, and so does a key ending in NUL (the
+    reader drops a field's trailing NULs)."""
     if isinstance(symbols, list):
         return np.fromiter(map(index.get, symbols, repeat(-1)), np.intp, len(symbols))
     if not table or table[0] != len(index):
-        held = {s: c for s, c in index.items() if s.isascii() and not s.endswith("\0")}
-        keys, codes = np.array(list(held), dtype="S"), np.array(list(held.values()), np.intp)
-        order = np.argsort(keys, kind="stable")
-        table[:] = len(index), keys[order], codes[order]
-    _, keys, codes = table
+        held = [(s, c) for s, c in index.items() if s.isascii() and not s.endswith("\0")]
+        table[:] = (len(index),
+                    _key_table([(s, c) for s, c in held if len(s) <= 8], "S8", np.uint64),
+                    _key_table([(s, c) for s, c in held if len(s) > 8], "S"))
+    _, short, long = table
+    words = symbols[:, None].view(np.uint64)
+    codes = _search(*short, words[:, 0])
+    wide = np.flatnonzero(reduce(np.bitwise_or, words.T[1:]))
+    if len(wide):
+        codes[wide] = _search(*long, symbols[wide])
+    return codes
+
+
+def _key_table(pairs: list, dtype: str, view=None) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` of (key, code) as their keys, in ``dtype`` seen as
+    ``view``, sorted, and the codes in the same order."""
+    keys = np.array([s for s, _ in pairs], dtype=dtype)
+    keys = keys if view is None else keys.view(view)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.array([c for _, c in pairs], np.intp)[order]
+
+
+def _search(keys: np.ndarray, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The code of each of ``values`` among the sorted ``keys``, -1 where
+    it is no key."""
     if not len(keys):
-        return np.full(len(symbols), -1, np.intp)
-    at = np.minimum(np.searchsorted(keys, symbols), len(keys) - 1)
-    return np.where(keys[at] == symbols, codes[at], -1)
+        return np.full(len(values), -1, np.intp)
+    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return np.where(keys[at] == values, codes[at], -1)
 
 
 def _reader_may_misread(text: str) -> bool:

@@ -26,7 +26,8 @@ example weight; each NB-tree node calls ``fit_codes`` with the tree's k.
 Codes have one layout, one column per attribute: ``fit_naive_bayes`` and
 the NB-tree's nodes bin them (``bin_ranks``), ``fit_codes`` counts them,
 and ``encode_dataset`` yields them one at a time for ``log_scores`` to
-add, so scoring never holds an (n, A) matrix.
+add, so scoring never holds an (n, A) matrix. It codes a continuous
+value by counting the edges it exceeds (``bin_codes``), not by a search.
 
 All scoring runs in the natural-log domain: a class score is log P(C) plus
 the sum of per-attribute log conditionals, each optionally raised to an
@@ -54,6 +55,19 @@ def check_fit_settings(k: float = SMOOTHING_K, bins: int = BINS) -> None:
         raise ValueError(f"smoothing_k must be finite and >= 0, got {k!r}")
     if not bins >= 1:
         raise ValueError(f"bins must be >= 1, got {bins!r}")
+
+
+def bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each of ``values`` under the sorted ``edges``, bin i
+    covering (edges[i-1], edges[i]]: ``len(edges)`` less the edges it does
+    not exceed, which equals ``np.searchsorted(edges, values, side="left")``
+    for every float (NaN above all edges, -0.0 equal to 0.0), one
+    comparison per edge and value, in the smallest dtype that holds
+    ``len(edges)``."""
+    codes = np.full(len(values), len(edges), np.min_scalar_type(len(edges)))
+    for edge in edges:
+        codes -= values <= edge
+    return codes
 
 
 def rank_codes(rank: np.ndarray, n_distinct: int,
@@ -221,13 +235,15 @@ class NaiveBayesModel:
 
     def encode_dataset(self, dataset: WeightedDataset, rows: np.ndarray | slice = slice(None)):
         """Lazily, one attribute at a time, the code column of each model
-        attribute for ``rows`` (default all), aligned to this model's coding."""
+        attribute for ``rows`` (default all), aligned to this model's coding:
+        a continuous value's by ``bin_codes``, a symbol's by its index in
+        the model's domain."""
         if dataset.schema.structural_hash() != self.schema_hash:
             raise SchemaError("dataset schema does not match the model schema")
 
         def column(spec, e, data_spec, col):
             if not spec.is_discrete:
-                return np.searchsorted(e, col[rows], side="left")
+                return bin_codes(col[rows], e)
             model_index = {s: j for j, s in enumerate(spec.domain)}
             trans = np.array([model_index.get(s, -1) for s in data_spec.domain], dtype=np.int64)
             return trans[col[rows]]

@@ -65,15 +65,23 @@ def threshold_candidates(distinct: np.ndarray, rank: np.ndarray,
         levels = np.arange(1, _THRESHOLD_CAP + 1) / (_THRESHOLD_CAP + 1)
         cw = np.cumsum(np.bincount(rank, weights, minlength=distinct.size))
         cw /= cw[-1]
-        cuts = distinct[np.unique(np.searchsorted(cw, levels, side="left"))]
+        cuts = distinct[_distinct(np.searchsorted(cw, levels, side="left"))]
         if cuts.size < 2:
             # weight mass collapsed onto one value: fall back to evenly spaced cuts
-            cuts = np.unique(distinct[np.linspace(0, distinct.size - 1,
+            cuts = _distinct(distinct[np.linspace(0, distinct.size - 1,
                                                   _THRESHOLD_CAP + 1).astype(int)])
     mid = (cuts[1:] + cuts[:-1]) / 2.0
     # the midpoint of two adjacent floats rounds to one of them; cut at the
     # lower one then, so that each cut sends a value to either side
     return np.where(mid < cuts[1:], mid, cuts[:-1])
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, each kept once: what
+    ``np.unique`` gives, without its sort."""
+    keep = np.ones(ascending.size, bool)
+    keep[1:] = ascending[1:] != ascending[:-1]
+    return ascending[keep]
 
 
 def cut_masses(distinct: np.ndarray, rank: np.ndarray, labels: np.ndarray,
@@ -124,7 +132,9 @@ def split_rows(column: np.ndarray, rows: np.ndarray, threshold: float | None,
     if threshold is not None:
         left = goes_left(values, threshold)
         return [rows[left], rows[~left]]
-    order = np.argsort(values, kind="stable")
+    # codes as narrow as the domain allows, which numpy's stable sort sorts
+    # by radix: the same order as the int32 codes give, several times faster
+    order = np.argsort(values.astype(np.min_scalar_type(len(domain) - 1)), kind="stable")
     ends = np.cumsum(np.bincount(values, minlength=len(domain)))
     return np.split(rows[order], ends[:-1])
 

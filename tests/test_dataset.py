@@ -438,14 +438,22 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     assert report.reader_lines == len(lines) - 3 * block
 
 
-# symbols next to each other in sort order or prefixes of one another, one
-# as wide as the reader's symbol field, a latin-1 one, one above U+00FF, and
-# one ending in NUL, which the reader reads as "tcp"
-LOOKUP_SYMBOLS = ["a", "a ", "ab", "b", "tc", "tcp", "tcpa", "s" * dataset_module._STR_WIDTH,
-                  "é", "中", "tcp\0"]
-LOOKUP_DOMAIN = ("tcp", "a", "é", "s" * dataset_module._STR_WIDTH)
-# the label table's neighbours: "norma" and "normal " are no attack names
-LOOKUP_LABELS = ["normal.", "attack", "normal", "attack.", "norma", "normal "]
+# symbols next to each other in sort order or prefixes of one another; of 8
+# bytes (one word of the reader's field) and 9, and one whose first word is
+# an 8-byte symbol's with a NUL at byte 8; one as wide as the reader's symbol
+# field, a latin-1 one, one above U+00FF, and one ending in NUL, which the
+# reader reads as "tcp"
+LOOKUP_SYMBOLS = ["a", "a ", "ab", "b", "tc", "tcp", "tcpa", "tcp_data", "tcp_data1",
+                  "tcp_data\0x", "s" * dataset_module._STR_WIDTH, "é", "中", "tcp\0"]
+LOOKUP_DOMAIN = ("tcp", "a", "é", "tcp_data", "tcp_data1", "s" * dataset_module._STR_WIDTH)
+# the label table's neighbours: "norma", "normal " and "buffer_overfl" are
+# no attack names; "buffer_overflow" is longer than a word
+LOOKUP_LABELS = ["normal.", "attack", "normal", "attack.", "norma", "normal ",
+                 "buffer_overflow.", "buffer_overfl"]
+
+
+def lookup_taxonomy():
+    return parse_taxonomy_text("normal A\nattack B\nbuffer_overflow B\n")
 
 
 def lookup_schema():
@@ -477,8 +485,11 @@ def lookup_lines(in_domain):
 @example(lines=["é,1,é,normal.", "a,2.5,a,attack", "tcp,1," + "s" * 32 + ",normal."],
          chunk=1, permissive=False)
 @example(lines=["a,1,a,normal.", "a,1,b,normal", "a,1,ab,norma"], chunk=1, permissive=False)
+@example(lines=["tcp_data,1,tcp_data\0x,normal.", "tcp_data\0x,1,tcp_data,buffer_overflow.",
+                "tcp_data1,2.5,tcp_data1,buffer_overflow", "tcp_data,1,tcp_data1,attack"],
+         chunk=4, permissive=True)
 def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
-    schema, taxonomy = lookup_schema(), toy_taxonomy()
+    schema, taxonomy = lookup_schema(), lookup_taxonomy()
     try:
         kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive)
     except DataFormatError as exc:

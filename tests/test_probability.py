@@ -15,6 +15,7 @@ from nbtree_ids.exceptions import TrainingError
 from nbtree_ids.nbtree import build_nbtree
 from nbtree_ids.probability import (
     NaiveBayesModel,
+    bin_codes,
     bin_ranks,
     classify_nb,
     column_ranks,
@@ -215,6 +216,30 @@ def test_constant_column_is_single_bin():
 @example(values=[1.5] * 40, bins=10)     # a constant column
 def test_bin_column_equals_quantile_reference(values, bins):
     assert_bins_equal_reference(np.array(values, dtype=np.float64), bins)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_bin_codes_equal_searchsorted(data):
+    """``bin_codes`` equals ``np.searchsorted(edges, v, side="left")`` for
+    0 to 12 strictly increasing edges, on values that hit the edges, NaN,
+    the infinities and both zeros."""
+    if data is None:   # a zero edge of either sign, and every special value
+        edges, values = np.array([-0.0, 1.0]), np.array(_SPECIAL + [1.0, 0.5, -1.0])
+    else:
+        finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+        drawn = data.draw(st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0])),
+                                   max_size=12), label="edges")
+        edges = np.unique(np.array(drawn, dtype=np.float64))   # strictly increasing
+        values = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from(_SPECIAL + edges.tolist()), finite), max_size=40), label="values"),
+            dtype=np.float64)
+    got = bin_codes(values, edges)
+    assert got.tolist() == np.searchsorted(edges, values, side="left").tolist()
 
 
 # -- the one sort of a column and its subsets ---------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nbtree_ids.attribute_weighting import DecisionTree, build_weighted_tree
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree, classify_nbtree
-from nbtree_ids.tree import iter_nodes, route_example, threshold_candidates
+from nbtree_ids.tree import iter_nodes, route_example, split_rows, threshold_candidates
 
 CLASSES = ("A", "B", "C")
 
@@ -163,3 +163,22 @@ def test_threshold_between_adjacent_floats_cuts_between_them():
                         params=NBTreeParams(min_split_examples=1.0))
     cuts = [node for node in iter_nodes(tree.root) if node.threshold is not None]
     assert cuts and all(set(node.children) == {"<=", ">"} for node in cuts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbols=st.sampled_from([1, 256, 257]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(0, 600))
+def test_split_rows_equals_a_wide_stable_sort(symbols, seed, n):
+    """A discrete split's parts, sorted in the narrowest code dtype, equal
+    those of an int64 stable argsort, on domains at and past 8 bits."""
+    rng = np.random.default_rng(seed)
+    column = rng.integers(0, symbols, size=n + 20).astype(np.int32)
+    column[:2] = 0, symbols - 1   # the domain's ends
+    rows = rng.permutation(n + 20)[:n]
+    domain = tuple(f"s{k}" for k in range(symbols))
+    parts = split_rows(column, rows, None, domain)
+    values = column[rows].astype(np.int64)
+    ordered = rows[np.argsort(values, kind="stable")]
+    want = np.split(ordered, np.cumsum(np.bincount(values, minlength=symbols))[:-1])
+    assert len(parts) == symbols
+    assert all(np.array_equal(got, w) for got, w in zip(parts, want))
