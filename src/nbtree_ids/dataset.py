@@ -170,6 +170,8 @@ class Example:
     raw attack name it came from, and a non-negative weight.
 
     ``parse_record`` leaves the weight at 0; ``load_dataset`` assigns 1/n.
+    A dataset keeps no raw names, so ``WeightedDataset.example`` gives the
+    class name as ``raw_label``.
     """
 
     values: tuple
@@ -220,8 +222,7 @@ class WeightedDataset:
 
     Discrete columns hold int32 codes into the attribute domain, continuous
     columns hold float64 values. ``labels`` are class indices in schema
-    order. ``raw_labels``, when known, is an object array of the raw
-    attack names. ``load_report`` describes the load a dataset came from;
+    order. ``load_report`` describes the load a dataset came from;
     samples, splits and projections keep it. A derived dataset shares
     every array it does not replace with its parent, and nothing writes
     into these arrays.
@@ -236,7 +237,6 @@ class WeightedDataset:
         columns: list[np.ndarray],
         labels: np.ndarray,
         weights: np.ndarray,
-        raw_labels: Sequence[str] | None = None,
         source: str | None = None,
         load_report: LoadReport | None = None,
         rank_memo: list[list] | None = None,
@@ -259,7 +259,6 @@ class WeightedDataset:
         self.columns = columns
         self.labels = np.asarray(labels, np.int64)
         self.weights = np.asarray(weights, np.float64)
-        self.raw_labels = None if raw_labels is None else np.asarray(raw_labels, dtype=object)
         self.source = source
         self.load_report = load_report
         self.rank_memo = [[] for _ in columns] if rank_memo is None else rank_memo
@@ -306,7 +305,7 @@ class WeightedDataset:
             w = np.full(n, 1.0 / n)
         else:
             w = np.asarray(weights, dtype=np.float64)
-        return cls(schema, cols, lab, w, raw_labels=list(labels), source=source)
+        return cls(schema, cols, lab, w, source=source)
 
     # -- basic views -------------------------------------------------------
 
@@ -322,8 +321,8 @@ class WeightedDataset:
         values = []
         for spec, col in zip(self.schema.attributes, self.columns):
             values.append(spec.domain[col[i]] if spec.is_discrete else float(col[i]))
-        raw = self.raw_labels[i] if self.raw_labels is not None else self.schema.class_names[self.labels[i]]
-        return Example(tuple(values), self.schema.class_names[self.labels[i]], raw, float(self.weights[i]))
+        label = self.schema.class_names[self.labels[i]]
+        return Example(tuple(values), label, label, float(self.weights[i]))
 
     @property
     def dataset_id(self) -> str:
@@ -342,7 +341,6 @@ class WeightedDataset:
             columns=[col[rows] for col in self.columns],
             labels=self.labels[rows],
             weights=self.weights[rows],
-            raw_labels=self.raw_labels[rows] if self.raw_labels is not None else None,
             rank_memo=None,
         )
 
@@ -452,15 +450,14 @@ def load_dataset(
     """Ingest a record stream (a path or any iterable of lines) and return
     a uniformly weighted dataset, whose report is ``load_report``.
 
-    A record file is cut into line-aligned byte ranges
-    (:func:`_byte_ranges`): one per usable CPU, each at least
-    ``_RANGE_BYTES`` long. This process reads the first range and a forked
-    process each other one, all into columns shared with this one
-    (:func:`_read_ranges`), and the ranges are merged in file order into
-    what a one-range read gives: the dataset, its domains and its report
-    (but ``readers`` and ``seconds``) do not depend on the ranges. An
-    iterable of lines, a host without ``os.fork`` and a file too small for
-    two ranges are read in this process alone, as one range.
+    Each range of :func:`_map_ranges` is read as one batch into anonymous
+    maps shared with its process, one per column and one for the label
+    codes, sized by every range's bound: a range's rows start where the
+    previous range's bound ends. The ranges are then merged in stream
+    order: a later range's symbol codes are translated into the
+    first-appearance order of the whole stream, and its rows moved up past
+    those earlier ranges did not keep. So the dataset, its domains and its
+    report (but ``readers`` and ``seconds``) do not depend on the ranges.
 
     Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
     each ASCII block against the full record dtype, with the symbols and
@@ -488,48 +485,91 @@ def load_dataset(
     extend the attribute domain in permissive mode, and define it in
     either mode when the schema domain is empty.
     """
-    start = time.perf_counter()
-    report = LoadReport()
-    reader = _Reader(schema, taxonomy, report, permissive, source)
-    ranges = _ranges(source)
-    if len(ranges) > 1:
-        dataset = _read_ranges(reader, source, ranges)
-    else:
-        dataset = next(reader.batches(_iter_lines(source), 1, math.inf), None)
-    report.seconds = time.perf_counter() - start
-    _check_kept(report, reader.at)
-    return dataset
+    reader = _Reader(schema, taxonomy, LoadReport(), permissive, source)
+    maps, starts = [], []
+
+    def shared(bounds):
+        total = sum(bounds)
+        maps[:] = [np.frombuffer(mmap.mmap(-1, max(1, total * dtype.itemsize)), dtype, total)
+                   for dtype in reader.dtypes]  # each freed with its last view
+        starts[:] = np.cumsum([0, *bounds]).tolist()
+        return lambda k, _: [arr[starts[k]:starts[k + 1]] for arr in maps]
+
+    def keys(batches):
+        for _ in batches:
+            pass
+        return reader.report.n_loaded, [list(reader.sym_index[j]) for j in reader.disc_idx]
+
+    (n, _), *parts = _map_ranges(reader, source, keys, None, shared)
+    for (kept, range_keys), row in zip(parts, starts[1:]):
+        for j, symbols in zip(reader.disc_idx, range_keys):
+            index = reader.sym_index[j]
+            code = np.fromiter((index.setdefault(s, len(index)) for s in symbols),
+                               np.int32, len(symbols))
+            if not np.array_equal(code, np.arange(len(code))):
+                for at in range(row, row + kept, _REMAP_ROWS):
+                    block = slice(at, min(at + _REMAP_ROWS, row + kept))
+                    maps[j][block] = code[maps[j][block]]
+        if row != n:  # an earlier range did not fill its bound
+            for arr in maps:
+                arr[n:n + kept] = arr[row:row + kept]
+        n += kept
+    return reader.dataset([arr[:n] for arr in maps])
 
 
 def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport, fn, *,
-                rows: float, permissive: bool = False) -> list:
-    """``fn(batches)`` of each range of a record stream, in file order.
-    The ranges are :func:`load_dataset`'s, and so are the parser, the
-    verdict and the errors. This process maps the first range and a forked
-    process each other one (:func:`fork_map`), so each other result
-    comes back pickled. ``batches`` iterates over the range's uniformly
-    weighted batches of ``rows`` examples or more, in file order, the last
-    maybe fewer, each on the symbol domains read so far in its range
-    (codes only grow). Once ``fn`` returns or raises, the rest of its range
-    is read: a strict read's bad record in a range is raised before any
-    error of ``fn`` there, and the earliest range's error before a later
-    one's.
-
-    ``report`` counts the whole stream as a one-range read does, but for
-    ``readers``, the ranges, and ``seconds``: the pass that cuts the file
-    and then the longest range's read, leaving out the time a batch is
-    held. A stream that keeps no record raises ``EmptyDatasetError``.
-    """
-    start = time.perf_counter()
-    ranges = _ranges(source)
-    cut = time.perf_counter() - start
+                rows: int, permissive: bool = False) -> list:
+    """``fn(batches)`` of each range of a record stream, in stream order
+    (:func:`_map_ranges`): ``batches`` iterates over the range's uniformly
+    weighted batches of ``rows`` examples or more, the last maybe fewer,
+    each on the symbol domains read so far in its range (codes only grow)
+    and in arrays of its own, so a batch held is never overwritten. The
+    parser, the verdict and the errors are :func:`load_dataset`'s, and
+    ``report`` counts the whole stream."""
     reader = _Reader(schema, taxonomy, report, permissive, source)
 
+    def fresh(_bounds):
+        return lambda _, n: [np.empty(n, dtype) for dtype in reader.dtypes]
+
+    return _map_ranges(reader, source, lambda batches: fn(map(reader.dataset, batches)), rows,
+                       fresh)
+
+
+def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
+    """``fn(batches)`` of each range of the record stream ``source``, in
+    stream order: a file's :func:`_byte_ranges`, or an iterable of lines
+    read as a list, one range bound by its length. This process maps the
+    first range and a forked process each other one (:func:`fork_map`).
+    ``place(bounds)``, called here once the stream is cut, gives
+    ``outputs(k, n)``: range k's outputs for a batch of at most ``n``
+    rows. ``batches`` iterates over the range's batches (the rows written
+    to each output) of ``rows`` examples or more, the last maybe fewer,
+    each in outputs of ``min(bound, rows + _CHUNK_LINES)`` rows; or with
+    ``rows`` None over one batch in outputs of ``bound`` rows. Once ``fn``
+    returns or raises, the rest of its range is read: a strict read's bad
+    record in a range is raised before any error of ``fn`` there, and the
+    earliest range's error before a later one's.
+
+    ``reader.report`` then counts the whole stream as a one-range read
+    does, but for ``readers``, the ranges, and ``seconds``: the cut pass,
+    then the longest range's read, leaving out the time a batch is held. A
+    stream that keeps no record raises ``EmptyDatasetError``."""
+    start = time.perf_counter()
+    if isinstance(source, (str, Path)):
+        ranges = _byte_ranges(source, reader.schema)
+    else:
+        source = list(source)
+        ranges = [(0, 1, None, len(source))]
+    cut = time.perf_counter() - start
+    outputs, report = place([bound for *_, bound in ranges]), reader.report
+
     def map_range(k):
-        byte, first, lines = ranges[k]
+        byte, first, lines, bound = ranges[k]
         if k:
             reader.report = LoadReport()
-        batches = reader.batches(_iter_lines(source, byte, lines), first, rows)
+        n = bound if rows is None else min(bound, rows + _CHUNK_LINES)
+        batches = reader.batches(_iter_lines(source, byte, lines), first, rows,
+                                 lambda: outputs(k, n))
         try:
             return fn(batches), reader.report
         finally:
@@ -538,10 +578,10 @@ def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadRe
 
     results = fork_map(f"cannot read record file {reader.src}", len(ranges), map_range,
                        DataFormatError)
-    longest = max(part.seconds for _, part in results)
     for _, part in results[1:]:
         report.add(part)
-    report.seconds, report.readers = cut + longest, len(ranges)
+    report.seconds = cut + max(part.seconds for _, part in results)
+    report.readers = len(ranges)
     _check_kept(report, reader.at)
     return [result for result, _ in results]
 
@@ -556,12 +596,12 @@ def _check_kept(report: LoadReport, at: str) -> None:
 
 
 class _Reader:
-    """The block loop of :func:`load_dataset` and :func:`map_batches`, over
-    a record stream or one byte range of a file. It writes each block's
-    kept rows into ``out``, one column per attribute and then the label
-    codes (indexes into ``names``), growing them as needed, and counts in
-    ``report``; it raises a strict load's first error, but never
-    ``EmptyDatasetError``.
+    """The block loop of :func:`_map_ranges`, over one range of a record
+    stream at a time. It writes each block's kept rows into ``out``, the
+    outputs it is given for the batch it reads: one array per attribute
+    and then the label codes (indexes into ``names``), of ``dtypes`` and
+    sized before the read. It counts in ``report``, and raises a strict
+    load's first error, but never ``EmptyDatasetError``.
     ``sym_index`` holds one dict per discrete attribute, symbol -> code,
     in first-appearance order."""
 
@@ -580,12 +620,9 @@ class _Reader:
         self.names = [r for r, c in taxonomy.mapping.items()
                       if c in schema.class_names and not r.endswith(".")]
         self.name_code = {r + end: k for k, r in enumerate(self.names) for end in ("", ".")}
-        # one output per attribute, then the label codes; each chunk's kept rows
-        # are copied in and the outputs grow in place, so no per-chunk copies
-        # pile up on the heap to be freed (and kept resident) at the end
-        self.out = [np.empty(0, np.int32 if a.is_discrete else np.float64) for a in attrs]
-        self.out.append(np.empty(0, np.intp))
-        self.n = 0  # rows written to `out`
+        self.dtypes = [np.dtype(np.int32 if a.is_discrete else np.float64) for a in attrs]
+        self.dtypes.append(np.dtype(np.intp))
+        self.out, self.n = [], 0  # the outputs of the batch being read, rows written to them
         self.wrong_count = ["0"] * self.expected  # stands in for a line of the wrong arity
         self.indexes = {**self.sym_index, -1: self.name_code}  # the symbol columns, then the label
         self.tables = {j: [] for j in self.indexes}  # their key tables, kept by `_codes`
@@ -593,28 +630,30 @@ class _Reader:
         self.src = str(source) if isinstance(source, (str, Path)) else None
         self.at = f"{self.src}: " if self.src else ""
 
-    def blocks(self, lines: Iterable[str], first: int = 1) -> Iterator[None]:
+    def batches(self, lines: Iterable[str], first: int, rows: int | None, outputs
+                ) -> Iterator[list[np.ndarray]]:
         """Read ``lines``, the first of them line number ``first``, one
-        block at a time, yielding after each."""
+        block at a time, as batches of ``rows`` examples or more, the last
+        maybe fewer, or with ``rows`` None as one batch; each batch into the
+        outputs that ``outputs()`` gives, and yielded as the rows written
+        to them. The report's ``seconds`` leave out the time a batch is
+        held."""
+        start = time.perf_counter()
+        self.out = outputs()
         numbered = enumerate(lines, start=first)
         while block := list(islice(numbered, _CHUNK_LINES)):
-            chunk = [(ln, text) for ln, text in block if text.strip()]
-            if chunk:
+            if chunk := [(ln, text) for ln, text in block if text.strip()]:
                 self.flush(chunk)
-            yield
-
-    def batches(self, lines: Iterable[str], first: int, rows: float
-                ) -> Iterator[WeightedDataset]:
-        """Read ``lines``, the first of them line number ``first``, as
-        batches of ``rows`` examples or more, the last maybe fewer. The
-        report's ``seconds`` leave out the time a batch is held."""
-        start = time.perf_counter()
-        for _ in self.blocks(lines, first):
-            if self.n >= rows:
-                yield self.take_batch(start)
+            if rows is not None and self.n >= rows:
+                batch = self.take_batch()
+                self.report.seconds += time.perf_counter() - start
+                yield batch
                 start = time.perf_counter()
-        if self.n:
-            yield self.take_batch(start)
+                self.out = outputs()
+        batch = self.take_batch() if self.n else None
+        self.report.seconds += time.perf_counter() - start
+        if batch is not None:
+            yield batch
 
     def read(self, texts: list[str], joined: str):
         """The block's numbers (one row per continuous attribute), its symbol
@@ -691,9 +730,8 @@ class _Reader:
             numbers = numbers[:, keep]
             codes = {j: code[keep] for j, code in codes.items()}
         n, n_kept = self.n, len(codes[-1])
-        if n + n_kept > len(out[-1]):
-            for arr in out:  # no views of `out` outlive a statement
-                arr.resize(max(2 * len(arr), n + n_kept), refcheck=False)
+        if n + n_kept > len(out[-1]):  # more rows than the file's size allows
+            raise DataFormatError(f"{self.at}record file grew while it was read")
         new = slice(n, n + n_kept)
         for j, row in zip(cont_idx, numbers):
             out[j][new] = row
@@ -701,29 +739,24 @@ class _Reader:
             out[j][new] = code
         self.n += n_kept
 
-    def take_batch(self, start: float) -> WeightedDataset:
-        """The rows written so far, as a batch read since ``start``; the
-        outputs start anew."""
-        for arr in self.out:
-            arr.resize(self.n, refcheck=False)
-        *columns, codes = self.out
-        batch = self.dataset(columns, codes)
-        self.out = [np.empty(0, arr.dtype) for arr in self.out]
+    def take_batch(self) -> list[np.ndarray]:
+        """The rows written to ``out``; the reader counts the next from row
+        0."""
+        batch = [arr[:self.n] for arr in self.out]
         self.report.n_loaded, self.n = self.report.n_loaded + self.n, 0
-        self.report.seconds += time.perf_counter() - start
         return batch
 
-    def dataset(self, columns: list[np.ndarray], codes: np.ndarray) -> WeightedDataset:
-        """The uniformly weighted dataset of ``columns`` and label ``codes``,
-        on the symbol domains read so far."""
+    def dataset(self, batch: list[np.ndarray]) -> WeightedDataset:
+        """The uniformly weighted dataset of ``batch``'s columns and label
+        codes, on the symbol domains read so far."""
+        *columns, codes = batch
         schema, n = self.schema, len(codes)
         name_class = np.array([schema.class_index(self.taxonomy.mapping[r]) for r in self.names],
                               dtype=np.int64)
         return WeightedDataset(
             schema.with_domains({self.attrs[j].name: tuple(self.sym_index[j])
                                  for j in self.disc_idx}),
-            columns, name_class[codes], np.full(n, 1.0 / n),
-            raw_labels=np.array(self.names, dtype=object)[codes], source=self.src,
+            columns, name_class[codes], np.full(n, 1.0 / n), source=self.src,
             load_report=self.report)
 
 
@@ -741,24 +774,31 @@ def _max_processes() -> int:
     return _usable_cpus() if hasattr(os, "fork") else 1
 
 
-def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
-    """The ranges of the record file ``path`` that a read takes, one
-    process each: ``(first byte, first line number, lines)`` each. There
+def _byte_ranges(path, schema: Schema) -> list[tuple[int, int, int | None, int]]:
+    """The ranges of the record file ``path`` that a read of ``schema``'s
+    records takes, one process each: ``(first byte, first line number,
+    lines, bound)`` each, ``bound`` the most rows the range can keep. There
     are at most :func:`_max_processes`, each at least ``_RANGE_BYTES``
-    long; a file too small for two, or one that cannot be read, is one
-    range, ``(0, 1, None)``.
+    long, and each bound by its lines. A file too small for two, or one
+    that cannot be read, is one range, ``(0, 1, None, bound)``, read to its
+    end with no pass over it first. A kept record holds a comma per
+    attribute and a character per number, and a line break unless it ends
+    the file, so a file of ``size`` bytes keeps at most ``(size + 1) //
+    (attributes + numbers + 1)`` rows.
 
     Line breaks are counted as text mode reads them: ``\\n``, ``\\r`` and
     ``\\r\\n`` once each. A cut is the end of the first block at or past
     its even share of the file and ``_RANGE_BYTES`` past the previous cut:
     just past the line break that ends a multiple of ``_CHUNK_LINES``
     lines. So every range starts a block, and reads the blocks a one-range
-    read does. ``lines`` bounds the rows the range can keep."""
+    read does."""
+    fewest = schema.n_attributes + sum(not a.is_discrete for a in schema.attributes) + 1
+    size = 0
     try:
         size = os.path.getsize(path)
         readers = min(_max_processes(), size // _RANGE_BYTES)
         if readers < 2:
-            return [(0, 1, None)]
+            return [(0, 1, None, (size + 1) // fewest)]
         cuts = []  # (byte, line breaks before it) of each range after the first
         want = size // readers  # the next cut lies at or past this byte
         pos = breaks = 0
@@ -785,75 +825,22 @@ def _byte_ranges(path) -> list[tuple[int, int, int | None]]:
                         breaks += data.count(b"\r") - data.count(b"\r\n")
                 pos, last = pos + len(data), data[-1:]
     except OSError:  # the one-range read reports it
-        return [(0, 1, None)]
+        return [(0, 1, None, (size + 1) // fewest)]
     breaks += last not in (b"", b"\n", b"\r")  # a last line with no line break
     cuts = [cut for cut in cuts if pos - cut[0] >= _RANGE_BYTES]
     starts, ends = [(0, 0), *cuts], [*cuts, (pos, breaks)]
-    return [(byte, before + 1, after - before) for (byte, before), (_, after) in zip(starts, ends)]
-
-
-def _ranges(source) -> list[tuple[int, int, int | None]]:
-    """The ranges a read of ``source`` takes, one process each: a record
-    file's :func:`_byte_ranges`, else one."""
-    if isinstance(source, (str, Path)):
-        return _byte_ranges(source)
-    return [(0, 1, None)]
-
-
-def _read_ranges(reader: _Reader, path, ranges: list[tuple[int, int, int]]
-                 ) -> WeightedDataset | None:
-    """Read ``ranges`` of the file ``path`` through ``reader``'s block
-    loop into anonymous shared maps sized by the ranges' lines, each range
-    in its own process (:func:`fork_map`). Then merge the ranges in
-    file order: a later range's symbol codes are translated into the
-    first-appearance order of the whole file, and its rows moved up past
-    the lines earlier ranges did not keep. The dataset, or None when no
-    range kept a row."""
-    total = sum(lines for _, _, lines in ranges)
-    # one map per column and one for the label codes, freed with its last view
-    *columns, codes = [np.frombuffer(mmap.mmap(-1, max(1, total * arr.itemsize)), arr.dtype, total)
-                       for arr in reader.out]
-    rows = np.cumsum([0] + [lines for _, _, lines in ranges]).tolist()  # each range's first row
-
-    def read(k):
-        byte, first, lines = ranges[k]
-        if k:
-            reader.report = LoadReport()
-        reader.out = [arr[rows[k]:rows[k] + lines] for arr in (*columns, codes)]
-        for _ in reader.blocks(_iter_lines(path, byte, lines), first):
-            pass
-        reader.report.n_loaded += reader.n
-        return [list(reader.sym_index[j]) for j in reader.disc_idx], reader.report
-
-    (_, report), *parts = fork_map(f"cannot read record file {path}", len(ranges), read,
-                                   DataFormatError)
-    n = report.n_loaded
-    for (keys, part), row in zip(parts, rows[1:]):
-        kept = part.n_loaded
-        for j, range_keys in zip(reader.disc_idx, keys):
-            index = reader.sym_index[j]
-            code = np.fromiter((index.setdefault(s, len(index)) for s in range_keys),
-                               np.int32, len(range_keys))
-            if not np.array_equal(code, np.arange(len(code))):
-                for at in range(row, row + kept, _REMAP_ROWS):
-                    block = slice(at, min(at + _REMAP_ROWS, row + kept))
-                    columns[j][block] = code[columns[j][block]]
-        if row != n:  # an earlier range did not keep all its lines
-            for arr in (*columns, codes):
-                arr[n:n + kept] = arr[row:row + kept]
-        n += kept
-        report.add(part)
-    report.readers = len(ranges)
-    return reader.dataset([col[:n] for col in columns], codes[:n]) if n else None
+    return [(byte, before + 1, after - before, after - before)
+            for (byte, before), (_, after) in zip(starts, ends)]
 
 
 def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
     """``[fn(0), ..., fn(n - 1)]``: ``fn(0)`` in this process, each other
     in a forked process (:func:`_worker`), which sends its result back
-    pickled through a pipe. Raises the error of the earliest item that
-    failed, with its type and message, and reaps every worker, killing any
-    still running, on every way out; a worker that ends without a result
-    raises ``error``, naming ``what``.
+    pickled through a pipe. Raises the exception of the earliest item that
+    failed, as it was raised, and reaps every worker, killing any still
+    running, on every way out. A worker that ends without a result, or
+    whose exception does not pickle, raises ``error`` naming ``what``
+    (and that exception's type and message).
 
     The workers are forked, not spawned, so that they share what this
     process holds (the maps a load writes into, the models an eval scores,
@@ -880,12 +867,15 @@ def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
             result = pipe.read()
             if not result:
                 raise error(f"{what}: worker process {pid} ended without a result")
-            kind, *value = pickle.loads(result)
-            if kind == "error":
-                raised, message, reason = value
-                raise (raised(message, reason=reason) if issubclass(raised, DataFormatError)
-                       else raised(message)) from None
-            results += value
+            kind, value = pickle.loads(result)
+            if kind == "raised":
+                raised, described = value
+                try:
+                    exc = pickle.loads(raised)
+                except Exception:  # it did not pickle, or does not unpickle
+                    exc = error(f"{what}: worker process {pid} raised {described}")
+                raise exc from None
+            results.append(value)
     finally:
         for pid, pipe in workers:
             pipe.close()
@@ -895,15 +885,20 @@ def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
 
 
 def _worker(fn, k: int, pipe: int) -> NoReturn:
-    """A worker of :func:`fork_map`: write to the fd ``pipe`` ``fn(k)``,
-    or the error it raised, pickled; and end with ``os._exit``, so no exit
-    handler runs and no inherited buffer is flushed."""
+    """A worker of :func:`fork_map`: write to the fd ``pipe`` ``fn(k)``
+    pickled, or the exception it raised, pickled (None if it does not
+    pickle), with its type's name and its message; and end with
+    ``os._exit``, so no exit handler runs and no inherited buffer is
+    flushed."""
     try:
         try:
-            result = ("ok", fn(k))
+            result = pickle.dumps(("ok", fn(k)))
         except BaseException as exc:  # reported to the parent, which raises it
-            result = ("error", type(exc), str(exc), getattr(exc, "reason", None))
-        result = pickle.dumps(result)
+            try:
+                raised = pickle.dumps(exc)
+            except Exception:
+                raised = None
+            result = pickle.dumps(("raised", (raised, f"{type(exc).__name__}: {exc}")))
         with os.fdopen(pipe, "wb") as fh:
             fh.write(result)
     finally:

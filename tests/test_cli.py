@@ -892,7 +892,7 @@ def test_ranged_eval_equals_one_process_eval(toy_models, picks, readers, range_b
         expected, one = _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines)
         mp.setattr(dataset_module, "_usable_cpus", lambda: readers)
         got, many = _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines)
-        ranges = dataset_module._byte_ranges(work / "stream.csv")
+        ranges = dataset_module._byte_ranges(work / "stream.csv", kdd99_schema())
     event(f"{len(ranges)} ranges")
     assert got == expected
     assert (one, many) in ((1, len(ranges)), (None, None))

@@ -1,3 +1,4 @@
+import errno
 import os
 import pickle
 import re
@@ -127,7 +128,7 @@ def test_load_assigns_uniform_weights():
 
 def test_load_preserves_order():
     ds = load_dataset(toy_lines(), toy_schema(), toy_taxonomy())
-    assert list(ds.raw_labels) == ["normal", "normal", "attack", "attack"]
+    assert [ds.example(i).label for i in range(ds.n)] == ["A", "A", "B", "B"]
     assert ds.example(2).values[0] == "blue"
 
 
@@ -365,7 +366,7 @@ def test_load_matches_parse_record_loop(lines, chunk, permissive):
             return
         ds = load_dataset(lines, schema, taxonomy, permissive=permissive)
     assert [ds.example(i) for i in range(ds.n)] == [
-        Example(ex.values, ex.label, ex.raw_label, 1.0 / len(kept)) for ex in kept
+        Example(ex.values, ex.label, ex.label, 1.0 / len(kept)) for ex in kept
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     report = ds.load_report
@@ -425,7 +426,7 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive=True)
     ds = load_dataset(path, schema, taxonomy, permissive=True)
     assert [ds.example(i) for i in range(ds.n)] == [
-        Example(ex.values, ex.label, ex.raw_label, 1.0 / len(kept)) for ex in kept
+        Example(ex.values, ex.label, ex.label, 1.0 / len(kept)) for ex in kept
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     report = ds.load_report
@@ -518,7 +519,7 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
             return
         ds = load_dataset(lines, schema, taxonomy, permissive=permissive)
     assert [ds.example(i) for i in range(ds.n)] == [
-        Example(ex.values, ex.label, ex.raw_label, 1.0 / len(kept)) for ex in kept
+        Example(ex.values, ex.label, ex.label, 1.0 / len(kept)) for ex in kept
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     assert ds.load_report.skipped_lines == [ln for ln, _ in skipped]
@@ -591,7 +592,7 @@ def load_outcome(path, schema, taxonomy, permissive):
     except DataFormatError as exc:
         return (type(exc), str(exc), exc.reason), None
     report = ds.load_report
-    return ([ds.example(i) for i in range(ds.n)], ds.raw_labels.tolist(), ds.schema,
+    return ([ds.example(i) for i in range(ds.n)], ds.labels.tolist(), ds.schema,
             [c.dtype for c in ds.columns], report.n_loaded, report.skipped,
             report.skipped_lines, list(report.reasons.items()),
             list(report.extended_domains.items()), report.reader_lines,
@@ -640,7 +641,7 @@ def test_ranged_load_matches_one_range_read(lines, endings, final, dirty, reader
         mp.setattr(dataset_module, "_usable_cpus", lambda: 1)
         expected, one = load_outcome(path, schema, taxonomy, permissive)
         mp.setattr(dataset_module, "_usable_cpus", lambda: readers)
-        ranges = dataset_module._byte_ranges(path)
+        ranges = dataset_module._byte_ranges(path, schema)
         got, many = load_outcome(path, schema, taxonomy, permissive)
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text_lines = sum(1 for _ in fh)
@@ -651,6 +652,7 @@ def test_ranged_load_matches_one_range_read(lines, endings, final, dirty, reader
     if len(ranges) > 1:
         assert [r[1] for r in ranges] == list(np.cumsum([1] + [r[2] for r in ranges[:-1]]))
         assert sum(r[2] for r in ranges) == text_lines
+        assert all(bound == count for _, _, count, bound in ranges)
 
 
 def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
@@ -680,9 +682,12 @@ def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
     assert map_batches(lines, kdd99_schema(), kdd99_taxonomy(), report, sizes_here,
                        rows=1000)[0][0] == os.getpid()
     assert report.readers == 1 and report.n_loaded == len(lines)
-    # a range is no shorter than _RANGE_BYTES: a file of less than two is one
-    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", path.stat().st_size // 2 + 1)
-    assert dataset_module._byte_ranges(path) == [(0, 1, None)]
+    # a range is no shorter than _RANGE_BYTES: a file of less than two is one,
+    # read to its end and bound by its size: a KDD record holds 41 commas and
+    # 34 numbers, and a line break unless it is the last
+    size = path.stat().st_size
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", size // 2 + 1)
+    assert dataset_module._byte_ranges(path, kdd99_schema()) == [(0, 1, None, (size + 1) // 76)]
 
 
 def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
@@ -758,6 +763,104 @@ def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="no process to spare"):
         load_dataset(path, schema, taxonomy)
     assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def decoded(ds):
+    """The columns of ``ds`` as symbols and numbers, then its class names."""
+    columns = [np.array(spec.domain, dtype=object)[col] if spec.is_discrete else col
+               for spec, col in zip(ds.schema.attributes, ds.columns)]
+    return [*columns, np.array(ds.schema.class_names)[ds.labels]]
+
+
+@pytest.mark.parametrize("readers", [1, 3, None], ids=["file-1-reader", "file-3-readers",
+                                                       "list"])
+def test_held_batches_are_independent(tmp_path, monkeypatch, readers):
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    source = path if readers else path.read_text(encoding="utf-8").splitlines()
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: readers or 1)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1 << 16)
+    monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 64)
+    schema, taxonomy, report = kdd99_schema(), kdd99_taxonomy(), LoadReport()
+    # every batch is held until its whole range is read
+    held = map_batches(source, schema, taxonomy, report, list, rows=200)
+    batches = [batch for part in held for batch in part]
+    assert report.readers == (readers or 1) and len(batches) > 10
+    got = [np.concatenate(column) for column in zip(*map(decoded, batches))]
+    for got_column, loaded in zip(got, decoded(load_dataset(source, schema, taxonomy)),
+                                  strict=True):
+        np.testing.assert_array_equal(got_column, loaded)
+
+
+@pytest.mark.parametrize("kinds, record, exact", [
+    ("ddd", ",,,a", False),
+    ("ddd", ",,,", True),
+    ("cdc", "0,,0,", True),
+], ids=["one-character-label", "empty-label", "numbers"])
+def test_a_one_range_bound_holds_the_shortest_records(tmp_path, monkeypatch, kinds, record,
+                                                      exact):
+    # a kept record holds a comma per attribute and a character per number
+    # and, but for the last, a line break: the label may be empty
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "discrete" if kind == "d" else "continuous")
+                          for j, kind in enumerate(kinds)), ("A", "B"))
+    taxonomy = AttackTaxonomy({"a": "A", "": "B"})
+    path, k = tmp_path / "records.csv", 5000
+    path.write_text("\n".join([record] * k))  # no line break after the last
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 1)
+    ((_, _, lines, bound),) = dataset_module._byte_ranges(path, schema)
+    assert lines is None and (bound == k if exact else bound > k)
+    ds = load_dataset(path, schema, taxonomy)
+    assert ds.n == k and ds.load_report.readers == 1
+    assert ds.labels.tolist() == [0 if record.endswith("a") else 1] * k
+    # a file that holds more records than its size at the cut allows grew
+    size = path.stat().st_size
+    monkeypatch.setattr(dataset_module.os.path, "getsize", lambda _: size // 2)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: record file grew"):
+        load_dataset(path, schema, taxonomy)
+
+
+class _Torn(Exception):
+    """An exception whose constructor takes other arguments than the
+    ``args`` it keeps: it pickles, but does not unpickle."""
+
+    def __init__(self, text, code):
+        super().__init__(f"{text} ({code})")
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_fork_map_raises_a_workers_own_exception(tmp_path):
+    def in_worker(fail):
+        return lambda k: fail() if k else k
+
+    with pytest.raises(UnicodeDecodeError) as decode:
+        dataset_module.fork_map("decode", 2, in_worker(lambda: b"ok\xe9".decode()),
+                                DataFormatError)
+    assert (decode.value.encoding, decode.value.object, decode.value.start) == (
+        "utf-8", b"ok\xe9", 2)
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(FileNotFoundError) as lost:
+        dataset_module.fork_map("open", 2, in_worker(lambda: open(missing)), DataFormatError)
+    assert (lost.value.errno, lost.value.filename) == (errno.ENOENT, str(missing))
+    with pytest.raises(TaxonomyError) as fault:
+        dataset_module.fork_map("parse", 2, in_worker(
+            lambda: parse_record("red,1,warp.", toy_schema(), toy_taxonomy())), DataFormatError)
+    assert fault.value.reason == "unknown-attack"
+
+    # an exception that does not pickle (a local class) or does not unpickle
+    class Local(Exception):
+        pass
+
+    for raised, described in [(Local("kept here"), "Local: kept here"),
+                              (_Torn("torn", 7), "_Torn: torn (7)")]:
+        with pytest.raises(DataFormatError,
+                           match=rf"^pass: worker process \d+ raised {re.escape(described)}$"):
+            dataset_module.fork_map("pass", 2, in_worker(lambda: _raise(raised)),
+                                    DataFormatError)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- class_counts -------------------------------------------------------------------
@@ -896,7 +999,7 @@ def test_split_flags_tiny_classes():
 
 def labelled_dataset(labels, n_attributes=2):
     """A dataset of the given class indices (of classes A, B, C) whose
-    columns and raw labels tell every row apart."""
+    columns tell every row apart."""
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     schema = Schema(tuple(AttributeSpec(f"x{j}", "continuous") for j in range(n_attributes)),
@@ -904,13 +1007,12 @@ def labelled_dataset(labels, n_attributes=2):
     rng = np.random.default_rng(n)
     return WeightedDataset(
         schema, [rng.random(n) for _ in range(n_attributes)], labels, np.full(n, 1.0),
-        raw_labels=np.array([f"r{i}" for i in range(n)], dtype=object),
         source="mix.csv", load_report=LoadReport(n_loaded=n),
     )
 
 
 def _arrays(ds):
-    return [*ds.columns, ds.labels, ds.raw_labels, ds.weights]
+    return [*ds.columns, ds.labels, ds.weights]
 
 
 def _drawn(draw):
@@ -955,7 +1057,7 @@ def test_sample_holds_only_its_rows():
 def test_derived_datasets_share_their_parents_arrays():
     ds = two_class_dataset(5)
     reweighted = ds.with_weights(np.full(ds.n, 0.5))
-    assert reweighted.labels is ds.labels and reweighted.raw_labels is ds.raw_labels
+    assert reweighted.labels is ds.labels
     assert reweighted.columns is ds.columns
     assert ds.with_labels(np.zeros(ds.n, int)).weights is ds.weights
 
