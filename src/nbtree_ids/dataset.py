@@ -263,50 +263,6 @@ class WeightedDataset:
         self.load_report = load_report
         self.rank_memo = [[] for _ in columns] if rank_memo is None else rank_memo
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_rows(
-        cls,
-        schema: Schema,
-        rows: Sequence[Sequence],
-        labels: Sequence[str],
-        weights: Sequence[float] | None = None,
-        source: str | None = None,
-    ) -> "WeightedDataset":
-        """Build a dataset from in-memory value rows (mainly for tests and
-        synthetic data). Discrete values must already be in the domain and
-        continuous ones finite."""
-        if len(rows) != len(labels):
-            raise SchemaError("rows and labels differ in length")
-        n = len(rows)
-        if n == 0:
-            raise EmptyDatasetError("no rows given")
-        cols: list[np.ndarray] = []
-        for j, spec in enumerate(schema.attributes):
-            raw = [r[j] for r in rows]
-            if spec.is_discrete:
-                index = {s: i for i, s in enumerate(spec.domain)}
-                try:
-                    cols.append(np.array([index[str(v)] for v in raw], dtype=np.int32))
-                except KeyError as exc:
-                    raise SchemaError(
-                        f"value {exc.args[0]!r} outside domain of {spec.name!r}"
-                    ) from None
-            else:
-                col = np.asarray(raw, dtype=np.float64)
-                bad = np.flatnonzero(~np.isfinite(col))
-                if bad.size:
-                    raise SchemaError(f"non-finite value {col[bad[0]]} of {spec.name!r} "
-                                      f"in row {int(bad[0])}")
-                cols.append(col)
-        lab = np.array([schema.class_index(c) for c in labels], dtype=np.int64)
-        if weights is None:
-            w = np.full(n, 1.0 / n)
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-        return cls(schema, cols, lab, w, source=source)
-
     # -- basic views -------------------------------------------------------
 
     @property
@@ -838,9 +794,12 @@ def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
     in a forked process (:func:`_worker`), which sends its result back
     pickled through a pipe. Raises the exception of the earliest item that
     failed, as it was raised, and reaps every worker, killing any still
-    running, on every way out. A worker that ends without a result, or
-    whose exception does not pickle, raises ``error`` naming ``what``
-    (and that exception's type and message).
+    running, on every way out. A worker that ends without a result raises
+    ``error`` naming ``what`` and how the worker ended (the signal that
+    killed it, or its exit status); one whose exception does not pickle
+    raises ``error`` naming ``what`` and that exception's type and
+    message. With ``n`` 1 nothing is forked: ``fn(0)`` in this process is
+    the whole call, so a caller needs no second path for one item.
 
     The workers are forked, not spawned, so that they share what this
     process holds (the maps a load writes into, the models an eval scores,
@@ -849,6 +808,7 @@ def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
     calls no BLAS: reading, coding, scoring, fitting and cross-validating
     use none."""
     workers = []  # (pid, result pipe) per item after the first
+    reaped = set()  # pids already waited for, which may have been reused
     try:
         for k in range(1, n):
             read_end, write_end = os.pipe()
@@ -866,7 +826,10 @@ def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
         for pid, pipe in workers:
             result = pipe.read()
             if not result:
-                raise error(f"{what}: worker process {pid} ended without a result")
+                status = os.waitpid(pid, 0)[1]
+                reaped.add(pid)
+                raise error(f"{what}: worker process {pid} ended without a result: "
+                            f"{_how_ended(status)}")
             kind, value = pickle.loads(result)
             if kind == "raised":
                 raised, described = value
@@ -879,9 +842,22 @@ def fork_map(what: str, n: int, fn, error: type[Exception]) -> list:
     finally:
         for pid, pipe in workers:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)  # a process that ended is a zombie until reaped
-            os.waitpid(pid, 0)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)  # a process that ended is a zombie until reaped
+                os.waitpid(pid, 0)
     return results
+
+
+def _how_ended(status: int) -> str:
+    """How a reaped process ended, from its wait status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exited with status {code}"
+    try:
+        name = f" ({signal.Signals(-code).name})"
+    except ValueError:  # a real-time signal has no name
+        name = ""
+    return f"killed by signal {-code}{name}"
 
 
 def _worker(fn, k: int, pipe: int) -> NoReturn:

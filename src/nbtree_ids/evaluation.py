@@ -194,18 +194,25 @@ def evaluate_batches(models: Sequence, batches: Iterable[WeightedDataset]) -> li
     """Classify each test batch in turn, projected onto each model's
     attributes (``project_for_model``), and add up each model's confusion
     counts and predict seconds. A model is a naive-Bayes model, gain tree
-    or NB-tree."""
+    or NB-tree. An unexpected failure of a model is raised as
+    :class:`EvaluationError` naming its type; the batches' own errors
+    pass as they are."""
     reports = [EvalReport(m.model_id, None, m.attribute_count, ConfusionMatrix(
         tuple(m.classes), np.zeros((len(m.classes),) * 2, int)), 0.0) for m in models]
     for batch in batches:
         for model, report in zip(models, reports):
-            seen = project_for_model(model, batch)
-            start = time.perf_counter()
-            pred = model.predict_dataset(seen)
-            seconds = time.perf_counter() - start
+            try:
+                seen = project_for_model(model, batch)
+                start = time.perf_counter()
+                pred = model.predict_dataset(seen)
+                seconds = time.perf_counter() - start
+                matrix = ConfusionMatrix.from_indices(seen.labels, pred, report.classes)
+            except NbtreeIdsError:
+                raise
+            except Exception as exc:  # surface unexpected failures as evaluation errors
+                raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
             report.add(EvalReport(report.model_id, batch.dataset_id, report.attribute_count,
-                                  ConfusionMatrix.from_indices(seen.labels, pred, report.classes),
-                                  seconds))
+                                  matrix, seconds))
         batch = seen = None   # hold no batch while the next is read
     return reports
 
@@ -271,13 +278,14 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
 
     The NB-tree trains on ``selection.reduced``: the posterior weights
     over the reduced attributes, with the load-time labels. Baselines
-    train on ``train`` with uniform weights. With more than one usable
-    CPU, a forked process (``dataset.fork_map``) fits the full baselines
-    while this one runs the weighting pass and builds the NB-tree, so
-    their seconds overlap; the reduced baselines follow here, as they need
-    the kept attributes. Models and their order do not depend on it, and
-    the weighting pass's or the NB-tree's error is raised before the full
-    baselines'.
+    train on ``train`` with uniform weights. The weighting pass and the
+    NB-tree are the first item of one ``dataset.fork_map`` call, run in
+    this process; with more than one usable CPU the full baselines are its
+    second, fitted meanwhile in a forked process so that their seconds
+    overlap, else this process fits them next. The reduced baselines
+    follow here, as they need the kept attributes. Models and their order
+    do not depend on the CPUs, and the weighting pass's or the NB-tree's
+    error is raised before the full baselines'.
     Returns (selection result, ordered {model_id: model}). An unexpected
     failure is raised as :class:`TrainingError`.
     """
@@ -319,18 +327,16 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dic
     for j, spec in enumerate(train.schema.attributes):
         if not spec.is_discrete:
             column_ranks(train, j)
-    # the full baselines need no selection: another process fits them meanwhile
-    if config.baselines and _dataset._max_processes() > 1:
-        (selection, nbt), full = _dataset.fork_map(
-            "full baselines", 2, lambda k: baselines("full", plain) if k else proposed(),
-            TrainingError)
-    else:
-        selection, nbt = proposed()
-        full = baselines("full", plain) if config.baselines else None
+    # the full baselines need no selection: with a second usable CPU a
+    # forked process fits them meanwhile, else this one after proposed()
+    (selection, nbt), *full = _dataset.fork_map(
+        "full baselines", 1 + int(config.baselines and _dataset._max_processes() > 1),
+        lambda k: baselines("full", plain) if k else proposed(), TrainingError)
     models: dict[str, object] = {"proposed-nbtree": nbt}
     if config.baselines:
+        full = full or [baselines("full", plain)]
         reduced = baselines("reduced", project_attributes(plain, selection.weights.kept_names()))
-        for part, part_seconds in (full, reduced):
+        for part, part_seconds in (*full, reduced):
             models.update(part)
             seconds.update(part_seconds)
     return selection, models

@@ -31,7 +31,8 @@ leaves alike. Each node fits its model with ``probability.fit_codes``,
 the baselines' fit. So the perfect-classification check and the split
 utility see exactly what the corresponding leaf model would see: a split
 is scored by the leaf models it would create. An attribute that would
-give a node one child scores the node's own accuracy, so it never wins.
+give a node one child has no candidate split: it would score the node's
+own accuracy, which never passes the significance test.
 
 The search never sorts at a node and never re-encodes a candidate
 child. Each continuous column of the training set is sorted once
@@ -50,15 +51,16 @@ per child, by split attribute, branch and threshold: inheriting the
 node's folds would be cheaper, but it would change which rows each child
 trains on, and so the trees.
 
-A node of ``_SEARCH_ROWS`` rows or more is searched by one process per
-usable CPU (``dataset.fork_map``). Its units, one attribute and one of its
-candidate splits each (a discrete attribute's split, or one of a
-continuous one's best cuts), are dealt in turn to the processes; each
-splits the node's rows for one unit at a time, cross-validates the
-children, and sends back its units' utilities and its change to the
-build's counters. This process then picks the winner in schema order, as
-a search in one process does. A utility is a pure function of the node's
-rows and its salt, so the tree and its counters do not depend on the
+A node's search is one ``dataset.fork_map`` call over its units, one
+attribute and one of its candidate splits each (a discrete attribute's
+split, or one of a continuous one's best cuts). Below ``_SEARCH_ROWS``
+rows the call has one item, which runs in this process and forks nothing;
+a larger node's units are dealt in turn to one process per usable CPU.
+Each process splits the node's rows for one unit at a time,
+cross-validates the children, and sends back its units' utilities and its
+change to the build's counters. This process then picks the winner in
+schema order. A utility is a pure function of the node's rows and its
+salt, so the tree and its counters do not depend on the
 number of processes; ``build_stats["processes"]`` gives the most that one
 search used.
 
@@ -164,17 +166,6 @@ def _fold_assign(labels: np.ndarray, keys: np.ndarray, folds: int) -> np.ndarray
     fold = np.empty(len(keys), dtype=np.int64)
     fold[order] = (np.arange(len(g)) - first) % folds
     return fold
-
-
-def _best_cut(cuts: list, utilities: list[float], node_accuracy: float
-              ) -> tuple[float, float | None]:
-    """The best of an attribute's ``cuts`` by utility, ties to the first
-    (the lowest cut), as (utility, threshold or None); the node's own
-    accuracy when it has none."""
-    if not cuts:
-        return node_accuracy, None
-    best = max(range(len(cuts)), key=utilities.__getitem__)
-    return utilities[best], (None if cuts[best] is None else float(cuts[best]))
 
 
 # -- encoded view used during construction -------------------------------------
@@ -310,59 +301,33 @@ class _BuildContext:
             u += (wch / total) * acc
         return min(1.0, max(0.0, u))
 
-    def split_utility_value(self, view: _NodeView, j: int, salt: np.uint64,
-                            node_accuracy: float) -> tuple[float, float | None]:
-        """Best utility for attribute j and its threshold (None when
-        discrete), searching its ``cuts``; an attribute with none scores
-        the node's own accuracy."""
-        cuts = self.cuts(view, j)
-        return _best_cut(cuts, [self.cut_utility(view, j, t, salt, node_accuracy) for t in cuts],
-                         node_accuracy)
-
-    def node_accuracy(self, view: _NodeView, salt: np.uint64) -> float:
-        """The node's own cross-validated accuracy, folds keyed by its salt."""
-        return self.cv_accuracy(view, np.arange(len(view.rows)), salt)
-
     def best_split(self, view: _NodeView, salt: np.uint64) -> SplitUtility | None:
+        """The node's split, or None. Its units, one attribute's split ``t``
+        of its ``cuts`` each, are scored by ``dataset.fork_map``: in one
+        process for a node of fewer than ``_SEARCH_ROWS`` rows, else dealt
+        to one process per usable CPU. Of n processes, process k scores
+        units k, k + n, ..., one at a time, and sends back their utilities
+        and its change to ``stats``. The best unit wins, ties to the first
+        in schema order (an attribute's lowest cut)."""
         node_weight = float(view.weights.sum())
         if node_weight < self.params.min_split_examples * self.example_mass:
             return None
         self.stats["split_searches"] += 1
-        node_acc = self.node_accuracy(view, salt)
+        node_acc = self.cv_accuracy(view, np.arange(len(view.rows)), salt)
         node_err = 1.0 - node_acc
         if node_err <= 0:
             return None
-        if len(view.rows) >= _SEARCH_ROWS and _dataset._max_processes() > 1:
-            found = self.dealt_search(view, salt, node_acc)
-        else:
-            found = [self.split_utility_value(view, j, salt, node_acc)
-                     for j in range(self.schema.n_attributes)]
-        best: SplitUtility | None = None
-        for spec, (u, t) in zip(self.schema.attributes, found):
-            if best is None or u > best.utility:
-                best = SplitUtility(spec.name, u, t)
-        if best is None:
+        # an attribute with no cut would score the node's own accuracy,
+        # which reduces no error, so it could never pass the test below
+        units = [(j, t) for j in range(self.schema.n_attributes) for t in self.cuts(view, j)]
+        if not units:
             return None
-        reduction = (node_err - (1.0 - best.utility)) / node_err
-        if reduction <= self.params.significance:
-            return None
-        return best
-
-    def dealt_search(self, view: _NodeView, salt: np.uint64,
-                     node_accuracy: float) -> list[tuple[float, float | None]]:
-        """``split_utility_value`` of every attribute, its units dealt to
-        one process per usable CPU (``dataset.fork_map``). A unit is one
-        attribute's split ``t`` of its ``cuts``. Of n processes, process k
-        scores units k, k + n, ..., one at a time, and sends back their
-        utilities and its change to ``stats``."""
-        cuts = [self.cuts(view, j) for j in range(self.schema.n_attributes)]
-        units = [(j, t) for j, attr_cuts in enumerate(cuts) for t in attr_cuts]
-        n = max(1, min(_dataset._max_processes(), len(units)))
+        n = min(_dataset._max_processes(), len(units)) if len(view.rows) >= _SEARCH_ROWS else 1
         self.stats["processes"] = max(self.stats["processes"], n)
 
         def search(k):
             before = dict(self.stats)
-            found = [self.cut_utility(view, j, t, salt, node_accuracy) for j, t in units[k::n]]
+            found = [self.cut_utility(view, j, t, salt, node_acc) for j, t in units[k::n]]
             return found, {key: self.stats[key] - count for key, count in before.items()}
 
         utilities = [0.0] * len(units)
@@ -372,9 +337,12 @@ class _BuildContext:
             if k:  # this process counted its own units
                 for key, change in stats.items():
                     self.stats[key] += change
-        ahead = iter(utilities)
-        return [_best_cut(attr_cuts, [next(ahead) for _ in attr_cuts], node_accuracy)
-                for attr_cuts in cuts]
+        best = max(range(len(units)), key=utilities.__getitem__)
+        j, t = units[best]
+        if (node_err - (1.0 - utilities[best])) / node_err <= self.params.significance:
+            return None
+        return SplitUtility(self.schema.attributes[j].name, utilities[best],
+                            None if t is None else float(t))
 
     def split_of(self, node: TreeNode, rows: np.ndarray, path: str):
         """The NB-tree's node decision for ``tree.grow_tree``: the node's

@@ -11,8 +11,20 @@ junk to prune, minority classes to fight for.
 
 import numpy as np
 
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
+from nbtree_ids.dataset import AttackTaxonomy, AttributeSpec, Schema, load_dataset
 from nbtree_ids.kdd99 import kdd99_schema
+
+
+def make_dataset(schema, rows, labels, weights=None):
+    """The dataset of in-memory ``rows`` (one value per attribute, a symbol
+    of its domain or a finite number) and class names ``labels``, read by
+    the loader as CSV lines; uniformly weighted unless ``weights`` given."""
+    lines = [",".join([*(str(v) if a.is_discrete else repr(float(v))
+                         for a, v in zip(schema.attributes, row)), label]) + "\n"
+             for row, label in zip(rows, labels, strict=True)]
+    ds = load_dataset(lines, schema, AttackTaxonomy({c: c for c in schema.class_names}))
+    return ds if weights is None else ds.with_weights(weights)
+
 
 # -- controlled feature-recovery dataset -----------------------------------------
 
@@ -32,7 +44,7 @@ def make_majority_dataset(seed, n=2000):
     bits = rng.integers(0, 2, size=(n, 10))
     labels = np.where(bits[:, :5].sum(axis=1) >= 3, "pos", "neg")
     rows = [tuple(str(b) for b in row) for row in bits]
-    return WeightedDataset.from_rows(majority_schema(), rows, list(labels))
+    return make_dataset(majority_schema(), rows, list(labels))
 
 
 def xor_schema():
@@ -49,7 +61,7 @@ def make_xor_dataset(n_per_cell=50):
         for b in "01":
             rows += [(a, b)] * n_per_cell
             labels += ["same" if a == b else "diff"] * n_per_cell
-    return WeightedDataset.from_rows(xor_schema(), rows, labels)
+    return make_dataset(xor_schema(), rows, labels)
 
 
 # -- KDD99-format corpus -----------------------------------------------------------

@@ -24,7 +24,7 @@ from nbtree_ids.attribute_weighting import (
     select_attributes,
 )
 from nbtree_ids.cli import main
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, project_attributes
+from nbtree_ids.dataset import AttributeSpec, Schema, project_attributes
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree
 from nbtree_ids.probability import classify_nb, fit_naive_bayes
 from nbtree_ids.tree import split_entropy
@@ -53,7 +53,7 @@ def random_discrete_dataset(rng, n_max=30, a_max=4, c_max=3):
     for k, c in enumerate(classes):
         labels[k % n] = c
     weights = rng.uniform(0.5, 1.5, size=n) if rng.random() < 0.5 else None
-    ds = WeightedDataset.from_rows(schema, rows, labels, weights)
+    ds = synth.make_dataset(schema, rows, labels, weights)
     return ds, rows, labels, domains, classes
 
 
@@ -107,7 +107,7 @@ def test_criterion_2_gain_oracle_equivalence():
         rows = list(zip(*columns))
         labels = [classes[int(rng.integers(n_cls))] for _ in range(n)]
         weights = list(rng.uniform(0.2, 2.0, n))
-        ds = WeightedDataset.from_rows(schema, rows, labels, weights)
+        ds = synth.make_dataset(schema, rows, labels, weights)
         h_want = oracles.entropy_bits(labels, weights, classes)
         class_mass = np.bincount(ds.labels, weights=ds.weights, minlength=n_cls)
         worst = max(worst, abs(split_entropy(class_mass[None]) / class_mass.sum() - h_want))
@@ -182,7 +182,7 @@ def test_criterion_5_nbtree_structure():
     schema = Schema(
         (AttributeSpec("f0", "discrete", ("x", "y")),), ("A", "B")
     )
-    sep = WeightedDataset.from_rows(
+    sep = synth.make_dataset(
         schema, [("x",)] * 30 + [("y",)] * 30, ["A"] * 30 + ["B"] * 30
     )
     single = build_nbtree(sep)

@@ -50,7 +50,7 @@ def random_gain_dataset(rng, continuous=False):
     rows = list(zip(*columns))
     labels = [classes[int(rng.integers(n_cls))] for _ in range(n)]
     weights = rng.uniform(0.2, 2.0, size=n)
-    return WeightedDataset.from_rows(schema, rows, labels, weights)
+    return synth.make_dataset(schema, rows, labels, weights)
 
 
 def weighted_entropy(ds):
@@ -70,19 +70,19 @@ def gain(ds, name):
 
 
 def test_entropy_two_equal_classes_is_one_bit():
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         disc_schema(("x", "y")), [("x",)] * 4, ["A", "A", "B", "B"]
     )
     assert weighted_entropy(ds) == pytest.approx(1.0)
 
 
 def test_entropy_single_class_is_zero():
-    ds = WeightedDataset.from_rows(disc_schema(("x",)), [("x",)] * 5, ["A"] * 5)
+    ds = synth.make_dataset(disc_schema(("x",)), [("x",)] * 5, ["A"] * 5)
     assert weighted_entropy(ds) == pytest.approx(0.0)
 
 
 def test_entropy_four_equal_classes_is_two_bits():
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         disc_schema(("x",), classes=("A", "B", "C", "D")),
         [("x",)] * 4,
         ["A", "B", "C", "D"],
@@ -113,7 +113,7 @@ def test_gain_of_label_copy_equals_entropy():
     schema = disc_schema(("a", "b"))
     rows = [("a",), ("a",), ("b",), ("b",), ("b",)]
     labels = ["A", "A", "B", "B", "B"]
-    ds = WeightedDataset.from_rows(schema, rows, labels, [0.3, 0.1, 0.2, 0.2, 0.2])
+    ds = synth.make_dataset(schema, rows, labels, [0.3, 0.1, 0.2, 0.2, 0.2])
     assert gain(ds, "f0")[0] == pytest.approx(weighted_entropy(ds))
 
 
@@ -121,7 +121,7 @@ def test_gain_of_independent_attribute_is_zero():
     schema = disc_schema(("a", "b"))
     rows = [("a",), ("b",), ("a",), ("b",)]
     labels = ["A", "A", "B", "B"]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     assert gain(ds, "f0")[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_gain_matches_oracle_on_14_example_toy():
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(14)]
     weights = list(rng.uniform(0.1, 1.0, 14))
-    ds = WeightedDataset.from_rows(schema, rows, labels, weights)
+    ds = synth.make_dataset(schema, rows, labels, weights)
     for j, name in enumerate(("f0", "f1", "f2")):
         want = oracles.gain_discrete([r[j] for r in rows], labels, weights, ("A", "B"))
         assert gain(ds, name)[0] == pytest.approx(want, abs=1e-9)
@@ -152,7 +152,7 @@ def test_continuous_gain_matches_exhaustive_oracle():
         labels = [("A", "B")[int(rng.integers(2))] for _ in range(n)]
         weights = list(rng.uniform(0.1, 1.0, n))
         schema = Schema((AttributeSpec("f0", "continuous"),), ("A", "B"))
-        ds = WeightedDataset.from_rows(schema, [(v,) for v in values], labels, weights)
+        ds = synth.make_dataset(schema, [(v,) for v in values], labels, weights)
         got, got_t = gain(ds, "f0")
         want_gain, want_t = oracles.gain_continuous(values, labels, weights, ("A", "B"))
         assert got == pytest.approx(max(want_gain, 0.0), abs=1e-9)
@@ -173,7 +173,7 @@ def test_mirrored_cuts_tie_to_the_lower_cut(order):
             values += [v] * count
             labels += [classes[order[k]]] * count
     schema = Schema((AttributeSpec("x", "continuous"),), classes)
-    ds = WeightedDataset.from_rows(schema, [(v,) for v in values], labels)
+    ds = synth.make_dataset(schema, [(v,) for v in values], labels)
     got, got_t = gain(ds, "x")
     want, _ = oracles.gain_continuous(values, labels, list(ds.weights), classes)
     assert got_t == 2.0
@@ -205,7 +205,7 @@ def test_capped_cuts_and_gain_match_row_sorted_reference(data):
     assert want.size <= 32
     np.testing.assert_array_equal(got, want)
     schema = Schema((AttributeSpec("x", "continuous"),), classes)
-    ds = WeightedDataset.from_rows(schema, [(v,) for v in values], labels, weights)
+    ds = synth.make_dataset(schema, [(v,) for v in values], labels, weights)
     want_gain, _ = oracles.gain_continuous(values, labels, weights, classes, list(want))
     assert abs(gain(ds, "x")[0] - max(want_gain, 0.0)) <= 1e-12
 
@@ -220,7 +220,7 @@ def test_gain_never_negative():
 
 def test_constant_attribute_has_zero_gain():
     schema = disc_schema(("only",))
-    ds = WeightedDataset.from_rows(schema, [("only",)] * 4, ["A", "B", "A", "B"])
+    ds = synth.make_dataset(schema, [("only",)] * 4, ["A", "B", "A", "B"])
     assert gain(ds, "f0") == (0.0, None)
 
 
@@ -228,7 +228,7 @@ def test_constant_attribute_has_zero_gain():
 
 
 def test_pure_dataset_gives_single_leaf():
-    ds = WeightedDataset.from_rows(disc_schema(("x", "y")), [("x",)] * 5, ["A"] * 5)
+    ds = synth.make_dataset(disc_schema(("x", "y")), [("x",)] * 5, ["A"] * 5)
     tree = build_weighted_tree(ds)
     assert tree.root.is_leaf
     assert tree.root.depth == 1
@@ -239,7 +239,7 @@ def test_deciding_attribute_becomes_root():
     schema = disc_schema(("x", "y"), ("p", "q"))
     rows = [("x", "p"), ("x", "q"), ("y", "p"), ("y", "q")] * 3
     labels = (["A", "A", "B", "B"]) * 3
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     tree = build_weighted_tree(ds, min_leaf_examples=0.0)
     assert tree.root.attribute == "f0"
     assert all(child.is_leaf for child in tree.root.children.values())
@@ -270,7 +270,7 @@ def test_uniform_weights_reproduce_unweighted_id3():
         ]
         labels = [("A", "B")[int(rng.integers(2))] for _ in range(n)]
         schema = disc_schema(*domains)
-        ds = WeightedDataset.from_rows(schema, rows, labels)  # uniform 1/n
+        ds = synth.make_dataset(schema, rows, labels)  # uniform 1/n
         tree = build_weighted_tree(ds, min_leaf_examples=0.0)
         want = oracles.id3_unweighted(rows, labels, ("A", "B"), domains)
         assert oracles.tree_to_tuple(tree.root, schema) == want
@@ -287,7 +287,7 @@ def test_min_leaf_examples_stops_growth():
     schema = disc_schema(("x", "y"))
     rows = [("x",), ("y",)] * 4
     labels = ["A", "B"] * 4
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     tree = build_weighted_tree(ds, min_leaf_examples=10.0)  # above total weight
     assert tree.root.is_leaf
 
@@ -295,7 +295,7 @@ def test_min_leaf_examples_stops_growth():
 @pytest.mark.parametrize("floor", [-5.0, float("nan")])
 def test_bad_min_leaf_examples_raises(floor):
     schema = disc_schema(("x", "y"))
-    ds = WeightedDataset.from_rows(schema, [("x",), ("y",)] * 4, ["A", "B"] * 4)
+    ds = synth.make_dataset(schema, [("x",), ("y",)] * 4, ["A", "B"] * 4)
     with pytest.raises(ValueError, match="min_leaf_examples"):
         build_weighted_tree(ds, min_leaf_examples=floor)
 
@@ -315,11 +315,11 @@ def test_unseen_branch_value_routes_to_heaviest_child():
     schema = disc_schema(("x", "y", "z"))
     rows = [("x",)] * 6 + [("y",)] * 2
     labels = ["A"] * 6 + ["B"] * 2
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     tree = build_weighted_tree(ds, min_leaf_examples=0.0)
     assert tree.root.attribute == "f0"
     assert "z" not in tree.root.children
-    probe = WeightedDataset.from_rows(schema, [("z",)], ["B"])
+    probe = synth.make_dataset(schema, [("z",)], ["B"])
     assert tree.predict_dataset(probe)[0] == 0  # heaviest child predicts A
 
 
@@ -328,10 +328,10 @@ def test_heaviest_child_tie_survives_reload():
     schema = disc_schema(("b", "a", "c"), classes=("P", "Q"))
     rows = [("b",)] * 20 + [("a",)] * 20 + [("c",)]
     labels = ["P"] * 20 + ["Q"] * 20 + ["P"]
-    tree = build_weighted_tree(WeightedDataset.from_rows(schema, rows, labels),
+    tree = build_weighted_tree(synth.make_dataset(schema, rows, labels),
                                min_leaf_examples=0.0)
     again = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
-    probe = WeightedDataset.from_rows(disc_schema(("b", "a", "c", "z"), classes=("P", "Q")),
+    probe = synth.make_dataset(disc_schema(("b", "a", "c", "z"), classes=("P", "Q")),
                                       [("z",)], ["P"])
     assert tree.predict_dataset(probe)[0] == 1  # the tie goes to "a", which predicts Q
     assert again.predict_dataset(probe)[0] == 1
@@ -394,7 +394,7 @@ def test_update_weights_are_max_posteriors():
         for _ in range(12)
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(12)]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     loaded = ds.labels.copy()
     model = fit_naive_bayes(ds, k=1.0)
     updated = update_example_weights(ds, model, relabel=True)
@@ -413,7 +413,7 @@ def test_update_weights_are_max_posteriors():
 
 def test_update_weights_separable_k0():
     schema = disc_schema(("x", "y"))
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema, [("x",)] * 3 + [("y",)] * 3, ["A"] * 3 + ["B"] * 3
     )
     model = fit_naive_bayes(ds, k=0.0)
@@ -427,7 +427,7 @@ def test_update_without_relabel_keeps_labels():
     schema = disc_schema(("x", "y"))
     rows = [(("x", "y")[int(rng.integers(2))],) for _ in range(20)]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(20)]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     model = fit_naive_bayes(ds, k=1.0)
     updated = update_example_weights(ds, model, relabel=False)
     np.testing.assert_array_equal(updated.labels, ds.labels)
@@ -462,7 +462,7 @@ def test_selection_keeps_input_labels_and_posterior_weights():
 
 def test_select_single_attribute_dataset():
     schema = disc_schema(("x", "y"))
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema, [("x",)] * 5 + [("y",)] * 5, ["A"] * 5 + ["B"] * 5
     )
     result = select_attributes(ds, SelectionParams(min_leaf_examples=0.0))
@@ -473,7 +473,7 @@ def test_select_single_attribute_dataset():
 
 def test_select_degenerate_single_class_errors():
     schema = disc_schema(("x", "y"))
-    ds = WeightedDataset.from_rows(schema, [("x",), ("y",)] * 3, ["A"] * 6)
+    ds = synth.make_dataset(schema, [("x",), ("y",)] * 3, ["A"] * 6)
     with pytest.raises(DegenerateTreeError):
         select_attributes(ds)
 

@@ -1162,6 +1162,31 @@ def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monke
     assert not (tmp_path / "r").exists()
 
 
+def test_unexpected_scoring_failure_exits_4(toy_models, tmp_path, monkeypatch, capfd):
+    def broken(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    work, _, models = toy_models
+    toy = work / "toy.csv"
+    evaluate = ["eval", "--test", str(toy), "--models", *models]
+    runs = [("eval", 1, evaluate), ("eval", 2, evaluate),
+            ("compare", 1, ["compare", "--train", str(toy), "--weighting-min-leaf-examples", "2",
+                            "--min-split-examples", "5", "--test-fraction", "0.25",
+                            "--seed", "7"])]
+    monkeypatch.setattr(NaiveBayesModel, "predict_dataset", broken)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 64)
+    monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 4)
+    for command, cpus, argv in runs:
+        monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+        # at two CPUs the test file is read and scored in two ranges
+        assert len(dataset_module._byte_ranges(toy, kdd99_schema())) == cpus
+        name, out = f"{command} at {cpus} CPUs", tmp_path / f"{command}-{cpus}"
+        assert main([*argv, "--out", str(out)]) == 4, name
+        err = capfd.readouterr().err
+        assert err == "evaluation error: IndexError: index 7 is out of bounds\n", (name, err)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("inspect", "--sample-fraction"), ("compare", "--test-fraction"),
 ])

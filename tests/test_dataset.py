@@ -2,6 +2,7 @@ import errno
 import os
 import pickle
 import re
+import signal
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -863,6 +864,29 @@ def test_fork_map_raises_a_workers_own_exception(tmp_path):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_fork_map_of_one_item_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(dataset_module.os, "fork", no_fork)
+    assert dataset_module.fork_map("one", 1, lambda k: (k, os.getpid()), DataFormatError) == [
+        (0, os.getpid())]
+
+
+@pytest.mark.parametrize("end, ended", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), r"killed by signal 9 \(SIGKILL\)"),
+    (lambda: os._exit(3), "exited with status 3"),
+], ids=["sigkill", "exit-3"])
+def test_fork_map_says_how_a_silent_worker_ended(end, ended):
+    # the worker is reaped to read how it ended, and not killed or waited
+    # for again: either would raise here instead of the error
+    with pytest.raises(DataFormatError, match=rf"^silent: worker process \d+ ended without a "
+                                              rf"result: {ended}$"):
+        dataset_module.fork_map("silent", 3, lambda k: end() if k == 1 else k, DataFormatError)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 # -- class_counts -------------------------------------------------------------------
 
 
@@ -911,7 +935,7 @@ def test_project_subset_keeps_labels_weights_and_order():
         ),
         ("A", "B"),
     )
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema, [("x", 1.0, "0"), ("y", 2.0, "1"), ("x", 3.0, "1")], ["A", "B", "A"]
     )
     red = project_attributes(ds, {"c", "a"})  # set order must not matter
@@ -921,14 +945,6 @@ def test_project_subset_keeps_labels_weights_and_order():
     np.testing.assert_array_equal(red.weights, ds.weights)
     np.testing.assert_array_equal(class_counts(red).counts, class_counts(ds).counts)
     np.testing.assert_array_equal(class_counts(red).weighted, class_counts(ds).weighted)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_from_rows_rejects_non_finite_numbers(bad):
-    schema = Schema((AttributeSpec("a", "discrete", ("x",)), AttributeSpec("b", "continuous")),
-                    ("A",))
-    with pytest.raises(SchemaError, match=r"'b' in row 1"):
-        WeightedDataset.from_rows(schema, [("x", 1.0), ("x", bad)], ["A", "A"])
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -941,8 +957,8 @@ def test_from_rows_rejects_non_finite_numbers(bad):
 def test_dataset_rejects_bad_example_weights(weights, message):
     rows = [("red", 1.0), ("red", 2.0), ("blue", 3.0), ("blue", 4.0)]
     with pytest.raises(SchemaError, match=message):
-        WeightedDataset.from_rows(toy_schema(), rows, ["A", "A", "B", "B"], weights=weights)
-    ds = WeightedDataset.from_rows(toy_schema(), rows, ["A", "A", "B", "B"])
+        synth.make_dataset(toy_schema(), rows, ["A", "A", "B", "B"], weights=weights)
+    ds = synth.make_dataset(toy_schema(), rows, ["A", "A", "B", "B"])
     with pytest.raises(SchemaError, match=message):
         ds.with_weights(np.array(weights, dtype=float))
 

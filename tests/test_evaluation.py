@@ -6,7 +6,7 @@ import synth
 from nbtree_ids import dataset as dataset_module
 from nbtree_ids import nbtree as nbtree_module
 from nbtree_ids.dataset import (
-    AttributeSpec, Schema, WeightedDataset, load_dataset, project_attributes,
+    AttributeSpec, Schema, load_dataset, project_attributes,
 )
 from nbtree_ids.evaluation import (
     ComparisonConfig,
@@ -142,7 +142,7 @@ def toy_train_test():
     )
     rows = [("x",)] * 10 + [("y",)] * 10 + [("z",)] * 10
     labels = ["Normal"] * 10 + ["Probe"] * 10 + ["DoS"] * 10
-    return WeightedDataset.from_rows(schema, rows, labels)
+    return synth.make_dataset(schema, rows, labels)
 
 
 def test_evaluate_perfect_model():
@@ -163,7 +163,7 @@ def test_evaluate_rejects_schema_mismatch():
     other = Schema(
         (AttributeSpec("different", "discrete", ("x",)),), ("Normal", "Probe", "DoS")
     )
-    probe = WeightedDataset.from_rows(other, [("x",)], ["Normal"])
+    probe = synth.make_dataset(other, [("x",)], ["Normal"])
     model = fit_naive_bayes(ds, k=1.0)
     with pytest.raises(EvaluationError, match="schema"):
         evaluate(model, probe)
@@ -211,7 +211,7 @@ def comparison_dataset(n_per_class=40):
     order = rng.permutation(len(rows))
     rows = [rows[i] for i in order]
     labels = [labels[i] for i in order]
-    return WeightedDataset.from_rows(schema, rows, labels)
+    return synth.make_dataset(schema, rows, labels)
 
 
 def comparison_config():

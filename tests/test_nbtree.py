@@ -15,7 +15,7 @@ from nbtree_ids import nbtree as nbtree_module
 from nbtree_ids import tree
 from nbtree_ids.attribute_weighting import SelectionParams, _gain
 from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset, load_dataset
-from nbtree_ids.evaluation import train_models
+from nbtree_ids.evaluation import ComparisonConfig, train_models
 from nbtree_ids.exceptions import DataFormatError
 from nbtree_ids.kdd99 import kdd99_schema, kdd99_taxonomy
 from nbtree_ids.nbtree import (
@@ -60,11 +60,20 @@ def misclassified(ds, attr_weights):
     return ctx.misclassified(view, model)
 
 
+def attribute_utility(ctx, view, j, salt):
+    """Attribute j's best (utility, threshold) at the node, as the split
+    search scores it: the best of its ``cuts``, ties to the lowest, or the
+    node's own accuracy when it has none."""
+    node_acc = ctx.cv_accuracy(view, np.arange(len(view.rows)), salt)
+    found = [(ctx.cut_utility(view, j, t, salt, node_acc), t) for t in ctx.cuts(view, j)]
+    u, t = max(found, key=lambda ut: ut[0], default=(node_acc, None))
+    return u, (None if t is None else float(t))
+
+
 def split_utility(ds, name, attr_weights=None, params=None):
     """The root's (utility, threshold) for attribute ``name``."""
     ctx, view, salt = root_search(ds, attr_weights, params)
-    return ctx.split_utility_value(view, ds.schema.attribute_index(name), salt,
-                                   ctx.node_accuracy(view, salt))
+    return attribute_utility(ctx, view, ds.schema.attribute_index(name), salt)
 
 
 def best_split(ds, attr_weights=None, params=None):
@@ -195,7 +204,7 @@ def _oracle_split_utility(rows, labels, weights, classes, domains, j, k, folds, 
 
 
 def test_single_class_partition_has_no_misclassifications():
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         disc_schema(("x", "y")), [("x",), ("y",), ("x",)], ["A"] * 3
     )
     assert misclassified(ds, np.ones(1)) == 0
@@ -215,7 +224,7 @@ def test_misclassification_count_matches_oracle():
         for _ in range(20)
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(20)]
-    ds = WeightedDataset.from_rows(disc_schema(*domains), rows, labels)
+    ds = synth.make_dataset(disc_schema(*domains), rows, labels)
     k_eff = 1.0 * ds.total_weight / ds.n
     preds = _oracle_nb_predict(rows, labels, list(ds.weights), rows,
                                ("A", "B"), domains, k_eff)
@@ -230,7 +239,7 @@ def test_pure_children_have_utility_one():
     schema = disc_schema(("x", "y"), ("0", "1"))
     rows = [("x", "0"), ("x", "1"), ("y", "0"), ("y", "1")] * 10
     labels = ["A", "A", "B", "B"] * 10
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     assert split_utility(ds, "f0")[0] == pytest.approx(1.0)
 
 
@@ -238,7 +247,7 @@ def test_constant_attribute_keeps_node_utility():
     schema = disc_schema(("only",), ("0", "1"))
     rows = [("only", ("0", "1")[i % 2]) for i in range(30)]
     labels = [("A", "B")[(i // 2) % 2] for i in range(30)]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     utility, _ = split_utility(ds, "f0")
     k_eff = 1.0 * ds.total_weight / ds.n
     node_acc = _oracle_cv_accuracy(
@@ -259,7 +268,7 @@ def test_split_utility_matches_reimplementation():
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(30)]
     weights = list(rng.uniform(0.5, 1.5, 30))
-    ds = WeightedDataset.from_rows(disc_schema(*domains), rows, labels, weights)
+    ds = synth.make_dataset(disc_schema(*domains), rows, labels, weights)
     k_eff = 1.0 * ds.total_weight / ds.n
     utilities = {}
     for j, name in enumerate(("f0", "f1")):
@@ -285,7 +294,7 @@ def test_continuous_split_utility_rebins_each_child():
         (AttributeSpec("x", "continuous"), AttributeSpec("y", "continuous")),
         ("D", "N", "P"),
     )
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     assert list(oracles.equal_frequency_edges(ds.columns[1], 10)) == [0.0]
     k_eff = 1.0 * ds.total_weight / ds.n
     want, node_acc = _oracle_split_utility(
@@ -314,7 +323,7 @@ def test_continuous_split_utility_matches_reimplementation():
          AttributeSpec("f1", "continuous"), AttributeSpec("f2", "continuous")),
         ("A", "B"),
     )
-    ds = WeightedDataset.from_rows(schema, rows, labels, weights)
+    ds = synth.make_dataset(schema, rows, labels, weights)
     k_eff = 1.0 * ds.total_weight / ds.n
     params = NBTreeParams(bins=4)
     domains = [("x", "y"), None, None]
@@ -333,7 +342,7 @@ def test_split_utility_ordering_pure_vs_noise():
         a = ("x", "y")[int(rng.integers(2))]
         rows.append((a, ("0", "1")[int(rng.integers(2))]))
         labels.append("A" if a == "x" else "B")
-    ds = WeightedDataset.from_rows(disc_schema(("x", "y"), ("0", "1")), rows, labels)
+    ds = synth.make_dataset(disc_schema(("x", "y"), ("0", "1")), rows, labels)
     u_good, _ = split_utility(ds, "f0")
     u_noise, _ = split_utility(ds, "f1")
     assert u_good == pytest.approx(1.0)
@@ -353,7 +362,7 @@ def test_best_split_none_when_nb_is_good_enough():
     schema = disc_schema(("x", "y"))
     rows = [("x",)] * 20 + [("y",)] * 20
     labels = ["A"] * 20 + ["B"] * 20
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     # NB alone is perfect here; no split can cut error by 5%
     assert best_split(ds, params=NBTreeParams(min_split_examples=1.0)) is None
 
@@ -371,7 +380,7 @@ def test_best_split_finds_error_halving_attribute():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_build_rejects_non_finite_attr_weights(bad):
-    ds = WeightedDataset.from_rows(disc_schema(("a", "b")), [("a",), ("b",)], ["A", "B"])
+    ds = synth.make_dataset(disc_schema(("a", "b")), [("a",), ("b",)], ["A", "B"])
     with pytest.raises(ValueError, match="finite"):
         build_nbtree(ds, [bad])
 
@@ -380,14 +389,14 @@ def test_nb_separable_data_yields_single_leaf():
     schema = disc_schema(("x", "y"))
     rows = [("x",)] * 30 + [("y",)] * 30
     labels = ["A"] * 30 + ["B"] * 30
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     tree = build_nbtree(ds)
     assert tree.root.is_leaf
     np.testing.assert_array_equal(tree.predict_dataset(ds), ds.labels)
 
 
 def test_no_attributes_yields_prior_leaf():
-    ds = WeightedDataset.from_rows(Schema((), ("A", "B")), [()] * 4, ["A", "A", "B", "A"])
+    ds = synth.make_dataset(Schema((), ("A", "B")), [()] * 4, ["A", "A", "B", "A"])
     tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
     assert tree.root.is_leaf
     np.testing.assert_array_equal(tree.predict_dataset(ds), [0, 0, 0, 0])
@@ -415,7 +424,7 @@ def test_single_leaf_tree_delegates_to_weighted_scores():
         for _ in range(40)
     ]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(40)]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     w = np.array([1.0, 0.2])
     tree = build_nbtree(ds, w, NBTreeParams(max_depth=1))  # force a single leaf
     assert tree.root.is_leaf
@@ -438,7 +447,7 @@ def test_unit_weights_reduce_leaf_to_plain_nb():
     schema = disc_schema(("x", "y"))
     rows = [(("x", "y")[int(rng.integers(2))],) for _ in range(30)]
     labels = [("A", "B")[int(rng.integers(2))] for _ in range(30)]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     tree = build_nbtree(ds, np.ones(1), NBTreeParams(max_depth=1))
     plain = fit_naive_bayes(ds, k=1.0)
     np.testing.assert_array_equal(
@@ -527,13 +536,13 @@ def test_empty_branch_falls_back_to_parent_model():
         for b in "01":
             rows += [(a, b)] * 40
             labels += ["same" if a == b else "diff"] * 40
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
     split_node = tree.root
     assert split_node.attribute == "a"
     assert split_node.empty_branches == ("2",)
     assert split_node.fallback_model is not None
-    probe = WeightedDataset.from_rows(schema, [("2", "0")], ["same"])
+    probe = synth.make_dataset(schema, [("2", "0")], ["same"])
     pred = tree.predict_dataset(probe)
     parent = split_node.fallback_model
     scores = parent.log_scores(parent.encode_dataset(probe), tree.attr_weights)
@@ -559,7 +568,7 @@ def test_unseen_value_routes_to_heaviest_child():
         ("same", "diff"),
     )
     assert wide.structural_hash() == ds.schema.structural_hash()
-    probe = WeightedDataset.from_rows(wide, [("9", "1")], ["same"])
+    probe = synth.make_dataset(wide, [("9", "1")], ["same"])
     pred = tree.predict_dataset(probe)
     assert pred[0] in (0, 1)
     heavy = tree.root.heaviest_child()
@@ -576,11 +585,11 @@ def test_heaviest_child_tie_survives_reload():
 
     rows = [("b", "0")] * 30 + [("b", "1")] * 10 + [("a", "0")] * 30 + [("a", "1")] * 10
     labels = ["P"] * 30 + ["Q"] * 10 + ["Q"] * 30 + ["P"] * 10
-    ds = WeightedDataset.from_rows(schema(("b", "a")), rows, labels)
+    ds = synth.make_dataset(schema(("b", "a")), rows, labels)
     tree = build_nbtree(ds, params=NBTreeParams(min_split_examples=1.0))
     assert tree.root.attribute == "s"
     again = NBTree.from_dict(json.loads(json.dumps(tree.to_dict())))
-    probe = WeightedDataset.from_rows(schema(("b", "a", "z")), [("z", "0")], ["P"])
+    probe = synth.make_dataset(schema(("b", "a", "z")), [("z", "0")], ["P"])
     assert tree.predict_dataset(probe)[0] == 1  # the tie goes to "a", where t=0 is Q
     assert again.predict_dataset(probe)[0] == 1
 
@@ -669,7 +678,7 @@ def with_lone_row(ds, rng, uneven):
     rows.append(tuple(a.domain[-1] if a.is_discrete else 100.0 for a in ds.schema.attributes))
     labels = [ds.schema.class_names[c] for c in ds.labels] + [CLASSES[int(rng.integers(3))]]
     weights = [*rng.uniform(0.1, 3.0, size=ds.n), 0.01] if uneven else [1.0] * len(rows)
-    return WeightedDataset.from_rows(ds.schema, rows, labels, weights)
+    return synth.make_dataset(ds.schema, rows, labels, weights)
 
 
 class _PerChildContext(_BuildContext):
@@ -698,10 +707,9 @@ def test_split_search_equals_per_child_reference(seed, kinds, folds, bins, k, si
                           min_split_examples=1.0, max_depth=4)
     ctx, view, salt = root_search(ds, attr_w, params)
     ref_view = oracles.reference_view(ctx, np.arange(ds.n))
-    node_acc = ctx.node_accuracy(view, salt)
     ref_node_acc = oracles.cv_accuracy(ctx, ref_view, salt)
     for j in range(ds.schema.n_attributes):
-        assert (ctx.split_utility_value(view, j, salt, node_acc)
+        assert (attribute_utility(ctx, view, j, salt)
                 == oracles.split_utility_value(ctx, ref_view, j, salt, ref_node_acc))
     assert ctx.best_split(view, salt) == oracles.best_split(ctx, ref_view, salt)
     # and at every node of a build, where rows and path salts vary
@@ -733,7 +741,7 @@ def test_best_cuts_equal_row_sorted_reference(data):
     h = oracles.cut_entropy_masses(values, labels, weights, range(n_classes), thresholds)
     first = min(range(len(h)), key=lambda i: (h[i], i), default=None)
     classes = tuple(f"c{k}" for k in range(n_classes))
-    ds = WeightedDataset.from_rows(Schema((AttributeSpec("x", "continuous"),), classes),
+    ds = synth.make_dataset(Schema((AttributeSpec("x", "continuous"),), classes),
                                    [(v,) for v in values], [classes[k] for k in labels], weights)
     assert (_gain(ds, 0, slice(None), ds.labels, ds.weights)[1]
             == (None if first is None else thresholds[first]))
@@ -753,9 +761,9 @@ class _CountingContext(_BuildContext):
 
     discrete_children = 0
 
-    def split_utility_value(self, view, j, salt, node_accuracy):
+    def cut_utility(self, view, j, t, salt, node_accuracy):
         before = self.stats["children_scored"]
-        found = super().split_utility_value(view, j, salt, node_accuracy)
+        found = super().cut_utility(view, j, t, salt, node_accuracy)
         if self.schema.attributes[j].is_discrete:
             self.discrete_children += self.stats["children_scored"] - before
         return found
@@ -764,7 +772,7 @@ class _CountingContext(_BuildContext):
 def test_split_search_scores_only_the_best_cuts(tmp_path, monkeypatch):
     # the train pin's corpus, where every continuous attribute the NB-tree
     # searches has more than _BEST_CUTS cuts at the root; one CPU, so every
-    # search calls split_utility_value in this process, which counts
+    # search calls cut_utility in this process, which counts
     monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 1)
     corpus = tmp_path / "kdd.csv"
     synth.write_kdd_corpus(corpus, seed=1, scale=0.004)
@@ -814,8 +822,39 @@ def test_process_count_changes_no_build(seed, kinds, cpus, uneven, monkeypatch):
     assert one.build_stats["processes"] == 1 and 1 <= many.build_stats["processes"] <= cpus
 
 
+def test_default_search_deals_large_nodes_and_keeps_small_ones_here(tmp_path, monkeypatch):
+    # the build train_models makes: a root of at least _SEARCH_ROWS rows,
+    # and a smaller node below it that is searched too
+    corpus = tmp_path / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.01)
+    selection, _ = train_models(load_dataset(corpus, kdd99_schema(), kdd99_taxonomy()),
+                                ComparisonConfig(baselines=False))
+    ds = selection.reduced
+    attr_w = selection.weights.as_array(ds.schema.attribute_names)
+    assert ds.n >= nbtree_module._SEARCH_ROWS
+    calls, fork_map = [], dataset_module.fork_map
+
+    def counted(what, n, fn, error):
+        calls.append(n)
+        return fork_map(what, n, fn, error)
+
+    monkeypatch.setattr(dataset_module, "fork_map", counted)
+    builds, items = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        builds[cpus], items[cpus] = build_nbtree(ds, attr_w), set(calls)
+    # at two CPUs some searches are dealt to both, and the others run here
+    assert items == {1: {1}, 2: {1, 2}}
+    one, two = builds[1], builds[2]
+    assert one.build_stats["processes"] == 1 and two.build_stats["processes"] == 2
+    assert two.to_dict() == one.to_dict()
+    assert two.dump() == one.dump()
+    assert counters(two) == counters(one)
+
+
 def test_no_attributes_deal_no_unit(monkeypatch):
-    ds = WeightedDataset.from_rows(Schema((), ("A", "B")), [()] * 4, ["A", "A", "B", "A"])
+    ds = synth.make_dataset(Schema((), ("A", "B")), [()] * 4, ["A", "A", "B", "A"])
     tree = build_at(ds, None, NBTreeParams(min_split_examples=1.0), 2, monkeypatch)
     assert tree.root.is_leaf and tree.build_stats["processes"] == 1
 
@@ -870,6 +909,6 @@ def test_fit_codes_equal_score_codes(data):
         "weighting-zero-bins", "weighting-zero-depth", "weighting-nan-min-leaf"])
 def test_out_of_range_params_raise_value_error(call):
     schema = Schema((AttributeSpec("x", "continuous"),), ("A", "B"))
-    ds = WeightedDataset.from_rows(schema, [(float(v),) for v in range(6)], ["A", "B"] * 3)
+    ds = synth.make_dataset(schema, [(float(v),) for v in range(6)], ["A", "B"] * 3)
     with pytest.raises(ValueError):
         call(ds)

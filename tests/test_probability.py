@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import synth
 from nbtree_ids.dataset import (
     AttributeSpec, Schema, WeightedDataset, project_attributes, stratified_sample,
     stratified_split,
@@ -50,7 +51,7 @@ def random_discrete_dataset(rng, n_max=30, a_max=4, c_max=3, random_weights=Fals
     for k, c in enumerate(classes):
         labels[k % n] = c
     weights = rng.uniform(0.5, 1.5, size=n) if random_weights else None
-    ds = WeightedDataset.from_rows(schema, rows, labels, weights)
+    ds = synth.make_dataset(schema, rows, labels, weights)
     return ds, rows, labels, domains, classes
 
 
@@ -66,7 +67,7 @@ def fit_absolute_k(ds, k, bins=10):
 
 
 def test_priors_symmetric():
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema_ab(("x", "y")), [("x",)] * 4, ["A", "A", "B", "B"]
     )
     priors = fit_absolute_k(ds, k=0.0).priors
@@ -75,7 +76,7 @@ def test_priors_symmetric():
 
 
 def test_priors_follow_weights():
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema_ab(("x", "y")), [("x",)] * 4, ["A", "A", "B", "B"],
         weights=[0.6, 0.2, 0.1, 0.1],
     )
@@ -101,7 +102,7 @@ def test_priors_zero_total_weight_errors():
 
 
 def test_priors_smoothed_only_when_class_missing():
-    ds = WeightedDataset.from_rows(schema_ab(("x",)), [("x",)] * 3, ["A"] * 3)
+    ds = synth.make_dataset(schema_ab(("x",)), [("x",)] * 3, ["A"] * 3)
     priors = fit_absolute_k(ds, k=1.0).priors  # class B absent -> smoothing kicks in
     assert 0 < priors[1] < priors[0] < 1
     assert priors.sum() == pytest.approx(1.0)
@@ -112,7 +113,7 @@ def test_priors_smoothed_only_when_class_missing():
 
 def test_conditionals_pure_column_k0():
     schema = Schema((AttributeSpec("f0", "discrete", ("0", "1")),), ("A",))
-    ds = WeightedDataset.from_rows(schema, [("1",)] * 4, ["A"] * 4)
+    ds = synth.make_dataset(schema, [("1",)] * 4, ["A"] * 4)
     table = fit_absolute_k(ds, k=0.0).cond[0]
     assert table[0, 1] == pytest.approx(1.0)
     assert table[0, 0] == pytest.approx(0.0)
@@ -121,7 +122,7 @@ def test_conditionals_pure_column_k0():
 def test_conditionals_add_k_exact_value():
     # class weight 1.0, V=2, k=1: (1 + 1) / (1 + 2) = 2/3
     schema = Schema((AttributeSpec("f0", "discrete", ("0", "1")),), ("A",))
-    ds = WeightedDataset.from_rows(schema, [("1",)] * 4, ["A"] * 4)  # weights 0.25
+    ds = synth.make_dataset(schema, [("1",)] * 4, ["A"] * 4)  # weights 0.25
     assert ds.total_weight == pytest.approx(1.0)
     assert fit_absolute_k(ds, k=1.0).cond[0][0, 1] == pytest.approx(2.0 / 3.0)
 
@@ -131,7 +132,7 @@ def test_conditionals_match_counting_oracle():
     rows = [("x", "0"), ("x", "1"), ("y", "1"), ("y", "0"), ("x", "0"), ("y", "1")]
     labels = ["A", "A", "B", "B", "A", "B"]
     weights = [0.3, 0.1, 0.25, 0.05, 0.2, 0.1]
-    ds = WeightedDataset.from_rows(schema, rows, labels, weights)
+    ds = synth.make_dataset(schema, rows, labels, weights)
     for k in (0.0, 1.0, 0.5):
         model = fit_absolute_k(ds, k=k)
         _, tables, _ = oracles.nb_reference(
@@ -146,7 +147,7 @@ def test_conditionals_match_counting_oracle():
 
 
 def test_conditionals_zero_weight_class_k0_errors():
-    ds = WeightedDataset.from_rows(schema_ab(("x",)), [("x",)] * 3, ["A"] * 3)
+    ds = synth.make_dataset(schema_ab(("x",)), [("x",)] * 3, ["A"] * 3)
     with pytest.raises(TrainingError, match="zero weight"):
         fit_naive_bayes(ds, k=0.0)
 
@@ -330,7 +331,7 @@ def test_each_column_is_ranked_once_and_shared_only_where_kept():
     schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("s", "discrete", ("a", "b")),
                      AttributeSpec("y", "continuous")), ("A", "B"))
     rows = [(float(i % 7), "ab"[i % 2], float(i % 5)) for i in range(40)]
-    ds = WeightedDataset.from_rows(schema, rows, ["AB"[i % 2] for i in range(40)])
+    ds = synth.make_dataset(schema, rows, ["AB"[i % 2] for i in range(40)])
     ranked = column_ranks(ds, 0)
     assert column_ranks(ds, 0) is ranked
     for derived in (ds.with_weights(np.full(40, 2.0)), ds.with_labels(np.zeros(40, int)),
@@ -350,7 +351,7 @@ def test_each_column_is_ranked_once_and_shared_only_where_kept():
 
 def test_posterior_uniform_under_symmetry():
     schema = schema_ab(("x", "y"))
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema, [("x",), ("y",), ("x",), ("y",)], ["A", "A", "B", "B"]
     )
     model = fit_naive_bayes(ds, k=1.0)
@@ -387,22 +388,22 @@ def test_posterior_matches_enumeration_oracle():
 def test_posterior_k0_all_zero_vector_errors():
     schema = schema_ab(("x", "y"))
     # value "y" never seen: with k=0 every class gets probability 0
-    ds = WeightedDataset.from_rows(schema, [("x",), ("x",)], ["A", "B"])
+    ds = synth.make_dataset(schema, [("x",), ("x",)], ["A", "B"])
     model = fit_naive_bayes(ds, k=0.0)
-    probe = WeightedDataset.from_rows(schema, [("y",)], ["A"])
+    probe = synth.make_dataset(schema, [("y",)], ["A"])
     with pytest.raises(TrainingError, match="zero"):
         model.posteriors_dataset(probe)
 
 
 def test_classify_argmax_and_tie_break():
     schema = schema_ab(("x", "y"))
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema, [("x",), ("x",), ("y",), ("y",)], ["A", "A", "B", "B"]
     )
     model = fit_naive_bayes(ds, k=1.0)
     assert classify_nb(ds.example(0), model) == "A"
     # exact tie: symmetric data makes both classes score identically
-    sym = WeightedDataset.from_rows(
+    sym = synth.make_dataset(
         schema, [("x",), ("y",), ("x",), ("y",)], ["A", "A", "B", "B"]
     )
     tied = fit_naive_bayes(sym, k=1.0)
@@ -462,7 +463,7 @@ def test_weighted_score_reduces_to_plain_with_unit_weights():
 def test_zero_weight_ignores_attribute():
     schema = schema_ab(("x", "y"), ("0", "1"))
     rows = [("x", "0"), ("x", "1"), ("y", "0"), ("y", "1")]
-    ds = WeightedDataset.from_rows(schema, rows, ["A", "A", "B", "B"])
+    ds = synth.make_dataset(schema, rows, ["A", "A", "B", "B"])
     model = fit_naive_bayes(ds, k=1.0)
     from nbtree_ids.dataset import project_attributes
 
@@ -477,7 +478,7 @@ def test_weighted_score_hand_computed():
     schema = schema_ab(("x", "y"), ("0", "1"))
     rows = [("x", "0"), ("x", "1"), ("y", "0"), ("y", "1"), ("x", "0")]
     labels = ["A", "A", "B", "B", "B"]
-    ds = WeightedDataset.from_rows(schema, rows, labels)
+    ds = synth.make_dataset(schema, rows, labels)
     model = fit_naive_bayes(ds, k=1.0)
     w = np.array([0.5, 1.0])
     scores = weighted_scores(model, ds, w)
@@ -513,7 +514,7 @@ def test_argmax_invariant_under_normalisation():
 def test_unseen_symbol_scores_the_smoothing_floor():
     schema = schema_ab(("x", "y"), ("0", "1"))
     rows = [("x", "0"), ("x", "1"), ("y", "0"), ("y", "1"), ("x", "0")]
-    ds = WeightedDataset.from_rows(schema, rows, ["A", "A", "B", "B", "B"])
+    ds = synth.make_dataset(schema, rows, ["A", "A", "B", "B", "B"])
     model = fit_naive_bayes(ds, k=1.0)
     # k = 1/5 in mass units: floor = k / (class mass + k*V), V = 2
     floor = model.smoothing_k / (model.class_weights + 2 * model.smoothing_k)
@@ -521,7 +522,7 @@ def test_unseen_symbol_scores_the_smoothing_floor():
     # a permissively extended domain: "z" was never seen and encodes as -1
     wide = schema_ab(("x", "y", "z"), ("0", "1"))
     assert wide.structural_hash() == schema.structural_hash()
-    probe = WeightedDataset.from_rows(wide, [("z", "1")], ["A"])
+    probe = synth.make_dataset(wide, [("z", "1")], ["A"])
     codes = list(model.encode_dataset(probe))
     assert [c.tolist() for c in codes] == [[-1], [1]]
     log_prior = np.log(model.priors)
@@ -547,7 +548,7 @@ def test_model_json_round_trip_is_bit_stable():
         ),
         ("A", "B"),
     )
-    ds = WeightedDataset.from_rows(
+    ds = synth.make_dataset(
         schema,
         [("x", 0.5), ("x", 1.5), ("y", 2.5), ("y", 3.5), ("x", 1.0)],
         ["A", "A", "B", "B", "A"],
@@ -569,7 +570,7 @@ def test_batch_predictions_match_per_example():
     # a permissively widened domain: "new" lies outside the model's domain
     wide = schema_ab(*(dom + ("new",) for dom in domains), classes=classes)
     probe_rows = [tuple("new" if rng.random() < 0.3 else v for v in row) for row in rows]
-    probe = WeightedDataset.from_rows(wide, probe_rows, labels)
+    probe = synth.make_dataset(wide, probe_rows, labels)
     w = rng.uniform(0.0, 1.0, model.attribute_count)
     w[0] = 0.0
     sub = rng.permutation(probe.n)[: probe.n // 2 + 1]

@@ -7,8 +7,9 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import synth
 from nbtree_ids.attribute_weighting import DecisionTree, build_weighted_tree
-from nbtree_ids.dataset import AttributeSpec, Schema, WeightedDataset
+from nbtree_ids.dataset import AttributeSpec, Schema
 from nbtree_ids.nbtree import NBTreeParams, build_nbtree, classify_nbtree
 from nbtree_ids.tree import iter_nodes, route_example, split_rows, threshold_candidates
 
@@ -34,7 +35,7 @@ def random_training(rng, kinds):
         tuple(a.domain[int(c[i])] if a.is_discrete else float(c[i]) for a, c in zip(attrs, cols))
         for i in range(n)
     ]
-    return WeightedDataset.from_rows(Schema(tuple(attrs), CLASSES), rows, labels)
+    return synth.make_dataset(Schema(tuple(attrs), CLASSES), rows, labels)
 
 
 def probe_dataset(rng, schema, roots):
@@ -56,7 +57,7 @@ def probe_dataset(rng, schema, roots):
             pools.append(thresholds[a.name] + [-1.0, 0.0, 2.5, 5.0, 9.0])
     rows = [tuple(pool[int(rng.integers(len(pool)))] for pool in pools) for _ in range(60)]
     labels = [CLASSES[int(rng.integers(3))] for _ in rows]
-    return WeightedDataset.from_rows(Schema(tuple(attrs), CLASSES), rows, labels)
+    return synth.make_dataset(Schema(tuple(attrs), CLASSES), rows, labels)
 
 
 def check_growth(root, schema, gain_tree):
@@ -140,7 +141,7 @@ def test_saved_gain_tree_loads_dumps_and_routes_unchanged():
     # heaviest child, tcp by the tie-break on the smaller symbol
     rows = [("tcp", 100.0), ("tcp", 120.5), ("tcp", 121.0), ("udp", 0.0),
             ("icmp", 50.0), ("icmp", 500.0)]
-    probe = WeightedDataset.from_rows(schema, rows, ["normal"] * len(rows))
+    probe = synth.make_dataset(schema, rows, ["normal"] * len(rows))
     walked = [route_example(tree.root, dict(zip(schema.attribute_names, r))) for r in rows]
     assert walked == ["normal", "normal", "attack", "attack", "normal", "attack"]
     assert [tree.classes[i] for i in tree.predict_dataset(probe)] == walked
@@ -159,7 +160,7 @@ def test_threshold_between_adjacent_floats_cuts_between_them():
                     ("A", "B"))
     rows = [(v, y) for v in values for y in "01"]
     labels = ["AB"[int((v == hi) != (y == "1"))] for v, y in rows]
-    tree = build_nbtree(WeightedDataset.from_rows(schema, rows, labels),
+    tree = build_nbtree(synth.make_dataset(schema, rows, labels),
                         params=NBTreeParams(min_split_examples=1.0))
     cuts = [node for node in iter_nodes(tree.root) if node.threshold is not None]
     assert cuts and all(set(node.children) == {"<=", ">"} for node in cuts)
