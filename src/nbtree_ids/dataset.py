@@ -19,9 +19,10 @@ import pickle
 import re
 import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import islice, repeat
+from functools import partial, reduce
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
@@ -30,6 +31,7 @@ import numpy as np
 from .exceptions import (
     DataFormatError,
     EmptyDatasetError,
+    NbtreeIdsError,
     SchemaError,
     TaxonomyError,
 )
@@ -37,8 +39,8 @@ from .exceptions import (
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
-# lines per block: a line the C reader cannot read sends its block to the
-# split-and-convert path, and the reader's symbol columns stay small
+# lines per block: the C reader reads a block in one call unless it raises
+# on a line, and the reader's symbol columns stay small
 _CHUNK_LINES = 1024
 # a record file is read in ranges of at least this many bytes, one process
 # each: a second process and the pass that cuts the file cost about 5 ms,
@@ -55,6 +57,10 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # characters the C reader reads otherwise than the reference path: it drops
 # a NUL from the end of a symbol field, and \x1c-\x1f around a number
 _READER_BLIND = "\0\x1c\x1d\x1e\x1f"
+# the row a ValueError of the C reader names, in numpy 2's words: a number
+# it cannot convert counts rows from 0, a wrong field count from 1
+_RAISED_ROW = re.compile(r"could not convert .* at row (\d+), column \d+\.|the dtype passed "
+                         r"requires \d+ columns but \d+ were found at row (\d+);.*", re.S)
 
 
 @dataclass(frozen=True)
@@ -189,8 +195,8 @@ class LoadReport:
     skipped_lines: list[int] = field(default_factory=list)
     reasons: dict[str, int] = field(default_factory=dict)
     extended_domains: dict[str, list[str]] = field(default_factory=dict)
-    reader_lines: int = 0  # lines of blocks the C reader read
-    fallback_lines: int = 0  # lines of blocks it did not read, split and converted
+    reader_lines: int = 0  # lines the C reader read
+    fallback_lines: int = 0  # lines it did not read, which parse_record decides
     seconds: float = 0.0
     readers: int = 1  # processes that read the stream
 
@@ -415,20 +421,16 @@ def load_dataset(
     those earlier ranges did not keep. So the dataset, its domains and its
     report (but ``readers`` and ``seconds``) do not depend on the ranges.
 
-    Lines are read in blocks of ``_CHUNK_LINES``. numpy's C reader parses
-    each ASCII block against the full record dtype, with the symbols and
-    the label as bytes; a block that is not ASCII, or that the C reader
-    raises on (a wrong field count, or a number it cannot read), is split
-    and converted in Python instead. Each symbol column and the label is
-    coded in a sorted table of its dict's keys (:func:`_codes`: a field of
-    at most 8 bytes as one ``uint64`` word, a longer one as bytes), or by
-    ``dict.get`` for a split block; -1 marks a field that is no key. One
-    verdict then flags each row that
-    :func:`parse_record` might judge otherwise: a wrong field count, a
-    non-finite number, a label with no class, in strict mode a symbol
-    outside its non-empty domain, a symbol as wide as the reader's str
-    width (it may have been cut), or a line holding an undecodable byte or
-    a character of ``_READER_BLIND``. Only flagged lines go to
+    Lines are read in blocks of ``_CHUNK_LINES`` by numpy's C reader
+    (:meth:`_Reader.read`), which leaves unread a line it raises on (a
+    wrong field count, or a number it cannot read). Each symbol column and
+    the label is coded by table lookup (:func:`_codes`), -1 where a field
+    is no key. One verdict then flags each row that
+    :func:`parse_record` might judge otherwise: a line the C reader did not
+    read, a non-finite number, a label with no class, in strict mode a
+    symbol outside its non-empty domain, a symbol as wide as the reader's
+    str width (it may have been cut), or a line holding an undecodable
+    byte or a character of ``_READER_BLIND``. Only flagged lines go to
     :func:`parse_record`, whose verdict alone counts; a line it keeps
     overwrites its own row. Only its symbols and those the lookup missed
     are coded through the dicts, which grow in order of first appearance.
@@ -509,7 +511,10 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
     ``reader.report`` then counts the whole stream as a one-range read
     does, but for ``readers``, the ranges, and ``seconds``: the cut pass,
     then the longest range's read, leaving out the time a batch is held. A
-    stream that keeps no record raises ``EmptyDatasetError``."""
+    stream that keeps no record raises ``EmptyDatasetError``. An exception
+    of a range's read or placement that is no toolkit error is raised as a
+    ``DataFormatError`` naming the file and its type (:func:`_reading`);
+    one of ``fn`` or of a fork is raised as it is."""
     start = time.perf_counter()
     if isinstance(source, (str, Path)):
         ranges = _byte_ranges(source, reader.schema)
@@ -517,7 +522,7 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
         source = list(source)
         ranges = [(0, 1, None, len(source))]
     cut = time.perf_counter() - start
-    outputs, report = place([bound for *_, bound in ranges]), reader.report
+    report = reader.report
 
     def map_range(k):
         byte, first, lines, bound = ranges[k]
@@ -532,14 +537,27 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
             for _ in batches:
                 pass
 
-    results = fork_map(f"cannot read record file {reader.src}", len(ranges), map_range,
-                       DataFormatError)
+    with _reading(reader.what):
+        outputs = place([bound for *_, bound in ranges])
+    results = fork_map(reader.what, len(ranges), map_range, DataFormatError)
     for _, part in results[1:]:
         report.add(part)
     report.seconds = cut + max(part.seconds for _, part in results)
     report.readers = len(ranges)
     _check_kept(report, reader.at)
     return [result for result, _ in results]
+
+
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """Raise an exception of the block that is no :class:`NbtreeIdsError`
+    as a ``DataFormatError`` naming ``what`` and the exception's type."""
+    try:
+        yield
+    except NbtreeIdsError:
+        raise
+    except Exception as exc:  # surface unexpected failures as data errors
+        raise DataFormatError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _check_kept(report: LoadReport, at: str) -> None:
@@ -566,7 +584,6 @@ class _Reader:
         attrs = self.attrs = schema.attributes
         self.schema, self.taxonomy, self.report, self.permissive = (
             schema, taxonomy, report, permissive)
-        self.expected = len(attrs) + 1
         self.cont_idx = [j for j, a in enumerate(attrs) if not a.is_discrete]
         self.disc_idx = [j for j, a in enumerate(attrs) if a.is_discrete]
         # per discrete attribute: symbol -> code, insertion-ordered
@@ -579,12 +596,12 @@ class _Reader:
         self.dtypes = [np.dtype(np.int32 if a.is_discrete else np.float64) for a in attrs]
         self.dtypes.append(np.dtype(np.intp))
         self.out, self.n = [], 0  # the outputs of the batch being read, rows written to them
-        self.wrong_count = ["0"] * self.expected  # stands in for a line of the wrong arity
         self.indexes = {**self.sym_index, -1: self.name_code}  # the symbol columns, then the label
         self.tables = {j: [] for j in self.indexes}  # their key tables, kept by `_codes`
         self.record, self.packed = _reader_dtypes(attrs)
         self.src = str(source) if isinstance(source, (str, Path)) else None
         self.at = f"{self.src}: " if self.src else ""
+        self.what = f"cannot read record file {self.src}" if self.src else "cannot read records"
 
     def batches(self, lines: Iterable[str], first: int, rows: int | None, outputs
                 ) -> Iterator[list[np.ndarray]]:
@@ -593,51 +610,67 @@ class _Reader:
         maybe fewer, or with ``rows`` None as one batch; each batch into the
         outputs that ``outputs()`` gives, and yielded as the rows written
         to them. The report's ``seconds`` leave out the time a batch is
-        held."""
-        start = time.perf_counter()
-        self.out = outputs()
-        numbered = enumerate(lines, start=first)
-        while block := list(islice(numbered, _CHUNK_LINES)):
-            if chunk := [(ln, text) for ln, text in block if text.strip()]:
-                self.flush(chunk)
-            if rows is not None and self.n >= rows:
-                batch = self.take_batch()
-                self.report.seconds += time.perf_counter() - start
+        held. A fault of the read that is no toolkit error is a data error
+        (:func:`_reading`)."""
+        with _reading(self.what):
+            start = time.perf_counter()
+            self.out = outputs()
+            numbered = enumerate(lines, start=first)
+            while block := list(islice(numbered, _CHUNK_LINES)):
+                if chunk := [(ln, text) for ln, text in block if text.strip()]:
+                    self.flush(chunk)
+                if rows is not None and self.n >= rows:
+                    batch = self.take_batch()
+                    self.report.seconds += time.perf_counter() - start
+                    yield batch
+                    start = time.perf_counter()
+                    self.out = outputs()
+            batch = self.take_batch() if self.n else None
+            self.report.seconds += time.perf_counter() - start
+            if batch is not None:
                 yield batch
-                start = time.perf_counter()
-                self.out = outputs()
-        batch = self.take_batch() if self.n else None
-        self.report.seconds += time.perf_counter() - start
-        if batch is not None:
-            yield batch
 
     def read(self, texts: list[str], joined: str):
         """The block's numbers (one row per continuous attribute), its symbol
-        columns and labels by column (the label as -1), and the rows the
-        reader may have misread: a wrong field count, or a symbol the C
-        reader may have cut to its width. The C reader reads an ASCII
-        block, its symbols as bytes; a block that is not ASCII, or that it
-        raises on, is split and converted, and gives lists of str."""
+        columns and labels by column (the label as -1) as UTF-8 bytes, and
+        the rows the C reader may have misread: a line it did not read, or
+        a symbol it may have cut to its width. A block that is not ASCII is
+        read as the latin-1 view of its UTF-8 bytes. When the C reader
+        raises on the row its message names, it reads on from the next row
+        and leaves that row zero; when the message names no row, or it
+        raises on two rows in a row, it reads no more of the block."""
         m = len(texts)
-        try:
-            block = (np.loadtxt(texts, delimiter=",", comments=None, ndmin=1, dtype=self.record)
-                     if joined.isascii() else None)
-        except ValueError:  # a wrong field count or a number the C reader cannot read
-            block = None
-        if block is None:
-            self.report.fallback_lines += m
-            rows = [f if len(f) == self.expected else self.wrong_count
-                    for f in (text.rstrip("\r\n").split(",") for text in texts)]
-            cols = list(zip(*rows))
-            numbers = np.array([_floats(cols[j]) for j in self.cont_idx]).reshape(-1, m)
-            arity = np.fromiter((f is self.wrong_count for f in rows), bool, m)
-            return numbers, {j: list(cols[j]) for j in self.indexes}, arity
-        self.report.reader_lines += m
+        if not joined.isascii():
+            texts = [text.encode("utf-8", "surrogatepass").decode("latin-1") for text in texts]
+        c_read = partial(np.loadtxt, delimiter=",", comments=None, ndmin=1, dtype=self.record)
+        parts, unread = [], []  # (first row, rows read) each, and the rows not read
+        start, rest = 0, texts  # the lines from row `start` on
+        while rest:
+            try:
+                parts.append((start, c_read(rest)))
+                break
+            except ValueError as exc:  # a wrong field count or a number it cannot read
+                named = _RAISED_ROW.fullmatch(str(exc))
+            row = named and int(named[1] or int(named[2]) - 1)
+            if row is None or start and not row:
+                unread += range(start, m)
+                break
+            if row:
+                parts.append((start, c_read(rest[:row])))
+            unread.append(start + row)
+            start, rest = start + row + 1, rest[row + 1:]
+        # a clean block, read in one call, is not copied
+        block = np.zeros(m, self.record) if unread else parts.pop()[1]
+        for at, part in parts:
+            block[at:at + len(part)] = part
+        self.report.reader_lines += m - len(unread)
+        self.report.fallback_lines += len(unread)
         block = block.view(self.packed)
         symbols = block["symbols"]
         # a field may have been cut when its last byte is not NUL
-        cut = symbols.view(np.uint8)[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
-        return block["numbers"].T, dict(zip(self.indexes, symbols.T)), cut
+        misread = symbols.view(np.uint8)[:, _STR_WIDTH - 1::_STR_WIDTH].any(axis=1)
+        misread[unread] = True
+        return block["numbers"].T, dict(zip(self.indexes, symbols.T)), misread
 
     def flush(self, chunk: list[tuple[int, str]]) -> None:
         attrs, cont_idx, out = self.attrs, self.cont_idx, self.out
@@ -674,8 +707,7 @@ class _Reader:
             index, code, read_symbols = self.sym_index[j], codes[j], symbols[j]
             added = []
             for i in np.flatnonzero(keep & (flagged | (code < 0))).tolist():
-                s = kept_values[i][j] if i in kept_values else read_symbols[i]
-                s = s.decode() if isinstance(s, bytes) else str(s)  # an S field holds ASCII
+                s = kept_values[i][j] if i in kept_values else read_symbols[i].decode()
                 if s not in index:
                     index[s] = len(index)
                     added.append(s)
@@ -904,19 +936,18 @@ def _reader_dtypes(attrs: Sequence[AttributeSpec]) -> tuple[np.dtype, np.dtype]:
     return record, packed
 
 
-def _codes(symbols, index: dict, table: list) -> np.ndarray:
-    """The codes of ``symbols`` in ``index``, -1 where a symbol is no key.
-    A list of str is coded by ``dict.get``. A bytes column the C reader
-    read is searched in ``table``, the keys a field can equal and their
-    codes, rebuilt when ``index`` has grown: a key of at most 8 bytes as
-    one ``uint64`` word, which a field of at most 8 bytes (its other
-    words zero) equals or not in one comparison, and a longer key as
-    bytes. A non-ASCII key stays out, and so does a key ending in NUL (the
-    reader drops a field's trailing NULs)."""
-    if isinstance(symbols, list):
-        return np.fromiter(map(index.get, symbols, repeat(-1)), np.intp, len(symbols))
+def _codes(symbols: np.ndarray, index: dict, table: list) -> np.ndarray:
+    """The codes in ``index`` of ``symbols``, a bytes column the C reader
+    read, -1 where a field is no key's UTF-8 bytes. The column is searched
+    in ``table``, the keys a field can equal and their codes, rebuilt when
+    ``index`` has grown: a key of at most 8 bytes as one ``uint64`` word,
+    which a field of at most 8 bytes (its other words zero) equals or not
+    in one comparison, and a longer key as bytes. A key ending in NUL (the
+    reader drops a field's trailing NULs) stays out, and so does one
+    holding a lone surrogate, which has no UTF-8 bytes."""
     if not table or table[0] != len(index):
-        held = [(s, c) for s, c in index.items() if s.isascii() and not s.endswith("\0")]
+        held = [(s.encode(), c) for s, c in index.items()
+                if not _undecoded(s) and not s.endswith("\0")]
         table[:] = (len(index),
                     _key_table([(s, c) for s, c in held if len(s) <= 8], "S8", np.uint64),
                     _key_table([(s, c) for s, c in held if len(s) > 8], "S"))
@@ -957,20 +988,6 @@ def _undecoded(text: str) -> bool:
     """Whether ``text`` holds a lone surrogate: a byte that did not decode
     as UTF-8 under ``surrogateescape``, or a str no file could hold."""
     return not text.isascii() and _SURROGATE.search(text) is not None
-
-
-def _floats(column: Sequence[str]) -> np.ndarray:
-    """A text column as float64; a field that does not parse reads nan."""
-    try:
-        return np.asarray(column, dtype=np.float64)
-    except ValueError:
-        out = np.empty(len(column))
-        for i, raw in enumerate(column):
-            try:
-                out[i] = float(raw)
-            except ValueError:
-                out[i] = np.nan
-        return out
 
 
 # -- dataset-level operations ------------------------------------------------

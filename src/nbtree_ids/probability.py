@@ -268,10 +268,9 @@ class NaiveBayesModel:
                 scores += np.take(w * table, code, axis=0)
         return np.tile(self._log_priors, (n, 1)) if scores is None else scores
 
-    def predict_dataset(self, dataset: WeightedDataset,
-                        attr_weights: np.ndarray | None = None) -> np.ndarray:
+    def predict_dataset(self, dataset: WeightedDataset) -> np.ndarray:
         """Argmax class index per example (ties: first class in order)."""
-        scores = self.log_scores(self.encode_dataset(dataset), attr_weights, n=dataset.n)
+        scores = self.log_scores(self.encode_dataset(dataset), n=dataset.n)
         return np.argmax(scores, axis=1)
 
     def posteriors_dataset(self, dataset: WeightedDataset) -> np.ndarray:

@@ -1187,6 +1187,41 @@ def test_unexpected_scoring_failure_exits_4(toy_models, tmp_path, monkeypatch, c
         assert not out.exists()
 
 
+def test_unexpected_load_failure_exits_2(toy_models, tmp_path, monkeypatch, capfd):
+    def broken(*args, **kwargs):
+        if os.getpid() != home or cpus == 1:  # at two CPUs, in the forked range only
+            raise IndexError("index 9 is out of bounds")
+        return codes(*args, **kwargs)
+
+    def no_process_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    home, codes = os.getpid(), dataset_module._codes
+    work, _, models = toy_models
+    toy = work / "toy.csv"
+    runs = {"train": ["train", "--train", str(toy), "--weighting-min-leaf-examples", "2",
+                      "--min-split-examples", "5"],
+            "eval": ["eval", "--test", str(toy), "--models", *models],
+            "compare": ["compare", "--train", str(toy), "--weighting-min-leaf-examples", "2",
+                        "--min-split-examples", "5", "--test-fraction", "0.25", "--seed", "7"]}
+    monkeypatch.setattr(dataset_module, "_codes", broken)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 64)
+    monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 4)
+    no_process_left()
+    for cpus in (1, 2):
+        monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+        assert len(dataset_module._byte_ranges(toy, kdd99_schema())) == cpus
+        for command, argv in runs.items():
+            name, out = f"{command} at {cpus} CPUs", tmp_path / f"{command}-{cpus}"
+            assert main([*argv, "--out", str(out)]) == 2, name
+            err = capfd.readouterr().err
+            assert err == (f"data error: cannot read record file {toy}: "
+                           "IndexError: index 9 is out of bounds\n"), (name, err)
+            assert not out.exists()
+            no_process_left()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("inspect", "--sample-fraction"), ("compare", "--test-fraction"),
 ])

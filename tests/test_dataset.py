@@ -349,7 +349,15 @@ def reference_load(lines, schema, taxonomy, permissive):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lines=LINES, chunk=st.integers(1, 7), permissive=st.booleans())
+# a str no file could hold: a lone high surrogate, which has no UTF-8 bytes
+@example(lines=["red,1,tc\ud800p,0,normal.", "red,1,tcp,0,normal."], chunk=2, permissive=True)
 def test_load_matches_parse_record_loop(lines, chunk, permissive):
+    check_load_against_reference(lines, chunk, permissive)
+
+
+def check_load_against_reference(lines, chunk, permissive):
+    """A load of ``lines`` in blocks of ``chunk`` lines keeps, skips,
+    extends and raises as the ``parse_record`` loop does."""
     schema, taxonomy = property_schema(), property_taxonomy()
     try:
         kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive)
@@ -393,12 +401,33 @@ KDD_EDITS = {
     "long-label": lambda f: f[:-1] + [KDD_LONG_NAME + "."],
     "undecodable": lambda f: f[:2] + [f[2] + "\udce9"] + f[3:],  # the byte 0xe9
 }
-# the edits of each block; blocks 2 and 3 hold lines the C reader raises on
+# the C reader raises on these edits; the others it reads
+KDD_RAISING = {"field-count", "unparseable-number"}
+# the edits of each block at random rows; blocks 2 and 3 hold lines the C
+# reader raises on
 KDD_EDITED_BLOCKS = {
     0: ["nan", "unknown-attack", "long-label", "undecodable"],
     2: ["field-count", "unparseable-number", "nan", "long-label"],
     3: ["unknown-attack", "undecodable", "field-count"],
 }
+# edits at fixed rows of a block: its first and last line, and two lines in
+# a row, after which the C reader reads no more of the block
+KDD_PLACED_EDITS = {
+    1: {0: "field-count", 1023: "unparseable-number"},
+    4: {10: "unparseable-number", 11: "field-count", 12: "nan", 400: "field-count"},
+}
+
+
+def unread_lines(block_rows, raising):
+    """The lines of a block of ``block_rows`` lines that the C reader does
+    not read, when it raises on the rows ``raising``: each of them, until
+    two come in a row, and then every line from the second on."""
+    unread, last = 0, None
+    for row in sorted(raising):
+        if last is not None and row == last + 1:
+            return unread + block_rows - row
+        unread, last = unread + 1, row
+    return unread
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -408,9 +437,11 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     synth.write_kdd_corpus(path, seed=7, scale=0.01)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     block = dataset_module._CHUNK_LINES
-    for b, kinds in KDD_EDITED_BLOCKS.items():
-        rows = rng.choice(np.arange(b * block, (b + 1) * block), len(kinds), replace=False)
-        for i, kind in zip(rows, kinds):
+    edits = {b: dict(zip(rng.choice(block, len(kinds), replace=False).tolist(), kinds))
+             for b, kinds in KDD_EDITED_BLOCKS.items()} | KDD_PLACED_EDITS  # b: {row: edit}
+    for b, placed in edits.items():
+        for row, kind in placed.items():
+            i = b * block + row
             lines[i] = ",".join(KDD_EDITS[kind](lines[i].rstrip("\n").split(","))) + "\n"
     path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
     schema = kdd99_schema()
@@ -433,21 +464,30 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     report = ds.load_report
     assert report.skipped_lines == [ln for ln, _ in skipped]
     assert report.reasons == Counter(reason for _, reason in skipped)
-    assert len(skipped) == 9  # every edit but the two long labels
+    assert len(skipped) == 15  # every edit but the two long labels
     assert report.extended_domains == {}
-    # block 0 holds an undecodable byte, so it is no ASCII block
-    assert report.fallback_lines == 3 * block
-    assert report.reader_lines == len(lines) - 3 * block
+    # the C reader reads every line but those it raises on, and after two
+    # in a row the rest of their block
+    fallback = sum(unread_lines(min(block, len(lines) - b * block),
+                                [row for row, kind in placed.items() if kind in KDD_RAISING])
+                   for b, placed in edits.items())
+    assert report.fallback_lines == fallback
+    assert report.reader_lines == len(lines) - fallback
 
 
 # symbols next to each other in sort order or prefixes of one another; of 8
 # bytes (one word of the reader's field) and 9, and one whose first word is
 # an 8-byte symbol's with a NUL at byte 8; one as wide as the reader's symbol
 # field, a latin-1 one, one above U+00FF, and one ending in NUL, which the
-# reader reads as "tcp"
+# reader reads as "tcp". The reader holds a symbol's UTF-8 bytes: "tcp_daé"
+# and "tcp_d中" are 8 bytes, "tcp_daté" 9, "ss…é" 32, and "ss…sé" 33, cut
+# inside its "é"
 LOOKUP_SYMBOLS = ["a", "a ", "ab", "b", "tc", "tcp", "tcpa", "tcp_data", "tcp_data1",
-                  "tcp_data\0x", "s" * dataset_module._STR_WIDTH, "é", "中", "tcp\0"]
-LOOKUP_DOMAIN = ("tcp", "a", "é", "tcp_data", "tcp_data1", "s" * dataset_module._STR_WIDTH)
+                  "tcp_data\0x", "s" * dataset_module._STR_WIDTH, "é", "中", "tcp\0",
+                  "tcp_daé", "tcp_d中", "tcp_daté", "s" * (dataset_module._STR_WIDTH - 2) + "é",
+                  "s" * (dataset_module._STR_WIDTH - 1) + "é"]
+LOOKUP_DOMAIN = ("tcp", "a", "é", "tcp_data", "tcp_data1", "s" * dataset_module._STR_WIDTH,
+                 "tcp_daé", "tcp_daté", "s" * (dataset_module._STR_WIDTH - 2) + "é")
 # the label table's neighbours: "norma", "normal " and "buffer_overfl" are
 # no attack names; "buffer_overflow" is longer than a word
 LOOKUP_LABELS = ["normal.", "attack", "normal", "attack.", "norma", "normal ",
@@ -502,10 +542,10 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
 
     def checked_codes(symbols, index, table):
         # a lookup that misses still codes its row right, through the dict
-        # path, so every call is held to dict.get on the symbols as read
+        # path, so every call is held to dict.get on the symbols as read (a
+        # field cut inside a character decodes to no key)
         got = real_codes(symbols, index, table)
-        read = symbols if isinstance(symbols, list) else symbols.tolist()
-        read = [s.decode() if isinstance(s, bytes) else s for s in read]
+        read = [s.decode("utf-8", "surrogateescape") for s in symbols.tolist()]
         assert got.tolist() == [index.get(s, -1) for s in read]
         return got
 
@@ -526,18 +566,16 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
     assert ds.load_report.skipped_lines == [ln for ln, _ in skipped]
     extended = domains["fixed"][len(LOOKUP_DOMAIN):]
     assert ds.load_report.extended_domains == ({"fixed": extended} if extended else {})
-    # every line here has its fields and numbers, so only a block that is not
-    # ASCII is split and converted
-    blocks = [lines[i:i + chunk] for i in range(0, len(lines), chunk)]
-    fallback = sum(len(block) for block in blocks if not "".join(block).isascii())
-    assert ds.load_report.fallback_lines == fallback
-    assert ds.load_report.reader_lines == len(lines) - fallback
+    # every line here has its fields and numbers, so the C reader reads
+    # every line, ASCII or not
+    assert ds.load_report.fallback_lines == 0
+    assert ds.load_report.reader_lines == len(lines)
 
 
 @pytest.mark.parametrize("symbol, reason", [("é", None), ("中", None),
                                             ("\udce9", "bad-encoding")],
                          ids=["latin-1", "above-ff", "undecodable"])
-def test_non_ascii_line_sends_its_block_to_split_and_convert(tmp_path, symbol, reason):
+def test_non_ascii_line_is_read_by_the_c_reader(tmp_path, symbol, reason):
     path = tmp_path / "corpus.csv"
     synth.write_kdd_corpus(path, seed=7, scale=0.01)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -547,14 +585,59 @@ def test_non_ascii_line_sends_its_block_to_split_and_convert(tmp_path, symbol, r
     path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
     ds = load_dataset(path, kdd99_schema(), kdd99_taxonomy(), permissive=True)
     report = ds.load_report
-    block = dataset_module._CHUNK_LINES
-    assert report.fallback_lines == block
-    assert report.reader_lines == len(lines) - block
+    assert report.fallback_lines == 0
+    assert report.reader_lines == len(lines)
     if reason is None:
         assert report.extended_domains == {"service": [symbol]}
         assert ds.example(100).values[2] == symbol
     else:
         assert report.reasons == {reason: 1} and report.skipped_lines == [101]
+
+
+def test_c_reader_messages_name_the_row_it_raised_on(monkeypatch):
+    # the loader reads from numpy's message the row the C reader raised on.
+    # Only the right row leaves one line to parse_record: a row named too
+    # early sends the rest of the block, one named too late fails the read,
+    # and a message the loader does not know sends the whole block
+    lines = toy_lines(5, 6)
+    edits = {"bad-number": "red,abc,normal.", "field-count": "red,1"}
+    judged = []  # the line numbers parse_record is given
+    real_parse = dataset_module.parse_record
+
+    def parse(*args, **kwargs):
+        judged.append(kwargs["line_number"])
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "parse_record", parse)
+    for kind, bad in edits.items():
+        for k in (0, 1, 5, len(lines) - 1):
+            block = lines[:k] + [bad] + lines[k + 1:]
+            judged.clear()
+            report = load_dataset(block, toy_schema(), toy_taxonomy(),
+                                  permissive=True).load_report
+            # the rows before the bad one are read, not left to parse_record
+            assert judged == report.skipped_lines == [k + 1], (kind, k)
+            assert (report.fallback_lines, report.reader_lines) == (1, len(lines) - 1)
+    # a line break inside a line: numpy's message names no row
+    block = lines[:3] + ["red,1,nor\nmal."] + lines[3:]
+    report = load_dataset(block, toy_schema(), toy_taxonomy(), permissive=True).load_report
+    assert (report.skipped_lines, report.fallback_lines) == ([4], len(block))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=LINES, chunk=st.integers(1, 7), permissive=st.booleans())
+def test_a_message_naming_no_row_leaves_its_block_to_parse_record(lines, chunk, permissive):
+    real_loadtxt = np.loadtxt
+
+    def unnamed(*args, **kwargs):
+        try:
+            return real_loadtxt(*args, **kwargs)
+        except ValueError:
+            raise ValueError("some line is wrong") from None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", unnamed)
+        check_load_against_reference(lines, chunk, permissive)
 
 
 # -- byte ranges ---------------------------------------------------------------------
@@ -734,7 +817,7 @@ def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
     def runs_out(*args):
         if os.getpid() != parent:
             raise MemoryError("no room for the block")
-        return read_lines(*args)
+        yield from read_lines(*args)
 
     def interrupted(_result):
         raise KeyboardInterrupt
@@ -746,8 +829,12 @@ def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
             load_dataset(path, schema, taxonomy)
         no_process_left()
         mp.setattr(dataset_module, "_iter_lines", runs_out)
-        with pytest.raises(MemoryError, match="^no room for the block$"):
+        # an exception of a range's read that is no toolkit error is a data
+        # error naming the file and the exception
+        with pytest.raises(DataFormatError) as error:
             load_dataset(path, schema, taxonomy)
+        assert str(error.value) == (f"cannot read record file {path}: "
+                                    "MemoryError: no room for the block")
         no_process_left()
         mp.setattr(dataset_module, "pickle",
                    SimpleNamespace(dumps=pickle.dumps, loads=interrupted))
