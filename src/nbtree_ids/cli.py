@@ -8,8 +8,12 @@ config file plus flag overrides, hashes it, and writes all artifacts under
 ``<out>/run-<hash>/`` with the resolved config embedded, so identical
 configurations re-produce identical artifacts (timing fields aside).
 
-Exit codes: 0 success, 1 usage or configuration, 2 data format,
-3 training failure, 4 evaluation failure.
+Exit codes: 0 success, 1 usage or configuration (also a run directory
+that cannot be written), 2 data format, 3 training failure, 4 evaluation
+failure. A fault the program did not expect exits with the code of its
+stage (reading a record or model file 2, training 3, scoring 4) and one
+line on stderr that names the fault's type; no stage leaves ``main`` with
+a traceback.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .exceptions import (
     EvaluationError,
     SchemaError,
     TrainingError,
+    unexpected_as,
 )
 from .kdd99 import kdd99_schema, kdd99_taxonomy
 from .nbtree import NBTree, NBTreeParams
@@ -263,13 +268,11 @@ class _Run:
     def save(self) -> None:
         """Write the run directory: every artifact, then ``run_info.json``."""
         files = {**self.artifacts, "run_info.json": json.dumps(self.info, indent=1) + "\n"}
-        try:
+        with unexpected_as(ConfigError, f"cannot write run directory {self.dir}: "):
             for rel, text in files.items():
                 path = self.dir / rel
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write run directory {self.dir}: {exc}") from None
 
 
 def _schema_and_taxonomy(config: RunConfig):
@@ -349,10 +352,8 @@ def _train_test(run: _Run) -> tuple[WeightedDataset, WeightedDataset]:
 def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
     """Dispatch a saved model document on its format tag. Any fault of
     the document is a ``DataFormatError`` naming the file."""
-    try:
+    with unexpected_as(DataFormatError, f"cannot read model file {path}: "):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read model file {path}: {exc}") from None
     loaders = {cls.FORMAT: cls for cls in (NaiveBayesModel, DecisionTree, NBTree)}
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt not in loaders:
@@ -422,7 +423,8 @@ def _write_reports(run: _Run, reports: list[EvalReport]) -> None:
 
 def cmd_select(run: _Run) -> None:
     train, _ = _load_train(run)
-    result = select_attributes(train, run.config.selection_params())
+    with unexpected_as(TrainingError):  # as train_models wraps the same pass
+        result = select_attributes(train, run.config.selection_params())
     _write_selection(run, result)
     run.write_json("kept.json", {
         "format": "kept-attributes/1",

@@ -19,7 +19,6 @@ import pickle
 import re
 import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice
@@ -31,9 +30,9 @@ import numpy as np
 from .exceptions import (
     DataFormatError,
     EmptyDatasetError,
-    NbtreeIdsError,
     SchemaError,
     TaxonomyError,
+    unexpected_as,
 )
 
 DISCRETE = "discrete"
@@ -194,7 +193,6 @@ class LoadReport:
     skipped: int = 0
     skipped_lines: list[int] = field(default_factory=list)
     reasons: dict[str, int] = field(default_factory=dict)
-    extended_domains: dict[str, list[str]] = field(default_factory=dict)
     reader_lines: int = 0  # lines the C reader read
     fallback_lines: int = 0  # lines it did not read, which parse_record decides
     seconds: float = 0.0
@@ -208,17 +206,12 @@ class LoadReport:
 
     def add(self, part: "LoadReport") -> None:
         """Count in this report ``part``, the report of the stream's next
-        range, read from the schema's domains: a symbol it extends a domain
-        by is listed once, where the stream first holds it. ``seconds`` and
-        ``readers`` are left to the caller."""
+        range. ``seconds`` and ``readers`` are left to the caller."""
         self.n_loaded += part.n_loaded
         self.skipped += part.skipped
         self.skipped_lines = (self.skipped_lines + part.skipped_lines)[:100]
         for reason, count in part.reasons.items():
             self.reasons[reason] = self.reasons.get(reason, 0) + count
-        for name, symbols in part.extended_domains.items():
-            listed = self.extended_domains.setdefault(name, [])
-            listed += [s for s in symbols if s not in listed]
         self.reader_lines += part.reader_lines
         self.fallback_lines += part.fallback_lines
 
@@ -442,6 +435,10 @@ def load_dataset(
     both errors begin with it. Unseen discrete values of kept records
     extend the attribute domain in permissive mode, and define it in
     either mode when the schema domain is empty.
+
+    A fault that is no toolkit error, of a range's read, a fork or the
+    merge, is raised as a ``DataFormatError`` that names the file and the
+    fault's type (:func:`~.exceptions.unexpected_as`).
     """
     reader = _Reader(schema, taxonomy, LoadReport(), permissive, source)
     maps, starts = [], []
@@ -458,21 +455,22 @@ def load_dataset(
             pass
         return reader.report.n_loaded, [list(reader.sym_index[j]) for j in reader.disc_idx]
 
-    (n, _), *parts = _map_ranges(reader, source, keys, None, shared)
-    for (kept, range_keys), row in zip(parts, starts[1:]):
-        for j, symbols in zip(reader.disc_idx, range_keys):
-            index = reader.sym_index[j]
-            code = np.fromiter((index.setdefault(s, len(index)) for s in symbols),
-                               np.int32, len(symbols))
-            if not np.array_equal(code, np.arange(len(code))):
-                for at in range(row, row + kept, _REMAP_ROWS):
-                    block = slice(at, min(at + _REMAP_ROWS, row + kept))
-                    maps[j][block] = code[maps[j][block]]
-        if row != n:  # an earlier range did not fill its bound
-            for arr in maps:
-                arr[n:n + kept] = arr[row:row + kept]
-        n += kept
-    return reader.dataset([arr[:n] for arr in maps])
+    with unexpected_as(DataFormatError, f"{reader.what}: "):
+        (n, _), *parts = _map_ranges(reader, source, keys, None, shared)
+        for (kept, range_keys), row in zip(parts, starts[1:]):
+            for j, symbols in zip(reader.disc_idx, range_keys):
+                index = reader.sym_index[j]
+                code = np.fromiter((index.setdefault(s, len(index)) for s in symbols),
+                                   np.int32, len(symbols))
+                if not np.array_equal(code, np.arange(len(code))):
+                    for at in range(row, row + kept, _REMAP_ROWS):
+                        block = slice(at, min(at + _REMAP_ROWS, row + kept))
+                        maps[j][block] = code[maps[j][block]]
+            if row != n:  # an earlier range did not fill its bound
+                for arr in maps:
+                    arr[n:n + kept] = arr[row:row + kept]
+            n += kept
+        return reader.dataset([arr[:n] for arr in maps])
 
 
 def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport, fn, *,
@@ -482,15 +480,17 @@ def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadRe
     weighted batches of ``rows`` examples or more, the last maybe fewer,
     each on the symbol domains read so far in its range (codes only grow)
     and in arrays of its own, so a batch held is never overwritten. The
-    parser, the verdict and the errors are :func:`load_dataset`'s, and
+    parser, the verdict and the errors are :func:`load_dataset`'s (a fault
+    of ``fn`` that is no toolkit error is a data error too), and
     ``report`` counts the whole stream."""
     reader = _Reader(schema, taxonomy, report, permissive, source)
 
     def fresh(_bounds):
         return lambda _, n: [np.empty(n, dtype) for dtype in reader.dtypes]
 
-    return _map_ranges(reader, source, lambda batches: fn(map(reader.dataset, batches)), rows,
-                       fresh)
+    with unexpected_as(DataFormatError, f"{reader.what}: "):
+        return _map_ranges(reader, source, lambda batches: fn(map(reader.dataset, batches)),
+                           rows, fresh)
 
 
 def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
@@ -511,10 +511,10 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
     ``reader.report`` then counts the whole stream as a one-range read
     does, but for ``readers``, the ranges, and ``seconds``: the cut pass,
     then the longest range's read, leaving out the time a batch is held. A
-    stream that keeps no record raises ``EmptyDatasetError``. An exception
-    of a range's read or placement that is no toolkit error is raised as a
-    ``DataFormatError`` naming the file and its type (:func:`_reading`);
-    one of ``fn`` or of a fork is raised as it is."""
+    stream that keeps no record raises ``EmptyDatasetError``. Any other
+    exception, of a range's read, of ``fn`` or of a fork, is raised as it
+    is: a worker's comes back through :func:`fork_map`, so the caller's
+    wrap sees its type wherever it happened."""
     start = time.perf_counter()
     if isinstance(source, (str, Path)):
         ranges = _byte_ranges(source, reader.schema)
@@ -537,8 +537,7 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
             for _ in batches:
                 pass
 
-    with _reading(reader.what):
-        outputs = place([bound for *_, bound in ranges])
+    outputs = place([bound for *_, bound in ranges])
     results = fork_map(reader.what, len(ranges), map_range, DataFormatError)
     for _, part in results[1:]:
         report.add(part)
@@ -546,18 +545,6 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
     report.readers = len(ranges)
     _check_kept(report, reader.at)
     return [result for result, _ in results]
-
-
-@contextmanager
-def _reading(what: str) -> Iterator[None]:
-    """Raise an exception of the block that is no :class:`NbtreeIdsError`
-    as a ``DataFormatError`` naming ``what`` and the exception's type."""
-    try:
-        yield
-    except NbtreeIdsError:
-        raise
-    except Exception as exc:  # surface unexpected failures as data errors
-        raise DataFormatError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _check_kept(report: LoadReport, at: str) -> None:
@@ -610,25 +597,23 @@ class _Reader:
         maybe fewer, or with ``rows`` None as one batch; each batch into the
         outputs that ``outputs()`` gives, and yielded as the rows written
         to them. The report's ``seconds`` leave out the time a batch is
-        held. A fault of the read that is no toolkit error is a data error
-        (:func:`_reading`)."""
-        with _reading(self.what):
-            start = time.perf_counter()
-            self.out = outputs()
-            numbered = enumerate(lines, start=first)
-            while block := list(islice(numbered, _CHUNK_LINES)):
-                if chunk := [(ln, text) for ln, text in block if text.strip()]:
-                    self.flush(chunk)
-                if rows is not None and self.n >= rows:
-                    batch = self.take_batch()
-                    self.report.seconds += time.perf_counter() - start
-                    yield batch
-                    start = time.perf_counter()
-                    self.out = outputs()
-            batch = self.take_batch() if self.n else None
-            self.report.seconds += time.perf_counter() - start
-            if batch is not None:
+        held."""
+        start = time.perf_counter()
+        self.out = outputs()
+        numbered = enumerate(lines, start=first)
+        while block := list(islice(numbered, _CHUNK_LINES)):
+            if chunk := [(ln, text) for ln, text in block if text.strip()]:
+                self.flush(chunk)
+            if rows is not None and self.n >= rows:
+                batch = self.take_batch()
+                self.report.seconds += time.perf_counter() - start
                 yield batch
+                start = time.perf_counter()
+                self.out = outputs()
+        batch = self.take_batch() if self.n else None
+        self.report.seconds += time.perf_counter() - start
+        if batch is not None:
+            yield batch
 
     def read(self, texts: list[str], joined: str):
         """The block's numbers (one row per continuous attribute), its symbol
@@ -673,7 +658,7 @@ class _Reader:
         return block["numbers"].T, dict(zip(self.indexes, symbols.T)), misread
 
     def flush(self, chunk: list[tuple[int, str]]) -> None:
-        attrs, cont_idx, out = self.attrs, self.cont_idx, self.out
+        cont_idx, out = self.cont_idx, self.out
         texts = [text for _, text in chunk]
         joined = "".join(texts)
         m = len(texts)
@@ -705,15 +690,9 @@ class _Reader:
         # its symbol dict, which grows in first-appearance order
         for j in self.disc_idx:
             index, code, read_symbols = self.sym_index[j], codes[j], symbols[j]
-            added = []
             for i in np.flatnonzero(keep & (flagged | (code < 0))).tolist():
                 s = kept_values[i][j] if i in kept_values else read_symbols[i].decode()
-                if s not in index:
-                    index[s] = len(index)
-                    added.append(s)
-                code[i] = index[s]
-            if added and attrs[j].domain:
-                self.report.extended_domains.setdefault(attrs[j].name, []).extend(added)
+                code[i] = index.setdefault(s, len(index))
         if not keep.all():
             numbers = numbers[:, keep]
             codes = {j: code[keep] for j, code in codes.items()}

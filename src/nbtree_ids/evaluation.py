@@ -26,7 +26,7 @@ from .attribute_weighting import (
 )
 from . import dataset as _dataset
 from .dataset import WeightedDataset, project_attributes
-from .exceptions import EvaluationError, NbtreeIdsError, SchemaError, TrainingError
+from .exceptions import EvaluationError, SchemaError, TrainingError, unexpected_as
 from .nbtree import NBTreeParams, build_nbtree
 from .probability import column_ranks, fit_naive_bayes
 
@@ -194,23 +194,19 @@ def evaluate_batches(models: Sequence, batches: Iterable[WeightedDataset]) -> li
     """Classify each test batch in turn, projected onto each model's
     attributes (``project_for_model``), and add up each model's confusion
     counts and predict seconds. A model is a naive-Bayes model, gain tree
-    or NB-tree. An unexpected failure of a model is raised as
+    or NB-tree. A fault of a model that is no toolkit error is raised as
     :class:`EvaluationError` naming its type; the batches' own errors
     pass as they are."""
     reports = [EvalReport(m.model_id, None, m.attribute_count, ConfusionMatrix(
         tuple(m.classes), np.zeros((len(m.classes),) * 2, int)), 0.0) for m in models]
     for batch in batches:
         for model, report in zip(models, reports):
-            try:
+            with unexpected_as(EvaluationError):
                 seen = project_for_model(model, batch)
                 start = time.perf_counter()
                 pred = model.predict_dataset(seen)
                 seconds = time.perf_counter() - start
                 matrix = ConfusionMatrix.from_indices(seen.labels, pred, report.classes)
-            except NbtreeIdsError:
-                raise
-            except Exception as exc:  # surface unexpected failures as evaluation errors
-                raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
             report.add(EvalReport(report.model_id, batch.dataset_id, report.attribute_count,
                                   matrix, seconds))
         batch = seen = None   # hold no batch while the next is read
@@ -286,21 +282,13 @@ def train_models(train: WeightedDataset, config: ComparisonConfig | None = None,
     follow here, as they need the kept attributes. Models and their order
     do not depend on the CPUs, and the weighting pass's or the NB-tree's
     error is raised before the full baselines'.
-    Returns (selection result, ordered {model_id: model}). An unexpected
-    failure is raised as :class:`TrainingError`.
+    Returns (selection result, ordered {model_id: model}). A fault that is
+    no toolkit error, in this process or a forked one, is raised as
+    :class:`TrainingError` naming its type.
     """
-    try:
-        return _train_models(train, config or ComparisonConfig(),
-                             {} if seconds is None else seconds)
-    except NbtreeIdsError:
-        raise
-    except Exception as exc:  # surface unexpected failures as training errors
-        raise TrainingError(str(exc)) from exc
-
-
-def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dict):
+    config = config or ComparisonConfig()
+    seconds = {} if seconds is None else seconds
     params = config.selection
-    plain = train.with_uniform_weights()
 
     def baselines(suffix: str, ds: WeightedDataset):
         """The NB and gain-tree baselines on ``ds``, and their seconds."""
@@ -322,23 +310,26 @@ def _train_models(train: WeightedDataset, config: ComparisonConfig, seconds: dic
         nbt.model_id = "proposed-nbtree"
         return selection, nbt
 
-    # sort each continuous column once, as the weighting pass's first fit
-    # would, so that a process forked now shares the sorts
-    for j, spec in enumerate(train.schema.attributes):
-        if not spec.is_discrete:
-            column_ranks(train, j)
-    # the full baselines need no selection: with a second usable CPU a
-    # forked process fits them meanwhile, else this one after proposed()
-    (selection, nbt), *full = _dataset.fork_map(
-        "full baselines", 1 + int(config.baselines and _dataset._max_processes() > 1),
-        lambda k: baselines("full", plain) if k else proposed(), TrainingError)
-    models: dict[str, object] = {"proposed-nbtree": nbt}
-    if config.baselines:
-        full = full or [baselines("full", plain)]
-        reduced = baselines("reduced", project_attributes(plain, selection.weights.kept_names()))
-        for part, part_seconds in (*full, reduced):
-            models.update(part)
-            seconds.update(part_seconds)
+    with unexpected_as(TrainingError):
+        plain = train.with_uniform_weights()
+        # sort each continuous column once, as the weighting pass's first fit
+        # would, so that a process forked now shares the sorts
+        for j, spec in enumerate(train.schema.attributes):
+            if not spec.is_discrete:
+                column_ranks(train, j)
+        # the full baselines need no selection: with a second usable CPU a
+        # forked process fits them meanwhile, else this one after proposed()
+        (selection, nbt), *full = _dataset.fork_map(
+            "full baselines", 1 + int(config.baselines and _dataset._max_processes() > 1),
+            lambda k: baselines("full", plain) if k else proposed(), TrainingError)
+        models: dict[str, object] = {"proposed-nbtree": nbt}
+        if config.baselines:
+            full = full or [baselines("full", plain)]
+            reduced = baselines("reduced",
+                                project_attributes(plain, selection.weights.kept_names()))
+            for part, part_seconds in (*full, reduced):
+                models.update(part)
+                seconds.update(part_seconds)
     return selection, models
 
 

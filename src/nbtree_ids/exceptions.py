@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule that turns
+a fault the toolkit did not expect into its stage's error."""
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class NbtreeIdsError(Exception):
@@ -45,3 +49,17 @@ class DegenerateTreeError(TrainingError):
 
 class EvaluationError(NbtreeIdsError):
     """Evaluation failed (for instance a model/test schema mismatch)."""
+
+
+@contextmanager
+def unexpected_as(error: type[NbtreeIdsError], prefix: str = "") -> Iterator[None]:
+    """Raise an exception of the block that is no :class:`NbtreeIdsError`
+    as ``error``: ``prefix``, then the exception's type and message. A
+    toolkit error, or a ``BaseException`` such as ``KeyboardInterrupt``,
+    passes as it is."""
+    try:
+        yield
+    except NbtreeIdsError:
+        raise
+    except Exception as exc:  # a fault the toolkit did not expect
+        raise error(f"{prefix}{type(exc).__name__}: {exc}") from exc

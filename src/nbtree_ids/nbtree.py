@@ -236,7 +236,6 @@ class _BuildContext:
         no BLAS (``bincount``, ``take`` and ``log`` only), so a forked
         search process may run it."""
         F, C, k = self.params.folds, self.schema.n_classes, self.k
-        self.stats["cross_validations"] += 1
         lab, w = view.labels[pos], view.weights[pos]
         f = _fold_assign(lab, _mix64(view.rows[pos].astype(np.uint64) ^ salt), F)
         cell = f * C + lab
@@ -278,41 +277,42 @@ class _BuildContext:
         return list(best_cuts(*view.ranks[j], view.labels, view.weights, self.schema.n_classes))
 
     def cut_utility(self, view: _NodeView, j: int, t, salt: np.uint64,
-                    node_accuracy: float) -> float:
+                    node_accuracy: float) -> tuple[float, int]:
         """The weight-averaged cross-validated accuracy of the children that
-        attribute j's split ``t`` (a ``cuts`` entry) makes of the node: a
-        pure function of the node's rows and ``salt``. Children lighter
-        than one example's mass score the node's own accuracy."""
+        attribute j's split ``t`` (a ``cuts`` entry) makes of the node, and
+        how many it cross-validated: a pure function of the node's rows and
+        ``salt``. A child lighter than one example's mass takes the node's accuracy."""
         spec = self.schema.attributes[j]
         if t is None:
             values, keys = view.codes[j], spec.domain
         else:
             values, keys = self.raw[j][view.rows], ("le", "gt")
         total = float(view.weights.sum())
-        u = 0.0
+        u, scored = 0.0, 0
         for key, pos in zip(keys, split_rows(values, np.arange(len(view.rows)), t, spec.domain)):
             wch = float(view.weights[pos].sum())
             if wch <= 0:
                 continue
             acc = node_accuracy
             if wch >= self.example_mass:
-                self.stats["children_scored"] += 1
+                scored += 1
                 acc = self.cv_accuracy(view, pos, salt ^ _path_salt(f"{j}:{key}:{t}"))
             u += (wch / total) * acc
-        return min(1.0, max(0.0, u))
+        return min(1.0, max(0.0, u)), scored
 
     def best_split(self, view: _NodeView, salt: np.uint64) -> SplitUtility | None:
         """The node's split, or None. Its units, one attribute's split ``t``
         of its ``cuts`` each, are scored by ``dataset.fork_map``: in one
         process for a node of fewer than ``_SEARCH_ROWS`` rows, else dealt
         to one process per usable CPU. Of n processes, process k scores
-        units k, k + n, ..., one at a time, and sends back their utilities
-        and its change to ``stats``. The best unit wins, ties to the first
-        in schema order (an attribute's lowest cut)."""
+        units k, k + n, ..., one at a time, and sends back what
+        ``cut_utility`` gives each. The best unit wins, ties to the first in
+        schema order (an attribute's lowest cut)."""
         node_weight = float(view.weights.sum())
         if node_weight < self.params.min_split_examples * self.example_mass:
             return None
         self.stats["split_searches"] += 1
+        self.stats["cross_validations"] += 1  # the node's own
         node_acc = self.cv_accuracy(view, np.arange(len(view.rows)), salt)
         node_err = 1.0 - node_acc
         if node_err <= 0:
@@ -326,17 +326,15 @@ class _BuildContext:
         self.stats["processes"] = max(self.stats["processes"], n)
 
         def search(k):
-            before = dict(self.stats)
-            found = [self.cut_utility(view, j, t, salt, node_acc) for j, t in units[k::n]]
-            return found, {key: self.stats[key] - count for key, count in before.items()}
+            return [self.cut_utility(view, j, t, salt, node_acc) for j, t in units[k::n]]
 
-        utilities = [0.0] * len(units)
-        parts = _dataset.fork_map("NB-tree split search", n, search, TrainingError)
-        for k, (found, stats) in enumerate(parts):
-            utilities[k::n] = found
-            if k:  # this process counted its own units
-                for key, change in stats.items():
-                    self.stats[key] += change
+        scored = [None] * len(units)  # (utility, children cross-validated) of each unit
+        for k, found in enumerate(_dataset.fork_map("NB-tree split search", n, search,
+                                                    TrainingError)):
+            scored[k::n] = found
+        utilities, children = zip(*scored)
+        self.stats["children_scored"] += sum(children)
+        self.stats["cross_validations"] += sum(children)
         best = max(range(len(units)), key=utilities.__getitem__)
         j, t = units[best]
         if (node_err - (1.0 - utilities[best])) / node_err <= self.params.significance:

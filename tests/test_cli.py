@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import errno
 import functools
 import io
 import json
@@ -21,7 +22,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import synth
-from nbtree_ids import cli, evaluation
+from nbtree_ids import attribute_weighting, cli, evaluation
 from nbtree_ids import nbtree as nbtree_module
 from nbtree_ids import dataset as dataset_module
 from nbtree_ids.attribute_weighting import SelectionParams
@@ -945,9 +946,11 @@ def test_no_scorer_process_outlives_an_eval(toy_models, monkeypatch):
         assert not out.exists()
         no_process_left()
     with monkeypatch.context() as mp:
+        # a fault of the range's consumer outside the models' own scoring
+        # comes back through the load, which names the file and the fault
         mp.setattr(cli, "evaluate_batches", runs_out)
-        with pytest.raises(MemoryError, match="^no room for the scores$"):
-            run_eval()
+        assert run_eval() == (2, f"data error: cannot read record file {test}: "
+                                 "MemoryError: no room for the scores\n")
         assert not out.exists()
         no_process_left()
         mp.setattr(dataset_module, "pickle",
@@ -962,8 +965,8 @@ def test_no_scorer_process_outlives_an_eval(toy_models, monkeypatch):
 
     open_fds = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(dataset_module.os, "fork", no_fork)
-    with pytest.raises(OSError, match="no process to spare"):
-        run_eval()
+    assert run_eval() == (2, f"data error: cannot read record file {test}: "
+                             "OSError: no process to spare\n")
     assert len(os.listdir("/proc/self/fd")) == open_fds
     no_process_left()
 
@@ -1149,7 +1152,8 @@ def test_eval_sorts_no_column(toy_models, monkeypatch):
     assert sorted_arrays == []
 
 
-def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monkeypatch):
+def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monkeypatch,
+                                                     capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
@@ -1159,6 +1163,7 @@ def test_compare_unexpected_training_failure_exits_3(toy_corpus, tmp_path, monke
         "--test-fraction", "0.25", "--seed", "7",
     ])
     assert code == 3
+    assert capsys.readouterr().err == "training error: RuntimeError: boom\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -1220,6 +1225,96 @@ def test_unexpected_load_failure_exits_2(toy_models, tmp_path, monkeypatch, capf
                            "IndexError: index 9 is out of bounds\n"), (name, err)
             assert not out.exists()
             no_process_left()
+
+
+# -- one unexpected fault per stage ----------------------------------------------
+
+_NO_PROCESS = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+_LOAD = "data error: cannot read record file {corpus}: "
+_LOADS = ("inspect", "select", "train", "eval", "compare")
+_TRAINS = ("train", "compare")
+# stage -> (exit code, the line's start, the commands that run the stage,
+# CPU counts, what to patch, the fault, the commands in which the stage
+# forks at 2 CPUs). At one CPU a load is one range and nothing forks, so
+# there is no fork to fail; a fork that fails in training needs a load of
+# one range
+_STAGES = {
+    "read": (2, _LOAD, _LOADS, (1, 2), (dataset_module, "_codes"),
+             IndexError("read fault"), _LOADS),
+    "fork": (2, _LOAD, _LOADS, (2,), (os, "fork"), _NO_PROCESS, ()),
+    "merge": (2, _LOAD, ("inspect", "select", "train", "compare"), (1, 2),
+              (dataset_module._Reader, "dataset"), IndexError("merge fault"), ()),
+    "weighting": (3, "training error: ", ("select", "train", "compare"), (1, 2),
+                  (attribute_weighting, "update_example_weights"),
+                  IndexError("weighting fault"), ()),
+    "build": (3, "training error: ", _TRAINS, (1, 2),
+              (nbtree_module._BuildContext, "cut_utility"), IndexError("build fault"), _TRAINS),
+    "baselines": (3, "training error: ", _TRAINS, (1, 2), (evaluation, "fit_naive_bayes"),
+                  IndexError("baselines fault"), _TRAINS),
+    "training-fork": (3, "training error: ", _TRAINS, (2,), (os, "fork"), _NO_PROCESS, ()),
+    "scoring": (4, "evaluation error: ", ("eval", "compare"), (1, 2),
+                (NaiveBayesModel, "predict_dataset"), IndexError("scoring fault"), ("eval",)),
+    "out": (1, "error: cannot write run directory ", _LOADS, (1, 2), None, None, ()),
+}
+
+
+@pytest.fixture(scope="module")
+def fault_work(tmp_path_factory):
+    """A work directory, a 507-line synthetic KDD corpus, whose NB-tree
+    searches its root in two processes at two CPUs, and the paths of the
+    five models ``train`` writes from it."""
+    work = tmp_path_factory.mktemp("faults")
+    corpus = work / "kdd.csv"
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.001)
+    assert main(["train", "--train", str(corpus), "--out", str(work / "train")]) == 0
+    models = sorted(str(p) for p in (run_dir(work / "train") / "models").glob("*.json"))
+    return work, corpus, models
+
+
+@pytest.mark.parametrize("stage, command, cpus", [
+    (stage, command, cpus) for stage, (_, _, commands, cpu_counts, *_) in _STAGES.items()
+    for command in commands for cpus in cpu_counts])
+def test_an_unexpected_fault_exits_with_its_stage_code(fault_work, monkeypatch, capfd, stage,
+                                                       command, cpus):
+    # the stage's fault, in a forked process where the stage forks, exits
+    # with the stage's code and one line naming the fault's type, and
+    # leaves no run directory and no process
+    code, start, _, _, target, fault, forks_in = _STAGES[stage]
+    work, corpus, models = fault_work
+    out = work / f"{stage}-{command}-{cpus}"
+    argv = {"eval": ["--test", str(corpus), "--models", *models],
+            "compare": ["--train", str(corpus), "--test-fraction", "0.25", "--seed", "7"]
+            }.get(command, ["--train", str(corpus)])
+    home = os.getpid()
+    in_worker = cpus == 2 and command in forks_in
+
+    def faulty(*args, **kwargs):
+        if not in_worker or os.getpid() != home:
+            raise fault
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nbtree_module, "_SEARCH_ROWS", 0)
+    if stage != "training-fork":
+        monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1024)
+        monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 64)
+    assert len(dataset_module._byte_ranges(corpus, kdd99_schema())) == (
+        1 if stage == "training-fork" else cpus)
+    if target is None:   # the output root is a file
+        out.write_text("")
+    else:
+        real = getattr(*target)
+        monkeypatch.setattr(*target, faulty)
+    assert main([command, *argv, "--out", str(out)]) == code
+    err = capfd.readouterr().err
+    if fault is None:
+        assert err.startswith(f"{start}{out}/run-") and err.count("\n") == 1, err
+        assert ": NotADirectoryError: [Errno 20] Not a directory: " in err
+    else:
+        assert err == f"{start.format(corpus=corpus)}{type(fault).__name__}: {fault}\n"
+        assert not out.exists()
+    with pytest.raises(ChildProcessError):   # no child process is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -1531,12 +1626,17 @@ def _schema_file_text() -> str:
      "cannot read model file {work}/none.json"),
     (["eval", "--test", "{toy}", "--models", "{work}/odd.json"], 2,
      "unrecognised model format 'odd/1' in {work}/odd.json"),
+    (["eval", "--test", "{toy}", "--models", "{work}/latin-1.json"], 2,
+     "cannot read model file {work}/latin-1.json: UnicodeDecodeError: "),
+    (["eval", "--test", "{toy}", "--models", "{work}/deep.json"], 2,
+     "cannot read model file {work}/deep.json: RecursionError: "),
     (["inspect", "--train", "{toy}", "--out", "{toy}"], 1,
      "cannot write run directory {toy}/run-"),
 ], ids=["schema-file", "unreadable-schema-file", "unreadable-taxonomy-file",
         "bad-schema-line", "bad-taxonomy-line", "train-bad-line",
         "fraction-outside-0-1", "no-test-and-no-fraction", "unreadable-config", "config-not-utf-8",
-        "unreadable-model-file", "unknown-model-format", "out-is-a-file"])
+        "unreadable-model-file", "unknown-model-format", "model-file-not-utf-8",
+        "model-file-nested-too-deep", "out-is-a-file"])
 def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, named):
     (tmp_path / "kdd.schema").write_text(_schema_file_text())
     header, first, *rest = _schema_file_text().splitlines(keepends=True)
@@ -1547,6 +1647,7 @@ def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, name
     (tmp_path / "bad.csv").write_text(toy_corpus.read_text() + "0,tcp,http\n")
     (tmp_path / "odd.json").write_text(json.dumps({"format": "odd/1"}))
     (tmp_path / "latin-1.json").write_bytes(b'{"train": "caf\xe9.csv"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     fill = [arg.format(toy=toy_corpus, work=tmp_path) for arg in argv]
     # a later --out overrides this one
     assert main([fill[0], "--out", str(tmp_path / "r"), *fill[1:]]) == code

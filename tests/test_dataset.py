@@ -180,14 +180,12 @@ def test_load_permissive_skipped_lines_leave_domains():
     ds = load_dataset(lines, toy_schema(), toy_taxonomy(), permissive=True)
     assert ds.load_report.skipped == 2
     assert ds.schema.attributes[0].domain == ("red", "green", "blue")
-    assert ds.load_report.extended_domains == {}
 
 
 def test_load_permissive_extends_domain():
     lines = toy_lines() + ["purple,2.0,normal."]
     ds = load_dataset(lines, toy_schema(), toy_taxonomy(), permissive=True)
-    assert "purple" in ds.schema.attributes[0].domain
-    assert ds.load_report.extended_domains == {"color": ["purple"]}
+    assert ds.schema.attributes[0].domain == ("red", "green", "blue", "purple")
     with pytest.raises(DataFormatError, match="purple"):
         load_dataset(lines, toy_schema(), toy_taxonomy())
 
@@ -384,8 +382,6 @@ def check_load_against_reference(lines, chunk, permissive):
     for _, reason in skipped:
         reasons[reason] = reasons.get(reason, 0) + 1
     assert report.reasons == reasons
-    extended = {"color": domains["color"][3:]} if len(domains["color"]) > 3 else {}
-    assert report.extended_domains == extended
     assert report.reader_lines + report.fallback_lines == sum(1 for line in lines if line.strip())
 
 
@@ -465,7 +461,6 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     assert report.skipped_lines == [ln for ln, _ in skipped]
     assert report.reasons == Counter(reason for _, reason in skipped)
     assert len(skipped) == 15  # every edit but the two long labels
-    assert report.extended_domains == {}
     # the C reader reads every line but those it raises on, and after two
     # in a row the rest of their block
     fallback = sum(unread_lines(min(block, len(lines) - b * block),
@@ -564,8 +559,6 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     assert ds.load_report.skipped_lines == [ln for ln, _ in skipped]
-    extended = domains["fixed"][len(LOOKUP_DOMAIN):]
-    assert ds.load_report.extended_domains == ({"fixed": extended} if extended else {})
     # every line here has its fields and numbers, so the C reader reads
     # every line, ASCII or not
     assert ds.load_report.fallback_lines == 0
@@ -588,7 +581,7 @@ def test_non_ascii_line_is_read_by_the_c_reader(tmp_path, symbol, reason):
     assert report.fallback_lines == 0
     assert report.reader_lines == len(lines)
     if reason is None:
-        assert report.extended_domains == {"service": [symbol]}
+        assert ds.schema.attributes[2].domain == (*kdd99_schema().attributes[2].domain, symbol)
         assert ds.example(100).values[2] == symbol
     else:
         assert report.reasons == {reason: 1} and report.skipped_lines == [101]
@@ -678,8 +671,7 @@ def load_outcome(path, schema, taxonomy, permissive):
     report = ds.load_report
     return ([ds.example(i) for i in range(ds.n)], ds.labels.tolist(), ds.schema,
             [c.dtype for c in ds.columns], report.n_loaded, report.skipped,
-            report.skipped_lines, list(report.reasons.items()),
-            list(report.extended_domains.items()), report.reader_lines,
+            report.skipped_lines, list(report.reasons.items()), report.reader_lines,
             report.fallback_lines), report.readers
 
 
@@ -848,8 +840,9 @@ def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
 
     open_fds = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(dataset_module.os, "fork", no_fork)
-    with pytest.raises(OSError, match="no process to spare"):
+    with pytest.raises(DataFormatError) as error:
         load_dataset(path, schema, taxonomy)
+    assert str(error.value) == f"cannot read record file {path}: OSError: no process to spare"
     assert len(os.listdir("/proc/self/fd")) == open_fds
 
 

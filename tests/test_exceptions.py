@@ -1,0 +1,45 @@
+"""The fault rule: one helper, ``exceptions.unexpected_as``, turns a fault
+the toolkit did not expect into its stage's error, and no other code
+catches every exception."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nbtree_ids"
+# the helper; the process map, which raises a worker's exception in this
+# process; and its worker, which sends every exception back to it
+CATCH_ALL_ALLOWED = {("exceptions", "unexpected_as"), ("dataset", "fork_map"),
+                     ("dataset", "_worker")}
+
+
+def catch_all_handlers(tree: ast.Module):
+    """(function name, line) of each handler that catches every exception:
+    a bare ``except``, or one naming ``Exception`` or ``BaseException``."""
+    def catches_all(kind) -> bool:
+        kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+        return kind is None or any(isinstance(k, ast.Name) and k.id in (
+            "Exception", "BaseException") for k in kinds)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and catches_all(node.type):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, None))
+
+
+def test_only_the_fault_rule_catches_every_exception():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [(path.stem, function, line) for function, line in catch_all_handlers(tree)
+                  if (path.stem, function) not in CATCH_ALL_ALLOWED]
+    assert found == []
+    # the check itself sees a handler in a method, a tuple and a bare except
+    probe = ast.parse("class A:\n def f(self):\n  try: pass\n"
+                      "  except (KeyError, Exception): pass\ntry: pass\nexcept: pass\n")
+    assert catch_all_handlers(probe) == [("f", 4), (None, 6)]
+

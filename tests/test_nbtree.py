@@ -65,7 +65,7 @@ def attribute_utility(ctx, view, j, salt):
     search scores it: the best of its ``cuts``, ties to the lowest, or the
     node's own accuracy when it has none."""
     node_acc = ctx.cv_accuracy(view, np.arange(len(view.rows)), salt)
-    found = [(ctx.cut_utility(view, j, t, salt, node_acc), t) for t in ctx.cuts(view, j)]
+    found = [(ctx.cut_utility(view, j, t, salt, node_acc)[0], t) for t in ctx.cuts(view, j)]
     u, t = max(found, key=lambda ut: ut[0], default=(node_acc, None))
     return u, (None if t is None else float(t))
 
@@ -762,10 +762,9 @@ class _CountingContext(_BuildContext):
     discrete_children = 0
 
     def cut_utility(self, view, j, t, salt, node_accuracy):
-        before = self.stats["children_scored"]
         found = super().cut_utility(view, j, t, salt, node_accuracy)
         if self.schema.attributes[j].is_discrete:
-            self.discrete_children += self.stats["children_scored"] - before
+            self.discrete_children += found[1]
         return found
 
 
@@ -784,6 +783,8 @@ def test_split_search_scores_only_the_best_cuts(tmp_path, monkeypatch):
     assert ctx.stats == {key: v for key, v in stats.items() if key != "build_s"}
     continuous = sum(not a.is_discrete for a in train.schema.attributes)
     assert stats["split_searches"] > 0 and continuous > 0
+    # each search cross-validates the node, then each child it scores
+    assert stats["cross_validations"] == stats["split_searches"] + stats["children_scored"]
     assert stats["children_scored"] <= (2 * _BEST_CUTS * continuous * stats["split_searches"]
                                         + ctx.discrete_children)
 
