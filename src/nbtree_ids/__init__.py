@@ -8,7 +8,6 @@ against plain NB and gain-tree baselines.
 """
 
 from .dataset import (
-    AttackTaxonomy,
     AttributeSpec,
     Example,
     Schema,

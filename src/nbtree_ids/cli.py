@@ -11,9 +11,9 @@ configurations re-produce identical artifacts (timing fields aside).
 Exit codes: 0 success, 1 usage or configuration (also a run directory
 that cannot be written), 2 data format, 3 training failure, 4 evaluation
 failure. A fault the program did not expect exits with the code of its
-stage (reading a record or model file 2, training 3, scoring 4) and one
-line on stderr that names the fault's type; no stage leaves ``main`` with
-a traceback.
+stage (reading a record or model file, or sampling or splitting the
+records read, 2; training 3; scoring 4) and one line on stderr that
+names the fault's type; no stage leaves ``main`` with a traceback.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .attribute_weighting import (
     select_attributes,
 )
 from .dataset import (
-    AttackTaxonomy,
     ClassCounts,
     LoadReport,
     WeightedDataset,
@@ -312,7 +311,7 @@ def _load(run: _Run, path: str, schema, taxonomy) -> WeightedDataset:
     return ds
 
 
-def _load_train(run: _Run) -> tuple[WeightedDataset, AttackTaxonomy]:
+def _load_train(run: _Run) -> tuple[WeightedDataset, dict[str, str]]:
     """``--train``, sampled when asked, and the taxonomy it was read by."""
     config = run.config
     if not config.train:
@@ -321,12 +320,8 @@ def _load_train(run: _Run) -> tuple[WeightedDataset, AttackTaxonomy]:
     ds = _load(run, config.train, schema, taxonomy)
     if config.sample_fraction is not None:
         seed = config.require_seed("--sample-fraction is set")
-        start = time.perf_counter()
-        try:
-            ds = stratified_sample(ds, config.sample_fraction, seed)
-        except ValueError as exc:
-            raise ConfigError(f"--sample-fraction {config.sample_fraction}: {exc}") from None
-        run.info["stage_s"]["sample"] = time.perf_counter() - start
+        ds = _draw_rows(run, "sample", "--sample-fraction", stratified_sample,
+                        ds, config.sample_fraction, seed)
     return ds, taxonomy
 
 
@@ -340,13 +335,23 @@ def _train_test(run: _Run) -> tuple[WeightedDataset, WeightedDataset]:
     if fraction is None:
         raise ConfigError("provide --test or --test-fraction")
     seed = config.require_seed("splitting the training file")
+    return _draw_rows(run, "split", "--test-fraction", stratified_split, train, fraction, seed)
+
+
+def _draw_rows(run: _Run, stage: str, flag: str, draw, ds: WeightedDataset, fraction: float,
+               seed: int):
+    """``draw(ds, fraction, seed)``, the sample or split ``stage`` of the
+    loaded records ``ds``, timed as that stage. A fraction it rejects is a
+    ``ConfigError`` naming ``flag``; it only selects rows, so a fault it
+    did not expect is a data error naming the records' source."""
     start = time.perf_counter()
-    try:
-        split = stratified_split(train, fraction, seed)
-    except ValueError as exc:
-        raise ConfigError(f"--test-fraction {fraction}: {exc}") from None
-    run.info["stage_s"]["split"] = time.perf_counter() - start
-    return split.train, split.test
+    with unexpected_as(DataFormatError, f"cannot {stage} {ds.dataset_id}: "):
+        try:
+            drawn = draw(ds, fraction, seed)
+        except ValueError as exc:
+            raise ConfigError(f"{flag} {fraction}: {exc}") from None
+    run.info["stage_s"][stage] = time.perf_counter() - start
+    return drawn
 
 
 def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:

@@ -2,10 +2,11 @@
 
 Connection records are comma-separated lines with one value per schema
 attribute plus a trailing attack-name label (optionally period-terminated,
-as in the published KDD99 files). Raw attack names are mapped to the five
-traffic classes through an :class:`AttackTaxonomy`. Loading assigns every
-example the uniform weight 1/n; everything downstream treats a loaded
-dataset as immutable and derives new datasets instead of mutating.
+as in the published KDD99 files). A taxonomy, a dict from attack name to
+class name, maps each label to one of the five traffic classes, and the
+loader reads every label as its class. Loading assigns every example the
+uniform weight 1/n; everything downstream treats a loaded dataset as
+immutable and derives new datasets instead of mutating.
 """
 
 from __future__ import annotations
@@ -150,38 +151,16 @@ class Schema:
         return Schema(attrs, self.class_names)
 
 
-class AttackTaxonomy:
-    """Total mapping from raw attack name to class label.
-
-    ``normal`` is conventionally reserved for the Normal class. Lookups of
-    unmapped names raise :class:`TaxonomyError` naming the unknown symbol.
-    """
-
-    def __init__(self, mapping: dict[str, str]):
-        if not mapping:
-            raise TaxonomyError("empty attack taxonomy")
-        self.mapping = dict(mapping)
-
-    def class_of(self, raw_name: str) -> str:
-        try:
-            return self.mapping[raw_name]
-        except KeyError:
-            raise TaxonomyError(f"unknown attack name {raw_name!r}") from None
-
-
 @dataclass
 class Example:
-    """A single record: one value per schema attribute, a class label, the
-    raw attack name it came from, and a non-negative weight.
+    """A single record: one value per schema attribute, the class its
+    attack name maps to, and a non-negative weight.
 
     ``parse_record`` leaves the weight at 0; ``load_dataset`` assigns 1/n.
-    A dataset keeps no raw names, so ``WeightedDataset.example`` gives the
-    class name as ``raw_label``.
     """
 
     values: tuple
     label: str
-    raw_label: str
     weight: float = 0.0
 
 
@@ -277,7 +256,7 @@ class WeightedDataset:
         for spec, col in zip(self.schema.attributes, self.columns):
             values.append(spec.domain[col[i]] if spec.is_discrete else float(col[i]))
         label = self.schema.class_names[self.labels[i]]
-        return Example(tuple(values), label, label, float(self.weights[i]))
+        return Example(tuple(values), label, float(self.weights[i]))
 
     @property
     def dataset_id(self) -> str:
@@ -315,19 +294,19 @@ class WeightedDataset:
 def parse_record(
     line: str,
     schema: Schema,
-    taxonomy: AttackTaxonomy,
+    taxonomy: dict[str, str],
     *,
     permissive: bool = False,
     line_number: int | None = None,
 ) -> Example:
     """Parse one comma-separated record into an :class:`Example`.
 
-    The line must carry exactly one field per attribute plus the label; the
-    label may end with a period. In permissive mode discrete values outside
-    a non-empty domain are accepted rather than rejected (the load loop
-    extends the domain); numbers and arity are never forgiven. A line that
-    holds a lone surrogate (a byte that did not decode as UTF-8) is
-    rejected as ``bad-encoding``.
+    The line must carry exactly one field per attribute plus the label, an
+    attack name of ``taxonomy`` that may end with periods. In permissive
+    mode discrete values outside a non-empty domain are accepted rather
+    than rejected (the load loop extends the domain); numbers and arity
+    are never forgiven. A line that holds a lone surrogate (a byte that did
+    not decode as UTF-8) is rejected as ``bad-encoding``.
     """
     where = f" at line {line_number}" if line_number is not None else ""
     if _undecoded(line):
@@ -349,17 +328,16 @@ def parse_record(
             values.append(raw)
         else:
             values.append(_parse_number(raw, spec.name, where))
-    raw_label = fields[-1].rstrip(".")
-    try:
-        label = taxonomy.class_of(raw_label)
-    except TaxonomyError as exc:
-        raise TaxonomyError(f"{exc}{where}", reason="unknown-attack") from None
+    name = fields[-1].rstrip(".")
+    label = taxonomy.get(name)
+    if label is None:
+        raise TaxonomyError(f"unknown attack name {name!r}{where}", reason="unknown-attack")
     if label not in schema.class_names:
         raise TaxonomyError(
-            f"taxonomy maps {raw_label!r} to unknown class {label!r}{where}",
+            f"taxonomy maps {name!r} to unknown class {label!r}{where}",
             reason="unknown-class",
         )
-    return Example(tuple(values), label, raw_label, 0.0)
+    return Example(tuple(values), label, 0.0)
 
 
 def _parse_number(raw: str, attribute: str, where: str) -> float:
@@ -398,7 +376,7 @@ def _iter_lines(source, start: int = 0, count: int | None = None) -> Iterator[st
 def load_dataset(
     source,
     schema: Schema,
-    taxonomy: AttackTaxonomy,
+    taxonomy: dict[str, str],
     *,
     permissive: bool = False,
 ) -> WeightedDataset:
@@ -406,9 +384,9 @@ def load_dataset(
     a uniformly weighted dataset, whose report is ``load_report``.
 
     Each range of :func:`_map_ranges` is read as one batch into anonymous
-    maps shared with its process, one per column and one for the label
-    codes, sized by every range's bound: a range's rows start where the
-    previous range's bound ends. The ranges are then merged in stream
+    maps shared with its process, one per column and one for the labels,
+    sized by every range's bound: a range's rows start where the previous
+    range's bound ends. The ranges are then merged in stream
     order: a later range's symbol codes are translated into the
     first-appearance order of the whole stream, and its rows moved up past
     those earlier ranges did not keep. So the dataset, its domains and its
@@ -416,9 +394,9 @@ def load_dataset(
 
     Lines are read in blocks of ``_CHUNK_LINES`` by numpy's C reader
     (:meth:`_Reader.read`), which leaves unread a line it raises on (a
-    wrong field count, or a number it cannot read). Each symbol column and
-    the label is coded by table lookup (:func:`_codes`), -1 where a field
-    is no key. One verdict then flags each row that
+    wrong field count, or a number it cannot read). Each symbol column is
+    coded by table lookup (:func:`_codes`), and the label as its class
+    index, -1 where a field is no key. One verdict then flags each row that
     :func:`parse_record` might judge otherwise: a line the C reader did not
     read, a non-finite number, a label with no class, in strict mode a
     symbol outside its non-empty domain, a symbol as wide as the reader's
@@ -473,7 +451,7 @@ def load_dataset(
         return reader.dataset([arr[:n] for arr in maps])
 
 
-def map_batches(source, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport, fn, *,
+def map_batches(source, schema: Schema, taxonomy: dict[str, str], report: LoadReport, fn, *,
                 rows: int, permissive: bool = False) -> list:
     """``fn(batches)`` of each range of a record stream, in stream order
     (:func:`_map_ranges`): ``batches`` iterates over the range's uniformly
@@ -560,13 +538,13 @@ class _Reader:
     """The block loop of :func:`_map_ranges`, over one range of a record
     stream at a time. It writes each block's kept rows into ``out``, the
     outputs it is given for the batch it reads: one array per attribute
-    and then the label codes (indexes into ``names``), of ``dtypes`` and
+    and then the labels, each read as its class index, of ``dtypes`` and
     sized before the read. It counts in ``report``, and raises a strict
     load's first error, but never ``EmptyDatasetError``.
     ``sym_index`` holds one dict per discrete attribute, symbol -> code,
     in first-appearance order."""
 
-    def __init__(self, schema: Schema, taxonomy: AttackTaxonomy, report: LoadReport,
+    def __init__(self, schema: Schema, taxonomy: dict[str, str], report: LoadReport,
                  permissive: bool, source):
         attrs = self.attrs = schema.attributes
         self.schema, self.taxonomy, self.report, self.permissive = (
@@ -576,12 +554,12 @@ class _Reader:
         # per discrete attribute: symbol -> code, insertion-ordered
         self.sym_index = {j: {s: i for i, s in enumerate(attrs[j].domain)} for j in self.disc_idx}
         self.checked = [j for j in self.disc_idx if attrs[j].domain and not permissive]
-        # label field, with or without its period -> index into `names`
-        self.names = [r for r, c in taxonomy.mapping.items()
-                      if c in schema.class_names and not r.endswith(".")]
-        self.name_code = {r + end: k for k, r in enumerate(self.names) for end in ("", ".")}
+        # label field, with or without its period -> class index; parse_record
+        # strips every period, so a name that ends in one is no label
+        self.name_code = {r + end: schema.class_index(c) for r, c in taxonomy.items()
+                          if c in schema.class_names and not r.endswith(".") for end in ("", ".")}
         self.dtypes = [np.dtype(np.int32 if a.is_discrete else np.float64) for a in attrs]
-        self.dtypes.append(np.dtype(np.intp))
+        self.dtypes.append(np.dtype(np.int64))
         self.out, self.n = [], 0  # the outputs of the batch being read, rows written to them
         self.indexes = {**self.sym_index, -1: self.name_code}  # the symbol columns, then the label
         self.tables = {j: [] for j in self.indexes}  # their key tables, kept by `_codes`
@@ -685,7 +663,7 @@ class _Reader:
                 continue
             numbers[:, i] = [ex.values[j] for j in cont_idx]
             kept_values[i] = ex.values
-            codes[-1][i] = self.name_code[ex.raw_label]
+            codes[-1][i] = self.schema.class_index(ex.label)
         # a kept row the lookup missed or parse_record decided is coded by
         # its symbol dict, which grows in first-appearance order
         for j in self.disc_idx:
@@ -714,17 +692,14 @@ class _Reader:
         return batch
 
     def dataset(self, batch: list[np.ndarray]) -> WeightedDataset:
-        """The uniformly weighted dataset of ``batch``'s columns and label
-        codes, on the symbol domains read so far."""
-        *columns, codes = batch
-        schema, n = self.schema, len(codes)
-        name_class = np.array([schema.class_index(self.taxonomy.mapping[r]) for r in self.names],
-                              dtype=np.int64)
+        """The uniformly weighted dataset of ``batch``'s columns and labels,
+        on the symbol domains read so far."""
+        *columns, labels = batch
+        n = len(labels)
         return WeightedDataset(
-            schema.with_domains({self.attrs[j].name: tuple(self.sym_index[j])
-                                 for j in self.disc_idx}),
-            columns, name_class[codes], np.full(n, 1.0 / n), source=self.src,
-            load_report=self.report)
+            self.schema.with_domains({self.attrs[j].name: tuple(self.sym_index[j])
+                                      for j in self.disc_idx}),
+            columns, labels, np.full(n, 1.0 / n), source=self.src, load_report=self.report)
 
 
 def _usable_cpus() -> int:
@@ -1110,8 +1085,9 @@ def load_schema_file(path) -> Schema:
     return _parse_file(parse_schema_text, path, "schema")
 
 
-def parse_taxonomy_text(text: str) -> AttackTaxonomy:
-    """Parse ``raw_name class`` pairs, whitespace-separated, ``#`` comments."""
+def parse_taxonomy_text(text: str) -> dict[str, str]:
+    """Parse ``raw_name class`` pairs, whitespace-separated, ``#`` comments,
+    into the taxonomy: attack name -> class name, not empty."""
     mapping: dict[str, str] = {}
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1126,8 +1102,10 @@ def parse_taxonomy_text(text: str) -> AttackTaxonomy:
         if name in mapping and mapping[name] != cls:
             raise DataFormatError(f"conflicting mapping for {name!r} at line {ln}")
         mapping[name] = cls
-    return AttackTaxonomy(mapping)
+    if not mapping:
+        raise TaxonomyError("empty attack taxonomy")
+    return mapping
 
 
-def load_taxonomy_file(path) -> AttackTaxonomy:
+def load_taxonomy_file(path) -> dict[str, str]:
     return _parse_file(parse_taxonomy_text, path, "taxonomy")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .dataset import AttackTaxonomy, AttributeSpec, Schema, load_taxonomy_file
+from .dataset import AttributeSpec, Schema, load_taxonomy_file
 
 CLASS_NAMES = ("Normal", "Probe", "DoS", "U2R", "R2L")
 
@@ -86,7 +86,7 @@ def kdd99_schema() -> Schema:
     return Schema(attrs, CLASS_NAMES)
 
 
-def kdd99_taxonomy() -> AttackTaxonomy:
+def kdd99_taxonomy() -> dict[str, str]:
     """Attack-name mapping shipped with the package (22 training attacks
     plus the extra names appearing in the corrected test set)."""
     with resources.as_file(resources.files("nbtree_ids").joinpath("data/kdd99.taxonomy")) as p:

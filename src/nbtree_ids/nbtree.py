@@ -57,12 +57,12 @@ split, or one of a continuous one's best cuts). Below ``_SEARCH_ROWS``
 rows the call has one item, which runs in this process and forks nothing;
 a larger node's units are dealt in turn to one process per usable CPU.
 Each process splits the node's rows for one unit at a time,
-cross-validates the children, and sends back its units' utilities and its
-change to the build's counters. This process then picks the winner in
-schema order. A utility is a pure function of the node's rows and its
-salt, so the tree and its counters do not depend on the
-number of processes; ``build_stats["processes"]`` gives the most that one
-search used.
+cross-validates the children, and sends back each unit's utility and how
+many children it cross-validated. This process then picks the winner in
+schema order and adds up the counts. A utility is a pure function of the
+node's rows and its salt, so the tree and its counters do not depend on
+the number of processes; ``build_stats["processes"]`` gives the most
+that one search used.
 
 The node type, routing, dump and JSON codec live in ``tree``, shared with
 the gain tree; ``NBTree`` adds the naive-Bayes leaves and their scoring.

@@ -11,7 +11,7 @@ junk to prune, minority classes to fight for.
 
 import numpy as np
 
-from nbtree_ids.dataset import AttackTaxonomy, AttributeSpec, Schema, load_dataset
+from nbtree_ids.dataset import AttributeSpec, Schema, load_dataset
 from nbtree_ids.kdd99 import kdd99_schema
 
 
@@ -22,7 +22,7 @@ def make_dataset(schema, rows, labels, weights=None):
     lines = [",".join([*(str(v) if a.is_discrete else repr(float(v))
                          for a, v in zip(schema.attributes, row)), label]) + "\n"
              for row, label in zip(rows, labels, strict=True)]
-    ds = load_dataset(lines, schema, AttackTaxonomy({c: c for c in schema.class_names}))
+    ds = load_dataset(lines, schema, {c: c for c in schema.class_names})
     return ds if weights is None else ds.with_weights(weights)
 
 

@@ -1244,6 +1244,10 @@ _STAGES = {
     "fork": (2, _LOAD, _LOADS, (2,), (os, "fork"), _NO_PROCESS, ()),
     "merge": (2, _LOAD, ("inspect", "select", "train", "compare"), (1, 2),
               (dataset_module._Reader, "dataset"), IndexError("merge fault"), ()),
+    "sample": (2, "data error: cannot sample {corpus}: ", ("inspect", "select", "train", "compare"),
+               (1, 2), (cli, "stratified_sample"), IndexError("sample fault"), ()),
+    "split": (2, "data error: cannot split {corpus}: ", ("compare",), (1, 2),
+              (cli, "stratified_split"), IndexError("split fault"), ()),
     "weighting": (3, "training error: ", ("select", "train", "compare"), (1, 2),
                   (attribute_weighting, "update_example_weights"),
                   IndexError("weighting fault"), ()),
@@ -1285,6 +1289,8 @@ def test_an_unexpected_fault_exits_with_its_stage_code(fault_work, monkeypatch, 
     argv = {"eval": ["--test", str(corpus), "--models", *models],
             "compare": ["--train", str(corpus), "--test-fraction", "0.25", "--seed", "7"]
             }.get(command, ["--train", str(corpus)])
+    if stage == "sample":
+        argv += ["--sample-fraction", "0.5"] + ([] if command == "compare" else ["--seed", "1"])
     home = os.getpid()
     in_worker = cpus == 2 and command in forks_in
 
@@ -1615,6 +1621,8 @@ def _schema_file_text() -> str:
     (["inspect", "--train", "{toy}", "--schema", "{work}/kdd.schema",
       "--taxonomy", "{work}/bad.taxonomy"], 2,
      "{work}/bad.taxonomy: expected 'raw_name class' at line 2 of taxonomy file"),
+    (["inspect", "--train", "{toy}", "--taxonomy", "{work}/empty.taxonomy"], 2,
+     "data error: {work}/empty.taxonomy: empty attack taxonomy\n"),
     (["train", "--train", "{work}/bad.csv"], 2, "expected 42 fields, got 3 at line 81"),
     (["compare", "--train", "{toy}", "--test-fraction", "1.5", "--seed", "1"], 1,
      "test_fraction must be in (0, 1)"),
@@ -1633,7 +1641,7 @@ def _schema_file_text() -> str:
     (["inspect", "--train", "{toy}", "--out", "{toy}"], 1,
      "cannot write run directory {toy}/run-"),
 ], ids=["schema-file", "unreadable-schema-file", "unreadable-taxonomy-file",
-        "bad-schema-line", "bad-taxonomy-line", "train-bad-line",
+        "bad-schema-line", "bad-taxonomy-line", "empty-taxonomy-file", "train-bad-line",
         "fraction-outside-0-1", "no-test-and-no-fraction", "unreadable-config", "config-not-utf-8",
         "unreadable-model-file", "unknown-model-format", "model-file-not-utf-8",
         "model-file-nested-too-deep", "out-is-a-file"])
@@ -1644,6 +1652,7 @@ def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, name
     taxonomy = (Path(cli.__file__).parent / "data" / "kdd99.taxonomy").read_text()
     (tmp_path / "kdd.taxonomy").write_text(taxonomy)
     (tmp_path / "bad.taxonomy").write_text("normal Normal\nneptune\n")
+    (tmp_path / "empty.taxonomy").write_text("# no attack names\n\n")
     (tmp_path / "bad.csv").write_text(toy_corpus.read_text() + "0,tcp,http\n")
     (tmp_path / "odd.json").write_text(json.dumps({"format": "odd/1"}))
     (tmp_path / "latin-1.json").write_bytes(b'{"train": "caf\xe9.csv"}')

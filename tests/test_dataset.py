@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import synth
 from nbtree_ids import dataset as dataset_module
 from nbtree_ids.dataset import (
-    AttackTaxonomy,
     AttributeSpec,
     Example,
     LoadReport,
@@ -79,7 +78,6 @@ def toy_lines(n_a=2, n_b=2):
 def test_parse_first_published_record():
     ex = parse_record(FIRST_KDD_RECORD, kdd99_schema(), kdd99_taxonomy())
     assert ex.label == "Normal"
-    assert ex.raw_label == "normal"
     assert len(ex.values) == 41
     assert ex.values[4] == 181.0
     assert ex.values[2] == "http"
@@ -268,8 +266,11 @@ LONG_NAME = "long_attack_" + "x" * (dataset_module._STR_WIDTH - len("long_attack
 
 
 def property_taxonomy():
-    # Z is no schema class
-    return parse_taxonomy_text(f"normal A\nattack B\nodd Z\n{LONG_NAME} B\n")
+    # `later` is listed before any A name, so a label coded in taxonomy order
+    # is no class index; Z is no schema class; `dotted.` ends in the period
+    # that parse_record strips, so no label field names it
+    return parse_taxonomy_text(
+        f"later B\nnormal A\nattack B\nodd Z\ndotted. A\n{LONG_NAME} B\n")
 
 
 GOOD_FIELDS = st.tuples(
@@ -290,6 +291,9 @@ BAD_EDITS = {
     "empty-number": lambda f: f[:3] + [""] + f[4:],
     "unknown-attack": lambda f: f[:4] + ["warp."],
     "unknown-class": lambda f: f[:4] + ["odd."],
+    "later": lambda f: f[:4] + ["later."],
+    "dotted": lambda f: f[:4] + ["dotted."],
+    "dotted-twice": lambda f: f[:4] + ["dotted.."],
     "unseen-symbol": lambda f: ["purple"] + f[1:],
     "new-proto": lambda f: f[:2] + ["sctp"] + f[3:],
     "blank": lambda f: None,
@@ -373,7 +377,7 @@ def check_load_against_reference(lines, chunk, permissive):
             return
         ds = load_dataset(lines, schema, taxonomy, permissive=permissive)
     assert [ds.example(i) for i in range(ds.n)] == [
-        Example(ex.values, ex.label, ex.label, 1.0 / len(kept)) for ex in kept
+        Example(ex.values, ex.label, 1.0 / len(kept)) for ex in kept
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     report = ds.load_report
@@ -441,7 +445,7 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
             lines[i] = ",".join(KDD_EDITS[kind](lines[i].rstrip("\n").split(","))) + "\n"
     path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
     schema = kdd99_schema()
-    taxonomy = AttackTaxonomy({**kdd99_taxonomy().mapping, **KDD_LONG_NAMES})
+    taxonomy = {**kdd99_taxonomy(), **KDD_LONG_NAMES}
 
     with pytest.raises(DataFormatError) as expected:
         reference_load(lines, schema, taxonomy, permissive=False)
@@ -454,7 +458,7 @@ def test_kdd_load_matches_parse_record_loop(tmp_path, seed):
     kept, skipped, domains = reference_load(lines, schema, taxonomy, permissive=True)
     ds = load_dataset(path, schema, taxonomy, permissive=True)
     assert [ds.example(i) for i in range(ds.n)] == [
-        Example(ex.values, ex.label, ex.label, 1.0 / len(kept)) for ex in kept
+        Example(ex.values, ex.label, 1.0 / len(kept)) for ex in kept
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     report = ds.load_report
@@ -555,7 +559,7 @@ def test_symbol_lookup_matches_parse_record_loop(lines, chunk, permissive):
             return
         ds = load_dataset(lines, schema, taxonomy, permissive=permissive)
     assert [ds.example(i) for i in range(ds.n)] == [
-        Example(ex.values, ex.label, ex.label, 1.0 / len(kept)) for ex in kept
+        Example(ex.values, ex.label, 1.0 / len(kept)) for ex in kept
     ]
     assert {a.name: list(a.domain) for a in ds.schema.attributes if a.is_discrete} == domains
     assert ds.load_report.skipped_lines == [ln for ln, _ in skipped]
@@ -884,7 +888,7 @@ def test_a_one_range_bound_holds_the_shortest_records(tmp_path, monkeypatch, kin
     # and, but for the last, a line break: the label may be empty
     schema = Schema(tuple(AttributeSpec(f"x{j}", "discrete" if kind == "d" else "continuous")
                           for j, kind in enumerate(kinds)), ("A", "B"))
-    taxonomy = AttackTaxonomy({"a": "A", "": "B"})
+    taxonomy = {"a": "A", "": "B"}
     path, k = tmp_path / "records.csv", 5000
     path.write_text("\n".join([record] * k))  # no line break after the last
     monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 1)
@@ -1185,7 +1189,7 @@ def test_schema_file_requires_header_and_kinds():
 
 def test_taxonomy_file_parsing_and_conflicts():
     tax = parse_taxonomy_text("# c\nnormal  Normal\nneptune DoS\n")
-    assert tax.class_of("neptune") == "DoS"
+    assert tax["neptune"] == "DoS"
     with pytest.raises(DataFormatError, match="conflicting"):
         parse_taxonomy_text("x A\nx B\n")
     with pytest.raises(DataFormatError, match="raw_name"):
@@ -1213,7 +1217,7 @@ def test_taxonomy_comment_holding_a_line_separator_stays_one_line(tmp_path, char
         parse_taxonomy_text(text)
     path = tmp_path / "taxonomy.txt"
     path.write_text(text.replace("warp", "warp B"), encoding="utf-8")
-    assert load_taxonomy_file(path).mapping == {"normal": "A", "warp": "B"}
+    assert load_taxonomy_file(path) == {"normal": "A", "warp": "B"}
 
 
 def test_builtin_taxonomy_covers_known_attacks():
@@ -1231,9 +1235,9 @@ def test_builtin_taxonomy_covers_known_attacks():
         "satan": "Probe",
     }
     for name, cls in expected.items():
-        assert tax.class_of(name) == cls
-    with pytest.raises(TaxonomyError, match="no_such_attack"):
-        tax.class_of("no_such_attack")
+        assert tax[name] == cls
+    with pytest.raises(KeyError, match="no_such_attack"):
+        tax["no_such_attack"]
 
 
 def test_builtin_schema_shape():
