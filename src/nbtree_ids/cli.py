@@ -9,11 +9,13 @@ config file plus flag overrides, hashes it, and writes all artifacts under
 configurations re-produce identical artifacts (timing fields aside).
 
 Exit codes: 0 success, 1 usage or configuration (also a run directory
-that cannot be written), 2 data format, 3 training failure, 4 evaluation
-failure. A fault the program did not expect exits with the code of its
-stage (reading a record or model file, or sampling or splitting the
-records read, 2; training 3; scoring 4) and one line on stderr that
-names the fault's type; no stage leaves ``main`` with a traceback.
+whose artifacts cannot be rendered or written), 2 data format, 3 training
+failure, 4 evaluation failure. A fault the program did not expect exits
+with the code of its stage (reading a record or model file, or sampling
+or splitting the records read, 2; training 3; scoring 4; rendering the
+artifacts and the summary printed, or writing the run directory, 1) and
+one line on stderr that names the fault's type; no stage leaves ``main``
+with a traceback.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .dataset import (
     load_schema_file,
     load_taxonomy_file,
     map_batches,
-    stratified_sample,
     stratified_split,
 )
 from .evaluation import (
@@ -61,6 +62,7 @@ from .evaluation import (
 from .exceptions import (
     ConfigError,
     DataFormatError,
+    EmptyPartError,
     EvaluationError,
     SchemaError,
     TrainingError,
@@ -74,6 +76,9 @@ DATA_DIR_ENV = "NBTREE_IDS_DATA"
 _MODEL_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 # rows eval reads and scores at once, so it never holds the whole test set
 _EVAL_BATCH_ROWS = 8_192
+# what a fault rendering a command's artifacts and summary says: it exits 1,
+# as a run directory that cannot be written does
+_RENDER = "cannot render run artifacts: "
 
 
 def _setting(default, doc: str):
@@ -304,24 +309,31 @@ def _load_entry(source: str | None, report: LoadReport) -> dict:
     }
 
 
-def _load(run: _Run, path: str, schema, taxonomy) -> WeightedDataset:
-    """Load one record file and add its loader counters to the run's ``loads``."""
-    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive)
+def _load(run: _Run, path: str, schema, taxonomy, sample=None) -> WeightedDataset:
+    """Load one record file, or the ``sample`` (fraction, seed) of it, and
+    add its loader counters to the run's ``loads``."""
+    ds = load_dataset(_resolve_path(path), schema, taxonomy, permissive=run.config.permissive,
+                      sample=sample)
     run.info["loads"].append(_load_entry(ds.dataset_id, ds.load_report))
     return ds
 
 
 def _load_train(run: _Run) -> tuple[WeightedDataset, dict[str, str]]:
-    """``--train``, sampled when asked, and the taxonomy it was read by."""
+    """``--train``, sampled while it is read when asked, the sample's draw
+    and second pass timed as the ``sample`` stage, and the taxonomy it was
+    read by."""
     config = run.config
     if not config.train:
         raise ConfigError("--train is required for this command")
     schema, taxonomy = _schema_and_taxonomy(config)
-    ds = _load(run, config.train, schema, taxonomy)
-    if config.sample_fraction is not None:
-        seed = config.require_seed("--sample-fraction is set")
-        ds = _draw_rows(run, "sample", "--sample-fraction", stratified_sample,
-                        ds, config.sample_fraction, seed)
+    if config.sample_fraction is None:
+        return _load(run, config.train, schema, taxonomy), taxonomy
+    sample = (config.sample_fraction, config.require_seed("--sample-fraction is set"))
+    try:
+        ds = _load(run, config.train, schema, taxonomy, sample)
+    except EmptyPartError as exc:
+        raise ConfigError(f"--sample-fraction {config.sample_fraction}: {exc}") from None
+    run.info["stage_s"]["sample"] = ds.load_report.sample_seconds
     return ds, taxonomy
 
 
@@ -335,23 +347,16 @@ def _train_test(run: _Run) -> tuple[WeightedDataset, WeightedDataset]:
     if fraction is None:
         raise ConfigError("provide --test or --test-fraction")
     seed = config.require_seed("splitting the training file")
-    return _draw_rows(run, "split", "--test-fraction", stratified_split, train, fraction, seed)
-
-
-def _draw_rows(run: _Run, stage: str, flag: str, draw, ds: WeightedDataset, fraction: float,
-               seed: int):
-    """``draw(ds, fraction, seed)``, the sample or split ``stage`` of the
-    loaded records ``ds``, timed as that stage. A fraction it rejects is a
-    ``ConfigError`` naming ``flag``; it only selects rows, so a fault it
-    did not expect is a data error naming the records' source."""
+    # the split only selects rows, so a fault it did not expect is a data
+    # error naming the records' source
     start = time.perf_counter()
-    with unexpected_as(DataFormatError, f"cannot {stage} {ds.dataset_id}: "):
+    with unexpected_as(DataFormatError, f"cannot split {train.dataset_id}: "):
         try:
-            drawn = draw(ds, fraction, seed)
-        except ValueError as exc:
-            raise ConfigError(f"{flag} {fraction}: {exc}") from None
-    run.info["stage_s"][stage] = time.perf_counter() - start
-    return drawn
+            split = stratified_split(train, fraction, seed)
+        except EmptyPartError as exc:
+            raise ConfigError(f"--test-fraction {fraction}: {exc}") from None
+    run.info["stage_s"]["split"] = time.perf_counter() - start
+    return split
 
 
 def load_model_file(path) -> NaiveBayesModel | DecisionTree | NBTree:
@@ -405,11 +410,12 @@ def _composition_text(doc: dict) -> str:
 
 def cmd_inspect(run: _Run) -> None:
     ds, _ = _load_train(run)
-    doc = _composition_doc(ds.dataset_id, class_counts(ds), ds.load_report)
-    run.write_json("composition.json", doc)
-    text = _composition_text(doc)
-    run.write_text("composition.txt", text)
-    print(text, end="")
+    with unexpected_as(ConfigError, _RENDER):
+        doc = _composition_doc(ds.dataset_id, class_counts(ds), ds.load_report)
+        run.write_json("composition.json", doc)
+        text = _composition_text(doc)
+        run.write_text("composition.txt", text)
+        print(text, end="")
 
 
 def _write_selection(run: _Run, selection: SelectionResult) -> None:
@@ -430,12 +436,13 @@ def cmd_select(run: _Run) -> None:
     train, _ = _load_train(run)
     with unexpected_as(TrainingError):  # as train_models wraps the same pass
         result = select_attributes(train, run.config.selection_params())
-    _write_selection(run, result)
-    run.write_json("kept.json", {
-        "format": "kept-attributes/1",
-        "kept": list(result.weights.kept_names()),
-    })
-    print(result.to_text(), end="")
+    with unexpected_as(ConfigError, _RENDER):
+        _write_selection(run, result)
+        run.write_json("kept.json", {
+            "format": "kept-attributes/1",
+            "kept": list(result.weights.kept_names()),
+        })
+        print(result.to_text(), end="")
 
 
 def _write_models(run: _Run, models: dict) -> None:
@@ -449,10 +456,11 @@ def _write_models(run: _Run, models: dict) -> None:
 def cmd_train(run: _Run) -> None:
     train, _ = _load_train(run)
     selection, models = train_models(train, run.config.comparison_config(), run.info["stage_s"])
-    run.info["nbtree"] = models["proposed-nbtree"].build_stats
-    _write_selection(run, selection)
-    _write_models(run, models)
-    print(f"trained {len(models)} model(s) into {run.dir}")
+    with unexpected_as(ConfigError, _RENDER):
+        run.info["nbtree"] = models["proposed-nbtree"].build_stats
+        _write_selection(run, selection)
+        _write_models(run, models)
+        print(f"trained {len(models)} model(s) into {run.dir}")
 
 
 def cmd_eval(run: _Run) -> None:
@@ -482,33 +490,35 @@ def cmd_eval(run: _Run) -> None:
     for part in parts:
         for report, more in zip(reports, part):
             report.add(more)
-    run.info["loads"].append(_load_entry(reports[0].dataset_id, load))
-    # the test labels, class by class: a report's rows count them in schema order
-    labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())
-    counts = ClassCounts(schema.class_names, reports[0].matrix.row_sums(), np.bincount(
-        labels, weights=np.full(len(labels), 1.0 / len(labels)), minlength=schema.n_classes))
-    run.write_json("composition.json", _composition_doc(reports[0].dataset_id, counts, load))
-    for report in reports:
-        print(report.to_text())
-    _write_reports(run, reports)
-    run.write_json("bundle.json", {
-        "format": "eval-bundle/1",
-        "reports": [r.to_dict() for r in reports],
-    })
+    with unexpected_as(ConfigError, _RENDER):
+        run.info["loads"].append(_load_entry(reports[0].dataset_id, load))
+        # the test labels, class by class: a report's rows count them in schema order
+        labels = np.repeat(np.arange(schema.n_classes), reports[0].matrix.row_sums())
+        counts = ClassCounts(schema.class_names, reports[0].matrix.row_sums(), np.bincount(
+            labels, weights=np.full(len(labels), 1.0 / len(labels)), minlength=schema.n_classes))
+        run.write_json("composition.json", _composition_doc(reports[0].dataset_id, counts, load))
+        for report in reports:
+            print(report.to_text())
+        _write_reports(run, reports)
+        run.write_json("bundle.json", {
+            "format": "eval-bundle/1",
+            "reports": [r.to_dict() for r in reports],
+        })
 
 
 def cmd_compare(run: _Run) -> None:
     train, test = _train_test(run)
-    run.write_json("composition.json",
-                   _composition_doc(train.dataset_id, class_counts(train), train.load_report))
     bundle = run_comparison(train, test, run.config.comparison_config(), run.info["stage_s"])
-    run.info["nbtree"] = bundle.models["proposed-nbtree"].build_stats
-    _write_selection(run, bundle.selection)
-    _write_models(run, bundle.models)
-    _write_reports(run, bundle.reports)
-    run.write_json("bundle.json", bundle.to_dict())
-    print(bundle.to_text())
-    print(f"artifacts in {run.dir}")
+    with unexpected_as(ConfigError, _RENDER):
+        run.write_json("composition.json",
+                       _composition_doc(train.dataset_id, class_counts(train), train.load_report))
+        run.info["nbtree"] = bundle.models["proposed-nbtree"].build_stats
+        _write_selection(run, bundle.selection)
+        _write_models(run, bundle.models)
+        _write_reports(run, bundle.reports)
+        run.write_json("bundle.json", bundle.to_dict())
+        print(bundle.to_text())
+        print(f"artifacts in {run.dir}")
 
 
 # -- argument parsing --------------------------------------------------------------

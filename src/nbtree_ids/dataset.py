@@ -19,10 +19,11 @@ import os
 import pickle
 import re
 import signal
+import stat
 import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
@@ -31,6 +32,7 @@ import numpy as np
 from .exceptions import (
     DataFormatError,
     EmptyDatasetError,
+    EmptyPartError,
     SchemaError,
     TaxonomyError,
     unexpected_as,
@@ -176,6 +178,7 @@ class LoadReport:
     fallback_lines: int = 0  # lines it did not read, which parse_record decides
     seconds: float = 0.0
     readers: int = 1  # processes that read the stream
+    sample_seconds: float = 0.0  # a sampled load's draw and second pass
 
     def note_skip(self, line_number: int, reason: str) -> None:
         self.skipped += 1
@@ -379,6 +382,7 @@ def load_dataset(
     taxonomy: dict[str, str],
     *,
     permissive: bool = False,
+    sample: tuple[float, int] | None = None,
 ) -> WeightedDataset:
     """Ingest a record stream (a path or any iterable of lines) and return
     a uniformly weighted dataset, whose report is ``load_report``.
@@ -417,8 +421,27 @@ def load_dataset(
     A fault that is no toolkit error, of a range's read, a fork or the
     merge, is raised as a ``DataFormatError`` that names the file and the
     fault's type (:func:`~.exceptions.unexpected_as`).
+
+    With ``sample``, a (fraction, seed) pair, the load returns
+    ``stratified_sample(load_dataset(source, ...), fraction, seed)`` but
+    holds only the rows drawn. The pass above keeps each kept row's line
+    number and label, and no column; :func:`_draw` picks rows from those
+    labels; and a second pass over the same ranges reads only the drawn
+    lines (``itertools.compress``) into outputs sized by the draw, coding
+    their symbols in the first pass's domains. The report is the first
+    pass's, and its ``sample_seconds`` time the draw and the second pass.
+    A draw that leaves the sample or its complement empty raises
+    ``EmptyPartError``. A fault of the draw or the second pass that is no
+    toolkit error is a ``DataFormatError`` beginning ``cannot sample
+    <source>: ``, and a second pass that keeps other lines or labels than
+    those drawn, or meets a symbol the first did not, raises
+    ``DataFormatError``: the file changed while it was read.
     """
+    if sample is not None and not 0.0 < sample[0] < 1.0:
+        raise ValueError(f"degenerate sample fraction {sample[0]!r}")
     reader = _Reader(schema, taxonomy, LoadReport(), permissive, source)
+    if sample is not None:
+        reader.fields = ["line", -1]
     maps, starts = [], []
 
     def shared(bounds):
@@ -434,13 +457,14 @@ def load_dataset(
         return reader.report.n_loaded, [list(reader.sym_index[j]) for j in reader.disc_idx]
 
     with unexpected_as(DataFormatError, f"{reader.what}: "):
-        (n, _), *parts = _map_ranges(reader, source, keys, None, shared)
+        stream = _cut(source, schema)
+        (n, _), *parts = _map_ranges(reader, stream, keys, None, shared)
         for (kept, range_keys), row in zip(parts, starts[1:]):
             for j, symbols in zip(reader.disc_idx, range_keys):
                 index = reader.sym_index[j]
                 code = np.fromiter((index.setdefault(s, len(index)) for s in symbols),
                                    np.int32, len(symbols))
-                if not np.array_equal(code, np.arange(len(code))):
+                if sample is None and not np.array_equal(code, np.arange(len(code))):
                     for at in range(row, row + kept, _REMAP_ROWS):
                         block = slice(at, min(at + _REMAP_ROWS, row + kept))
                         maps[j][block] = code[maps[j][block]]
@@ -448,7 +472,29 @@ def load_dataset(
                 for arr in maps:
                     arr[n:n + kept] = arr[row:row + kept]
             n += kept
-        return reader.dataset([arr[:n] for arr in maps])
+        if sample is None:
+            return reader.dataset([arr[:n] for arr in maps])
+    start = time.perf_counter()
+    lines, labels = (arr[:n] for arr in maps)
+    what = reader.src or f"<memory:{n} examples>"  # the loaded records' dataset_id
+    with unexpected_as(DataFormatError, f"cannot sample {what}: "):
+        drawn = np.flatnonzero(_draw(labels, schema.n_classes, *sample))
+        lines, labels = lines[drawn], labels[drawn]
+        picks = np.zeros(lines[-1], bool)  # each line up to the last drawn: drawn or not
+        picks[lines - 1] = True
+        source, ranges, cut = stream
+        ends = np.searchsorted(lines, [first for _, first, *_ in ranges[1:]]).tolist()
+        bounds = np.diff([0, *ends, len(lines)]).tolist()  # each range's drawn lines
+        stream = (source, [(*r[:3], bound) for r, bound in zip(ranges, bounds)], cut)
+        report, reader.report = reader.report, LoadReport()
+        reader.fields = [*range(schema.n_attributes), -1]
+        domains = [list(reader.sym_index[j]) for j in reader.disc_idx]
+        parts = _map_ranges(reader, stream, keys, None, shared, picks)
+        reader.report = report
+        if parts != [(bound, domains) for bound in bounds] or not np.array_equal(maps[-1], labels):
+            raise DataFormatError(f"{reader.at}record file changed while it was read")
+    report.sample_seconds = time.perf_counter() - start
+    return reader.dataset(maps)
 
 
 def map_batches(source, schema: Schema, taxonomy: dict[str, str], report: LoadReport, fn, *,
@@ -467,39 +513,49 @@ def map_batches(source, schema: Schema, taxonomy: dict[str, str], report: LoadRe
         return lambda _, n: [np.empty(n, dtype) for dtype in reader.dtypes]
 
     with unexpected_as(DataFormatError, f"{reader.what}: "):
-        return _map_ranges(reader, source, lambda batches: fn(map(reader.dataset, batches)),
-                           rows, fresh)
+        return _map_ranges(reader, _cut(source, schema),
+                           lambda batches: fn(map(reader.dataset, batches)), rows, fresh)
 
 
-def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
-    """``fn(batches)`` of each range of the record stream ``source``, in
-    stream order: a file's :func:`_byte_ranges`, or an iterable of lines
-    read as a list, one range bound by its length. This process maps the
-    first range and a forked process each other one (:func:`fork_map`).
-    ``place(bounds)``, called here once the stream is cut, gives
+def _cut(source, schema: Schema) -> tuple[Iterable[str] | str | Path, list[tuple], float]:
+    """The record stream ``source`` as :func:`_map_ranges` reads it, its
+    ranges, and the seconds it took to cut them: a file's
+    :func:`_byte_ranges`, or an iterable of lines read as a list, one
+    range bound by its length."""
+    start = time.perf_counter()
+    if isinstance(source, (str, Path)):
+        ranges = _byte_ranges(source, schema)
+    else:
+        source = list(source)
+        ranges = [(0, 1, None, len(source))]
+    return source, ranges, time.perf_counter() - start
+
+
+def _map_ranges(reader: _Reader, stream: tuple, fn, rows: int | None, place,
+                picks: np.ndarray | None = None) -> list:
+    """``fn(batches)`` of each range of ``stream``, a record stream as
+    :func:`_cut` gives it, in stream order. This process maps the first
+    range and a forked process each other one (:func:`fork_map`).
+    ``place(bounds)``, called here with each range's bound, gives
     ``outputs(k, n)``: range k's outputs for a batch of at most ``n``
     rows. ``batches`` iterates over the range's batches (the rows written
     to each output) of ``rows`` examples or more, the last maybe fewer,
     each in outputs of ``min(bound, rows + _CHUNK_LINES)`` rows; or with
-    ``rows`` None over one batch in outputs of ``bound`` rows. Once ``fn``
+    ``rows`` None over one batch in outputs of ``bound`` rows. With
+    ``picks``, a flag per line of the stream from line 1, a range reads
+    only its flagged lines, and none past the last flag. Once ``fn``
     returns or raises, the rest of its range is read: a strict read's bad
     record in a range is raised before any error of ``fn`` there, and the
     earliest range's error before a later one's.
 
     ``reader.report`` then counts the whole stream as a one-range read
-    does, but for ``readers``, the ranges, and ``seconds``: the cut pass,
+    does, but for ``readers``, the ranges, and ``seconds``: the cut,
     then the longest range's read, leaving out the time a batch is held. A
     stream that keeps no record raises ``EmptyDatasetError``. Any other
     exception, of a range's read, of ``fn`` or of a fork, is raised as it
     is: a worker's comes back through :func:`fork_map`, so the caller's
     wrap sees its type wherever it happened."""
-    start = time.perf_counter()
-    if isinstance(source, (str, Path)):
-        ranges = _byte_ranges(source, reader.schema)
-    else:
-        source = list(source)
-        ranges = [(0, 1, None, len(source))]
-    cut = time.perf_counter() - start
+    source, ranges, cut = stream
     report = reader.report
 
     def map_range(k):
@@ -507,8 +563,10 @@ def _map_ranges(reader: _Reader, source, fn, rows: int | None, place) -> list:
         if k:
             reader.report = LoadReport()
         n = bound if rows is None else min(bound, rows + _CHUNK_LINES)
-        batches = reader.batches(_iter_lines(source, byte, lines), first, rows,
-                                 lambda: outputs(k, n))
+        numbered = enumerate(_iter_lines(source, byte, lines), start=first)
+        if picks is not None:
+            numbered = compress(numbered, picks[first - 1:])
+        batches = reader.batches(numbered, rows, lambda: outputs(k, n))
         try:
             return fn(batches), reader.report
         finally:
@@ -537,10 +595,12 @@ def _check_kept(report: LoadReport, at: str) -> None:
 class _Reader:
     """The block loop of :func:`_map_ranges`, over one range of a record
     stream at a time. It writes each block's kept rows into ``out``, the
-    outputs it is given for the batch it reads: one array per attribute
-    and then the labels, each read as its class index, of ``dtypes`` and
-    sized before the read. It counts in ``report``, and raises a strict
-    load's first error, but never ``EmptyDatasetError``.
+    outputs it is given for the batch it reads, one array per entry of
+    ``fields``, of ``dtypes`` and sized before the read: by default one
+    per attribute and then the labels, each read as its class index (-1),
+    and for the first pass of a sampled load each row's line number
+    (``"line"``) and its label. It counts in ``report``, and raises a
+    strict load's first error, but never ``EmptyDatasetError``.
     ``sym_index`` holds one dict per discrete attribute, symbol -> code,
     in first-appearance order."""
 
@@ -558,8 +618,10 @@ class _Reader:
         # strips every period, so a name that ends in one is no label
         self.name_code = {r + end: schema.class_index(c) for r, c in taxonomy.items()
                           if c in schema.class_names and not r.endswith(".") for end in ("", ".")}
-        self.dtypes = [np.dtype(np.int32 if a.is_discrete else np.float64) for a in attrs]
-        self.dtypes.append(np.dtype(np.int64))
+        self.dtype = {j: np.dtype(np.int32 if a.is_discrete else np.float64)
+                      for j, a in enumerate(attrs)}
+        self.dtype.update({-1: np.dtype(np.int64), "line": np.dtype(np.int64)})
+        self.fields = [*range(len(attrs)), -1]
         self.out, self.n = [], 0  # the outputs of the batch being read, rows written to them
         self.indexes = {**self.sym_index, -1: self.name_code}  # the symbol columns, then the label
         self.tables = {j: [] for j in self.indexes}  # their key tables, kept by `_codes`
@@ -568,17 +630,20 @@ class _Reader:
         self.at = f"{self.src}: " if self.src else ""
         self.what = f"cannot read record file {self.src}" if self.src else "cannot read records"
 
-    def batches(self, lines: Iterable[str], first: int, rows: int | None, outputs
+    @property
+    def dtypes(self) -> list[np.dtype]:
+        return [self.dtype[f] for f in self.fields]
+
+    def batches(self, numbered: Iterator[tuple[int, str]], rows: int | None, outputs
                 ) -> Iterator[list[np.ndarray]]:
-        """Read ``lines``, the first of them line number ``first``, one
-        block at a time, as batches of ``rows`` examples or more, the last
-        maybe fewer, or with ``rows`` None as one batch; each batch into the
+        """Read ``numbered``, lines with their line numbers, one block at a
+        time, as batches of ``rows`` examples or more, the last maybe
+        fewer, or with ``rows`` None as one batch; each batch into the
         outputs that ``outputs()`` gives, and yielded as the rows written
         to them. The report's ``seconds`` leave out the time a batch is
         held."""
         start = time.perf_counter()
         self.out = outputs()
-        numbered = enumerate(lines, start=first)
         while block := list(islice(numbered, _CHUNK_LINES)):
             if chunk := [(ln, text) for ln, text in block if text.strip()]:
                 self.flush(chunk)
@@ -664,6 +729,8 @@ class _Reader:
             numbers[:, i] = [ex.values[j] for j in cont_idx]
             kept_values[i] = ex.values
             codes[-1][i] = self.schema.class_index(ex.label)
+        if "line" in self.fields:
+            codes["line"] = np.fromiter((ln for ln, _ in chunk), np.int64, m)
         # a kept row the lookup missed or parse_record decided is coded by
         # its symbol dict, which grows in first-appearance order
         for j in self.disc_idx:
@@ -678,10 +745,9 @@ class _Reader:
         if n + n_kept > len(out[-1]):  # more rows than the file's size allows
             raise DataFormatError(f"{self.at}record file grew while it was read")
         new = slice(n, n + n_kept)
-        for j, row in zip(cont_idx, numbers):
-            out[j][new] = row
-        for j, code in codes.items():
-            out[j][new] = code
+        columns = {**dict(zip(cont_idx, numbers)), **codes}
+        for f, arr in zip(self.fields, out):
+            arr[new] = columns[f]
         self.n += n_kept
 
     def take_batch(self) -> list[np.ndarray]:
@@ -721,12 +787,15 @@ def _byte_ranges(path, schema: Schema) -> list[tuple[int, int, int | None, int]]
     records takes, one process each: ``(first byte, first line number,
     lines, bound)`` each, ``bound`` the most rows the range can keep. There
     are at most :func:`_max_processes`, each at least ``_RANGE_BYTES``
-    long, and each bound by its lines. A file too small for two, or one
-    that cannot be read, is one range, ``(0, 1, None, bound)``, read to its
-    end with no pass over it first. A kept record holds a comma per
-    attribute and a character per number, and a line break unless it ends
-    the file, so a file of ``size`` bytes keeps at most ``(size + 1) //
-    (attributes + numbers + 1)`` rows.
+    long, and each bound by its lines. A file shorter than
+    ``_RANGE_BYTES``, or one that cannot be read, is one range, ``(0, 1,
+    None, bound)``, read to its end with no pass over it first. A kept
+    record holds a comma per attribute and a character per number, and a
+    line break unless it ends the file, so a file of ``size`` bytes keeps
+    at most ``(size + 1) // (attributes + numbers + 1)`` rows. A path that
+    is no regular file (a pipe, a device, a directory) raises
+    ``DataFormatError``: a range is read from a byte it seeks to, and a
+    sampled load reads its ranges twice.
 
     Line breaks are counted as text mode reads them: ``\\n``, ``\\r`` and
     ``\\r\\n`` once each. A cut is the end of the first block at or past
@@ -737,9 +806,12 @@ def _byte_ranges(path, schema: Schema) -> list[tuple[int, int, int | None, int]]
     fewest = schema.n_attributes + sum(not a.is_discrete for a in schema.attributes) + 1
     size = 0
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise DataFormatError(f"cannot read record file {path}: not a regular file "
+                                  "(record files must be seekable)")
         size = os.path.getsize(path)
         readers = min(_max_processes(), size // _RANGE_BYTES)
-        if readers < 2:
+        if not readers:
             return [(0, 1, None, (size + 1) // fewest)]
         cuts = []  # (byte, line breaks before it) of each range after the first
         want = size // readers  # the next cut lies at or past this byte
@@ -996,16 +1068,18 @@ class Split(NamedTuple):
     test: WeightedDataset
 
 
-def _draw(dataset: WeightedDataset, fraction: float, seed: int) -> np.ndarray:
-    """The per-class draw of a split or a sample: its rows' mask."""
+def _draw(labels: np.ndarray, n_classes: int, fraction: float, seed: int) -> np.ndarray:
+    """The per-class draw of a split or a sample of rows of ``labels``,
+    class indices below ``n_classes``: the drawn rows' mask. A draw that
+    leaves either part empty raises ``EmptyPartError``."""
     rng = np.random.default_rng(seed)
-    drawn = np.zeros(dataset.n, dtype=bool)
-    for ci in range(dataset.schema.n_classes):
-        rows = np.flatnonzero(dataset.labels == ci)
+    drawn = np.zeros(len(labels), dtype=bool)
+    for ci in range(n_classes):
+        rows = np.flatnonzero(labels == ci)
         if len(rows):
             drawn[rng.permutation(rows)[:int(round(len(rows) * fraction))]] = True
     if not drawn.any() or drawn.all():
-        raise ValueError("split produced an empty part; adjust the fraction")
+        raise EmptyPartError("split produced an empty part; adjust the fraction")
     return drawn
 
 
@@ -1017,7 +1091,7 @@ def stratified_split(dataset: WeightedDataset, test_fraction: float, seed: int) 
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"degenerate test fraction {test_fraction!r}")
-    test_mask = _draw(dataset, test_fraction, seed)
+    test_mask = _draw(dataset.labels, dataset.schema.n_classes, test_fraction, seed)
     train = dataset.take(np.flatnonzero(~test_mask)).with_uniform_weights()
     test = dataset.take(np.flatnonzero(test_mask)).with_uniform_weights()
     return Split(train, test)
@@ -1028,7 +1102,7 @@ def stratified_sample(dataset: WeightedDataset, fraction: float, seed: int) -> W
     test part of ``stratified_split``, drawn without building the rest."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"degenerate sample fraction {fraction!r}")
-    drawn = _draw(dataset, fraction, seed)
+    drawn = _draw(dataset.labels, dataset.schema.n_classes, fraction, seed)
     return dataset.take(np.flatnonzero(drawn)).with_uniform_weights()
 
 

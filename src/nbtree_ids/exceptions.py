@@ -13,6 +13,11 @@ class ConfigError(NbtreeIdsError):
     """Bad run configuration or command-line usage."""
 
 
+class EmptyPartError(ConfigError, ValueError):
+    """A fraction whose per-class draw leaves a part of a split, or a
+    sample or its complement, with no rows."""
+
+
 class DataFormatError(NbtreeIdsError):
     """Malformed record, schema file, or model file.
 

@@ -1233,6 +1233,7 @@ _NO_PROCESS = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 _LOAD = "data error: cannot read record file {corpus}: "
 _LOADS = ("inspect", "select", "train", "eval", "compare")
 _TRAINS = ("train", "compare")
+_SAMPLES = ("inspect", "select", "train", "compare")  # the commands that take --sample-fraction
 # stage -> (exit code, the line's start, the commands that run the stage,
 # CPU counts, what to patch, the fault, the commands in which the stage
 # forks at 2 CPUs). At one CPU a load is one range and nothing forks, so
@@ -1244,8 +1245,10 @@ _STAGES = {
     "fork": (2, _LOAD, _LOADS, (2,), (os, "fork"), _NO_PROCESS, ()),
     "merge": (2, _LOAD, ("inspect", "select", "train", "compare"), (1, 2),
               (dataset_module._Reader, "dataset"), IndexError("merge fault"), ()),
-    "sample": (2, "data error: cannot sample {corpus}: ", ("inspect", "select", "train", "compare"),
-               (1, 2), (cli, "stratified_sample"), IndexError("sample fault"), ()),
+    "sample": (2, "data error: cannot sample {corpus}: ", _SAMPLES, (1, 2),
+               (dataset_module, "_draw"), IndexError("sample fault"), ()),
+    "sample-read": (2, "data error: cannot sample {corpus}: ", _SAMPLES, (1, 2),
+                    (dataset_module, "compress"), IndexError("sample-read fault"), _SAMPLES),
     "split": (2, "data error: cannot split {corpus}: ", ("compare",), (1, 2),
               (cli, "stratified_split"), IndexError("split fault"), ()),
     "weighting": (3, "training error: ", ("select", "train", "compare"), (1, 2),
@@ -1258,6 +1261,8 @@ _STAGES = {
     "training-fork": (3, "training error: ", _TRAINS, (2,), (os, "fork"), _NO_PROCESS, ()),
     "scoring": (4, "evaluation error: ", ("eval", "compare"), (1, 2),
                 (NaiveBayesModel, "predict_dataset"), IndexError("scoring fault"), ("eval",)),
+    "render": (1, "error: cannot render run artifacts: ", _LOADS, (1, 2), (cli._Run, "write_text"),
+               IndexError("render fault"), ()),
     "out": (1, "error: cannot write run directory ", _LOADS, (1, 2), None, None, ()),
 }
 
@@ -1289,7 +1294,7 @@ def test_an_unexpected_fault_exits_with_its_stage_code(fault_work, monkeypatch, 
     argv = {"eval": ["--test", str(corpus), "--models", *models],
             "compare": ["--train", str(corpus), "--test-fraction", "0.25", "--seed", "7"]
             }.get(command, ["--train", str(corpus)])
-    if stage == "sample":
+    if stage.startswith("sample"):  # the draw, and the second pass of a sampled load
         argv += ["--sample-fraction", "0.5"] + ([] if command == "compare" else ["--seed", "1"])
     home = os.getpid()
     in_worker = cpus == 2 and command in forks_in
@@ -1320,6 +1325,44 @@ def test_an_unexpected_fault_exits_with_its_stage_code(fault_work, monkeypatch, 
         assert err == f"{start.format(corpus=corpus)}{type(fault).__name__}: {fault}\n"
         assert not out.exists()
     with pytest.raises(ChildProcessError):   # no child process is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a rewrite of the record file that keeps every line's length, so that
+# every range still starts a line: each changes the lines a sampled load's
+# second pass keeps, their labels or the symbols they hold
+_REWRITES = {
+    "labels": lambda text: text.replace(",normal.\n", ",neptune\n"),
+    "truncated": lambda text: text[:text.index("\n", len(text) // 3) + 1],
+    "new-symbol": lambda text: text.replace(",http,", ",htpp,"),
+}
+
+
+@pytest.mark.parametrize("rewrite, cpus", [(r, c) for r in _REWRITES for c in (1, 2)])
+def test_a_record_file_changed_between_the_passes_exits_2(tmp_path, monkeypatch, capfd,
+                                                          rewrite, cpus):
+    # the file is rewritten once the first pass is read and the rows drawn,
+    # before the second pass reads them
+    def draw_then_rewrite(*args):
+        drawn = draw(*args)
+        corpus.write_text(_REWRITES[rewrite](corpus.read_text()))
+        return drawn
+
+    corpus, draw = tmp_path / "kdd.csv", dataset_module._draw
+    synth.write_kdd_corpus(corpus, seed=1, scale=0.001)
+    monkeypatch.setattr(dataset_module, "_draw", draw_then_rewrite)
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1024)
+    monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 64)
+    assert len(dataset_module._byte_ranges(corpus, kdd99_schema())) == cpus
+    out = tmp_path / "out"
+    permissive = ["--permissive"] if rewrite == "new-symbol" else []  # no strict domain error
+    assert main(["inspect", "--train", str(corpus), "--sample-fraction", "0.5", "--seed", "1",
+                 *permissive, "--out", str(out)]) == 2
+    assert capfd.readouterr().err == (
+        f"data error: {corpus}: record file changed while it was read\n")
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # no child process is left
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -1609,7 +1652,7 @@ def _schema_file_text() -> str:
                     *(f"{a.name}: {a.kind}\n" for a in schema.attributes)])
 
 
-@pytest.mark.parametrize("argv, code, named", [
+@pytest.mark.parametrize("argv, code, named, cpus", [(*case, None) for case in [
     (["inspect", "--train", "{toy}", "--schema", "{work}/kdd.schema"], 0, "dataset: {toy}"),
     (["inspect", "--train", "{toy}", "--schema", "{work}/none.schema"], 2,
      "cannot read schema file {work}/none.schema"),
@@ -1640,12 +1683,21 @@ def _schema_file_text() -> str:
      "cannot read model file {work}/deep.json: RecursionError: "),
     (["inspect", "--train", "{toy}", "--out", "{toy}"], 1,
      "cannot write run directory {toy}/run-"),
+]] + [
+    # a pipe is not read in ranges, nor twice, and opening it would wait for
+    # a writer: it fails before it is opened
+    (["inspect", "--train", "{work}/fifo.csv"], 2, "data error: cannot read record file "
+     "{work}/fifo.csv: not a regular file (record files must be seekable)\n", cpus)
+    for cpus in (1, 2)
 ], ids=["schema-file", "unreadable-schema-file", "unreadable-taxonomy-file",
         "bad-schema-line", "bad-taxonomy-line", "empty-taxonomy-file", "train-bad-line",
         "fraction-outside-0-1", "no-test-and-no-fraction", "unreadable-config", "config-not-utf-8",
         "unreadable-model-file", "unknown-model-format", "model-file-not-utf-8",
-        "model-file-nested-too-deep", "out-is-a-file"])
-def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, named):
+        "model-file-nested-too-deep", "out-is-a-file", "fifo-1-cpu", "fifo-2-cpus"])
+def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, monkeypatch, argv, code, named,
+                                  cpus):
+    if cpus is not None:
+        monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
     (tmp_path / "kdd.schema").write_text(_schema_file_text())
     header, first, *rest = _schema_file_text().splitlines(keepends=True)
     (tmp_path / "bad.schema").write_text("".join([header, first, "no_kind\n", *rest]))
@@ -1657,6 +1709,7 @@ def test_cli_path_exits_and_names(toy_corpus, tmp_path, capsys, argv, code, name
     (tmp_path / "odd.json").write_text(json.dumps({"format": "odd/1"}))
     (tmp_path / "latin-1.json").write_bytes(b'{"train": "caf\xe9.csv"}')
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    os.mkfifo(tmp_path / "fifo.csv")
     fill = [arg.format(toy=toy_corpus, work=tmp_path) for arg in argv]
     # a later --out overrides this one
     assert main([fill[0], "--out", str(tmp_path / "r"), *fill[1:]]) == code

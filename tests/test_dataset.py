@@ -763,10 +763,13 @@ def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
                        rows=1000)[0][0] == os.getpid()
     assert report.readers == 1 and report.n_loaded == len(lines)
     # a range is no shorter than _RANGE_BYTES: a file of less than two is one,
-    # read to its end and bound by its size: a KDD record holds 41 commas and
-    # 34 numbers, and a line break unless it is the last
+    # bound by its counted lines; a file shorter than one is read to its end
+    # and bound by its size: a KDD record holds 41 commas and 34 numbers, and
+    # a line break unless it is the last
     size = path.stat().st_size
     monkeypatch.setattr(dataset_module, "_RANGE_BYTES", size // 2 + 1)
+    assert dataset_module._byte_ranges(path, kdd99_schema()) == [(0, 1, len(lines), len(lines))]
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", size + 1)
     assert dataset_module._byte_ranges(path, kdd99_schema()) == [(0, 1, None, (size + 1) // 76)]
 
 
@@ -1152,6 +1155,92 @@ def test_sample_holds_only_its_rows():
         tracemalloc.stop()
     assert sample.n == pytest.approx(10_000, abs=3)
     assert peak - before < array_bytes / 4
+
+
+def sampled_outcome(load):
+    """What a sampled load must give as ``stratified_sample`` of the whole
+    load does: every row, label, weight, dtype and domain, and the load
+    report but for its timing and ``readers``; or the error it raises,
+    an empty part's as ``ValueError``."""
+    try:
+        ds = load()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    except DataFormatError as exc:
+        return type(exc), str(exc), exc.reason
+    report = ds.load_report
+    return ([ds.example(i) for i in range(ds.n)], ds.labels.tolist(), ds.weights.tolist(),
+            [c.dtype for c in ds.columns], ds.schema, ds.source,
+            {k: v for k, v in vars(report).items()
+             if k not in ("seconds", "readers", "sample_seconds")})
+
+
+# mostly good lines, so that most strict loads keep some
+SAMPLED_LINE = st.one_of(*[GOOD_FIELDS.map(",".join)] * 5, RANGE_LINE)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(SAMPLED_LINE, min_size=8, max_size=60),
+       endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+       dirty=st.tuples(st.sampled_from([0, 0, 3]), st.integers(0, 40)),
+       cpus=st.integers(1, 4), range_bytes=st.sampled_from([1, 16, 64]),
+       chunk=st.integers(1, 4), permissive=st.sampled_from([True, True, False]),
+       from_file=st.sampled_from([True, True, False]),
+       fraction=st.one_of(st.sampled_from([0.1, 0.5, 0.9]),
+                          st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+       seed=st.integers(0, 2**32 - 1))
+# both classes in every range, with blank, non-ASCII and skipped lines
+@example(lines=["red,1,tcp,0,normal.", "", "blue,2,udp,1,attack", "red,1,中,0,normal",
+                "é,1,icmp,1,attack", "red,1,tc\udce9p,0,normal.", "green,1,a b,0,attack"] * 3,
+         endings=["\n"], dirty=(3, 5), cpus=3, range_bytes=16, chunk=2, permissive=True,
+         from_file=True, fraction=0.5, seed=7)
+def test_sampled_load_is_the_sample_of_the_load(lines, endings, dirty, cpus, range_bytes, chunk,
+                                                permissive, from_file, fraction, seed):
+    schema, taxonomy = property_schema(), property_taxonomy()
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        path = Path(work) / "records.csv"
+        range_file(lines, endings, True, dirty, path)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text_lines = fh.readlines()
+        mp.setattr(dataset_module, "_CHUNK_LINES", chunk)
+        mp.setattr(dataset_module, "_RANGE_BYTES", range_bytes)
+        mp.setattr(dataset_module, "_usable_cpus", lambda: cpus)
+
+        def source():  # a path, or a stream of lines read once
+            return path if from_file else iter(text_lines)
+
+        expected = sampled_outcome(lambda: stratified_sample(
+            load_dataset(source(), schema, taxonomy, permissive=permissive), fraction, seed))
+        got = sampled_outcome(lambda: load_dataset(source(), schema, taxonomy,
+                                                   permissive=permissive, sample=(fraction, seed)))
+        readers = len(dataset_module._byte_ranges(path, schema)) if from_file else 1
+    event(f"{readers} ranges")
+    event("sampled" if isinstance(got[0], list) else "raised")
+    assert got == expected
+
+
+def test_a_sampled_load_holds_only_the_drawn_rows(tmp_path, monkeypatch):
+    # the first pass's outputs are sized by the file, the second's by the draw
+    path = tmp_path / "corpus.csv"
+    synth.write_kdd_corpus(path, seed=7, scale=0.01)
+    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1 << 16)
+    monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 2)
+    passes, map_ranges = [], dataset_module._map_ranges
+
+    def recording(reader, stream, *args):
+        passes.append(([bound for *_, bound in stream[1]], reader.dtypes))
+        return map_ranges(reader, stream, *args)
+
+    monkeypatch.setattr(dataset_module, "_map_ranges", recording)
+    ds = load_dataset(path, kdd99_schema(), kdd99_taxonomy(), sample=(0.1, 3))
+    full = ds.load_report.n_loaded
+    assert ds.load_report.readers == 2 and ds.load_report.sample_seconds > 0
+    ((first, first_dtypes), (second, second_dtypes)) = passes
+    assert len(first) == len(second) == 2
+    assert sum(first) == full and sum(second) == ds.n == pytest.approx(full / 10, abs=3)
+    # no column in the first pass: a line number and a label per kept row
+    assert first_dtypes == [np.dtype(np.int64)] * 2
+    assert second_dtypes == [*(c.dtype for c in ds.columns), np.dtype(np.int64)]
 
 
 def test_derived_datasets_share_their_parents_arrays():
