@@ -360,10 +360,10 @@ def _parse_number(raw: str, attribute: str, where: str) -> float:
     return value
 
 
-def _iter_lines(source, start: int = 0, count: int | None = None) -> Iterator[str]:
-    """The lines of ``source``: an iterable of lines, or a record file read
-    in text mode (universal newlines) from byte ``start``, a line start,
-    for ``count`` lines or to its end."""
+def _iter_lines(source, start: int, count: int) -> Iterator[str]:
+    """The lines of ``source``: an iterable of lines, or ``count`` lines of
+    a record file read in text mode (universal newlines) from byte
+    ``start``, a line start."""
     if not isinstance(source, (str, Path)):
         yield from source
         return
@@ -371,7 +371,7 @@ def _iter_lines(source, start: int = 0, count: int | None = None) -> Iterator[st
         # undecodable bytes become lone surrogates, which parse_record rejects
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             fh.seek(start)  # the decoder holds no state at a line start
-            yield from fh if count is None else islice(fh, count)
+            yield from islice(fh, count)
     except OSError as exc:
         raise DataFormatError(f"cannot read record file {source}: {exc}") from None
 
@@ -389,8 +389,8 @@ def load_dataset(
 
     Each range of :func:`_map_ranges` is read as one batch into anonymous
     maps shared with its process, one per column and one for the labels,
-    sized by every range's bound: a range's rows start where the previous
-    range's bound ends. The ranges are then merged in stream
+    sized by every range's lines: a range's rows start where the previous
+    range's lines end. The ranges are then merged in stream
     order: a later range's symbol codes are translated into the
     first-appearance order of the whole stream, and its rows moved up past
     those earlier ranges did not keep. So the dataset, its domains and its
@@ -442,14 +442,13 @@ def load_dataset(
     reader = _Reader(schema, taxonomy, LoadReport(), permissive, source)
     if sample is not None:
         reader.fields = ["line", -1]
-    maps, starts = [], []
 
-    def shared(bounds):
-        total = sum(bounds)
-        maps[:] = [np.frombuffer(mmap.mmap(-1, max(1, total * dtype.itemsize)), dtype, total)
-                   for dtype in reader.dtypes]  # each freed with its last view
-        starts[:] = np.cumsum([0, *bounds]).tolist()
-        return lambda k, _: [arr[starts[k]:starts[k + 1]] for arr in maps]
+    def shared(sizes):
+        # a map per field, range k's ``sizes[k]`` rows from row ``starts[k]``
+        total, starts = sum(sizes), np.cumsum([0, *sizes]).tolist()
+        maps = [np.frombuffer(mmap.mmap(-1, max(1, total * dtype.itemsize)), dtype, total)
+                for dtype in reader.dtypes]  # each freed with its last view
+        return maps, starts, lambda k, _: [arr[starts[k]:starts[k + 1]] for arr in maps]
 
     def keys(batches):
         for _ in batches:
@@ -457,8 +456,10 @@ def load_dataset(
         return reader.report.n_loaded, [list(reader.sym_index[j]) for j in reader.disc_idx]
 
     with unexpected_as(DataFormatError, f"{reader.what}: "):
-        stream = _cut(source, schema)
-        (n, _), *parts = _map_ranges(reader, stream, keys, None, shared)
+        stream = _cut(source)
+        maps, starts, outputs = shared([count for *_, count in stream[1]])
+        (n, _), *parts = _map_ranges(reader, stream, keys, None, outputs)
+        _check_kept(reader.report, reader.at)
         for (kept, range_keys), row in zip(parts, starts[1:]):
             for j, symbols in zip(reader.disc_idx, range_keys):
                 index = reader.sym_index[j]
@@ -468,7 +469,7 @@ def load_dataset(
                     for at in range(row, row + kept, _REMAP_ROWS):
                         block = slice(at, min(at + _REMAP_ROWS, row + kept))
                         maps[j][block] = code[maps[j][block]]
-            if row != n:  # an earlier range did not fill its bound
+            if row != n:  # an earlier range did not fill its lines
                 for arr in maps:
                     arr[n:n + kept] = arr[row:row + kept]
             n += kept
@@ -482,16 +483,15 @@ def load_dataset(
         lines, labels = lines[drawn], labels[drawn]
         picks = np.zeros(lines[-1], bool)  # each line up to the last drawn: drawn or not
         picks[lines - 1] = True
-        source, ranges, cut = stream
-        ends = np.searchsorted(lines, [first for _, first, *_ in ranges[1:]]).tolist()
-        bounds = np.diff([0, *ends, len(lines)]).tolist()  # each range's drawn lines
-        stream = (source, [(*r[:3], bound) for r, bound in zip(ranges, bounds)], cut)
+        ends = np.searchsorted(lines, [first for _, first, _ in stream[1][1:]]).tolist()
+        sizes = np.diff([0, *ends, len(lines)]).tolist()  # each range's drawn lines
         report, reader.report = reader.report, LoadReport()
         reader.fields = [*range(schema.n_attributes), -1]
         domains = [list(reader.sym_index[j]) for j in reader.disc_idx]
-        parts = _map_ranges(reader, stream, keys, None, shared, picks)
+        maps, _, outputs = shared(sizes)
+        parts = _map_ranges(reader, stream, keys, None, outputs, picks)
         reader.report = report
-        if parts != [(bound, domains) for bound in bounds] or not np.array_equal(maps[-1], labels):
+        if parts != [(size, domains) for size in sizes] or not np.array_equal(maps[-1], labels):
             raise DataFormatError(f"{reader.at}record file changed while it was read")
     report.sample_seconds = time.perf_counter() - start
     return reader.dataset(maps)
@@ -509,60 +509,61 @@ def map_batches(source, schema: Schema, taxonomy: dict[str, str], report: LoadRe
     ``report`` counts the whole stream."""
     reader = _Reader(schema, taxonomy, report, permissive, source)
 
-    def fresh(_bounds):
-        return lambda _, n: [np.empty(n, dtype) for dtype in reader.dtypes]
+    def fresh(_, n):
+        return [np.empty(n, dtype) for dtype in reader.dtypes]
 
     with unexpected_as(DataFormatError, f"{reader.what}: "):
-        return _map_ranges(reader, _cut(source, schema),
-                           lambda batches: fn(map(reader.dataset, batches)), rows, fresh)
+        results = _map_ranges(reader, _cut(source),
+                              lambda batches: fn(map(reader.dataset, batches)), rows, fresh)
+    _check_kept(report, reader.at)
+    return results
 
 
-def _cut(source, schema: Schema) -> tuple[Iterable[str] | str | Path, list[tuple], float]:
+def _cut(source) -> tuple[Iterable[str] | str | Path, list[tuple[int, int, int]], float]:
     """The record stream ``source`` as :func:`_map_ranges` reads it, its
     ranges, and the seconds it took to cut them: a file's
     :func:`_byte_ranges`, or an iterable of lines read as a list, one
-    range bound by its length."""
+    range of all its lines."""
     start = time.perf_counter()
     if isinstance(source, (str, Path)):
-        ranges = _byte_ranges(source, schema)
+        ranges = _byte_ranges(source)
     else:
         source = list(source)
-        ranges = [(0, 1, None, len(source))]
+        ranges = [(0, 1, len(source))]
     return source, ranges, time.perf_counter() - start
 
 
-def _map_ranges(reader: _Reader, stream: tuple, fn, rows: int | None, place,
+def _map_ranges(reader: _Reader, stream: tuple, fn, rows: int | None, outputs,
                 picks: np.ndarray | None = None) -> list:
     """``fn(batches)`` of each range of ``stream``, a record stream as
     :func:`_cut` gives it, in stream order. This process maps the first
     range and a forked process each other one (:func:`fork_map`).
-    ``place(bounds)``, called here with each range's bound, gives
-    ``outputs(k, n)``: range k's outputs for a batch of at most ``n``
-    rows. ``batches`` iterates over the range's batches (the rows written
-    to each output) of ``rows`` examples or more, the last maybe fewer,
-    each in outputs of ``min(bound, rows + _CHUNK_LINES)`` rows; or with
-    ``rows`` None over one batch in outputs of ``bound`` rows. With
-    ``picks``, a flag per line of the stream from line 1, a range reads
-    only its flagged lines, and none past the last flag. Once ``fn``
-    returns or raises, the rest of its range is read: a strict read's bad
-    record in a range is raised before any error of ``fn`` there, and the
-    earliest range's error before a later one's.
+    ``batches`` iterates over the range's batches (the rows written to
+    each output) of ``rows`` examples or more, the last maybe fewer, or
+    with ``rows`` None over one batch. Each is read into ``outputs(k,
+    n)``, the caller's outputs of range k for a batch of at most ``n``
+    rows: ``min(lines, rows + _CHUNK_LINES)``, or with ``rows`` None the
+    range's ``lines``. With ``picks``, a flag per line of the stream from
+    line 1, a range reads only its flagged lines, and none past the last
+    flag. Once ``fn`` returns or raises, the rest of its range is read: a
+    strict read's bad record in a range is raised before any error of
+    ``fn`` there, and the earliest range's error before a later one's.
 
     ``reader.report`` then counts the whole stream as a one-range read
     does, but for ``readers``, the ranges, and ``seconds``: the cut,
-    then the longest range's read, leaving out the time a batch is held. A
-    stream that keeps no record raises ``EmptyDatasetError``. Any other
-    exception, of a range's read, of ``fn`` or of a fork, is raised as it
-    is: a worker's comes back through :func:`fork_map`, so the caller's
+    then the longest range's read, leaving out the time a batch is held.
+    The caller checks that the stream kept a record (:func:`_check_kept`).
+    Any exception, of a range's read, of ``fn`` or of a fork, is raised as
+    it is: a worker's comes back through :func:`fork_map`, so the caller's
     wrap sees its type wherever it happened."""
     source, ranges, cut = stream
     report = reader.report
 
     def map_range(k):
-        byte, first, lines, bound = ranges[k]
+        byte, first, lines = ranges[k]
         if k:
             reader.report = LoadReport()
-        n = bound if rows is None else min(bound, rows + _CHUNK_LINES)
+        n = lines if rows is None else min(lines, rows + _CHUNK_LINES)
         numbered = enumerate(_iter_lines(source, byte, lines), start=first)
         if picks is not None:
             numbered = compress(numbered, picks[first - 1:])
@@ -573,13 +574,11 @@ def _map_ranges(reader: _Reader, stream: tuple, fn, rows: int | None, place,
             for _ in batches:
                 pass
 
-    outputs = place([bound for *_, bound in ranges])
     results = fork_map(reader.what, len(ranges), map_range, DataFormatError)
     for _, part in results[1:]:
         report.add(part)
     report.seconds = cut + max(part.seconds for _, part in results)
     report.readers = len(ranges)
-    _check_kept(report, reader.at)
     return [result for result, _ in results]
 
 
@@ -742,8 +741,6 @@ class _Reader:
             numbers = numbers[:, keep]
             codes = {j: code[keep] for j, code in codes.items()}
         n, n_kept = self.n, len(codes[-1])
-        if n + n_kept > len(out[-1]):  # more rows than the file's size allows
-            raise DataFormatError(f"{self.at}record file grew while it was read")
         new = slice(n, n + n_kept)
         columns = {**dict(zip(cont_idx, numbers)), **codes}
         for f, arr in zip(self.fields, out):
@@ -782,20 +779,16 @@ def _max_processes() -> int:
     return _usable_cpus() if hasattr(os, "fork") else 1
 
 
-def _byte_ranges(path, schema: Schema) -> list[tuple[int, int, int | None, int]]:
-    """The ranges of the record file ``path`` that a read of ``schema``'s
-    records takes, one process each: ``(first byte, first line number,
-    lines, bound)`` each, ``bound`` the most rows the range can keep. There
-    are at most :func:`_max_processes`, each at least ``_RANGE_BYTES``
-    long, and each bound by its lines. A file shorter than
-    ``_RANGE_BYTES``, or one that cannot be read, is one range, ``(0, 1,
-    None, bound)``, read to its end with no pass over it first. A kept
-    record holds a comma per attribute and a character per number, and a
-    line break unless it ends the file, so a file of ``size`` bytes keeps
-    at most ``(size + 1) // (attributes + numbers + 1)`` rows. A path that
-    is no regular file (a pipe, a device, a directory) raises
-    ``DataFormatError``: a range is read from a byte it seeks to, and a
-    sampled load reads its ranges twice.
+def _byte_ranges(path) -> list[tuple[int, int, int]]:
+    """The ranges of the record file ``path`` that a read takes, one
+    process each: ``(first byte, first line number, lines)`` each, and a
+    range keeps at most its lines. There are at most
+    :func:`_max_processes`, each at least ``_RANGE_BYTES`` long but for
+    the one range of a shorter file, ``(0, 1, lines)``, whose lines are
+    counted all the same. A path that is no regular file (a pipe, a
+    device, a directory) raises ``DataFormatError``: a range is read from
+    a byte it seeks to, and a sampled load reads its ranges twice. So does
+    a file that cannot be read, naming the fault.
 
     Line breaks are counted as text mode reads them: ``\\n``, ``\\r`` and
     ``\\r\\n`` once each. A cut is the end of the first block at or past
@@ -803,16 +796,12 @@ def _byte_ranges(path, schema: Schema) -> list[tuple[int, int, int | None, int]]
     just past the line break that ends a multiple of ``_CHUNK_LINES``
     lines. So every range starts a block, and reads the blocks a one-range
     read does."""
-    fewest = schema.n_attributes + sum(not a.is_discrete for a in schema.attributes) + 1
-    size = 0
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise DataFormatError(f"cannot read record file {path}: not a regular file "
                                   "(record files must be seekable)")
         size = os.path.getsize(path)
-        readers = min(_max_processes(), size // _RANGE_BYTES)
-        if not readers:
-            return [(0, 1, None, (size + 1) // fewest)]
+        readers = max(1, min(_max_processes(), size // _RANGE_BYTES))
         cuts = []  # (byte, line breaks before it) of each range after the first
         want = size // readers  # the next cut lies at or past this byte
         pos = breaks = 0
@@ -838,12 +827,12 @@ def _byte_ranges(path, schema: Schema) -> list[tuple[int, int, int | None, int]]
                     if b"\r" in data:  # a search costs far less than a count
                         breaks += data.count(b"\r") - data.count(b"\r\n")
                 pos, last = pos + len(data), data[-1:]
-    except OSError:  # the one-range read reports it
-        return [(0, 1, None, (size + 1) // fewest)]
+    except OSError as exc:
+        raise DataFormatError(f"cannot read record file {path}: {exc}") from None
     breaks += last not in (b"", b"\n", b"\r")  # a last line with no line break
     cuts = [cut for cut in cuts if pos - cut[0] >= _RANGE_BYTES]
     starts, ends = [(0, 0), *cuts], [*cuts, (pos, breaks)]
-    return [(byte, before + 1, after - before, after - before)
+    return [(byte, before + 1, after - before)
             for (byte, before), (_, after) in zip(starts, ends)]
 
 

@@ -893,7 +893,7 @@ def test_ranged_eval_equals_one_process_eval(toy_models, picks, readers, range_b
         expected, one = _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines)
         mp.setattr(dataset_module, "_usable_cpus", lambda: readers)
         got, many = _eval_outcome(work, lines, models, flags, batch_rows, chunk_lines)
-        ranges = dataset_module._byte_ranges(work / "stream.csv", kdd99_schema())
+        ranges = dataset_module._byte_ranges(work / "stream.csv")
     event(f"{len(ranges)} ranges")
     assert got == expected
     assert (one, many) in ((1, len(ranges)), (None, None))
@@ -1184,7 +1184,7 @@ def test_unexpected_scoring_failure_exits_4(toy_models, tmp_path, monkeypatch, c
     for command, cpus, argv in runs:
         monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
         # at two CPUs the test file is read and scored in two ranges
-        assert len(dataset_module._byte_ranges(toy, kdd99_schema())) == cpus
+        assert len(dataset_module._byte_ranges(toy)) == cpus
         name, out = f"{command} at {cpus} CPUs", tmp_path / f"{command}-{cpus}"
         assert main([*argv, "--out", str(out)]) == 4, name
         err = capfd.readouterr().err
@@ -1216,7 +1216,7 @@ def test_unexpected_load_failure_exits_2(toy_models, tmp_path, monkeypatch, capf
     no_process_left()
     for cpus in (1, 2):
         monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
-        assert len(dataset_module._byte_ranges(toy, kdd99_schema())) == cpus
+        assert len(dataset_module._byte_ranges(toy)) == cpus
         for command, argv in runs.items():
             name, out = f"{command} at {cpus} CPUs", tmp_path / f"{command}-{cpus}"
             assert main([*argv, "--out", str(out)]) == 2, name
@@ -1309,7 +1309,7 @@ def test_an_unexpected_fault_exits_with_its_stage_code(fault_work, monkeypatch, 
     if stage != "training-fork":
         monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1024)
         monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 64)
-    assert len(dataset_module._byte_ranges(corpus, kdd99_schema())) == (
+    assert len(dataset_module._byte_ranges(corpus)) == (
         1 if stage == "training-fork" else cpus)
     if target is None:   # the output root is a file
         out.write_text("")
@@ -1329,12 +1329,14 @@ def test_an_unexpected_fault_exits_with_its_stage_code(fault_work, monkeypatch, 
 
 
 # a rewrite of the record file that keeps every line's length, so that
-# every range still starts a line: each changes the lines a sampled load's
-# second pass keeps, their labels or the symbols they hold
+# every range still starts a line or lies past the file's end: each changes
+# the lines a sampled load's second pass keeps, their labels or the symbols
+# they hold
 _REWRITES = {
     "labels": lambda text: text.replace(",normal.\n", ",neptune\n"),
     "truncated": lambda text: text[:text.index("\n", len(text) // 3) + 1],
     "new-symbol": lambda text: text.replace(",http,", ",htpp,"),
+    "emptied": lambda text: "",
 }
 
 
@@ -1354,7 +1356,7 @@ def test_a_record_file_changed_between_the_passes_exits_2(tmp_path, monkeypatch,
     monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1024)
     monkeypatch.setattr(dataset_module, "_CHUNK_LINES", 64)
-    assert len(dataset_module._byte_ranges(corpus, kdd99_schema())) == cpus
+    assert len(dataset_module._byte_ranges(corpus)) == cpus
     out = tmp_path / "out"
     permissive = ["--permissive"] if rewrite == "new-symbol" else []  # no strict domain error
     assert main(["inspect", "--train", str(corpus), "--sample-fraction", "0.5", "--seed", "1",

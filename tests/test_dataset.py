@@ -233,8 +233,13 @@ def test_load_undecodable_line_is_a_bad_record(tmp_path):
 
 
 def test_load_missing_file_is_a_data_format_error(tmp_path):
-    with pytest.raises(DataFormatError, match="cannot read record file"):
-        load_dataset(tmp_path / "missing.csv", toy_schema(), toy_taxonomy())
+    missing = tmp_path / "missing.csv"
+    message = f"^cannot read record file {re.escape(str(missing))}: \\[Errno 2\\] No such file"
+    with pytest.raises(DataFormatError, match=message):
+        load_dataset(missing, toy_schema(), toy_taxonomy())
+    # the pass that counts the file's lines raises it
+    with pytest.raises(DataFormatError, match=message):
+        dataset_module._byte_ranges(missing)
 
 
 def test_bulk_load_matches_per_record_parse():
@@ -721,7 +726,7 @@ def test_ranged_load_matches_one_range_read(lines, endings, final, dirty, reader
         mp.setattr(dataset_module, "_usable_cpus", lambda: 1)
         expected, one = load_outcome(path, schema, taxonomy, permissive)
         mp.setattr(dataset_module, "_usable_cpus", lambda: readers)
-        ranges = dataset_module._byte_ranges(path, schema)
+        ranges = dataset_module._byte_ranges(path)
         got, many = load_outcome(path, schema, taxonomy, permissive)
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text_lines = sum(1 for _ in fh)
@@ -732,7 +737,6 @@ def test_ranged_load_matches_one_range_read(lines, endings, final, dirty, reader
     if len(ranges) > 1:
         assert [r[1] for r in ranges] == list(np.cumsum([1] + [r[2] for r in ranges[:-1]]))
         assert sum(r[2] for r in ranges) == text_lines
-        assert all(bound == count for _, _, count, bound in ranges)
 
 
 def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
@@ -762,15 +766,12 @@ def test_a_file_is_read_in_one_range_per_cpu(tmp_path, monkeypatch):
     assert map_batches(lines, kdd99_schema(), kdd99_taxonomy(), report, sizes_here,
                        rows=1000)[0][0] == os.getpid()
     assert report.readers == 1 and report.n_loaded == len(lines)
-    # a range is no shorter than _RANGE_BYTES: a file of less than two is one,
-    # bound by its counted lines; a file shorter than one is read to its end
-    # and bound by its size: a KDD record holds 41 commas and 34 numbers, and
-    # a line break unless it is the last
+    # a range is no shorter than _RANGE_BYTES: a file of less than two is
+    # one, and so is a file shorter than one, each bound by its counted lines
     size = path.stat().st_size
-    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", size // 2 + 1)
-    assert dataset_module._byte_ranges(path, kdd99_schema()) == [(0, 1, len(lines), len(lines))]
-    monkeypatch.setattr(dataset_module, "_RANGE_BYTES", size + 1)
-    assert dataset_module._byte_ranges(path, kdd99_schema()) == [(0, 1, None, (size + 1) // 76)]
+    for range_bytes in (size // 2 + 1, size + 1):
+        monkeypatch.setattr(dataset_module, "_RANGE_BYTES", range_bytes)
+        assert dataset_module._byte_ranges(path) == [(0, 1, len(lines))]
 
 
 def test_no_reader_process_outlives_a_load(tmp_path, monkeypatch):
@@ -880,31 +881,24 @@ def test_held_batches_are_independent(tmp_path, monkeypatch, readers):
         np.testing.assert_array_equal(got_column, loaded)
 
 
-@pytest.mark.parametrize("kinds, record, exact", [
-    ("ddd", ",,,a", False),
-    ("ddd", ",,,", True),
-    ("cdc", "0,,0,", True),
+@pytest.mark.parametrize("kinds, record", [
+    ("ddd", ",,,a"),
+    ("ddd", ",,,"),
+    ("cdc", "0,,0,"),
 ], ids=["one-character-label", "empty-label", "numbers"])
-def test_a_one_range_bound_holds_the_shortest_records(tmp_path, monkeypatch, kinds, record,
-                                                      exact):
-    # a kept record holds a comma per attribute and a character per number
-    # and, but for the last, a line break: the label may be empty
+def test_a_one_range_bound_holds_the_shortest_records(tmp_path, monkeypatch, kinds, record):
+    # the shortest records a schema keeps, the label maybe empty, and no line
+    # break after the last: a one-range read is bound by its counted lines
     schema = Schema(tuple(AttributeSpec(f"x{j}", "discrete" if kind == "d" else "continuous")
                           for j, kind in enumerate(kinds)), ("A", "B"))
     taxonomy = {"a": "A", "": "B"}
     path, k = tmp_path / "records.csv", 5000
     path.write_text("\n".join([record] * k))  # no line break after the last
     monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 1)
-    ((_, _, lines, bound),) = dataset_module._byte_ranges(path, schema)
-    assert lines is None and (bound == k if exact else bound > k)
+    assert dataset_module._byte_ranges(path) == [(0, 1, k)]
     ds = load_dataset(path, schema, taxonomy)
     assert ds.n == k and ds.load_report.readers == 1
     assert ds.labels.tolist() == [0 if record.endswith("a") else 1] * k
-    # a file that holds more records than its size at the cut allows grew
-    size = path.stat().st_size
-    monkeypatch.setattr(dataset_module.os.path, "getsize", lambda _: size // 2)
-    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: record file grew"):
-        load_dataset(path, schema, taxonomy)
 
 
 class _Torn(Exception):
@@ -1213,23 +1207,25 @@ def test_sampled_load_is_the_sample_of_the_load(lines, endings, dirty, cpus, ran
             load_dataset(source(), schema, taxonomy, permissive=permissive), fraction, seed))
         got = sampled_outcome(lambda: load_dataset(source(), schema, taxonomy,
                                                    permissive=permissive, sample=(fraction, seed)))
-        readers = len(dataset_module._byte_ranges(path, schema)) if from_file else 1
+        readers = len(dataset_module._byte_ranges(path)) if from_file else 1
     event(f"{readers} ranges")
     event("sampled" if isinstance(got[0], list) else "raised")
     assert got == expected
 
 
 def test_a_sampled_load_holds_only_the_drawn_rows(tmp_path, monkeypatch):
-    # the first pass's outputs are sized by the file, the second's by the draw
+    # the first pass's outputs are sized by each range's lines, the second's
+    # by the lines drawn in each range
     path = tmp_path / "corpus.csv"
     synth.write_kdd_corpus(path, seed=7, scale=0.01)
     monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1 << 16)
     monkeypatch.setattr(dataset_module, "_usable_cpus", lambda: 2)
     passes, map_ranges = [], dataset_module._map_ranges
 
-    def recording(reader, stream, *args):
-        passes.append(([bound for *_, bound in stream[1]], reader.dtypes))
-        return map_ranges(reader, stream, *args)
+    def recording(reader, stream, fn, rows, outputs, *picks):
+        sizes = [len(outputs(k, count)[0]) for k, (*_, count) in enumerate(stream[1])]
+        passes.append((sizes, reader.dtypes))
+        return map_ranges(reader, stream, fn, rows, outputs, *picks)
 
     monkeypatch.setattr(dataset_module, "_map_ranges", recording)
     ds = load_dataset(path, kdd99_schema(), kdd99_taxonomy(), sample=(0.1, 3))

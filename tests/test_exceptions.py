@@ -1,6 +1,7 @@
 """The fault rule: one helper, ``exceptions.unexpected_as``, turns a fault
 the toolkit did not expect into its stage's error, and no other code
-catches every exception. And no src module imports a name it never uses."""
+catches every exception. And no src module imports a name it never uses,
+nor has a module-level function a parameter its body never reads."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,33 @@ def test_no_module_imports_a_name_it_never_uses():
     probe = ast.parse("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
                       "from .dataset import A, B, C\ndef f(x: 'B') -> C:\n    return np\n")
     assert unused_imports(probe) == [("A", 4), ("os", 2)]
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function name, parameter) of each parameter of a module-level
+    function that its body never reads, in its own code or in a function
+    or lambda nested in it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            read = {n.id for statement in node.body for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.name, p.arg) for p in params if p and p.arg not in read]
+    return found
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [(path.stem, *unread) for unread in unread_parameters(tree)]
+    assert found == []
+    # the check itself sees an unread positional, keyword-only and starred
+    # parameter, one only written, and one read only in a nested lambda;
+    # and passes over methods
+    probe = ast.parse("def f(a, b, /, c, *d, e, **g):\n    c = 1\n    return lambda: b\n"
+                      "class A:\n    def m(self, x):\n        pass\n")
+    assert unread_parameters(probe) == [("f", "a"), ("f", "c"), ("f", "d"), ("f", "e"),
+                                        ("f", "g")]
