@@ -2,10 +2,10 @@
 
 The full procedure: initialise example weights to 1/n, fit a naive-Bayes
 model, replace each example's weight with its highest normalised posterior
-(optionally relabeling the example to the argmax class), grow a decision
-tree by weighted information gain on the updated data, then weight each
-attribute 1/sqrt(d) where d is the smallest depth at which the tree tests
-it (absent attributes get 0) and drop the zero-weight attributes.
+and its label with the argmax class, grow a decision tree by weighted
+information gain on the updated data, then weight each attribute
+1/sqrt(d) where d is the smallest depth at which the tree tests it
+(absent attributes get 0) and drop the zero-weight attributes.
 
 The tree here exists to rank attributes; it is also usable directly as a
 plain information-gain classifier, which is the tree baseline elsewhere in
@@ -202,20 +202,13 @@ def compute_attribute_weights(tree: DecisionTree, schema: Schema) -> AttributeWe
 def update_example_weights(
     dataset: WeightedDataset,
     model: NaiveBayesModel,
-    relabel: bool = True,
 ) -> WeightedDataset:
-    """Set each example's weight to its highest normalised posterior.
-
-    With ``relabel`` on (the default) the example's label also becomes
-    the argmax class. The result is the weighting pass's working copy;
-    ``dataset`` keeps its own labels.
+    """Set each example's weight to its highest normalised posterior and
+    its label to the argmax class. The result is the weighting pass's
+    working copy; ``dataset`` keeps its own labels.
     """
     post = model.posteriors_dataset(dataset)
-    new_weights = post.max(axis=1)
-    out = dataset.with_weights(new_weights)
-    if relabel:
-        out = out.with_labels(np.argmax(post, axis=1))
-    return out
+    return dataset.with_weights(post.max(axis=1)).with_labels(np.argmax(post, axis=1))
 
 
 @dataclass(frozen=True)
@@ -224,16 +217,12 @@ class SelectionParams:
 
     smoothing_k: float = SMOOTHING_K
     bins: int = BINS
-    relabel: bool = True
-    iterations: int = 1
     max_depth: int | None = 15
     min_leaf_examples: float = 30.0
 
     def __post_init__(self) -> None:
         check_fit_settings(self.smoothing_k, self.bins)
         _check_leaf_floor(self.min_leaf_examples)
-        if not self.iterations >= 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if self.max_depth is not None and not self.max_depth >= 1:
             raise ValueError(f"weighting-tree max_depth must be >= 1, got {self.max_depth!r}")
 
@@ -246,7 +235,6 @@ class SelectionResult:
     weights: AttributeWeights
     reduced: WeightedDataset
     tree: DecisionTree
-    params: SelectionParams
     n_examples: int
     relabeled_count: int
     # counters and seconds of the run that made this result; not saved
@@ -256,8 +244,6 @@ class SelectionResult:
         return {
             "format": "attribute-weights/1",
             "n_examples": self.n_examples,
-            "iterations": self.params.iterations,
-            "relabel": self.params.relabel,
             "relabeled_count": self.relabeled_count,
             "attributes": self.weights.rows(),
             "kept": list(self.weights.kept_names()),
@@ -282,19 +268,19 @@ def select_attributes(
 ) -> SelectionResult:
     """Run the whole weighting procedure and drop zero-weight attributes.
 
-    The later iterations and the weighting tree read the working copy's
-    labels, which relabeling may change; ``relabeled_count`` counts the
-    rows where they differ from ``dataset``'s. The returned reduced
-    dataset carries the posterior weights and ``dataset``'s own labels.
+    One naive-Bayes fit on uniform weights reweights and relabels a
+    working copy, whose labels the weighting tree reads;
+    ``relabeled_count`` counts the rows where they differ from
+    ``dataset``'s. The returned reduced dataset carries the posterior
+    weights and ``dataset``'s own labels.
     """
     params = params or SelectionParams()
     if dataset.n == 0:
         raise TrainingError("cannot select attributes on an empty dataset")
     start = time.perf_counter()
-    work = dataset.with_uniform_weights()
-    for _ in range(params.iterations):
-        model = fit_naive_bayes(work, k=params.smoothing_k, bins=params.bins)
-        work = update_example_weights(work, model, relabel=params.relabel)
+    model = fit_naive_bayes(dataset.with_uniform_weights(), k=params.smoothing_k,
+                            bins=params.bins)
+    work = update_example_weights(dataset, model)
     tree = build_weighted_tree(
         work, max_depth=params.max_depth, min_leaf_examples=params.min_leaf_examples
     )
@@ -311,4 +297,4 @@ def select_attributes(
     stats = {"relabeled": relabeled, "tree_nodes": tree.node_count(),
              "tree_depth": max(node.depth for node in iter_nodes(tree.root)), "kept": len(kept),
              "select_s": time.perf_counter() - start}
-    return SelectionResult(weights, reduced, tree, params, dataset.n, relabeled, stats)
+    return SelectionResult(weights, reduced, tree, dataset.n, relabeled, stats)

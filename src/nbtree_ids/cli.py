@@ -110,9 +110,6 @@ class RunConfig:
         NBTreeParams.min_split_examples, "example-mass floor for trying a split")
     nbtree_max_depth: int = _setting(
         NBTreeParams.max_depth, "depth limit of the NB-tree (the root is depth 1)")
-    relabel: bool = _setting(
-        SelectionParams.relabel, "relabel examples to their argmax posterior during weighting")
-    iterations: int = _setting(SelectionParams.iterations, "reweighting passes before the tree")
     weighting_max_depth: int | None = _setting(
         SelectionParams.max_depth, "depth limit of the weighting tree")
     weighting_min_leaf_examples: float = _setting(

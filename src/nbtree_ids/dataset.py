@@ -158,7 +158,8 @@ class Example:
     """A single record: one value per schema attribute, the class its
     attack name maps to, and a non-negative weight.
 
-    ``parse_record`` leaves the weight at 0; ``load_dataset`` assigns 1/n.
+    ``parse_record`` leaves the weight at 0; ``WeightedDataset.example``
+    gives the row's weight.
     """
 
     values: tuple

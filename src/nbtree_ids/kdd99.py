@@ -89,5 +89,5 @@ def kdd99_schema() -> Schema:
 def kdd99_taxonomy() -> dict[str, str]:
     """Attack-name mapping shipped with the package (22 training attacks
     plus the extra names appearing in the corrected test set)."""
-    with resources.as_file(resources.files("nbtree_ids").joinpath("data/kdd99.taxonomy")) as p:
+    with resources.as_file(resources.files(__package__).joinpath("data/kdd99.taxonomy")) as p:
         return load_taxonomy_file(p)

@@ -339,14 +339,16 @@ def _schema_to_dict(schema: Schema) -> dict:
 
 def _schema_from_dict(doc: dict) -> Schema:
     """The schema that a document's ``classes`` and ``attributes`` name
-    (other keys of an attribute entry are ignored)."""
-    return Schema(
-        tuple(
-            AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
-            for a in doc["attributes"]
-        ),
-        tuple(doc["classes"]),
-    )
+    (other keys of an attribute entry are ignored); a domain must hold
+    distinct strings."""
+    attrs = []
+    for a in doc["attributes"]:
+        domain = tuple(a["domain"])
+        if not all(isinstance(v, str) for v in domain) or len(set(domain)) != len(domain):
+            raise DataFormatError(f"attribute {a['name']!r}: domain symbols must be "
+                                  "distinct strings")
+        attrs.append(AttributeSpec(a["name"], a["kind"], domain))
+    return Schema(tuple(attrs), tuple(doc["classes"]))
 
 
 def fit_naive_bayes(dataset: WeightedDataset, k: float = SMOOTHING_K,

@@ -6,8 +6,8 @@ Run from the root of a checkout; it trains with that checkout's sources:
 
     python tests/quality_record.py --corpus corpus.csv --label "best 3 cuts" \\
         --out BENCH_quality.json
-    python tests/quality_record.py --corpus corpus.csv --label "variant --no-relabel" \\
-        --out BENCH_quality.json -- --no-relabel
+    python tests/quality_record.py --corpus corpus.csv --label "variant --bins 5" \\
+        --out BENCH_quality.json -- --bins 5
 
 ``--corpus`` is the acceptance corpus (``synth.write_kdd_corpus``, corpus
 seed 20240501, 494,020 records); it is written there first when the file

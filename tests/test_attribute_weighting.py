@@ -397,7 +397,7 @@ def test_update_weights_are_max_posteriors():
     ds = synth.make_dataset(schema, rows, labels)
     loaded = ds.labels.copy()
     model = fit_naive_bayes(ds, k=1.0)
-    updated = update_example_weights(ds, model, relabel=True)
+    updated = update_example_weights(ds, model)
     k_eff = 1.0 * ds.total_weight / ds.n
     _, _, posts = oracles.nb_reference(
         rows, labels, list(ds.weights), ("A", "B"), [("x", "y"), ("0", "1")], k_eff
@@ -417,19 +417,8 @@ def test_update_weights_separable_k0():
         schema, [("x",)] * 3 + [("y",)] * 3, ["A"] * 3 + ["B"] * 3
     )
     model = fit_naive_bayes(ds, k=0.0)
-    updated = update_example_weights(ds, model, relabel=True)
+    updated = update_example_weights(ds, model)
     np.testing.assert_allclose(updated.weights, 1.0, atol=1e-12)
-    np.testing.assert_array_equal(updated.labels, ds.labels)
-
-
-def test_update_without_relabel_keeps_labels():
-    rng = np.random.default_rng(67)
-    schema = disc_schema(("x", "y"))
-    rows = [(("x", "y")[int(rng.integers(2))],) for _ in range(20)]
-    labels = [("A", "B")[int(rng.integers(2))] for _ in range(20)]
-    ds = synth.make_dataset(schema, rows, labels)
-    model = fit_naive_bayes(ds, k=1.0)
-    updated = update_example_weights(ds, model, relabel=False)
     np.testing.assert_array_equal(updated.labels, ds.labels)
 
 
@@ -476,13 +465,6 @@ def test_select_degenerate_single_class_errors():
     ds = synth.make_dataset(schema, [("x",), ("y",)] * 3, ["A"] * 6)
     with pytest.raises(DegenerateTreeError):
         select_attributes(ds)
-
-
-@pytest.mark.parametrize("iterations", [0, -1])
-def test_select_rejects_fewer_than_one_pass(iterations):
-    ds = synth.make_majority_dataset(seed=1, n=100)
-    with pytest.raises(ValueError, match="iterations"):
-        select_attributes(ds, SelectionParams(iterations=iterations))
 
 
 def test_select_is_deterministic():

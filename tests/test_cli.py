@@ -164,12 +164,11 @@ def test_sampled_permissive_run_keeps_skip_counts(toy_corpus, tmp_path):
     ("train", ["--significance-pct", "100"], "significance"),
     ("train", ["--nbtree-max-depth", "0"], "max_depth"),
     ("select", ["--weighting-max-depth", "0"], "max_depth"),
-    ("select", ["--iterations", "0"], "iterations"),
     ("compare", ["--smoothing-k", "-1"], "smoothing_k"),
     ("compare", ["--smoothing-k", "inf"], "smoothing_k"),
     ("train", ["--min-split-examples", "-1"], "min_split_examples"),
 ], ids=["bins-0", "min-leaf-negative", "min-leaf-nan", "seed-negative", "folds-1", "folds-101",
-        "folds-huge", "significance-100", "nbtree-depth-0", "weighting-depth-0", "iterations-0",
+        "folds-huge", "significance-100", "nbtree-depth-0", "weighting-depth-0",
         "smoothing-k-negative", "smoothing-k-inf", "min-split-negative"])
 def test_bad_flag_value_exits_1(tmp_path, capsys, command, flags, field):
     # no such training file: a check made only after the load would exit 2
@@ -365,6 +364,14 @@ def _reordered_domain(doc):
     attr["domain"] = attr["domain"][::-1]
 
 
+def _protocol_domain(symbols):
+    """Set protocol_type's domain in a model's attributes and its schema alike."""
+    def damage(doc):
+        for attrs in (doc["attributes"], doc["schema"]["attributes"]):
+            next(a for a in attrs if a["name"] == "protocol_type")["domain"] = list(symbols)
+    return damage
+
+
 def _split_outside_attributes(doc):
     leaf = doc["root"]
     doc["root"] = {"depth": leaf["depth"], "weight": leaf["weight"], "n": leaf["n"],
@@ -504,6 +511,8 @@ def _negative_attr_weight(doc):
     ("nb-full", _no_priors),
     ("nb-full", _narrow_table),
     ("nb-full", _reordered_domain),
+    ("nb-full", _protocol_domain([1, 2, 3])),
+    ("nb-full", _protocol_domain(["tcp", "tcp", "icmp"])),
     ("proposed-nbtree", _split_outside_attributes),
     ("tree-full", _bogus_leaf_label),
     ("proposed-nbtree", _foreign_leaf_schema),
@@ -535,7 +544,8 @@ def _negative_attr_weight(doc):
     ("proposed-nbtree", _no_classes),
     ("tree-full", _heavier_first_child),
     ("tree-full", _first_child_n_plus_one),
-], ids=["missing-priors", "narrow-table", "reordered-domain", "split-outside-attributes",
+], ids=["missing-priors", "narrow-table", "reordered-domain", "numeric-domain",
+        "repeated-domain", "split-outside-attributes",
         "bogus-leaf-label", "foreign-leaf-schema", "nan-attr-weight", "negative-attr-weight",
         "empty-children", "text-weight", "text-threshold", "nan-threshold", "huge-threshold",
         "text-depth", "reversed-edges", "nan-edge", "negative-table-entry", "nan-table-entry",
@@ -1411,9 +1421,11 @@ def test_unknown_config_key_exits_1(toy_corpus, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--carry-weights", "--no-carry-weights",
-                                  "--train-on-relabeled", "--no-train-on-relabeled"])
+                                  "--train-on-relabeled", "--no-train-on-relabeled",
+                                  "--relabel", "--no-relabel", "--iterations"])
 def test_nbtree_training_data_switches_are_gone(tmp_path, capsys, flag):
-    # the NB-tree always trains on the posterior weights and load-time labels
+    # the NB-tree always trains on the posterior weights and load-time labels,
+    # and those come from one relabeling weighting pass
     assert main(["train", "--train", str(tmp_path / "missing.csv"), flag]) == 1
     assert flag in capsys.readouterr().err
     cfg_path = tmp_path / "run.json"

@@ -2,7 +2,10 @@ import errno
 import os
 import pickle
 import re
+import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -93,6 +96,17 @@ def test_parse_rejects_wrong_arity():
 def test_parse_maps_trailing_period_attack_names():
     line = FIRST_KDD_RECORD.replace("normal.", "neptune.")
     assert parse_record(line, kdd99_schema(), kdd99_taxonomy()).label == "DoS"
+
+
+def test_a_renamed_copy_of_the_package_reads_its_taxonomy(tmp_path):
+    # the copy finds its data through its own name, with no nbtree_ids to import
+    shutil.copytree(Path(dataset_module.__file__).parent, tmp_path / "nbtree_ids_b",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = "from nbtree_ids_b.kdd99 import kdd99_taxonomy; print(sorted(kdd99_taxonomy().items()))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"{sorted(kdd99_taxonomy().items())}\n"
 
 
 def test_parse_rejects_bad_number():

@@ -294,7 +294,7 @@ def test_proposed_nbtree_trains_on_posterior_weights_and_load_time_labels():
     weights = selection.weights.as_array(selection.weights.kept_names())
     got = models["proposed-nbtree"].dump()
     assert got == build_nbtree(selection.reduced, weights, params).dump()
-    plain, select = ds.with_uniform_weights(), selection.params
+    plain, select = ds.with_uniform_weights(), SelectionParams()
     relabeled = update_example_weights(
         plain, fit_naive_bayes(plain, k=select.smoothing_k, bins=select.bins)).labels
     for other in (selection.reduced.with_uniform_weights(),

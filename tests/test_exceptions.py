@@ -1,7 +1,8 @@
 """The fault rule: one helper, ``exceptions.unexpected_as``, turns a fault
 the toolkit did not expect into its stage's error, and no other code
-catches every exception. And no src module imports a name it never uses,
-nor has a module-level function a parameter its body never reads."""
+catches every exception. And no src module imports a name it never uses
+or names its own package, nor has a module-level function a parameter its
+body never reads."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,38 @@ def test_no_function_has_a_parameter_it_never_reads():
                       "class A:\n    def m(self, x):\n        pass\n")
     assert unread_parameters(probe) == [("f", "a"), ("f", "c"), ("f", "d"), ("f", "e"),
                                         ("f", "g")]
+
+
+def own_package_names(tree: ast.Module, package: str) -> list[int]:
+    """Lines where a module names its package ``package``: an absolute
+    import of it or of a module under it, or a string constant that is
+    its name or a dotted name under it."""
+    def names_it(name) -> bool:
+        return isinstance(name, str) and (name == package or name.startswith(package + "."))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(names_it(a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.level == 0 and names_it(node.module)
+        else:
+            hit = isinstance(node, ast.Constant) and names_it(node.value)
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_names_its_own_package():
+    # so that a copy of the package under another name runs as itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [(path.stem, line) for line in own_package_names(tree, SRC.name)]
+    assert found == []
+    # the check itself sees a dotted and a from import and both kinds of
+    # string, and passes over relative imports and other names
+    probe = ast.parse("import nbtree_ids.cli\nfrom nbtree_ids import a\nfrom . import b\n"
+                      "from .nbtree_ids import c\nimport nbtree_idsx\nd = 'nbtree_ids.data'\n"
+                      "e = 'nbtree_ids_b'\nf = 'nbtree_ids'\n")
+    assert own_package_names(probe, "nbtree_ids") == [1, 2, 6, 8]

@@ -18,10 +18,10 @@ PROPOSED = quality_record.PROPOSED
 
 
 def test_flags_give_the_cli_config():
-    flags = ["--no-relabel", "--iterations", "2"]
+    flags = ["--bins", "5", "--folds", "3"]
     config = quality_record.run_config(flags)
     assert config == _load_config(build_parser().parse_args(["compare", *flags]))
-    assert config == dataclasses.replace(RunConfig(), relabel=False, iterations=2)
+    assert config == dataclasses.replace(RunConfig(), bins=5, folds=3)
     assert quality_record.run_config([]) == RunConfig()
 
 
@@ -62,7 +62,7 @@ def small_corpus(tmp_path_factory):
 
 def test_variant_mcnemar_puts_b_on_defaults_right_variant_wrong(small_corpus):
     seed = 3
-    config = quality_record.run_config(["--no-relabel"])
+    config = quality_record.run_config(["--bins", "5"])
     got = quality_record.record_seed(small_corpus, seed, config)[PROPOSED]["complement_mcnemar"]
 
     sample = stratified_sample(small_corpus, quality_record.SAMPLE_FRACTION, seed)
